@@ -176,7 +176,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "n", "q", "modulus",
-        "add", "sub", "mul", "neg", "inv", "frob", "proot",
+        "add", "sub", "mul", "neg", "inv", "frob", "proot", "red",
         "_digits", "_pwr",
     )
 
@@ -215,7 +215,8 @@ class FieldCtx:
         self.sub = self.add[:, self.neg]
 
         # raw polynomial product of the digit vectors, then reduce by the
-        # precomputed expansions of t^n .. t^(2n-2)
+        # expansions of t^n .. t^(2n-2) (kept as red[e] = t^(n+e) for the
+        # digit-plane matrix product in linalg)
         conv = np.zeros((q, q, 2 * n - 1), dtype=np.int64)
         for i in range(n):
             for j in range(n):
@@ -230,6 +231,8 @@ class FieldCtx:
             for j in range(n):
                 nxt[j] = (nxt[j] + lead * ((-self.modulus[j]) % p)) % p
             cur = nxt
+        self.red = red
+        self.red.setflags(write=False)
         out = conv[:, :, :n].copy()
         for e in range(n - 1):
             out += conv[:, :, n + e, None] * red[e][None, None, :]

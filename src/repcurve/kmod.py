@@ -42,6 +42,7 @@ from .linalg import (
     kernel,
     matpow,
     nilpotent_partition,
+    nilpotent_partitions,
     preimage,
     subspace_intersect,
 )
@@ -147,6 +148,25 @@ class HModule:
             self._cache["t0"] = self.Mtau - Mat.identity(self.ctx, self.dim)
         return self._cache["t0"]
 
+    def word_stack(self) -> np.ndarray:
+        """Read-only (p^2, dim, dim) array holding sigma0^a tau0^b at
+        a*p + b for 0 <= a, b < p: the powers of each generator, then all
+        p^2 products in one broadcast product."""
+        if "words" not in self._cache:
+            ctx, p = self.ctx, self.ctx.p
+
+            def powers(X: Mat) -> np.ndarray:
+                out = [Mat.identity(ctx, self.dim).data]
+                for _ in range(p - 1):
+                    out.append(_matmul_idx(ctx, out[-1], X.data))
+                return np.stack(out)
+
+            S, T = powers(self.sigma0()), powers(self.tau0())
+            W = _matmul_idx(ctx, S[:, None], T[None, :]).reshape(p * p, self.dim, self.dim)
+            W.setflags(write=False)
+            self._cache["words"] = W
+        return self._cache["words"]
+
     def word_matrix(self, a: int, b: int) -> Mat:
         """Matrix of sigma0^a tau0^b; the zero matrix once a or b >= p."""
         if a < 0 or b < 0:
@@ -154,10 +174,7 @@ class HModule:
         p = self.ctx.p
         if a >= p or b >= p:
             return Mat.zeros(self.ctx, self.dim, self.dim)
-        key = ("w", a, b)
-        if key not in self._cache:
-            self._cache[key] = matpow(self.sigma0(), a) @ matpow(self.tau0(), b)
-        return self._cache[key]
+        return Mat(self.ctx, self.word_stack()[a * p + b])
 
     def basis_vector(self, which) -> np.ndarray:
         """Standard basis vector by index or label."""
@@ -375,25 +392,29 @@ def direct_sum(M: HModule, N: HModule) -> HModule:
                    labels=labels, meta={"kind": "sum"})
 
 
+def _action_coords(M: HModule, W: Subspace, message: str) -> np.ndarray:
+    """Coordinates in W's basis of sigma and tau applied to W's basis:
+    (2, dim W, dim W), row j of block g holding g(w_j).  One product for
+    all images and one batched membership test; raises NotInvariant with
+    message when an image leaves W."""
+    if W.ambient != M.dim:
+        raise ShapeMismatch("subspace ambient does not match module dimension")
+    gens = np.stack([M.Msigma.data.T, M.Mtau.data.T])
+    imgs = _matmul_idx(M.ctx, W.basis, gens).reshape(2 * W.dim, M.dim)
+    coords, inside = W.reduce_rows(imgs)
+    if not inside.all():
+        raise NotInvariant(message)
+    return coords.reshape(2, W.dim, W.dim)
+
+
 def sub_module_on(M: HModule, W: Subspace) -> tuple:
     """Module structure induced on an invariant subspace W; returns
     (module, embedding matrix whose columns are the basis of W)."""
     ctx = M.ctx
-    if W.ambient != M.dim:
-        raise ShapeMismatch("subspace ambient does not match module dimension")
+    coords = _action_coords(M, W, "subspace is not stable under the action")
     E = Mat(ctx, W.basis.T.copy())
-
-    def induced(A: Mat) -> Mat:
-        out = np.zeros((W.dim, W.dim), dtype=np.int64)
-        for j in range(W.dim):
-            img = A.apply(W.basis[j])
-            coords = W.reduce(img)
-            if coords is None:
-                raise NotInvariant("subspace is not stable under the action")
-            out[:, j] = coords
-        return Mat(ctx, out)
-
-    sub = HModule(ctx, induced(M.Msigma), induced(M.Mtau), meta={"kind": "sub"})
+    sub = HModule(ctx, Mat(ctx, coords[0].T.copy()), Mat(ctx, coords[1].T.copy()),
+                  meta={"kind": "sub"})
     return sub, E
 
 
@@ -420,14 +441,10 @@ def quotient(M: HModule, W: Subspace, reps=None) -> tuple:
     projection matrix).  Optional reps fixes the coset basis; otherwise
     the standard vectors complementary to W's pivots are used."""
     ctx = M.ctx
-    if W.ambient != M.dim:
-        raise ShapeMismatch("subspace ambient does not match module dimension")
-    for row in W.basis:
-        if not W.contains(M.Msigma.apply(row)) or not W.contains(M.Mtau.apply(row)):
-            raise NotInvariant("quotient by a non-invariant subspace")
+    _action_coords(M, W, "quotient by a non-invariant subspace")
     qdim = M.dim - W.dim
     if reps is None:
-        pivots = [int(np.argmax(r != 0)) for r in W.basis]
+        pivots = W.pivots.tolist()
         free = [c for c in range(M.dim) if c not in pivots]
         reps_arr = np.zeros((qdim, M.dim), dtype=np.int64)
         for k, f in enumerate(free):
@@ -531,15 +548,30 @@ def s_filtration_direct(M: HModule) -> list:
         n += 1
 
 
+def ddeg_rows(M: HModule, V) -> np.ndarray:
+    """Degrees of the rows of V (k x dim): the least n with the row in
+    S_n, and -1 for a zero row.  Makes one batched membership test per
+    filtration level, on the rows still undecided."""
+    V = np.asarray(V, dtype=np.int64)
+    if V.ndim != 2 or V.shape[1] != M.dim:
+        raise ShapeMismatch(f"rows of shape {V.shape} for a module of dim {M.dim}")
+    out = np.full(V.shape[0], -1, dtype=np.int64)
+    todo = np.nonzero(V.any(axis=1))[0]
+    for n, space in enumerate(s_filtration(M)):
+        if todo.size == 0:
+            break
+        inside = space.reduce_rows(V[todo])[1]
+        out[todo[inside]] = n
+        todo = todo[~inside]
+    if todo.size:
+        raise Undecided("vector escaped the filtration")  # unreachable
+    return out
+
+
 def ddeg(M: HModule, v) -> int:
     """Least n with v in S_n; -1 for the zero vector."""
     vec = as_vector(M.ctx, v) if not isinstance(v, np.ndarray) else v
-    if not vec.any():
-        return -1
-    for n, space in enumerate(s_filtration(M)):
-        if space.contains(vec):
-            return n
-    raise Undecided("vector escaped the filtration")  # unreachable
+    return int(ddeg_rows(M, vec[None, :])[0])
 
 
 def ddeg_prime(M: HModule, v) -> int:
@@ -573,10 +605,8 @@ def _min_generators(M: HModule) -> list:
     shifted generators; they generate M over the group algebra."""
     ctx = M.ctx
     imgs = np.vstack([M.sigma0().data.T, M.tau0().data.T])
-    R = Subspace.from_rows(ctx, M.dim, imgs)
-    pivots = [int(np.argmax(r != 0)) for r in R.basis]
-    free = [c for c in range(M.dim) if c not in pivots]
-    return free
+    pivots = Subspace.from_rows(ctx, M.dim, imgs).pivots.tolist()
+    return [c for c in range(M.dim) if c not in pivots]
 
 
 def _hom_source_data(M: HModule) -> dict:
@@ -588,13 +618,8 @@ def _hom_source_data(M: HModule) -> dict:
     gens = _min_generators(M)
     t = len(gens)
     words = [(a, b) for a in range(p) for b in range(p)]
-    cols = []
-    for gi in gens:
-        g = np.zeros(M.dim, dtype=np.int64)
-        g[gi] = 1
-        for (a, b) in words:
-            cols.append(M.word_matrix(a, b).apply(g))
-    E = np.array(cols, dtype=np.int64).T.reshape(M.dim, t * len(words))
+    # column i*p^2 + w: word w applied to generator i
+    E = M.word_stack()[:, :, gens].transpose(1, 2, 0).reshape(M.dim, t * len(words))
     rel = kernel(Mat(ctx, E))
     # pivot columns of E give an invertible evaluation submatrix
     EM = E.copy()
@@ -622,41 +647,30 @@ def hom_space(M: HModule, N: HModule) -> Subspace:
     if M.dim == 0 or N.dim == 0:
         return Subspace.zero(ctx, amb)
     src = _hom_source_data(M)
-    t, words, rel = src["t"], src["words"], src["rel"]
-    nw = len(words)
+    t, rel = src["t"], src["rel"]
+    nw = len(src["words"])
     dN = N.dim
-    wordN = {ab: N.word_matrix(*ab).data for ab in words}
-    # conditions on stacked images x = (x_1 .. x_t) in N^t
+    WN = N.word_stack()
+    # conditions on stacked images x = (x_1 .. x_t) in N^t: block (r, i)
+    # of C is sum_w rel_r[i, w] * word_w(N), all blocks from one product
     nrel = rel.dim
     if nrel:
-        C = np.zeros((nrel * dN, t * dN), dtype=np.int64)
-        for ridx in range(nrel):
-            rvec = rel.basis[ridx]
-            for i in range(t):
-                block = np.zeros((dN, dN), dtype=np.int64)
-                for widx, ab in enumerate(words):
-                    coef = int(rvec[i * nw + widx])
-                    if coef:
-                        block = ctx.add[block, ctx.mul[coef, wordN[ab]]]
-                C[ridx * dN : (ridx + 1) * dN, i * dN : (i + 1) * dN] = block
+        blocks = _matmul_idx(ctx, rel.basis.reshape(nrel * t, nw), WN.reshape(nw, dN * dN))
+        C = blocks.reshape(nrel, t, dN, dN).transpose(0, 2, 1, 3).reshape(nrel * dN, t * dN)
         sol = kernel(Mat(ctx, C))
     else:
         sol = Subspace.full(ctx, t * dN)
     if sol.dim == 0:
         return Subspace.zero(ctx, amb)
-    # reconstruct each map from its generator images via the pivot columns
-    piv, EPinv = src["piv"], src["EPinv"]
-    rows = np.zeros((sol.dim, amb), dtype=np.int64)
-    for sidx in range(sol.dim):
-        x = sol.basis[sidx]
-        VP = np.zeros((dN, M.dim), dtype=np.int64)
-        for k, c in enumerate(piv):
-            i, widx = divmod(c, nw)
-            ab = words[widx]
-            VP[:, k] = _matmul_idx(ctx, wordN[ab], x[i * dN : (i + 1) * dN].reshape(-1, 1))[:, 0]
-        Phi = _matmul_idx(ctx, VP, EPinv.data)
-        rows[sidx] = Phi.reshape(-1)
-    return Subspace.from_rows(ctx, amb, rows)
+    # reconstruct every map from its generator images: every word on every
+    # image in one product, the columns at the pivots of E, then EPinv
+    S = sol.dim
+    piv = np.array(src["piv"], dtype=np.int64)
+    X = sol.basis.reshape(S * t, dN).T
+    Y = _matmul_idx(ctx, WN.reshape(nw * dN, dN), X).reshape(nw, dN, S, t)
+    VP = Y[piv % nw, :, :, piv // nw].transpose(2, 1, 0)     # (S, dN, dim M)
+    Phi = _matmul_idx(ctx, VP.reshape(S * dN, M.dim), src["EPinv"].data)
+    return Subspace.from_rows(ctx, amb, Phi.reshape(S, amb))
 
 
 def end_algebra(M: HModule) -> tuple:
@@ -948,7 +962,7 @@ def is_indecomposable(M: HModule, seed: int = 0, trials: int = 16,
                              detail={"end_dim": Hend.dim, "radical_dim": rad.dim,
                                      "semisimple_dim": 1})
     # complement representatives of End/rad
-    pivots = [int(np.argmax(r != 0)) for r in rad.basis]
+    pivots = rad.pivots.tolist()
     free = [c for c in range(Hend.dim) if c not in pivots]
     reps = [mats[c] for c in free]  # valid complement: coords e_c are independent mod rad
     detail = {"end_dim": Hend.dim, "radical_dim": rad.dim, "semisimple_dim": e}
@@ -1024,11 +1038,16 @@ def jordan_type_at(M: HModule, a, b) -> tuple:
 
 
 def jordan_scan(M: HModule) -> list:
-    """Jordan types over the projective line: points (1, b) for b in F_q,
-    then (0, 1)."""
+    """Jordan types at all q + 1 points of P^1(F_q): (1, b) for every b in
+    F_q, then (0, 1), each point a pair of encoded field indices.  The
+    q + 1 pencil matrices are stacked and their partitions computed
+    together."""
     if "jscan" not in M._cache:
-        pts = [(1, b) for b in range(M.ctx.q)] + [(0, 1)]
-        M._cache["jscan"] = [((a, b), jordan_type_at(M, a, b)) for a, b in pts]
+        ctx = M.ctx
+        pts = [(1, b) for b in range(ctx.q)] + [(0, 1)]
+        a, b = np.array(pts, dtype=np.int64).T[:, :, None, None]
+        stack = ctx.add[ctx.mul[a, M.sigma0().data], ctx.mul[b, M.tau0().data]]
+        M._cache["jscan"] = list(zip(pts, nilpotent_partitions(ctx, stack)))
     return M._cache["jscan"]
 
 

@@ -9,6 +9,7 @@ bottom then left to right), which makes equality bit-exact.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -149,48 +150,29 @@ class Mat:
 
 
 def _matmul_idx(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact product of encoded-index arrays via digit-plane convolution."""
+    """Exact product of encoded-index arrays via digit-plane convolution.
+
+    Leading axes broadcast as with ``@``.  All n x n products of digit
+    planes come from one float64 matmul (exact: every sum stays far below
+    2^53).  Plane pair (i, j) lands on t^(i+j); the powers t^n .. t^(2n-2)
+    are folded back to n digits with the reduction rows ctx.red.
+    """
     p, n = ctx.p, ctx.n
-    if A.shape[1] == 0 or A.shape[0] == 0 or B.shape[1] == 0:
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    PA = [(A // p**i) % p for i in range(n)]
-    PB = [(B // p**i) % p for i in range(n)]
-    acc = [np.zeros((A.shape[0], B.shape[1]), dtype=np.int64) for _ in range(2 * n - 1)]
-    for i in range(n):
-        for j in range(n):
-            acc[i + j] += PA[i] @ PB[j]
-    # reduce powers t^n .. t^(2n-2) using the modulus
-    red_rows = _reduction_rows(ctx)
-    out_planes = [acc[k] % p for k in range(n)]
-    for e in range(n - 1):
-        high = acc[n + e] % p
-        for k in range(n):
-            if red_rows[e][k]:
-                out_planes[k] = (out_planes[k] + red_rows[e][k] * high) % p
-    out = np.zeros_like(out_planes[0])
-    for k in range(n):
-        out += out_planes[k] * p**k
-    return out
+    rows, cols = A.shape[-2], B.shape[-1]
+    planes = ctx._digits.T.astype(np.float64)
 
+    def split(X):  # (..., r, c) -> digit planes (..., n, r, c)
+        D = X.ndim
+        return planes.take(X, axis=1).transpose(*range(1, D - 1), 0, D - 1, D)
 
-_RED_CACHE: dict = {}
-
-
-def _reduction_rows(ctx: FieldCtx):
-    key = (ctx.p, ctx.n, ctx.modulus)
-    if key not in _RED_CACHE:
-        p, n = ctx.p, ctx.n
-        rows = []
-        cur = [(-c) % p for c in ctx.modulus[:-1]]
-        for _ in range(n - 1):
-            rows.append(tuple(cur))
-            nxt = [0] + cur[:-1]
-            lead = cur[-1]
-            for j in range(n):
-                nxt[j] = (nxt[j] + lead * ((-ctx.modulus[j]) % p)) % p
-            cur = nxt
-        _RED_CACHE[key] = rows
-    return _RED_CACHE[key]
+    PA = split(A)
+    PA = PA.reshape(PA.shape[:-3] + (1, n * rows, A.shape[-1]))  # (..., 1, (i, row), k)
+    prod = PA @ split(B)                                          # (..., j, (i, row), col)
+    lead = prod.shape[:-3]
+    r = np.arange(n)
+    fold = np.concatenate((np.eye(n), ctx.red))[(r[:, None] + r).reshape(-1)]
+    digits = (fold.T @ prod.reshape(lead + (n * n, rows * cols))).astype(np.int64) % p
+    return (ctx._pwr @ digits).reshape(lead + (rows, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +286,20 @@ def matpow(A: Mat, e: int) -> Mat:
 
 
 class Subspace:
-    """A subspace of F_q^ambient, stored as a canonical RREF basis."""
+    """A subspace of F_q^ambient, stored as a canonical RREF basis.
 
-    __slots__ = ("ctx", "ambient", "basis")
+    The basis must be in RREF: the pivot columns are read once, and the
+    coordinates of any vector of the subspace are its entries there.
+    """
+
+    __slots__ = ("ctx", "ambient", "basis", "pivots")
 
     def __init__(self, ctx: FieldCtx, ambient: int, basis: np.ndarray):
         self.ctx = ctx
         self.ambient = int(ambient)
         self.basis = basis.astype(np.int64, copy=False)
         self.basis.setflags(write=False)
+        self.pivots = np.argmax(self.basis != 0, axis=1)
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, ambient: int, rows) -> "Subspace":
@@ -339,28 +326,30 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient
 
-    def contains(self, v: np.ndarray) -> bool:
-        return self.reduce(v) is not None
+    def reduce_rows(self, V: np.ndarray) -> tuple:
+        """Coordinates of the rows of V (k x ambient) in the basis, and a
+        boolean mask of the rows that lie in the subspace.  Coordinates of
+        rows outside are their entries at the pivots."""
+        V = np.asarray(V, dtype=np.int64)
+        if V.ndim != 2 or V.shape[1] != self.ambient:
+            raise ShapeMismatch(f"rows of shape {V.shape} in ambient {self.ambient}")
+        coords = V[:, self.pivots]
+        inside = (_matmul_idx(self.ctx, coords, self.basis) == V).all(axis=1)
+        return coords, inside
 
     def reduce(self, v) -> Optional[np.ndarray]:
         """Coordinates of v in the basis, or None if v is outside."""
-        ctx = self.ctx
-        v = as_vector(ctx, v) if not isinstance(v, np.ndarray) else v.astype(np.int64, copy=True)
+        v = np.asarray(v, dtype=np.int64) if isinstance(v, np.ndarray) else as_vector(self.ctx, v)
         if v.shape != (self.ambient,):
             raise ShapeMismatch(f"vector length {v.shape} in ambient {self.ambient}")
-        coords = np.zeros(self.dim, dtype=np.int64)
-        for i in range(self.dim):
-            lead = int(np.argmax(self.basis[i] != 0)) if self.basis[i].any() else -1
-            c = int(v[lead])
-            if c:
-                coords[i] = c
-                v = ctx.sub[v, ctx.mul[c, self.basis[i]]]
-        if v.any():
-            return None
-        return coords
+        coords, inside = self.reduce_rows(v[None, :])
+        return coords[0] if inside[0] else None
+
+    def contains(self, v: np.ndarray) -> bool:
+        return self.reduce(v) is not None
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
+        return bool(self.reduce_rows(other.basis)[1].all())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ctx == other.ctx
@@ -485,34 +474,63 @@ def mat_from_json(ctx: FieldCtx, obj: dict) -> Mat:
     return Mat(ctx, data)
 
 
+def _rank_stack(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
+    """Ranks of a stack of matrices (..., rows, cols) by one elimination
+    over all of them: column by column, each matrix takes its own pivot
+    (first nonzero entry among its rows not yet used as pivots) and clears
+    that column in its other unused rows."""
+    lead, (rows, cols) = A.shape[:-2], A.shape[-2:]
+    A = A.reshape((math.prod(lead), rows, cols))
+    ranks = np.zeros(A.shape[0], dtype=np.int64)
+    live = np.nonzero(A.reshape(A.shape[0], -1).any(axis=1))[0]
+    A = A[live]
+    unused = np.ones(A.shape[:2], dtype=bool)
+    for c in range(cols):
+        cand = (A[:, :, c] != 0) & unused
+        has = np.nonzero(cand.any(axis=1))[0]
+        if has.size == 0:
+            continue
+        pr = np.argmax(cand[has], axis=1)
+        prow = A[has, pr, c:]
+        prow = ctx.mul[ctx.inv[prow[:, 0]][:, None], prow]
+        factors = np.where(cand[has], A[has, :, c], 0)
+        factors[np.arange(has.size), pr] = 0
+        A[has, :, c:] = ctx.sub[A[has, :, c:], ctx.mul[factors[:, :, None], prow[:, None, :]]]
+        unused[has, pr] = False
+        ranks[live[has]] += 1
+    return ranks.reshape(lead)
+
+
+def nilpotent_partitions(ctx: FieldCtx, stack: np.ndarray) -> list:
+    """Jordan partitions of a stack of nilpotent d x d matrices (k, d, d),
+    from their rank chains: the powers of all k matrices are taken
+    together, and the ranks of all the powers come from one stacked
+    elimination."""
+    k, d = stack.shape[0], stack.shape[-1]
+    if d == 0:
+        return [()] * k
+    powers = [stack]
+    while powers[-1].any() and len(powers) < d:
+        powers.append(_matmul_idx(ctx, powers[-1], stack))
+    nonzero = powers[-1].reshape(k, -1).any(axis=1)
+    ranks = _rank_stack(ctx, np.stack(powers)).reshape(len(powers), k)
+    out = []
+    for b in range(k):
+        chain = [d] + ranks[:, b].tolist()
+        if nonzero[b]:
+            raise NotNilpotent(f"matrix is not nilpotent (rank chain {chain})")
+        # at_least[j-1] = #{blocks of size >= j} = rank N^(j-1) - rank N^j
+        at_least = [chain[j - 1] - chain[j] for j in range(1, len(chain))] + [0]
+        partition = []
+        for j in range(len(chain) - 1, 0, -1):
+            partition += [j] * (at_least[j - 1] - at_least[j])
+        assert sum(partition) == d, (partition, chain)
+        out.append(tuple(partition))
+    return out
+
+
 def nilpotent_partition(N: Mat) -> tuple:
     """Jordan partition of a nilpotent matrix from its rank chain."""
     if not N.is_square():
         raise ShapeMismatch("partition of a non-square matrix")
-    d = N.rows
-    if d == 0:
-        return ()
-    ranks = [d]
-    P = Mat.identity(N.ctx, d)
-    for _ in range(d):
-        P = P @ N
-        r = rank(P)
-        ranks.append(r)
-        if r == 0:
-            break
-    if ranks[-1] != 0:
-        raise NotNilpotent(f"matrix is not nilpotent (rank chain {ranks})")
-    # counts[k-1] = #{Jordan blocks of size >= k} = rank(N^(k-1)) - rank(N^k),
-    # so the block-size partition is the conjugate of the counts sequence
-    counts = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    partition = []
-    j = 1
-    while True:
-        c = sum(1 for ck in counts if ck >= j)
-        if c == 0:
-            break
-        partition.append(c)
-        j += 1
-    partition = tuple(sorted(partition, reverse=True))
-    assert sum(partition) == d, (partition, ranks)
-    return partition
+    return nilpotent_partitions(N.ctx, N.data[None])[0]

@@ -11,6 +11,7 @@ import hashlib
 import json
 import random
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Tuple
 
@@ -171,6 +172,15 @@ def _random_vector(ctx: FieldCtx, dim: int, rng: random.Random) -> np.ndarray:
             return v
 
 
+def _ddeg_verdict(V: np.ndarray, got: np.ndarray, want: list) -> tuple:
+    """Case result comparing batched degrees with the expected ones; the
+    certificate names the first vector whose degree is wrong."""
+    bad = np.nonzero(got != np.array(want))[0]
+    if bad.size:
+        return False, f"bad vector {V[bad[0]].tolist()}"
+    return True, f"{len(V)} vectors"
+
+
 def _suite_filtration(p: int, seed: int, trials: int) -> List[Case]:
     ctx = default_ctx(p)
     t = ctx.gen()
@@ -197,12 +207,9 @@ def _suite_filtration(p: int, seed: int, trials: int) -> List[Case]:
             def run(s):
                 rng = random.Random(s)
                 M = km.v_d(ctx, d, t)
-                for _ in range(200):
-                    v = _random_vector(ctx, d, rng)
-                    want = max(km.s_p(i, p) for i in range(d) if v[i])
-                    if km.ddeg(M, v) != want:
-                        return False, f"bad vector {v.tolist()}"
-                return True, "200 vectors"
+                V = np.array([_random_vector(ctx, d, rng) for _ in range(200)])
+                want = [max(km.s_p(i, p) for i in range(d) if v[i]) for v in V]
+                return _ddeg_verdict(V, km.ddeg_rows(M, V), want)
             return run
 
         cases.append((f"filtration/p{p}/vd{d:02d}/sn-dims", sn_dims()))
@@ -212,11 +219,9 @@ def _suite_filtration(p: int, seed: int, trials: int) -> List[Case]:
             def run(s):
                 rng = random.Random(s)
                 M = km.v_dr(ctx, d, t)
-                for _ in range(200):
-                    v = _random_vector(ctx, M.dim, rng)
-                    if km.ddeg(M, v) != km.ddeg_prime(M, v):
-                        return False, f"bad vector {v.tolist()}"
-                return True, "200 vectors"
+                V = np.array([_random_vector(ctx, M.dim, rng) for _ in range(200)])
+                want = [km.ddeg_prime(M, v) for v in V]
+                return _ddeg_verdict(V, km.ddeg_rows(M, V), want)
             return run
 
         cases.append((f"filtration/p{p}/vdr{d:02d}/ddeg-prime", ddeg_prime()))
@@ -652,6 +657,9 @@ def run_suite(suite: str, p_values=(3,), seed: int = 0, trials: int = 64,
         try:
             ok, cert = fn(case_seed(seed, cid))
         except RepcurveError as e:
+            ok, cert = False, f"error:{type(e).__name__}:{e}"
+        except Exception as e:  # a bug fails its case alone; the report survives
+            traceback.print_exc()
             ok, cert = False, f"error:{type(e).__name__}:{e}"
         ms = round((time.perf_counter() - t0) * 1000.0, 3) if timings else None
         if ok == "report":

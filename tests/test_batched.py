@@ -1,0 +1,230 @@
+"""Batched primitives against row-by-row references, plus call-count
+guards that keep them batched."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repcurve import kmod as km
+from repcurve import linalg
+from repcurve.ff import default_ctx
+from repcurve.linalg import (Mat, Subspace, intertwiner_space, invert,
+                             nilpotent_partition, nilpotent_partitions, rank)
+
+C3 = default_ctx(3)
+C5 = default_ctx(5)
+CTX = {3: C3, 5: C5}
+FIELDS = st.sampled_from([C3, C5])
+
+
+def reduce_one_by_one(S: Subspace, v: np.ndarray):
+    """Coordinates by eliminating v against the basis rows in order, or
+    None if a nonzero remainder is left."""
+    ctx = S.ctx
+    v = v.copy()
+    coords = np.zeros(S.dim, dtype=np.int64)
+    for i, row in enumerate(S.basis):
+        c = int(v[int(np.argmax(row != 0))])
+        if c:
+            coords[i] = c
+            v = ctx.sub[v, ctx.mul[c, row]]
+    return None if v.any() else coords
+
+
+def rand_rows(ctx, rng, k, n):
+    return np.array([[rng.randrange(ctx.q) for _ in range(n)] for _ in range(k)],
+                    dtype=np.int64).reshape(k, n)
+
+
+def rand_subspace(ctx, rng, amb, kind):
+    if kind == "zero":
+        return Subspace.zero(ctx, amb)
+    if kind == "full":
+        return Subspace.full(ctx, amb)
+    r = rng.randrange(amb + 1)
+    # rank-deficient spanning sets exercise the RREF canonical form
+    rows = linalg._matmul_idx(ctx, rand_rows(ctx, rng, rng.randrange(r + 2), r),
+                              rand_rows(ctx, rng, r, amb))
+    return Subspace.from_rows(ctx, amb, rows)
+
+
+def batch_for(S, rng, k):
+    """k rows: a mix of members of S and arbitrary vectors."""
+    ctx = S.ctx
+    rows = []
+    for _ in range(k):
+        if S.dim and rng.random() < 0.5:
+            rows.append(linalg._matmul_idx(ctx, rand_rows(ctx, rng, 1, S.dim), S.basis)[0])
+        else:
+            rows.append(rand_rows(ctx, rng, 1, S.ambient)[0])
+    return np.array(rows, dtype=np.int64).reshape(k, S.ambient)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FIELDS, st.integers(0, 10**6), st.integers(1, 7), st.integers(0, 6),
+       st.sampled_from(["zero", "full", "random", "random"]))
+def test_reduce_rows_matches_row_by_row(ctx, seed, amb, k, kind):
+    rng = random.Random(seed)
+    S = rand_subspace(ctx, rng, amb, kind)
+    V = batch_for(S, rng, k)
+    coords, inside = S.reduce_rows(V)
+    assert coords.shape == (k, S.dim) and inside.shape == (k,)
+    for v, c, ins in zip(V, coords, inside):
+        want = reduce_one_by_one(S, v)
+        assert ins == (want is not None)
+        if want is not None:
+            assert np.array_equal(c, want)
+            assert np.array_equal(S.reduce(v), want)
+        else:
+            assert S.reduce(v) is None
+        assert S.contains(v) == ins
+    assert S.contains_space(Subspace.from_rows(ctx, amb, V)) == bool(inside.all())
+
+
+def _module(ctx, kind, d):
+    t = ctx.gen()
+    return km.v_d(ctx, d, t) if kind == "vd" else km.v_dr(ctx, d, t)
+
+
+@settings(max_examples=25, deadline=None)
+@given(FIELDS, st.integers(0, 10**6), st.sampled_from(["vd", "vdr"]),
+       st.integers(0, 25), st.integers(0, 12))
+def test_ddeg_rows_matches_per_vector(ctx, seed, kind, d, k):
+    pp = ctx.p ** 2
+    d = d % pp + (1 if kind == "vd" else 0)
+    M = _module(ctx, kind, d)
+    rng = random.Random(seed)
+    V = rand_rows(ctx, rng, k, M.dim)
+    if k:
+        V[0] = 0  # a zero row reads -1
+    fil = km.s_filtration(M)
+    want = [-1 if not v.any() else
+            min(n for n, S in enumerate(fil) if reduce_one_by_one(S, v) is not None)
+            for v in V]
+    got = km.ddeg_rows(M, V)
+    assert got.tolist() == want
+    assert [km.ddeg(M, v) for v in V] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(FIELDS, st.integers(0, 10**6), st.integers(0, 6), st.integers(0, 6),
+       st.integers(1, 5))
+def test_stacked_ranks_match_rank(ctx, seed, rows, cols, k):
+    rng = random.Random(seed)
+    r = rng.randrange(min(rows, cols) + 1)
+    stack = np.stack([linalg._matmul_idx(ctx, rand_rows(ctx, rng, rows, r),
+                                         rand_rows(ctx, rng, r, cols))
+                      for _ in range(k)])
+    want = [rank(Mat(ctx, A)) for A in stack]
+    assert linalg._rank_stack(ctx, stack).tolist() == want
+    assert linalg._rank_stack(ctx, stack.reshape(1, k, rows, cols)).tolist() == [want]
+
+
+def rank_chain_partition(N: Mat) -> tuple:
+    """Jordan partition from the rank chain of N computed by rank()."""
+    d = N.rows
+    chain, P = [d], Mat.identity(N.ctx, d)
+    while chain[-1]:
+        P = P @ N
+        chain.append(rank(P))
+    sizes = []
+    for j in range(1, len(chain)):
+        longer = (chain[j] - chain[j + 1]) if j + 1 < len(chain) else 0
+        sizes += [j] * ((chain[j - 1] - chain[j]) - longer)
+    return tuple(sorted(sizes, reverse=True))
+
+
+def rand_nilpotent(ctx, rng, d):
+    """A random nilpotent matrix: strictly upper triangular, conjugated by
+    a random invertible matrix."""
+    U = np.triu(rand_rows(ctx, rng, d, d), 1)
+    if rng.random() < 0.3:
+        U[rng.randrange(d)] = 0
+    while True:
+        P = Mat(ctx, rand_rows(ctx, rng, d, d))
+        Pinv = invert(P)
+        if Pinv is not None:
+            return (P @ Mat(ctx, U) @ Pinv).data
+
+
+@settings(max_examples=40, deadline=None)
+@given(FIELDS, st.integers(0, 10**6), st.integers(1, 7), st.integers(1, 6))
+def test_stacked_partitions_match_single(ctx, seed, d, k):
+    rng = random.Random(seed)
+    stack = np.stack([rand_nilpotent(ctx, rng, d) for _ in range(k)])
+    got = nilpotent_partitions(ctx, stack)
+    assert got == [nilpotent_partition(Mat(ctx, N)) for N in stack]
+    assert got == [rank_chain_partition(Mat(ctx, N)) for N in stack]
+
+
+@pytest.mark.parametrize("p,kind,d", [(3, "vd", 5), (3, "vdr", 4), (5, "vd", 12)])
+def test_jordan_scan_matches_pointwise(p, kind, d):
+    ctx = CTX[p]
+    M = _module(ctx, kind, d)
+    for (a, b), t in km.jordan_scan(M):
+        N = ctx.add[ctx.mul[a, M.sigma0().data], ctx.mul[b, M.tau0().data]]
+        assert t == rank_chain_partition(Mat(ctx, N))
+
+
+def _hom_pair(ctx, rng):
+    """Two small modules: v_d or v_dr over F_9, v_d over F_25, at random
+    dimensions and twists (sometimes the same module twice)."""
+    def pick():
+        if ctx.p == 3 and rng.random() < 0.5:
+            return km.v_dr(ctx, rng.randrange(10), ctx.gen())
+        t = ctx.gen() + rng.randrange(ctx.p)
+        return km.v_d(ctx, rng.randrange(1, 10), t)
+    M = pick()
+    return M, (M if rng.random() < 0.2 else pick())
+
+
+@settings(max_examples=20, deadline=None)
+@given(FIELDS, st.integers(0, 10**6))
+def test_hom_space_matches_intertwiners(ctx, seed):
+    M, N = _hom_pair(ctx, random.Random(seed))
+    H = km.hom_space(M, N)
+    ref = intertwiner_space([M.Msigma, M.Mtau], [N.Msigma, N.Mtau])
+    assert H.dim == ref.dim
+    for row in H.basis:
+        X = Mat(ctx, row.reshape(N.dim, M.dim).copy())
+        assert X @ M.Msigma == N.Msigma @ X
+        assert X @ M.Mtau == N.Mtau @ X
+
+
+def _count_products(monkeypatch, module):
+    calls = []
+    real = module._matmul_idx
+
+    def counted(ctx, A, B):
+        calls.append(1)
+        return real(ctx, A, B)
+
+    monkeypatch.setattr(module, "_matmul_idx", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p,kind,d", [(3, "vd", 9), (5, "vd", 23), (5, "vdr", 12)])
+def test_ddeg_rows_one_product_per_level(monkeypatch, p, kind, d):
+    ctx = CTX[p]
+    M = _module(ctx, kind, d)
+    fil = km.s_filtration(M)
+    V = rand_rows(ctx, random.Random(d), 200, M.dim)
+    calls = _count_products(monkeypatch, linalg)
+    km.ddeg_rows(M, V)
+    assert 0 < len(calls) <= len(fil)
+
+
+@pytest.mark.parametrize("p,d", [(3, 4), (5, 12)])
+def test_hom_space_products_do_not_grow_with_solutions(monkeypatch, p, d):
+    ctx = CTX[p]
+    M = km.v_dr(ctx, d, ctx.gen())
+    km._hom_source_data(M)  # presentation and word matrices are cached
+    M.word_stack()
+    calls = _count_products(monkeypatch, km)
+    H = km.hom_space(M, M)
+    assert H.dim > 1
+    # one product builds the relations; rebuilding every solution takes two
+    # (all words on all images, then the pivot inverse), within p^2 + 1
+    assert len(calls) <= 3 <= ctx.p ** 2 + 1

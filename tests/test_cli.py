@@ -96,7 +96,8 @@ def test_query_jordan_table(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["generic"] == [3, 2]
     assert len(obj["scan"]) == 10
-    assert obj["constant"] is True
+    assert obj["constant"] is False
+    assert {"point": ["1,0", "0,1"], "type": [2, 2, 1]} in obj["scan"]
 
 
 def test_query_ddeg_label_and_vector(capsys, tmp_path):
@@ -169,6 +170,27 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", fake_run_suite)
     code, _, _ = run(capsys, "verify", "identities")
     assert code == 1
+
+
+def test_crashing_case_fails_alone(monkeypatch):
+    import repcurve.suites as suites
+
+    real = suites.build_cases
+
+    def with_crash(*a, **k):
+        def boom(_s):
+            raise AssertionError("broken invariant")
+        cases = real(*a, **k)
+        return [(cid, boom if i == 1 else fn) for i, (cid, fn) in enumerate(cases)]
+
+    monkeypatch.setattr(suites, "build_cases", with_crash)
+    rep = suites.run_suite("identities", (3,))
+    crashed = rep["cases"][1]
+    assert crashed["verdict"] == "fail"
+    assert crashed["certificate"] == "error:AssertionError:broken invariant"
+    assert rep["counts"]["fail"] == 1
+    assert rep["counts"]["pass"] == len(rep["cases"]) - 1
+    assert rep["exit"] == 1
 
 
 def test_verify_usage_error(capsys):

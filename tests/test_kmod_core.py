@@ -190,13 +190,27 @@ def test_jordan_types():
     assert jordan_type_at(M, 1, 0) == (3, 2)
     assert generic_jordan_type(M) == (3, 2)
     assert len(jordan_scan(M)) == 10
-    assert constant_type_over_scan(M)
+    # the pencil drops rank at b = -1/beta = t, a point outside F_3
+    assert not constant_type_over_scan(M)
+    assert dict(jordan_scan(M))[(1, T3.idx)] == (2, 2, 1)
     with pytest.raises(ZeroPoint):
         jordan_type_at(M, 0, 0)
     assert dominance_compare((3, 2), (3, 1, 1)) == 1
     assert dominance_compare((2, 2, 2), (3, 3)) == -1
     assert dominance_compare((3, 3), (3, 3)) == 0
     assert dominance_compare((4, 1, 1), (3, 3)) is None
+
+
+def test_jordan_scan_covers_extension_points():
+    # on v_d(2), a*sigma0 + b*tau0 sends w1 to (a + b*beta) w0, so the type
+    # drops to (1, 1) exactly at (1, -1/beta)
+    M = v_d(C3, 2, T3)
+    special = -(T3.inverse())
+    assert jordan_type_at(M, 1, special) == (1, 1)
+    scan = jordan_scan(M)
+    assert [pt for pt, t in scan if t != (2,)] == [(1, special.idx)]
+    assert {t for _, t in scan} == {(1, 1), (2,)}
+    assert generic_jordan_type(M) == (2,)
 
 
 def test_case_ii_core_vd():
