@@ -15,8 +15,8 @@ from .kmod import (HModule, IndecDecision, IsoDecision, Profile,
                    augmentation_ideal, ddeg, ddeg_prime, digits_p, direct_sum,
                    dual, fixed_space, generic_jordan_type, hom_space,
                    is_indecomposable, is_isomorphic, jordan_scan,
-                   jordan_type_at, module_from_json, module_new,
-                   module_to_json, profile, quotient, regular_module, s_p,
+                   jordan_type_at, module_from_json, module_to_json,
+                   profile, quotient, regular_module, s_p,
                    s_filtration, sub_generated, sub_module_on, trivial_module,
                    v_d, v_dr)
 from .curvefam import (CurveParams, GradedModule, RamificationProfile,
@@ -39,7 +39,7 @@ __all__ = [
     "augmentation_ideal", "ddeg", "ddeg_prime", "digits_p", "direct_sum",
     "dual", "fixed_space", "generic_jordan_type", "hom_space",
     "is_indecomposable", "is_isomorphic", "jordan_scan", "jordan_type_at",
-    "module_from_json", "module_new", "module_to_json", "profile",
+    "module_from_json", "module_to_json", "profile",
     "quotient", "regular_module", "s_p", "s_filtration", "sub_generated",
     "sub_module_on", "trivial_module", "v_d", "v_dr",
     "CurveParams", "GradedModule", "RamificationProfile", "curve_params",

@@ -4,14 +4,17 @@ Subcommands: build (emit module or graded-family JSON), query (isomorphism,
 indecomposability, Jordan data, profile, degree), verify (run a named
 verification suite and report), claims (print what each suite checks).
 Exit codes: 0 success / all gating cases pass, 1 a verification case
-failed, 2 usage or validation error.  Errors are emitted to stderr as a
-one-line JSON record {"error": code, "message": text}.
+failed, 2 usage or validation error, 3 an internal error (a bug).  Errors
+are emitted to stderr as a one-line JSON record {"error": code,
+"message": text}; an internal error's code is "InternalError" and its
+record also names the exception type and where it was raised.
 """
 
 import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Optional
 
 import numpy as np
@@ -20,7 +23,7 @@ from . import curvefam as cf
 from . import kmod as km
 from .errors import RepcurveError
 from .ff import FieldElem, ctx_new, default_ctx
-from .suites import (ARTIFACT_VERSION, SUITE_NAMES, claims_rows,
+from .suites import (ARTIFACT_VERSION, SUITE_NAMES, SUITE_PRIMES, claims_rows,
                      report_to_json, report_to_markdown, run_suite)
 
 BUILD_KINDS = ("vd", "vdr", "regular", "aug", "trivial", "holo", "dr")
@@ -124,7 +127,7 @@ def cmd_query(args) -> int:
             raise RepcurveError(f"{args.kind} needs exactly one module file")
         M = _load_module(args.modules[0])
         if args.kind == "indec":
-            tiers = tuple(args.tiers.split(",")) if args.tiers else ("T1", "T2", "T3")
+            tiers = tuple(args.tiers.split(",")) if args.tiers else km.TIERS
             payload = km.is_indecomposable(M, seed=args.seed, trials=args.trials,
                                            tiers=tiers).to_json()
         elif args.kind == "jordan":
@@ -147,7 +150,7 @@ def cmd_verify(args) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("REPCURVE_SEED", "0"))
-    p_values = tuple(args.p) if args.p else (3, 5)
+    p_values = tuple(dict.fromkeys(args.p)) if args.p else SUITE_PRIMES
     report = run_suite(args.suite, p_values, seed=seed, trials=args.trials,
                        timings=args.timings, jobs=args.jobs)
     payload = (report_to_markdown(report) if args.format == "md"
@@ -239,8 +242,14 @@ def main(argv=None) -> int:
         return args.fn(args)
     except RepcurveError as e:
         record = {"error": e.code, "message": str(e)}
-        sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-        return 2
+        code = 2
+    except Exception as e:  # a bug: never exit 1, which means a case failed
+        frame = traceback.extract_tb(e.__traceback__)[-1]
+        record = {"error": "InternalError", "type": type(e).__name__, "message": str(e),
+                  "where": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"}
+        code = 3
+    sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

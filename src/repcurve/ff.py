@@ -13,7 +13,6 @@ verified at context creation).
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -255,7 +254,7 @@ class FieldCtx:
         if e < 0:
             if a == 0:
                 raise DivisionByZero("inverse of zero")
-            a, e = int(self.inv[a]) if hasattr(self, "inv") else self._slow_inv(a), -e
+            a, e = int(self.inv[a]), -e
         r, b = 1, a
         while e:
             if e & 1:
@@ -263,9 +262,6 @@ class FieldCtx:
             b = int(self.mul[b, b])
             e >>= 1
         return r
-
-    def _slow_inv(self, a: int) -> int:
-        return self.pow_idx(a, self.q - 2)
 
     def encode(self, coeffs: Sequence[int]) -> int:
         if len(coeffs) > self.n:
@@ -449,21 +445,6 @@ def find_irreducible(p: int, n: int) -> tuple:
     raise ReducibleModulus(f"no irreducible of degree {n} over F_{p}")  # unreachable
 
 
-def arith(a: FieldElem, b, kind: str) -> FieldElem:
-    """Dispatch form of the basic arithmetic: add|mul|inv|neg|pow."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "inv":
-        return a.inverse()
-    if kind == "neg":
-        return -a
-    if kind == "pow":
-        return a ** int(b)
-    raise ValueError(f"unknown arith kind {kind!r}")
-
-
 def frobenius(a: FieldElem) -> FieldElem:
     return FieldElem(a.ctx, a.ctx.frob[a.idx])
 
@@ -491,12 +472,6 @@ def enumerate_nonprime(ctx: FieldCtx):
     if ctx.n < 2:
         raise PrimeFieldOnly("prime field has no elements outside itself")
     return [FieldElem(ctx, i) for i in range(ctx.q) if not ctx.in_prime_field_idx(i)]
-
-
-def sample(ctx: FieldCtx, seed: int) -> FieldElem:
-    """Seeded reproducible draw from the elements outside the prime field."""
-    pool = enumerate_nonprime(ctx)
-    return random.Random(seed).choice(pool)
 
 
 def embed_map(small: FieldCtx, big: FieldCtx) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     BadDimension,
+    BadParams,
     ContextMismatch,
     NotCommuting,
     NotInvariant,
@@ -36,14 +37,13 @@ from .linalg import (
     Mat,
     Subspace,
     _matmul_idx,
-    _rref_inplace,
     as_vector,
     invert,
     kernel,
+    kernel_and_rows,
     matpow,
     nilpotent_partition,
     nilpotent_partitions,
-    preimage,
     subspace_intersect,
 )
 
@@ -201,12 +201,6 @@ class HModule:
     def __repr__(self):
         kind = self.meta.get("kind", "module")
         return f"HModule({kind}, dim {self.dim} over F_{self.ctx.q})"
-
-
-def module_new(ctx: FieldCtx, Msigma: Mat, Mtau: Mat,
-               labels: Optional[Sequence[str]] = None,
-               meta: Optional[dict] = None) -> HModule:
-    return HModule(ctx, Msigma, Mtau, labels=labels, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -508,21 +502,29 @@ def apply_word(M: HModule, word, v) -> np.ndarray:
 
 
 def fixed_space(M: HModule) -> Subspace:
+    """S_0: the joint kernel of sigma0 and tau0, from one elimination of
+    the two stacked; the row space is kept for s_filtration."""
     if "fixed" not in M._cache:
-        M._cache["fixed"] = subspace_intersect(kernel(M.sigma0()), kernel(M.tau0()))
+        gens = Mat(M.ctx, np.vstack([M.sigma0().data, M.tau0().data]))
+        M._cache["fixed"], M._cache["fixed_rows"] = kernel_and_rows(gens)
     return M._cache["fixed"]
 
 
 def s_filtration(M: HModule) -> list:
     """Increasing subspaces S_0 <= S_1 <= ... up to the full module, where
     S_{n+1} is the joint preimage of S_n under sigma0 and tau0 and S_0 is
-    the fixed space."""
+    the fixed space.  With S_n the kernel of rows D, S_{n+1} is the kernel
+    of [D*sigma0; D*tau0], whose row space is the next D: one elimination
+    per level."""
     if "filtration" not in M._cache:
+        ctx = M.ctx
+        gens = np.stack([M.sigma0().data, M.tau0().data])
         fil = [fixed_space(M)]
-        guard = 2 * M.ctx.p + 2
+        D = M._cache["fixed_rows"]
+        guard = 2 * ctx.p + 2
         while fil[-1].dim < M.dim:
-            nxt = subspace_intersect(preimage(M.sigma0(), fil[-1]),
-                                     preimage(M.tau0(), fil[-1]))
+            B = _matmul_idx(ctx, D, gens).reshape(2 * D.shape[0], M.dim)
+            nxt, D = kernel_and_rows(Mat(ctx, B))
             if nxt.dim == fil[-1].dim:
                 raise Undecided("filtration stalled below full dimension")
             fil.append(nxt)
@@ -621,9 +623,11 @@ def _hom_source_data(M: HModule) -> dict:
     # column i*p^2 + w: word w applied to generator i
     E = M.word_stack()[:, :, gens].transpose(1, 2, 0).reshape(M.dim, t * len(words))
     rel = kernel(Mat(ctx, E))
-    # pivot columns of E give an invertible evaluation submatrix
-    EM = E.copy()
-    piv = _rref_inplace(ctx, EM)
+    # the columns of E that are not kernel pivots are independent and span
+    # the column space of E, so they give an invertible evaluation submatrix
+    outside = np.ones(E.shape[1], dtype=bool)
+    outside[rel.pivots] = False
+    piv = np.nonzero(outside)[0]
     EP = E[:, piv]
     EPinv = invert(Mat(ctx, EP))
     assert EPinv is not None
@@ -665,7 +669,7 @@ def hom_space(M: HModule, N: HModule) -> Subspace:
     # reconstruct every map from its generator images: every word on every
     # image in one product, the columns at the pivots of E, then EPinv
     S = sol.dim
-    piv = np.array(src["piv"], dtype=np.int64)
+    piv = src["piv"]
     X = sol.basis.reshape(S * t, dN).T
     Y = _matmul_idx(ctx, WN.reshape(nw * dN, dN), X).reshape(nw, dN, S, t)
     VP = Y[piv % nw, :, :, piv // nw].transpose(2, 1, 0)     # (S, dN, dim M)
@@ -830,62 +834,61 @@ class IndecDecision:
         return out
 
 
-def _charpoly_coeffs(A: Mat) -> list:
-    """Characteristic polynomial coefficients [c_0=1, c_1, ..., c_n] with
-    c_k the coefficient of lambda^(n-k), computed by similarity reduction
-    to Hessenberg form and the leading-minor recurrence."""
-    ctx = A.ctx
-    n = A.rows
-    H = A.data.copy()
+def _charpoly_stack(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
+    """Characteristic polynomial coefficients of a stack of n x n matrices
+    (k, n, n): row b holds [c_0 = 1, c_1, ..., c_n] of matrix b, c_j the
+    coefficient of lambda^(n-j).  All k matrices are reduced to Hessenberg
+    form together by similarity, each with its own pivot row, and the
+    leading-minor recurrence then runs over the whole stack."""
+    k, n = A.shape[0], A.shape[-1]
+    H = A.copy()
     for j in range(n - 2):
-        piv = None
-        for r in range(j + 1, n):
-            if H[r, j]:
-                piv = r
-                break
-        if piv is None:
+        col = H[:, j + 1:, j] != 0
+        piv = j + 1 + np.argmax(col, axis=1)
+        swap = np.nonzero(col.any(axis=1) & (piv != j + 1))[0]
+        if swap.size:  # exchange rows and columns j + 1 and piv
+            perm = np.tile(np.arange(n), (swap.size, 1))
+            perm[:, j + 1] = piv[swap]
+            perm[np.arange(swap.size), piv[swap]] = j + 1
+            H[swap] = H[swap[:, None, None], perm[:, :, None], perm[:, None, :]]
+        f = ctx.mul[H[:, j + 2:, j], ctx.inv[H[:, j + 1, j]][:, None]]
+        if not f.any():
             continue
-        if piv != j + 1:
-            H[[j + 1, piv]] = H[[piv, j + 1]]
-            H[:, [j + 1, piv]] = H[:, [piv, j + 1]]
-        inv = int(ctx.inv[H[j + 1, j]])
-        for r in range(j + 2, n):
-            f = int(ctx.mul[H[r, j], inv])
-            if f:
-                H[r] = ctx.sub[H[r], ctx.mul[f, H[j + 1]]]
-                H[:, j + 1] = ctx.add[H[:, j + 1], ctx.mul[f, H[:, r]]]
-    # p_k(la) for leading k x k minors of (la*I - H), ascending coeff lists
-    polys = [[1]]
-    for k in range(1, n + 1):
-        hkk = int(H[k - 1, k - 1])
-        prev = polys[k - 1]
-        cur = [0] * (k + 1)
-        # (la - h_kk) * p_{k-1}
-        for d_, c in enumerate(prev):
-            cur[d_ + 1] = int(ctx.add[cur[d_ + 1], c])
-            cur[d_] = int(ctx.sub[cur[d_], ctx.mul[hkk, c]])
-        run = 1
-        for m in range(1, k):
-            run = int(ctx.mul[run, H[k - m, k - m - 1]])
-            if run == 0:
+        # rows r > j + 1 lose f_r * row j + 1; column j + 1 gains sum_r f_r * column r
+        H[:, j + 2:] = ctx.sub[H[:, j + 2:], ctx.mul[f[:, :, None], H[:, j + 1, None, :]]]
+        gain = _matmul_idx(ctx, H[:, :, j + 2:], f[:, :, None])[:, :, 0]
+        H[:, :, j + 1] = ctx.add[H[:, :, j + 1], gain]
+    # ascending coefficients of the leading m x m minors of (la*I - H)
+    polys = [np.ones((k, 1), dtype=np.int64)]
+    for m in range(1, n + 1):
+        prev = polys[-1]
+        cur = np.zeros((k, m + 1), dtype=np.int64)
+        cur[:, 1:] = prev
+        cur[:, :-1] = ctx.sub[cur[:, :-1], ctx.mul[H[:, m - 1, m - 1, None], prev]]
+        run = np.ones(k, dtype=np.int64)
+        for t in range(1, m):
+            run = ctx.mul[run, H[:, m - t, m - t - 1]]
+            if not run.any():
                 break
-            w = int(ctx.mul[H[k - 1 - m, k - 1], run])
-            if w:
-                pm = polys[k - 1 - m]
-                for d_, c in enumerate(pm):
-                    cur[d_] = int(ctx.sub[cur[d_], ctx.mul[w, c]])
+            w = ctx.mul[H[:, m - 1 - t, m - 1], run]
+            cur[:, :m - t] = ctx.sub[cur[:, :m - t], ctx.mul[w[:, None], polys[m - 1 - t]]]
         polys.append(cur)
-    full = polys[n]  # ascending; degree n, leading coeff 1
-    return [full[n - k] for k in range(n + 1)]
+    return polys[n][:, ::-1]
+
+
+RADICAL_CHUNK = 32  # products per stacked charpoly; larger stacks raise the peak RSS
 
 
 def algebra_radical(ctx: FieldCtx, mats: Sequence[Mat]) -> Subspace:
     """Jacobson radical of the matrix algebra spanned by mats (assumed
-    multiplicatively closed), in basis coordinates: repeatedly cut by the
-    vanishing of the p^i-th characteristic coefficient of products x*y,
-    made linear with p^i-th roots."""
+    multiplicatively closed), in basis coordinates (Cohen-Ivanyos-Wales):
+    repeatedly cut by the vanishing of the p^i-th characteristic
+    coefficient of products z*y, made linear with p^i-th roots.  Level 0
+    is the trace form c_1(z*y) = -tr(z*y), one product; each later level
+    takes the coefficient of all products from stacked charpolys."""
     g = len(mats)
     n = mats[0].rows if g else 0
+    flat = np.array([X.data.reshape(-1) for X in mats], dtype=np.int64).reshape(g, n * n)
     W = Subspace.full(ctx, g)
     lmax = 0
     while ctx.p ** (lmax + 1) <= n:
@@ -893,21 +896,26 @@ def algebra_radical(ctx: FieldCtx, mats: Sequence[Mat]) -> Subspace:
     for i in range(lmax + 1):
         if W.dim == 0:
             break
-        pi = ctx.p ** i
-        cur = [_coeff_combo(ctx, mats, W.basis[j]) for j in range(W.dim)]
-        S = np.zeros((W.dim, W.dim), dtype=np.int64)
-        for j1, y in enumerate(cur):          # one equation per y
-            for j2, z in enumerate(cur):      # one unknown per z
-                prod = Mat(ctx, _matmul_idx(ctx, z, y))
-                c = _charpoly_coeffs(prod)[pi]
-                for _ in range(i):
-                    c = int(ctx.proot[c])
-                S[j1, j2] = c
+        h = W.dim
+        Z = _matmul_idx(ctx, W.basis, flat)
+        # S[j1, j2] = c_{p^i}(z_{j2} z_{j1})^(1/p^i): one equation per j1
+        if i == 0:
+            ZT = Z.reshape(h, n, n).transpose(0, 2, 1).reshape(h, n * n)
+            S = ctx.neg[_matmul_idx(ctx, ZT, Z.T)]
+        else:
+            Z = Z.reshape(h, n, n)
+            S = np.empty(h * h, dtype=np.int64)
+            for lo in range(0, h * h, RADICAL_CHUNK):
+                idx = np.arange(lo, min(lo + RADICAL_CHUNK, h * h))
+                prods = _matmul_idx(ctx, Z[idx % h], Z[idx // h])
+                S[idx] = _charpoly_stack(ctx, prods)[:, ctx.p ** i]
+            for _ in range(i):
+                S = ctx.proot[S]
+            S = S.reshape(h, h)
         K = kernel(Mat(ctx, S))
-        if K.dim == W.dim:
+        if K.dim == h:
             continue
-        newbasis = _matmul_idx(ctx, K.basis, W.basis)
-        W = Subspace.from_rows(ctx, g, newbasis)
+        W = Subspace.from_rows(ctx, g, _matmul_idx(ctx, K.basis, W.basis))
     return W
 
 
@@ -916,22 +924,20 @@ def _radical_subspace(M: HModule) -> Subspace:
     return algebra_radical(M.ctx, mats)
 
 
-def _coeff_combo(ctx: FieldCtx, mats, coeffs) -> np.ndarray:
-    out = np.zeros_like(mats[0].data)
-    for c, Mt in zip(coeffs, mats):
-        if c:
-            out = ctx.add[out, ctx.mul[int(c), Mt.data]]
-    return out
+TIERS = ("T1", "T2", "T3")
 
 
 def is_indecomposable(M: HModule, seed: int = 0, trials: int = 16,
-                      tiers: tuple = ("T1", "T2", "T3")) -> IndecDecision:
+                      tiers: tuple = TIERS) -> IndecDecision:
     """Three tiers: (T1) one-dimensional fixed space; (T2) Fitting
     decomposition along endomorphisms looking for an explicit split;
     (T3) the radical of End(M) for the definitive answer.  tiers can
     restrict the procedure, e.g. ("T3",) forces the full decision."""
     if M.dim < 1:
         raise BadDimension("decision needs a module of dimension >= 1")
+    unknown = [t for t in tiers if t not in TIERS]
+    if unknown or not tiers:
+        raise BadParams(f"unknown tier(s) {unknown}; valid tiers are {list(TIERS)}")
     ctx = M.ctx
     if "T1" in tiers and fixed_space(M).dim == 1:
         return IndecDecision("INDECOMPOSABLE", "T1", detail={"fixed_dim": 1})
@@ -1156,17 +1162,42 @@ def module_to_json(M: HModule) -> dict:
     }
 
 
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+
 def module_from_json(obj: dict) -> HModule:
-    ctx = ctx_new(int(obj["p"]), int(obj["n"]), tuple(obj["modulus"]))
-    d = int(obj["dim"])
+    """Inverse of module_to_json.  Input from outside is checked against
+    that shape first: a missing key or a wrong type raises BadParams."""
+    if not isinstance(obj, dict):
+        raise BadParams("module JSON must be an object")
+    missing = [k for k in ("p", "n", "modulus", "dim", "sigma", "tau") if k not in obj]
+    if missing:
+        raise BadParams(f"module JSON lacks key(s) {missing}")
+    for k in ("p", "n", "dim"):
+        if type(obj[k]) is not int:
+            raise BadParams(f"module JSON: {k} must be an integer")
+    modulus = obj["modulus"]
+    if not isinstance(modulus, list) or any(type(c) is not int for c in modulus):
+        raise BadParams("module JSON: modulus must be a list of integers")
+    d = obj["dim"]
+    if d < 0:
+        raise BadParams("module JSON: dim must be >= 0")
+    for k in ("sigma", "tau"):
+        rows = obj[k]
+        if not isinstance(rows, list) or not all(_is_str_list(r) for r in rows):
+            raise BadParams(f"module JSON: {k} must be a list of rows of element texts")
+        if len(rows) != d or any(len(r) != d for r in rows):
+            raise ShapeMismatch(f"module JSON: {k} grid does not match dim {d}")
+    labels = obj.get("labels")
+    if labels is not None and not _is_str_list(labels):
+        raise BadParams("module JSON: labels must be null or a list of strings")
+    ctx = ctx_new(obj["p"], obj["n"], tuple(modulus))
 
     def grid(rows) -> Mat:
-        if len(rows) != d or any(len(r) != d for r in rows):
-            raise ShapeMismatch("matrix grid does not match dim")
         data = np.array([[ctx.from_text(v).idx for v in row] for row in rows],
                         dtype=np.int64).reshape(d, d)
         return Mat(ctx, data)
 
-    labels = obj.get("labels")
     return HModule(ctx, grid(obj["sigma"]), grid(obj["tau"]),
                    labels=tuple(labels) if labels else None)

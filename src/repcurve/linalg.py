@@ -200,8 +200,8 @@ def _rref_inplace(ctx: FieldCtx, M: np.ndarray) -> list:
             M[r] = ctx.mul[inv, M[r]]
         factors = M[:, c].copy()
         factors[r] = 0
-        if factors.any():
-            M[...] = ctx.sub[M, ctx.mul[factors[:, None], M[r][None, :]]]
+        if factors.any():  # row r is zero left of c
+            M[:, c:] = ctx.sub[M[:, c:], ctx.mul[factors[:, None], M[r, c:]]]
         pivots.append(c)
         r += 1
     return pivots
@@ -220,19 +220,29 @@ def rank(A: Mat) -> int:
 
 
 def kernel(A: Mat) -> "Subspace":
-    """Canonical basis of {x : A x = 0}."""
+    """Canonical basis of {x : A x = 0}, from one elimination."""
+    return kernel_and_rows(A)[0]
+
+
+def kernel_and_rows(A: Mat) -> tuple:
+    """(kernel(A), rows spanning the row space of A), both from one
+    elimination; the rows are independent but not in RREF.
+
+    A is reduced with its columns reversed.  The kernel vector of each
+    free column f there has its last nonzero entry, a 1, at f, and zeros
+    at the other free columns; read back in the original column order,
+    these vectors (taken by descending f) are already the RREF basis."""
     ctx = A.ctx
-    M = A.data.copy()
+    n = A.cols
+    M = A.data[:, ::-1].copy()
     pivots = _rref_inplace(ctx, M)
-    free = [c for c in range(A.cols) if c not in pivots]
-    if not free:
-        return Subspace(ctx, A.cols, np.zeros((0, A.cols), dtype=np.int64))
-    basis = np.zeros((len(free), A.cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for j, pc in enumerate(pivots):
-            basis[k, pc] = ctx.neg[M[j, f]]
-    return Subspace.from_rows(ctx, A.cols, basis)
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    free = np.nonzero(free)[0][::-1]
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = ctx.neg[M[: len(pivots), free].T]
+    return Subspace(ctx, n, basis[:, ::-1].copy()), M[: len(pivots), ::-1]
 
 
 def solve(A: Mat, b: np.ndarray) -> Optional[np.ndarray]:
@@ -299,7 +309,8 @@ class Subspace:
         self.ambient = int(ambient)
         self.basis = basis.astype(np.int64, copy=False)
         self.basis.setflags(write=False)
-        self.pivots = np.argmax(self.basis != 0, axis=1)
+        self.pivots = (np.argmax(self.basis != 0, axis=1) if self.ambient
+                       else np.zeros(0, dtype=np.int64))
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, ambient: int, rows) -> "Subspace":
@@ -456,22 +467,6 @@ def intertwiner_space(As: Sequence[Mat], Bs: Sequence[Mat]) -> Subspace:
         vecs = _matmul_idx(ctx, coords.basis, space.basis)
         space = Subspace.from_rows(ctx, amb, vecs)
     return space
-
-
-def mat_to_json(A: Mat) -> dict:
-    """Plain-data form: {"rows", "cols", "entries": [[text, ...], ...]}."""
-    return {"rows": A.rows, "cols": A.cols, "entries": A.to_lists()}
-
-
-def mat_from_json(ctx: FieldCtx, obj: dict) -> Mat:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = obj["entries"]
-    if len(entries) != rows or any(len(r) != cols for r in entries):
-        raise ShapeMismatch("entries grid does not match rows x cols")
-    data = np.array(
-        [[ctx.from_text(v).idx for v in row] for row in entries], dtype=np.int64
-    ).reshape(rows, cols)
-    return Mat(ctx, data)
 
 
 def _rank_stack(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:

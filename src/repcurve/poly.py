@@ -274,24 +274,6 @@ def _chk(a, b) -> None:
         raise ContextMismatch("polynomials over different field contexts")
 
 
-def pop(a, b=None, kind: str = "add"):
-    """Polynomial operation dispatch: add | mul | pow | eval | eq."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "pow":
-        return a ** int(b)
-    if kind == "eval":
-        if isinstance(a, Poly2):
-            x0, y0 = b
-            return a.eval(x0, y0)
-        return a.eval(b)
-    if kind == "eq":
-        return a == b
-    raise OutOfRange(f"unknown polynomial op kind: {kind}")
-
-
 def trace_polynomial(p: int, ctx: FieldCtx) -> Poly2:
     """Sum over all (i, j) in F_p x F_p of (x + i + j*y)^(p^2 - 1),
     expanded as a bivariate polynomial over F_p."""

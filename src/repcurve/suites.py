@@ -19,7 +19,7 @@ import numpy as np
 
 from . import curvefam as cf
 from . import kmod as km
-from .errors import RepcurveError
+from .errors import BadParams, RepcurveError
 from .ff import FieldCtx, FieldElem, default_ctx, enumerate_nonprime, frobenius
 from .linalg import Subspace, invert, subspace_sum
 from .poly import Poly1, Poly2, trace_polynomial
@@ -40,7 +40,8 @@ SUITE_NAMES = (
     "hodge",
 )
 
-DEFAULT_PRIMES = (3, 5)
+# the primes the case lists are written for, and the default selection
+SUITE_PRIMES = (3, 5)
 
 Case = Tuple[str, Callable[[int], Tuple[object, str]]]
 
@@ -635,10 +636,15 @@ def build_cases(suite: str, p_values, seed: int, trials: int) -> List[Case]:
     names = SUITE_NAMES if suite == "all" else (suite,)
     if suite != "all" and suite not in _BUILDERS:
         raise RepcurveError(f"unknown suite {suite!r}")
+    unsupported = [p for p in p_values if p not in SUITE_PRIMES]
+    if unsupported:
+        raise BadParams(f"suites run at p in {list(SUITE_PRIMES)}, not at {unsupported}")
     cases: List[Case] = []
     for name in names:
         for p in p_values:
             cases.extend(_BUILDERS[name](p, seed, trials))
+    if not cases:
+        raise BadParams(f"suite {suite!r} has no cases at p = {list(p_values)}")
     cases.sort(key=lambda c: c[0])
     ids = [c[0] for c in cases]
     assert len(ids) == len(set(ids)), "duplicate case ids"

@@ -1,6 +1,7 @@
 """Batched primitives against row-by-row references, plus call-count
 guards that keep them batched."""
 
+import math
 import random
 
 import numpy as np
@@ -10,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from repcurve import kmod as km
 from repcurve import linalg
 from repcurve.ff import default_ctx
-from repcurve.linalg import (Mat, Subspace, intertwiner_space, invert,
+from repcurve.linalg import (Mat, Subspace, intertwiner_space, invert, kernel,
                              nilpotent_partition, nilpotent_partitions, rank)
 
+C2 = default_ctx(2)
 C3 = default_ctx(3)
 C5 = default_ctx(5)
-CTX = {3: C3, 5: C5}
+CTX = {2: C2, 3: C3, 5: C5}
 FIELDS = st.sampled_from([C3, C5])
 
 
@@ -228,3 +230,196 @@ def test_hom_space_products_do_not_grow_with_solutions(monkeypatch, p, d):
     # one product builds the relations; rebuilding every solution takes two
     # (all words on all images, then the pivot inverse), within p^2 + 1
     assert len(calls) <= 3 <= ctx.p ** 2 + 1
+
+
+def rand_rank(ctx, rng, rows, cols, r):
+    """A rows x cols matrix of rank r (r <= min(rows, cols))."""
+    while True:
+        A = linalg._matmul_idx(ctx, rand_rows(ctx, rng, rows, r), rand_rows(ctx, rng, r, cols))
+        if rank(Mat(ctx, A)) == r:
+            return A
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([C2, C3, C5]), st.integers(0, 10**6), st.integers(0, 7),
+       st.integers(0, 7), st.sampled_from(["zero", "full", "low", "any"]))
+def test_kernel_is_canonical_rref(ctx, seed, rows, cols, kind):
+    rng = random.Random(seed)
+    top = min(rows, cols)
+    if kind == "zero":
+        A = np.zeros((rows, cols), dtype=np.int64)
+    elif kind == "any":
+        A = rand_rows(ctx, rng, rows, cols)
+    else:
+        A = rand_rank(ctx, rng, rows, cols, top if kind == "full" else rng.randrange(top + 1))
+    K = kernel(Mat(ctx, A))
+    assert K.ambient == cols and K.basis.shape == (K.dim, cols)
+    assert K == Subspace.from_rows(ctx, cols, K.basis)
+    assert not linalg._matmul_idx(ctx, A, K.basis.T).any()
+    assert K.dim == cols - rank(Mat(ctx, A))
+    K2, R = linalg.kernel_and_rows(Mat(ctx, A))
+    assert K2 == K and R.shape == (cols - K.dim, cols)
+    assert Subspace.from_rows(ctx, cols, R) == Subspace.from_rows(ctx, cols, A)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 4), (4, 0), (3, 3)])
+def test_kernel_of_empty_and_zero_shapes(rows, cols):
+    K = kernel(Mat(C3, np.zeros((rows, cols), dtype=np.int64)))
+    assert K == Subspace.full(C3, cols)
+    assert K.pivots.tolist() == list(range(cols))
+
+
+def charpoly_reference(A: Mat) -> list:
+    """Characteristic polynomial [c_0 = 1, c_1, ..., c_n] of one matrix,
+    c_k the coefficient of lambda^(n-k): scalar Hessenberg reduction and
+    leading-minor recurrence, one entry at a time."""
+    ctx = A.ctx
+    n = A.rows
+    H = A.data.copy()
+    for j in range(n - 2):
+        piv = None
+        for r in range(j + 1, n):
+            if H[r, j]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        if piv != j + 1:
+            H[[j + 1, piv]] = H[[piv, j + 1]]
+            H[:, [j + 1, piv]] = H[:, [piv, j + 1]]
+        inv = int(ctx.inv[H[j + 1, j]])
+        for r in range(j + 2, n):
+            f = int(ctx.mul[H[r, j], inv])
+            if f:
+                H[r] = ctx.sub[H[r], ctx.mul[f, H[j + 1]]]
+                H[:, j + 1] = ctx.add[H[:, j + 1], ctx.mul[f, H[:, r]]]
+    polys = [[1]]
+    for k in range(1, n + 1):
+        hkk = int(H[k - 1, k - 1])
+        prev = polys[k - 1]
+        cur = [0] * (k + 1)
+        for d_, c in enumerate(prev):
+            cur[d_ + 1] = int(ctx.add[cur[d_ + 1], c])
+            cur[d_] = int(ctx.sub[cur[d_], ctx.mul[hkk, c]])
+        run = 1
+        for m in range(1, k):
+            run = int(ctx.mul[run, H[k - m, k - m - 1]])
+            if run == 0:
+                break
+            w = int(ctx.mul[H[k - 1 - m, k - 1], run])
+            if w:
+                pm = polys[k - 1 - m]
+                for d_, c in enumerate(pm):
+                    cur[d_] = int(ctx.sub[cur[d_], ctx.mul[w, c]])
+        polys.append(cur)
+    full = polys[n]
+    return [full[n - k] for k in range(n + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 10**6), st.integers(0, 14),
+       st.integers(1, 6))
+def test_charpoly_stack_matches_scalar(p, seed, n, k):
+    ctx = CTX[p]
+    rng = np.random.default_rng(seed)
+    # mostly zero entries: pivots often sit below the subdiagonal, so the
+    # reduction has to exchange rows and columns
+    stack = rng.integers(0, ctx.q, (k, n, n)) * (rng.random((k, n, n)) < 0.25)
+    got = km._charpoly_stack(ctx, stack)
+    assert got.shape == (k, n + 1)
+    assert [row.tolist() for row in got] == [charpoly_reference(Mat(ctx, A)) for A in stack]
+
+
+def radical_reference(ctx, mats) -> Subspace:
+    """Cohen-Ivanyos-Wales radical with one scalar charpoly per product."""
+    g, n = len(mats), mats[0].rows
+    W = Subspace.full(ctx, g)
+    lmax = 0
+    while ctx.p ** (lmax + 1) <= n:
+        lmax += 1
+    for i in range(lmax + 1):
+        if W.dim == 0:
+            break
+        cur = [km._combine(ctx, np.stack([X.data.reshape(-1) for X in mats]), row).reshape(n, n)
+               for row in W.basis]
+        S = np.zeros((W.dim, W.dim), dtype=np.int64)
+        for j1, y in enumerate(cur):
+            for j2, z in enumerate(cur):
+                c = charpoly_reference(Mat(ctx, linalg._matmul_idx(ctx, z, y)))[ctx.p ** i]
+                for _ in range(i):
+                    c = int(ctx.proot[c])
+                S[j1, j2] = c
+        K = kernel(Mat(ctx, S))
+        if K.dim < W.dim:
+            W = Subspace.from_rows(ctx, g, linalg._matmul_idx(ctx, K.basis, W.basis))
+    return W
+
+
+@pytest.mark.parametrize("p,d", [(3, d) for d in range(10)] + [(5, 5), (5, 12), (5, 19)])
+def test_algebra_radical_matches_scalar_path(p, d):
+    ctx = CTX[p]
+    _, mats = km.end_algebra(km.v_dr(ctx, d, ctx.gen()))
+    assert km.algebra_radical(ctx, mats) == radical_reference(ctx, mats)
+
+
+def conjugated_module(ctx, rng, kind, d):
+    """A family member (or a dual, or a direct sum of two) in a random
+    basis, so the filtration is not read off coordinate vectors."""
+    t = ctx.gen() + rng.randrange(ctx.p)
+    if kind == "dual":
+        M = km.dual(km.v_d(ctx, d, t))
+    elif kind == "sum":
+        M = km.direct_sum(km.v_d(ctx, d, t), km.v_d(ctx, rng.randrange(1, d + 1), t))
+    else:
+        M = km.v_dr(ctx, d, t) if kind == "vdr" else km.v_d(ctx, d, t)
+    while True:
+        P = Mat(ctx, rand_rows(ctx, rng, M.dim, M.dim))
+        Pinv = invert(P)
+        if Pinv is not None:
+            return km.HModule(ctx, P @ M.Msigma @ Pinv, P @ M.Mtau @ Pinv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(FIELDS, st.integers(0, 10**6), st.sampled_from(["vd", "vdr", "dual", "sum"]),
+       st.integers(1, 12))
+def test_s_filtration_matches_direct(ctx, seed, kind, d):
+    M = conjugated_module(ctx, random.Random(seed), kind, min(d, ctx.p ** 2))
+    fil = km.s_filtration(M)
+    assert fil == km.s_filtration_direct(M)
+    assert km.fixed_space(M) == fil[0]
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p,kind,d", [(3, "vd", 9), (3, "vdr", 4), (5, "vd", 23), (5, "vdr", 12)])
+def test_s_filtration_one_elimination_per_level(monkeypatch, p, kind, d):
+    ctx = CTX[p]
+    M = _module(ctx, kind, d)
+    calls = _count_calls(monkeypatch, linalg, "_rref_inplace")
+    fil = km.s_filtration(M)
+    assert len(calls) == len(fil)
+
+
+@pytest.mark.parametrize("p,d", [(3, 4), (5, 12)])
+def test_algebra_radical_charpolys_are_stacked(monkeypatch, p, d):
+    ctx = CTX[p]
+    _, mats = km.end_algebra(km.v_dr(ctx, d, ctx.gen()))
+    g, n = len(mats), mats[0].rows
+    levels = int(math.log(n, p) + 1e-9)
+    calls = _count_calls(monkeypatch, km, "_charpoly_stack")
+    km.algebra_radical(ctx, mats)
+    # every level above 0 takes its g'^2 <= g^2 products in stacks of at
+    # most RADICAL_CHUNK; level 0 is the trace form and takes none
+    sizes = [A.shape[0] for _, A in calls]
+    assert 0 < len(sizes) <= levels * math.ceil(g * g / km.RADICAL_CHUNK)
+    assert max(sizes) <= km.RADICAL_CHUNK

@@ -5,8 +5,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repcurve import kmod as km
 from repcurve.cli import main
+from repcurve.errors import RepcurveError
+from repcurve.ff import default_ctx
 
 
 def run(capsys, *argv):
@@ -219,3 +223,88 @@ def test_console_script_entrypoint():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def _module_obj(capsys):
+    code, out, _ = run(capsys, "build", "vd", "--p", "3", "--d", "2", "--beta", "0,1")
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda o: {"p": 3},
+    lambda o: [o],
+    lambda o: {**o, "dim": "2"},
+    lambda o: {**o, "p": True},
+    lambda o: {**o, "modulus": "1,0,1"},
+    lambda o: {**o, "sigma": [[1, 0], [0, 1]]},
+    lambda o: {**o, "tau": o["tau"][:1]},
+    lambda o: {**o, "labels": [0, 1]},
+    lambda o: {**o, "n": 1},
+])
+def test_malformed_module_json_is_an_input_error(capsys, tmp_path, mutate):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(_module_obj(capsys))))
+    code, out, err = run(capsys, "query", "indec", str(bad))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] != "InternalError"
+
+
+def test_internal_error_exits_three(monkeypatch, capsys, tmp_path):
+    import repcurve.cli as cli
+
+    def broken(M):
+        raise KeyError("lost")
+
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(_module_obj(capsys)))
+    monkeypatch.setattr(cli.km, "profile", broken)
+    code, out, err = run(capsys, "query", "profile", str(m))
+    assert code == 3 and out == ""
+    rec = json.loads(err)
+    assert rec["error"] == "InternalError" and rec["type"] == "KeyError"
+    assert rec["where"].startswith("test_cli.py:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "indec", "--p", "2"),
+    ("verify", "combinatorics", "--p", "7"),
+    ("verify", "cores", "--p", "5"),
+])
+def test_verify_refuses_unsupported_selection(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BadParams"
+
+
+def test_query_indec_rejects_unknown_tier(capsys, tmp_path):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(_module_obj(capsys)))
+    code, out, err = run(capsys, "query", "indec", str(m), "--tiers", "T1,T9")
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert rec["error"] == "BadParams"
+    assert "T9" in rec["message"] and "['T1', 'T2', 'T3']" in rec["message"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.sampled_from(["0,1", "1", "x", ""]),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=12)
+MODULE_KEYS = ("p", "n", "modulus", "dim", "sigma", "tau", "labels")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MODULE_KEYS), st.booleans(), JSON_VALUES)
+def test_module_from_json_fuzz(key, drop, value):
+    """One key of a valid module object dropped or replaced by arbitrary
+    JSON: the result is a module or a package error, never a crash."""
+    C3 = default_ctx(3)
+    obj = km.module_to_json(km.v_d(C3, 2, C3.gen()))
+    if drop:
+        del obj[key]
+    else:
+        obj[key] = value
+    try:
+        km.module_from_json(obj)
+    except RepcurveError:
+        pass
