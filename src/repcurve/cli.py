@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
         seed = int(os.environ.get("REPCURVE_SEED", "0"))
     p_values = tuple(dict.fromkeys(args.p)) if args.p else SUITE_PRIMES
     report = run_suite(args.suite, p_values, seed=seed, trials=args.trials,
-                       timings=args.timings, jobs=args.jobs)
+                       timings=args.timings)
     payload = (report_to_markdown(report) if args.format == "md"
                else report_to_json(report))
     _emit(payload, args.out)
@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", choices=("json", "md"), default="json")
     v.add_argument("--timings", action="store_true",
                    help="record wall-clock ms per case (off for bytewise determinism)")
-    v.add_argument("--jobs", type=int, default=1, help="worker threads")
     v.add_argument("--out", type=str, default=None)
     v.set_defaults(fn=cmd_verify)
 

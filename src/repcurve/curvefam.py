@@ -398,6 +398,20 @@ def hodge_check(params: CurveParams, c: int) -> dict:
 # Trace identity
 
 
+def trace_sum(b: FieldElem) -> tuple:
+    """(sum of (Z + i + j*b)^(p^2-1) over all prime-field pairs (i, j),
+    the constant (b^p - b)^(p-1)), both as polynomials in Z."""
+    ctx = b.ctx
+    p = ctx.p
+    total = Poly1(ctx, ())
+    for i in range(p):
+        for j in range(p):
+            c0 = ctx.add[i, ctx.mul[j, b.idx]]
+            total = total + Poly1(ctx, (FieldElem(ctx, int(c0)), 1)) ** (p * p - 1)
+    expect_idx = ctx.pow_idx(ctx.sub[ctx.pow_idx(b.idx, p), b.idx], p - 1)
+    return total, Poly1(ctx, (FieldElem(ctx, int(expect_idx)),))
+
+
 def trace_identity_check(p: int, ctx: FieldCtx) -> dict:
     """Sums (Z + i + j*b)^(p^2-1) over all prime-field pairs (i, j) for
     every b outside the prime field and compares the expansion with the
@@ -407,18 +421,10 @@ def trace_identity_check(p: int, ctx: FieldCtx) -> dict:
         raise ContextMismatch(f"context is for p={ctx.p}, not {p}")
     if ctx.n < 2:
         raise PrimeFieldOnly("the identity lives over a proper extension")
-    pp = p * p
     tested = 0
     witness: Optional[dict] = None
     for b in enumerate_nonprime(ctx):
-        total = Poly1(ctx, ())
-        for i in range(p):
-            for j in range(p):
-                c0 = ctx.add[i % p, ctx.mul[j % p, b.idx]]
-                base = Poly1(ctx, (FieldElem(ctx, int(c0)), 1))
-                total = total + base ** (pp - 1)
-        expect_idx = ctx.pow_idx(ctx.sub[ctx.pow_idx(b.idx, p), b.idx], p - 1)
-        expected = Poly1(ctx, (FieldElem(ctx, int(expect_idx)),))
+        total, expected = trace_sum(b)
         tested += 1
         if total != expected and witness is None:
             witness = {"beta": b.text(), "got": total.to_text(),

@@ -37,6 +37,7 @@ from .linalg import (
     Mat,
     Subspace,
     _matmul_idx,
+    _matpow_idx,
     as_vector,
     invert,
     kernel,
@@ -117,12 +118,15 @@ class HModule:
         if Msigma.rows != Mtau.rows:
             raise ShapeMismatch("generator matrices of different sizes")
         d = Msigma.rows
-        I = Mat.identity(ctx, d)
-        if matpow(Msigma, ctx.p) != I:
-            raise OrderViolation("sigma matrix does not have order dividing p")
-        if matpow(Mtau, ctx.p) != I:
-            raise OrderViolation("tau matrix does not have order dividing p")
-        if Msigma @ Mtau != Mtau @ Msigma:
+        # both p-th powers from one stacked power, sigma*tau and tau*sigma
+        # from one stacked product; sigma is reported before tau
+        gens = np.stack([Msigma.data, Mtau.data])
+        powers = _matpow_idx(ctx, gens, ctx.p)
+        for X, name in zip(powers, ("sigma", "tau")):
+            if not np.array_equal(X, np.eye(d, dtype=np.int64)):
+                raise OrderViolation(f"{name} matrix does not have order dividing p")
+        st, ts = _matmul_idx(ctx, gens, gens[::-1])
+        if not np.array_equal(st, ts):
             raise NotCommuting("generator matrices do not commute")
         if labels is not None:
             labels = tuple(labels)
@@ -242,13 +246,29 @@ def augmentation_ideal(ctx: FieldCtx) -> HModule:
     return sub
 
 
+# One shared module per (ctx, kind, d, beta index), kept for the life of
+# the process: at most 2 (p^2 + 1) (q - p) entries per field, and the
+# filtration, End algebra and presentation each module caches are then
+# computed once however many callers ask.
+_FAMILY: dict = {}
+
+
 def v_d(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     """Module on basis w_0..w_{d-1} with binomial action:
-    sigma.w_n = sum_i C(n,i) w_i, tau.w_n = sum_i C(n,i) beta^(n-i) w_i."""
+    sigma.w_n = sum_i C(n,i) w_i, tau.w_n = sum_i C(n,i) beta^(n-i) w_i.
+    Equal arguments return the same shared module."""
     p = ctx.p
     if not (1 <= d <= p * p):
         raise BadDimension(f"dimension {d} outside 1..{p * p}")
     _require_nonprime(ctx, beta)
+    key = (ctx, "vd", d, beta.idx)
+    if key not in _FAMILY:
+        _FAMILY[key] = _build_vd(ctx, d, beta)
+    return _FAMILY[key]
+
+
+def _build_vd(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
+    p = ctx.p
     S = np.zeros((d, d), dtype=np.int64)
     T = np.zeros((d, d), dtype=np.int64)
     for n in range(d):
@@ -270,11 +290,20 @@ def _vdr_index_sets(p: int, d: int) -> tuple:
 def v_dr(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     """Quotient of v_d(p^2) (+) v_d(d) by the span of the diagonal vectors
     k_i = (w_i, 0) + i*(0, w_{i-1}), 0 <= i <= d, on the labeled basis
-    {eta_i : p does not divide i, or i > d} u {w_i : i < d, i = -1 mod p}."""
+    {eta_i : p does not divide i, or i > d} u {w_i : i < d, i = -1 mod p}.
+    Equal arguments return the same shared module."""
     p = ctx.p
     if not (0 <= d <= p * p):
         raise BadDimension(f"parameter {d} outside 0..{p * p}")
     _require_nonprime(ctx, beta)
+    key = (ctx, "vdr", d, beta.idx)
+    if key not in _FAMILY:
+        _FAMILY[key] = _build_vdr(ctx, d, beta)
+    return _FAMILY[key]
+
+
+def _build_vdr(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
+    p = ctx.p
     A = v_d(ctx, p * p, beta)
     if d >= 1:
         B = v_d(ctx, d, beta)
@@ -631,7 +660,18 @@ def _hom_source_data(M: HModule) -> dict:
     EP = E[:, piv]
     EPinv = invert(Mat(ctx, EP))
     assert EPinv is not None
-    data = {"gens": gens, "t": t, "words": words, "E": E, "rel": rel,
+    # sigma0 and tau0 shift the word index (a, b) of a relation to (a + 1, b)
+    # and (a, b + 1); the relations at rel's pivots outside those of
+    # sigma0*rel + tau0*rel span rel modulo it, so they generate rel as a
+    # module, and over the commutative group algebra their conditions on a
+    # map imply those of every relation
+    R = rel.basis.reshape(rel.dim, t, p, p)
+    shifted = np.zeros((2,) + R.shape, dtype=np.int64)
+    shifted[0, :, :, 1:, :] = R[:, :, :-1, :]
+    shifted[1, :, :, :, 1:] = R[:, :, :, :-1]
+    J = Subspace.from_rows(ctx, rel.ambient, shifted.reshape(2 * rel.dim, rel.ambient))
+    relgens = rel.basis[~np.isin(rel.pivots, J.pivots)]
+    data = {"gens": gens, "t": t, "words": words, "E": E, "relgens": relgens,
             "piv": piv, "EPinv": EPinv}
     M._cache["homsrc"] = data
     return data
@@ -642,7 +682,8 @@ def hom_space(M: HModule, N: HModule) -> Subspace:
     vectorized dim(N) x dim(M) matrices.
 
     Solved through a generator/relation presentation of M: a map is a
-    choice of images for the generators annihilating every relation.
+    choice of images for the generators annihilating the relations that
+    generate the relation module.
     """
     if M.ctx != N.ctx:
         raise ContextMismatch("modules over different field contexts")
@@ -651,15 +692,16 @@ def hom_space(M: HModule, N: HModule) -> Subspace:
     if M.dim == 0 or N.dim == 0:
         return Subspace.zero(ctx, amb)
     src = _hom_source_data(M)
-    t, rel = src["t"], src["rel"]
+    t, rel = src["t"], src["relgens"]
     nw = len(src["words"])
     dN = N.dim
     WN = N.word_stack()
     # conditions on stacked images x = (x_1 .. x_t) in N^t: block (r, i)
-    # of C is sum_w rel_r[i, w] * word_w(N), all blocks from one product
-    nrel = rel.dim
+    # of C is sum_w rel_r[i, w] * word_w(N) for each generating relation r,
+    # all blocks from one product
+    nrel = rel.shape[0]
     if nrel:
-        blocks = _matmul_idx(ctx, rel.basis.reshape(nrel * t, nw), WN.reshape(nw, dN * dN))
+        blocks = _matmul_idx(ctx, rel.reshape(nrel * t, nw), WN.reshape(nw, dN * dN))
         C = blocks.reshape(nrel, t, dN, dN).transpose(0, 2, 1, 3).reshape(nrel * dN, t * dN)
         sol = kernel(Mat(ctx, C))
     else:
@@ -678,11 +720,11 @@ def hom_space(M: HModule, N: HModule) -> Subspace:
 
 
 def end_algebra(M: HModule) -> tuple:
-    """(hom_space(M, M), the same basis reshaped to matrices)."""
+    """(hom_space(M, M), the same basis reshaped to matrices: read-only
+    views of its rows)."""
     if "end" not in M._cache:
         H = hom_space(M, M)
-        mats = [Mat(M.ctx, H.basis[i].reshape(M.dim, M.dim).copy())
-                for i in range(H.dim)]
+        mats = [Mat(M.ctx, row.reshape(M.dim, M.dim)) for row in H.basis]
         M._cache["end"] = (H, mats)
     return M._cache["end"]
 

@@ -281,14 +281,23 @@ def matpow(A: Mat, e: int) -> Mat:
         raise ShapeMismatch("power of a non-square matrix")
     if e < 0:
         raise ShapeMismatch("negative matrix power")
-    result = Mat.identity(A.ctx, A.rows)
-    base = A
-    while e:
+    return Mat(A.ctx, _matpow_idx(A.ctx, A.data, e))
+
+
+def _matpow_idx(ctx: FieldCtx, A: np.ndarray, e: int) -> np.ndarray:
+    """e-th power (e >= 0) of each square matrix in a stack (..., d, d),
+    by repeated squaring; the product starts from the first factor, not
+    from the identity."""
+    if e == 0:
+        return np.broadcast_to(np.eye(A.shape[-1], dtype=np.int64), A.shape).copy()
+    result = None
+    while True:
         if e & 1:
-            result = result @ base
-        base = base @ base if e > 1 else base
+            result = A if result is None else _matmul_idx(ctx, result, A)
         e >>= 1
-    return result
+        if not e:
+            return result
+        A = _matmul_idx(ctx, A, A)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,11 @@ def test_verify_usage_error(capsys):
     assert code == 2
 
 
+def test_verify_has_no_jobs_option(capsys):
+    assert main(["verify", "identities", "--p", "3", "--jobs", "2"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_timings_opt_in(capsys):
     _, out, _ = run(capsys, "verify", "identities", "--p", "3", "--timings")
     rep = json.loads(out)
