@@ -52,8 +52,7 @@ def test_invalid_arguments_raise_and_cache_nothing(call, error):
 
 
 def _module(ctx, rng, kind):
-    """A family member, a dual or a direct sum; v_dr at p = 5 (dim 24)
-    only where its partner stays small."""
+    """A family member, a dual or a direct sum."""
     t = ctx.gen() + rng.randrange(ctx.p)
     pp = ctx.p ** 2
     if kind == "vdr":
@@ -88,6 +87,7 @@ def test_hom_from_relation_generators_matches_reference(ctx, seed, kind_m, kind_
     rng = random.Random(seed)
     M = _module(ctx, rng, kind_m)
     N = M if rng.random() < 0.2 else _module(ctx, rng, kind_n)
+    # v_dr at p = 5 has dim 24: keep the reference's dim M * dim N small
     if ctx.p == 5 and "vdr" in (kind_m, kind_n) and min(M.dim, N.dim) > 8:
         N = km.v_d(ctx, rng.randrange(1, 6), ctx.gen())
     src = km._hom_source_data(M)
