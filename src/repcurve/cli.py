@@ -45,8 +45,11 @@ def _ctx_from_args(args):
 
 def _emit(payload: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "w") as fh:
+                fh.write(payload)
+        except OSError as e:
+            raise RepcurveError(f"cannot write {out}: {e.strerror}")
     else:
         sys.stdout.write(payload)
 
@@ -116,10 +119,9 @@ def _query_ddeg(args, M: km.HModule) -> dict:
 
 def cmd_query(args) -> int:
     if args.kind == "iso":
-        A = _load_module(args.modules[0])
         if len(args.modules) != 2:
             raise RepcurveError("iso needs exactly two module files")
-        B = _load_module(args.modules[1])
+        A, B = map(_load_module, args.modules)
         dec = km.is_isomorphic(A, B, seed=args.seed, trials=args.trials)
         payload = dec.to_json()
     else:

@@ -180,10 +180,7 @@ class FieldCtx:
     )
 
     def __init__(self, p: int, n: int, modulus: Sequence[int]):
-        if not is_prime(p):
-            raise NotPrime(f"p = {p} is not prime")
-        if n < 1:
-            raise DegreeMismatch(f"extension degree must be >= 1, got {n}")
+        _check_field(p, n)
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != n + 1:
             raise DegreeMismatch(
@@ -192,11 +189,7 @@ class FieldCtx:
             raise DegreeMismatch("modulus must be monic")
         if not _is_irreducible(modulus, p):
             raise ReducibleModulus(f"modulus {list(modulus)} factors over F_{p}")
-        q = p ** n
-        if q > _TABLE_LIMIT:
-            raise FieldTooLarge(
-                f"q = {q} exceeds the dense-table limit {_TABLE_LIMIT}")
-        self.p, self.n, self.q, self.modulus = p, n, q, modulus
+        self.p, self.n, self.q, self.modulus = p, n, p ** n, modulus
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -436,8 +429,23 @@ def default_ctx(p: int, n: int = 2) -> FieldCtx:
     return ctx_new(p, n, find_irreducible(p, n))
 
 
+def _check_field(p: int, n: int) -> None:
+    """Refuse a p that is not prime, a degree n < 1 and a field too large
+    for the dense tables, before any polynomial search or power of p.  A p
+    above the limit is refused by size alone: trial division of a huge p
+    would not finish."""
+    if p <= _TABLE_LIMIT and not is_prime(p):
+        raise NotPrime(f"p = {p} is not prime")
+    if n < 1:
+        raise DegreeMismatch(f"extension degree must be >= 1, got {n}")
+    # p >= 2, so n >= bit_length(limit) already gives q > limit
+    if p > _TABLE_LIMIT or n >= _TABLE_LIMIT.bit_length() or p ** n > _TABLE_LIMIT:
+        raise FieldTooLarge(f"q = {p}^{n} exceeds the dense-table limit {_TABLE_LIMIT}")
+
+
 def find_irreducible(p: int, n: int) -> tuple:
     """First monic irreducible of degree n over F_p in lexicographic order."""
+    _check_field(p, n)
     for low in range(p**n):
         coeffs = tuple((low // p**i) % p for i in range(n)) + (1,)
         if _is_irreducible(coeffs, p):

@@ -769,11 +769,20 @@ def _combine(ctx: FieldCtx, basis: np.ndarray, coeffs) -> np.ndarray:
 
 
 def is_isomorphic(M: HModule, N: HModule, seed: int = 0, trials: int = 64) -> IsoDecision:
-    """Decision procedure: cheap invariants first (dimension, profile,
-    Hom dimensions), then a search for an invertible element of
-    Hom(M, N): seeded random combinations, exhaustive projective scan
-    when feasible, and finally a rerun over the quadratic extension
-    (an extension witness certifies a base-field isomorphism)."""
+    """Decision procedure.  The checks run cheapest first:
+
+    1. dimension: NO, "dim-mismatch";
+    2. equal matrices: YES, "equal-matrices";
+    3. the profile invariants in the order of PROFILE_INVARIANTS:
+       filtration dims, fixed-space dim, End dim, Jordan multiset over
+       P^1(F_q).  Each is computed for both modules before the next one
+       runs, and the first that differs decides NO, "profile-mismatch";
+    4. the dims of Hom(M, N), Hom(N, M) and both End algebras: NO,
+       "hom-dim-mismatch" unless all four agree and are nonzero;
+    5. a search for an invertible element of Hom(M, N): seeded random
+       combinations, an exhaustive projective scan when feasible, and
+       finally a rerun over the quadratic extension (an extension witness
+       certifies a base-field isomorphism)."""
     if M.ctx != N.ctx:
         raise ContextMismatch("modules over different field contexts")
     ctx = M.ctx
@@ -784,8 +793,9 @@ def is_isomorphic(M: HModule, N: HModule, seed: int = 0, trials: int = 64) -> Is
         return IsoDecision("YES", "equal-matrices", witness=Mat.identity(ctx, 0))
     if M.Msigma == N.Msigma and M.Mtau == N.Mtau:
         return IsoDecision("YES", "equal-matrices", witness=Mat.identity(ctx, M.dim))
-    if profile(M) != profile(N):
-        return IsoDecision("NO", "profile-mismatch")
+    for _, inv in PROFILE_INVARIANTS:
+        if inv(M) != inv(N):
+            return IsoDecision("NO", "profile-mismatch")
     H = hom_space(M, N)
     h = H.dim
     e = end_algebra(M)[0].dim
@@ -871,8 +881,7 @@ class IndecDecision:
     def to_json(self) -> dict:
         out = {"verdict": self.verdict, "certificate": self.certificate}
         if self.detail:
-            out["detail"] = {k: (v if isinstance(v, (int, str, list)) else str(v))
-                             for k, v in self.detail.items()}
+            out["detail"] = dict(self.detail)
         return out
 
 
@@ -998,9 +1007,12 @@ def is_indecomposable(M: HModule, seed: int = 0, trials: int = 16,
             if 0 < ker.dim < M.dim:
                 im = Subspace.from_rows(ctx, M.dim, F.data.T.copy())
                 assert subspace_intersect(ker, im).dim == 0
+                # both bases as rows of element texts, as module_to_json
+                # writes matrices, so a caller can check the split
                 return IndecDecision("DECOMPOSABLE", "T2",
                                      detail={"split_dims": [ker.dim, im.dim],
-                                             "kernel": ker, "image": im})
+                                             "kernel": Mat(ctx, ker.basis).to_lists(),
+                                             "image": Mat(ctx, im.basis).to_lists()})
     if "T3" not in tiers:
         raise Undecided("restricted tiers reached no decision")
     rad = _radical_subspace(M)
@@ -1172,19 +1184,26 @@ class Profile:
                 "jordan_multiset": [list(t) for t in self.jordan_multiset]}
 
 
+# The invariants of a Profile after dim, cheapest first: is_isomorphic
+# compares them in this order and stops at the first that differs.  The
+# fixed space is S_0 of the filtration, so it comes free; End goes before
+# the Jordan scan because the presentation it caches is reused by the Hom
+# spaces that follow.  The lambdas look up the functions by their global
+# names at each call, so a wrapper installed on the module sees them.
+PROFILE_INVARIANTS = (
+    ("filtration_dims", lambda M: tuple(s.dim for s in s_filtration(M))),
+    ("fixed_dim", lambda M: fixed_space(M).dim),
+    ("end_dim", lambda M: end_algebra(M)[0].dim),
+    ("jordan_multiset", lambda M: tuple(sorted(t for _, t in jordan_scan(M)))),
+)
+
+
 def profile(M: HModule) -> Profile:
     """Isomorphism-invariant fingerprint; equality is necessary (not
     sufficient) for isomorphism."""
     if "profile" not in M._cache:
-        fil = s_filtration(M)
-        jt = tuple(sorted(t for _, t in jordan_scan(M)))
         M._cache["profile"] = Profile(
-            dim=M.dim,
-            filtration_dims=tuple(s.dim for s in fil),
-            fixed_dim=fixed_space(M).dim,
-            end_dim=end_algebra(M)[0].dim,
-            jordan_multiset=jt,
-        )
+            dim=M.dim, **{name: inv(M) for name, inv in PROFILE_INVARIANTS})
     return M._cache["profile"]
 
 

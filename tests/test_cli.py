@@ -5,10 +5,10 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repcurve import kmod as km
-from repcurve.cli import main
+from repcurve.cli import BUILD_KINDS, QUERY_KINDS, main
 from repcurve.errors import RepcurveError
 from repcurve.ff import default_ctx
 
@@ -122,6 +122,17 @@ def test_query_bad_file(capsys, tmp_path):
     code, _, err = run(capsys, "query", "profile", str(missing))
     assert code == 2
     assert "cannot read" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_query_iso_counts_files_before_reading(monkeypatch, capsys, tmp_path, count):
+    import repcurve.cli as cli
+    opened = []
+    monkeypatch.setattr(cli, "_load_module", opened.append)
+    paths = [str(tmp_path / f"missing{i}.json") for i in range(count)]
+    code, out, err = run(capsys, "query", "iso", *paths)
+    assert code == 2 and out == "" and opened == []
+    assert "exactly two module files" in json.loads(err)["message"]
 
 
 def test_verify_pass_and_exit_zero(capsys):
@@ -313,3 +324,83 @@ def test_module_from_json_fuzz(key, drop, value):
         km.module_from_json(obj)
     except RepcurveError:
         pass
+
+
+BUILD_FLAGS = [
+    ("--p", ["2", "3", "5", "7", "-3", "0", "1", "4", str(10**18 + 3), "x"]),
+    ("--n", ["1", "2", "3", "0", "-1", "12", str(10**9), "two"]),
+    ("--modulus", ["1,0,1", "2,0,1", "1,1", "1,0,0,1", "x", ""]),
+    ("--d", ["-1", "0", "1", "5", "9", "30", "a"]),
+    ("--beta", ["0,1", "1,1", "1,0", "1", "0,1,0", "x", ","]),
+    ("--m", ["-1", "0", "1", "2", "3", "6", "z"]),
+    ("--alpha", ["0,1", "2,1", "1,0", "1", "x"])]
+QUERY_FLAGS = [("--seed", ["0", "-1", "7", "s"]),
+               ("--trials", ["0", "-1", "3", "64", "x"]),
+               ("--tiers", ["T1", "T3", "T1,T2,T3", "T1,T9", "", ","]),
+               ("--label", ["w0", "u0", "eta1", "zz"]),
+               ("--vector", ["1", "0,1;0,0;1,0", "1;1;1;1", "x", ""])]
+VERIFY_FLAGS = [("--p", ["3", "5", "2", "7", "-1", "p"]),
+                ("--seed", ["0", "-1", "9", "s"]),
+                ("--trials", ["0", "-1", "64", "x"]),
+                ("--format", ["json", "md", "xml"])]
+CLAIMS_FLAGS = [("--format", ["json", "md", "xml"])]
+
+
+def _module_files(capsys, tmp_path) -> tuple:
+    """Small valid module files, and files that are not modules or are
+    missing."""
+    valid = []
+    for name, argv in [("t2", ("trivial", "--p", "2", "--n", "1")),
+                       ("r2", ("regular", "--p", "2")),
+                       ("v3", ("vd", "--p", "3", "--d", "3", "--beta", "0,1")),
+                       ("vdr2", ("vdr", "--p", "2", "--d", "1", "--beta", "0,1"))]:
+        path = tmp_path / f"{name}.json"
+        if not path.exists():
+            assert main(["build", *argv, "--out", str(path)]) == 0
+        valid.append(str(path))
+    zero = json.loads((tmp_path / "t2.json").read_text())
+    zero.update(dim=0, sigma=[], tau=[], labels=None)
+    invalid = []
+    for name, text in [("zero", json.dumps(zero)), ("list", "[1, 2]"),
+                       ("cut", '{"p": 3'), ("nokey", '{"p": 3}')]:
+        (tmp_path / f"{name}.json").write_text(text)
+        invalid.append(str(tmp_path / f"{name}.json"))
+    capsys.readouterr()
+    return valid, invalid + [str(tmp_path / "missing.json")]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_argument_fuzz(capsys, tmp_path, data):
+    """argv drawn from the subcommands, their flags with valid, out-of-range
+    and malformed values, and small module files: main returns 0, 1 or 2,
+    never 3 (an internal error), and never raises."""
+    valid, invalid = _module_files(capsys, tmp_path)
+    command = data.draw(st.sampled_from(["build", "query", "claims", "verify"]))
+    if command == "build":
+        argv = ["build", data.draw(st.sampled_from(BUILD_KINDS + ("bogus",)))]
+        flags = BUILD_FLAGS
+    elif command == "query":
+        kind = data.draw(st.sampled_from(QUERY_KINDS + ("bogus",)))
+        if data.draw(st.booleans()):  # the file count the kind needs, all valid
+            files = st.lists(st.sampled_from(valid), min_size=1 + (kind == "iso"),
+                             max_size=1 + (kind == "iso"))
+        else:
+            files = st.lists(st.sampled_from(valid + invalid), max_size=3)
+        argv = ["query", kind] + data.draw(files)
+        flags = QUERY_FLAGS
+    elif command == "claims":
+        argv, flags = ["claims"], CLAIMS_FLAGS
+    else:
+        argv, flags = ["verify", "combinatorics"], VERIFY_FLAGS
+    out = [str(tmp_path / "out.json"), str(tmp_path / "no" / "out.json"), str(tmp_path)]
+    for flag, values in flags + [("--out", out)]:
+        # --p is required by build; any other flag is given one time in three
+        if (command, flag) == ("build", "--p") or data.draw(st.integers(0, 2)) == 0:
+            argv += [flag, data.draw(st.sampled_from(values))]
+    if command == "verify" and data.draw(st.booleans()):
+        argv.append("--timings")
+    code = main(argv)
+    capsys.readouterr()
+    assert code in (0, 1, 2), argv

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repcurve.errors import (ContextMismatch, DivisionByZero, NotPrime,
-                             PrimeFieldElement, ReducibleModulus)
+from repcurve.errors import (ContextMismatch, DegreeMismatch, DivisionByZero,
+                             FieldTooLarge, NotPrime, PrimeFieldElement,
+                             ReducibleModulus)
 from repcurve.ff import (FieldCtx, FieldElem, alpha_from_beta, beta_from_alpha,
                          ctx_new, default_ctx, enumerate_nonprime,
                          find_irreducible, frobenius, pth_root)
@@ -24,6 +25,19 @@ def test_context_validation():
         ctx_new(4, 2, (1, 0, 1))
     with pytest.raises(ReducibleModulus):
         ctx_new(3, 2, (2, 0, 1))  # x^2 + 2 = (x+1)(x+2) over F_3
+
+
+@pytest.mark.parametrize("p,n,error", [(-3, 2, NotPrime), (4, 2, NotPrime),
+                                        (3, 0, DegreeMismatch),
+                                        (2, 12, FieldTooLarge),
+                                        (3, 10**9, FieldTooLarge),
+                                        (10**18 + 3, 1, FieldTooLarge)])
+def test_default_context_refused_before_search(p, n, error):
+    # default_ctx searches for a modulus before FieldCtx sees p and n: the
+    # search must refuse them itself, or a negative p loops forever in it;
+    # a huge p is refused by size before a primality test that would not end
+    with pytest.raises(error):
+        default_ctx(p, n)
 
 
 def test_find_irreducible_agrees_with_defaults():
