@@ -13,8 +13,8 @@ from .linalg import Mat, Subspace, invert, kernel, rank, rref, solve
 from .poly import Poly1, Poly2, trace_polynomial
 from .kmod import (HModule, IndecDecision, IsoDecision, Profile,
                    augmentation_ideal, ddeg, ddeg_prime, digits_p, direct_sum,
-                   dual, fixed_space, generic_jordan_type, hom_space,
-                   is_indecomposable, is_isomorphic, jordan_scan,
+                   dual, end_dim, fixed_space, generic_jordan_type, hom_dim,
+                   hom_space, is_indecomposable, is_isomorphic, jordan_scan,
                    jordan_type_at, module_from_json, module_to_json,
                    profile, quotient, regular_module, s_p,
                    s_filtration, sub_generated, sub_module_on, trivial_module,
@@ -37,7 +37,8 @@ __all__ = [
     "Poly1", "Poly2", "trace_polynomial",
     "HModule", "IndecDecision", "IsoDecision", "Profile",
     "augmentation_ideal", "ddeg", "ddeg_prime", "digits_p", "direct_sum",
-    "dual", "fixed_space", "generic_jordan_type", "hom_space",
+    "dual", "end_dim", "fixed_space", "generic_jordan_type", "hom_dim",
+    "hom_space",
     "is_indecomposable", "is_isomorphic", "jordan_scan", "jordan_type_at",
     "module_from_json", "module_to_json", "profile",
     "quotient", "regular_module", "s_p", "s_filtration", "sub_generated",

@@ -28,6 +28,10 @@ from .poly import Poly1
 # test grid fixed by configuration; second component drops multiples of p
 GRID_PRIMES = (3, 5)
 GRID_EXPONENTS = (2, 4, 7, 10, 26)
+# largest exponent curve_params accepts: the graded families grow with m
+# (m - 1 pieces, genus (p^2 - 1)(m - 1)/2), and m in the thousands takes
+# seconds per build
+MAX_EXPONENT = 100
 
 
 def default_grid():
@@ -105,6 +109,8 @@ def curve_params(ctx: FieldCtx, m: int, alpha: FieldElem) -> CurveParams:
     p = ctx.p
     if m < 1 or m % p == 0:
         raise BadParams(f"exponent m={m} must be positive and prime to p={p}")
+    if m > MAX_EXPONENT:
+        raise BadParams(f"exponent m={m} above the limit {MAX_EXPONENT}")
     beta = beta_from_alpha(alpha)  # rejects alpha in the prime field
     gamma = (FieldElem(ctx, 1) + alpha * beta) * FieldElem(ctx, m % p)
     assert gamma.idx != 0

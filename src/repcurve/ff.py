@@ -283,10 +283,15 @@ class FieldCtx:
         return FieldElem(self, int(value) % self.p)
 
     def from_text(self, text: str) -> "FieldElem":
+        """Parse element text: comma-separated coefficient digits, low
+        degree first, each in 0..p-1; any other digit raises BadParams."""
         try:
             parts = [int(s) for s in text.strip().split(",")]
         except ValueError:
             raise BadParams(f"cannot parse field element text {text!r}") from None
+        bad = [c for c in parts if not 0 <= c < self.p]
+        if bad:
+            raise BadParams(f"digit {bad[0]} of element text {text!r} outside 0..{self.p - 1}")
         return FieldElem(self, self.encode(parts))
 
     @property

@@ -335,11 +335,9 @@ def _build_vdr(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
         omega_pos[i] = len(reps)
         reps.append(r)
         labels.append(f"w{i}")
-    Q, P = quotient(D, K, reps=reps)
-    Q = HModule(ctx, Q.Msigma, Q.Mtau, labels=labels,
-                meta={"kind": "vdr", "d": d, "beta": beta.idx,
-                      "proj": P.data, "eta_pos": eta_pos,
-                      "omega_pos": omega_pos, "blocks": (p * p, d)})
+    Q, P = quotient(D, K, reps=reps, labels=labels)
+    Q.meta = {"kind": "vdr", "d": d, "beta": beta.idx, "proj": P.data,
+              "eta_pos": eta_pos, "omega_pos": omega_pos, "blocks": (p * p, d)}
     return Q
 
 
@@ -459,10 +457,11 @@ def sub_generated(M: HModule, vectors) -> tuple:
     return sub_module_on(M, W)
 
 
-def quotient(M: HModule, W: Subspace, reps=None) -> tuple:
+def quotient(M: HModule, W: Subspace, reps=None, labels=None) -> tuple:
     """Quotient module by an invariant subspace; returns (module,
     projection matrix).  Optional reps fixes the coset basis; otherwise
-    the standard vectors complementary to W's pivots are used."""
+    the standard vectors complementary to W's pivots are used.  Optional
+    labels name that basis."""
     ctx = M.ctx
     _action_coords(M, W, "quotient by a non-invariant subspace")
     qdim = M.dim - W.dim
@@ -487,7 +486,7 @@ def quotient(M: HModule, W: Subspace, reps=None) -> tuple:
     Aq = P @ M.Msigma @ R
     Bq = P @ M.Mtau @ R
     assert P @ R == Mat.identity(ctx, qdim)
-    Q = HModule(ctx, Aq, Bq, meta={"kind": "quotient"})
+    Q = HModule(ctx, Aq, Bq, labels=labels, meta={"kind": "quotient"})
     return Q, P
 
 
@@ -677,53 +676,92 @@ def _hom_source_data(M: HModule) -> dict:
     return data
 
 
+def _hom_solve(M: HModule, N: HModule) -> Subspace:
+    """The relation solve: the generator images in N^t of every map
+    M -> N, as the kernel of the conditions C that the generating
+    relations of M impose on them.  Its dimension is dim Hom(M, N), since
+    a map is determined by its generator images."""
+    if M.ctx != N.ctx:
+        raise ContextMismatch("modules over different field contexts")
+    ctx = M.ctx
+    if M.dim == 0 or N.dim == 0:
+        return Subspace.zero(ctx, 0)
+    src = _hom_source_data(M)
+    t, rel = src["t"], src["relgens"]
+    nw = len(src["words"])
+    dN = N.dim
+    # conditions on stacked images x = (x_1 .. x_t) in N^t: block (r, i)
+    # of C is sum_w rel_r[i, w] * word_w(N) for each generating relation r,
+    # all blocks from one product
+    nrel = rel.shape[0]
+    if not nrel:
+        return Subspace.full(ctx, t * dN)
+    blocks = _matmul_idx(ctx, rel.reshape(nrel * t, nw), N.word_stack().reshape(nw, dN * dN))
+    C = blocks.reshape(nrel, t, dN, dN).transpose(0, 2, 1, 3).reshape(nrel * dN, t * dN)
+    return kernel(Mat(ctx, C))
+
+
+def _hom_maps(M: HModule, N: HModule, sol: Subspace) -> Subspace:
+    """The map rebuild: the canonical basis of Hom(M, N), as row-major
+    vectorized dim(N) x dim(M) matrices, from the relation solve sol."""
+    ctx = M.ctx
+    amb = M.dim * N.dim
+    if sol.dim == 0:
+        return Subspace.zero(ctx, amb)
+    # every word on every image in one product, the columns at the pivots
+    # of E, then EPinv
+    src = _hom_source_data(M)
+    t, piv = src["t"], src["piv"]
+    nw = len(src["words"])
+    dN = N.dim
+    S = sol.dim
+    X = sol.basis.reshape(S * t, dN).T
+    Y = _matmul_idx(ctx, N.word_stack().reshape(nw * dN, dN), X).reshape(nw, dN, S, t)
+    VP = Y[piv % nw, :, :, piv // nw].transpose(2, 1, 0)     # (S, dN, dim M)
+    Phi = _matmul_idx(ctx, VP.reshape(S * dN, M.dim), src["EPinv"].data)
+    return Subspace.from_rows(ctx, amb, Phi.reshape(S, amb))
+
+
+def hom_dim(M: HModule, N: HModule) -> int:
+    """dim Hom(M, N), read from the relation solve alone: no map is built."""
+    return _hom_solve(M, N).dim
+
+
 def hom_space(M: HModule, N: HModule) -> Subspace:
     """Canonical basis of the space of module maps M -> N, as row-major
     vectorized dim(N) x dim(M) matrices.
 
     Solved through a generator/relation presentation of M: a map is a
     choice of images for the generators annihilating the relations that
-    generate the relation module.
+    generate the relation module.  The relation solve alone gives the
+    dimension (hom_dim); rebuilding the maps from the generator images
+    costs several times that solve, so the package builds maps only for
+    the isomorphism witness search and for End bases (end_algebra, read
+    by indecomposability tiers T2/T3).
     """
-    if M.ctx != N.ctx:
-        raise ContextMismatch("modules over different field contexts")
-    ctx = M.ctx
-    amb = M.dim * N.dim
-    if M.dim == 0 or N.dim == 0:
-        return Subspace.zero(ctx, amb)
-    src = _hom_source_data(M)
-    t, rel = src["t"], src["relgens"]
-    nw = len(src["words"])
-    dN = N.dim
-    WN = N.word_stack()
-    # conditions on stacked images x = (x_1 .. x_t) in N^t: block (r, i)
-    # of C is sum_w rel_r[i, w] * word_w(N) for each generating relation r,
-    # all blocks from one product
-    nrel = rel.shape[0]
-    if nrel:
-        blocks = _matmul_idx(ctx, rel.reshape(nrel * t, nw), WN.reshape(nw, dN * dN))
-        C = blocks.reshape(nrel, t, dN, dN).transpose(0, 2, 1, 3).reshape(nrel * dN, t * dN)
-        sol = kernel(Mat(ctx, C))
-    else:
-        sol = Subspace.full(ctx, t * dN)
-    if sol.dim == 0:
-        return Subspace.zero(ctx, amb)
-    # reconstruct every map from its generator images: every word on every
-    # image in one product, the columns at the pivots of E, then EPinv
-    S = sol.dim
-    piv = src["piv"]
-    X = sol.basis.reshape(S * t, dN).T
-    Y = _matmul_idx(ctx, WN.reshape(nw * dN, dN), X).reshape(nw, dN, S, t)
-    VP = Y[piv % nw, :, :, piv // nw].transpose(2, 1, 0)     # (S, dN, dim M)
-    Phi = _matmul_idx(ctx, VP.reshape(S * dN, M.dim), src["EPinv"].data)
-    return Subspace.from_rows(ctx, amb, Phi.reshape(S, amb))
+    return _hom_maps(M, N, _hom_solve(M, N))
+
+
+def _end_solve(M: HModule) -> Subspace:
+    """The relation solve of End(M), cached on M for end_dim and
+    end_algebra alike."""
+    if "endsol" not in M._cache:
+        M._cache["endsol"] = _hom_solve(M, M)
+    return M._cache["endsol"]
+
+
+def end_dim(M: HModule) -> int:
+    """dim End(M) from the cached relation solve; no map is built."""
+    return _end_solve(M).dim
 
 
 def end_algebra(M: HModule) -> tuple:
     """(hom_space(M, M), the same basis reshaped to matrices: read-only
-    views of its rows)."""
+    views of its rows).  The maps are rebuilt from the relation solve
+    that end_dim caches, so C is eliminated once per module; only the
+    indecomposability tiers T2/T3 need this basis."""
     if "end" not in M._cache:
-        H = hom_space(M, M)
+        H = _hom_maps(M, M, _end_solve(M))
         mats = [Mat(M.ctx, row.reshape(M.dim, M.dim)) for row in H.basis]
         M._cache["end"] = (H, mats)
     return M._cache["end"]
@@ -778,8 +816,10 @@ def is_isomorphic(M: HModule, N: HModule, seed: int = 0, trials: int = 64) -> Is
        P^1(F_q).  Each is computed for both modules before the next one
        runs, and the first that differs decides NO, "profile-mismatch";
     4. the dims of Hom(M, N), Hom(N, M) and both End algebras: NO,
-       "hom-dim-mismatch" unless all four agree and are nonzero;
-    5. a search for an invertible element of Hom(M, N): seeded random
+       "hom-dim-mismatch" unless all four agree and are nonzero.  Each
+       dim is read from the relation solve alone (hom_dim, end_dim);
+    5. a search for an invertible element of Hom(M, N), whose map basis
+       is rebuilt from the step-4 solve only here: seeded random
        combinations, an exhaustive projective scan when feasible, and
        finally a rerun over the quadratic extension (an extension witness
        certifies a base-field isomorphism)."""
@@ -796,16 +836,17 @@ def is_isomorphic(M: HModule, N: HModule, seed: int = 0, trials: int = 64) -> Is
     for _, inv in PROFILE_INVARIANTS:
         if inv(M) != inv(N):
             return IsoDecision("NO", "profile-mismatch")
-    H = hom_space(M, N)
-    h = H.dim
-    e = end_algebra(M)[0].dim
-    h_back = hom_space(N, M).dim
-    e2 = end_algebra(N)[0].dim
+    sol = _hom_solve(M, N)
+    h = sol.dim
+    e = end_dim(M)
+    h_back = hom_dim(N, M)
+    e2 = end_dim(N)
     if not (h == h_back == e == e2):
         return IsoDecision("NO", "hom-dim-mismatch",
                            detail={"hom": [h, h_back], "end": [e, e2]})
     if h == 0:
         return IsoDecision("NO", "hom-dim-mismatch", detail={"hom": [0, 0]})
+    H = _hom_maps(M, N, sol)
 
     def try_coeffs(coeffs) -> Optional[Mat]:
         X = Mat(ctx, _combine(ctx, H.basis, coeffs).reshape(N.dim, M.dim).copy())
@@ -1188,12 +1229,12 @@ class Profile:
 # compares them in this order and stops at the first that differs.  The
 # fixed space is S_0 of the filtration, so it comes free; End goes before
 # the Jordan scan because the presentation it caches is reused by the Hom
-# spaces that follow.  The lambdas look up the functions by their global
+# dims that follow.  The lambdas look up the functions by their global
 # names at each call, so a wrapper installed on the module sees them.
 PROFILE_INVARIANTS = (
     ("filtration_dims", lambda M: tuple(s.dim for s in s_filtration(M))),
     ("fixed_dim", lambda M: fixed_space(M).dim),
-    ("end_dim", lambda M: end_algebra(M)[0].dim),
+    ("end_dim", lambda M: end_dim(M)),
     ("jordan_multiset", lambda M: tuple(sorted(t for _, t in jordan_scan(M)))),
 )
 

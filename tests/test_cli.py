@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repcurve import curvefam as cf
 from repcurve import kmod as km
 from repcurve.cli import BUILD_KINDS, QUERY_KINDS, main
 from repcurve.errors import RepcurveError
@@ -43,6 +44,29 @@ def test_build_rejects_malformed_element_text(capsys):
                          "--beta", "t")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "BadParams"
+
+
+@pytest.mark.parametrize("kind,flag,text", [
+    ("vd", "--beta", "0,7"), ("vd", "--beta", "0,-1"), ("vdr", "--beta", "3,1"),
+    ("dr", "--alpha", "5,1"), ("holo", "--alpha", "0,3")])
+def test_build_refuses_out_of_range_digits(capsys, kind, flag, text):
+    # at p = 3, "0,7" used to be read as 0,1 and build a module silently
+    rest = ["--d", "2"] if flag == "--beta" else ["--m", "4"]
+    code, out, err = run(capsys, "build", kind, "--p", "3", *rest, flag, text)
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert rec["error"] == "BadParams" and repr(text) in rec["message"]
+
+
+@pytest.mark.parametrize("m", [101, 4000, 10**9])
+def test_build_refuses_exponent_above_limit(capsys, m):
+    code, out, err = run(capsys, "build", "dr", "--p", "3", "--m", str(m),
+                         "--alpha", "0,1")
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert rec["error"] == "BadParams" and "limit 100" in rec["message"]
+    assert cf.MAX_EXPONENT == 100
+    assert max(cf.GRID_EXPONENTS) <= cf.MAX_EXPONENT
 
 
 def test_build_missing_flags(capsys):
@@ -331,9 +355,9 @@ BUILD_FLAGS = [
     ("--n", ["1", "2", "3", "0", "-1", "12", str(10**9), "two"]),
     ("--modulus", ["1,0,1", "2,0,1", "1,1", "1,0,0,1", "x", ""]),
     ("--d", ["-1", "0", "1", "5", "9", "30", "a"]),
-    ("--beta", ["0,1", "1,1", "1,0", "1", "0,1,0", "x", ","]),
-    ("--m", ["-1", "0", "1", "2", "3", "6", "z"]),
-    ("--alpha", ["0,1", "2,1", "1,0", "1", "x"])]
+    ("--beta", ["0,1", "1,1", "1,0", "1", "0,1,0", "0,7", "x", ","]),
+    ("--m", ["-1", "0", "1", "2", "3", "6", "4000", str(10**9), "z"]),
+    ("--alpha", ["0,1", "2,1", "1,0", "1", "5,1", "x"])]
 QUERY_FLAGS = [("--seed", ["0", "-1", "7", "s"]),
                ("--trials", ["0", "-1", "3", "64", "x"]),
                ("--tiers", ["T1", "T3", "T1,T2,T3", "T1,T9", "", ","]),

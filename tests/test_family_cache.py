@@ -151,3 +151,97 @@ def test_module_checks_keep_their_order_and_messages():
         km.HModule(C3, J, K)
     assert km.HModule(C3, J, I).dim == 2
     assert km.HModule(C3, Mat.zeros(C3, 0, 0), Mat.zeros(C3, 0, 0)).dim == 0
+
+
+def _conjugate(M, rng):
+    """M written in a random basis: a new module with empty caches."""
+    ctx = M.ctx
+    while True:
+        P = Mat(ctx, np.array([[rng.randrange(ctx.q) for _ in range(M.dim)]
+                               for _ in range(M.dim)], dtype=np.int64))
+        Pinv = linalg.invert(P)
+        if Pinv is not None:
+            return km.HModule(ctx, P @ M.Msigma @ Pinv, P @ M.Mtau @ Pinv)
+
+
+KINDS = st.sampled_from(["vd", "vdr", "dual", "sum"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([C3, C5]), st.integers(0, 10**6), KINDS, KINDS,
+       st.booleans(), st.booleans())
+def test_hom_dim_matches_map_basis(ctx, seed, kind_m, kind_n, conj_m, conj_n):
+    rng = random.Random(seed)
+    M = _module(ctx, rng, kind_m)
+    N = M if rng.random() < 0.2 else _module(ctx, rng, kind_n)
+    if M.dim * N.dim > 100:  # keep the Kronecker-product reference small
+        N = km.v_d(ctx, rng.randrange(1, 5), ctx.gen())
+    M = _conjugate(M, rng) if conj_m else M
+    N = _conjugate(N, rng) if conj_n else N
+    ref = intertwiner_space([M.Msigma, M.Mtau], [N.Msigma, N.Mtau]).dim
+    assert km.hom_dim(M, N) == km.hom_space(M, N).dim == ref
+    if M.dim * M.dim <= 100:
+        assert km.end_dim(M) == km.end_algebra(M)[0].dim == km.hom_dim(M, M)
+
+
+def _count_map_builds(monkeypatch) -> list:
+    """Record each call of hom_space and of the map rebuild behind it and
+    end_algebra."""
+    calls = []
+    for name in ("hom_space", "_hom_maps"):
+        real = getattr(km, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(km, name, counted)
+    return calls
+
+
+def test_dim_decisions_build_no_maps(monkeypatch):
+    rng = random.Random(3)
+    # fresh modules, so no map basis is cached from an earlier call
+    M = _conjugate(km.v_dr(C3, 4, T3), rng)
+    N = _conjugate(km.v_dr(C3, 4, T3 + 1), rng)
+    calls = _count_map_builds(monkeypatch)
+    dec = km.is_isomorphic(M, N)
+    assert (dec.verdict, dec.method) == ("NO", "hom-dim-mismatch")
+    assert dec.detail == {"hom": [9, 9], "end": [10, 10]}
+    assert km.profile(_conjugate(km.v_dr(C3, 7, T3), rng)).end_dim > 0
+    assert calls == []
+    # the YES path rebuilds the one Hom basis its witness search needs
+    assert km.is_isomorphic(M, _conjugate(M, rng)).verdict == "YES"
+    assert calls == ["_hom_maps"]
+
+
+def test_end_basis_reuses_the_end_solve(monkeypatch):
+    M = _conjugate(km.v_dr(C5, 12, C5.gen()), random.Random(5))
+    eliminations = []
+    real = km.kernel
+
+    def counted(A):
+        eliminations.append(A.rows)
+        return real(A)
+
+    monkeypatch.setattr(km, "kernel", counted)
+    e = km.end_dim(M)
+    assert len(eliminations) == 2  # the presentation's relations, then C
+    H, _ = km.end_algebra(M)
+    assert len(eliminations) == 2 and H.dim == e == 28
+
+
+def test_vdr_module_is_checked_once(monkeypatch):
+    km.v_d(C3, 9, T3), km.v_d(C3, 5, T3)
+    checks = []
+    real = linalg._matpow_idx
+
+    def counted(*args):
+        checks.append(args[-1])
+        return real(*args)
+
+    # every new HModule checks sigma^p = tau^p = 1 with one stacked power
+    monkeypatch.setattr(km, "_matpow_idx", counted)
+    M = km._build_vdr(C3, 5, T3)
+    assert checks == [3, 3]  # the direct sum, then the labeled quotient
+    assert M == km.v_dr(C3, 5, T3) and M.labels == km.v_dr(C3, 5, T3).labels
