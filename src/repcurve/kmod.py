@@ -1295,9 +1295,13 @@ def module_from_json(obj: dict) -> HModule:
     if labels is not None and not _is_str_list(labels):
         raise BadParams("module JSON: labels must be null or a list of strings")
     ctx = ctx_new(obj["p"], obj["n"], tuple(modulus))
+    # each distinct text is parsed once, in the order of the entries, so
+    # the first bad entry is still the one reported
+    texts = dict.fromkeys(v for k in ("sigma", "tau") for row in obj[k] for v in row)
+    idx = {v: ctx.from_text(v).idx for v in texts}
 
     def grid(rows) -> Mat:
-        data = np.array([[ctx.from_text(v).idx for v in row] for row in rows],
+        data = np.array([[idx[v] for v in row] for row in rows],
                         dtype=np.int64).reshape(d, d)
         return Mat(ctx, data)
 

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repcurve import curvefam as cf
 from repcurve import kmod as km
 from repcurve.cli import BUILD_KINDS, QUERY_KINDS, main
-from repcurve.errors import RepcurveError
+from repcurve.errors import BadParams, RepcurveError
 from repcurve.ff import default_ctx
 
 
@@ -288,6 +288,15 @@ def test_malformed_module_json_is_an_input_error(capsys, tmp_path, mutate):
     code, out, err = run(capsys, "query", "indec", str(bad))
     assert code == 2 and out == ""
     assert json.loads(err)["error"] != "InternalError"
+
+
+def test_module_json_reports_its_first_bad_entry():
+    C3 = default_ctx(3)
+    obj = km.module_to_json(km.v_d(C3, 2, C3.gen()))
+    obj["tau"][0][0] = "9"
+    obj["sigma"][1][0] = "0,7"
+    with pytest.raises(BadParams, match="'0,7'"):
+        km.module_from_json(obj)
 
 
 def test_internal_error_exits_three(monkeypatch, capsys, tmp_path):
