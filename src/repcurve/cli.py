@@ -21,7 +21,7 @@ import numpy as np
 
 from . import curvefam as cf
 from . import kmod as km
-from .errors import RepcurveError
+from .errors import BadParams, RepcurveError
 from .ff import FieldElem, ctx_new, default_ctx
 from .suites import (ARTIFACT_VERSION, SUITE_NAMES, SUITE_PRIMES, claims_rows,
                      report_to_json, report_to_markdown, run_suite)
@@ -122,7 +122,7 @@ def cmd_query(args) -> int:
         if len(args.modules) != 2:
             raise RepcurveError("iso needs exactly two module files")
         A, B = map(_load_module, args.modules)
-        dec = km.is_isomorphic(A, B, seed=args.seed, trials=args.trials)
+        dec = km.is_isomorphic(A, B)
         payload = dec.to_json()
     else:
         if len(args.modules) != 1:
@@ -130,8 +130,7 @@ def cmd_query(args) -> int:
         M = _load_module(args.modules[0])
         if args.kind == "indec":
             tiers = tuple(args.tiers.split(",")) if args.tiers else km.TIERS
-            payload = km.is_indecomposable(M, seed=args.seed, trials=args.trials,
-                                           tiers=tiers).to_json()
+            payload = km.is_indecomposable(M, tiers=tiers).to_json()
         elif args.kind == "jordan":
             scan = [{"point": [FieldElem(M.ctx, a).text() if a else "0",
                                FieldElem(M.ctx, b).text()],
@@ -151,10 +150,13 @@ def cmd_query(args) -> int:
 def cmd_verify(args) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("REPCURVE_SEED", "0"))
+        text = os.environ.get("REPCURVE_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise BadParams(f"REPCURVE_SEED must be an integer, got {text!r}")
     p_values = tuple(dict.fromkeys(args.p)) if args.p else SUITE_PRIMES
-    report = run_suite(args.suite, p_values, seed=seed, trials=args.trials,
-                       timings=args.timings)
+    report = run_suite(args.suite, p_values, seed=seed, timings=args.timings)
     payload = (report_to_markdown(report) if args.format == "md"
                else report_to_json(report))
     _emit(payload, args.out)
@@ -203,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = subs.add_parser("query", help="run a decision procedure on module JSON")
     q.add_argument("kind", choices=QUERY_KINDS)
     q.add_argument("modules", nargs="+", help="module JSON file(s)")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--trials", type=int, default=64)
     q.add_argument("--tiers", type=str, default=None,
                    help="comma list among T1,T2,T3 (indec only)")
     q.add_argument("--label", type=str, default=None, help="basis label (ddeg only)")
@@ -219,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prime to run at; repeatable; default 3 and 5")
     v.add_argument("--seed", type=int, default=None,
                    help="global seed; falls back to REPCURVE_SEED, then 0")
-    v.add_argument("--trials", type=int, default=64)
     v.add_argument("--format", choices=("json", "md"), default="json")
     v.add_argument("--timings", action="store_true",
                    help="record wall-clock ms per case (off for bytewise determinism)")

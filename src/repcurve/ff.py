@@ -485,36 +485,3 @@ def enumerate_nonprime(ctx: FieldCtx):
     if ctx.n < 2:
         raise PrimeFieldOnly("prime field has no elements outside itself")
     return [FieldElem(ctx, i) for i in range(ctx.q) if not ctx.in_prime_field_idx(i)]
-
-
-def embed_map(small: FieldCtx, big: FieldCtx) -> np.ndarray:
-    """Index table of a field embedding F_{p^n} -> F_{p^(kn)}.
-
-    The generator of `small` is sent to the first root (by index order) of
-    small's modulus inside `big`; the table maps every small index to its
-    image index.
-    """
-    if small.p != big.p or big.n % small.n != 0:
-        raise ContextMismatch("no embedding between these contexts")
-    if small.n == big.n and small.modulus == big.modulus:
-        return np.arange(small.q, dtype=np.int64)
-    root = None
-    for cand in range(big.q):
-        acc, power = 0, 1
-        for c in small.modulus:
-            acc = int(big.add[acc, big.mul[c % big.p, power]])
-            power = int(big.mul[power, cand])
-        if acc == 0:
-            root = cand
-            break
-    if root is None:
-        raise ContextMismatch("modulus has no root in the target context")
-    table = np.zeros(small.q, dtype=np.int64)
-    for a in range(small.q):
-        digs = small.decode(a)
-        acc, power = 0, 1
-        for d in digs:
-            acc = int(big.add[acc, big.mul[d, power]])
-            power = int(big.mul[power, root])
-        table[a] = acc
-    return table

@@ -11,7 +11,7 @@ types of the pencil a*sigma0 + b*tau0.
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -32,12 +32,13 @@ from .errors import (
     ZeroPoint,
     ZeroVector,
 )
-from .ff import FieldCtx, FieldElem, ctx_new, embed_map, find_irreducible
+from .ff import FieldCtx, FieldElem, ctx_new
 from .linalg import (
     Mat,
     Subspace,
     _matmul_idx,
     _matpow_idx,
+    _rank_stack,
     as_vector,
     invert,
     kernel,
@@ -798,15 +799,7 @@ def _verify_witness(M: HModule, N: HModule, X: Mat) -> bool:
     return (X @ M.Msigma == N.Msigma @ X) and (X @ M.Mtau == N.Mtau @ X)
 
 
-def _combine(ctx: FieldCtx, basis: np.ndarray, coeffs) -> np.ndarray:
-    out = np.zeros(basis.shape[1], dtype=np.int64)
-    for c, row in zip(coeffs, basis):
-        if c:
-            out = ctx.add[out, ctx.mul[int(c), row]]
-    return out
-
-
-def is_isomorphic(M: HModule, N: HModule, seed: int = 0, trials: int = 64) -> IsoDecision:
+def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
     """Decision procedure.  The checks run cheapest first:
 
     1. dimension: NO, "dim-mismatch";
@@ -818,11 +811,15 @@ def is_isomorphic(M: HModule, N: HModule, seed: int = 0, trials: int = 64) -> Is
     4. the dims of Hom(M, N), Hom(N, M) and both End algebras: NO,
        "hom-dim-mismatch" unless all four agree and are nonzero.  Each
        dim is read from the relation solve alone (hom_dim, end_dim);
-    5. a search for an invertible element of Hom(M, N), whose map basis
-       is rebuilt from the step-4 solve only here: seeded random
-       combinations, an exhaustive projective scan when feasible, and
-       finally a rerun over the quadratic extension (an extension witness
-       certifies a base-field isomorphism)."""
+    5. the map basis of Hom(M, N), rebuilt from the step-4 solve, with one
+       stacked rank: the first invertible element is a YES witness,
+       "hom-basis".  Otherwise, if M or N is indecomposable (its End is
+       local), NO, "hom-basis": an isomorphism psi gives Hom(M, N) =
+       psi End(M) = End(N) psi, and psi J is a proper subspace, so every
+       basis of it holds a unit.  Otherwise both are split into
+       indecomposable summands along the Fitting splits of
+       is_indecomposable and the summands are matched pairwise
+       (Krull-Schmidt), "krull-schmidt"."""
     if M.ctx != N.ctx:
         raise ContextMismatch("modules over different field contexts")
     ctx = M.ctx
@@ -847,62 +844,65 @@ def is_isomorphic(M: HModule, N: HModule, seed: int = 0, trials: int = 64) -> Is
     if h == 0:
         return IsoDecision("NO", "hom-dim-mismatch", detail={"hom": [0, 0]})
     H = _hom_maps(M, N, sol)
+    full = np.nonzero(_rank_stack(ctx, H.basis.reshape(h, N.dim, M.dim)) == M.dim)[0]
+    if full.size:
+        X = Mat(ctx, H.basis[full[0]].reshape(N.dim, M.dim).copy())
+        return IsoDecision("YES", "hom-basis", witness=X,
+                           detail={"hom_dim": h, "element": int(full[0])})
+    for side, L in (("M", M), ("N", N)):
+        dec = is_indecomposable(L)
+        if dec.indecomposable:
+            return IsoDecision("NO", "hom-basis",
+                               detail={"hom_dim": h, "local": side,
+                                       "certificate": dec.certificate})
+    return _krull_schmidt(M, N)
 
-    def try_coeffs(coeffs) -> Optional[Mat]:
-        X = Mat(ctx, _combine(ctx, H.basis, coeffs).reshape(N.dim, M.dim).copy())
-        if _verify_witness(M, N, X):
-            return X
-        return None
 
-    # basis elements alone, then seeded random combinations
-    for k in range(h):
-        coeffs = [0] * h
-        coeffs[k] = 1
-        X = try_coeffs(coeffs)
-        if X is not None:
-            return IsoDecision("YES", "random-combination", witness=X,
-                               detail={"trials": 0})
-    rng = random.Random(seed)
-    for t in range(trials):
-        coeffs = [rng.randrange(ctx.q) for _ in range(h)]
-        if not any(coeffs):
-            continue
-        X = try_coeffs(coeffs)
-        if X is not None:
-            return IsoDecision("YES", "random-combination", witness=X,
-                               detail={"trials": t + 1})
-    # deterministic fallback: exhaustive projective scan when feasible
-    if ctx.q ** h <= 10 ** 6:
-        for lead in range(h):
-            tail = h - lead - 1
-            for rest in range(ctx.q ** tail):
-                coeffs = [0] * lead + [1]
-                r = rest
-                for _ in range(tail):
-                    coeffs.append(r % ctx.q)
-                    r //= ctx.q
-                X = try_coeffs(coeffs)
-                if X is not None:
-                    return IsoDecision("YES", "exhaustive-scan", witness=X)
-        return IsoDecision("NO", "exhaustive-scan")
-    # scalar extension rerun: a witness there proves isomorphism here
-    big = ctx_new(ctx.p, 2 * ctx.n, find_irreducible(ctx.p, 2 * ctx.n))
-    emb = embed_map(ctx, big)
-    Me = HModule(big, Mat(big, emb[M.Msigma.data]), Mat(big, emb[M.Mtau.data]))
-    Ne = HModule(big, Mat(big, emb[N.Msigma.data]), Mat(big, emb[N.Mtau.data]))
-    He = hom_space(Me, Ne)
-    rng2 = random.Random(seed ^ 0x5EED)
-    for t in range(trials):
-        coeffs = [rng2.randrange(big.q) for _ in range(He.dim)]
-        if not any(coeffs):
-            continue
-        X = Mat(big, _combine(big, He.basis, coeffs).reshape(N.dim, M.dim).copy())
-        if _verify_witness(Me, Ne, X):
-            return IsoDecision("YES", "scalar-extension", witness=X,
-                               detail={"field": f"F_{big.q}"})
-    raise Undecided(
-        f"no invertible hom found in {trials} trials over F_{ctx.q} and F_{big.q}; "
-        f"hom dim {h} too large for exhaustive scan")
+def _summands(M: HModule) -> list:
+    """Indecomposable summands of M as (module, embedding): the embedding
+    is a dim(M) x dim(S) array whose columns are the basis of S in M.
+    Splits recursively along the Fitting splits of the End/J scan."""
+    split = None if fixed_space(M).dim == 1 else _end_split(M)[1]
+    if split is None:
+        return [(M, np.eye(M.dim, dtype=np.int64))]
+    out = []
+    for W in split:
+        sub, E = sub_module_on(M, W)
+        out += [(S, _matmul_idx(M.ctx, E.data, F)) for S, F in _summands(sub)]
+    return out
+
+
+def _krull_schmidt(M: HModule, N: HModule) -> IsoDecision:
+    """Match the indecomposable summands of M and N pairwise.  By
+    Krull-Schmidt M and N are isomorphic exactly when every summand of M
+    finds a distinct isomorphic summand of N; since isomorphism is an
+    equivalence, a greedy match never has to undo a choice.  A YES
+    witness is assembled from the summand witnesses and checked."""
+    ctx = M.ctx
+    parts, left = _summands(M), _summands(N)
+    detail = {"summand_dims": [[S.dim for S, _ in parts], [T.dim for T, _ in left]]}
+    src, dst, blocks = [], [], []
+    for S, E in parts:
+        for j, (T, F) in enumerate(left):
+            dec = is_isomorphic(S, T)
+            if dec.isomorphic:
+                src.append(E)
+                dst.append(F)
+                blocks.append(dec.witness.data)
+                del left[j]
+                break
+        else:
+            return IsoDecision("NO", "krull-schmidt", detail=detail)
+    # X = [F_1 .. F_k] diag(X_1 .. X_k) [E_1 .. E_k]^-1
+    D = np.zeros((M.dim, M.dim), dtype=np.int64)
+    at = 0
+    for B in blocks:
+        D[at:at + B.shape[0], at:at + B.shape[0]] = B
+        at += B.shape[0]
+    P = invert(Mat(ctx, np.hstack(src)))
+    X = Mat(ctx, np.hstack(dst)) @ Mat(ctx, D) @ P
+    assert _verify_witness(M, N, X)
+    return IsoDecision("YES", "krull-schmidt", witness=X, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,116 +1011,102 @@ def algebra_radical(ctx: FieldCtx, mats: Sequence[Mat]) -> Subspace:
     return W
 
 
-def _radical_subspace(M: HModule) -> Subspace:
-    _, mats = end_algebra(M)
-    return algebra_radical(M.ctx, mats)
+SCAN_STACK = 64  # projective points per stacked power and rank in the split scan
+
+
+def _projective_points(e: int, q: int):
+    """The (q^e - 1)/(q - 1) points of P(F_q^e) as coefficient rows with
+    first nonzero entry 1: the e basis vectors, then by growing support,
+    supports in lexicographic order."""
+    for k in range(1, e + 1):
+        for support in itertools.combinations(range(e), k):
+            for tail in itertools.product(range(1, q), repeat=k - 1):
+                c = np.zeros(e, dtype=np.int64)
+                c[list(support)] = (1,) + tail
+                yield c
+
+
+def _fitting_split(M: HModule, reps: np.ndarray) -> Optional[tuple]:
+    """Scan the projective points x of the span of reps (flattened End
+    elements spanning a complement of J = rad End(M)) for one that is
+    neither nilpotent nor invertible: 0 < rank x^dim M < dim M.  The
+    points go in stacks, the basis elements first, each stack raised to
+    the power dim M and ranked at once.  Returns the Fitting split
+    (kernel, image) of x^dim M at the first such point, or None when
+    every point is nilpotent or invertible."""
+    ctx, n = M.ctx, M.dim
+    points = _projective_points(reps.shape[0], ctx.q)
+    take = reps.shape[0]
+    while True:
+        coeffs = list(itertools.islice(points, take))
+        if not coeffs:
+            return None
+        X = _matmul_idx(ctx, np.array(coeffs), reps).reshape(len(coeffs), n, n)
+        F = _matpow_idx(ctx, X, n)
+        ranks = _rank_stack(ctx, F)
+        hit = np.nonzero((ranks > 0) & (ranks < n))[0]
+        if hit.size:
+            Fx = F[hit[0]]
+            return kernel(Mat(ctx, Fx)), Subspace.from_rows(ctx, n, Fx.T.copy())
+        take = SCAN_STACK
+
+
+def _end_split(M: HModule) -> tuple:
+    """(dims of End(M), J and End/J, Fitting split or None), cached on M.
+    When e = dim End/J > 1 the projective points of the span of the e End
+    basis elements off J's pivots are scanned; that span maps onto End/J,
+    so every element of End/J is hit up to a scalar.  A semisimple
+    algebra that is not a division algebra has an idempotent other than
+    0 and 1, whose lift is neither nilpotent nor invertible; so the scan
+    finds a split exactly when End/J is not a division algebra."""
+    if "endsplit" not in M._cache:
+        Hend, mats = end_algebra(M)
+        rad = algebra_radical(M.ctx, mats)
+        e = Hend.dim - rad.dim
+        dims = {"end_dim": Hend.dim, "radical_dim": rad.dim, "semisimple_dim": e}
+        split = None
+        if e > 1:
+            off = np.setdiff1d(np.arange(Hend.dim), rad.pivots)
+            split = _fitting_split(M, Hend.basis[off])
+        M._cache["endsplit"] = (dims, split)
+    return M._cache["endsplit"]
 
 
 TIERS = ("T1", "T2", "T3")
 
 
-def is_indecomposable(M: HModule, seed: int = 0, trials: int = 16,
-                      tiers: tuple = TIERS) -> IndecDecision:
-    """Three tiers: (T1) one-dimensional fixed space; (T2) Fitting
-    decomposition along endomorphisms looking for an explicit split;
-    (T3) the radical of End(M) for the definitive answer.  tiers can
-    restrict the procedure, e.g. ("T3",) forces the full decision."""
+def is_indecomposable(M: HModule, tiers: tuple = TIERS) -> IndecDecision:
+    """(T1) a one-dimensional fixed space: INDECOMPOSABLE.  Otherwise
+    the radical J of End(M) and the split scan of End/J (_end_split):
+    (T2) a point that splits: DECOMPOSABLE, with the Fitting split as
+    kernel and image rows; (T3) End/J one-dimensional: INDECOMPOSABLE;
+    (T3-division) no point splits, so End/J is a division algebra and
+    End(M) is local: INDECOMPOSABLE.  tiers restricts the certificates
+    that may be returned, e.g. ("T3",) skips T1; T2 and T3 share the one
+    End/J computation, and T2 alone can only answer DECOMPOSABLE."""
     if M.dim < 1:
         raise BadDimension("decision needs a module of dimension >= 1")
     unknown = [t for t in tiers if t not in TIERS]
     if unknown or not tiers:
         raise BadParams(f"unknown tier(s) {unknown}; valid tiers are {list(TIERS)}")
-    ctx = M.ctx
     if "T1" in tiers and fixed_space(M).dim == 1:
         return IndecDecision("INDECOMPOSABLE", "T1", detail={"fixed_dim": 1})
-    Hend, mats = end_algebra(M)
-    if "T2" in tiers:
-        rng = random.Random(seed)
-        candidates = list(range(Hend.dim)) + [None] * trials
-        for cand in candidates:
-            if cand is None:
-                coeffs = [rng.randrange(ctx.q) for _ in range(Hend.dim)]
-                theta = Mat(ctx, _combine(ctx, Hend.basis, coeffs).reshape(M.dim, M.dim).copy())
-            else:
-                theta = mats[cand]
-            F = matpow(theta, M.dim)
-            ker = kernel(F)
-            if 0 < ker.dim < M.dim:
-                im = Subspace.from_rows(ctx, M.dim, F.data.T.copy())
-                assert subspace_intersect(ker, im).dim == 0
-                # both bases as rows of element texts, as module_to_json
-                # writes matrices, so a caller can check the split
-                return IndecDecision("DECOMPOSABLE", "T2",
-                                     detail={"split_dims": [ker.dim, im.dim],
-                                             "kernel": Mat(ctx, ker.basis).to_lists(),
-                                             "image": Mat(ctx, im.basis).to_lists()})
-    if "T3" not in tiers:
-        raise Undecided("restricted tiers reached no decision")
-    rad = _radical_subspace(M)
-    e = Hend.dim - rad.dim
-    if e == 1:
-        return IndecDecision("INDECOMPOSABLE", "T3",
-                             detail={"end_dim": Hend.dim, "radical_dim": rad.dim,
-                                     "semisimple_dim": 1})
-    # complement representatives of End/rad
-    pivots = rad.pivots.tolist()
-    free = [c for c in range(Hend.dim) if c not in pivots]
-    reps = [mats[c] for c in free]  # valid complement: coords e_c are independent mod rad
-    detail = {"end_dim": Hend.dim, "radical_dim": rad.dim, "semisimple_dim": e}
-
-    def coords_mod_rad(X: Mat) -> Optional[np.ndarray]:
-        full = Hend.reduce(X.data.reshape(-1))
-        if full is None:
-            return None
-        red = full.copy()
-        for j, pc in enumerate(pivots):
-            c = int(red[pc])
-            if c:
-                red = ctx.sub[red, ctx.mul[c, rad.basis[j]]]
-        return red[free]
-
-    # commutativity of the semisimple quotient
-    commutative = True
-    for i1 in range(e):
-        for i2 in range(i1 + 1, e):
-            comm = reps[i1] @ reps[i2] - reps[i2] @ reps[i1]
-            cr = coords_mod_rad(comm)
-            assert cr is not None
-            if cr.any():
-                commutative = False
-                break
-        if not commutative:
-            break
-    if not commutative:
-        return IndecDecision("DECOMPOSABLE", "T3", detail=detail)
-    # commutative semisimple: count simple factors as the fixed space of
-    # the q-power map, computed prime-field-linearly
-    pctx = ctx_new(ctx.p, 1, find_irreducible(ctx.p, 1))
-    nn = ctx.n
-    dimFp = e * nn
-    T = np.zeros((dimFp, dimFp), dtype=np.int64)
-    for i1 in range(e):
-        zq = matpow(reps[i1], ctx.q)
-        cq = coords_mod_rad(zq)
-        c1 = coords_mod_rad(reps[i1])
-        assert cq is not None and c1 is not None
-        for j in range(nn):
-            tj = ctx.encode([0] * j + [1])
-            col_q = ctx.mul[ctx.pow_idx(tj, ctx.q), cq]
-            col_1 = ctx.mul[tj, c1]
-            col = ctx.sub[col_q, col_1]
-            # expand the F_q-vector col into prime-field digits
-            for k in range(e):
-                dg = ctx.decode(int(col[k]))
-                for j2 in range(nn):
-                    T[k * nn + j2, i1 * nn + j] = dg[j2]
-    KF = kernel(Mat(pctx, T))
-    assert KF.dim % nn == 0
-    r = KF.dim // nn
-    detail["simple_factors"] = r
-    if r == 1:
-        return IndecDecision("INDECOMPOSABLE", "T3-division", detail=detail)
-    return IndecDecision("DECOMPOSABLE", "T3", detail=detail)
+    if "T2" in tiers or "T3" in tiers:
+        dims, split = _end_split(M)
+        if split is not None:
+            ker, im = split
+            # both bases as rows of element texts, as module_to_json
+            # writes matrices, so a caller can check the split
+            return IndecDecision("DECOMPOSABLE", "T2",
+                                 detail={"split_dims": [ker.dim, im.dim],
+                                         "kernel": Mat(M.ctx, ker.basis).to_lists(),
+                                         "image": Mat(M.ctx, im.basis).to_lists()})
+        if "T3" in tiers:
+            if dims["semisimple_dim"] == 1:
+                return IndecDecision("INDECOMPOSABLE", "T3", detail=dict(dims))
+            return IndecDecision("INDECOMPOSABLE", "T3-division",
+                                 detail=dict(dims, simple_factors=1))
+    raise Undecided("restricted tiers reached no decision")
 
 
 # ---------------------------------------------------------------------------

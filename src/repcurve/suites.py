@@ -58,7 +58,7 @@ def _grid_for(p: int) -> tuple:
 # identities
 
 
-def _suite_identities(p: int, seed: int, trials: int) -> List[Case]:
+def _suite_identities(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
     cases: List[Case] = []
 
@@ -87,7 +87,7 @@ def _suite_identities(p: int, seed: int, trials: int) -> List[Case]:
 # combinatorics
 
 
-def _suite_combinatorics(p: int, seed: int, trials: int) -> List[Case]:
+def _suite_combinatorics(p: int, seed: int) -> List[Case]:
     cases: List[Case] = []
     pp = p * p
     for m in _grid_for(p):
@@ -174,7 +174,7 @@ def _ddeg_verdict(V: np.ndarray, got: np.ndarray, want: list) -> tuple:
     return True, f"{len(V)} vectors"
 
 
-def _suite_filtration(p: int, seed: int, trials: int) -> List[Case]:
+def _suite_filtration(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
     t = ctx.gen()
     pp = p * p
@@ -225,16 +225,16 @@ def _suite_filtration(p: int, seed: int, trials: int) -> List[Case]:
 # structure
 
 
-def _iso_case(build_a, build_b, expect: str, trials: int):
+def _iso_case(build_a, build_b, expect: str):
     def run(s):
         A = build_a()
         B = build_b()
-        dec = km.is_isomorphic(A, B, seed=s, trials=trials)
+        dec = km.is_isomorphic(A, B)
         return dec.verdict == expect, dec.method
     return run
 
 
-def _suite_structure(p: int, seed: int, trials: int) -> List[Case]:
+def _suite_structure(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
     t = ctx.gen()
     pp = p * p
@@ -242,13 +242,13 @@ def _suite_structure(p: int, seed: int, trials: int) -> List[Case]:
     pre = f"structure/p{p}"
     cases.append((f"{pre}/vd-max-regular",
                   _iso_case(lambda: km.v_d(ctx, pp, t),
-                            lambda: km.regular_module(ctx), "YES", trials)))
+                            lambda: km.regular_module(ctx), "YES")))
     cases.append((f"{pre}/vd-submax-aug",
                   _iso_case(lambda: km.v_d(ctx, pp - 1, t),
-                            lambda: km.augmentation_ideal(ctx), "YES", trials)))
+                            lambda: km.augmentation_ideal(ctx), "YES")))
     cases.append((f"{pre}/vd-one-trivial",
                   _iso_case(lambda: km.v_d(ctx, 1, t),
-                            lambda: km.trivial_module(ctx), "YES", trials)))
+                            lambda: km.trivial_module(ctx), "YES")))
     if p == 3:
         dual_pairs = range(0, pp)
         small = range(0, p)
@@ -263,22 +263,22 @@ def _suite_structure(p: int, seed: int, trials: int) -> List[Case]:
     for d in dual_pairs:
         cases.append((f"{pre}/vdr{d:02d}-dual",
                       _iso_case(lambda d=d: km.dual(km.v_dr(ctx, d, t)),
-                                lambda d=d: km.v_dr(ctx, pp - 1 - d, t), "YES", trials)))
+                                lambda d=d: km.v_dr(ctx, pp - 1 - d, t), "YES")))
     for d in small:
         cases.append((f"{pre}/vdr{d:02d}-codim-one",
                       _iso_case(lambda d=d: km.v_dr(ctx, d, t),
-                                lambda: km.dual(km.augmentation_ideal(ctx)), "YES", trials)))
+                                lambda: km.dual(km.augmentation_ideal(ctx)), "YES")))
     for d in large:
         cases.append((f"{pre}/vdr{d:02d}-aug",
                       _iso_case(lambda d=d: km.v_dr(ctx, d, t),
-                                lambda: km.augmentation_ideal(ctx), "YES", trials)))
+                                lambda: km.augmentation_ideal(ctx), "YES")))
     cases.append((f"{pre}/vdr{pp:02d}-regular",
                   _iso_case(lambda: km.v_dr(ctx, pp, t),
-                            lambda: km.regular_module(ctx), "YES", trials)))
+                            lambda: km.regular_module(ctx), "YES")))
     for d1, d2 in digit_classes:
         cases.append((f"{pre}/vdr-digit-{d1:02d}-{d2:02d}",
                       _iso_case(lambda d=d1: km.v_dr(ctx, d, t),
-                                lambda d=d2: km.v_dr(ctx, d, t), "YES", trials)))
+                                lambda d=d2: km.v_dr(ctx, d, t), "YES")))
     return cases
 
 
@@ -286,7 +286,7 @@ def _suite_structure(p: int, seed: int, trials: int) -> List[Case]:
 # indec
 
 
-def _suite_indec(p: int, seed: int, trials: int) -> List[Case]:
+def _suite_indec(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
     t = ctx.gen()
     pp = p * p
@@ -297,7 +297,7 @@ def _suite_indec(p: int, seed: int, trials: int) -> List[Case]:
         for d in vd_range:
             def vd_case(d=d):
                 def run(s):
-                    dec = km.is_indecomposable(km.v_d(ctx, d, t), seed=s, trials=trials)
+                    dec = km.is_indecomposable(km.v_d(ctx, d, t))
                     return (dec.verdict == "INDECOMPOSABLE"
                             and dec.certificate == "T1"), dec.certificate
                 return run
@@ -305,8 +305,7 @@ def _suite_indec(p: int, seed: int, trials: int) -> List[Case]:
     for d in vdr_range:
         def vdr_case(d=d):
             def run(s):
-                dec = km.is_indecomposable(km.v_dr(ctx, d, t), seed=s,
-                                           trials=trials, tiers=("T3",))
+                dec = km.is_indecomposable(km.v_dr(ctx, d, t), tiers=("T3",))
                 return (dec.verdict == "INDECOMPOSABLE"
                         and dec.certificate == "T3"), dec.certificate
             return run
@@ -318,7 +317,7 @@ def _suite_indec(p: int, seed: int, trials: int) -> List[Case]:
 # classification
 
 
-def _suite_classification(p: int, seed: int, trials: int) -> List[Case]:
+def _suite_classification(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
     cases: List[Case] = []
     betas = list(enumerate_nonprime(ctx))
@@ -333,16 +332,14 @@ def _suite_classification(p: int, seed: int, trials: int) -> List[Case]:
                 for b2 in betas[i + 1:]:
                     def no_case(d=d, x=b1.idx, y=b2.idx):
                         def run(s):
-                            dec = km.is_isomorphic(get("vd", d, x), get("vd", d, y),
-                                                   seed=s, trials=trials)
+                            dec = km.is_isomorphic(get("vd", d, x), get("vd", d, y))
                             return dec.verdict == "NO", dec.method
                         return run
                     cases.append((f"classification/p3/vd/d{d}/{b1.text()}-vs-{b2.text()}",
                                   no_case()))
                 def self_case(d=d, x=b1.idx):
                     def run(s):
-                        dec = km.is_isomorphic(get("vd", d, x), get("vd", d, x),
-                                               seed=s, trials=trials)
+                        dec = km.is_isomorphic(get("vd", d, x), get("vd", d, x))
                         return dec.verdict == "YES", dec.method
                     return run
                 cases.append((f"classification/p3/vd/d{d}/{b1.text()}-self", self_case()))
@@ -352,8 +349,7 @@ def _suite_classification(p: int, seed: int, trials: int) -> List[Case]:
                 expect = "YES" if b1.idx == b2.idx else "NO"
                 def pair_case(d1=d1, d2=d2, x=b1.idx, y=b2.idx, expect=expect):
                     def run(s):
-                        dec = km.is_isomorphic(get("vdr", d1, x), get("vdr", d2, y),
-                                               seed=s, trials=trials)
+                        dec = km.is_isomorphic(get("vdr", d1, x), get("vdr", d2, y))
                         return dec.verdict == expect, dec.method
                     return run
                 cases.append((f"classification/p3/vdr/d{d1}-{b1.text()}-vs-d{d2}-{b2.text()}",
@@ -372,8 +368,7 @@ def _suite_classification(p: int, seed: int, trials: int) -> List[Case]:
         for k, (d1, b1, d2, b2) in enumerate(pairs):
             def no_case(d1=d1, d2=d2, x=b1.idx, y=b2.idx):
                 def run(s):
-                    dec = km.is_isomorphic(get("vdr", d1, x), get("vdr", d2, y),
-                                           seed=s, trials=trials)
+                    dec = km.is_isomorphic(get("vdr", d1, x), get("vdr", d2, y))
                     return dec.verdict == "NO", dec.method
                 return run
             cases.append((f"classification/p5/vdr/pair{k:02d}"
@@ -382,8 +377,7 @@ def _suite_classification(p: int, seed: int, trials: int) -> List[Case]:
             def yes_case(d1=d1, d2=d2):
                 def run(s):
                     b = betas[0]
-                    dec = km.is_isomorphic(get("vdr", d1, b.idx), get("vdr", d2, b.idx),
-                                           seed=s, trials=trials)
+                    dec = km.is_isomorphic(get("vdr", d1, b.idx), get("vdr", d2, b.idx))
                     return dec.verdict == "YES", dec.method
                 return run
             cases.append((f"classification/p5/vdr/same-class-d{d1}-d{d2}", yes_case()))
@@ -403,7 +397,7 @@ def _core_n_module(M: km.HModule, u) -> km.HModule:
     return mod
 
 
-def _suite_cores(p: int, seed: int, trials: int) -> List[Case]:
+def _suite_cores(p: int, seed: int) -> List[Case]:
     if p != 3:
         return []
     ctx = default_ctx(p)
@@ -419,8 +413,7 @@ def _suite_cores(p: int, seed: int, trials: int) -> List[Case]:
                 def run(s):
                     M = km.v_d(ctx, d, b)
                     core, _fix = km.case_ii_core(M, M.basis_vector(f"w{pp - p - 1}"))
-                    dec = km.is_isomorphic(core, km.v_d(ctx, 2, target),
-                                           seed=s, trials=trials)
+                    dec = km.is_isomorphic(core, km.v_d(ctx, 2, target))
                     return dec.verdict == "YES", f"dim={core.dim},{dec.method}"
                 return run
             cases.append((f"cores/p3/vd{d}/{b.text()}", vd_core()))
@@ -430,7 +423,7 @@ def _suite_cores(p: int, seed: int, trials: int) -> List[Case]:
                     M = km.v_dr(ctx, d, b)
                     N = _core_n_module(M, M.basis_vector(f"eta{pp - 1}"))
                     want = km.direct_sum(km.v_d(ctx, 2, target), km.trivial_module(ctx))
-                    dec = km.is_isomorphic(N, want, seed=s, trials=trials)
+                    dec = km.is_isomorphic(N, want)
                     return dec.verdict == "YES", f"dim={N.dim},{dec.method}"
                 return run
             cases.append((f"cores/p3/vdr{d}/{b.text()}", vdr_core()))
@@ -442,8 +435,7 @@ def _suite_cores(p: int, seed: int, trials: int) -> List[Case]:
                     M = km.v_dr(ctx, d, b)
                     N = _core_n_module(M, M.basis_vector(f"eta{pp - 1}"))
                     core, _fix = km.case_ii_core(M, M.basis_vector(f"eta{pp - 1}"))
-                    dec = km.is_isomorphic(core, km.v_d(ctx, 2, target),
-                                           seed=s, trials=trials)
+                    dec = km.is_isomorphic(core, km.v_d(ctx, 2, target))
                     return "report", f"N-dim={N.dim},core-matches-rank-two={dec.verdict}"
                 return run
             cases.append((f"cores/p3/vdr{d}-boundary/{b.text()}", vdr_boundary()))
@@ -454,7 +446,7 @@ def _suite_cores(p: int, seed: int, trials: int) -> List[Case]:
 # jordan
 
 
-def _suite_jordan(p: int, seed: int, trials: int) -> List[Case]:
+def _suite_jordan(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
     t = ctx.gen()
     pp = p * p
@@ -513,7 +505,7 @@ def _cross_grid(p: int) -> tuple:
     return (26,)
 
 
-def _suite_holo(p: int, seed: int, trials: int) -> List[Case]:
+def _suite_holo(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
     cases: List[Case] = []
     cache: Dict[int, cf.GradedModule] = {}
@@ -547,7 +539,7 @@ def _suite_holo(p: int, seed: int, trials: int) -> List[Case]:
     return cases
 
 
-def _suite_dr(p: int, seed: int, trials: int) -> List[Case]:
+def _suite_dr(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
     pp = p * p
     cases: List[Case] = []
@@ -583,7 +575,7 @@ def _suite_dr(p: int, seed: int, trials: int) -> List[Case]:
     return cases
 
 
-def _suite_hodge(p: int, seed: int, trials: int) -> List[Case]:
+def _suite_hodge(p: int, seed: int) -> List[Case]:
     if p != 3:
         return []
     ctx = default_ctx(p)
@@ -620,7 +612,7 @@ _BUILDERS = {
 }
 
 
-def build_cases(suite: str, p_values, seed: int, trials: int) -> List[Case]:
+def build_cases(suite: str, p_values, seed: int) -> List[Case]:
     names = SUITE_NAMES if suite == "all" else (suite,)
     if suite != "all" and suite not in _BUILDERS:
         raise RepcurveError(f"unknown suite {suite!r}")
@@ -630,7 +622,7 @@ def build_cases(suite: str, p_values, seed: int, trials: int) -> List[Case]:
     cases: List[Case] = []
     for name in names:
         for p in p_values:
-            cases.extend(_BUILDERS[name](p, seed, trials))
+            cases.extend(_BUILDERS[name](p, seed))
     if not cases:
         raise BadParams(f"suite {suite!r} has no cases at p = {list(p_values)}")
     cases.sort(key=lambda c: c[0])
@@ -639,11 +631,11 @@ def build_cases(suite: str, p_values, seed: int, trials: int) -> List[Case]:
     return cases
 
 
-def run_suite(suite: str, p_values=(3,), seed: int = 0, trials: int = 64,
+def run_suite(suite: str, p_values=(3,), seed: int = 0,
               timings: bool = False) -> dict:
     """Execute a suite and return the report dict; report["exit"] is 0
     when every gating case passed, 1 otherwise."""
-    cases = build_cases(suite, tuple(p_values), seed, trials)
+    cases = build_cases(suite, tuple(p_values), seed)
 
     def execute(item):
         cid, fn = item
@@ -671,7 +663,6 @@ def run_suite(suite: str, p_values=(3,), seed: int = 0, trials: int = 64,
         "p_values": list(p_values),
         "grid": [list(pm) for pm in cf.default_grid() if pm[0] in p_values],
         "seed": seed,
-        "trials": trials,
         "artifact_version": ARTIFACT_VERSION,
         "cases": results,
         "counts": counts,
@@ -688,7 +679,7 @@ def report_to_markdown(report: dict) -> str:
         f"# suite `{report['suite']}`",
         "",
         f"- p values: {report['p_values']}",
-        f"- seed: {report['seed']}  trials: {report['trials']}",
+        f"- seed: {report['seed']}",
         f"- version: {report['artifact_version']}",
         f"- counts: {report['counts']['pass']} pass, "
         f"{report['counts']['fail']} fail, "

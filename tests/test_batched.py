@@ -340,8 +340,8 @@ def radical_reference(ctx, mats) -> Subspace:
     for i in range(lmax + 1):
         if W.dim == 0:
             break
-        cur = [km._combine(ctx, np.stack([X.data.reshape(-1) for X in mats]), row).reshape(n, n)
-               for row in W.basis]
+        flat = np.stack([X.data.reshape(-1) for X in mats])
+        cur = linalg._matmul_idx(ctx, W.basis, flat).reshape(W.dim, n, n)
         S = np.zeros((W.dim, W.dim), dtype=np.int64)
         for j1, y in enumerate(cur):
             for j2, z in enumerate(cur):

@@ -200,7 +200,7 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
 
     def fake_run_suite(*a, **k):
         return {"suite": "x", "p_values": [3], "grid": [], "seed": 0,
-                "trials": 0, "artifact_version": "0",
+                "artifact_version": "0",
                 "cases": [{"case": "x/1", "verdict": "fail",
                            "certificate": "boom", "ms": None}],
                 "counts": {"pass": 0, "fail": 1, "report-only": 0},
@@ -240,6 +240,25 @@ def test_verify_usage_error(capsys):
 def test_verify_has_no_jobs_option(capsys):
     assert main(["verify", "identities", "--p", "3", "--jobs", "2"]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("query", "iso", "a.json", "b.json", "--seed", "0"),
+    ("query", "indec", "a.json", "--trials", "64"),
+    ("verify", "identities", "--p", "3", "--trials", "64")])
+def test_decision_trial_options_are_gone(capsys, argv):
+    # no decision draws at random, so there is no seed or trial count
+    # to give it; verify --seed stays, as it seeds the test data
+    assert main(list(argv)) == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_verify_refuses_non_integer_env_seed(monkeypatch, capsys):
+    monkeypatch.setenv("REPCURVE_SEED", "abc")
+    code, out, err = run(capsys, "verify", "combinatorics", "--p", "3")
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "BadParams" and "REPCURVE_SEED" in record["message"]
 
 
 def test_timings_opt_in(capsys):
@@ -367,14 +386,11 @@ BUILD_FLAGS = [
     ("--beta", ["0,1", "1,1", "1,0", "1", "0,1,0", "0,7", "x", ","]),
     ("--m", ["-1", "0", "1", "2", "3", "6", "4000", str(10**9), "z"]),
     ("--alpha", ["0,1", "2,1", "1,0", "1", "5,1", "x"])]
-QUERY_FLAGS = [("--seed", ["0", "-1", "7", "s"]),
-               ("--trials", ["0", "-1", "3", "64", "x"]),
-               ("--tiers", ["T1", "T3", "T1,T2,T3", "T1,T9", "", ","]),
+QUERY_FLAGS = [("--tiers", ["T1", "T3", "T1,T2,T3", "T1,T9", "", ","]),
                ("--label", ["w0", "u0", "eta1", "zz"]),
                ("--vector", ["1", "0,1;0,0;1,0", "1;1;1;1", "x", ""])]
 VERIFY_FLAGS = [("--p", ["3", "5", "2", "7", "-1", "p"]),
                 ("--seed", ["0", "-1", "9", "s"]),
-                ("--trials", ["0", "-1", "64", "x"]),
                 ("--format", ["json", "md", "xml"])]
 CLAIMS_FLAGS = [("--format", ["json", "md", "xml"])]
 
