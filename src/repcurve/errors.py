@@ -90,4 +90,6 @@ class OutOfRange(RepcurveError):
 
 
 class Undecided(RepcurveError):
-    """Raised when a decision procedure exhausts its configured bounds."""
+    """Raised when a procedure reaches no answer: indecomposability tiers
+    restricted below a decision, or a filtration or Jordan scan that does
+    not behave as a module's must."""
