@@ -118,6 +118,9 @@ def _query_ddeg(args, M: km.HModule) -> dict:
 
 
 def cmd_query(args) -> int:
+    for flag, kind in (("tiers", "indec"), ("label", "ddeg"), ("vector", "ddeg")):
+        if getattr(args, flag) is not None and args.kind != kind:
+            raise BadParams(f"--{flag} applies to query {kind} only, not {args.kind}")
     if args.kind == "iso":
         if len(args.modules) != 2:
             raise RepcurveError("iso needs exactly two module files")
@@ -129,7 +132,7 @@ def cmd_query(args) -> int:
             raise RepcurveError(f"{args.kind} needs exactly one module file")
         M = _load_module(args.modules[0])
         if args.kind == "indec":
-            tiers = tuple(args.tiers.split(",")) if args.tiers else km.TIERS
+            tiers = km.TIERS if args.tiers is None else tuple(args.tiers.split(","))
             payload = km.is_indecomposable(M, tiers=tiers).to_json()
         elif args.kind == "jordan":
             scan = [{"point": [FieldElem(M.ctx, a).text() if a else "0",

@@ -977,7 +977,10 @@ def algebra_radical(ctx: FieldCtx, mats: Sequence[Mat]) -> Subspace:
     repeatedly cut by the vanishing of the p^i-th characteristic
     coefficient of products z*y, made linear with p^i-th roots.  Level 0
     is the trace form c_1(z*y) = -tr(z*y), one product; each later level
-    takes the coefficient of all products from stacked charpolys."""
+    takes the coefficient of all products from stacked charpolys.
+    _end_split passes the socle image of End(M), s x s with s <= 2 on the
+    families; RADICAL_CHUNK stays for the full End algebras (dim 28) that
+    the test references and perfbench/micro.py still pass."""
     g = len(mats)
     n = mats[0].rows if g else 0
     flat = np.array([X.data.reshape(-1) for X in mats], dtype=np.int64).reshape(g, n * n)
@@ -1052,22 +1055,38 @@ def _fitting_split(M: HModule, reps: np.ndarray) -> Optional[tuple]:
 
 
 def _end_split(M: HModule) -> tuple:
-    """(dims of End(M), J and End/J, Fitting split or None), cached on M.
-    When e = dim End/J > 1 the projective points of the span of the e End
-    basis elements off J's pivots are scanned; that span maps onto End/J,
-    so every element of End/J is hit up to a scalar.  A semisimple
-    algebra that is not a division algebra has an idempotent other than
-    0 and 1, whose lift is neither nilpotent nor invertible; so the scan
-    finds a split exactly when End/J is not a division algebra."""
+    """(dims of End(M), J, End/J and the socle image E', Fitting split or
+    None), cached on M.  E' is the image of the restriction End(M) ->
+    End(soc M), soc M = fixed_space(M), of dim s; its kernel is nil (x in
+    it is bijective on L = im x^dim M and kills soc L, so L = 0), so J is
+    the preimage of J(E'), End/J = E'/J(E') and the radical runs on s x s
+    matrices.  When e = dim End/J > 1 the projective points of the span of
+    the e End basis elements off J's pivots are scanned; that span maps
+    onto End/J, so every element of End/J is hit up to a scalar.  A
+    semisimple algebra that is not a division algebra has an idempotent
+    other than 0 and 1, whose lift is neither nilpotent nor invertible; so
+    the scan finds a split exactly when End/J is not a division algebra."""
     if "endsplit" not in M._cache:
-        Hend, mats = end_algebra(M)
-        rad = algebra_radical(M.ctx, mats)
-        e = Hend.dim - rad.dim
-        dims = {"end_dim": Hend.dim, "radical_dim": rad.dim, "semisimple_dim": e}
+        ctx = M.ctx
+        Hend, _ = end_algebra(M)
+        soc = fixed_space(M)
+        g, n, s = Hend.dim, M.dim, soc.dim
+        # row (x, j) is x(v_j) for socle basis vector v_j, whose
+        # coordinates are column j of x on soc M
+        Y = _matmul_idx(ctx, Hend.basis.reshape(g, n, n), soc.basis.T).transpose(0, 2, 1)
+        R = soc.reduce_rows(Y.reshape(g * s, n))[0].reshape(g, s, s).transpose(0, 2, 1)
+        image = Subspace.from_rows(ctx, s * s, R.reshape(g, s * s))
+        rad = algebra_radical(ctx, [Mat(ctx, row.reshape(s, s)) for row in image.basis])
+        e = image.dim - rad.dim
+        dims = {"end_dim": g, "radical_dim": g - e, "semisimple_dim": e, "socle_dim": s,
+                "socle_image_dim": image.dim, "socle_image_radical_dim": rad.dim}
         split = None
         if e > 1:
-            off = np.setdiff1d(np.arange(Hend.dim), rad.pivots)
-            split = _fitting_split(M, Hend.basis[off])
+            # J = kernel of x -> E'/J(E'): E' coordinates reduced by J(E'), off its pivots
+            C = R.reshape(g, s * s)[:, image.pivots]
+            C = ctx.sub[C, _matmul_idx(ctx, C[:, rad.pivots], rad.basis)]
+            J = kernel(Mat(ctx, np.delete(C, rad.pivots, axis=1).T.copy()))
+            split = _fitting_split(M, np.delete(Hend.basis, J.pivots, axis=0))
         M._cache["endsplit"] = (dims, split)
     return M._cache["endsplit"]
 
@@ -1077,7 +1096,9 @@ TIERS = ("T1", "T2", "T3")
 
 def is_indecomposable(M: HModule, tiers: tuple = TIERS) -> IndecDecision:
     """(T1) a one-dimensional fixed space: INDECOMPOSABLE.  Otherwise
-    the radical J of End(M) and the split scan of End/J (_end_split):
+    the radical J of End(M), from that of its socle image E', and the
+    split scan of End/J (_end_split), whose dims (with socle_dim, dim E'
+    and dim J(E')) are the T3 detail:
     (T2) a point that splits: DECOMPOSABLE, with the Fitting split as
     kernel and image rows; (T3) End/J one-dimensional: INDECOMPOSABLE;
     (T3-division) no point splits, so End/J is a division algebra and

@@ -355,6 +355,33 @@ def test_query_indec_rejects_unknown_tier(capsys, tmp_path):
     assert "T9" in rec["message"] and "['T1', 'T2', 'T3']" in rec["message"]
 
 
+@pytest.mark.parametrize("kind,flags", [
+    ("indec", ("--tiers", "")),
+    ("jordan", ("--tiers", "T1")),
+    ("profile", ("--tiers", "T3")),
+    ("indec", ("--label", "w0")),
+    ("jordan", ("--vector", "1,0")),
+    ("profile", ("--label", "w0", "--vector", "1,0")),
+])
+def test_query_refuses_flags_it_would_ignore(capsys, tmp_path, kind, flags):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(_module_obj(capsys)))
+    code, out, err = run(capsys, "query", kind, str(m), *flags)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BadParams"
+
+
+def test_query_indec_at_p7(capsys, tmp_path):
+    v = tmp_path / "v.json"
+    assert run(capsys, "build", "vdr", "--p", "7", "--d", "9", "--beta", "0,1",
+               "--out", str(v))[0] == 0
+    code, out, _ = run(capsys, "query", "indec", str(v))
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["verdict"], obj["certificate"]) == ("INDECOMPOSABLE", "T3")
+    assert obj["detail"]["socle_dim"] == 2
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 12) | st.sampled_from(["0,1", "1", "x", ""]),
     lambda inner: st.lists(inner, max_size=3), max_leaves=12)

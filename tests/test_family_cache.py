@@ -215,6 +215,24 @@ def test_dim_decisions_build_no_maps(monkeypatch):
     assert calls == ["_hom_maps"]
 
 
+def test_decision_radical_runs_on_the_socle_image(monkeypatch):
+    # End(v_dr(5, 12)) has dim 28 on a module of dim 24; the decision
+    # runs the radical only on its image in End(soc M)
+    M = km.v_dr(C5, 12, C5.gen())
+    shapes = []
+    real = km.algebra_radical
+
+    def counted(ctx, mats):
+        shapes.append({(X.rows, X.cols) for X in mats})
+        return real(ctx, mats)
+
+    monkeypatch.setattr(km, "algebra_radical", counted)
+    dec = km.is_indecomposable(M)
+    s = km.fixed_space(M).dim
+    assert (dec.certificate, s, km.end_dim(M)) == ("T3", 2, 28)
+    assert shapes and all(shape == {(s, s)} for shape in shapes)
+
+
 def test_end_basis_reuses_the_end_solve(monkeypatch):
     M = _conjugate(km.v_dr(C5, 12, C5.gen()), random.Random(5))
     eliminations = []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import inspect
+import itertools
 
 from repcurve import kmod
 from repcurve.errors import ContextMismatch, Undecided
@@ -16,7 +17,8 @@ from repcurve.kmod import (HModule, algebra_radical, augmentation_ideal, direct_
                            dual, end_algebra, fixed_space, hom_space, is_indecomposable,
                            is_isomorphic, profile, regular_module, s_filtration,
                            trivial_module, v_d, v_dr)
-from repcurve.linalg import Mat, Subspace, intertwiner_space, invert, kernel, matpow
+from repcurve.linalg import (Mat, Subspace, intertwiner_space, invert, kernel, matpow,
+                             preimage, solve_matrix)
 
 C3 = default_ctx(3)
 T = C3.gen()
@@ -196,6 +198,7 @@ def test_vdr_indecomposable_via_radical(d):
     dec = is_indecomposable(v_dr(C3, d, T), tiers=("T3",))
     assert dec.verdict == "INDECOMPOSABLE" and dec.certificate == "T3"
     assert dec.detail["semisimple_dim"] == 1
+    check_local(v_dr(C3, d, T), dec)
 
 
 def test_restricted_tiers_can_refuse():
@@ -218,6 +221,64 @@ def check_split(M, dec):
     for W in (ker, im):
         for g in (M.Msigma, M.Mtau):
             assert W.reduce_rows((g @ Mat(M.ctx, W.basis.T.copy())).data.T)[1].all()
+
+
+def socle_image(M):
+    """(soc M, the restriction of each End basis element to it as a
+    row-major s x s matrix, their span E', J(E') in E' coordinates).  The
+    socle is the joint kernel of sigma - 1 and tau - 1, and each
+    restriction is solved from soc^T A = X soc^T."""
+    ctx = M.ctx
+    I = Mat.identity(ctx, M.dim)
+    soc = kernel(Mat(ctx, np.vstack([(M.Msigma - I).data, (M.Mtau - I).data])))
+    s = soc.dim
+    S = Mat(ctx, soc.basis.T.copy())
+    _, mats = end_algebra(M)
+    R = np.array([solve_matrix(S, X @ S).data.reshape(-1) for X in mats],
+                 dtype=np.int64).reshape(len(mats), s * s)
+    image = Subspace.from_rows(ctx, s * s, R)
+    rad = algebra_radical(ctx, [Mat(ctx, row.reshape(s, s)) for row in image.basis])
+    return soc, R, image, rad
+
+
+def check_local(M, dec):
+    """The T3 / T3-division detail, recomputed from the module: the dims
+    of soc M, E' and J(E').  J(E') is confirmed as the radical: it is a
+    two-sided ideal with J^s = 0, and every nonzero element of the span of
+    the E' basis elements off its pivots is invertible, so E'/J(E') is a
+    division algebra."""
+    assert dec.verdict == "INDECOMPOSABLE" and dec.certificate in ("T3", "T3-division")
+    ctx = M.ctx
+    soc, _, image, rad = socle_image(M)
+    s, e = soc.dim, image.dim - rad.dim
+    d = dec.detail
+    assert (d["socle_dim"], d["socle_image_dim"], d["socle_image_radical_dim"]) == \
+        (s, image.dim, rad.dim)
+    assert (d["semisimple_dim"], d["radical_dim"]) == (e, d["end_dim"] - e)
+    assert (e == 1) == (dec.certificate == "T3")
+    E = [Mat(ctx, row.reshape(s, s)) for row in image.basis]
+
+    def combine(coeffs, mats):
+        out = np.zeros((s, s), dtype=np.int64)
+        for c, X in zip(coeffs, mats):
+            out = ctx.add[out, ctx.mul[int(c), X.data]]
+        return Mat(ctx, out)
+
+    J = [combine(row, E) for row in rad.basis]
+    span = Subspace.from_rows(ctx, s * s, np.array([X.data.reshape(-1) for X in J],
+                                                   dtype=np.int64).reshape(len(J), s * s))
+    assert all(span.contains((X @ Y).data.reshape(-1)) and span.contains((Y @ X).data.reshape(-1))
+               for X in E for Y in J)
+    power = J  # a basis of J^k, k = 1 .. s
+    for _ in range(s - 1):
+        prods = [(X @ Y).data.reshape(-1) for X in power for Y in J]
+        rows = Subspace.from_rows(ctx, s * s, np.array(prods, dtype=np.int64).reshape(-1, s * s))
+        power = [Mat(ctx, row.reshape(s, s)) for row in rows.basis]
+    assert all(not X.data.any() for X in power)
+    reps = [E[k] for k in range(image.dim) if k not in rad.pivots.tolist()]
+    for coeffs in itertools.product(range(ctx.q), repeat=e):
+        if any(coeffs):
+            assert invert(combine(coeffs, reps)) is not None
 
 
 def test_decomposable_detected_with_split():
@@ -291,6 +352,15 @@ def test_division_quotient_on_restricted_scalars(d):
     assert (dec.verdict, dec.certificate) == ("INDECOMPOSABLE", "T3-division")
     assert dec.detail["semisimple_dim"] == 2 and dec.detail["simple_factors"] == 1
     assert end_radical_reference(M) == "INDECOMPOSABLE"
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_division_quotient_socle_detail(d):
+    # E' = End(soc M) restricted to F_9 acting on F_3^2: J(E') = 0, e = 2
+    M = restrict_to_prime_field(v_d(C3, d, T))
+    dec = is_indecomposable(M)
+    assert (dec.detail["socle_image_dim"], dec.detail["socle_image_radical_dim"]) == (2, 0)
+    check_local(M, dec)
 
 
 def end_radical_reference(M) -> str:
@@ -405,3 +475,36 @@ def test_split_scan_matches_end_radical_reference(M):
     assert dec.verdict == end_radical_reference(M)
     if not dec.indecomposable:
         check_split(M, dec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_modules())
+def test_socle_image_radical_matches_end_radical(M):
+    # J(End) is the preimage of J(E') under the restriction to the socle
+    ctx = M.ctx
+    soc, R, image, rad = socle_image(M)
+    s = soc.dim
+    assert image.dim <= s * s
+    Hend, mats = end_algebra(M)
+    full = algebra_radical(ctx, mats)
+    J = (Subspace.from_rows(ctx, s * s, (Mat(ctx, rad.basis) @ Mat(ctx, image.basis)).data)
+         if rad.dim else Subspace.zero(ctx, s * s))
+    assert preimage(Mat(ctx, R.T.copy()), J) == full
+    e = image.dim - rad.dim
+    assert e == Hend.dim - full.dim == kmod._end_split(M)[0]["semisimple_dim"]
+    dec = is_indecomposable(M, tiers=("T2", "T3"))
+    if dec.indecomposable:
+        check_local(M, dec)
+    else:
+        check_split(M, dec)
+
+
+@pytest.mark.parametrize("d", [9, 17])
+def test_vdr_indecomposable_at_p7(d):
+    C7 = default_ctx(7)
+    M = v_dr(C7, d, C7.gen())
+    assert M.dim == 48
+    dec = is_indecomposable(M)
+    assert (dec.verdict, dec.certificate) == ("INDECOMPOSABLE", "T3")
+    assert dec.detail["socle_dim"] == 2
+    check_local(M, dec)
