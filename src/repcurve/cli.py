@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import traceback
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -79,6 +80,10 @@ def _require(args, names) -> None:
 
 
 def cmd_build(args) -> int:
+    for flag, kinds in (("d", "vd|vdr"), ("beta", "vd|vdr"),
+                        ("m", "holo|dr"), ("alpha", "holo|dr")):
+        if getattr(args, flag) is not None and args.kind not in kinds.split("|"):
+            raise BadParams(f"--{flag} applies to build {kinds} only, not {args.kind}")
     ctx = _ctx_from_args(args)
     if args.kind in ("vd", "vdr"):
         _require(args, ("d", "beta"))
@@ -235,10 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later main call;
+    parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

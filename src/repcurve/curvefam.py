@@ -217,10 +217,9 @@ def _zero_module(ctx: FieldCtx) -> HModule:
     return HModule(ctx, z, z, labels=(), meta={"kind": "zero"})
 
 
-def _holo_piece(params: CurveParams, c: int) -> HModule:
+def _holo_piece(params: CurveParams, idx: tuple) -> HModule:
     ctx = params.ctx
-    p, m = params.p, params.m
-    idx = index_I(p, m, c)
+    p = params.p
     d = len(idx)
     if d == 0:
         return _zero_module(ctx)
@@ -234,7 +233,7 @@ def _holo_piece(params: CurveParams, c: int) -> HModule:
             T[i, n] = ctx.mul[coef, ctx.pow_idx(beta.idx, n - i)]
     labels = tuple(f"w{i}" for i in idx)
     piece = HModule(ctx, Mat(ctx, S), Mat(ctx, T), labels=labels,
-                    meta={"kind": "holo_piece", "c": c, "d": d,
+                    meta={"kind": "holo_piece", "d": d,
                           "beta": beta.idx})
     # identification against the abstract family is the identity label
     # map w_i -> w_i; with the index set an initial segment this must be
@@ -249,21 +248,25 @@ def holo_graded(params: CurveParams) -> GradedModule:
     matrix pair per nontrivial character index c of the prime-to-p cyclic
     action.  Piece c has basis w_i over index_I(c) and its matrices agree
     entrywise with the abstract d-dimensional family member at d = dd(c);
-    the dimension count across pieces reproduces the genus."""
+    the dimension count across pieces reproduces the genus.  Pieces with
+    equal index sets are one shared module, built and checked once."""
+    p, m = params.p, params.m
     gm = GradedModule(params, "holo")
-    for c in range(1, params.m):
-        gm.pieces[c] = _holo_piece(params, c)
-    assert gm.total_dim() == genus(params.p, params.m)
+    built: Dict[tuple, HModule] = {}
+    for c in range(1, m):
+        idx = index_I(p, m, c)
+        if idx not in built:
+            built[idx] = _holo_piece(params, idx)
+        gm.pieces[c] = built[idx]
+    assert gm.total_dim() == genus(p, m)
     return gm
 
 
-def _dr_piece(params: CurveParams, c: int) -> HModule:
+def _dr_piece(params: CurveParams, omega_idx: tuple, eta_idx: tuple) -> HModule:
     ctx = params.ctx
-    p, m = params.p, params.m
+    p = params.p
     pp = p * p
     beta, gamma = params.beta, params.gamma
-    omega_idx = index_I(p, m, m - c) if c < m else ()
-    eta_idx = index_J(p, m, c)
     d = len(omega_idx)
     # the two independently derived index sets must tile 0..p^2-1 minus {d}
     assert eta_idx == tuple(range(d + 1, pp))
@@ -305,7 +308,7 @@ def _dr_piece(params: CurveParams, c: int) -> HModule:
 
     labels = tuple([f"w{i}" for i in omega_idx] + [f"eta{i}" for i in eta_idx])
     piece = HModule(ctx, Mat(ctx, S), Mat(ctx, T), labels=labels,
-                    meta={"kind": "dr_piece", "c": c, "d": d,
+                    meta={"kind": "dr_piece", "d": d,
                           "omega_idx": omega_idx, "eta_idx": eta_idx,
                           "beta": beta.idx, "gamma": gamma.idx})
     # cross-check against the abstract quotient model: the scaled label
@@ -336,11 +339,17 @@ def dr_graded(params: CurveParams) -> GradedModule:
     cocycle classes at character c (labels eta_i).  Out-of-range eta
     labels rewrite to -i*gamma*w_{i-1}; each piece is matched to the
     abstract quotient family at d = dd(m-c) by an explicit scaled label
-    map, checked as a matrix identity."""
+    map, checked as a matrix identity.  Pieces with equal index sets are
+    one shared module, built and checked once."""
+    p, m = params.p, params.m
     gm = GradedModule(params, "dr")
-    for c in range(1, params.m):
-        gm.pieces[c] = _dr_piece(params, c)
-    assert gm.total_dim() == (params.m - 1) * (params.p ** 2 - 1)
+    built: Dict[tuple, HModule] = {}
+    for c in range(1, m):
+        key = (index_I(p, m, m - c), index_J(p, m, c))
+        if key not in built:
+            built[key] = _dr_piece(params, *key)
+        gm.pieces[c] = built[key]
+    assert gm.total_dim() == (m - 1) * (p ** 2 - 1)
     return gm
 
 
@@ -356,7 +365,7 @@ def hodge_check(params: CurveParams, c: int) -> dict:
     pp = p * p
     if not (1 <= c <= m - 1):
         raise OutOfRange(f"index {c} outside 1..{m - 1}")
-    piece = _dr_piece(params, c)
+    piece = _dr_piece(params, index_I(p, m, m - c), index_J(p, m, c))
     d = piece.meta["d"]  # dimension of the w-block
     e = pp - 1 - d  # dimension of the quotient
     beta = params.beta

@@ -176,7 +176,7 @@ class FieldCtx:
     __slots__ = (
         "p", "n", "q", "modulus",
         "add", "sub", "mul", "neg", "inv", "frob", "proot", "red",
-        "_digits", "_pwr",
+        "texts", "_digits", "_pwr",
     )
 
     def __init__(self, p: int, n: int, modulus: Sequence[int]):
@@ -199,6 +199,11 @@ class FieldCtx:
         for i in range(n):
             digits[:, i] = (idx // p**i) % p
         self._digits = digits
+        # element text of every index, the one spelling used in JSON and
+        # reports: coefficient digits, low degree first, comma-separated
+        self.texts = np.array([",".join(map(str, row)) for row in digits.tolist()],
+                              dtype=object)
+        self.texts.setflags(write=False)
         self._pwr = np.array([p**i for i in range(n)], dtype=np.int64)
 
         dsum = (digits[:, None, :] + digits[None, :, :]) % p
@@ -349,7 +354,7 @@ class FieldElem:
         return self.ctx.in_prime_field_idx(self.idx)
 
     def text(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
+        return self.ctx.texts[self.idx]
 
     def _coerce(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):

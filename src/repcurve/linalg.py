@@ -142,8 +142,7 @@ class Mat:
         return FieldElem(self.ctx, int(self.data[i, j]))
 
     def to_lists(self) -> list:
-        dec = self.ctx.decode
-        return [[",".join(map(str, dec(int(x)))) for x in row] for row in self.data]
+        return self.ctx.texts[self.data].tolist()
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols} over F_{self.ctx.q})"

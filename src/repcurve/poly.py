@@ -116,7 +116,7 @@ class Poly1:
         terms = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             if self.coeffs[i]:
-                c = ",".join(map(str, self.ctx.decode(self.coeffs[i])))
+                c = self.ctx.texts[self.coeffs[i]]
                 terms.append(f"({c})*X^{i}" if i else f"({c})")
         return " + ".join(terms)
 

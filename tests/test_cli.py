@@ -1,5 +1,6 @@
 """Command line contract: exit codes, JSON shapes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -81,6 +82,68 @@ def test_build_graded(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["kind"] == "dr" and len(obj["pieces"]) == 3
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("dr", "--p", "3", "--m", "10", "--alpha", "0,1"),
+     "3de360f99d57dee4e9166ad93383f192541c6503aebf191a217e324b02c72671"),
+    (("holo", "--p", "5", "--m", "26", "--alpha", "1,1"),
+     "b3f48feb4480ad9e3c47520ded5036ffaac9e00ae24efab553a1bf4d1fa2c6f1"),
+    (("vdr", "--p", "5", "--d", "12", "--beta", "0,1"),
+     "be97d97187b595fde11fab0e621d45ededc4f240df254ca24d1d589be02829cf"),
+])
+def test_build_output_bytes_are_pinned(capsys, argv, digest):
+    # serializing from FieldCtx.texts and sharing equal graded pieces are
+    # speed-ups only: neither may change a byte of build output
+    code, out, _ = run(capsys, "build", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("vd", "--p", "3", "--d", "2", "--beta", "0,1", "--m", "5"),
+    ("vdr", "--p", "3", "--d", "2", "--beta", "0,1", "--alpha", "0,1"),
+    ("dr", "--p", "3", "--m", "4", "--alpha", "0,1", "--d", "7"),
+    ("holo", "--p", "3", "--m", "4", "--alpha", "0,1", "--beta", "0,1"),
+    ("regular", "--p", "3", "--beta", "0,1"),
+    ("aug", "--p", "3", "--m", "4"),
+    ("trivial", "--p", "3", "--d", "1", "--alpha", "0,1"),
+])
+def test_build_refuses_flags_it_would_ignore(capsys, argv):
+    code, out, err = run(capsys, "build", *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BadParams"
+
+
+def test_main_calls_share_no_state(monkeypatch, capsys, tmp_path):
+    """The parser is built once per process: flags of one call must not
+    reach the next."""
+    import repcurve.cli as cli
+
+    v = tmp_path / "v.json"
+    argv = ("build", "vdr", "--p", "3", "--d", "3", "--beta", "0,1")
+    code, out, _ = run(capsys, *argv, "--out", str(v))
+    assert code == 0 and out == ""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == v.read_text()
+
+    # T1 alone cannot decide v_dr (its socle has dim 2); the default tiers can
+    code, _, err = run(capsys, "query", "indec", str(v), "--tiers", "T1")
+    assert code == 2 and json.loads(err)["error"] == "Undecided"
+    code, out, _ = run(capsys, "query", "indec", str(v))
+    assert code == 0 and json.loads(out)["certificate"] == "T3"
+
+    primes = []
+
+    def fake_run_suite(suite, p_values, **k):
+        primes.append(p_values)
+        return {"exit": 0}
+
+    monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+    monkeypatch.setattr(cli, "report_to_json", lambda report: "")
+    assert run(capsys, "verify", "all", "--p", "3")[0] == 0
+    assert run(capsys, "verify", "all")[0] == 0
+    assert primes == [(3,), (3, 5)]
 
 
 def test_query_iso_yes_with_witness(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repcurve.curvefam as cf
 from repcurve.curvefam import (curve_params, dd, default_grid, dr_graded,
                                genus, hodge_check, holo_graded, index_I,
                                index_J, ramification_profile, rr_basis,
@@ -122,6 +123,53 @@ def test_dr_graded_pieces_carry_intertwiners():
         assert Phi @ model.Msigma == piece.Msigma @ Phi
         assert Phi @ model.Mtau == piece.Mtau @ Phi
         assert invert(Phi) is not None
+
+
+def _counted(monkeypatch, name, calls):
+    real = getattr(cf, name)
+
+    def wrapper(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args)
+
+    monkeypatch.setattr(cf, name, wrapper)
+
+
+@pytest.mark.parametrize("kind", ["holo", "dr"])
+@pytest.mark.parametrize("p,m", [(3, 100), (5, 26)])
+def test_each_distinct_piece_is_built_once(monkeypatch, kind, p, m):
+    ctx = default_ctx(p)
+    calls = {}
+    for name in ("index_I", "index_J", "_holo_piece", "_dr_piece"):
+        _counted(monkeypatch, name, calls)
+    params = curve_params(ctx, m, ctx.gen())
+    gm = holo_graded(params) if kind == "holo" else dr_graded(params)
+    # the index sets, and with them their asserts, are computed for every c
+    assert calls["index_I"] == m - 1
+    assert calls.get("index_J", 0) == (m - 1 if kind == "dr" else 0)
+    keys = {c: (index_I(p, m, c) if kind == "holo"
+                else (index_I(p, m, m - c), index_J(p, m, c)))
+            for c in range(1, m)}
+    distinct = set(keys.values())
+    assert calls[f"_{kind}_piece"] == len(distinct) <= p * p
+    assert len({id(piece) for piece in gm.pieces.values()}) == len(distinct)
+    for c in range(1, m):
+        for c2 in range(1, m):
+            assert (gm.piece(c) is gm.piece(c2)) == (keys[c] == keys[c2])
+    for c, piece in gm.pieces.items():
+        if kind == "holo":
+            d = piece.dim
+            assert d == dd(p, m, c)
+            if d:
+                model = v_d(ctx, d, params.beta)
+                assert piece.Msigma == model.Msigma and piece.Mtau == model.Mtau
+        else:
+            d = piece.meta["d"]
+            assert d == dd(p, m, m - c)
+            Phi = piece.meta["iso_from_abstract"]
+            model = v_dr(ctx, d, params.beta)
+            assert Phi @ model.Msigma == piece.Msigma @ Phi
+            assert Phi @ model.Mtau == piece.Mtau @ Phi
 
 
 @pytest.mark.parametrize("c,sub,quot", [(1, 0, 8), (5, 4, 4), (9, 8, 0)])

@@ -20,6 +20,16 @@ def test_default_contexts():
     assert default_ctx(3) is default_ctx(3)
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 2), (5, 2), (7, 3), (2, 10)])
+def test_text_table_spells_every_digit_vector(p, n):
+    ctx = default_ctx(p, n)
+    assert len(ctx.texts) == ctx.q and not ctx.texts.flags.writeable
+    for i in range(ctx.q):
+        text = ",".join(map(str, ctx.decode(i)))
+        assert ctx.texts[i] == FieldElem(ctx, i).text() == text
+        assert ctx.from_text(text).idx == i
+
+
 def test_context_validation():
     with pytest.raises(NotPrime):
         ctx_new(4, 2, (1, 0, 1))
