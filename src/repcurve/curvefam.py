@@ -21,7 +21,7 @@ from .errors import (
     PrimeFieldOnly,
 )
 from .ff import FieldCtx, FieldElem, beta_from_alpha, enumerate_nonprime
-from .kmod import HModule, binom_mod_p, dual, v_d, v_dr
+from .kmod import HModule, binomial_table, dual, v_d, v_dr
 from .linalg import Mat, invert
 from .poly import Poly1
 
@@ -219,20 +219,14 @@ def _zero_module(ctx: FieldCtx) -> HModule:
 
 def _holo_piece(params: CurveParams, idx: tuple) -> HModule:
     ctx = params.ctx
-    p = params.p
     d = len(idx)
     if d == 0:
         return _zero_module(ctx)
     beta = params.beta
-    S = np.zeros((d, d), dtype=np.int64)
-    T = np.zeros((d, d), dtype=np.int64)
-    for n in idx:
-        for i in range(n + 1):
-            coef = binom_mod_p(n, i, p)
-            S[i, n] = coef
-            T[i, n] = ctx.mul[coef, ctx.pow_idx(beta.idx, n - i)]
+    S, T = binomial_table(ctx, beta)
+    block = np.ix_(idx, idx)
     labels = tuple(f"w{i}" for i in idx)
-    piece = HModule(ctx, Mat(ctx, S), Mat(ctx, T), labels=labels,
+    piece = HModule(ctx, Mat(ctx, S[block]), Mat(ctx, T[block]), labels=labels,
                     meta={"kind": "holo_piece", "d": d,
                           "beta": beta.idx})
     # identification against the abstract family is the identity label
@@ -272,59 +266,35 @@ def _dr_piece(params: CurveParams, omega_idx: tuple, eta_idx: tuple) -> HModule:
     assert eta_idx == tuple(range(d + 1, pp))
     dim = d + len(eta_idx)
     assert dim == pp - 1
-    pos_omega = {i: k for k, i in enumerate(omega_idx)}
-    pos_eta = {i: d + k for k, i in enumerate(eta_idx)}
-    S = np.zeros((dim, dim), dtype=np.int64)
-    T = np.zeros((dim, dim), dtype=np.int64)
+    # w_i sits at position i (omega_idx is 0..d-1) and eta_i at i - 1.
+    # Column i of R rewrites eta_i in that basis: eta_i itself when it is
+    # a label (i > d), else -i*gamma*w_{i-1}, which kills i divisible by p
+    scale = ctx.mul[ctx.neg[np.arange(pp) % p], gamma.idx]  # -i*gamma
+    rewrite = np.zeros((dim, pp), dtype=np.int64)
+    rewrite[:, 1:] = np.diag(np.where(np.arange(1, pp) > d, 1, scale[1:]))
+    R = Mat(ctx, rewrite)
 
-    def add_term(col, i, coef_s, coef_t):
-        # basis label eta_i when present; otherwise the rewriting
-        # eta_i = -i*gamma*w_{i-1}, which kills indices divisible by p
-        if i in pos_eta:
-            r = pos_eta[i]
-            S[r, col] = ctx.add[S[r, col], coef_s]
-            T[r, col] = ctx.add[T[r, col], coef_t]
-            return
-        s = ctx.mul[ctx.neg[i % p], gamma.idx]
-        if s == 0:
-            return
-        r = pos_omega[i - 1]
-        S[r, col] = ctx.add[S[r, col], ctx.mul[s, coef_s]]
-        T[r, col] = ctx.add[T[r, col], ctx.mul[s, coef_t]]
+    def action(table: np.ndarray) -> Mat:
+        # w_n -> the leading block; eta_n -> R applied to eta column n
+        A = np.zeros((dim, dim), dtype=np.int64)
+        A[:d, :d] = table[:d, :d]
+        A[:, d:] = (R @ Mat(ctx, table[:, list(eta_idx)])).data
+        return Mat(ctx, A)
 
-    for n in omega_idx:
-        col = pos_omega[n]
-        for i in range(n + 1):
-            coef = binom_mod_p(n, i, p)
-            S[pos_omega[i], col] = coef
-            T[pos_omega[i], col] = ctx.mul[coef, ctx.pow_idx(beta.idx, n - i)]
-    for n in eta_idx:
-        col = pos_eta[n]
-        for i in range(n + 1):
-            coef = binom_mod_p(n, i, p)
-            if coef == 0:
-                continue
-            add_term(col, i, coef, ctx.mul[coef, ctx.pow_idx(beta.idx, n - i)])
-
+    S, T = binomial_table(ctx, beta)
     labels = tuple([f"w{i}" for i in omega_idx] + [f"eta{i}" for i in eta_idx])
-    piece = HModule(ctx, Mat(ctx, S), Mat(ctx, T), labels=labels,
+    piece = HModule(ctx, action(S), action(T), labels=labels,
                     meta={"kind": "dr_piece", "d": d,
                           "omega_idx": omega_idx, "eta_idx": eta_idx,
                           "beta": beta.idx, "gamma": gamma.idx})
     # cross-check against the abstract quotient model: the scaled label
-    # map below must intertwine both actions exactly
+    # map below must intertwine both actions exactly; it sends the
+    # model's eta_i to column i of R and its w_i to -i*gamma*w_i
     model = v_dr(ctx, d, beta)
+    eta_pos, omega_pos = model.meta["eta_pos"], model.meta["omega_pos"]
     F = np.zeros((dim, dim), dtype=np.int64)
-    for col, lab in enumerate(model.labels):
-        if lab.startswith("eta"):
-            i = int(lab[3:])
-            if i in pos_eta:
-                F[pos_eta[i], col] = 1
-            else:
-                F[pos_omega[i - 1], col] = ctx.mul[ctx.neg[i % p], gamma.idx]
-        else:
-            i = int(lab[1:])
-            F[pos_omega[i], col] = ctx.mul[ctx.neg[i % p], gamma.idx]
+    F[:, list(eta_pos.values())] = rewrite[:, list(eta_pos)]
+    F[list(omega_pos), list(omega_pos.values())] = scale[list(omega_pos)]
     Phi = Mat(ctx, F)
     assert Phi @ model.Msigma == piece.Msigma @ Phi
     assert Phi @ model.Mtau == piece.Mtau @ Phi

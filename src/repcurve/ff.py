@@ -181,7 +181,10 @@ class FieldCtx:
 
     def __init__(self, p: int, n: int, modulus: Sequence[int]):
         _check_field(p, n)
-        modulus = tuple(int(c) % p for c in modulus)
+        modulus = tuple(int(c) for c in modulus)
+        bad = [c for c in modulus if not 0 <= c < p]
+        if bad:
+            raise BadParams(f"modulus coefficient {bad[0]} of {list(modulus)} outside 0..{p - 1}")
         if len(modulus) != n + 1:
             raise DegreeMismatch(
                 f"modulus must have {n + 1} coefficients for degree {n}, got {len(modulus)}")

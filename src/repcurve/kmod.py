@@ -193,9 +193,6 @@ class HModule:
         v[which] = 1
         return v
 
-    def vector(self, data) -> np.ndarray:
-        return as_vector(self.ctx, data)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, HModule) and self.ctx == other.ctx
                 and self.Msigma == other.Msigma and self.Mtau == other.Mtau)
@@ -250,8 +247,32 @@ def augmentation_ideal(ctx: FieldCtx) -> HModule:
 # One shared module per (ctx, kind, d, beta index), kept for the life of
 # the process: at most 2 (p^2 + 1) (q - p) entries per field, and the
 # filtration, End algebra and presentation each module caches are then
-# computed once however many callers ask.
+# computed once however many callers ask.  The binomial table of each
+# (ctx, beta) is one more entry, from which every family matrix is cut.
 _FAMILY: dict = {}
+
+
+def binomial_table(ctx: FieldCtx, beta: FieldElem) -> tuple:
+    """Read-only p^2 x p^2 matrices (S, T) of v_d(p^2, beta): entry (i, n)
+    is C(n, i) for S and C(n, i) beta^(n-i) for T, zero for i > n.  By
+    Lucas, S is the Kronecker square of the p x p Pascal table mod p;
+    shared per (ctx, beta)."""
+    key = (ctx, "binomial", beta.idx)
+    if key not in _FAMILY:
+        p = ctx.p
+        pp = p * p
+        pascal = np.array([[binom_mod_p(n, i, p) for n in range(p)] for i in range(p)],
+                          dtype=np.int64)
+        S = np.kron(pascal, pascal) % p
+        powers = np.ones(pp, dtype=np.int64)
+        for k in range(1, pp):
+            powers[k] = ctx.mul[powers[k - 1], beta.idx]
+        gap = np.arange(pp)[None, :] - np.arange(pp)[:, None]
+        T = ctx.mul[S, powers[np.maximum(gap, 0)]]
+        S.setflags(write=False)
+        T.setflags(write=False)
+        _FAMILY[key] = (S, T)
+    return _FAMILY[key]
 
 
 def v_d(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
@@ -269,17 +290,10 @@ def v_d(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
 
 
 def _build_vd(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
-    p = ctx.p
-    S = np.zeros((d, d), dtype=np.int64)
-    T = np.zeros((d, d), dtype=np.int64)
-    for n in range(d):
-        for i in range(n + 1):
-            c = binom_mod_p(n, i, p)
-            S[i, n] = c
-            T[i, n] = ctx.mul[c, ctx.pow_idx(beta.idx, n - i)]
+    S, T = binomial_table(ctx, beta)
     labels = tuple(f"w{i}" for i in range(d))
-    return HModule(ctx, Mat(ctx, S), Mat(ctx, T), labels=labels,
-                   meta={"kind": "vd", "d": d, "beta": beta.idx})
+    return HModule(ctx, Mat(ctx, S[:d, :d].copy()), Mat(ctx, T[:d, :d].copy()),
+                   labels=labels, meta={"kind": "vd", "d": d, "beta": beta.idx})
 
 
 def _vdr_index_sets(p: int, d: int) -> tuple:
@@ -495,39 +509,10 @@ def quotient(M: HModule, W: Subspace, reps=None, labels=None) -> tuple:
 # Words and degree functions
 
 
-def _normalize_word(ctx: FieldCtx, word):
-    """Accepts (a, b) | [(coef, a, b), ...] | [(a, b), ...]; returns
-    [(coef_idx, a, b)]."""
-    if isinstance(word, tuple) and len(word) == 2 and all(isinstance(x, int) for x in word):
-        return [(1, word[0], word[1])]
-    out = []
-    for term in word:
-        if len(term) == 2:
-            coef, (a, b) = 1, term
-        else:
-            coef, a, b = term
-        if isinstance(coef, FieldElem):
-            coef = coef.idx
-        elif isinstance(coef, str):
-            coef = ctx.from_text(coef).idx
-        else:
-            coef = int(coef) % ctx.p
-        out.append((coef, int(a), int(b)))
-    return out
-
-
-def apply_word(M: HModule, word, v) -> np.ndarray:
-    """Evaluate a group-algebra element (a scalar combination of monomials
-    sigma0^a tau0^b) on a vector."""
-    ctx = M.ctx
-    vec = as_vector(ctx, v) if not isinstance(v, np.ndarray) else v
-    out = np.zeros(M.dim, dtype=np.int64)
-    for coef, a, b in _normalize_word(ctx, word):
-        if coef == 0:
-            continue
-        img = M.word_matrix(a, b).apply(vec)
-        out = ctx.add[out, ctx.mul[coef, img]]
-    return out
+def apply_word(M: HModule, word: tuple, v) -> np.ndarray:
+    """Apply the monomial sigma0^a tau0^b, word = (a, b), to a vector."""
+    vec = as_vector(M.ctx, v) if not isinstance(v, np.ndarray) else v
+    return M.word_matrix(*word).apply(vec)
 
 
 def fixed_space(M: HModule) -> Subspace:

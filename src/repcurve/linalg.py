@@ -111,10 +111,6 @@ class Mat:
     def __neg__(self) -> "Mat":
         return Mat(self.ctx, self.ctx.neg[self.data])
 
-    def scale(self, c) -> "Mat":
-        ci = _as_idx(self.ctx, c)
-        return Mat(self.ctx, self.ctx.mul[ci, self.data])
-
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check(other, False)
         if self.cols != other.rows:
@@ -137,9 +133,6 @@ class Mat:
 
     def __hash__(self):
         return hash((self.ctx, self.data.shape, self.data.tobytes()))
-
-    def entry(self, i: int, j: int) -> FieldElem:
-        return FieldElem(self.ctx, int(self.data[i, j]))
 
     def to_lists(self) -> list:
         return self.ctx.texts[self.data].tolist()

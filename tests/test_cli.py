@@ -59,6 +59,17 @@ def test_build_refuses_out_of_range_digits(capsys, kind, flag, text):
     assert rec["error"] == "BadParams" and repr(text) in rec["message"]
 
 
+@pytest.mark.parametrize("modulus,coef", [("4,0,1", 4), ("1,0,4", 4), ("-2,0,1", -2)])
+def test_build_refuses_out_of_range_modulus(capsys, modulus, coef):
+    # at p = 3 each used to be reduced to t^2 + 1 and written as [1, 0, 1]
+    code, out, err = run(capsys, "build", "vd", "--p", "3", f"--modulus={modulus}",
+                         "--d", "2", "--beta", "0,1")
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert rec["error"] == "BadParams"
+    assert f"modulus coefficient {coef} " in rec["message"]
+
+
 @pytest.mark.parametrize("m", [101, 4000, 10**9])
 def test_build_refuses_exponent_above_limit(capsys, m):
     code, out, err = run(capsys, "build", "dr", "--p", "3", "--m", str(m),
@@ -91,10 +102,19 @@ def test_build_graded(capsys):
      "b3f48feb4480ad9e3c47520ded5036ffaac9e00ae24efab553a1bf4d1fa2c6f1"),
     (("vdr", "--p", "5", "--d", "12", "--beta", "0,1"),
      "be97d97187b595fde11fab0e621d45ededc4f240df254ca24d1d589be02829cf"),
+    # every dR index set at p = 5, eta rewriting scaled by gamma
+    (("dr", "--p", "5", "--m", "99", "--alpha", "0,1"),
+     "811a9dbe3c4ca02ee28c55e3c862e449bfccec7dfab06be941f8ac06ce58c6f7"),
+    (("holo", "--p", "3", "--m", "100", "--alpha", "2,1"),
+     "3a1fcbe288e4799706d5234b0c67e37ac94082dcffae552e3731d92ee775cd2c"),
+    # the whole binomial table, at a beta other than t
+    (("vd", "--p", "5", "--d", "25", "--beta", "2,3"),
+     "c859231df403aee970f6aee7232580ead8de6c51ab7195f7831eb4c89970de5a"),
 ])
 def test_build_output_bytes_are_pinned(capsys, argv, digest):
-    # serializing from FieldCtx.texts and sharing equal graded pieces are
-    # speed-ups only: neither may change a byte of build output
+    # serializing from FieldCtx.texts, sharing equal graded pieces and
+    # cutting family matrices from one binomial table are speed-ups only:
+    # none may change a byte of build output
     code, out, _ = run(capsys, "build", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -363,6 +383,7 @@ def _module_obj(capsys):
     lambda o: {**o, "tau": o["tau"][:1]},
     lambda o: {**o, "labels": [0, 1]},
     lambda o: {**o, "n": 1},
+    lambda o: {**o, "modulus": [7, 3, 1]},
 ])
 def test_malformed_module_json_is_an_input_error(capsys, tmp_path, mutate):
     bad = tmp_path / "bad.json"
@@ -471,7 +492,8 @@ def test_module_from_json_fuzz(key, drop, value):
 BUILD_FLAGS = [
     ("--p", ["2", "3", "5", "7", "-3", "0", "1", "4", str(10**18 + 3), "x"]),
     ("--n", ["1", "2", "3", "0", "-1", "12", str(10**9), "two"]),
-    ("--modulus", ["1,0,1", "2,0,1", "1,1", "1,0,0,1", "x", ""]),
+    ("--modulus", ["1,0,1", "2,0,1", "1,1", "1,0,0,1", "4,0,1", "1,0,4",
+                   "-2,0,1", "x", ""]),
     ("--d", ["-1", "0", "1", "5", "9", "30", "a"]),
     ("--beta", ["0,1", "1,1", "1,0", "1", "0,1,0", "0,7", "x", ","]),
     ("--m", ["-1", "0", "1", "2", "3", "6", "4000", str(10**9), "z"]),

@@ -34,11 +34,15 @@ def test_digit_helpers():
     assert binom_mod_p(7, 2, 3) == (binom_mod_p(1, 2, 3) * binom_mod_p(2, 0, 3)) % 3
 
 
-@pytest.mark.parametrize("ctx,t", [(C3, "t3"), (C5, "t5")])
-def test_vd_action_is_binomial_and_order_p(ctx, t):
+@pytest.mark.parametrize("ctx,beta", [(C3, "0,1"), (C3, "1,2"), (C5, "0,1"), (C5, "2,3")],
+                         ids=["F9-t", "F9-1+2t", "F25-t", "F25-2+3t"])
+@pytest.mark.parametrize("which", ["d=1", "d=p", "d=p^2-1", "d=p^2"])
+def test_vd_action_is_binomial_and_order_p(ctx, beta, which):
+    # entries against the scalar formula, independent of the shared table
     p = ctx.p
-    beta = ctx.gen()
-    M = v_d(ctx, p * p - 1, beta)
+    beta = ctx.from_text(beta)
+    d = {"d=1": 1, "d=p": p, "d=p^2-1": p * p - 1, "d=p^2": p * p}[which]
+    M = v_d(ctx, d, beta)
     S, T = M.Msigma, M.Mtau
     assert S @ T == T @ S
     assert matpow(S, p) == Mat.identity(ctx, M.dim)
