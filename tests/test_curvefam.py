@@ -191,6 +191,7 @@ def test_graded_builds_make_no_per_entry_scalar_calls(monkeypatch):
         return real_pow(*args)
 
     monkeypatch.setattr(km, "binom_mod_p", binom)
+    # a name curvefam imported from kmod would not see the kmod patch
     monkeypatch.setattr(cf, "binom_mod_p", binom, raising=False)
     monkeypatch.setattr(FieldCtx, "pow_idx", pow_idx)
     holo_graded(params)
