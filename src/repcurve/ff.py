@@ -176,7 +176,7 @@ class FieldCtx:
     __slots__ = (
         "p", "n", "q", "modulus",
         "add", "sub", "mul", "neg", "inv", "frob", "proot", "red",
-        "texts", "_digits", "_pwr",
+        "texts", "_digits", "_pwr", "_planes", "_fold",
     )
 
     def __init__(self, p: int, n: int, modulus: Sequence[int]):
@@ -233,6 +233,14 @@ class FieldCtx:
             cur = nxt
         self.red = red
         self.red.setflags(write=False)
+        # for linalg._matmul_idx: the digit planes as float64 rows, and the
+        # fold that sends the n*n plane products (i, j) to t^(i+j) and
+        # reduces t^n .. t^(2n-2) back to n digits by the rows of red
+        self._planes = digits.T.astype(np.float64)
+        r = np.arange(n)
+        self._fold = np.concatenate((np.eye(n), red))[(r[:, None] + r).reshape(-1)].T.copy()
+        for table in (self._planes, self._fold):
+            table.setflags(write=False)
         out = conv[:, :, :n].copy()
         for e in range(n - 1):
             out += conv[:, :, n + e, None] * red[e][None, None, :]

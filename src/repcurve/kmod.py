@@ -789,10 +789,12 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
 
     1. dimension: NO, "dim-mismatch";
     2. equal matrices: YES, "equal-matrices";
-    3. the profile invariants in the order of PROFILE_INVARIANTS:
-       filtration dims, fixed-space dim, End dim, Jordan multiset over
-       P^1(F_q).  Each is computed for both modules before the next one
-       runs, and the first that differs decides NO, "profile-mismatch";
+    3. the invariants of ISO_INVARIANTS, in its order: filtration dims,
+       fixed-space dim, End dim.  Each is computed for both modules
+       before the next one runs, and the first that differs decides NO,
+       "profile-mismatch".  The Jordan multiset of profile() is not
+       compared: steps 4 and 5 decide every pair without it, and the
+       scan costs more than any of the three;
     4. the dims of Hom(M, N), Hom(N, M) and both End algebras: NO,
        "hom-dim-mismatch" unless all four agree and are nonzero.  Each
        dim is read from the relation solve alone (hom_dim, end_dim);
@@ -815,7 +817,7 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
         return IsoDecision("YES", "equal-matrices", witness=Mat.identity(ctx, 0))
     if M.Msigma == N.Msigma and M.Mtau == N.Mtau:
         return IsoDecision("YES", "equal-matrices", witness=Mat.identity(ctx, M.dim))
-    for _, inv in PROFILE_INVARIANTS:
+    for _, inv in ISO_INVARIANTS:
         if inv(M) != inv(N):
             return IsoDecision("NO", "profile-mismatch")
     sol = _hom_solve(M, N)
@@ -1217,16 +1219,21 @@ class Profile:
                 "jordan_multiset": [list(t) for t in self.jordan_multiset]}
 
 
-# The invariants of a Profile after dim, cheapest first: is_isomorphic
-# compares them in this order and stops at the first that differs.  The
-# fixed space is S_0 of the filtration, so it comes free; End goes before
-# the Jordan scan because the presentation it caches is reused by the Hom
-# dims that follow.  The lambdas look up the functions by their global
-# names at each call, so a wrapper installed on the module sees them.
-PROFILE_INVARIANTS = (
+# The invariants that step 3 of is_isomorphic compares, cheapest first,
+# stopping at the first that differs.  The fixed space is S_0 of the
+# filtration, so it comes free; End goes last because the presentation
+# it caches is reused by the Hom dims of step 4.  The lambdas look up the
+# functions by their global names at each call, so a wrapper installed on
+# the module sees them.
+ISO_INVARIANTS = (
     ("filtration_dims", lambda M: tuple(s.dim for s in s_filtration(M))),
     ("fixed_dim", lambda M: fixed_space(M).dim),
     ("end_dim", lambda M: end_dim(M)),
+)
+
+# The invariants of a Profile after dim: those of the decision, and the
+# Jordan multiset over P^1(F_q), which is reported but decides nothing.
+PROFILE_INVARIANTS = ISO_INVARIANTS + (
     ("jordan_multiset", lambda M: tuple(sorted(t for _, t in jordan_scan(M)))),
 )
 

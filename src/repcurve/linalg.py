@@ -147,11 +147,12 @@ def _matmul_idx(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Leading axes broadcast as with ``@``.  All n x n products of digit
     planes come from one float64 matmul (exact: every sum stays far below
     2^53).  Plane pair (i, j) lands on t^(i+j); the powers t^n .. t^(2n-2)
-    are folded back to n digits with the reduction rows ctx.red.
+    are folded back to n digits by ctx._fold, built from the reduction
+    rows ctx.red.
     """
     p, n = ctx.p, ctx.n
     rows, cols = A.shape[-2], B.shape[-1]
-    planes = ctx._digits.T.astype(np.float64)
+    planes = ctx._planes
 
     def split(X):  # (..., r, c) -> digit planes (..., n, r, c)
         D = X.ndim
@@ -161,9 +162,7 @@ def _matmul_idx(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     PA = PA.reshape(PA.shape[:-3] + (1, n * rows, A.shape[-1]))  # (..., 1, (i, row), k)
     prod = PA @ split(B)                                          # (..., j, (i, row), col)
     lead = prod.shape[:-3]
-    r = np.arange(n)
-    fold = np.concatenate((np.eye(n), ctx.red))[(r[:, None] + r).reshape(-1)]
-    digits = (fold.T @ prod.reshape(lead + (n * n, rows * cols))).astype(np.int64) % p
+    digits = (ctx._fold @ prod.reshape(lead + (n * n, rows * cols))).astype(np.int64) % p
     return (ctx._pwr @ digits).reshape(lead + (rows, cols))
 
 
@@ -172,16 +171,22 @@ def _matmul_idx(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _rref_inplace(ctx: FieldCtx, M: np.ndarray) -> list:
-    """Reduce M to RREF in place; returns the pivot column list."""
+    """Reduce M to RREF in place; returns the pivot column list.
+
+    Row r is zero left of its pivot column c, so each step touches only
+    columns c.. of the rows with a nonzero entry in column c.  The update
+    a - f*b is two gathers from the flattened q x q tables:
+    x = mul[f*q + b], then sub[a*q + x]."""
     rows, cols = M.shape
+    q = ctx.q
+    sub, mul = ctx.sub.reshape(-1), ctx.mul.reshape(-1)
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
         # fixed pivot rule: first nonzero scanning top to bottom
-        col = M[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = M[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
@@ -189,11 +194,13 @@ def _rref_inplace(ctx: FieldCtx, M: np.ndarray) -> list:
             M[[r, pr]] = M[[pr, r]]
         inv = int(ctx.inv[M[r, c]])
         if inv != 1:
-            M[r] = ctx.mul[inv, M[r]]
-        factors = M[:, c].copy()
-        factors[r] = 0
-        if factors.any():  # row r is zero left of c
-            M[:, c:] = ctx.sub[M[:, c:], ctx.mul[factors[:, None], M[r, c:]]]
+            M[r, c:] = mul.take(inv * q + M[r, c:])
+        M[r, c] = 0  # the pivot row itself is not updated
+        upd = M[:, c].nonzero()[0]
+        M[r, c] = 1
+        if upd.size:
+            prod = mul.take(M[upd, c, None] * q + M[r, c:])
+            M[upd, c:] = sub.take(M[upd, c:] * q + prod)
         pivots.append(c)
         r += 1
     return pivots
@@ -474,7 +481,10 @@ def _rank_stack(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
     """Ranks of a stack of matrices (..., rows, cols) by one elimination
     over all of them: column by column, each matrix takes its own pivot
     (first nonzero entry among its rows not yet used as pivots) and clears
-    that column in its other unused rows."""
+    that column in its other unused rows.  Row updates are flat gathers,
+    as in _rref_inplace."""
+    q = ctx.q
+    sub, mul = ctx.sub.reshape(-1), ctx.mul.reshape(-1)
     lead, (rows, cols) = A.shape[:-2], A.shape[-2:]
     A = A.reshape((math.prod(lead), rows, cols))
     ranks = np.zeros(A.shape[0], dtype=np.int64)
@@ -488,10 +498,11 @@ def _rank_stack(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
             continue
         pr = np.argmax(cand[has], axis=1)
         prow = A[has, pr, c:]
-        prow = ctx.mul[ctx.inv[prow[:, 0]][:, None], prow]
+        prow = mul.take(ctx.inv[prow[:, 0], None] * q + prow)
         factors = np.where(cand[has], A[has, :, c], 0)
         factors[np.arange(has.size), pr] = 0
-        A[has, :, c:] = ctx.sub[A[has, :, c:], ctx.mul[factors[:, :, None], prow[:, None, :]]]
+        prod = mul.take(factors[:, :, None] * q + prow[:, None, :])
+        A[has, :, c:] = sub.take(A[has, :, c:] * q + prod)
         unused[has, pr] = False
         ranks[live[has]] += 1
     return ranks.reshape(lead)

@@ -40,6 +40,69 @@ def rand_rows(ctx, rng, k, n):
                     dtype=np.int64).reshape(k, n)
 
 
+def ref_rref_inplace(ctx, M):
+    """Reference elimination: linalg._rref_inplace as it was before its
+    updates became flat gathers on the changed rows only.  Every row of
+    columns c.. is updated with two 2-D gathers, sub[A, mul[f, b]]."""
+    rows, cols = M.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            M[[r, pr]] = M[[pr, r]]
+        inv = int(ctx.inv[M[r, c]])
+        if inv != 1:
+            M[r] = ctx.mul[inv, M[r]]
+        factors = M[:, c].copy()
+        factors[r] = 0
+        if factors.any():
+            M[:, c:] = ctx.sub[M[:, c:], ctx.mul[factors[:, None], M[r, c:]]]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def ref_rank_stack(ctx, A):
+    """Reference stacked ranks: linalg._rank_stack with the 2-D gathers
+    it made before its updates became flat gathers."""
+    lead, (rows, cols) = A.shape[:-2], A.shape[-2:]
+    A = A.reshape((math.prod(lead), rows, cols))
+    ranks = np.zeros(A.shape[0], dtype=np.int64)
+    live = np.nonzero(A.reshape(A.shape[0], -1).any(axis=1))[0]
+    A = A[live]
+    unused = np.ones(A.shape[:2], dtype=bool)
+    for c in range(cols):
+        cand = (A[:, :, c] != 0) & unused
+        has = np.nonzero(cand.any(axis=1))[0]
+        if has.size == 0:
+            continue
+        pr = np.argmax(cand[has], axis=1)
+        prow = A[has, pr, c:]
+        prow = ctx.mul[ctx.inv[prow[:, 0]][:, None], prow]
+        factors = np.where(cand[has], A[has, :, c], 0)
+        factors[np.arange(has.size), pr] = 0
+        A[has, :, c:] = ctx.sub[A[has, :, c:], ctx.mul[factors[:, :, None], prow[:, None, :]]]
+        unused[has, pr] = False
+        ranks[live[has]] += 1
+    return ranks.reshape(lead)
+
+
+def rand_sparse(ctx, rng, rows, cols):
+    """A rows x cols matrix of random rank, then with some rows and some
+    columns zeroed, so that many row updates have a zero factor."""
+    r = rng.randrange(min(rows, cols) + 1)
+    A = linalg._matmul_idx(ctx, rand_rows(ctx, rng, rows, r), rand_rows(ctx, rng, r, cols))
+    A[[i for i in range(rows) if rng.random() < 0.3]] = 0
+    A[:, [j for j in range(cols) if rng.random() < 0.3]] = 0
+    return A
+
+
 def rand_subspace(ctx, rng, amb, kind):
     if kind == "zero":
         return Subspace.zero(ctx, amb)
@@ -119,9 +182,32 @@ def test_stacked_ranks_match_rank(ctx, seed, rows, cols, k):
     stack = np.stack([linalg._matmul_idx(ctx, rand_rows(ctx, rng, rows, r),
                                          rand_rows(ctx, rng, r, cols))
                       for _ in range(k)])
-    want = [rank(Mat(ctx, A)) for A in stack]
+    want = [len(ref_rref_inplace(ctx, A.copy())) for A in stack]
     assert linalg._rank_stack(ctx, stack).tolist() == want
     assert linalg._rank_stack(ctx, stack.reshape(1, k, rows, cols)).tolist() == [want]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(3, 2), (5, 2), (7, 2), (2, 10)]), st.integers(0, 10**6),
+       st.integers(0, 7), st.integers(0, 7), st.integers(1, 4), st.booleans())
+def test_elimination_kernels_match_references(field, seed, rows, cols, k, all_zero):
+    """_rref_inplace gives the pivots and the reduced matrix of the
+    reference, and _rank_stack its ranks, over q = 9, 25, 49 and 1024, on
+    matrices with zero rows and columns, empty shapes and stacks of zero
+    matrices."""
+    ctx = default_ctx(*field)
+    rng = random.Random(seed)
+    stack = np.stack([rand_sparse(ctx, rng, rows, cols) for _ in range(k)])
+    if all_zero:
+        stack[:] = 0
+    for A in stack:
+        got, want = A.copy(), A.copy()
+        assert linalg._rref_inplace(ctx, got) == ref_rref_inplace(ctx, want)
+        assert np.array_equal(got, want)
+    want = ref_rank_stack(ctx, stack.copy())
+    assert np.array_equal(linalg._rank_stack(ctx, stack.copy()), want)
+    assert np.array_equal(linalg._rank_stack(ctx, stack.reshape(1, k, rows, cols)),
+                          want.reshape(1, k))
 
 
 def rank_chain_partition(N: Mat) -> tuple:

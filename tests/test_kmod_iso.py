@@ -1,5 +1,6 @@
 """Isomorphism and indecomposability decision procedures."""
 
+import hashlib
 import json
 import random
 
@@ -10,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 import inspect
 import itertools
 
-from repcurve import kmod
+from repcurve import cli, kmod
 from repcurve.errors import ContextMismatch, Undecided
 from repcurve.ff import ctx_new, default_ctx, enumerate_nonprime, find_irreducible
 from repcurve.kmod import (HModule, algebra_radical, augmentation_ideal, direct_sum,
                            dual, end_algebra, fixed_space, hom_space, is_indecomposable,
-                           is_isomorphic, profile, regular_module, s_filtration,
-                           trivial_module, v_d, v_dr)
+                           is_isomorphic, jordan_scan, module_to_json, profile,
+                           regular_module, s_filtration, trivial_module, v_d, v_dr)
 from repcurve.linalg import (Mat, Subspace, intertwiner_space, invert, kernel, matpow,
                              preimage, solve_matrix)
 
@@ -104,15 +105,60 @@ def test_isomorphism_is_seed_stable():
     assert is_isomorphic(dual(v_dr(C3, 4, T)), v_dr(C3, 4, T)).witness == d1.witness
 
 
-def test_filtration_separated_pair_skips_end_and_scan():
-    # the top base-5 digits of 7 and 12 differ, and so do the filtrations
+# sha256 of `query profile` on v_dr(5, 7, t), v_dr(5, 12, t), v_dr(3, 4, t)
+# and v_d(3, 5, t), recorded while the decision still compared the Jordan
+# multiset; the duals and twists below print the same bytes
+PROFILE_DIGESTS = {
+    "vdr5-7": "211c075060a3ec1e0d530fd90d9d571fa69596d92bbe73d1e552874a3092958d",
+    "vdr5-12": "fa38c0aa90f2ed310b67a74aabac7dd956b3a84d010cd8627aa0982cfdf76a0b",
+    "vdr3-4": "6d1288e168c474618aa7e1a398b487001e4db5f397e651e903627fda0921edff",
+    "vd3-5": "3e50cfd8502ca50a2915f433300b14b5d1aa9407b239279188d46ddc2103d320",
+}
+
+
+def test_filtration_separated_pair_skips_end_and_scan(capsys, tmp_path):
+    # no decision computes the Jordan scan, whichever method decides; the
+    # top base-5 digits of 7 and 12 differ, and so do the filtrations, so
+    # that pair computes no End either
     C5 = default_ctx(5)
     M, N = v_dr(C5, 7, C5.gen()), v_dr(C5, 12, C5.gen())
-    dec = is_isomorphic(M, N)
-    assert (dec.verdict, dec.method) == ("NO", "profile-mismatch")
-    for X in (M, N):
-        assert "jscan" not in X._cache and "end" not in X._cache
+    pairs = [(M, N, "NO", "profile-mismatch", ("vdr5-7", "vdr5-12")),
+             (dual(v_dr(C3, 4, T)), v_dr(C3, 4, T), "YES", "hom-basis",
+              ("vdr3-4", "vdr3-4")),
+             (v_d(C3, 5, T), v_d(C3, 5, T + 1), "NO", "hom-dim-mismatch",
+              ("vd3-5", "vd3-5"))]
+    for A, B, verdict, method, _ in pairs:
+        dec = is_isomorphic(A, B)
+        assert (dec.verdict, dec.method) == (verdict, method)
+        for X in (A, B):
+            assert "jscan" not in X._cache
+            assert method != "profile-mismatch" or "end" not in X._cache
     assert [s.dim for s in s_filtration(M)] != [s.dim for s in s_filtration(N)]
+    # profile() and `query profile` still report the Jordan multiset
+    for A, B, _, _, names in pairs:
+        for X, name in zip((A, B), names):
+            assert profile(X).jordan_multiset == tuple(sorted(t for _, t in jordan_scan(X)))
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(module_to_json(X)))
+            assert cli.main(["query", "profile", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == PROFILE_DIGESTS[name]
+
+
+def test_pair_only_the_jordan_multiset_separates_gets_a_hom_certificate():
+    # v_d(2, t) + v_d(6, t) and v_d(2, t) + v_d(6, 1 + t) agree in dim,
+    # filtration dims, fixed dim and End dim; only their Jordan multisets
+    # differ (the jump points of the two summands meet in the first sum).
+    # The decision no longer compares the multiset, so step 4 answers.
+    A = direct_sum(v_d(C3, 2, T), v_d(C3, 6, T))
+    B = direct_sum(v_d(C3, 2, T), v_d(C3, 6, T + 1))
+    pa, pb = profile(A), profile(B)
+    assert (pa.filtration_dims, pa.fixed_dim, pa.end_dim) == \
+        (pb.filtration_dims, pb.fixed_dim, pb.end_dim) == ((2, 5, 7, 8), 2, 12)
+    assert pa.jordan_multiset != pb.jordan_multiset
+    dec = is_isomorphic(A, B)
+    assert (dec.verdict, dec.method) == ("NO", "hom-dim-mismatch")
+    assert dec.detail == {"hom": [10, 10], "end": [12, 12]}
 
 
 BETAS = enumerate_nonprime(C3)
