@@ -235,7 +235,9 @@ class FieldCtx:
         self.red.setflags(write=False)
         # for linalg._matmul_idx: the digit planes as float64 rows, and the
         # fold that sends the n*n plane products (i, j) to t^(i+j) and
-        # reduces t^n .. t^(2n-2) back to n digits by the rows of red
+        # reduces t^n .. t^(2n-2) back to n digits by the rows of red.
+        # Column i*n + j is pair (i, j); it must agree with the plane
+        # layout of the product in _matmul_idx (see its docstring).
         self._planes = digits.T.astype(np.float64)
         r = np.arange(n)
         self._fold = np.concatenate((np.eye(n), red))[(r[:, None] + r).reshape(-1)].T.copy()

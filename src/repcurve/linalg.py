@@ -149,6 +149,11 @@ def _matmul_idx(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     2^53).  Plane pair (i, j) lands on t^(i+j); the powers t^n .. t^(2n-2)
     are folded back to n digits by ctx._fold, built from the reduction
     rows ctx.red.
+
+    The reshape of prod below puts pair (i, j) at row j*n + i.  ctx._fold
+    (ff.FieldCtx._build_tables) must read its column i*n + j as t^(i+j);
+    that is symmetric in i and j, so either order matches, but a change to
+    either layout must be made in both places.
     """
     p, n = ctx.p, ctx.n
     rows, cols = A.shape[-2], B.shape[-1]

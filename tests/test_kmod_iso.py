@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import inspect
 import itertools
@@ -145,13 +145,16 @@ def test_filtration_separated_pair_skips_end_and_scan(capsys, tmp_path):
             assert hashlib.sha256(out.encode()).hexdigest() == PROFILE_DIGESTS[name]
 
 
+# v_d(2, t) + v_d(6, t) and v_d(2, t) + v_d(6, 1 + t) agree in dim,
+# filtration dims, fixed dim and End dim; only their Jordan multisets
+# differ (the jump points of the two summands meet in the first sum).
+JORDAN_ONLY_PAIR = (direct_sum(v_d(C3, 2, T), v_d(C3, 6, T)),
+                    direct_sum(v_d(C3, 2, T), v_d(C3, 6, T + 1)))
+
+
 def test_pair_only_the_jordan_multiset_separates_gets_a_hom_certificate():
-    # v_d(2, t) + v_d(6, t) and v_d(2, t) + v_d(6, 1 + t) agree in dim,
-    # filtration dims, fixed dim and End dim; only their Jordan multisets
-    # differ (the jump points of the two summands meet in the first sum).
-    # The decision no longer compares the multiset, so step 4 answers.
-    A = direct_sum(v_d(C3, 2, T), v_d(C3, 6, T))
-    B = direct_sum(v_d(C3, 2, T), v_d(C3, 6, T + 1))
+    # the decision does not compare the multiset, so step 4 answers
+    A, B = JORDAN_ONLY_PAIR
     pa, pb = profile(A), profile(B)
     assert (pa.filtration_dims, pa.fixed_dim, pa.end_dim) == \
         (pb.filtration_dims, pb.fixed_dim, pb.end_dim) == ((2, 5, 7, 8), 2, 12)
@@ -220,14 +223,21 @@ def reference_isomorphic(M, N, rng) -> bool:
     return False
 
 
+def decision_invariants(M):
+    return tuple(inv(M) for _, inv in kmod.ISO_INVARIANTS)
+
+
 @settings(max_examples=40, deadline=None)
 @given(equal_dim_pairs(), st.integers(0, 2**32))
+@example(JORDAN_ONLY_PAIR, 0)
 def test_iso_method_and_verdict_match_references(pair, seed):
+    # step 3 answers exactly when the decision's invariants differ; a
+    # difference in the Jordan multiset alone is left to steps 4 and 5
     M, N = pair
     dec = is_isomorphic(M, N)
     same_matrices = M.Msigma == N.Msigma and M.Mtau == N.Mtau
-    assert (dec.method == "profile-mismatch") == (profile(M) != profile(N)
-                                                  and not same_matrices)
+    assert (dec.method == "profile-mismatch") == (
+        decision_invariants(M) != decision_invariants(N) and not same_matrices)
     assert dec.isomorphic == reference_isomorphic(M, N, random.Random(seed))
     if dec.isomorphic:
         check_witness(dec, M, N)
