@@ -590,26 +590,32 @@ def ddeg(M: HModule, v) -> int:
     return int(ddeg_rows(M, vec[None, :])[0])
 
 
-def ddeg_prime(M: HModule, v) -> int:
-    """Combinatorial degree on a v_dr basis: w_i contributes s_p(i);
-    eta_i contributes s_p(i) - 1, minus the top base-p digit of d when
-    p divides i."""
-    _require_vdr(M)
+def label_degrees(M: HModule) -> np.ndarray:
+    """Combinatorial degree of each basis label of a v_d or v_dr module:
+    w_i has s_p(i); eta_i has s_p(i) - 1, minus the top base-p digit of d
+    when p divides i.  Reads only the labels and meta["d"], never the
+    filtration, so it can check ddeg_rows; the degree of a vector is the
+    max over its nonzero entries."""
+    if M.meta.get("kind") not in ("vd", "vdr"):
+        raise UnlabeledModule("operation needs a module built by v_d or v_dr")
     p = M.ctx.p
-    d = M.meta["d"]
-    d1 = digits_p(d, p, width=2)[1]
-    vec = as_vector(M.ctx, v) if not isinstance(v, np.ndarray) else v
-    best = -1
-    for pos in np.nonzero(vec)[0]:
-        lab = M.labels[pos]
+    d1 = digits_p(M.meta["d"], p, width=2)[1]
+    out = []
+    for lab in M.labels:
         if lab.startswith("eta"):
             i = int(lab[3:])
-            val = s_p(i, p) - 1 - (d1 if i % p == 0 else 0)
+            out.append(s_p(i, p) - 1 - (d1 if i % p == 0 else 0))
         else:
-            i = int(lab[1:])
-            val = s_p(i, p)
-        best = max(best, val)
-    return best
+            out.append(s_p(int(lab[1:]), p))
+    return np.array(out, dtype=np.int64)
+
+
+def ddeg_prime(M: HModule, v) -> int:
+    """Combinatorial degree of one vector of a v_dr module: the max of
+    label_degrees over its nonzero entries, -1 for the zero vector."""
+    _require_vdr(M)
+    vec = as_vector(M.ctx, v) if not isinstance(v, np.ndarray) else v
+    return int(np.where(vec != 0, label_degrees(M), -1).max())
 
 
 # ---------------------------------------------------------------------------
@@ -790,11 +796,12 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
     1. dimension: NO, "dim-mismatch";
     2. equal matrices: YES, "equal-matrices";
     3. the invariants of ISO_INVARIANTS, in its order: filtration dims,
-       fixed-space dim, End dim.  Each is computed for both modules
-       before the next one runs, and the first that differs decides NO,
-       "profile-mismatch".  The Jordan multiset of profile() is not
-       compared: steps 4 and 5 decide every pair without it, and the
-       scan costs more than any of the three;
+       End dim.  Each is computed for both modules before the next one
+       runs, and the first that differs decides NO, "profile-mismatch".
+       The fixed-space dim of profile() is not compared, because it is
+       the first filtration dim; nor is the Jordan multiset: steps 4 and
+       5 decide every pair without it, and the scan costs more than
+       either invariant;
     4. the dims of Hom(M, N), Hom(N, M) and both End algebras: NO,
        "hom-dim-mismatch" unless all four agree and are nonzero.  Each
        dim is read from the relation solve alone (hom_dim, end_dim);
@@ -1220,20 +1227,21 @@ class Profile:
 
 
 # The invariants that step 3 of is_isomorphic compares, cheapest first,
-# stopping at the first that differs.  The fixed space is S_0 of the
-# filtration, so it comes free; End goes last because the presentation
-# it caches is reused by the Hom dims of step 4.  The lambdas look up the
-# functions by their global names at each call, so a wrapper installed on
-# the module sees them.
+# stopping at the first that differs.  End goes last because the
+# presentation it caches is reused by the Hom dims of step 4.  The lambdas
+# look up the functions by their global names at each call, so a wrapper
+# installed on the module sees them.
 ISO_INVARIANTS = (
     ("filtration_dims", lambda M: tuple(s.dim for s in s_filtration(M))),
-    ("fixed_dim", lambda M: fixed_space(M).dim),
     ("end_dim", lambda M: end_dim(M)),
 )
 
-# The invariants of a Profile after dim: those of the decision, and the
-# Jordan multiset over P^1(F_q), which is reported but decides nothing.
+# The invariants of a Profile after dim: those of the decision, and two
+# that are reported but decide nothing.  The fixed space is S_0 of the
+# filtration, so its dim agrees whenever the filtration dims do; the
+# Jordan multiset over P^1(F_q) is left to steps 4 and 5.
 PROFILE_INVARIANTS = ISO_INVARIANTS + (
+    ("fixed_dim", lambda M: fixed_space(M).dim),
     ("jordan_multiset", lambda M: tuple(sorted(t for _, t in jordan_scan(M)))),
 )
 

@@ -1,8 +1,11 @@
 """Named verification suites over the module families and the cover family.
 
 Each suite is a deterministic list of cases; a case is a pure function
-returning (ok, certificate) where ok is True, False, or "report" for
-informational rows that never gate the exit code.  Per-case randomness is
+of the case seed returning (ok, certificate) where ok is True, False, or
+"report" for informational rows that never gate the exit code.  Each kind
+of claim that several cases make is checked by one helper (_iso_case,
+_indec_case, _ddeg_case, ...) taking module thunks, so a module is built
+when its case runs.  Per-case randomness is
 seeded by sha256 of the global seed and the case id, so a rerun with the
 same seed is byte-identical (timings are opt-in and off by default).
 """
@@ -12,6 +15,7 @@ import json
 import random
 import time
 import traceback
+from functools import partial
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -19,7 +23,7 @@ import numpy as np
 from . import curvefam as cf
 from . import kmod as km
 from .errors import BadParams, RepcurveError
-from .ff import FieldCtx, FieldElem, default_ctx, enumerate_nonprime, frobenius
+from .ff import FieldCtx, default_ctx, enumerate_nonprime, frobenius
 from .linalg import Subspace, invert, subspace_sum
 from .poly import Poly2, trace_polynomial
 
@@ -72,14 +76,12 @@ def _suite_identities(p: int, seed: int) -> List[Case]:
 
     cases.append((f"identities/p{p}/trace-polynomial", poly_case))
 
-    def beta_case(b):
-        def run(_s):
-            total, want = cf.trace_sum(b)
-            return total == want, f"constant={want.coeff(0).text()}"
-        return run
+    def beta_case(b, _s):
+        total, want = cf.trace_sum(b)
+        return total == want, f"constant={want.coeff(0).text()}"
 
     for b in enumerate_nonprime(ctx):
-        cases.append((f"identities/p{p}/trace/{b.text()}", beta_case(b)))
+        cases.append((f"identities/p{p}/trace/{b.text()}", partial(beta_case, b)))
     return cases
 
 
@@ -88,70 +90,53 @@ def _suite_identities(p: int, seed: int) -> List[Case]:
 
 
 def _suite_combinatorics(p: int, seed: int) -> List[Case]:
-    cases: List[Case] = []
     pp = p * p
-    for m in _grid_for(p):
-        pre = f"combinatorics/p{p}/m{m}"
 
-        def rh(m=m):
-            def run(_s):
-                rp = cf.ramification_profile(p, m)
-                ok = (rp.different_exponent == (pp - 1) * (m + 1)
-                      and 2 * rp.genus - 2 == -2 * pp + rp.different_exponent)
-                return ok, f"g={rp.genus},d_P={rp.different_exponent}"
-            return run
+    def rh(m, _s):
+        rp = cf.ramification_profile(p, m)
+        ok = (rp.different_exponent == (pp - 1) * (m + 1)
+              and 2 * rp.genus - 2 == -2 * pp + rp.different_exponent)
+        return ok, f"g={rp.genus},d_P={rp.different_exponent}"
 
-        def gaps(m=m):
-            def run(_s):
-                g = cf.genus(p, m)
-                n = cf.semigroup_gap_count(p, m)
-                return n == g, f"gaps={n}"
-            return run
+    def gaps(m, _s):
+        g = cf.genus(p, m)
+        n = cf.semigroup_gap_count(p, m)
+        return n == g, f"gaps={n}"
 
-        def dd_sum(m=m):
-            def run(_s):
-                g = cf.genus(p, m)
-                s = sum(cf.dd(p, m, c) for c in range(1, m))
-                return s == g, f"sum={s}"
-            return run
+    def dd_sum(m, _s):
+        g = cf.genus(p, m)
+        s = sum(cf.dd(p, m, c) for c in range(1, m))
+        return s == g, f"sum={s}"
 
-        def dd_refl(m=m):
-            def run(_s):
-                ok = all(cf.dd(p, m, c) + cf.dd(p, m, m - c) == pp - 1
-                         for c in range(1, m))
-                return ok, f"pairs={m - 1}"
-            return run
+    def dd_refl(m, _s):
+        ok = all(cf.dd(p, m, c) + cf.dd(p, m, m - c) == pp - 1
+                 for c in range(1, m))
+        return ok, f"pairs={m - 1}"
 
-        def mirror(m=m):
-            def run(_s):
-                ok = all(
-                    tuple(sorted(pp - 1 - i for i in cf.index_I(p, m, c)))
-                    == cf.index_J(p, m, c)
-                    for c in range(1, m))
-                return ok, "i->p^2-1-i"
-            return run
+    def mirror(m, _s):
+        ok = all(
+            tuple(sorted(pp - 1 - i for i in cf.index_I(p, m, c)))
+            == cf.index_J(p, m, c)
+            for c in range(1, m))
+        return ok, "i->p^2-1-i"
 
-        def rr(m=m):
-            def run(_s):
-                g = cf.genus(p, m)
-                ok = all(len(cf.rr_basis(p, m, g2)) == g2 - g
-                         for g2 in (2 * g, 2 * g + 1, 2 * g + 7))
-                return ok, f"deltas=({2*g},{2*g+1},{2*g+7})"
-            return run
+    def rr(m, _s):
+        g = cf.genus(p, m)
+        ok = all(len(cf.rr_basis(p, m, g2)) == g2 - g
+                 for g2 in (2 * g, 2 * g + 1, 2 * g + 7))
+        return ok, f"deltas=({2*g},{2*g+1},{2*g+7})"
 
-        def vals(m=m):
-            def run(_s):
-                t = cf.valuation_table(p, m)
-                ok = (t["z0"] == t["z1"] == -m * p and t["x"] == -pp
-                      and t["dx"] == (pp - 1) * (m + 1) - 2 * pp and t["z"] == -m)
-                return ok, f"dx={t['dx']}"
-            return run
+    def vals(m, _s):
+        t = cf.valuation_table(p, m)
+        ok = (t["z0"] == t["z1"] == -m * p and t["x"] == -pp
+              and t["dx"] == (pp - 1) * (m + 1) - 2 * pp and t["z"] == -m)
+        return ok, f"dx={t['dx']}"
 
-        cases += [(f"{pre}/rh", rh()), (f"{pre}/gap-count", gaps()),
-                  (f"{pre}/dd-sum", dd_sum()), (f"{pre}/dd-reflection", dd_refl()),
-                  (f"{pre}/index-mirror", mirror()), (f"{pre}/rr-count", rr()),
-                  (f"{pre}/valuations", vals())]
-    return cases
+    checks = (("rh", rh), ("gap-count", gaps), ("dd-sum", dd_sum),
+              ("dd-reflection", dd_refl), ("index-mirror", mirror),
+              ("rr-count", rr), ("valuations", vals))
+    return [(f"combinatorics/p{p}/m{m}/{name}", partial(check, m))
+            for m in _grid_for(p) for name, check in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +150,31 @@ def _random_vector(ctx: FieldCtx, dim: int, rng: random.Random) -> np.ndarray:
             return v
 
 
-def _ddeg_verdict(V: np.ndarray, got: np.ndarray, want: list) -> tuple:
-    """Case result comparing batched degrees with the expected ones; the
-    certificate names the first vector whose degree is wrong."""
-    bad = np.nonzero(got != np.array(want))[0]
-    if bad.size:
-        return False, f"bad vector {V[bad[0]].tolist()}"
-    return True, f"{len(V)} vectors"
+def _sn_dims_case(build):
+    """S_n has the dimension of the span of the labels of degree <= n."""
+    def run(_s):
+        M = build()
+        deg = km.label_degrees(M)
+        want = [int((deg <= n).sum()) for n in range(deg.max() + 1)]
+        got = [s.dim for s in km.s_filtration(M)]
+        return got == want, f"dims={got}"
+    return run
+
+
+def _ddeg_case(build):
+    """ddeg_rows on 200 seeded nonzero vectors equals the largest label
+    degree on each vector's support; the certificate names the first
+    vector whose degree is wrong."""
+    def run(s):
+        rng = random.Random(s)
+        M = build()
+        V = np.array([_random_vector(M.ctx, M.dim, rng) for _ in range(200)])
+        want = np.where(V != 0, km.label_degrees(M), -1).max(axis=1)
+        bad = np.nonzero(km.ddeg_rows(M, V) != want)[0]
+        if bad.size:
+            return False, f"bad vector {V[bad[0]].tolist()}"
+        return True, f"{len(V)} vectors"
+    return run
 
 
 def _suite_filtration(p: int, seed: int) -> List[Case]:
@@ -180,44 +183,12 @@ def _suite_filtration(p: int, seed: int) -> List[Case]:
     pp = p * p
     cases: List[Case] = []
     for d in range(1, pp + 1):
-        def sn_dims(d=d):
-            def run(_s):
-                M = km.v_d(ctx, d, t)
-                fil = km.s_filtration(M)
-                want = []
-                n = 0
-                while True:
-                    cnt = sum(1 for i in range(d) if km.s_p(i, p) <= n)
-                    want.append(cnt)
-                    if cnt == d:
-                        break
-                    n += 1
-                got = [s.dim for s in fil]
-                return got == want, f"dims={got}"
-            return run
-
-        def ddeg_rand(d=d):
-            def run(s):
-                rng = random.Random(s)
-                M = km.v_d(ctx, d, t)
-                V = np.array([_random_vector(ctx, d, rng) for _ in range(200)])
-                want = [max(km.s_p(i, p) for i in range(d) if v[i]) for v in V]
-                return _ddeg_verdict(V, km.ddeg_rows(M, V), want)
-            return run
-
-        cases.append((f"filtration/p{p}/vd{d:02d}/sn-dims", sn_dims()))
-        cases.append((f"filtration/p{p}/vd{d:02d}/ddeg-random", ddeg_rand()))
+        vd = partial(km.v_d, ctx, d, t)
+        cases.append((f"filtration/p{p}/vd{d:02d}/sn-dims", _sn_dims_case(vd)))
+        cases.append((f"filtration/p{p}/vd{d:02d}/ddeg-random", _ddeg_case(vd)))
     for d in range(0, pp + 1):
-        def ddeg_prime(d=d):
-            def run(s):
-                rng = random.Random(s)
-                M = km.v_dr(ctx, d, t)
-                V = np.array([_random_vector(ctx, M.dim, rng) for _ in range(200)])
-                want = [km.ddeg_prime(M, v) for v in V]
-                return _ddeg_verdict(V, km.ddeg_rows(M, V), want)
-            return run
-
-        cases.append((f"filtration/p{p}/vdr{d:02d}/ddeg-prime", ddeg_prime()))
+        cases.append((f"filtration/p{p}/vdr{d:02d}/ddeg-prime",
+                      _ddeg_case(partial(km.v_dr, ctx, d, t))))
     return cases
 
 
@@ -226,10 +197,10 @@ def _suite_filtration(p: int, seed: int) -> List[Case]:
 
 
 def _iso_case(build_a, build_b, expect: str):
-    def run(s):
-        A = build_a()
-        B = build_b()
-        dec = km.is_isomorphic(A, B)
+    """is_isomorphic on the two built modules gives expect ("YES" or
+    "NO"); the certificate is the deciding method."""
+    def run(_s):
+        dec = km.is_isomorphic(build_a(), build_b())
         return dec.verdict == expect, dec.method
     return run
 
@@ -241,14 +212,14 @@ def _suite_structure(p: int, seed: int) -> List[Case]:
     cases: List[Case] = []
     pre = f"structure/p{p}"
     cases.append((f"{pre}/vd-max-regular",
-                  _iso_case(lambda: km.v_d(ctx, pp, t),
-                            lambda: km.regular_module(ctx), "YES")))
+                  _iso_case(partial(km.v_d, ctx, pp, t),
+                            partial(km.regular_module, ctx), "YES")))
     cases.append((f"{pre}/vd-submax-aug",
-                  _iso_case(lambda: km.v_d(ctx, pp - 1, t),
-                            lambda: km.augmentation_ideal(ctx), "YES")))
+                  _iso_case(partial(km.v_d, ctx, pp - 1, t),
+                            partial(km.augmentation_ideal, ctx), "YES")))
     cases.append((f"{pre}/vd-one-trivial",
-                  _iso_case(lambda: km.v_d(ctx, 1, t),
-                            lambda: km.trivial_module(ctx), "YES")))
+                  _iso_case(partial(km.v_d, ctx, 1, t),
+                            partial(km.trivial_module, ctx), "YES")))
     if p == 3:
         dual_pairs = range(0, pp)
         small = range(0, p)
@@ -256,6 +227,10 @@ def _suite_structure(p: int, seed: int) -> List[Case]:
         digit_classes = [(a, b) for lo in (0, p, 2 * p)
                          for a in range(lo, lo + p) for b in range(lo, lo + p) if a < b]
     else:
+        # each list is a deliberate sample of the range that p = 3 runs in
+        # full: dual_pairs of 0..p^2-1, small of 0..p-1, large of
+        # p^2-p..p^2-1, digit_classes of the pairs d1 < d2 < p^2 with equal
+        # top base-p digit
         dual_pairs = (5, 12)
         small = (0, 4)
         large = (20, 24)
@@ -263,22 +238,22 @@ def _suite_structure(p: int, seed: int) -> List[Case]:
     for d in dual_pairs:
         cases.append((f"{pre}/vdr{d:02d}-dual",
                       _iso_case(lambda d=d: km.dual(km.v_dr(ctx, d, t)),
-                                lambda d=d: km.v_dr(ctx, pp - 1 - d, t), "YES")))
+                                partial(km.v_dr, ctx, pp - 1 - d, t), "YES")))
     for d in small:
         cases.append((f"{pre}/vdr{d:02d}-codim-one",
-                      _iso_case(lambda d=d: km.v_dr(ctx, d, t),
+                      _iso_case(partial(km.v_dr, ctx, d, t),
                                 lambda: km.dual(km.augmentation_ideal(ctx)), "YES")))
     for d in large:
         cases.append((f"{pre}/vdr{d:02d}-aug",
-                      _iso_case(lambda d=d: km.v_dr(ctx, d, t),
-                                lambda: km.augmentation_ideal(ctx), "YES")))
+                      _iso_case(partial(km.v_dr, ctx, d, t),
+                                partial(km.augmentation_ideal, ctx), "YES")))
     cases.append((f"{pre}/vdr{pp:02d}-regular",
-                  _iso_case(lambda: km.v_dr(ctx, pp, t),
-                            lambda: km.regular_module(ctx), "YES")))
+                  _iso_case(partial(km.v_dr, ctx, pp, t),
+                            partial(km.regular_module, ctx), "YES")))
     for d1, d2 in digit_classes:
         cases.append((f"{pre}/vdr-digit-{d1:02d}-{d2:02d}",
-                      _iso_case(lambda d=d1: km.v_dr(ctx, d, t),
-                                lambda d=d2: km.v_dr(ctx, d, t), "YES")))
+                      _iso_case(partial(km.v_dr, ctx, d1, t),
+                                partial(km.v_dr, ctx, d2, t), "YES")))
     return cases
 
 
@@ -286,30 +261,32 @@ def _suite_structure(p: int, seed: int) -> List[Case]:
 # indec
 
 
+def _indec_case(build, cert: str, tiers: tuple = km.TIERS):
+    """is_indecomposable on the built module, run with tiers, answers
+    INDECOMPOSABLE with certificate cert."""
+    def run(_s):
+        dec = km.is_indecomposable(build(), tiers=tiers)
+        return (dec.verdict == "INDECOMPOSABLE"
+                and dec.certificate == cert), dec.certificate
+    return run
+
+
 def _suite_indec(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
     t = ctx.gen()
     pp = p * p
     cases: List[Case] = []
-    vd_range = range(1, pp + 1) if p == 3 else (5, 12, 19)
+    # at p = 5 the vdr cases are a deliberate sample of the range 0..p^2:
+    # one member for each top base-p digit 1, 2 and 3; the vd cases run at
+    # p = 3 only
     vdr_range = range(0, pp + 1) if p == 3 else (5, 12, 19)
     if p == 3:
-        for d in vd_range:
-            def vd_case(d=d):
-                def run(s):
-                    dec = km.is_indecomposable(km.v_d(ctx, d, t))
-                    return (dec.verdict == "INDECOMPOSABLE"
-                            and dec.certificate == "T1"), dec.certificate
-                return run
-            cases.append((f"indec/p{p}/vd{d:02d}", vd_case()))
+        for d in range(1, pp + 1):
+            cases.append((f"indec/p{p}/vd{d:02d}",
+                          _indec_case(partial(km.v_d, ctx, d, t), "T1")))
     for d in vdr_range:
-        def vdr_case(d=d):
-            def run(s):
-                dec = km.is_indecomposable(km.v_dr(ctx, d, t), tiers=("T3",))
-                return (dec.verdict == "INDECOMPOSABLE"
-                        and dec.certificate == "T3"), dec.certificate
-            return run
-        cases.append((f"indec/p{p}/vdr{d:02d}", vdr_case()))
+        cases.append((f"indec/p{p}/vdr{d:02d}",
+                      _indec_case(partial(km.v_dr, ctx, d, t), "T3", ("T3",))))
     return cases
 
 
@@ -322,38 +299,23 @@ def _suite_classification(p: int, seed: int) -> List[Case]:
     cases: List[Case] = []
     betas = list(enumerate_nonprime(ctx))
 
-    def get(kind, d, bidx):
-        b = FieldElem(ctx, bidx)
-        return km.v_d(ctx, d, b) if kind == "vd" else km.v_dr(ctx, d, b)
-
     if p == 3:
         for d in range(2, 8):
             for i, b1 in enumerate(betas):
                 for b2 in betas[i + 1:]:
-                    def no_case(d=d, x=b1.idx, y=b2.idx):
-                        def run(s):
-                            dec = km.is_isomorphic(get("vd", d, x), get("vd", d, y))
-                            return dec.verdict == "NO", dec.method
-                        return run
                     cases.append((f"classification/p3/vd/d{d}/{b1.text()}-vs-{b2.text()}",
-                                  no_case()))
-                def self_case(d=d, x=b1.idx):
-                    def run(s):
-                        dec = km.is_isomorphic(get("vd", d, x), get("vd", d, x))
-                        return dec.verdict == "YES", dec.method
-                    return run
-                cases.append((f"classification/p3/vd/d{d}/{b1.text()}-self", self_case()))
+                                  _iso_case(partial(km.v_d, ctx, d, b1),
+                                            partial(km.v_d, ctx, d, b2), "NO")))
+                cases.append((f"classification/p3/vd/d{d}/{b1.text()}-self",
+                              _iso_case(partial(km.v_d, ctx, d, b1),
+                                        partial(km.v_d, ctx, d, b1), "YES")))
         mods = [(d, b) for d in (3, 4, 5) for b in betas]
         for i, (d1, b1) in enumerate(mods):
             for d2, b2 in mods[i:]:
-                expect = "YES" if b1.idx == b2.idx else "NO"
-                def pair_case(d1=d1, d2=d2, x=b1.idx, y=b2.idx, expect=expect):
-                    def run(s):
-                        dec = km.is_isomorphic(get("vdr", d1, x), get("vdr", d2, y))
-                        return dec.verdict == expect, dec.method
-                    return run
                 cases.append((f"classification/p3/vdr/d{d1}-{b1.text()}-vs-d{d2}-{b2.text()}",
-                              pair_case()))
+                              _iso_case(partial(km.v_dr, ctx, d1, b1),
+                                        partial(km.v_dr, ctx, d2, b2),
+                                        "YES" if b1.idx == b2.idx else "NO")))
     else:
         # sampled contrapositive pairs: distinct top digit or distinct beta
         # forces NO; a few same-class pairs for the YES direction
@@ -366,21 +328,14 @@ def _suite_classification(p: int, seed: int) -> List[Case]:
                 continue
             pairs.append((d1, b1, d2, b2))
         for k, (d1, b1, d2, b2) in enumerate(pairs):
-            def no_case(d1=d1, d2=d2, x=b1.idx, y=b2.idx):
-                def run(s):
-                    dec = km.is_isomorphic(get("vdr", d1, x), get("vdr", d2, y))
-                    return dec.verdict == "NO", dec.method
-                return run
             cases.append((f"classification/p5/vdr/pair{k:02d}"
-                          f"/d{d1}-{b1.text()}-vs-d{d2}-{b2.text()}", no_case()))
+                          f"/d{d1}-{b1.text()}-vs-d{d2}-{b2.text()}",
+                          _iso_case(partial(km.v_dr, ctx, d1, b1),
+                                    partial(km.v_dr, ctx, d2, b2), "NO")))
         for d1, d2 in ((10, 11), (11, 13), (16, 19)):
-            def yes_case(d1=d1, d2=d2):
-                def run(s):
-                    b = betas[0]
-                    dec = km.is_isomorphic(get("vdr", d1, b.idx), get("vdr", d2, b.idx))
-                    return dec.verdict == "YES", dec.method
-                return run
-            cases.append((f"classification/p5/vdr/same-class-d{d1}-d{d2}", yes_case()))
+            cases.append((f"classification/p5/vdr/same-class-d{d1}-d{d2}",
+                          _iso_case(partial(km.v_dr, ctx, d1, betas[0]),
+                                    partial(km.v_dr, ctx, d2, betas[0]), "YES")))
     return cases
 
 
@@ -403,42 +358,39 @@ def _suite_cores(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
     pp = p * p
     t = ctx.gen()
-    samples = [t, t + 1]
+
+    def core_matches(core, want):
+        dec = km.is_isomorphic(core, want)
+        return dec.verdict == "YES", f"dim={core.dim},{dec.method}"
+
+    def vd_core(d, b, _s):
+        M = km.v_d(ctx, d, b)
+        core, _fix = km.case_ii_core(M, M.basis_vector(f"w{pp - p - 1}"))
+        return core_matches(core, km.v_d(ctx, 2, -b))
+
+    def vdr_core(d, b, _s):
+        M = km.v_dr(ctx, d, b)
+        N = _core_n_module(M, M.basis_vector(f"eta{pp - 1}"))
+        return core_matches(N, km.direct_sum(km.v_d(ctx, 2, -frobenius(b)),
+                                             km.trivial_module(ctx)))
+
+    def vdr_boundary(d, b, _s):
+        # the fixed space drops to dim 1 and is absorbed, so the trivial
+        # summand disappears; reported, not gated
+        M = km.v_dr(ctx, d, b)
+        N = _core_n_module(M, M.basis_vector(f"eta{pp - 1}"))
+        core, _fix = km.case_ii_core(M, M.basis_vector(f"eta{pp - 1}"))
+        dec = km.is_isomorphic(core, km.v_d(ctx, 2, -frobenius(b)))
+        return "report", f"N-dim={N.dim},core-matches-rank-two={dec.verdict}"
+
     cases: List[Case] = []
-    for b in samples:
-        neg_b = -b
-        neg_bp = -frobenius(b)
-        for d in range(pp - p, pp + 1):
-            def vd_core(d=d, b=b, target=neg_b):
-                def run(s):
-                    M = km.v_d(ctx, d, b)
-                    core, _fix = km.case_ii_core(M, M.basis_vector(f"w{pp - p - 1}"))
-                    dec = km.is_isomorphic(core, km.v_d(ctx, 2, target))
-                    return dec.verdict == "YES", f"dim={core.dim},{dec.method}"
-                return run
-            cases.append((f"cores/p3/vd{d}/{b.text()}", vd_core()))
-        for d in range(p, pp - p):
-            def vdr_core(d=d, b=b, target=neg_bp):
-                def run(s):
-                    M = km.v_dr(ctx, d, b)
-                    N = _core_n_module(M, M.basis_vector(f"eta{pp - 1}"))
-                    want = km.direct_sum(km.v_d(ctx, 2, target), km.trivial_module(ctx))
-                    dec = km.is_isomorphic(N, want)
-                    return dec.verdict == "YES", f"dim={N.dim},{dec.method}"
-                return run
-            cases.append((f"cores/p3/vdr{d}/{b.text()}", vdr_core()))
-        for d in range(pp - p, pp + 1):
-            # boundary: the fixed space drops to dim 1 and is absorbed,
-            # so the trivial summand disappears; reported, not gated
-            def vdr_boundary(d=d, b=b, target=neg_bp):
-                def run(s):
-                    M = km.v_dr(ctx, d, b)
-                    N = _core_n_module(M, M.basis_vector(f"eta{pp - 1}"))
-                    core, _fix = km.case_ii_core(M, M.basis_vector(f"eta{pp - 1}"))
-                    dec = km.is_isomorphic(core, km.v_d(ctx, 2, target))
-                    return "report", f"N-dim={N.dim},core-matches-rank-two={dec.verdict}"
-                return run
-            cases.append((f"cores/p3/vdr{d}-boundary/{b.text()}", vdr_boundary()))
+    for b in (t, t + 1):
+        cases += [(f"cores/p3/vd{d}/{b.text()}", partial(vd_core, d, b))
+                  for d in range(pp - p, pp + 1)]
+        cases += [(f"cores/p3/vdr{d}/{b.text()}", partial(vdr_core, d, b))
+                  for d in range(p, pp - p)]
+        cases += [(f"cores/p3/vdr{d}-boundary/{b.text()}", partial(vdr_boundary, d, b))
+                  for d in range(pp - p, pp + 1)]
     return cases
 
 
@@ -446,36 +398,36 @@ def _suite_cores(p: int, seed: int) -> List[Case]:
 # jordan
 
 
+def _generic_jordan_case(build, want: tuple):
+    """The generic Jordan type of the built module is want."""
+    def run(_s):
+        got = km.generic_jordan_type(build())
+        return got == want, f"type={list(got)}"
+    return run
+
+
 def _suite_jordan(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
     t = ctx.gen()
     pp = p * p
     cases: List[Case] = []
+    # at p = 5 the lists are a deliberate sample of the ranges 1..p^2 (vd)
+    # and 0..p^2 (vdr): two vd members whose last block is partial
+    # (7 = 5 + 2, 23 = 4*5 + 3) and one vdr member below p^2
     vd_range = range(1, pp + 1) if p == 3 else (7, 23)
     vdr_range = range(0, pp + 1) if p == 3 else (12,)
     for d in vd_range:
-        def vd_generic(d=d):
-            def run(_s):
-                M = km.v_d(ctx, d, t)
-                want = tuple(sorted([p] * (d // p) + ([d % p] if d % p else []),
-                                    reverse=True))
-                got = km.generic_jordan_type(M)
-                return got == want, f"type={list(got)}"
-            return run
-        cases.append((f"jordan/p{p}/vd{d:02d}/generic", vd_generic()))
+        want = tuple(sorted([p] * (d // p) + ([d % p] if d % p else []), reverse=True))
+        cases.append((f"jordan/p{p}/vd{d:02d}/generic",
+                      _generic_jordan_case(partial(km.v_d, ctx, d, t), want)))
     for d in vdr_range:
-        def vdr_generic(d=d):
-            def run(_s):
-                M = km.v_dr(ctx, d, t)
-                # dimension p^2 - 1 for d < p^2; the d = p^2 member is regular
-                if d == pp:
-                    want = tuple([p] * p)
-                else:
-                    want = tuple(sorted([p] * (p - 1) + [p - 1], reverse=True))
-                got = km.generic_jordan_type(M)
-                return got == want, f"type={list(got)}"
-            return run
-        cases.append((f"jordan/p{p}/vdr{d:02d}/generic", vdr_generic()))
+        # dimension p^2 - 1 for d < p^2; the d = p^2 member is regular
+        if d == pp:
+            want = tuple([p] * p)
+        else:
+            want = tuple(sorted([p] * (p - 1) + [p - 1], reverse=True))
+        cases.append((f"jordan/p{p}/vdr{d:02d}/generic",
+                      _generic_jordan_case(partial(km.v_dr, ctx, d, t), want)))
 
     def scan_points(_s):
         M = km.v_d(ctx, 2, t)
@@ -500,6 +452,9 @@ def _suite_jordan(p: int, seed: int) -> List[Case]:
 
 
 def _cross_grid(p: int) -> tuple:
+    """The exponents whose graded pieces holo and dr cross-check: a
+    deliberate sample of the grid exponents _grid_for(p), the smallest and
+    p^2 + 1 at p = 3, and p^2 + 1 alone at p = 5."""
     if p == 3:
         return (2, 10)
     return (26,)
@@ -507,71 +462,65 @@ def _cross_grid(p: int) -> tuple:
 
 def _suite_holo(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
-    cases: List[Case] = []
     cache: Dict[int, cf.GradedModule] = {}
+
+    def graded(params):
+        if params.m not in cache:
+            cache[params.m] = cf.holo_graded(params)
+        return cache[params.m]
+
+    def total_case(params, _s):
+        gm = graded(params)
+        return gm.total_dim() == cf.genus(p, params.m), f"total={gm.total_dim()}"
+
+    def piece_case(params, c, _s):
+        piece = graded(params).piece(c)
+        d = cf.dd(p, params.m, c)
+        if d == 0:
+            return piece.dim == 0, "empty"
+        model = km.v_d(ctx, d, params.beta)
+        ok = (piece.Msigma == model.Msigma and piece.Mtau == model.Mtau)
+        return ok, f"dim={d},entrywise"
+
+    cases: List[Case] = []
     for m in _cross_grid(p):
         params = cf.curve_params(ctx, m, ctx.gen())
-
-        def graded(params=params, m=m):
-            if m not in cache:
-                cache[m] = cf.holo_graded(params)
-            return cache[m]
-
-        def total_case(graded=graded, m=m):
-            def run(_s):
-                gm = graded()
-                return gm.total_dim() == cf.genus(p, m), f"total={gm.total_dim()}"
-            return run
-
-        cases.append((f"holo/p{p}/m{m:02d}/total", total_case()))
-        for c in range(1, m):
-            def piece_case(graded=graded, params=params, c=c):
-                def run(_s):
-                    piece = graded().piece(c)
-                    d = cf.dd(p, params.m, c)
-                    if d == 0:
-                        return piece.dim == 0, "empty"
-                    model = km.v_d(ctx, d, params.beta)
-                    ok = (piece.Msigma == model.Msigma and piece.Mtau == model.Mtau)
-                    return ok, f"dim={d},entrywise"
-                return run
-            cases.append((f"holo/p{p}/m{m:02d}/c{c:02d}", piece_case()))
+        cases.append((f"holo/p{p}/m{m:02d}/total", partial(total_case, params)))
+        cases += [(f"holo/p{p}/m{m:02d}/c{c:02d}", partial(piece_case, params, c))
+                  for c in range(1, m)]
     return cases
 
 
 def _suite_dr(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
     pp = p * p
-    cases: List[Case] = []
     cache: Dict[int, cf.GradedModule] = {}
+
+    def graded(params):
+        if params.m not in cache:
+            cache[params.m] = cf.dr_graded(params)
+        return cache[params.m]
+
+    def total_case(params, _s):
+        gm = graded(params)
+        return gm.total_dim() == (params.m - 1) * (pp - 1), f"total={gm.total_dim()}"
+
+    def piece_case(params, c, _s):
+        piece = graded(params).piece(c)
+        d = piece.meta["d"]
+        model = km.v_dr(ctx, d, params.beta)
+        Phi = piece.meta["iso_from_abstract"]
+        ok = (Phi @ model.Msigma == piece.Msigma @ Phi
+              and Phi @ model.Mtau == piece.Mtau @ Phi
+              and invert(Phi) is not None)
+        return ok, f"d={d},intertwiner"
+
+    cases: List[Case] = []
     for m in _cross_grid(p):
         params = cf.curve_params(ctx, m, ctx.gen())
-
-        def graded(params=params, m=m):
-            if m not in cache:
-                cache[m] = cf.dr_graded(params)
-            return cache[m]
-
-        def total_case(graded=graded, m=m):
-            def run(_s):
-                gm = graded()
-                return gm.total_dim() == (m - 1) * (pp - 1), f"total={gm.total_dim()}"
-            return run
-
-        cases.append((f"dr/p{p}/m{m:02d}/total", total_case()))
-        for c in range(1, m):
-            def piece_case(graded=graded, params=params, c=c):
-                def run(_s):
-                    piece = graded().piece(c)
-                    d = piece.meta["d"]
-                    model = km.v_dr(ctx, d, params.beta)
-                    Phi = piece.meta["iso_from_abstract"]
-                    ok = (Phi @ model.Msigma == piece.Msigma @ Phi
-                          and Phi @ model.Mtau == piece.Mtau @ Phi
-                          and invert(Phi) is not None)
-                    return ok, f"d={d},intertwiner"
-                return run
-            cases.append((f"dr/p{p}/m{m:02d}/c{c:02d}", piece_case()))
+        cases.append((f"dr/p{p}/m{m:02d}/total", partial(total_case, params)))
+        cases += [(f"dr/p{p}/m{m:02d}/c{c:02d}", partial(piece_case, params, c))
+                  for c in range(1, m)]
     return cases
 
 
@@ -579,17 +528,16 @@ def _suite_hodge(p: int, seed: int) -> List[Case]:
     if p != 3:
         return []
     ctx = default_ctx(p)
+
+    def hodge_case(params, c, _s):
+        rep = cf.hodge_check(params, c)
+        return rep["verdict"], f"sub={rep['sub_dim']},quot={rep['quotient_dim']}"
+
     cases: List[Case] = []
     for m in (2, 10):
         params = cf.curve_params(ctx, m, ctx.gen())
-        for c in range(1, m):
-            def hodge_case(params=params, c=c):
-                def run(_s):
-                    rep = cf.hodge_check(params, c)
-                    cert = f"sub={rep['sub_dim']},quot={rep['quotient_dim']}"
-                    return rep["verdict"], cert
-                return run
-            cases.append((f"hodge/p3/m{m:02d}/c{c:02d}", hodge_case()))
+        cases += [(f"hodge/p3/m{m:02d}/c{c:02d}", partial(hodge_case, params, c))
+                  for c in range(1, m)]
     return cases
 
 

@@ -4,16 +4,21 @@ Each criterion reruns the relevant verification suite(s) through the same
 runner the CLI uses, asserts the expected case population and verdicts,
 and enforces the runtime budget.  Output format:
 ACCEPTANCE <nn> <name>: PASS|FAIL (<seconds>s) [optional note]
+
+The reports they read are also pinned byte for byte.
 """
 
+import hashlib
 import time
 from functools import lru_cache
+
+import pytest
 
 from repcurve.ff import default_ctx, frobenius
 from repcurve.kmod import (case_ii_core, dual, is_isomorphic, v_d, v_dr)
 from repcurve.linalg import invert
 from repcurve.poly import Poly2, trace_polynomial
-from repcurve.suites import run_suite
+from repcurve.suites import report_to_json, run_suite
 
 SEED = 0
 
@@ -226,3 +231,36 @@ def test_criterion_12_hodge_sequence():
         return "all 9 graded indices at m=10, plus m=2"
 
     crit(12, "hodge-sequence", 30.0, body)
+
+
+# sha256 of report_to_json for the seed-0 report of every suite x prime
+# with cases; a change that only restructures how cases are checked must
+# keep every byte
+REPORT_DIGESTS = {
+    ("identities", 3): "e7989ed9ba983aa2a09d919b37ec0a8f00a871982d5fda3f6f6078f561c7f40e",
+    ("identities", 5): "94be5c18fb2c1982fc28361434ec53e0b211d5d495e1e21b940cf3c78b690c70",
+    ("combinatorics", 3): "6081fa26ea19cc228eb23f11cb455c8934f9b7cc4fb631fbcf4f452ef6ae53b1",
+    ("combinatorics", 5): "aafcd0b593c97073f3489f08ed0daf87925790f3f68b7bfa7ee9c34520bea37c",
+    ("filtration", 3): "fd653fea719753b9f497827e39349a43a143643c18f659e2915ffba2213c8213",
+    ("filtration", 5): "41835a1967a0f3a67d8d3d4bd9ef5a050974caf764ab2d731d108943c50a44e5",
+    ("structure", 3): "81d798daced949a82d44e2ca3239de1eff751a89aca17b72a3714b146e5e1eca",
+    ("structure", 5): "ab706d869b937e3124c682bf525dda854d587372a10dd40ba3f6b1952dc95428",
+    ("indec", 3): "99df4b2393836a47a155f3c7355d9810e0ca844db7183883c105a8dab7b8a958",
+    ("indec", 5): "742a1223d14f403809202da4cb114d52545c068e41e6f94c945cf88d491efe47",
+    ("classification", 3): "f2d4ac32c1a3c8b16f24b3c70e793c47a96a1fd33c72e8b3a432a74e9a3b8f53",
+    ("classification", 5): "46a30f1c75b0cf484820084753a045e5aceb84feabad79191f5a99234630a8c3",
+    ("cores", 3): "c03ee7dd37fc72227cd15883cc2d7e9d9618f33d02217a4958506916518e3587",
+    ("jordan", 3): "64e8093898e6b91dd947383872eff5cdf61f63e5b4d180342412c46bbbf44147",
+    ("jordan", 5): "5a2132c06c9fcba2adeacfb1abe75e98206ff007cbc46277ab748d3418893869",
+    ("holo", 3): "a48641f2dcdf5c905a9eaeae128bf70a5046990ea4a6412640d2a5b7cd00afcb",
+    ("holo", 5): "df81d0dde79c04e40208bc57ad0c518a9203e128a386e1a096b3a98447fe9c47",
+    ("dr", 3): "453ffbc1b215e421194b606802f1f2524eaff3152e92f208f6d4d8edbd632bb9",
+    ("dr", 5): "696035911da959368f171c301b8b5561ec0c3a2bb3acb840dcc0631adb99c4de",
+    ("hodge", 3): "80f156ab68a7f5883991b0551d236051834bc7dabe830d2b27e922d41dd7ce77",
+}
+
+
+@pytest.mark.parametrize("suite,p", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(suite, p):
+    out = report_to_json(report(suite, p))
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[suite, p]

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repcurve
 from repcurve import curvefam as cf
 from repcurve import kmod as km
 from repcurve.cli import BUILD_KINDS, QUERY_KINDS, main
@@ -96,26 +98,31 @@ def test_build_graded(capsys):
 
 
 @pytest.mark.parametrize("argv,digest", [
-    (("dr", "--p", "3", "--m", "10", "--alpha", "0,1"),
+    (("build", "dr", "--p", "3", "--m", "10", "--alpha", "0,1"),
      "3de360f99d57dee4e9166ad93383f192541c6503aebf191a217e324b02c72671"),
-    (("holo", "--p", "5", "--m", "26", "--alpha", "1,1"),
+    (("build", "holo", "--p", "5", "--m", "26", "--alpha", "1,1"),
      "b3f48feb4480ad9e3c47520ded5036ffaac9e00ae24efab553a1bf4d1fa2c6f1"),
-    (("vdr", "--p", "5", "--d", "12", "--beta", "0,1"),
+    (("build", "vdr", "--p", "5", "--d", "12", "--beta", "0,1"),
      "be97d97187b595fde11fab0e621d45ededc4f240df254ca24d1d589be02829cf"),
     # every dR index set at p = 5, eta rewriting scaled by gamma
-    (("dr", "--p", "5", "--m", "99", "--alpha", "0,1"),
+    (("build", "dr", "--p", "5", "--m", "99", "--alpha", "0,1"),
      "811a9dbe3c4ca02ee28c55e3c862e449bfccec7dfab06be941f8ac06ce58c6f7"),
-    (("holo", "--p", "3", "--m", "100", "--alpha", "2,1"),
+    (("build", "holo", "--p", "3", "--m", "100", "--alpha", "2,1"),
      "3a1fcbe288e4799706d5234b0c67e37ac94082dcffae552e3731d92ee775cd2c"),
     # the whole binomial table, at a beta other than t
-    (("vd", "--p", "5", "--d", "25", "--beta", "2,3"),
+    (("build", "vd", "--p", "5", "--d", "25", "--beta", "2,3"),
      "c859231df403aee970f6aee7232580ead8de6c51ab7195f7831eb4c89970de5a"),
+    (("claims", "--format", "md"),
+     "d630dff764752090cf6a0e69daff533556147bea01aee9ac3cfef247642c6bcf"),
+    (("claims", "--format", "json"),
+     "a9935505a1dc0bed08e384806d96e59af394cc629ba39b23c86bec26f5b89a2f"),
 ])
 def test_build_output_bytes_are_pinned(capsys, argv, digest):
     # serializing from FieldCtx.texts, sharing equal graded pieces and
     # cutting family matrices from one binomial table are speed-ups only:
-    # none may change a byte of build output
-    code, out, _ = run(capsys, "build", *argv)
+    # none may change a byte of build output; the claims table is pinned
+    # with them
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -361,8 +368,12 @@ def test_claims_formats(capsys):
 
 
 def test_console_script_entrypoint():
+    # the child imports the package this process imported, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repcurve.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "repcurve.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
 

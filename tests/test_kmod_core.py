@@ -161,16 +161,27 @@ def test_ddeg_on_labels():
     assert ddeg(M, np.zeros(9, dtype=np.int64)) == -1
 
 
-@pytest.mark.parametrize("d", range(0, 10))
-def test_ddeg_prime_agrees(d):
+@pytest.mark.parametrize("ctx,beta,d",
+                         [(C3, T3, d) for d in range(0, 10)]
+                         + [(C5, T5, d) for d in range(0, 26)],
+                         ids=[str(d) for d in range(0, 10)]
+                         + [f"p5-{d}" for d in range(0, 26)])
+def test_ddeg_prime_agrees(ctx, beta, d):
     import random
     rng = random.Random(d)
-    M = v_dr(C3, d, T3)
-    for _ in range(50):
-        v = np.array([rng.randrange(9) for _ in range(M.dim)], dtype=np.int64)
-        if not v.any():
-            continue
+    M = v_dr(ctx, d, beta)
+    zero = np.zeros(M.dim, dtype=np.int64)
+    assert ddeg(M, zero) == ddeg_prime(M, zero) == -1
+    # each basis vector checks its label's degree alone; in a random
+    # vector the largest label degree hides the others
+    for v in np.eye(M.dim, dtype=np.int64):
         assert ddeg(M, v) == ddeg_prime(M, v)
+    for _ in range(50):
+        v = np.array([rng.randrange(ctx.q) for _ in range(M.dim)], dtype=np.int64)
+        assert ddeg(M, v) == ddeg_prime(M, v)
+    # the eta rule needs the v_dr labels; a v_d module is refused
+    with pytest.raises(UnlabeledModule):
+        ddeg_prime(v_d(ctx, 2, beta), np.ones(2, dtype=np.int64))
 
 
 def test_fixed_space_dims_for_vdr():
