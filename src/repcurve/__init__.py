@@ -24,9 +24,7 @@ from .curvefam import (CurveParams, GradedModule, RamificationProfile,
                        hodge_check, holo_graded, index_I, index_J,
                        ramification_profile, rr_basis, semigroup_gap_count,
                        trace_identity_check, valuation_table)
-from .suites import run_suite, SUITE_NAMES
-
-__version__ = "0.1.0"
+from .suites import ARTIFACT_VERSION as __version__, run_suite, SUITE_NAMES
 
 __all__ = [
     "RepcurveError",

@@ -217,41 +217,22 @@ def _zero_module(ctx: FieldCtx) -> HModule:
     return HModule(ctx, z, z, labels=(), meta={"kind": "zero"})
 
 
-def _holo_piece(params: CurveParams, idx: tuple) -> HModule:
-    ctx = params.ctx
-    d = len(idx)
-    if d == 0:
-        return _zero_module(ctx)
-    beta = params.beta
-    S, T = binomial_table(ctx, beta)
-    block = np.ix_(idx, idx)
-    labels = tuple(f"w{i}" for i in idx)
-    piece = HModule(ctx, Mat(ctx, S[block]), Mat(ctx, T[block]), labels=labels,
-                    meta={"kind": "holo_piece", "d": d,
-                          "beta": beta.idx})
-    # identification against the abstract family is the identity label
-    # map w_i -> w_i; with the index set an initial segment this must be
-    # equality of matrices, not mere isomorphy
-    model = v_d(ctx, d, beta)
-    assert piece.Msigma == model.Msigma and piece.Mtau == model.Mtau
-    return piece
-
-
 def holo_graded(params: CurveParams) -> GradedModule:
     """Graded space of everywhere-regular differentials, one commuting
     matrix pair per nontrivial character index c of the prime-to-p cyclic
-    action.  Piece c has basis w_i over index_I(c) and its matrices agree
-    entrywise with the abstract d-dimensional family member at d = dd(c);
-    the dimension count across pieces reproduces the genus.  Pieces with
-    equal index sets are one shared module, built and checked once."""
+    action.  Piece c has basis w_i over index_I(c), the initial segment
+    0..dd(c)-1, so it is the shared family member v_d at d = dd(c), and
+    one zero module when dd(c) = 0; the dimension count across pieces
+    reproduces the genus."""
     p, m = params.p, params.m
     gm = GradedModule(params, "holo")
-    built: Dict[tuple, HModule] = {}
+    piece = None
     for c in range(1, m):
-        idx = index_I(p, m, c)
-        if idx not in built:
-            built[idx] = _holo_piece(params, idx)
-        gm.pieces[c] = built[idx]
+        d = len(index_I(p, m, c))
+        # dd is non-increasing in c: pieces of equal dim are consecutive
+        if piece is None or piece.dim != d:
+            piece = v_d(params.ctx, d, params.beta) if d else _zero_module(params.ctx)
+        gm.pieces[c] = piece
     assert gm.total_dim() == genus(p, m)
     return gm
 

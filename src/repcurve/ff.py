@@ -97,27 +97,8 @@ def _ppowmod(a, e, f, p):
 def _pgcd(a, b, p):
     a, b = _ptrim(a), _ptrim(b)
     while b:
-        # reduce a mod b
-        a = _pdivmod_rem(a, b, p)
-        a, b = b, a
+        a, b = b, _pmod(a, b, p)
     return a
-
-
-def _pdivmod_rem(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) - 1 >= db and _ptrim(a):
-        c = a[-1] % p
-        if c:
-            scale = (c * inv_lead) % p
-            shift = len(a) - 1 - db
-            for j in range(db + 1):
-                a[shift + j] = (a[shift + j] - scale * b[j]) % p
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return _ptrim(a)
 
 
 def _is_irreducible(f: Sequence[int], p: int) -> bool:

@@ -46,7 +46,6 @@ from .linalg import (
     matpow,
     nilpotent_partition,
     nilpotent_partitions,
-    subspace_intersect,
 )
 
 # ---------------------------------------------------------------------------
@@ -171,15 +170,6 @@ class HModule:
             W.setflags(write=False)
             self._cache["words"] = W
         return self._cache["words"]
-
-    def word_matrix(self, a: int, b: int) -> Mat:
-        """Matrix of sigma0^a tau0^b; the zero matrix once a or b >= p."""
-        if a < 0 or b < 0:
-            raise OutOfRange("negative word exponents")
-        p = self.ctx.p
-        if a >= p or b >= p:
-            return Mat.zeros(self.ctx, self.dim, self.dim)
-        return Mat(self.ctx, self.word_stack()[a * p + b])
 
     def basis_vector(self, which) -> np.ndarray:
         """Standard basis vector by index or label."""
@@ -356,29 +346,6 @@ def _build_vdr(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     return Q
 
 
-def vdr_eta(M: HModule, i: int) -> np.ndarray:
-    """Class of the first-block basis vector w_i in a v_dr module, for any
-    0 <= i <= p^2 - 1 (resolves the rewriting relations)."""
-    _require_vdr(M)
-    pp = M.meta["blocks"][0]
-    if not (0 <= i < pp):
-        raise OutOfRange(f"eta index {i} outside 0..{pp - 1}")
-    e = np.zeros(M.meta["proj"].shape[1], dtype=np.int64)
-    e[i] = 1
-    return _matmul_idx(M.ctx, M.meta["proj"], e.reshape(-1, 1))[:, 0]
-
-
-def vdr_omega(M: HModule, j: int) -> np.ndarray:
-    """Class of the second-block basis vector w_j in a v_dr module."""
-    _require_vdr(M)
-    pp, d = M.meta["blocks"]
-    if not (0 <= j < d):
-        raise OutOfRange(f"omega index {j} outside 0..{d - 1}")
-    e = np.zeros(M.meta["proj"].shape[1], dtype=np.int64)
-    e[pp + j] = 1
-    return _matmul_idx(M.ctx, M.meta["proj"], e.reshape(-1, 1))[:, 0]
-
-
 def _require_vdr(M: HModule) -> None:
     if M.meta.get("kind") != "vdr" or "proj" not in M.meta:
         raise UnlabeledModule("operation needs a module built by v_dr")
@@ -510,9 +477,15 @@ def quotient(M: HModule, W: Subspace, reps=None, labels=None) -> tuple:
 
 
 def apply_word(M: HModule, word: tuple, v) -> np.ndarray:
-    """Apply the monomial sigma0^a tau0^b, word = (a, b), to a vector."""
-    vec = as_vector(M.ctx, v) if not isinstance(v, np.ndarray) else v
-    return M.word_matrix(*word).apply(vec)
+    """Apply the monomial sigma0^a tau0^b, word = (a, b), to a vector;
+    the word is the zero map once a or b >= p."""
+    a, b = word
+    if a < 0 or b < 0:
+        raise OutOfRange("negative word exponents")
+    p = M.ctx.p
+    W = (M.word_stack()[a * p + b] if a < p and b < p
+         else np.zeros((M.dim, M.dim), dtype=np.int64))
+    return Mat(M.ctx, W).apply(as_vector(M.ctx, v))
 
 
 def fixed_space(M: HModule) -> Subspace:
@@ -548,22 +521,6 @@ def s_filtration(M: HModule) -> list:
     return M._cache["filtration"]
 
 
-def s_filtration_direct(M: HModule) -> list:
-    """Same filtration from the definition: S_n is the joint kernel of all
-    products sigma0^i tau0^j with i + j = n + 1."""
-    fil = []
-    n = 0
-    while True:
-        space = Subspace.full(M.ctx, M.dim)
-        for i in range(n + 2):
-            j = n + 1 - i
-            space = subspace_intersect(space, kernel(M.word_matrix(i, j)))
-        fil.append(space)
-        if space.dim == M.dim:
-            return fil
-        n += 1
-
-
 def ddeg_rows(M: HModule, V) -> np.ndarray:
     """Degrees of the rows of V (k x dim): the least n with the row in
     S_n, and -1 for a zero row.  Makes one batched membership test per
@@ -586,7 +543,7 @@ def ddeg_rows(M: HModule, V) -> np.ndarray:
 
 def ddeg(M: HModule, v) -> int:
     """Least n with v in S_n; -1 for the zero vector."""
-    vec = as_vector(M.ctx, v) if not isinstance(v, np.ndarray) else v
+    vec = as_vector(M.ctx, v)
     return int(ddeg_rows(M, vec[None, :])[0])
 
 
@@ -614,7 +571,7 @@ def ddeg_prime(M: HModule, v) -> int:
     """Combinatorial degree of one vector of a v_dr module: the max of
     label_degrees over its nonzero entries, -1 for the zero vector."""
     _require_vdr(M)
-    vec = as_vector(M.ctx, v) if not isinstance(v, np.ndarray) else v
+    vec = as_vector(M.ctx, v)
     return int(np.where(vec != 0, label_degrees(M), -1).max())
 
 
@@ -1201,7 +1158,7 @@ def case_ii_core(M: HModule, u) -> tuple:
     """Submodule generated by sigma0^(p-2) tau0^(p-2) u, together with the
     fixed space (the two ingredients of the small-core analysis)."""
     ctx = M.ctx
-    vec = as_vector(ctx, u) if not isinstance(u, np.ndarray) else u
+    vec = as_vector(ctx, u)
     if not vec.any():
         raise ZeroVector("core of the zero vector")
     p = ctx.p

@@ -10,12 +10,12 @@ bottom then left to right), which makes equality bit-exact.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import ContextMismatch, NotNilpotent, ShapeMismatch
-from .ff import FieldCtx, FieldElem
+from .ff import FieldCtx
 
 
 def _as_idx_array(ctx: FieldCtx, rows) -> np.ndarray:
@@ -25,29 +25,18 @@ def _as_idx_array(ctx: FieldCtx, rows) -> np.ndarray:
         return out
     data = []
     for row in rows:
-        data.append([_as_idx(ctx, v) for v in row])
+        data.append([ctx.el(v).idx for v in row])
     if not data:
         return np.zeros((0, 0), dtype=np.int64)
     return np.array(data, dtype=np.int64)
 
 
-def _as_idx(ctx: FieldCtx, v) -> int:
-    if isinstance(v, FieldElem):
-        if v.ctx != ctx:
-            raise ContextMismatch("entry from a different field context")
-        return v.idx
-    if isinstance(v, str):
-        return ctx.from_text(v).idx
-    if isinstance(v, (list, tuple)):
-        return ctx.encode(v)
-    return int(v) % ctx.p
-
-
 def as_vector(ctx: FieldCtx, v) -> np.ndarray:
-    """Coerce a sequence of entries to a 1-D encoded index array."""
-    if isinstance(v, np.ndarray) and v.ndim == 1:
+    """Coerce a sequence of entries to a 1-D encoded index array; an
+    array is taken as already encoded and copied as it is."""
+    if isinstance(v, np.ndarray):
         return v.astype(np.int64, copy=True)
-    return np.array([_as_idx(ctx, x) for x in v], dtype=np.int64)
+    return np.array([ctx.el(x).idx for x in v], dtype=np.int64)
 
 
 class Mat:
@@ -274,10 +263,7 @@ def solve_matrix(A: Mat, B: Mat) -> Optional[Mat]:
 def invert(A: Mat) -> Optional[Mat]:
     if not A.is_square():
         raise ShapeMismatch("inverse of a non-square matrix")
-    X = solve_matrix(A, Mat.identity(A.ctx, A.rows))
-    if X is None:
-        return None
-    return X
+    return solve_matrix(A, Mat.identity(A.ctx, A.rows))
 
 
 def matpow(A: Mat, e: int) -> Mat:
@@ -327,7 +313,7 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, ambient: int, rows) -> "Subspace":
-        M = _as_idx_array(ctx, rows) if not isinstance(rows, np.ndarray) else rows.astype(np.int64, copy=True)
+        M = _as_idx_array(ctx, rows)
         if M.size == 0:
             M = M.reshape(0, ambient)
         if M.shape[1] != ambient:
@@ -368,12 +354,6 @@ class Subspace:
             raise ShapeMismatch(f"vector length {v.shape} in ambient {self.ambient}")
         coords, inside = self.reduce_rows(v[None, :])
         return coords[0] if inside[0] else None
-
-    def contains(self, v: np.ndarray) -> bool:
-        return self.reduce(v) is not None
-
-    def contains_space(self, other: "Subspace") -> bool:
-        return bool(self.reduce_rows(other.basis)[1].all())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ctx == other.ctx
@@ -429,57 +409,7 @@ def _check_ambient(U: Subspace, W: Subspace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Intertwiners and nilpotent partitions
-
-
-def field_kron(X: Mat, Y: Mat) -> Mat:
-    """Kronecker product over the field."""
-    if X.ctx != Y.ctx:
-        raise ContextMismatch("kron over different field contexts")
-    ctx = X.ctx
-    prod = ctx.mul[X.data[:, None, :, None], Y.data[None, :, None, :]]
-    out = prod.reshape(X.rows * Y.rows, X.cols * Y.cols)
-    return Mat(ctx, out)
-
-
-def intertwiner_space(As: Sequence[Mat], Bs: Sequence[Mat]) -> Subspace:
-    """Canonical basis of {X : X A_k = B_k X for all k}.
-
-    Vectors are row-major vectorizations of the b x a matrices X, where the
-    A_k act on dimension a and the B_k on dimension b.  Conditions are
-    vectorized as (I_b kron A_k^T - B_k kron I_a) vec(X) = 0 and imposed
-    one at a time on a shrinking solution space.
-    """
-    if len(As) != len(Bs):
-        raise ShapeMismatch("As and Bs must have equal length")
-    if not As:
-        raise ShapeMismatch("need at least one condition matrix")
-    ctx = As[0].ctx
-    a = As[0].rows
-    b = Bs[0].rows
-    for A in As:
-        if not A.is_square() or A.rows != a:
-            raise ShapeMismatch("all As must be square of equal size")
-    for B in Bs:
-        if not B.is_square() or B.rows != b:
-            raise ShapeMismatch("all Bs must be square of equal size")
-    amb = a * b
-    if amb == 0:
-        return Subspace.zero(ctx, 0)
-    Ib = Mat.identity(ctx, b)
-    Ia = Mat.identity(ctx, a)
-    space = Subspace.full(ctx, amb)
-    for A, B in zip(As, Bs):
-        C = field_kron(Ib, A.transpose()) - field_kron(B, Ia)
-        if space.dim == 0:
-            break
-        imgs = _matmul_idx(ctx, C.data, space.basis.T)  # amb x dim
-        coords = kernel(Mat(ctx, imgs))
-        if coords.dim == 0:
-            return Subspace.zero(ctx, amb)
-        vecs = _matmul_idx(ctx, coords.basis, space.basis)
-        space = Subspace.from_rows(ctx, amb, vecs)
-    return space
+# Nilpotent partitions
 
 
 def _rank_stack(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:

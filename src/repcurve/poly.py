@@ -92,17 +92,6 @@ class Poly1:
                 base = base * base
         return result
 
-    def eval(self, x: FieldElem) -> FieldElem:
-        ctx = x.ctx
-        if ctx.p != self.ctx.p:
-            raise ContextMismatch("evaluation point in wrong characteristic")
-        if ctx != self.ctx and self.ctx.n != 1:
-            raise ContextMismatch("cannot lift non-prime-field coefficients")
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = int(ctx.add[ctx.mul[acc, x.idx], c])
-        return FieldElem(ctx, acc)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly1) and self.ctx == other.ctx
                 and self.coeffs == other.coeffs)
@@ -160,9 +149,6 @@ class Poly2:
     def is_zero(self) -> bool:
         return self.grid.size == 0
 
-    def deg_x(self) -> int:
-        return self.grid.shape[0] - 1
-
     def deg_y(self) -> int:
         max_j = -1
         for row in self.grid:
@@ -212,22 +198,6 @@ class Poly2:
             if e:
                 base = base * base
         return result
-
-    def eval(self, x0: FieldElem, y0: FieldElem) -> FieldElem:
-        """Evaluate at a point; the point may live in an extension of the
-        coefficient field (prime-subfield constants embed by index)."""
-        if x0.ctx != y0.ctx:
-            raise ContextMismatch("evaluation point coordinates in different fields")
-        ctx = x0.ctx
-        if ctx.p != self.ctx.p:
-            raise ContextMismatch("evaluation point in wrong characteristic")
-        acc = 0
-        for row in self.grid[::-1]:
-            inner = 0
-            for c in row[::-1].tolist():
-                inner = int(ctx.add[ctx.mul[inner, y0.idx], c])
-            acc = int(ctx.add[ctx.mul[acc, x0.idx], inner])
-        return FieldElem(ctx, acc)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly2) and self.ctx == other.ctx

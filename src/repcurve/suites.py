@@ -476,10 +476,11 @@ def _suite_holo(p: int, seed: int) -> List[Case]:
     def piece_case(params, c, _s):
         piece = graded(params).piece(c)
         d = cf.dd(p, params.m, c)
+        initial = cf.index_I(p, params.m, c) == tuple(range(d))
         if d == 0:
-            return piece.dim == 0, "empty"
+            return initial and piece.dim == 0, "empty"
         model = km.v_d(ctx, d, params.beta)
-        ok = (piece.Msigma == model.Msigma and piece.Mtau == model.Mtau)
+        ok = (initial and piece.Msigma == model.Msigma and piece.Mtau == model.Mtau)
         return ok, f"dim={d},entrywise"
 
     cases: List[Case] = []
@@ -724,7 +725,3 @@ CLAIMS = (
      " piece, and the quotient matches the dual of the dd(c)-dimensional"
      " member under index reversal"),
 )
-
-
-def claims_rows() -> tuple:
-    return CLAIMS

@@ -378,6 +378,14 @@ def test_console_script_entrypoint():
     assert proc.stdout.strip() == "0.1.0"
 
 
+def test_public_names_resolve_and_version_matches_pyproject():
+    assert all(hasattr(repcurve, name) for name in repcurve.__all__)
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == repcurve.__version__
+
+
 def _module_obj(capsys):
     code, out, _ = run(capsys, "build", "vd", "--p", "3", "--d", "2", "--beta", "0,1")
     assert code == 0

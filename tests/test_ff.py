@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 from repcurve.errors import (ContextMismatch, DegreeMismatch, DivisionByZero,
                              FieldTooLarge, NotPrime, PrimeFieldElement,
                              ReducibleModulus)
-from repcurve.ff import (FieldCtx, FieldElem, alpha_from_beta, beta_from_alpha,
-                         ctx_new, default_ctx, enumerate_nonprime,
-                         find_irreducible, frobenius, pth_root)
+from repcurve.ff import (FieldCtx, FieldElem, _is_irreducible, alpha_from_beta,
+                         beta_from_alpha, ctx_new, default_ctx,
+                         enumerate_nonprime, find_irreducible, frobenius,
+                         pth_root)
 
 
 def test_default_contexts():
@@ -53,6 +54,32 @@ def test_default_context_refused_before_search(p, n, error):
 def test_find_irreducible_agrees_with_defaults():
     assert find_irreducible(3, 2) == (1, 0, 1)
     assert find_irreducible(5, 2) == (2, 0, 1)
+
+
+def _monics(p, n):
+    """Every monic polynomial of degree n over F_p, coefficients low degree
+    first, in the order find_irreducible searches them."""
+    return [tuple((low // p**i) % p for i in range(n)) + (1,) for low in range(p**n)]
+
+
+def _pmul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,top", [(2, 4), (3, 4), (5, 3)])
+def test_irreducible_exactly_when_no_monic_factorization(p, top):
+    # degree 4 has products of two irreducible quadratics: they pass the
+    # x^(p^n) = x test, and only the gcd step rejects them
+    for n in range(1, top + 1):
+        products = {_pmul(f, g, p) for k in range(1, n // 2 + 1)
+                    for f in _monics(p, k) for g in _monics(p, n - k)}
+        irreducible = [f for f in _monics(p, n) if f not in products]
+        assert [f for f in _monics(p, n) if _is_irreducible(f, p)] == irreducible
+        assert find_irreducible(p, n) == irreducible[0]
 
 
 def test_generator_and_text_roundtrip():

@@ -18,8 +18,9 @@ from repcurve.kmod import (HModule, algebra_radical, augmentation_ideal, direct_
                            dual, end_algebra, fixed_space, hom_space, is_indecomposable,
                            is_isomorphic, jordan_scan, module_to_json, profile,
                            regular_module, s_filtration, trivial_module, v_d, v_dr)
-from repcurve.linalg import (Mat, Subspace, intertwiner_space, invert, kernel, matpow,
-                             preimage, solve_matrix)
+from repcurve.linalg import (Mat, Subspace, invert, kernel, matpow, preimage,
+                             solve_matrix)
+from reference import contains, intertwiner_space
 
 C3 = default_ctx(3)
 T = C3.gen()
@@ -323,7 +324,7 @@ def check_local(M, dec):
     J = [combine(row, E) for row in rad.basis]
     span = Subspace.from_rows(ctx, s * s, np.array([X.data.reshape(-1) for X in J],
                                                    dtype=np.int64).reshape(len(J), s * s))
-    assert all(span.contains((X @ Y).data.reshape(-1)) and span.contains((Y @ X).data.reshape(-1))
+    assert all(contains(span, (X @ Y).data.reshape(-1)) and contains(span, (Y @ X).data.reshape(-1))
                for X in E for Y in J)
     power = J  # a basis of J^k, k = 1 .. s
     for _ in range(s - 1):

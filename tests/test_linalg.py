@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repcurve.errors import ShapeMismatch
+from repcurve.errors import ContextMismatch, ShapeMismatch
 from repcurve.ff import default_ctx
 from repcurve.linalg import (Mat, Subspace, invert, kernel, matpow,
                              nilpotent_partition, preimage, rank, rref, solve,
                              solve_matrix, subspace_intersect, subspace_sum)
+from reference import contains, contains_space
 
 CTX = default_ctx(3)
 
@@ -96,11 +97,19 @@ def test_subspace_reduce_and_contains():
     W = Subspace.from_rows(CTX, 4, rows)
     assert W.dim == 2
     v = CTX.add[rows[0], CTX.mul[4, rows[1]]]  # combination with coeff idx 4
-    assert W.contains(v)
+    assert contains(W, v)
     coords = W.reduce(v)
     assert coords is not None and len(coords) == 2
-    assert not W.contains(np.array([0, 1, 0, 0], dtype=np.int64))
+    assert not contains(W, np.array([0, 1, 0, 0], dtype=np.int64))
     assert W.reduce(np.array([0, 1, 0, 0], dtype=np.int64)) is None
+    # one row of every entry kind: t, the text 1 + 2t, the coefficients of
+    # 2 + t, and an int reduced mod p
+    mixed = [CTX.gen(), "1,2", (2, 1), 4]
+    want = np.array([[3, 7, 5, 1]], dtype=np.int64)
+    assert Subspace.from_rows(CTX, 4, [mixed]) == Subspace.from_rows(CTX, 4, want)
+    assert np.array_equal(Mat.from_rows(CTX, [mixed]).data, want)
+    with pytest.raises(ContextMismatch):
+        Subspace.from_rows(CTX, 4, [[default_ctx(5).gen(), 0, 0, 0]])
 
 
 def test_sum_and_intersection_dimension_formula():
@@ -112,8 +121,8 @@ def test_sum_and_intersection_dimension_formula():
         s = subspace_sum(U, W)
         i = subspace_intersect(U, W)
         assert s.dim + i.dim == U.dim + W.dim
-        assert s.contains_space(U) and s.contains_space(W)
-        assert U.contains_space(i) and W.contains_space(i)
+        assert contains_space(s, U) and contains_space(s, W)
+        assert contains_space(U, i) and contains_space(W, i)
 
 
 def test_preimage():
