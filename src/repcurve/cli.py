@@ -13,6 +13,7 @@ record also names the exception type and where it was raised.
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 from functools import lru_cache
@@ -59,6 +60,33 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# a piece's placeholder in the frame: "\0" encodes as \u0000, which no
+# other string of the frame holds
+_PIECE_SLOT = re.compile(r'"\\u0000(\d+)"')
+
+
+def _dump_graded(gm: cf.GradedModule) -> str:
+    """_dump of the graded family, with each distinct piece encoded once.
+    Equal pieces are one shared module object: each object is dumped
+    alone, indented to its depth in the frame (two levels) and spliced in
+    under each of its keys in place of the placeholder the frame holds."""
+    slots, texts = {}, []
+    for mod in gm.pieces.values():
+        if id(mod) not in slots:
+            slots[id(mod)] = f"\0{len(texts)}"
+            # _dump without its final newline
+            texts.append(_dump(km.module_to_json(mod))[:-1].replace("\n", "\n    "))
+    frame = {
+        "kind": gm.kind,
+        "p": gm.params.p,
+        "m": gm.params.m,
+        "alpha": gm.params.alpha.text(),
+        "beta": gm.params.beta.text(),
+        "pieces": {str(c): slots[id(mod)] for c, mod in gm.pieces.items()},
+    }
+    return _PIECE_SLOT.sub(lambda slot: texts[int(slot.group(1))], _dump(frame))
+
+
 def _load_module(path: str) -> km.HModule:
     try:
         with open(path) as fh:
@@ -101,7 +129,7 @@ def cmd_build(args) -> int:
         alpha = ctx.from_text(args.alpha)
         params = cf.curve_params(ctx, args.m, alpha)
         gm = cf.holo_graded(params) if args.kind == "holo" else cf.dr_graded(params)
-        payload = _dump(cf.graded_to_json(gm))
+        payload = _dump_graded(gm)
     _emit(payload, args.out)
     return 0
 

@@ -404,19 +404,3 @@ def trace_identity_check(p: int, ctx: FieldCtx) -> dict:
         "witness": witness,
     }
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def graded_to_json(gm: GradedModule) -> dict:
-    from .kmod import module_to_json
-
-    return {
-        "kind": gm.kind,
-        "p": gm.params.p,
-        "m": gm.params.m,
-        "alpha": gm.params.alpha.text(),
-        "beta": gm.params.beta.text(),
-        "pieces": {str(c): module_to_json(mod) for c, mod in gm.pieces.items()},
-    }

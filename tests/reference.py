@@ -3,7 +3,8 @@
 Each helper answers a question the package answers another way, from the
 definition and without the package's batching: the filtration from joint
 kernels of words, Hom spaces from Kronecker products, membership by
-reduction, polynomial values by Horner's rule.
+reduction, polynomial values by Horner's rule, a graded family's JSON
+with every piece encoded in place.
 """
 
 from typing import Sequence
@@ -116,3 +117,17 @@ def poly2_eval(f, x0: FieldElem, y0: FieldElem) -> FieldElem:
 
 def poly2_deg_x(f) -> int:
     return f.grid.shape[0] - 1
+
+
+def graded_to_json(gm) -> dict:
+    """A graded family as one JSON object, each piece converted where it
+    sits; `build holo|dr` writes json.dumps(sort_keys=True, indent=2) of
+    this plus a newline."""
+    return {
+        "kind": gm.kind,
+        "p": gm.params.p,
+        "m": gm.params.m,
+        "alpha": gm.params.alpha.text(),
+        "beta": gm.params.beta.text(),
+        "pieces": {str(c): km.module_to_json(mod) for c, mod in gm.pieces.items()},
+    }

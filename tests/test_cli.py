@@ -16,6 +16,8 @@ from repcurve.cli import BUILD_KINDS, QUERY_KINDS, main
 from repcurve.errors import BadParams, RepcurveError
 from repcurve.ff import default_ctx
 
+from reference import graded_to_json
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -116,15 +118,46 @@ def test_build_graded(capsys):
      "d630dff764752090cf6a0e69daff533556147bea01aee9ac3cfef247642c6bcf"),
     (("claims", "--format", "json"),
      "a9935505a1dc0bed08e384806d96e59af394cc629ba39b23c86bec26f5b89a2f"),
+    # no pieces at all, and the smallest field
+    (("build", "holo", "--p", "3", "--m", "1", "--alpha", "0,1"),
+     "32e557069ae4cc09c9765ddc74be1c1c8024fb1965c0ac08a8d8011b346cb1bf"),
+    (("build", "dr", "--p", "2", "--m", "3", "--alpha", "0,1"),
+     "bf130638888d9d244a0d00fc698ef9b216e5bae9dc1af61e0f906fe60c137da5"),
 ])
 def test_build_output_bytes_are_pinned(capsys, argv, digest):
-    # serializing from FieldCtx.texts, sharing equal graded pieces and
-    # cutting family matrices from one binomial table are speed-ups only:
-    # none may change a byte of build output; the claims table is pinned
-    # with them
+    # serializing from FieldCtx.texts, sharing equal graded pieces, cutting
+    # family matrices from one binomial table and encoding each distinct
+    # graded piece once are speed-ups only: none may change a byte of build
+    # output; the claims table is pinned with them
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind,p,n,m,alpha", [
+    ("holo", 3, 2, 1, "0,1"),  # "pieces": {}
+    ("dr", 5, 2, 1, "1,1"),
+    ("holo", 3, 2, 10, "0,1"),  # pieces with dd(c) = 0
+    ("holo", 2, 2, 9, "1,1"),  # q = 4
+    ("dr", 2, 2, 7, "0,1"),
+    ("holo", 3, 3, 7, "0,1,0"),  # an n = 3 field
+    ("dr", 3, 3, 7, "0,1,0"),
+    ("dr", 7, 2, 8, "0,1"),  # 48-dimensional pieces
+    ("holo", 3, 2, 100, "2,1"),  # keys "1", "10", "100"... in string order
+    ("dr", 3, 2, 14, "1,2"),
+    ("holo", 5, 2, 26, "1,1"),
+    ("dr", 5, 2, 12, "0,1"),
+])
+def test_graded_build_writes_the_reference_bytes(capsys, kind, p, n, m, alpha):
+    # the writer splices each distinct piece's text into the frame; the
+    # reference converts every piece in place and dumps the whole object
+    code, out, _ = run(capsys, "build", kind, "--p", str(p), "--n", str(n),
+                       "--m", str(m), "--alpha", alpha)
+    assert code == 0
+    ctx = default_ctx(p, n)
+    params = cf.curve_params(ctx, m, ctx.from_text(alpha))
+    gm = cf.holo_graded(params) if kind == "holo" else cf.dr_graded(params)
+    assert out == json.dumps(graded_to_json(gm), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -376,6 +409,20 @@ def test_console_script_entrypoint():
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+@pytest.mark.parametrize("argv,code", [(("--version",), 0),
+                                       (("verify", "nosuch"), 2)])
+def test_package_runs_as_a_module(argv, code):
+    # python -m repcurve, from the package this process imported
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repcurve.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "repcurve", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stdout.strip() == repcurve.__version__
 
 
 def test_public_names_resolve_and_version_matches_pyproject():

@@ -1,19 +1,24 @@
 """Family invariants: index combinatorics, ramification, graded pieces."""
 
+import json
+
 import pytest
 
+import repcurve.cli as cli
 import repcurve.curvefam as cf
 import repcurve.kmod as km
 from repcurve.curvefam import (curve_params, dd, default_grid, dr_graded,
                                genus, hodge_check, holo_graded, index_I,
                                index_J, ramification_profile, rr_basis,
                                semigroup_gap_count, trace_identity_check,
-                               valuation_table, graded_to_json)
+                               valuation_table)
 from repcurve.errors import (BadParams, ContextMismatch, OutOfRange,
                              PrimeFieldOnly)
 from repcurve.ff import FieldCtx, default_ctx
 from repcurve.kmod import module_from_json, v_d, v_dr
 from repcurve.linalg import invert
+
+from reference import graded_to_json
 
 C3 = default_ctx(3)
 C5 = default_ctx(5)
@@ -172,6 +177,29 @@ def test_each_distinct_piece_is_built_once(monkeypatch, kind, p, m):
             model = v_dr(ctx, d, params.beta)
             assert Phi @ model.Msigma == piece.Msigma @ Phi
             assert Phi @ model.Mtau == piece.Mtau @ Phi
+
+
+@pytest.mark.parametrize("kind", ["holo", "dr"])
+@pytest.mark.parametrize("p,m", [(3, 100), (5, 26)])
+def test_each_distinct_piece_is_encoded_once(monkeypatch, capsys, kind, p, m):
+    # a build writes one text per shared piece object and splices it under
+    # each of its keys; converting every piece in place made m - 1
+    # module_to_json calls
+    encoded = []
+    real = km.module_to_json
+
+    def module_to_json(M):
+        encoded.append(M)
+        return real(M)
+
+    monkeypatch.setattr(km, "module_to_json", module_to_json)
+    assert cli.main(["build", kind, "--p", str(p), "--m", str(m),
+                     "--alpha", "0,1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["pieces"]) == m - 1
+    distinct = {(index_I(p, m, c) if kind == "holo"
+                 else (index_I(p, m, m - c), index_J(p, m, c)))
+                for c in range(1, m)}
+    assert len({id(M) for M in encoded}) == len(encoded) == len(distinct)
 
 
 def test_graded_builds_make_no_per_entry_scalar_calls(monkeypatch):
