@@ -589,7 +589,10 @@ def _min_generators(M: HModule) -> list:
 
 
 def _hom_source_data(M: HModule) -> dict:
-    """Cacheable generator/relation presentation of M."""
+    """Cacheable generator/relation presentation of M.  The inverse
+    EPinv of the evaluation submatrix E[:, piv] is read only by the map
+    rebuild, so _hom_maps adds it to this dict on its first call; the
+    dims-only callers never invert it."""
     if "homsrc" in M._cache:
         return M._cache["homsrc"]
     ctx = M.ctx
@@ -605,9 +608,6 @@ def _hom_source_data(M: HModule) -> dict:
     outside = np.ones(E.shape[1], dtype=bool)
     outside[rel.pivots] = False
     piv = np.nonzero(outside)[0]
-    EP = E[:, piv]
-    EPinv = invert(Mat(ctx, EP))
-    assert EPinv is not None
     # sigma0 and tau0 shift the word index (a, b) of a relation to (a + 1, b)
     # and (a, b + 1); the relations at rel's pivots outside those of
     # sigma0*rel + tau0*rel span rel modulo it, so they generate rel as a
@@ -620,7 +620,7 @@ def _hom_source_data(M: HModule) -> dict:
     J = Subspace.from_rows(ctx, rel.ambient, shifted.reshape(2 * rel.dim, rel.ambient))
     relgens = rel.basis[~np.isin(rel.pivots, J.pivots)]
     data = {"gens": gens, "t": t, "words": words, "E": E, "relgens": relgens,
-            "piv": piv, "EPinv": EPinv}
+            "piv": piv}
     M._cache["homsrc"] = data
     return data
 
@@ -658,9 +658,12 @@ def _hom_maps(M: HModule, N: HModule, sol: Subspace) -> Subspace:
     if sol.dim == 0:
         return Subspace.zero(ctx, amb)
     # every word on every image in one product, the columns at the pivots
-    # of E, then EPinv
+    # of E, then EPinv, built here once per source module
     src = _hom_source_data(M)
     t, piv = src["t"], src["piv"]
+    if "EPinv" not in src:
+        src["EPinv"] = invert(Mat(ctx, src["E"][:, piv]))
+        assert src["EPinv"] is not None
     nw = len(src["words"])
     dN = N.dim
     S = sol.dim

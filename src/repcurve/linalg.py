@@ -416,30 +416,42 @@ def _rank_stack(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
     """Ranks of a stack of matrices (..., rows, cols) by one elimination
     over all of them: column by column, each matrix takes its own pivot
     (first nonzero entry among its rows not yet used as pivots) and clears
-    that column in its other unused rows.  Row updates are flat gathers,
-    as in _rref_inplace."""
+    that column in its other unused rows.  Zero matrices are skipped and
+    the live ones copied, so A is never written.
+
+    The live rows are kept as one flat (matrix, row) list.  Each step
+    touches only the unused rows with a nonzero entry in column c, found
+    by one nonzero(); the first of them in each matrix is its pivot row,
+    and the others read their matrix's scaled pivot row through a
+    per-matrix slot index.  The update is the two flat gathers of
+    _rref_inplace."""
     q = ctx.q
     sub, mul = ctx.sub.reshape(-1), ctx.mul.reshape(-1)
     lead, (rows, cols) = A.shape[:-2], A.shape[-2:]
     A = A.reshape((math.prod(lead), rows, cols))
     ranks = np.zeros(A.shape[0], dtype=np.int64)
     live = np.nonzero(A.reshape(A.shape[0], -1).any(axis=1))[0]
-    A = A[live]
-    unused = np.ones(A.shape[:2], dtype=bool)
+    R = A[live].reshape(live.size * rows, cols)
+    unused = np.ones(R.shape[0], dtype=bool)
+    slot = np.zeros(live.size, dtype=np.int64)
     for c in range(cols):
-        cand = (A[:, :, c] != 0) & unused
-        has = np.nonzero(cand.any(axis=1))[0]
-        if has.size == 0:
+        cand = ((R[:, c] != 0) & unused).nonzero()[0]
+        if cand.size == 0:
             continue
-        pr = np.argmax(cand[has], axis=1)
-        prow = A[has, pr, c:]
-        prow = mul.take(ctx.inv[prow[:, 0], None] * q + prow)
-        factors = np.where(cand[has], A[has, :, c], 0)
-        factors[np.arange(has.size), pr] = 0
-        prod = mul.take(factors[:, :, None] * q + prow[:, None, :])
-        A[has, :, c:] = sub.take(A[has, :, c:] * q + prod)
-        unused[has, pr] = False
-        ranks[live[has]] += 1
+        mat = cand // rows
+        first = np.ones(cand.size, dtype=bool)
+        first[1:] = mat[1:] != mat[:-1]
+        piv = cand[first]
+        unused[piv] = False
+        rest = ~first
+        upd = cand[rest]
+        if upd.size:
+            prow = R[piv, c:]
+            prow = mul.take(ctx.inv[prow[:, 0], None] * q + prow)
+            slot[mat[first]] = np.arange(piv.size)
+            prod = mul.take(R[upd, c, None] * q + prow[slot[mat[rest]]])
+            R[upd, c:] = sub.take(R[upd, c:] * q + prod)
+    ranks[live] = rows - unused.reshape(live.size, rows).sum(axis=1)
     return ranks.reshape(lead)
 
 

@@ -211,6 +211,22 @@ def test_elimination_kernels_match_references(field, seed, rows, cols, k, all_ze
                           want.reshape(1, k))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 2), (5, 2), (7, 2), (2, 10)]), st.integers(0, 10**6),
+       st.integers(0, 7), st.integers(0, 7), st.integers(1, 4), st.booleans())
+def test_rank_stack_leaves_its_argument_unchanged(field, seed, rows, cols, k, writable):
+    """The callers rank stacks they read afterwards: step 5 of
+    is_isomorphic a read-only view of the Hom basis, _fitting_split the
+    powers it then splits."""
+    ctx = default_ctx(*field)
+    rng = random.Random(seed)
+    stack = np.stack([rand_sparse(ctx, rng, rows, cols) for _ in range(k)])
+    before = stack.copy()
+    stack.setflags(write=writable)
+    linalg._rank_stack(ctx, stack)
+    assert np.array_equal(stack, before)
+
+
 def rank_chain_partition(N: Mat) -> tuple:
     """Jordan partition from the rank chain of N computed by rank()."""
     d = N.rows
@@ -248,7 +264,10 @@ def test_stacked_partitions_match_single(ctx, seed, d, k):
     assert got == [rank_chain_partition(Mat(ctx, N)) for N in stack]
 
 
-@pytest.mark.parametrize("p,kind,d", [(3, "vd", 5), (3, "vdr", 4), (5, "vd", 12)])
+# the last three are the shapes of the query plan's slowest scans: v_dr(5, 25)
+# is the regular member, of type (5, 5, 5, 5, 5) at every point
+@pytest.mark.parametrize("p,kind,d", [(3, "vd", 5), (3, "vdr", 4), (5, "vd", 12),
+                                      (5, "vdr", 12), (5, "vdr", 25), (5, "vd", 25)])
 def test_jordan_scan_matches_pointwise(p, kind, d):
     ctx = CTX[p]
     M = _module(ctx, kind, d)
@@ -315,7 +334,8 @@ def test_hom_space_products_do_not_grow_with_solutions(monkeypatch, p, d):
     H = km.hom_space(M, M)
     assert H.dim > 1
     # one product builds the relations; rebuilding every solution takes two
-    # (all words on all images, then the pivot inverse), within p^2 + 1
+    # (all words on all images, then the pivot inverse, which this first
+    # rebuild inverts and caches with the presentation), within p^2 + 1
     assert len(calls) <= 3 <= ctx.p ** 2 + 1
 
 

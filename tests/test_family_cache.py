@@ -264,3 +264,21 @@ def test_vdr_module_is_checked_once(monkeypatch):
     M = km._build_vdr(C3, 5, T3)
     assert checks == [3, 3]  # the direct sum, then the labeled quotient
     assert M == km.v_dr(C3, 5, T3) and M.labels == km.v_dr(C3, 5, T3).labels
+
+
+def test_dims_only_calls_make_no_inversion(monkeypatch, cold_family_modules):
+    M = km.v_dr(C5, 12, C5.gen())
+    inversions = []
+    real = km.invert
+
+    def counted(A):
+        inversions.append(A.rows)
+        return real(A)
+
+    monkeypatch.setattr(km, "invert", counted)
+    km.end_dim(M), km.hom_dim(M, M), km.profile(M)
+    assert inversions == []
+    # the first map rebuild inverts the evaluation submatrix once and keeps it
+    H = km.hom_space(M, M)
+    assert inversions == [M.dim]
+    assert km.hom_space(M, M) == H and inversions == [M.dim]
