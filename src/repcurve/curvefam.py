@@ -4,9 +4,9 @@ Everything geometric enters through integer shadows: ramification jumps,
 valuations at the unique ramified point, a numerical semigroup, and index
 sets cut out by lattice inequalities.  The graded pieces of the two
 cohomology-style spaces are assembled as explicit commuting matrix pairs
-over the coefficient field and identified against the abstract module
-families by explicit scaled label maps, verified as matrix identities
-rather than found by search.
+over the coefficient field: a holomorphic piece is the family member v_d,
+and a de Rham piece is kmod.dr_action, the construction v_dr shares, which
+the dr suite checks against the paper's quotient by a scaled label map.
 """
 
 from dataclasses import dataclass, field
@@ -21,8 +21,8 @@ from .errors import (
     PrimeFieldOnly,
 )
 from .ff import FieldCtx, FieldElem, beta_from_alpha, enumerate_nonprime
-from .kmod import HModule, binomial_table, dual, v_d, v_dr
-from .linalg import Mat, invert
+from .kmod import HModule, dr_action, dual, v_d
+from .linalg import Mat
 from .poly import Poly1
 
 # test grid fixed by configuration; second component drops multiples of p
@@ -238,60 +238,22 @@ def holo_graded(params: CurveParams) -> GradedModule:
 
 
 def _dr_piece(params: CurveParams, omega_idx: tuple, eta_idx: tuple) -> HModule:
-    ctx = params.ctx
-    p = params.p
-    pp = p * p
-    beta, gamma = params.beta, params.gamma
     d = len(omega_idx)
     # the two independently derived index sets must tile 0..p^2-1 minus {d}
-    assert eta_idx == tuple(range(d + 1, pp))
-    dim = d + len(eta_idx)
-    assert dim == pp - 1
-    # w_i sits at position i (omega_idx is 0..d-1) and eta_i at i - 1.
-    # Column i of R rewrites eta_i in that basis: eta_i itself when it is
-    # a label (i > d), else -i*gamma*w_{i-1}, which kills i divisible by p
-    scale = ctx.mul[ctx.neg[np.arange(pp) % p], gamma.idx]  # -i*gamma
-    rewrite = np.zeros((dim, pp), dtype=np.int64)
-    rewrite[:, 1:] = np.diag(np.where(np.arange(1, pp) > d, 1, scale[1:]))
-    R = Mat(ctx, rewrite)
-
-    def action(table: np.ndarray) -> Mat:
-        # w_n -> the leading block; eta_n -> R applied to eta column n
-        A = np.zeros((dim, dim), dtype=np.int64)
-        A[:d, :d] = table[:d, :d]
-        A[:, d:] = (R @ Mat(ctx, table[:, list(eta_idx)])).data
-        return Mat(ctx, A)
-
-    S, T = binomial_table(ctx, beta)
+    assert eta_idx == tuple(range(d + 1, params.p ** 2))
+    S, T = (Mat(params.ctx, A) for A in dr_action(params.ctx, d, params.beta, params.gamma))
     labels = tuple([f"w{i}" for i in omega_idx] + [f"eta{i}" for i in eta_idx])
-    piece = HModule(ctx, action(S), action(T), labels=labels,
-                    meta={"kind": "dr_piece", "d": d,
-                          "omega_idx": omega_idx, "eta_idx": eta_idx,
-                          "beta": beta.idx, "gamma": gamma.idx})
-    # cross-check against the abstract quotient model: the scaled label
-    # map below must intertwine both actions exactly; it sends the
-    # model's eta_i to column i of R and its w_i to -i*gamma*w_i
-    model = v_dr(ctx, d, beta)
-    eta_pos, omega_pos = model.meta["eta_pos"], model.meta["omega_pos"]
-    F = np.zeros((dim, dim), dtype=np.int64)
-    F[:, list(eta_pos.values())] = rewrite[:, list(eta_pos)]
-    F[list(omega_pos), list(omega_pos.values())] = scale[list(omega_pos)]
-    Phi = Mat(ctx, F)
-    assert Phi @ model.Msigma == piece.Msigma @ Phi
-    assert Phi @ model.Mtau == piece.Mtau @ Phi
-    assert invert(Phi) is not None
-    piece.meta["iso_from_abstract"] = Phi
-    return piece
+    return HModule(params.ctx, S, T, labels=labels, meta={"kind": "dr_piece", "d": d})
 
 
 def dr_graded(params: CurveParams) -> GradedModule:
     """Graded first hypercohomology of the family member: piece c mixes
     the regular differentials at character m-c (labels w_i) with the tail
     cocycle classes at character c (labels eta_i).  Out-of-range eta
-    labels rewrite to -i*gamma*w_{i-1}; each piece is matched to the
-    abstract quotient family at d = dd(m-c) by an explicit scaled label
-    map, checked as a matrix identity.  Pieces with equal index sets are
-    one shared module, built and checked once."""
+    labels rewrite to -i*gamma*w_{i-1}: the piece is dr_action at
+    d = dd(m-c) with the curve's gamma, which at gamma = 1 builds v_dr(d),
+    so vdr_label_map identifies it with v_dr(d).  Pieces with equal index
+    sets are one shared module, built once."""
     p, m = params.p, params.m
     gm = GradedModule(params, "dr")
     built: Dict[tuple, HModule] = {}

@@ -295,8 +295,9 @@ def _vdr_index_sets(p: int, d: int) -> tuple:
 def v_dr(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     """Quotient of v_d(p^2) (+) v_d(d) by the span of the diagonal vectors
     k_i = (w_i, 0) + i*(0, w_{i-1}), 0 <= i <= d, on the labeled basis
-    {eta_i : p does not divide i, or i > d} u {w_i : i < d, i = -1 mod p}.
-    Equal arguments return the same shared module."""
+    {eta_i : p does not divide i, or i > d} u {w_i : i < d, i = -1 mod p}:
+    built as the gamma = 1 dr_action read in these labels through
+    vdr_label_map.  Equal arguments return the same shared module."""
     p = ctx.p
     if not (0 <= d <= p * p):
         raise BadDimension(f"parameter {d} outside 0..{p * p}")
@@ -308,46 +309,71 @@ def v_dr(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
 
 
 def _build_vdr(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
+    one = ctx.el(1)
+    labels, pos, scale = vdr_label_map(ctx, d, one)
+    # Phi^-1 A Phi for the monomial map Phi: a gather and two scalings
+    S, T = (Mat(ctx, ctx.mul[ctx.mul[ctx.inv[scale][:, None], A[np.ix_(pos, pos)]], scale])
+            for A in dr_action(ctx, d, beta, one))
+    return HModule(ctx, S, T, labels=labels, meta={"kind": "vdr", "d": d, "beta": beta.idx})
+
+
+def _rewrite_scale(ctx: FieldCtx, d: int, gamma: FieldElem, i: np.ndarray) -> np.ndarray:
+    """-i*gamma where eta_i rewrites to -i*gamma*w_{i-1} (i <= d), else 1."""
+    return np.where(i <= d, ctx.mul[ctx.neg[i % ctx.p], gamma.idx], 1)
+
+
+def dr_action(ctx: FieldCtx, d: int, beta: FieldElem, gamma: FieldElem) -> tuple:
+    """(S, T) of the de Rham piece on w_0..w_{d-1}, eta_{d+1}..eta_{p^2-1},
+    cut from the binomial table with no product: the w-columns are its
+    leading columns; column n gives eta_n, its row i moved to position
+    i - 1 and scaled by _rewrite_scale.  At d = p^2 it is v_d(p^2)."""
+    pp = ctx.p ** 2
+    dim = max(d, pp - 1)
+    scale = _rewrite_scale(ctx, d, gamma, np.arange(1, pp))[:, None]
+    out = []
+    for table in binomial_table(ctx, beta):
+        A = np.zeros((dim, dim), dtype=np.int64)
+        A[:, :d] = table[:dim, :d]
+        A[:pp - 1, d:] = ctx.mul[scale, table[1:, d + 1:]]
+        out.append(A)
+    return tuple(out)
+
+
+def vdr_label_map(ctx: FieldCtx, d: int, gamma: FieldElem) -> tuple:
+    """(labels, pos, scale) of v_dr(d): the monomial map into the dr_action
+    basis sending label k to scale[k] times basis vector pos[k], eta_i to
+    position i - 1 and w_i to i, scaled by _rewrite_scale (gamma for w_i)."""
+    etas, omegas = _vdr_index_sets(ctx.p, d)
+    labels = tuple([f"eta{i}" for i in etas] + [f"w{i}" for i in omegas])
+    idx = np.array(etas + omegas, dtype=np.int64)
+    pos = idx - (np.arange(idx.size) < len(etas))
+    return labels, pos, _rewrite_scale(ctx, d, gamma, idx)
+
+
+def vdr_quotient(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
+    """v_dr(d, beta) as the paper defines it, the quotient, built afresh
+    on every call to check v_dr and the de Rham pieces against;
+    meta["proj"] is the quotient map."""
     p = ctx.p
     A = v_d(ctx, p * p, beta)
-    if d >= 1:
-        B = v_d(ctx, d, beta)
-        D = direct_sum(A, B)
-    else:
-        D = A
-    amb = D.dim
-    gens = np.zeros((d + 1, amb), dtype=np.int64)
-    for i in range(d + 1):
-        if i < p * p:
-            gens[i, i] = 1
-        if i >= 1:
-            gens[i, p * p + i - 1] = i % p
-    K = Subspace.from_rows(ctx, amb, gens)
+    D = direct_sum(A, v_d(ctx, d, beta)) if d >= 1 else A
+    # row i is k_i = (w_i, 0) + i*(0, w_{i-1}); w_{p^2} is 0 in v_d(p^2)
+    r = np.arange(d + 1)
+    gens = np.zeros((d + 1, D.dim), dtype=np.int64)
+    gens[r[r < p * p], r[r < p * p]] = 1
+    gens[r[1:], p * p + r[1:] - 1] = r[1:] % p
+    K = Subspace.from_rows(ctx, D.dim, gens)
     etas, omegas = _vdr_index_sets(p, d)
-    reps = []
-    labels = []
-    eta_pos = {}
-    omega_pos = {}
-    for i in etas:
-        r = np.zeros(amb, dtype=np.int64)
-        r[i] = 1
-        eta_pos[i] = len(reps)
-        reps.append(r)
-        labels.append(f"eta{i}")
-    for i in omegas:
-        r = np.zeros(amb, dtype=np.int64)
-        r[p * p + i] = 1
-        omega_pos[i] = len(reps)
-        reps.append(r)
-        labels.append(f"w{i}")
+    reps = np.zeros((len(etas) + len(omegas), D.dim), dtype=np.int64)
+    reps[np.arange(len(reps)), etas + [p * p + i for i in omegas]] = 1
+    labels = [f"eta{i}" for i in etas] + [f"w{i}" for i in omegas]
     Q, P = quotient(D, K, reps=reps, labels=labels)
-    Q.meta = {"kind": "vdr", "d": d, "beta": beta.idx, "proj": P.data,
-              "eta_pos": eta_pos, "omega_pos": omega_pos, "blocks": (p * p, d)}
+    Q.meta = {"kind": "vdr", "d": d, "beta": beta.idx, "proj": P.data}
     return Q
 
 
 def _require_vdr(M: HModule) -> None:
-    if M.meta.get("kind") != "vdr" or "proj" not in M.meta:
+    if M.meta.get("kind") != "vdr":
         raise UnlabeledModule("operation needs a module built by v_dr")
 
 

@@ -373,34 +373,6 @@ def subspace_sum(U: Subspace, W: Subspace) -> Subspace:
     return Subspace.from_rows(U.ctx, U.ambient, np.vstack([U.basis, W.basis]))
 
 
-def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
-    """Zassenhaus-free intersection: solve a*Bu = b*Bw via a joint kernel."""
-    _check_ambient(U, W)
-    ctx = U.ctx
-    if U.dim == 0 or W.dim == 0:
-        return Subspace.zero(ctx, U.ambient)
-    stacked = np.hstack([U.basis.T, ctx.neg[W.basis.T]])
-    K = kernel(Mat(ctx, stacked))
-    if K.dim == 0:
-        return Subspace.zero(ctx, U.ambient)
-    coefsU = K.basis[:, : U.dim]
-    vecs = _matmul_idx(ctx, coefsU, U.basis)
-    return Subspace.from_rows(ctx, U.ambient, vecs)
-
-
-def preimage(A: Mat, W: Subspace) -> Subspace:
-    """{x : A x in W}."""
-    if A.rows != W.ambient:
-        raise ShapeMismatch("map target does not match subspace ambient")
-    ctx = A.ctx
-    if W.is_full():
-        return Subspace.full(ctx, A.cols)
-    ann = kernel(Mat(ctx, W.basis)) if W.dim else Subspace.full(ctx, W.ambient)
-    D = ann.basis  # rows y with y . w = 0 for every w in W
-    DA = _matmul_idx(ctx, D, A.data)
-    return kernel(Mat(ctx, DA))
-
-
 def _check_ambient(U: Subspace, W: Subspace) -> None:
     if U.ctx != W.ctx:
         raise ContextMismatch("subspaces over different field contexts")

@@ -24,7 +24,7 @@ from . import curvefam as cf
 from . import kmod as km
 from .errors import BadParams, RepcurveError
 from .ff import FieldCtx, default_ctx, enumerate_nonprime, frobenius
-from .linalg import Subspace, invert, subspace_sum
+from .linalg import Mat, Subspace, invert, subspace_sum
 from .poly import Poly2, trace_polynomial
 
 ARTIFACT_VERSION = "0.1.0"
@@ -162,18 +162,20 @@ def _sn_dims_case(build):
 
 
 def _ddeg_case(build):
-    """ddeg_rows on 200 seeded nonzero vectors equals the largest label
-    degree on each vector's support; the certificate names the first
+    """ddeg_rows on 200 seeded nonzero vectors, then on every basis vector
+    (a random vector's degree is set by its top labels), equals the largest
+    label degree on each vector's support; the certificate names the first
     vector whose degree is wrong."""
     def run(s):
         rng = random.Random(s)
         M = build()
         V = np.array([_random_vector(M.ctx, M.dim, rng) for _ in range(200)])
+        V = np.vstack([V, np.eye(M.dim, dtype=np.int64)])
         want = np.where(V != 0, km.label_degrees(M), -1).max(axis=1)
         bad = np.nonzero(km.ddeg_rows(M, V) != want)[0]
         if bad.size:
             return False, f"bad vector {V[bad[0]].tolist()}"
-        return True, f"{len(V)} vectors"
+        return True, "200 vectors"
     return run
 
 
@@ -496,6 +498,7 @@ def _suite_dr(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
     pp = p * p
     cache: Dict[int, cf.GradedModule] = {}
+    oracles: Dict[int, km.HModule] = {}
 
     def graded(params):
         if params.m not in cache:
@@ -507,10 +510,17 @@ def _suite_dr(p: int, seed: int) -> List[Case]:
         return gm.total_dim() == (params.m - 1) * (pp - 1), f"total={gm.total_dim()}"
 
     def piece_case(params, c, _s):
+        # against the paper's quotient, not v_dr, which shares the piece's
+        # construction; every m shares alpha, hence beta: one per d
         piece = graded(params).piece(c)
         d = piece.meta["d"]
-        model = km.v_dr(ctx, d, params.beta)
-        Phi = piece.meta["iso_from_abstract"]
+        if d not in oracles:
+            oracles[d] = km.vdr_quotient(ctx, d, params.beta)
+        model = oracles[d]
+        _, pos, scale = km.vdr_label_map(ctx, d, params.gamma)
+        F = np.zeros((piece.dim, model.dim), dtype=np.int64)
+        F[pos, np.arange(model.dim)] = scale
+        Phi = Mat(ctx, F)
         ok = (Phi @ model.Msigma == piece.Msigma @ Phi
               and Phi @ model.Mtau == piece.Mtau @ Phi
               and invert(Phi) is not None)

@@ -3,8 +3,9 @@
 Each helper answers a question the package answers another way, from the
 definition and without the package's batching: the filtration from joint
 kernels of words, Hom spaces from Kronecker products, membership by
-reduction, polynomial values by Horner's rule, a graded family's JSON
-with every piece encoded in place.
+reduction, intersections and preimages by kernels, v_dr classes through
+the paper's quotient, polynomial values by Horner's rule, a graded
+family's JSON with every piece encoded in place.
 """
 
 from typing import Sequence
@@ -12,9 +13,37 @@ from typing import Sequence
 import numpy as np
 
 from repcurve import kmod as km
-from repcurve.errors import ContextMismatch, OutOfRange
+from repcurve.errors import ContextMismatch, OutOfRange, ShapeMismatch, UnlabeledModule
 from repcurve.ff import FieldElem
-from repcurve.linalg import Mat, Subspace, kernel, subspace_intersect
+from repcurve.linalg import Mat, Subspace, _check_ambient, _matmul_idx, kernel
+
+
+def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
+    """Zassenhaus-free intersection: solve a*Bu = b*Bw via a joint kernel."""
+    _check_ambient(U, W)
+    ctx = U.ctx
+    if U.dim == 0 or W.dim == 0:
+        return Subspace.zero(ctx, U.ambient)
+    stacked = np.hstack([U.basis.T, ctx.neg[W.basis.T]])
+    K = kernel(Mat(ctx, stacked))
+    if K.dim == 0:
+        return Subspace.zero(ctx, U.ambient)
+    coefsU = K.basis[:, : U.dim]
+    vecs = _matmul_idx(ctx, coefsU, U.basis)
+    return Subspace.from_rows(ctx, U.ambient, vecs)
+
+
+def preimage(A: Mat, W: Subspace) -> Subspace:
+    """{x : A x in W}."""
+    if A.rows != W.ambient:
+        raise ShapeMismatch("map target does not match subspace ambient")
+    ctx = A.ctx
+    if W.is_full():
+        return Subspace.full(ctx, A.cols)
+    ann = kernel(Mat(ctx, W.basis)) if W.dim else Subspace.full(ctx, W.ambient)
+    D = ann.basis  # rows y with y . w = 0 for every w in W
+    DA = _matmul_idx(ctx, D, A.data)
+    return kernel(Mat(ctx, DA))
 
 
 def word_matrix(M: km.HModule, a: int, b: int) -> Mat:
@@ -42,28 +71,35 @@ def s_filtration_direct(M: km.HModule) -> list:
 
 
 def _vdr_class(M: km.HModule, column: int) -> np.ndarray:
-    e = np.zeros(M.meta["proj"].shape[1], dtype=np.int64)
-    e[column] = 1
-    return Mat(M.ctx, M.meta["proj"]).apply(e)
+    if "proj" not in M.meta:
+        raise UnlabeledModule("needs the quotient model km.vdr_quotient")
+    return M.meta["proj"][:, column].copy()
 
 
 def vdr_eta(M: km.HModule, i: int) -> np.ndarray:
-    """Class in a v_dr module of the first-block basis vector w_i, for any
-    0 <= i < p^2, read through the quotient map."""
-    km._require_vdr(M)
-    pp = M.meta["blocks"][0]
+    """Class in the quotient model km.vdr_quotient of the first-block
+    basis vector w_i, for any 0 <= i < p^2, read through the quotient map."""
+    pp = M.ctx.p ** 2
     if not (0 <= i < pp):
         raise OutOfRange(f"eta index {i} outside 0..{pp - 1}")
     return _vdr_class(M, i)
 
 
 def vdr_omega(M: km.HModule, j: int) -> np.ndarray:
-    """Class in a v_dr module of the second-block basis vector w_j."""
-    km._require_vdr(M)
-    pp, d = M.meta["blocks"]
+    """Class in the quotient model of the second-block basis vector w_j."""
+    d = M.meta["d"]
     if not (0 <= j < d):
         raise OutOfRange(f"omega index {j} outside 0..{d - 1}")
-    return _vdr_class(M, pp + j)
+    return _vdr_class(M, M.ctx.p ** 2 + j)
+
+
+def vdr_label_matrix(ctx, d: int, gamma: FieldElem) -> Mat:
+    """The monomial map of km.vdr_label_map as a matrix: it intertwines
+    v_dr(d, beta) with the de Rham piece over (beta, gamma)."""
+    _, pos, scale = km.vdr_label_map(ctx, d, gamma)
+    F = np.zeros((pos.size, pos.size), dtype=np.int64)
+    F[pos, np.arange(pos.size)] = scale
+    return Mat(ctx, F)
 
 
 def field_kron(X: Mat, Y: Mat) -> Mat:

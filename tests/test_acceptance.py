@@ -15,10 +15,12 @@ from functools import lru_cache
 import pytest
 
 from repcurve.ff import default_ctx, frobenius
-from repcurve.kmod import (case_ii_core, dual, is_isomorphic, v_d, v_dr)
+from repcurve.kmod import (case_ii_core, dual, is_isomorphic, v_d, v_dr,
+                           vdr_quotient)
 from repcurve.linalg import invert
 from repcurve.poly import Poly2, trace_polynomial
 from repcurve.suites import report_to_json, run_suite
+from reference import vdr_label_matrix
 
 SEED = 0
 
@@ -208,13 +210,13 @@ def test_criterion_11_geometric_cross_check():
         for suite in ("holo", "dr"):
             for p in (3, 5):
                 n += len(all_pass(report(suite, p)))
-        # re-verify one stored intertwiner by hand
+        # re-verify one piece against the paper's quotient by hand
         from repcurve.curvefam import curve_params, dr_graded
         C3 = default_ctx(3)
         params = curve_params(C3, 10, C3.gen())
         piece = dr_graded(params).piece(4)
-        Phi = piece.meta["iso_from_abstract"]
-        model = v_dr(C3, piece.meta["d"], params.beta)
+        Phi = vdr_label_matrix(C3, piece.meta["d"], params.gamma)
+        model = vdr_quotient(C3, piece.meta["d"], params.beta)
         assert Phi @ model.Msigma == piece.Msigma @ Phi
         assert invert(Phi) is not None
         return f"{n} piece identifications, p=3 m in {{2,10}}, p=5 m=26"

@@ -15,6 +15,7 @@ from repcurve import kmod as km
 from repcurve.cli import BUILD_KINDS, QUERY_KINDS, main
 from repcurve.errors import BadParams, RepcurveError
 from repcurve.ff import default_ctx
+from repcurve.suites import run_suite
 
 from reference import graded_to_json
 
@@ -353,6 +354,43 @@ def test_crashing_case_fails_alone(monkeypatch):
     assert rep["counts"]["fail"] == 1
     assert rep["counts"]["pass"] == len(rep["cases"]) - 1
     assert rep["exit"] == 1
+
+
+def _failed(rep):
+    return [c["case"] for c in rep["cases"] if c["verdict"] == "fail"]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_filtration_suite_sees_low_label_degrees(monkeypatch, p):
+    # drop the top-digit term of eta_i with p | i: the 200 random vectors
+    # of each case all have a higher label on their support, so only the
+    # basis vectors see it
+    real = km.label_degrees
+
+    def without_top_digit(M):
+        out = real(M).copy()
+        for k, lab in enumerate(M.labels):
+            if lab.startswith("eta") and int(lab[3:]) % p == 0:
+                out[k] = km.s_p(int(lab[3:]), p) - 1
+        return out
+
+    monkeypatch.setattr(km, "label_degrees", without_top_digit)
+    rep = run_suite("filtration", (p,), 0)
+    assert rep["exit"] == 1
+    assert all(cid.endswith("/ddeg-prime") for cid in _failed(rep))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_dr_suite_sees_a_wrong_gamma(monkeypatch, p):
+    # the pieces no longer check themselves when built: the suite's
+    # comparison with the paper's quotient must catch a piece built with
+    # gamma = 1 in place of the curve's gamma
+    real = cf.dr_action
+    monkeypatch.setattr(cf, "dr_action",
+                        lambda ctx, d, beta, gamma: real(ctx, d, beta, ctx.el(1)))
+    rep = run_suite("dr", (p,), 0)
+    assert rep["exit"] == 1
+    assert _failed(rep) and all("/c" in cid for cid in _failed(rep))
 
 
 def test_verify_usage_error(capsys):

@@ -15,10 +15,10 @@ from repcurve.curvefam import (curve_params, dd, default_grid, dr_graded,
 from repcurve.errors import (BadParams, ContextMismatch, OutOfRange,
                              PrimeFieldOnly)
 from repcurve.ff import FieldCtx, default_ctx
-from repcurve.kmod import module_from_json, v_d, v_dr
-from repcurve.linalg import invert
+from repcurve.kmod import module_from_json, v_d, vdr_quotient
+from repcurve.linalg import Subspace, invert
 
-from reference import graded_to_json
+from reference import graded_to_json, vdr_label_matrix
 
 C3 = default_ctx(3)
 C5 = default_ctx(5)
@@ -115,7 +115,7 @@ def test_single_piece_small_exponent():
     assert gm.piece(1).Msigma == model.Msigma
 
 
-def test_dr_graded_pieces_carry_intertwiners():
+def test_dr_graded_pieces_match_the_quotient():
     params = curve_params(C3, 10, C3.gen())
     gm = dr_graded(params)
     assert gm.total_dim() == 9 * 8
@@ -124,8 +124,8 @@ def test_dr_graded_pieces_carry_intertwiners():
         assert piece.dim == 8
         d = piece.meta["d"]
         assert d == dd(3, 10, 10 - c)
-        Phi = piece.meta["iso_from_abstract"]
-        model = v_dr(C3, d, params.beta)
+        Phi = vdr_label_matrix(C3, d, params.gamma)
+        model = vdr_quotient(C3, d, params.beta)
         assert Phi @ model.Msigma == piece.Msigma @ Phi
         assert Phi @ model.Mtau == piece.Mtau @ Phi
         assert invert(Phi) is not None
@@ -173,8 +173,8 @@ def test_each_distinct_piece_is_built_once(monkeypatch, kind, p, m):
         else:
             d = piece.meta["d"]
             assert d == dd(p, m, m - c)
-            Phi = piece.meta["iso_from_abstract"]
-            model = v_dr(ctx, d, params.beta)
+            Phi = vdr_label_matrix(ctx, d, params.gamma)
+            model = vdr_quotient(ctx, d, params.beta)
             assert Phi @ model.Msigma == piece.Msigma @ Phi
             assert Phi @ model.Mtau == piece.Mtau @ Phi
 
@@ -227,6 +227,31 @@ def test_graded_builds_make_no_per_entry_scalar_calls(monkeypatch):
     dr_graded(params)
     assert calls["binom"] <= p ** 4
     assert calls["pow"] <= p ** 2
+
+
+def test_vdr_and_dr_pieces_build_no_quotient(monkeypatch):
+    # both are cut from the binomial table; only the quotient model that
+    # checks them takes a direct sum, a quotient and an inversion
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("quotient", "direct_sum", "invert", "_build_vdr"):
+        monkeypatch.setattr(km, name, counted(name, getattr(km, name)))
+    monkeypatch.setattr(Subspace, "from_rows",
+                        classmethod(counted("from_rows", Subspace.from_rows.__func__)))
+    dr_graded(curve_params(C5, 26, C5.gen()))
+    assert calls == []  # and the pieces build no v_dr
+    for d in range(26):
+        km.v_dr(C5, d, C5.gen())
+    assert calls == ["_build_vdr"] * 26
+    calls.clear()
+    km.vdr_quotient(C5, 12, C5.gen())
+    assert {"quotient", "direct_sum", "invert", "from_rows"} <= set(calls)
 
 
 @pytest.mark.parametrize("c,sub,quot", [(1, 0, 8), (5, 4, 4), (9, 8, 0)])

@@ -250,8 +250,23 @@ def test_end_basis_reuses_the_end_solve(monkeypatch):
     assert len(eliminations) == 2 and H.dim == e == 28
 
 
+# every d at p = 2, 3 and 5, and a spread of d at p = 7, d = p^2 included
+VDR_PAIRS = ([(p, d) for p in (2, 3, 5) for d in range(p * p + 1)]
+             + [(7, d) for d in (0, 1, 6, 7, 20, 24, 42, 48, 49)])
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("p,d", VDR_PAIRS)
+def test_vdr_matches_the_quotient(p, d, shift):
+    # v_dr is gathered from the binomial table; the paper defines it as a
+    # quotient of v_d(p^2) (+) v_d(d), which vdr_quotient builds
+    ctx = default_ctx(p)
+    beta = ctx.gen() + ctx.el(shift)
+    M, Q = km.v_dr(ctx, d, beta), km.vdr_quotient(ctx, d, beta)
+    assert M == Q and M.labels == Q.labels
+
+
 def test_vdr_module_is_checked_once(monkeypatch):
-    km.v_d(C3, 9, T3), km.v_d(C3, 5, T3)
     checks = []
     real = linalg._matpow_idx
 
@@ -259,10 +274,11 @@ def test_vdr_module_is_checked_once(monkeypatch):
         checks.append(args[-1])
         return real(*args)
 
-    # every new HModule checks sigma^p = tau^p = 1 with one stacked power
+    # every new HModule checks sigma^p = tau^p = 1 with one stacked power;
+    # v_dr is gathered from the binomial table, with no direct sum to check
     monkeypatch.setattr(km, "_matpow_idx", counted)
     M = km._build_vdr(C3, 5, T3)
-    assert checks == [3, 3]  # the direct sum, then the labeled quotient
+    assert checks == [3]
     assert M == km.v_dr(C3, 5, T3) and M.labels == km.v_dr(C3, 5, T3).labels
 
 

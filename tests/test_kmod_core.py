@@ -15,7 +15,7 @@ from repcurve.kmod import (HModule, apply_word, augmentation_ideal,
                            module_from_json, module_to_json, profile,
                            quotient, regular_module, s_filtration, s_p,
                            sub_generated, sub_module_on, trivial_module, v_d,
-                           v_dr)
+                           v_dr, vdr_quotient)
 from repcurve.linalg import Mat, Subspace, matpow
 from reference import contains_space, s_filtration_direct, vdr_eta, vdr_omega
 
@@ -83,8 +83,12 @@ def test_vdr_dimension_and_labels(d):
 
 
 def test_vdr_rewriting_relations():
-    # eta_0 and eta_{p|i, i <= d} die; w-classes equal -1/i times eta_i
-    M = v_dr(C3, 5, T3)
+    # eta_0 and eta_{p|i, i <= d} die; w-classes equal -1/i times eta_i.
+    # The classes are read through the paper's quotient map, and v_dr has
+    # the same matrices and labels
+    M = vdr_quotient(C3, 5, T3)
+    N = v_dr(C3, 5, T3)
+    assert M == N and M.labels == N.labels
     assert not vdr_eta(M, 0).any()
     assert not vdr_eta(M, 3).any()
     assert np.array_equal(vdr_eta(M, 2), M.basis_vector("eta2"))

