@@ -7,8 +7,15 @@ scalar arithmetic and the bulk array arithmetic used by linalg are plain
 table lookups.  Tables are only built for q <= 2048, which covers every
 field this package targets (F_9, F_25 and their quadratic extensions).
 
-Default moduli: t^2 + 1 for p = 3, t^2 + 2 for p = 5 (both irreducible,
-verified at context creation).
+Each field is built and checked from its definition.  The modulus f is
+irreducible when no monic polynomial of degree 1..n//2 divides it (trial
+division).  One table of t^0 .. t^(2n-2) mod f gives the fold of digit
+products that linalg's matrix product uses, and mul is the digit-plane
+products of every pair folded through it.
+
+Default moduli: t^2 + 1 for p = 3, t^2 + 2 for p = 5, and otherwise the
+first monic irreducible in find_irreducible's order; every modulus is
+checked at context creation.
 """
 
 from __future__ import annotations
@@ -51,7 +58,15 @@ def is_prime(p: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Polynomial helpers over F_p (coefficient tuples, index = exponent).
-# Used only for modulus validation; everything else runs on tables.
+# Used only for modulus validation and search; everything else runs on
+# tables.
+
+
+def _monics(p: int, n: int) -> Iterable[tuple]:
+    """Every monic polynomial of degree n over F_p, lexicographic in the
+    encoded index of its low coefficients a0 + a1*p + ..."""
+    for low in range(p**n):
+        yield tuple((low // p**i) % p for i in range(n)) + (1,)
 
 
 def _ptrim(a: Sequence[int]) -> tuple:
@@ -59,15 +74,6 @@ def _ptrim(a: Sequence[int]) -> tuple:
     while a and a[-1] == 0:
         a.pop()
     return tuple(a)
-
-
-def _pmulmod(a, b, f, p):
-    out = [0] * (len(a) + len(b) - 1 or 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pmod(out, f, p)
 
 
 def _pmod(a, f, p):
@@ -83,69 +89,12 @@ def _pmod(a, f, p):
     return _ptrim(a[:df])
 
 
-def _ppowmod(a, e, f, p):
-    result = (1,)
-    base = _pmod(a, f, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Deterministic irreducibility test for a monic f over F_p."""
+    """Irreducibility of a monic f over F_p by its definition: a reducible
+    f of degree n has a monic factor of degree 1..n//2, so trial division
+    by all of them decides it (at most 62 divisions for q <= 2048)."""
     n = len(f) - 1
-    if n == 1:
-        return True
-    x = (0, 1)
-    # x^(p^n) == x mod f
-    xq = x
-    for _ in range(n):
-        xq = _ppowmod(xq, p, f, p)
-    diff = _psub(xq, x, p)
-    if _ptrim(diff):
-        return False
-    # gcd(x^(p^(n/r)) - x, f) == 1 for every prime r | n
-    for r in _prime_divisors(n):
-        xe = x
-        for _ in range(n // r):
-            xe = _ppowmod(xe, p, f, p)
-        g = _pgcd(_psub(xe, x, p), f, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-def _psub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] = ai % p
-    for i, bi in enumerate(b):
-        out[i] = (out[i] - bi) % p
-    return _ptrim(out)
-
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return all(_pmod(f, g, p) for k in range(1, n // 2 + 1) for g in _monics(p, k))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +105,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "n", "q", "modulus",
-        "add", "sub", "mul", "neg", "inv", "frob", "proot", "red",
+        "add", "sub", "mul", "neg", "inv", "frob", "proot",
         "texts", "_digits", "_pwr", "_planes", "_fold",
     )
 
@@ -190,45 +139,33 @@ class FieldCtx:
         self.texts.setflags(write=False)
         self._pwr = np.array([p**i for i in range(n)], dtype=np.int64)
 
-        dsum = (digits[:, None, :] + digits[None, :, :]) % p
-        self.add = (dsum @ self._pwr).astype(np.int64)
+        # add and mul are built one digit at a time, so no q x q x n array
+        self.add = sum((digits[:, None, i] + digits[None, :, i]) % p * p**i for i in range(n))
         self.neg = (((-digits) % p) @ self._pwr).astype(np.int64)
         self.sub = self.add[:, self.neg]
 
-        # raw polynomial product of the digit vectors, then reduce by the
-        # expansions of t^n .. t^(2n-2) (kept as red[e] = t^(n+e) for the
-        # digit-plane matrix product in linalg)
-        conv = np.zeros((q, q, 2 * n - 1), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                conv[:, :, i + j] += digits[:, None, i] * digits[None, :, j]
-        red = np.zeros((n - 1, n), dtype=np.int64) if n > 1 else np.zeros((0, n), dtype=np.int64)
-        cur = [(-c) % p for c in self.modulus[:-1]]  # t^n
-        for e in range(n - 1):
-            red[e] = cur
-            # t^(n+e+1) = t * t^(n+e)
-            nxt = [0] + cur[:-1]
-            lead = cur[-1]
-            for j in range(n):
-                nxt[j] = (nxt[j] + lead * ((-self.modulus[j]) % p)) % p
-            cur = nxt
-        self.red = red
-        self.red.setflags(write=False)
-        # for linalg._matmul_idx: the digit planes as float64 rows, and the
-        # fold that sends the n*n plane products (i, j) to t^(i+j) and
-        # reduces t^n .. t^(2n-2) back to n digits by the rows of red.
-        # Column i*n + j is pair (i, j); it must agree with the plane
-        # layout of the product in _matmul_idx (see its docstring).
+        # one table of t^0 .. t^(2n-2) mod f, row e the digits of t^e:
+        # t^e = t * t^(e-1), with t^n = -(f_0 + ... + f_(n-1) t^(n-1))
+        pw = np.zeros((2 * n - 1, n), dtype=np.int64)
+        pw[0, 0] = 1
+        tn = np.array([(-c) % p for c in self.modulus[:-1]], dtype=np.int64)
+        for e in range(1, 2 * n - 1):
+            pw[e, 1:] = pw[e - 1, :-1]
+            pw[e] = (pw[e] + pw[e - 1, -1] * tn) % p
+        # the digit planes as float64 rows, and the fold that sends the n*n
+        # plane products (i, j) to the digits of t^(i+j).  Column i*n + j
+        # is pair (i, j); it must agree with the plane layout of the
+        # product in linalg._matmul_idx (see its docstring).
         self._planes = digits.T.astype(np.float64)
         r = np.arange(n)
-        self._fold = np.concatenate((np.eye(n), red))[(r[:, None] + r).reshape(-1)].T.copy()
+        self._fold = pw[(r[:, None] + r).reshape(-1)].T.astype(np.float64, order="C")
         for table in (self._planes, self._fold):
             table.setflags(write=False)
-        out = conv[:, :, :n].copy()
-        for e in range(n - 1):
-            out += conv[:, :, n + e, None] * red[e][None, None, :]
-        out %= p
-        self.mul = (out @ self._pwr).astype(np.int64)
+        # mul from the same planes and fold, as exact float64 products:
+        # digit k of a*b is the sum over (i, j) of fold[k, (i, j)] a_i b_j
+        fold = self._fold.reshape(n, n, n)
+        self.mul = sum((self._planes.T @ (fold[k] @ self._planes) % p).astype(np.int64) * p**k
+                       for k in range(n))
 
         # inverses by row scan of the multiplication table
         self.inv = np.zeros(q, dtype=np.int64)
@@ -450,8 +387,7 @@ def _check_field(p: int, n: int) -> None:
 def find_irreducible(p: int, n: int) -> tuple:
     """First monic irreducible of degree n over F_p in lexicographic order."""
     _check_field(p, n)
-    for low in range(p**n):
-        coeffs = tuple((low // p**i) % p for i in range(n)) + (1,)
+    for coeffs in _monics(p, n):
         if _is_irreducible(coeffs, p):
             return coeffs
     raise ReducibleModulus(f"no irreducible of degree {n} over F_{p}")  # unreachable

@@ -207,17 +207,14 @@ def trivial_module(ctx: FieldCtx) -> HModule:
 def regular_module(ctx: FieldCtx) -> HModule:
     """The group algebra acting on itself by left multiplication.
 
-    Basis indexed by group elements sigma^a tau^b at position a*p + b.
+    Basis indexed by group elements sigma^a tau^b at position a*p + b, so
+    sigma and tau are the cyclic shift C of Z/p on the first and on the
+    second index.
     """
     p = ctx.p
-    d = p * p
-    S = np.zeros((d, d), dtype=np.int64)
-    T = np.zeros((d, d), dtype=np.int64)
-    for a in range(p):
-        for b in range(p):
-            col = a * p + b
-            S[((a + 1) % p) * p + b, col] = 1
-            T[a * p + (b + 1) % p, col] = 1
+    C = np.roll(np.eye(p, dtype=np.int64), 1, axis=0)  # e_a -> e_(a+1 mod p)
+    I = np.eye(p, dtype=np.int64)
+    S, T = np.kron(C, I), np.kron(I, C)
     labels = tuple(f"g{a}{b}" for a in range(p) for b in range(p))
     return HModule(ctx, Mat(ctx, S), Mat(ctx, T), labels=labels,
                    meta={"kind": "regular"})

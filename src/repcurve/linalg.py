@@ -135,9 +135,10 @@ def _matmul_idx(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     Leading axes broadcast as with ``@``.  All n x n products of digit
     planes come from one float64 matmul (exact: every sum stays far below
-    2^53).  Plane pair (i, j) lands on t^(i+j); the powers t^n .. t^(2n-2)
-    are folded back to n digits by ctx._fold, built from the reduction
-    rows ctx.red.
+    2^53).  Plane pair (i, j) lands on t^(i+j), and ctx._fold reads the
+    n digits of t^(i+j) from the field's one table of powers of t, so
+    t^n .. t^(2n-2) fold back to n digits; FieldCtx.mul is built from
+    the same planes and fold.
 
     The reshape of prod below puts pair (i, j) at row j*n + i.  ctx._fold
     (ff.FieldCtx._build_tables) must read its column i*n + j as t^(i+j);

@@ -14,7 +14,7 @@ from repcurve import curvefam as cf
 from repcurve import kmod as km
 from repcurve.cli import BUILD_KINDS, QUERY_KINDS, main
 from repcurve.errors import BadParams, RepcurveError
-from repcurve.ff import default_ctx
+from repcurve.ff import default_ctx, frobenius
 from repcurve.suites import run_suite
 
 from reference import graded_to_json
@@ -116,9 +116,9 @@ def test_build_graded(capsys):
     (("build", "vd", "--p", "5", "--d", "25", "--beta", "2,3"),
      "c859231df403aee970f6aee7232580ead8de6c51ab7195f7831eb4c89970de5a"),
     (("claims", "--format", "md"),
-     "d630dff764752090cf6a0e69daff533556147bea01aee9ac3cfef247642c6bcf"),
+     "a0544aab1a7ece0f53b5a0aaa3eb7e426709e675353d3973dc3d3d41dac744b8"),
     (("claims", "--format", "json"),
-     "a9935505a1dc0bed08e384806d96e59af394cc629ba39b23c86bec26f5b89a2f"),
+     "3ad28a924a9e9aa0ca4dacde07eecb9cc5b612abd4bef1c4692d339682d59755"),
     # no pieces at all, and the smallest field
     (("build", "holo", "--p", "3", "--m", "1", "--alpha", "0,1"),
      "32e557069ae4cc09c9765ddc74be1c1c8024fb1965c0ac08a8d8011b346cb1bf"),
@@ -391,6 +391,21 @@ def test_dr_suite_sees_a_wrong_gamma(monkeypatch, p):
     rep = run_suite("dr", (p,), 0)
     assert rep["exit"] == 1
     assert _failed(rep) and all("/c" in cid for cid in _failed(rep))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_holo_suite_sees_a_frobenius_twisted_table(monkeypatch, capsys, p):
+    # every holomorphic piece is the shared v_d, cut from the binomial
+    # table: with the table built at beta^p in place of beta, piece and v_d
+    # agree, so only the suite's comparison with the definition of v_d can
+    # catch it
+    real = km.binomial_table
+    monkeypatch.setattr(km, "_FAMILY", {})
+    monkeypatch.setattr(km, "binomial_table", lambda ctx, beta: real(ctx, frobenius(beta)))
+    code, out, _ = run(capsys, "verify", "holo", "--p", str(p))
+    assert code == 1
+    failed = _failed(json.loads(out))
+    assert failed and all("/c" in cid for cid in failed)
 
 
 def test_verify_usage_error(capsys):

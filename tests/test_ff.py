@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -70,16 +71,43 @@ def _pmul(f, g, p):
     return tuple(out)
 
 
-@pytest.mark.parametrize("p,top", [(2, 4), (3, 4), (5, 3)])
+@pytest.mark.parametrize("p,top", [(2, 4), (3, 4), (5, 3), (2, 6), (3, 5)])
 def test_irreducible_exactly_when_no_monic_factorization(p, top):
-    # degree 4 has products of two irreducible quadratics: they pass the
-    # x^(p^n) = x test, and only the gcd step rejects them
+    # a reducible f of degree n may have no monic factor below degree n//2:
+    # two irreducible quadratics (n = 4), a quadratic times a cubic (n = 5)
+    # or two irreducible cubics (n = 6), so trial division must reach n//2
     for n in range(1, top + 1):
         products = {_pmul(f, g, p) for k in range(1, n // 2 + 1)
                     for f in _monics(p, k) for g in _monics(p, n - k)}
         irreducible = [f for f in _monics(p, n) if f not in products]
         assert [f for f in _monics(p, n) if _is_irreducible(f, p)] == irreducible
         assert find_irreducible(p, n) == irreducible[0]
+
+
+def _schoolbook_mul(ctx):
+    """The q x q product table of ctx from the digit vectors: polynomial
+    product, then the remainder mod the modulus by long division."""
+    p, n, f = ctx.p, ctx.n, ctx.modulus
+    out = np.zeros((ctx.q, ctx.q), dtype=np.int64)
+    for a in range(ctx.q):
+        for b in range(ctx.q):
+            prod = list(_pmul(ctx.decode(a), ctx.decode(b), p))
+            for top in range(len(prod) - 1, n - 1, -1):
+                c = prod[top]
+                for j in range(n + 1):
+                    prod[top - n + j] = (prod[top - n + j] - c * f[j]) % p
+            out[a, b] = ctx.encode(prod[:n])
+    return out
+
+
+@pytest.mark.parametrize("p,n,modulus", [
+    (2, 3, None), (2, 4, None), (2, 4, (1, 1, 1, 1, 1)),
+    (3, 3, None), (3, 3, (2, 2, 0, 1)), (7, 2, None), (5, 3, None)])
+def test_mul_table_is_the_schoolbook_product(p, n, modulus):
+    # beside the default moduli (None): t^4 + t^3 + t^2 + t + 1, in whose
+    # field t has order 5, not 15 as under t^4 + t + 1, and t^3 + 2t + 2
+    ctx = ctx_new(p, n, modulus or find_irreducible(p, n))
+    assert np.array_equal(ctx.mul, _schoolbook_mul(ctx))
 
 
 def test_generator_and_text_roundtrip():
