@@ -23,7 +23,7 @@ from .curvefam import (CurveParams, GradedModule, RamificationProfile,
                        curve_params, dd, default_grid, dr_graded, genus,
                        hodge_check, holo_graded, index_I, index_J,
                        ramification_profile, rr_basis, semigroup_gap_count,
-                       trace_identity_check, valuation_table)
+                       valuation_table)
 from .suites import ARTIFACT_VERSION as __version__, run_suite, SUITE_NAMES
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
     "CurveParams", "GradedModule", "RamificationProfile", "curve_params",
     "dd", "default_grid", "dr_graded", "genus", "hodge_check", "holo_graded",
     "index_I", "index_J", "ramification_profile", "rr_basis",
-    "semigroup_gap_count", "trace_identity_check", "valuation_table",
+    "semigroup_gap_count", "valuation_table",
     "run_suite", "SUITE_NAMES",
     "__version__",
 ]

@@ -10,20 +10,14 @@ the dr suite checks against the paper's quotient by a scaled label map.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from .errors import (
-    BadParams,
-    ContextMismatch,
-    OutOfRange,
-    PrimeFieldOnly,
-)
-from .ff import FieldCtx, FieldElem, beta_from_alpha, enumerate_nonprime
-from .kmod import HModule, dr_action, dual, v_d
+from .errors import BadParams, ContextMismatch, OutOfRange
+from .ff import FieldCtx, FieldElem, beta_from_alpha
+from .kmod import HModule, dr_action, dual, v_d, vd_definition
 from .linalg import Mat
-from .poly import Poly1
 
 # test grid fixed by configuration; second component drops multiples of p
 GRID_PRIMES = (3, 5)
@@ -266,13 +260,15 @@ def dr_graded(params: CurveParams) -> GradedModule:
     return gm
 
 
-def hodge_check(params: CurveParams, c: int) -> dict:
+def hodge_check(params: CurveParams, c: int, table: Optional[tuple] = None) -> dict:
     """Two-step filtration of one mixed graded piece: the w-span is an
     invariant subspace matching the regular-differential piece at index
     m-c entrywise, and the quotient on the eta-classes matches the dual
     of the degree-dd(c) member under the index reversal i -> p^2 - 1 - i.
-    Both identifications are matrix identities; the report carries the
-    dimensions and verdicts."""
+    Both models are blocks of table, the definition of v_d(p^2, beta)
+    (kmod.vd_definition, its default), never of the binomial table the
+    piece is cut from.  Both identifications are matrix identities; the
+    report carries the dimensions and verdicts."""
     ctx = params.ctx
     p, m = params.p, params.m
     pp = p * p
@@ -281,16 +277,15 @@ def hodge_check(params: CurveParams, c: int) -> dict:
     piece = _dr_piece(params, index_I(p, m, m - c), index_J(p, m, c))
     d = piece.meta["d"]  # dimension of the w-block
     e = pp - 1 - d  # dimension of the quotient
-    beta = params.beta
+    S, T = vd_definition(ctx, params.beta) if table is None else table
 
     # the w-block occupies the leading coordinates, so the invariant
     # subspace is spanned by leading standard vectors and the induced
     # matrices are the leading principal blocks
     sub_ok = True
     if d > 0:
-        model_sub = v_d(ctx, d, beta)
-        sub_ok = (np.array_equal(piece.Msigma.data[:d, :d], model_sub.Msigma.data)
-                  and np.array_equal(piece.Mtau.data[:d, :d], model_sub.Mtau.data)
+        sub_ok = (np.array_equal(piece.Msigma.data[:d, :d], S[:d, :d])
+                  and np.array_equal(piece.Mtau.data[:d, :d], T[:d, :d])
                   and not piece.Msigma.data[d:, :d].any()
                   and not piece.Mtau.data[d:, :d].any())
 
@@ -299,7 +294,7 @@ def hodge_check(params: CurveParams, c: int) -> dict:
     if e > 0:
         Sq = piece.Msigma.data[d:, d:]
         Tq = piece.Mtau.data[d:, d:]
-        model_q = dual(v_d(ctx, e, beta))
+        model_q = dual(HModule(ctx, Mat(ctx, S[:e, :e].copy()), Mat(ctx, T[:e, :e].copy())))
         # eta_{p^2-1-j} class corresponds to the j-th dual basis vector
         F = np.zeros((e, e), dtype=np.int64)
         for j in range(e):
@@ -320,49 +315,3 @@ def hodge_check(params: CurveParams, c: int) -> dict:
         "quotient_identity": bool(quot_ok),
         "verdict": bool(sub_ok and quot_ok and d + e == piece.dim),
     }
-
-
-# ---------------------------------------------------------------------------
-# Trace identity
-
-
-def trace_sum(b: FieldElem) -> tuple:
-    """(sum of (Z + i + j*b)^(p^2-1) over all prime-field pairs (i, j),
-    the constant (b^p - b)^(p-1)), both as polynomials in Z."""
-    ctx = b.ctx
-    p = ctx.p
-    total = Poly1(ctx, ())
-    for i in range(p):
-        for j in range(p):
-            c0 = ctx.add[i, ctx.mul[j, b.idx]]
-            total = total + Poly1(ctx, (FieldElem(ctx, int(c0)), 1)) ** (p * p - 1)
-    expect_idx = ctx.pow_idx(ctx.sub[ctx.pow_idx(b.idx, p), b.idx], p - 1)
-    return total, Poly1(ctx, (FieldElem(ctx, int(expect_idx)),))
-
-
-def trace_identity_check(p: int, ctx: FieldCtx) -> dict:
-    """Sums (Z + i + j*b)^(p^2-1) over all prime-field pairs (i, j) for
-    every b outside the prime field and compares the expansion with the
-    constant (b^p - b)^(p-1).  Returns a report with the failure witness,
-    if any."""
-    if ctx.p != p:
-        raise ContextMismatch(f"context is for p={ctx.p}, not {p}")
-    if ctx.n < 2:
-        raise PrimeFieldOnly("the identity lives over a proper extension")
-    tested = 0
-    witness: Optional[dict] = None
-    for b in enumerate_nonprime(ctx):
-        total, expected = trace_sum(b)
-        tested += 1
-        if total != expected and witness is None:
-            witness = {"beta": b.text(), "got": total.to_text(),
-                       "expected": expected.to_text()}
-    return {
-        "check": "trace-identity",
-        "p": p,
-        "n": ctx.n,
-        "tested": tested,
-        "verdict": witness is None,
-        "witness": witness,
-    }
-

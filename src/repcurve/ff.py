@@ -20,6 +20,7 @@ checked at context creation.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -38,6 +39,12 @@ from .errors import (
 )
 
 _TABLE_LIMIT = 2048
+
+# Contexts the cache keeps alive, the most recently used.  The suites and
+# the query files use at most 15: F_3, F_5 and the 3 + 10 monic irreducible
+# quadratics over them.  A context near q = 2048 holds about 100 MB of
+# tables, so the bound also caps the memory of a walk over many fields.
+CTX_CACHE = 16
 
 DEFAULT_MODULI = {
     (3, 2): (1, 0, 1),  # t^2 + 1
@@ -106,7 +113,7 @@ class FieldCtx:
     __slots__ = (
         "p", "n", "q", "modulus",
         "add", "sub", "mul", "neg", "inv", "frob", "proot",
-        "texts", "_digits", "_pwr", "_planes", "_fold",
+        "texts", "_digits", "_pwr", "_planes", "_fold", "__weakref__",
     )
 
     def __init__(self, p: int, n: int, modulus: Sequence[int]):
@@ -357,9 +364,17 @@ def ctx_new(p: int, n: int, modulus: Sequence[int]) -> FieldCtx:
     return _ctx_cached(int(p), int(n), tuple(int(c) for c in modulus))
 
 
-@lru_cache(maxsize=None)
+# every live context: one that a caller still holds is returned again after
+# the bounded cache dropped it, as the alpha.ctx is ctx check of curve_params needs
+_CTX_LIVE = weakref.WeakValueDictionary()
+
+
+@lru_cache(maxsize=CTX_CACHE)
 def _ctx_cached(p: int, n: int, modulus: tuple) -> FieldCtx:
-    return FieldCtx(p, n, modulus)
+    ctx = _CTX_LIVE.get((p, n, modulus))
+    if ctx is None:
+        ctx = _CTX_LIVE[p, n, modulus] = FieldCtx(p, n, modulus)
+    return ctx
 
 
 def default_ctx(p: int, n: int = 2) -> FieldCtx:

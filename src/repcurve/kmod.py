@@ -44,7 +44,6 @@ from .linalg import (
     kernel,
     kernel_and_rows,
     matpow,
-    nilpotent_partition,
     nilpotent_partitions,
 )
 
@@ -347,22 +346,47 @@ def vdr_label_map(ctx: FieldCtx, d: int, gamma: FieldElem) -> tuple:
     return labels, pos, _rewrite_scale(ctx, d, gamma, idx)
 
 
-def vdr_quotient(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
-    """v_dr(d, beta) as the paper defines it, the quotient, built afresh
-    on every call to check v_dr and the de Rham pieces against;
-    meta["proj"] is the quotient map."""
+def vd_definition(ctx: FieldCtx, beta: FieldElem) -> tuple:
+    """Read-only (S, T) of v_d(p^2, beta) entry by entry from its
+    definition, built afresh on every call and never from binomial_table,
+    so the checks of the pieces cut from that table can compare with it:
+    column n is sigma.w_n = sum_i C(n,i) w_i and tau.w_n = sum_i C(n,i)
+    beta^(n-i) w_i, and the leading d x d blocks give v_d(d).  It makes
+    p^4 scalar calls, so a suite run builds it once per (field, beta)."""
     p = ctx.p
-    A = v_d(ctx, p * p, beta)
-    D = direct_sum(A, v_d(ctx, d, beta)) if d >= 1 else A
+    pp = p * p
+    S = np.array([[binom_mod_p(n, i, p) for n in range(pp)] for i in range(pp)],
+                 dtype=np.int64)
+    T = np.array([[ctx.mul[S[i, n], ctx.pow_idx(beta.idx, n - i)] if i <= n else 0
+                   for n in range(pp)] for i in range(pp)], dtype=np.int64)
+    for X in (S, T):
+        X.setflags(write=False)
+    return S, T
+
+
+def vdr_quotient(ctx: FieldCtx, d: int, beta: FieldElem, table: Optional[tuple] = None) -> HModule:
+    """v_dr(d, beta) as the paper defines it, the quotient, built afresh
+    on every call to check v_dr and the de Rham pieces against; the
+    summands v_d(p^2) and v_d(d) are blocks of table, which defaults to
+    vd_definition(ctx, beta).  meta["proj"] is the quotient map."""
+    p = ctx.p
+    pp = p * p
+    _require_nonprime(ctx, beta)
+    S, T = vd_definition(ctx, beta) if table is None else table
+
+    def summand(k: int) -> HModule:  # v_d(k), the leading k x k blocks
+        return HModule(ctx, Mat(ctx, S[:k, :k].copy()), Mat(ctx, T[:k, :k].copy()))
+
+    D = direct_sum(summand(pp), summand(d)) if d >= 1 else summand(pp)
     # row i is k_i = (w_i, 0) + i*(0, w_{i-1}); w_{p^2} is 0 in v_d(p^2)
     r = np.arange(d + 1)
     gens = np.zeros((d + 1, D.dim), dtype=np.int64)
-    gens[r[r < p * p], r[r < p * p]] = 1
-    gens[r[1:], p * p + r[1:] - 1] = r[1:] % p
+    gens[r[r < pp], r[r < pp]] = 1
+    gens[r[1:], pp + r[1:] - 1] = r[1:] % p
     K = Subspace.from_rows(ctx, D.dim, gens)
     etas, omegas = _vdr_index_sets(p, d)
     reps = np.zeros((len(etas) + len(omegas), D.dim), dtype=np.int64)
-    reps[np.arange(len(reps)), etas + [p * p + i for i in omegas]] = 1
+    reps[np.arange(len(reps)), etas + [pp + i for i in omegas]] = 1
     labels = [f"eta{i}" for i in etas] + [f"w{i}" for i in omegas]
     Q, P = quotient(D, K, reps=reps, labels=labels)
     Q.meta = {"kind": "vdr", "d": d, "beta": beta.idx, "proj": P.data}
@@ -446,20 +470,14 @@ def sub_module_on(M: HModule, W: Subspace) -> tuple:
 
 def sub_generated(M: HModule, vectors) -> tuple:
     """Smallest invariant subspace containing the vectors, with induced
-    action; returns (module, embedding matrix)."""
+    action: the span of every word sigma0^a tau0^b of M.word_stack()
+    applied to every vector, from one product and one elimination, since
+    the words span the group algebra.  Returns (module, embedding matrix)."""
     ctx = M.ctx
     rows = [as_vector(ctx, v) for v in vectors]
-    W = Subspace.from_rows(ctx, M.dim, np.array(rows, dtype=np.int64).reshape(len(rows), M.dim))
-    while True:
-        if W.dim == 0:
-            break
-        imgs_s = _matmul_idx(ctx, M.Msigma.data, W.basis.T).T
-        imgs_t = _matmul_idx(ctx, M.Mtau.data, W.basis.T).T
-        W2 = Subspace.from_rows(ctx, M.dim, np.vstack([W.basis, imgs_s, imgs_t]))
-        if W2.dim == W.dim:
-            break
-        W = W2
-    return sub_module_on(M, W)
+    V = np.array(rows, dtype=np.int64).reshape(len(rows), M.dim)
+    imgs = _matmul_idx(ctx, V, M.word_stack().transpose(0, 2, 1))
+    return sub_module_on(M, Subspace.from_rows(ctx, M.dim, np.vstack(imgs)))
 
 
 def quotient(M: HModule, W: Subspace, reps=None, labels=None) -> tuple:
@@ -1112,14 +1130,16 @@ def is_indecomposable(M: HModule, tiers: tuple = TIERS) -> IndecDecision:
 
 
 def jordan_type_at(M: HModule, a, b) -> tuple:
-    """Partition of the nilpotent pencil member a*sigma0 + b*tau0."""
+    """Partition of the nilpotent pencil member a*sigma0 + b*tau0, read
+    from jordan_scan at its projective point: (1, b/a), or (0, 1) when
+    a = 0.  A nonzero multiple of a nilpotent matrix has the same Jordan
+    type."""
     ctx = M.ctx
     ai = a.idx if isinstance(a, FieldElem) else int(a) % ctx.p
     bi = b.idx if isinstance(b, FieldElem) else int(b) % ctx.p
     if ai == 0 and bi == 0:
         raise ZeroPoint("pencil point (0, 0) is excluded")
-    N = Mat(ctx, ctx.add[ctx.mul[ai, M.sigma0().data], ctx.mul[bi, M.tau0().data]])
-    return nilpotent_partition(N)
+    return jordan_scan(M)[int(ctx.mul[bi, ctx.inv[ai]]) if ai else ctx.q][1]
 
 
 def jordan_scan(M: HModule) -> list:

@@ -369,18 +369,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F_{self.ctx.q}^{self.ambient})"
 
 
-def subspace_sum(U: Subspace, W: Subspace) -> Subspace:
-    _check_ambient(U, W)
-    return Subspace.from_rows(U.ctx, U.ambient, np.vstack([U.basis, W.basis]))
-
-
-def _check_ambient(U: Subspace, W: Subspace) -> None:
-    if U.ctx != W.ctx:
-        raise ContextMismatch("subspaces over different field contexts")
-    if U.ambient != W.ambient:
-        raise ShapeMismatch(f"ambient {U.ambient} vs {W.ambient}")
-
-
 # ---------------------------------------------------------------------------
 # Nilpotent partitions
 

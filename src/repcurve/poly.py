@@ -1,5 +1,7 @@
 """Dense polynomial arithmetic: univariate over any FieldCtx, bivariate
-over the prime field."""
+over the prime field, and the additive trace identity of the cover
+family, with y symbolic (trace_polynomial) and at one element
+(trace_sum)."""
 
 from __future__ import annotations
 
@@ -80,17 +82,7 @@ class Poly1:
         return Poly1._raw(ctx, out.tolist())
 
     def __pow__(self, e: int) -> "Poly1":
-        if e < 0:
-            raise OutOfRange("negative exponent")
-        result = Poly1(self.ctx, [1])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, Poly1(self.ctx, [1]))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly1) and self.ctx == other.ctx
@@ -99,18 +91,8 @@ class Poly1:
     def __hash__(self):
         return hash((self.ctx, self.coeffs))
 
-    def to_text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                c = self.ctx.texts[self.coeffs[i]]
-                terms.append(f"({c})*X^{i}" if i else f"({c})")
-        return " + ".join(terms)
-
     def __repr__(self):
-        return f"Poly1({self.to_text()})"
+        return f"Poly1({list(self.coeffs)})"
 
 
 class Poly2:
@@ -187,17 +169,7 @@ class Poly2:
         return Poly2(self.ctx, out)
 
     def __pow__(self, e: int) -> "Poly2":
-        if e < 0:
-            raise OutOfRange("negative exponent")
-        result = Poly2.monomial(self.ctx, 1, 0, 0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, Poly2.monomial(self.ctx, 1, 0, 0))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly2) and self.ctx == other.ctx
@@ -207,25 +179,8 @@ class Poly2:
     def __hash__(self):
         return hash((self.ctx, self.grid.shape, self.grid.tobytes()))
 
-    def to_text(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i in range(self.grid.shape[0] - 1, -1, -1):
-            for j in range(self.grid.shape[1] - 1, -1, -1):
-                c = int(self.grid[i, j])
-                if not c:
-                    continue
-                parts = [str(c)]
-                if i:
-                    parts.append(f"x^{i}")
-                if j:
-                    parts.append(f"y^{j}")
-                terms.append("*".join(parts))
-        return " + ".join(terms)
-
     def __repr__(self):
-        return f"Poly2({self.to_text()})"
+        return f"Poly2({self.grid.tolist()})"
 
 
 def _coef_idx(ctx: FieldCtx, c) -> int:
@@ -235,6 +190,20 @@ def _coef_idx(ctx: FieldCtx, c) -> int:
         return c.idx
     # bare ints are prime-subfield constants
     return int(c) % ctx.p
+
+
+def _power(base, e: int, one):
+    """base^e by square-and-multiply, starting from the unit one."""
+    if e < 0:
+        raise OutOfRange("negative exponent")
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 def _chk(a, b) -> None:
@@ -260,3 +229,18 @@ def trace_polynomial(p: int, ctx: FieldCtx) -> Poly2:
             g[0, 1] = j
             total = total + Poly2(ctx, g) ** e
     return total
+
+
+def trace_sum(b: FieldElem) -> tuple:
+    """The same sum at y = b, one element: (sum of (Z + i + j*b)^(p^2-1)
+    over all prime-field pairs (i, j), the constant (b^p - b)^(p-1)), both
+    as polynomials in Z over the field of b."""
+    ctx = b.ctx
+    p = ctx.p
+    total = Poly1(ctx, ())
+    for i in range(p):
+        for j in range(p):
+            c0 = ctx.add[i, ctx.mul[j, b.idx]]
+            total = total + Poly1(ctx, (FieldElem(ctx, int(c0)), 1)) ** (p * p - 1)
+    expect_idx = ctx.pow_idx(ctx.sub[ctx.pow_idx(b.idx, p), b.idx], p - 1)
+    return total, Poly1(ctx, (FieldElem(ctx, int(expect_idx)),))

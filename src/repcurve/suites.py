@@ -15,7 +15,7 @@ import json
 import random
 import time
 import traceback
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -24,8 +24,8 @@ from . import curvefam as cf
 from . import kmod as km
 from .errors import BadParams, RepcurveError
 from .ff import FieldCtx, default_ctx, enumerate_nonprime, frobenius
-from .linalg import Mat, Subspace, invert, subspace_sum
-from .poly import Poly2, trace_polynomial
+from .linalg import Mat, invert
+from .poly import Poly2, trace_polynomial, trace_sum
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -77,7 +77,7 @@ def _suite_identities(p: int, seed: int) -> List[Case]:
     cases.append((f"identities/p{p}/trace-polynomial", poly_case))
 
     def beta_case(b, _s):
-        total, want = cf.trace_sum(b)
+        total, want = trace_sum(b)
         return total == want, f"constant={want.coeff(0).text()}"
 
     for b in enumerate_nonprime(ctx):
@@ -346,11 +346,10 @@ def _suite_classification(p: int, seed: int) -> List[Case]:
 
 
 def _core_n_module(M: km.HModule, u) -> km.HModule:
-    """span(core generator orbit) + fixed space, as a module."""
-    core, E = km.sub_generated(M, [km.apply_word(M, (M.ctx.p - 2, M.ctx.p - 2), u)])
-    span = Subspace.from_rows(M.ctx, M.dim, E.data.T.copy())
-    N = subspace_sum(span, km.fixed_space(M))
-    mod, _ = km.sub_module_on(M, N)
+    """span(core generator orbit) + fixed space, as a module: the fixed
+    vectors generate only themselves."""
+    v = km.apply_word(M, (M.ctx.p - 2, M.ctx.p - 2), u)
+    mod, _ = km.sub_generated(M, np.vstack([v, km.fixed_space(M).basis]))
     return mod
 
 
@@ -462,23 +461,17 @@ def _cross_grid(p: int) -> tuple:
     return (26,)
 
 
+def _definition_tables(ctx: FieldCtx):
+    """km.vd_definition over ctx, built at most once per beta for the
+    cases of one suite run."""
+    return lru_cache(maxsize=None)(partial(km.vd_definition, ctx))
+
+
 def _suite_holo(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
     pp = p * p
     cache: Dict[int, cf.GradedModule] = {}
-    defined: Dict[int, tuple] = {}
-
-    def definition(beta):
-        # v_d(p^2, beta) entry by entry from its definition, not from the
-        # binomial table the pieces are cut from: column n is
-        # sigma.w_n = sum_i C(n,i) w_i and tau.w_n = sum_i C(n,i) beta^(n-i) w_i
-        if beta.idx not in defined:
-            S = np.array([[km.binom_mod_p(n, i, p) for n in range(pp)] for i in range(pp)],
-                         dtype=np.int64)
-            T = np.array([[ctx.mul[S[i, n], ctx.pow_idx(beta.idx, n - i)] if i <= n else 0
-                           for n in range(pp)] for i in range(pp)], dtype=np.int64)
-            defined[beta.idx] = (S, T)
-        return defined[beta.idx]
+    definition = _definition_tables(ctx)
 
     def graded(params):
         if params.m not in cache:
@@ -495,6 +488,8 @@ def _suite_holo(p: int, seed: int) -> List[Case]:
         initial = cf.index_I(p, params.m, c) == tuple(range(d))
         if d == 0:
             return initial and piece.dim == 0, "empty"
+        # against the definition of v_d, not the binomial table the
+        # pieces are cut from
         S, T = definition(params.beta)
         ok = (initial and np.array_equal(piece.Msigma.data, S[:d, :d])
               and np.array_equal(piece.Mtau.data, T[:d, :d]))
@@ -514,6 +509,7 @@ def _suite_dr(p: int, seed: int) -> List[Case]:
     pp = p * p
     cache: Dict[int, cf.GradedModule] = {}
     oracles: Dict[int, km.HModule] = {}
+    definition = _definition_tables(ctx)
 
     def graded(params):
         if params.m not in cache:
@@ -530,7 +526,7 @@ def _suite_dr(p: int, seed: int) -> List[Case]:
         piece = graded(params).piece(c)
         d = piece.meta["d"]
         if d not in oracles:
-            oracles[d] = km.vdr_quotient(ctx, d, params.beta)
+            oracles[d] = km.vdr_quotient(ctx, d, params.beta, definition(params.beta))
         model = oracles[d]
         _, pos, scale = km.vdr_label_map(ctx, d, params.gamma)
         F = np.zeros((piece.dim, model.dim), dtype=np.int64)
@@ -554,9 +550,10 @@ def _suite_hodge(p: int, seed: int) -> List[Case]:
     if p != 3:
         return []
     ctx = default_ctx(p)
+    definition = _definition_tables(ctx)
 
     def hodge_case(params, c, _s):
-        rep = cf.hodge_check(params, c)
+        rep = cf.hodge_check(params, c, definition(params.beta))
         return rep["verdict"], f"sub={rep['sub_dim']},quot={rep['quotient_dim']}"
 
     cases: List[Case] = []

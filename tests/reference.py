@@ -3,9 +3,10 @@
 Each helper answers a question the package answers another way, from the
 definition and without the package's batching: the filtration from joint
 kernels of words, Hom spaces from Kronecker products, membership by
-reduction, intersections and preimages by kernels, v_dr classes through
-the paper's quotient, polynomial values by Horner's rule, a graded
-family's JSON with every piece encoded in place.
+reduction, sums, intersections and preimages by kernels, generated
+submodules by closure under the generators, v_dr classes through the
+paper's quotient, polynomial values by Horner's rule, a graded family's
+JSON with every piece encoded in place.
 """
 
 from typing import Sequence
@@ -15,7 +16,19 @@ import numpy as np
 from repcurve import kmod as km
 from repcurve.errors import ContextMismatch, OutOfRange, ShapeMismatch, UnlabeledModule
 from repcurve.ff import FieldElem
-from repcurve.linalg import Mat, Subspace, _check_ambient, _matmul_idx, kernel
+from repcurve.linalg import Mat, Subspace, _matmul_idx, as_vector, kernel
+
+
+def _check_ambient(U: Subspace, W: Subspace) -> None:
+    if U.ctx != W.ctx:
+        raise ContextMismatch("subspaces over different field contexts")
+    if U.ambient != W.ambient:
+        raise ShapeMismatch(f"ambient {U.ambient} vs {W.ambient}")
+
+
+def subspace_sum(U: Subspace, W: Subspace) -> Subspace:
+    _check_ambient(U, W)
+    return Subspace.from_rows(U.ctx, U.ambient, np.vstack([U.basis, W.basis]))
 
 
 def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
@@ -68,6 +81,22 @@ def s_filtration_direct(M: km.HModule) -> list:
         if space.dim == M.dim:
             return fil
         n += 1
+
+
+def sub_generated_closure(M: km.HModule, vectors) -> Subspace:
+    """The submodule the vectors generate, as a closure: add the images of
+    the span under sigma and tau until its dimension stops growing."""
+    ctx = M.ctx
+    rows = [as_vector(ctx, v) for v in vectors]
+    W = Subspace.from_rows(ctx, M.dim, np.array(rows, dtype=np.int64).reshape(len(rows), M.dim))
+    while W.dim:
+        imgs_s = _matmul_idx(ctx, M.Msigma.data, W.basis.T).T
+        imgs_t = _matmul_idx(ctx, M.Mtau.data, W.basis.T).T
+        W2 = Subspace.from_rows(ctx, M.dim, np.vstack([W.basis, imgs_s, imgs_t]))
+        if W2.dim == W.dim:
+            break
+        W = W2
+    return W
 
 
 def _vdr_class(M: km.HModule, column: int) -> np.ndarray:

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from repcurve import kmod as km
 from repcurve import linalg
-from repcurve.ff import default_ctx
+from repcurve.errors import ZeroPoint
+from repcurve.ff import FieldElem, default_ctx
 from repcurve.linalg import (Mat, Subspace, invert, kernel, nilpotent_partition,
                              nilpotent_partitions, rank)
-from reference import contains, contains_space, intertwiner_space, s_filtration_direct
+from reference import (contains, contains_space, intertwiner_space, s_filtration_direct,
+                       sub_generated_closure, word_matrix)
 
 C2 = default_ctx(2)
 C3 = default_ctx(3)
@@ -276,6 +278,32 @@ def test_jordan_scan_matches_pointwise(p, kind, d):
         assert t == rank_chain_partition(Mat(ctx, N))
 
 
+@pytest.mark.parametrize("p,kind,d", [(3, "vd", 5), (3, "vdr", 4), (5, "vd", 7), (5, "vdr", 12)])
+def test_jordan_type_at_matches_rank_chain(p, kind, d):
+    """jordan_type_at reads the scan at the normalized point; at every
+    (a, b) != (0, 0) of F_q^2 as field elements, and at prime-field points
+    given as ints (some outside 0..p-1), it equals the rank-chain
+    partition of a*sigma0 + b*tau0 itself."""
+    ctx = CTX[p]
+    M = _module(ctx, kind, d)
+
+    def want(a, b):
+        return rank_chain_partition(
+            Mat(ctx, ctx.add[ctx.mul[a, M.sigma0().data], ctx.mul[b, M.tau0().data]]))
+
+    for a in range(ctx.q):
+        for b in range(ctx.q):
+            if a or b:
+                got = km.jordan_type_at(M, FieldElem(ctx, a), FieldElem(ctx, b))
+                assert got == want(a, b), (a, b)
+    for a in range(-1, p + 2):
+        for b in range(-1, p + 2):
+            if a % p or b % p:
+                assert km.jordan_type_at(M, a, b) == want(a % p, b % p), (a, b)
+    with pytest.raises(ZeroPoint):
+        km.jordan_type_at(M, p, FieldElem(ctx, 0))
+
+
 def _hom_pair(ctx, rng):
     """Two small modules: v_d or v_dr over F_9, v_d over F_25, at random
     dimensions and twists (sometimes the same module twice)."""
@@ -494,6 +522,27 @@ def test_s_filtration_matches_direct(ctx, seed, kind, d):
     fil = km.s_filtration(M)
     assert fil == s_filtration_direct(M)
     assert km.fixed_space(M) == fil[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(FIELDS, st.integers(0, 10**6), st.sampled_from(["vd", "vdr", "dual", "sum"]),
+       st.integers(1, 12), st.integers(1, 3))
+def test_sub_generated_matches_closure(ctx, seed, kind, d, k):
+    """sub_generated, one product with the word stack, spans the same
+    subspace and induces the same module as closing the span under sigma
+    and tau; vectors are pushed down by random words so that proper
+    submodules come up, and one may be zero."""
+    rng = random.Random(seed)
+    M = conjugated_module(ctx, rng, kind, min(d, ctx.p ** 2))
+    V = rand_rows(ctx, rng, k, M.dim)
+    for row in V:
+        row[:] = word_matrix(M, rng.randrange(ctx.p), rng.randrange(ctx.p)).apply(row)
+    if rng.random() < 0.3:
+        V[rng.randrange(k)] = 0
+    sub, E = km.sub_generated(M, V)
+    W = sub_generated_closure(M, V)
+    assert np.array_equal(E.data.T, W.basis)
+    assert sub == km.sub_module_on(M, W)[0]
 
 
 def _count_calls(monkeypatch, module, name):

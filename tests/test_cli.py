@@ -395,17 +395,19 @@ def test_dr_suite_sees_a_wrong_gamma(monkeypatch, p):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_holo_suite_sees_a_frobenius_twisted_table(monkeypatch, capsys, p):
-    # every holomorphic piece is the shared v_d, cut from the binomial
-    # table: with the table built at beta^p in place of beta, piece and v_d
-    # agree, so only the suite's comparison with the definition of v_d can
-    # catch it
+    # every holomorphic piece is the shared v_d and every de Rham piece is
+    # cut from the binomial table: with the table built at beta^p in place
+    # of beta, piece and v_d agree, so only the comparisons of holo, hodge
+    # and dr with the definition of v_d (kmod.vd_definition) can catch it;
+    # hodge runs at p = 3 only
     real = km.binomial_table
     monkeypatch.setattr(km, "_FAMILY", {})
     monkeypatch.setattr(km, "binomial_table", lambda ctx, beta: real(ctx, frobenius(beta)))
-    code, out, _ = run(capsys, "verify", "holo", "--p", str(p))
-    assert code == 1
-    failed = _failed(json.loads(out))
-    assert failed and all("/c" in cid for cid in failed)
+    for suite in ("holo", "hodge", "dr") if p == 3 else ("holo", "dr"):
+        code, out, _ = run(capsys, "verify", suite, "--p", str(p))
+        assert code == 1, suite
+        failed = _failed(json.loads(out))
+        assert failed and all("/c" in cid for cid in failed), suite
 
 
 def test_verify_usage_error(capsys):

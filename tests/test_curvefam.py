@@ -10,13 +10,12 @@ import repcurve.kmod as km
 from repcurve.curvefam import (curve_params, dd, default_grid, dr_graded,
                                genus, hodge_check, holo_graded, index_I,
                                index_J, ramification_profile, rr_basis,
-                               semigroup_gap_count, trace_identity_check,
-                               valuation_table)
-from repcurve.errors import (BadParams, ContextMismatch, OutOfRange,
-                             PrimeFieldOnly)
-from repcurve.ff import FieldCtx, default_ctx
+                               semigroup_gap_count, valuation_table)
+from repcurve.errors import BadParams, ContextMismatch, OutOfRange
+from repcurve.ff import FieldCtx, default_ctx, enumerate_nonprime
 from repcurve.kmod import module_from_json, v_d, vdr_quotient
 from repcurve.linalg import Subspace, invert
+from repcurve.poly import trace_sum
 
 from reference import graded_to_json, vdr_label_matrix
 
@@ -272,16 +271,11 @@ def test_hodge_range_check():
 @pytest.mark.parametrize("p", [3, 5])
 def test_trace_identity_all_betas(p):
     ctx = default_ctx(p)
-    rep = trace_identity_check(p, ctx)
-    assert rep["verdict"]
-    assert rep["tested"] == ctx.q - p
-
-
-def test_trace_identity_context_guards():
-    with pytest.raises(ContextMismatch):
-        trace_identity_check(3, C5)
-    with pytest.raises(PrimeFieldOnly):
-        trace_identity_check(3, default_ctx(3, 1))
+    betas = enumerate_nonprime(ctx)
+    assert len(betas) == ctx.q - p
+    for b in betas:
+        total, want = trace_sum(b)
+        assert total == want and want.coeff(0) != 0
 
 
 def test_graded_json_pieces_roundtrip():

@@ -1,6 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from repcurve import ff
+from repcurve.curvefam import curve_params
 
 from repcurve.errors import (ContextMismatch, DegreeMismatch, DivisionByZero,
                              FieldTooLarge, NotPrime, PrimeFieldElement,
@@ -20,6 +26,24 @@ def test_default_contexts():
     assert c5.modulus == (2, 0, 1)
     # contexts are cached by parameters
     assert default_ctx(3) is default_ctx(3)
+
+
+def test_context_cache_is_bounded():
+    # more contexts than the bound: the degree-one moduli t + c of F_17 and F_19
+    held = default_ctx(3)
+    made = [ctx_new(p, 1, (c, 1)) for p in (17, 19) for c in range(p)]
+    assert len(made) > ff.CTX_CACHE
+    assert ff._ctx_cached.cache_info().currsize <= ff.CTX_CACHE
+    # a context still held is returned again, whether the cache kept it or not
+    assert ctx_new(19, 1, (18, 1)) is made[-1]
+    assert default_ctx(3) is held
+    assert curve_params(held, 2, default_ctx(3).gen()).ctx is held
+    # one that nobody holds and the cache dropped is freed
+    first = weakref.ref(made[0])
+    del made
+    gc.collect()
+    assert first() is None
+    assert ctx_new(17, 1, (0, 1)) == FieldCtx(17, 1, (0, 1))
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 2), (5, 2), (7, 3), (2, 10)])

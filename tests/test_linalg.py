@@ -6,8 +6,8 @@ from repcurve.errors import ContextMismatch, ShapeMismatch
 from repcurve.ff import default_ctx
 from repcurve.linalg import (Mat, Subspace, invert, kernel, matpow,
                              nilpotent_partition, rank, rref, solve,
-                             solve_matrix, subspace_sum)
-from reference import contains, contains_space, preimage, subspace_intersect
+                             solve_matrix)
+from reference import contains, contains_space, preimage, subspace_intersect, subspace_sum
 
 CTX = default_ctx(3)
 
