@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("kind", choices=QUERY_KINDS)
     q.add_argument("modules", nargs="+", help="module JSON file(s)")
     q.add_argument("--tiers", type=str, default=None,
-                   help="comma list among T1,T2,T3 (indec only)")
+                   help=f"comma list among {','.join(km.TIERS)} (indec only)")
     q.add_argument("--label", type=str, default=None, help="basis label (ddeg only)")
     q.add_argument("--vector", type=str, default=None,
                    help="semicolon-separated element texts (ddeg only)")
@@ -251,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = subs.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITE_NAMES + ("all",))
     v.add_argument("--p", type=int, action="append", default=None,
-                   help="prime to run at; repeatable; default 3 and 5")
+                   help="prime to run at; repeatable; default "
+                        + " and ".join(map(str, SUITE_PRIMES)))
     v.add_argument("--seed", type=int, default=None,
                    help="global seed; falls back to REPCURVE_SEED, then 0")
     v.add_argument("--format", choices=("json", "md"), default="json")

@@ -10,7 +10,7 @@ the dr suite checks against the paper's quotient by a scaled label map.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -260,15 +260,14 @@ def dr_graded(params: CurveParams) -> GradedModule:
     return gm
 
 
-def hodge_check(params: CurveParams, c: int, table: Optional[tuple] = None) -> dict:
+def hodge_check(params: CurveParams, c: int) -> dict:
     """Two-step filtration of one mixed graded piece: the w-span is an
     invariant subspace matching the regular-differential piece at index
     m-c entrywise, and the quotient on the eta-classes matches the dual
     of the degree-dd(c) member under the index reversal i -> p^2 - 1 - i.
-    Both models are blocks of table, the definition of v_d(p^2, beta)
-    (kmod.vd_definition, its default), never of the binomial table the
-    piece is cut from.  Both identifications are matrix identities; the
-    report carries the dimensions and verdicts."""
+    Both models are blocks of kmod.vd_definition(ctx, beta), never of the
+    binomial table the piece is cut from.  Both identifications are
+    matrix identities; the report carries the dimensions and verdicts."""
     ctx = params.ctx
     p, m = params.p, params.m
     pp = p * p
@@ -277,7 +276,7 @@ def hodge_check(params: CurveParams, c: int, table: Optional[tuple] = None) -> d
     piece = _dr_piece(params, index_I(p, m, m - c), index_J(p, m, c))
     d = piece.meta["d"]  # dimension of the w-block
     e = pp - 1 - d  # dimension of the quotient
-    S, T = vd_definition(ctx, params.beta) if table is None else table
+    S, T = vd_definition(ctx, params.beta)
 
     # the w-block occupies the leading coordinates, so the invariant
     # subspace is spanned by leading standard vectors and the induced

@@ -13,9 +13,9 @@ division).  One table of t^0 .. t^(2n-2) mod f gives the fold of digit
 products that linalg's matrix product uses, and mul is the digit-plane
 products of every pair folded through it.
 
-Default moduli: t^2 + 1 for p = 3, t^2 + 2 for p = 5, and otherwise the
-first monic irreducible in find_irreducible's order; every modulus is
-checked at context creation.
+The default modulus of each (p, n) is find_irreducible's answer, the
+first monic irreducible in lexicographic order (t^2 + 1 for p = 3, t^2 + 2
+for p = 5, t for n = 1); every modulus is checked at context creation.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ _TABLE_LIMIT = 2048
 # quadratics over them.  A context near q = 2048 holds about 100 MB of
 # tables, so the bound also caps the memory of a walk over many fields.
 CTX_CACHE = 16
-
-DEFAULT_MODULI = {
-    (3, 2): (1, 0, 1),  # t^2 + 1
-    (5, 2): (2, 0, 1),  # t^2 + 2
-}
 
 
 def is_prime(p: int) -> bool:
@@ -378,10 +373,6 @@ def _ctx_cached(p: int, n: int, modulus: tuple) -> FieldCtx:
 
 
 def default_ctx(p: int, n: int = 2) -> FieldCtx:
-    if n == 1:
-        return ctx_new(p, 1, (0, 1))
-    if (p, n) in DEFAULT_MODULI:
-        return ctx_new(p, n, DEFAULT_MODULI[(p, n)])
     return ctx_new(p, n, find_irreducible(p, n))
 
 
@@ -399,8 +390,10 @@ def _check_field(p: int, n: int) -> None:
         raise FieldTooLarge(f"q = {p}^{n} exceeds the dense-table limit {_TABLE_LIMIT}")
 
 
+@lru_cache(maxsize=None)
 def find_irreducible(p: int, n: int) -> tuple:
-    """First monic irreducible of degree n over F_p in lexicographic order."""
+    """First monic irreducible of degree n over F_p in lexicographic order;
+    kept once per (p, n), since default_ctx asks for it on every call."""
     _check_field(p, n)
     for coeffs in _monics(p, n):
         if _is_irreducible(coeffs, p):

@@ -12,7 +12,7 @@ types of the pencil a*sigma0 + b*tau0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -233,8 +233,8 @@ def augmentation_ideal(ctx: FieldCtx) -> HModule:
 # One shared module per (ctx, kind, d, beta index), kept for the life of
 # the process: at most 2 (p^2 + 1) (q - p) entries per field, and the
 # filtration, End algebra and presentation each module caches are then
-# computed once however many callers ask.  The binomial table of each
-# (ctx, beta) is one more entry, from which every family matrix is cut.
+# computed once however many callers ask.  Each (ctx, beta) adds two
+# tables: binomial_table, which family matrices are cut from, and vd_definition.
 _FAMILY: dict = {}
 
 
@@ -348,36 +348,40 @@ def vdr_label_map(ctx: FieldCtx, d: int, gamma: FieldElem) -> tuple:
 
 def vd_definition(ctx: FieldCtx, beta: FieldElem) -> tuple:
     """Read-only (S, T) of v_d(p^2, beta) entry by entry from its
-    definition, built afresh on every call and never from binomial_table,
-    so the checks of the pieces cut from that table can compare with it:
-    column n is sigma.w_n = sum_i C(n,i) w_i and tau.w_n = sum_i C(n,i)
-    beta^(n-i) w_i, and the leading d x d blocks give v_d(d).  It makes
-    p^4 scalar calls, so a suite run builds it once per (field, beta)."""
-    p = ctx.p
-    pp = p * p
-    S = np.array([[binom_mod_p(n, i, p) for n in range(pp)] for i in range(pp)],
-                 dtype=np.int64)
-    T = np.array([[ctx.mul[S[i, n], ctx.pow_idx(beta.idx, n - i)] if i <= n else 0
-                   for n in range(pp)] for i in range(pp)], dtype=np.int64)
-    for X in (S, T):
-        X.setflags(write=False)
-    return S, T
+    definition, never from binomial_table, so the checks of the pieces cut
+    from that table can compare with it: column n is sigma.w_n = sum_i
+    C(n,i) w_i and tau.w_n = sum_i C(n,i) beta^(n-i) w_i, and the leading
+    d x d blocks give v_d(d).  It makes p^4 scalar calls, so it is shared
+    per (ctx, beta) like binomial_table."""
+    key = (ctx, "definition", beta.idx)
+    if key not in _FAMILY:
+        p = ctx.p
+        pp = p * p
+        S = np.array([[binom_mod_p(n, i, p) for n in range(pp)] for i in range(pp)],
+                     dtype=np.int64)
+        T = np.array([[ctx.mul[S[i, n], ctx.pow_idx(beta.idx, n - i)] if i <= n else 0
+                       for n in range(pp)] for i in range(pp)], dtype=np.int64)
+        for X in (S, T):
+            X.setflags(write=False)
+        _FAMILY[key] = (S, T)
+    return _FAMILY[key]
 
 
-def vdr_quotient(ctx: FieldCtx, d: int, beta: FieldElem, table: Optional[tuple] = None) -> HModule:
+def vdr_quotient(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     """v_dr(d, beta) as the paper defines it, the quotient, built afresh
-    on every call to check v_dr and the de Rham pieces against; the
-    summands v_d(p^2) and v_d(d) are blocks of table, which defaults to
+    on every call to check v_dr and the de Rham pieces against: the sum
+    v_d(p^2) (+) v_d(d) is one module, block-diagonal in leading blocks of
     vd_definition(ctx, beta).  meta["proj"] is the quotient map."""
     p = ctx.p
     pp = p * p
     _require_nonprime(ctx, beta)
-    S, T = vd_definition(ctx, beta) if table is None else table
-
-    def summand(k: int) -> HModule:  # v_d(k), the leading k x k blocks
-        return HModule(ctx, Mat(ctx, S[:k, :k].copy()), Mat(ctx, T[:k, :k].copy()))
-
-    D = direct_sum(summand(pp), summand(d)) if d >= 1 else summand(pp)
+    blocks = []
+    for X in vd_definition(ctx, beta):
+        A = np.zeros((pp + d, pp + d), dtype=np.int64)
+        A[:pp, :pp] = X
+        A[pp:, pp:] = X[:d, :d]
+        blocks.append(Mat(ctx, A))
+    D = HModule(ctx, *blocks)
     # row i is k_i = (w_i, 0) + i*(0, w_{i-1}); w_{p^2} is 0 in v_d(p^2)
     r = np.arange(d + 1)
     gens = np.zeros((d + 1, D.dim), dtype=np.int64)
@@ -1222,11 +1226,7 @@ class Profile:
     jordan_multiset: tuple
 
     def to_json(self) -> dict:
-        return {"dim": self.dim,
-                "filtration_dims": list(self.filtration_dims),
-                "fixed_dim": self.fixed_dim,
-                "end_dim": self.end_dim,
-                "jordan_multiset": [list(t) for t in self.jordan_multiset]}
+        return asdict(self)
 
 
 # The invariants that step 3 of is_isomorphic compares, cheapest first,

@@ -29,20 +29,6 @@ from .poly import Poly2, trace_polynomial, trace_sum
 
 ARTIFACT_VERSION = "0.1.0"
 
-SUITE_NAMES = (
-    "identities",
-    "combinatorics",
-    "filtration",
-    "structure",
-    "indec",
-    "classification",
-    "cores",
-    "jordan",
-    "holo",
-    "dr",
-    "hodge",
-)
-
 # the primes the case lists are written for, and the default selection
 SUITE_PRIMES = (3, 5)
 
@@ -330,12 +316,12 @@ def _suite_classification(p: int, seed: int) -> List[Case]:
                 continue
             pairs.append((d1, b1, d2, b2))
         for k, (d1, b1, d2, b2) in enumerate(pairs):
-            cases.append((f"classification/p5/vdr/pair{k:02d}"
+            cases.append((f"classification/p{p}/vdr/pair{k:02d}"
                           f"/d{d1}-{b1.text()}-vs-d{d2}-{b2.text()}",
                           _iso_case(partial(km.v_dr, ctx, d1, b1),
                                     partial(km.v_dr, ctx, d2, b2), "NO")))
         for d1, d2 in ((10, 11), (11, 13), (16, 19)):
-            cases.append((f"classification/p5/vdr/same-class-d{d1}-d{d2}",
+            cases.append((f"classification/p{p}/vdr/same-class-d{d1}-d{d2}",
                           _iso_case(partial(km.v_dr, ctx, d1, betas[0]),
                                     partial(km.v_dr, ctx, d2, betas[0]), "YES")))
     return cases
@@ -461,99 +447,77 @@ def _cross_grid(p: int) -> tuple:
     return (26,)
 
 
-def _definition_tables(ctx: FieldCtx):
-    """km.vd_definition over ctx, built at most once per beta for the
-    cases of one suite run."""
-    return lru_cache(maxsize=None)(partial(km.vd_definition, ctx))
-
-
-def _suite_holo(p: int, seed: int) -> List[Case]:
+def _graded_suite(p: int, kind: str, build, total, piece_check) -> List[Case]:
+    """The cases of a graded suite at each exponent of _cross_grid(p): the
+    total dimension of build(params) is total(params), and piece c passes
+    piece_check(params, c, piece).  Each family is built once per run."""
     ctx = default_ctx(p)
-    pp = p * p
-    cache: Dict[int, cf.GradedModule] = {}
-    definition = _definition_tables(ctx)
-
-    def graded(params):
-        if params.m not in cache:
-            cache[params.m] = cf.holo_graded(params)
-        return cache[params.m]
+    graded = lru_cache(maxsize=None)(build)
 
     def total_case(params, _s):
         gm = graded(params)
-        return gm.total_dim() == cf.genus(p, params.m), f"total={gm.total_dim()}"
+        return gm.total_dim() == total(params), f"total={gm.total_dim()}"
 
     def piece_case(params, c, _s):
-        piece = graded(params).piece(c)
+        return piece_check(params, c, graded(params).piece(c))
+
+    cases: List[Case] = []
+    for m in _cross_grid(p):
+        params = cf.curve_params(ctx, m, ctx.gen())
+        cases.append((f"{kind}/p{p}/m{m:02d}/total", partial(total_case, params)))
+        cases += [(f"{kind}/p{p}/m{m:02d}/c{c:02d}", partial(piece_case, params, c))
+                  for c in range(1, m)]
+    return cases
+
+
+def _suite_holo(p: int, seed: int) -> List[Case]:
+    def piece_check(params, c, piece):
         d = cf.dd(p, params.m, c)
         initial = cf.index_I(p, params.m, c) == tuple(range(d))
         if d == 0:
             return initial and piece.dim == 0, "empty"
         # against the definition of v_d, not the binomial table the
         # pieces are cut from
-        S, T = definition(params.beta)
+        S, T = km.vd_definition(params.ctx, params.beta)
         ok = (initial and np.array_equal(piece.Msigma.data, S[:d, :d])
               and np.array_equal(piece.Mtau.data, T[:d, :d]))
         return ok, f"dim={d},entrywise"
 
-    cases: List[Case] = []
-    for m in _cross_grid(p):
-        params = cf.curve_params(ctx, m, ctx.gen())
-        cases.append((f"holo/p{p}/m{m:02d}/total", partial(total_case, params)))
-        cases += [(f"holo/p{p}/m{m:02d}/c{c:02d}", partial(piece_case, params, c))
-                  for c in range(1, m)]
-    return cases
+    return _graded_suite(p, "holo", cf.holo_graded,
+                         lambda params: cf.genus(p, params.m), piece_check)
 
 
 def _suite_dr(p: int, seed: int) -> List[Case]:
-    ctx = default_ctx(p)
     pp = p * p
-    cache: Dict[int, cf.GradedModule] = {}
     oracles: Dict[int, km.HModule] = {}
-    definition = _definition_tables(ctx)
 
-    def graded(params):
-        if params.m not in cache:
-            cache[params.m] = cf.dr_graded(params)
-        return cache[params.m]
-
-    def total_case(params, _s):
-        gm = graded(params)
-        return gm.total_dim() == (params.m - 1) * (pp - 1), f"total={gm.total_dim()}"
-
-    def piece_case(params, c, _s):
+    def piece_check(params, c, piece):
         # against the paper's quotient, not v_dr, which shares the piece's
         # construction; every m shares alpha, hence beta: one per d
-        piece = graded(params).piece(c)
         d = piece.meta["d"]
         if d not in oracles:
-            oracles[d] = km.vdr_quotient(ctx, d, params.beta, definition(params.beta))
+            oracles[d] = km.vdr_quotient(params.ctx, d, params.beta)
         model = oracles[d]
-        _, pos, scale = km.vdr_label_map(ctx, d, params.gamma)
+        _, pos, scale = km.vdr_label_map(params.ctx, d, params.gamma)
         F = np.zeros((piece.dim, model.dim), dtype=np.int64)
         F[pos, np.arange(model.dim)] = scale
-        Phi = Mat(ctx, F)
+        Phi = Mat(params.ctx, F)
         ok = (Phi @ model.Msigma == piece.Msigma @ Phi
               and Phi @ model.Mtau == piece.Mtau @ Phi
               and invert(Phi) is not None)
         return ok, f"d={d},intertwiner"
 
-    cases: List[Case] = []
-    for m in _cross_grid(p):
-        params = cf.curve_params(ctx, m, ctx.gen())
-        cases.append((f"dr/p{p}/m{m:02d}/total", partial(total_case, params)))
-        cases += [(f"dr/p{p}/m{m:02d}/c{c:02d}", partial(piece_case, params, c))
-                  for c in range(1, m)]
-    return cases
+    return _graded_suite(p, "dr", cf.dr_graded,
+                         lambda params: (params.m - 1) * (pp - 1), piece_check)
 
 
 def _suite_hodge(p: int, seed: int) -> List[Case]:
     if p != 3:
         return []
     ctx = default_ctx(p)
-    definition = _definition_tables(ctx)
 
     def hodge_case(params, c, _s):
-        rep = cf.hodge_check(params, c, definition(params.beta))
+        rep = cf.hodge_check(params, c)
         return rep["verdict"], f"sub={rep['sub_dim']},quot={rep['quotient_dim']}"
 
     cases: List[Case] = []
@@ -581,6 +545,8 @@ _BUILDERS = {
     "dr": _suite_dr,
     "hodge": _suite_hodge,
 }
+
+SUITE_NAMES = tuple(_BUILDERS)
 
 
 def build_cases(suite: str, p_values, seed: int) -> List[Case]:

@@ -356,6 +356,13 @@ def test_crashing_case_fails_alone(monkeypatch):
     assert rep["exit"] == 1
 
 
+def test_sampled_classification_ids_name_their_prime():
+    import repcurve.suites as suites
+
+    ids = [cid for cid, _ in suites._suite_classification(7, 0)]
+    assert ids and all(cid.startswith("classification/p7/") for cid in ids)
+
+
 def _failed(rep):
     return [c["case"] for c in rep["cases"] if c["verdict"] == "fail"]
 

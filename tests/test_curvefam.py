@@ -230,7 +230,8 @@ def test_graded_builds_make_no_per_entry_scalar_calls(monkeypatch):
 
 def test_vdr_and_dr_pieces_build_no_quotient(monkeypatch):
     # both are cut from the binomial table; only the quotient model that
-    # checks them takes a direct sum, a quotient and an inversion
+    # checks them takes a quotient and an inversion, and it validates two
+    # modules: the block-diagonal sum and the quotient
     calls = []
 
     def counted(name, real):
@@ -239,7 +240,7 @@ def test_vdr_and_dr_pieces_build_no_quotient(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("quotient", "direct_sum", "invert", "_build_vdr"):
+    for name in ("quotient", "invert", "_build_vdr"):
         monkeypatch.setattr(km, name, counted(name, getattr(km, name)))
     monkeypatch.setattr(Subspace, "from_rows",
                         classmethod(counted("from_rows", Subspace.from_rows.__func__)))
@@ -249,8 +250,10 @@ def test_vdr_and_dr_pieces_build_no_quotient(monkeypatch):
         km.v_dr(C5, d, C5.gen())
     assert calls == ["_build_vdr"] * 26
     calls.clear()
+    monkeypatch.setattr(km.HModule, "__init__", counted("HModule", km.HModule.__init__))
     km.vdr_quotient(C5, 12, C5.gen())
-    assert {"quotient", "direct_sum", "invert", "from_rows"} <= set(calls)
+    assert {"quotient", "invert", "from_rows"} <= set(calls)
+    assert calls.count("HModule") == 2
 
 
 @pytest.mark.parametrize("c,sub,quot", [(1, 0, 8), (5, 4, 4), (9, 8, 0)])

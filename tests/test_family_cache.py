@@ -34,6 +34,12 @@ def test_equal_keys_share_one_module(build):
     assert other(C3, 4, T3) is not M
 
 
+def test_definition_table_is_shared_and_read_only():
+    S, T = km.vd_definition(C3, T3)
+    assert km.vd_definition(C3, T3) is km.vd_definition(C3, T3)
+    assert not S.flags.writeable and not T.flags.writeable
+
+
 @pytest.mark.parametrize("call,error", [
     (lambda: km.v_d(C3, 0, T3), BadDimension),
     (lambda: km.v_d(C3, 10, T3), BadDimension),

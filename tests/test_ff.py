@@ -81,6 +81,16 @@ def test_find_irreducible_agrees_with_defaults():
     assert find_irreducible(5, 2) == (2, 0, 1)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_default_modulus_is_the_first_irreducible(p):
+    # the default of every (p, n) is the search's first answer, t at n = 1
+    assert default_ctx(p, 1).modulus == (0, 1)
+    n = 1
+    while p ** n <= 343:
+        assert default_ctx(p, n).modulus == find_irreducible(p, n)
+        n += 1
+
+
 def _monics(p, n):
     """Every monic polynomial of degree n over F_p, coefficients low degree
     first, in the order find_irreducible searches them."""
