@@ -13,7 +13,6 @@ record also names the exception type and where it was raised.
 import argparse
 import json
 import os
-import re
 import sys
 import traceback
 from functools import lru_cache
@@ -60,40 +59,76 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-# a piece's placeholder in the frame: "\0" encodes as \u0000, which no
-# other string of the frame holds
-_PIECE_SLOT = re.compile(r'"\\u0000(\d+)"')
+def _list_text(items, pad: str, quote: str = "") -> str:
+    """json.dumps(indent=2) of a list at indent pad, from the items' own
+    texts, each wrapped in quote."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    sep = f"{quote},\n{inner}{quote}"
+    return f"[\n{inner}{quote}{sep.join(items)}{quote}\n{pad}]"
+
+
+def _object_text(fields, pad: str) -> str:
+    """json.dumps(indent=2) of an object at indent pad, from (key, value
+    text) pairs already in key order; keys need no escaping."""
+    if not fields:
+        return "{}"
+    inner = pad + "  "
+    body = ",\n".join(f'{inner}"{k}": {v}' for k, v in fields)
+    return f"{{\n{body}\n{pad}}}"
+
+
+def _module_text(M: km.HModule, pad: str = "") -> str:
+    """json.dumps(km.module_to_json(M), sort_keys=True, indent=2), written
+    at indent pad from FieldCtx.texts: element texts are digits and
+    commas, so only the labels go through the JSON encoder."""
+    ctx, in1 = M.ctx, pad + "  "
+
+    def grid(mat) -> str:
+        rows = ctx.texts[mat.data].tolist()
+        return _list_text([_list_text(row, in1 + "  ", '"') for row in rows], in1)
+
+    labels = (_list_text([json.dumps(s) for s in M.labels], in1) if M.labels
+              else "null")
+    return _object_text((
+        ("dim", M.dim),
+        ("labels", labels),
+        ("modulus", _list_text([str(c) for c in ctx.modulus], in1)),
+        ("n", ctx.n),
+        ("p", ctx.p),
+        ("sigma", grid(M.Msigma)),
+        ("tau", grid(M.Mtau)),
+    ), pad)
 
 
 def _dump_graded(gm: cf.GradedModule) -> str:
-    """_dump of the graded family, with each distinct piece encoded once.
-    Equal pieces are one shared module object: each object is dumped
-    alone, indented to its depth in the frame (two levels) and spliced in
-    under each of its keys in place of the placeholder the frame holds."""
-    slots, texts = {}, []
-    for mod in gm.pieces.values():
-        if id(mod) not in slots:
-            slots[id(mod)] = f"\0{len(texts)}"
-            # _dump without its final newline
-            texts.append(_dump(km.module_to_json(mod))[:-1].replace("\n", "\n    "))
-    frame = {
-        "kind": gm.kind,
-        "p": gm.params.p,
-        "m": gm.params.m,
-        "alpha": gm.params.alpha.text(),
-        "beta": gm.params.beta.text(),
-        "pieces": {str(c): slots[id(mod)] for c, mod in gm.pieces.items()},
-    }
-    return _PIECE_SLOT.sub(lambda slot: texts[int(slot.group(1))], _dump(frame))
+    """_dump of the graded family.  Equal pieces are one shared module
+    object, written once at the pieces' depth and reused under each of
+    its keys, which come in string order ("1", "10", ..., "2")."""
+    texts, pieces = {}, []
+    for c, mod in sorted(gm.pieces.items(), key=lambda item: str(item[0])):
+        if id(mod) not in texts:
+            texts[id(mod)] = _module_text(mod, "    ")
+        pieces.append((c, texts[id(mod)]))
+    params = gm.params
+    return _object_text((
+        ("alpha", json.dumps(params.alpha.text())),
+        ("beta", json.dumps(params.beta.text())),
+        ("kind", json.dumps(gm.kind)),
+        ("m", params.m),
+        ("p", params.p),
+        ("pieces", _object_text(pieces, "  ")),
+    ), "") + "\n"
 
 
 def _load_module(path: str) -> km.HModule:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as e:
         raise RepcurveError(f"cannot read {path}: {e.strerror}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, bytes not UTF-8, or an over-long integer
         raise RepcurveError(f"{path} is not valid JSON: {e}")
     if not isinstance(obj, dict):
         raise RepcurveError(f"{path} does not hold a module object")
@@ -117,13 +152,13 @@ def cmd_build(args) -> int:
         _require(args, ("d", "beta"))
         beta = ctx.from_text(args.beta)
         build = km.v_d if args.kind == "vd" else km.v_dr
-        payload = _dump(km.module_to_json(build(ctx, args.d, beta)))
+        payload = _module_text(build(ctx, args.d, beta)) + "\n"
     elif args.kind == "regular":
-        payload = _dump(km.module_to_json(km.regular_module(ctx)))
+        payload = _module_text(km.regular_module(ctx)) + "\n"
     elif args.kind == "aug":
-        payload = _dump(km.module_to_json(km.augmentation_ideal(ctx)))
+        payload = _module_text(km.augmentation_ideal(ctx)) + "\n"
     elif args.kind == "trivial":
-        payload = _dump(km.module_to_json(km.trivial_module(ctx)))
+        payload = _module_text(km.trivial_module(ctx)) + "\n"
     else:
         _require(args, ("m", "alpha"))
         alpha = ctx.from_text(args.alpha)

@@ -1,20 +1,24 @@
 """Command line contract: exit codes, JSON shapes, determinism."""
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repcurve
+import repcurve.cli as cli
 from repcurve import curvefam as cf
+from repcurve import ff
 from repcurve import kmod as km
 from repcurve.cli import BUILD_KINDS, QUERY_KINDS, main
 from repcurve.errors import BadParams, RepcurveError
-from repcurve.ff import default_ctx, frobenius
+from repcurve.ff import ctx_new, default_ctx, frobenius
 from repcurve.suites import run_suite
 
 from reference import graded_to_json
@@ -161,6 +165,77 @@ def test_graded_build_writes_the_reference_bytes(capsys, kind, p, n, m, alpha):
     assert out == json.dumps(graded_to_json(gm), sort_keys=True, indent=2) + "\n"
 
 
+def _oracle(M) -> str:
+    return json.dumps(km.module_to_json(M), sort_keys=True, indent=2) + "\n"
+
+
+def _from_json(**changes):
+    """v_d(3, 3, t) through module_from_json, with changes to its JSON."""
+    C3 = default_ctx(3)
+    return km.module_from_json({**km.module_to_json(km.v_d(C3, 3, C3.gen())),
+                                **changes})
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (3, 2), (5, 2), (2, 3), (7, 2)])
+@pytest.mark.parametrize("build", [km.trivial_module, km.regular_module,
+                                   km.augmentation_ideal],
+                         ids=["trivial", "regular", "aug"])
+def test_module_writer_matches_the_json_encoder(build, p, n):
+    M = build(default_ctx(p, n))
+    assert cli._module_text(M) + "\n" == _oracle(M)
+
+
+@pytest.mark.parametrize("kind", ["vd", "vdr"])
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("beta", ["0,1", "1,1"])
+def test_module_writer_matches_the_json_encoder_on_the_family(kind, p, beta):
+    ctx = default_ctx(p)
+    build, first = (km.v_d, 1) if kind == "vd" else (km.v_dr, 0)
+    for d in range(first, p * p + 1):
+        M = build(ctx, d, ctx.from_text(beta))
+        assert cli._module_text(M) + "\n" == _oracle(M), d
+
+
+@pytest.mark.parametrize("M", [
+    lambda: _from_json(dim=0, sigma=[], tau=[], labels=[]),
+    lambda: _from_json(labels=None),
+    lambda: _from_json(labels=['say "w"', "back\\slash\ttab", "caf\u00e9 \u2603"]),
+    lambda: cf.holo_graded(cf.curve_params(default_ctx(3), 10, default_ctx(3).gen())).piece(9),
+], ids=["dim-0", "unlabeled", "escaped-labels", "zero-piece"])
+def test_module_writer_matches_the_json_encoder_on_edge_cases(M):
+    M = M()
+    assert cli._module_text(M) + "\n" == _oracle(M)
+
+
+@pytest.mark.parametrize("kind,p,m", [("holo", 3, 1), ("holo", 3, 10), ("dr", 3, 14),
+                                      ("holo", 5, 26), ("dr", 5, 12)])
+def test_graded_writer_matches_the_json_encoder(kind, p, m):
+    ctx = default_ctx(p)
+    params = cf.curve_params(ctx, m, ctx.gen())
+    gm = cf.holo_graded(params) if kind == "holo" else cf.dr_graded(params)
+    # each piece sits two levels down in the frame
+    for mod in gm.pieces.values():
+        assert cli._module_text(mod, "    ") == _oracle(mod)[:-1].replace("\n", "\n    ")
+    assert cli._dump_graded(gm) == json.dumps(graded_to_json(gm), sort_keys=True,
+                                              indent=2) + "\n"
+
+
+def test_writing_a_module_pins_no_field_context(capsys, tmp_path):
+    # the writer reads ctx.texts and keeps nothing: a context nobody holds
+    # is freed once the bounded context cache lets it go
+    ctx = ctx_new(7, 2, (3, 1, 1))
+    ref = weakref.ref(ctx)
+    cli._module_text(km.regular_module(ctx))
+    out = tmp_path / "aug.json"
+    code, _, _ = run(capsys, "build", "aug", "--p", "7", "--modulus", "3,1,1",
+                     "--out", str(out))
+    assert code == 0 and out.read_text() == _oracle(km.augmentation_ideal(ctx))
+    del ctx
+    ff._ctx_cached.cache_clear()
+    gc.collect()
+    assert ref() is None
+
+
 @pytest.mark.parametrize("argv", [
     ("vd", "--p", "3", "--d", "2", "--beta", "0,1", "--m", "5"),
     ("vdr", "--p", "3", "--d", "2", "--beta", "0,1", "--alpha", "0,1"),
@@ -270,6 +345,18 @@ def test_query_bad_file(capsys, tmp_path):
     code, _, err = run(capsys, "query", "profile", str(missing))
     assert code == 2
     assert "cannot read" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe\x00garbage", b"1" * 5000],
+                         ids=["not-utf8", "huge-integer"])
+def test_query_file_that_does_not_decode(capsys, tmp_path, data):
+    # both used to escape json.load as a ValueError and exit 3
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, "query", "profile", str(bad))
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert rec["error"] == "RepcurveError" and "is not valid JSON" in rec["message"]
 
 
 @pytest.mark.parametrize("count", [1, 3])

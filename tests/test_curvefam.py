@@ -181,17 +181,17 @@ def test_each_distinct_piece_is_built_once(monkeypatch, kind, p, m):
 @pytest.mark.parametrize("kind", ["holo", "dr"])
 @pytest.mark.parametrize("p,m", [(3, 100), (5, 26)])
 def test_each_distinct_piece_is_encoded_once(monkeypatch, capsys, kind, p, m):
-    # a build writes one text per shared piece object and splices it under
+    # a build writes one text per shared piece object and reuses it under
     # each of its keys; converting every piece in place made m - 1
     # module_to_json calls
     encoded = []
-    real = km.module_to_json
+    real = cli._module_text
 
-    def module_to_json(M):
+    def module_text(M, pad=""):
         encoded.append(M)
-        return real(M)
+        return real(M, pad)
 
-    monkeypatch.setattr(km, "module_to_json", module_to_json)
+    monkeypatch.setattr(cli, "_module_text", module_text)
     assert cli.main(["build", kind, "--p", str(p), "--m", str(m),
                      "--alpha", "0,1"]) == 0
     assert len(json.loads(capsys.readouterr().out)["pieces"]) == m - 1

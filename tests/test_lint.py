@@ -1,6 +1,7 @@
 """A lint guard for the package, with no linter installed: every import is
-used, and every local name a function assigns is read.  The re-exports of
-__init__.py and names that start with "_" are exempt."""
+used, every local name a function assigns is read, and no unbounded cache
+is made outside a function body unless it is listed below.  The re-exports
+of __init__.py and names that start with "_" are exempt."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,11 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repcurve"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+# the module-level unbounded caches, each over a small key space that holds
+# no field context: a cache keyed on one would keep every context it saw
+# alive (dense tables of up to about 100 MB each at q = 2048), past the
+# bound of ff.CTX_CACHE.  A cache made inside a function lives with its call.
+UNBOUNDED_CACHES = {"cli._parser", "ff.find_irreducible"}
 
 
 def _reads(tree: ast.AST) -> set:
@@ -65,6 +71,39 @@ def unread_locals(name: str, source: str) -> list:
     return found
 
 
+def _unbounded(node: ast.AST, decorator: bool) -> bool:
+    """node makes an unbounded cache: lru_cache(maxsize=None) or
+    lru_cache(None), or functools.cache as a decorator or a call."""
+    call = isinstance(node, ast.Call)
+    fn = node.func if call else node
+    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+    if name == "cache":
+        return call or decorator
+    if name != "lru_cache" or not call:
+        return False
+    sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+    return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+
+
+def unbounded_caches(name: str, source: str) -> list:
+    """Each unbounded cache made outside a function body, as module.function
+    for a decorator and module:line otherwise."""
+    stem = name[:-len(".py")]
+    found = []
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{stem}.{child.name}" for d in child.decorator_list
+                          if _unbounded(d, decorator=True)]
+                continue
+            if _unbounded(child, decorator=False):
+                found.append(f"{stem}:{child.lineno}")
+            stack.append(child)
+    return sorted(found)
+
+
 def test_every_source_is_checked():
     assert len(SOURCES) >= 8
 
@@ -77,9 +116,27 @@ def test_guard_sees_what_it_guards_against():
                                                "probe.py:2 import Optional"]
     assert unread_locals("probe.py", src) == ["probe.py:5 f: pp"]
     assert unused_imports("__init__.py", src) == []
+    caches = ("import functools\nfrom functools import lru_cache, cache\n"
+              "@lru_cache(maxsize=None)\ndef a(ctx):\n    return ctx\n"
+              "@functools.lru_cache(None)\ndef b(ctx):\n    return ctx\n"
+              "@cache\ndef c(ctx):\n    return ctx\n"
+              "@lru_cache(maxsize=16)\ndef bounded(ctx):\n    return ctx\n"
+              "@lru_cache\ndef default_size(ctx):\n    return ctx\n"
+              "class K:\n    @functools.cache\n    def m(self):\n        return self\n"
+              "wrapped = lru_cache(maxsize=None)(bounded)\n"
+              "def run(build):\n    memo = lru_cache(maxsize=None)(build)\n"
+              "    @cache\n    def inner(x):\n        return x\n    return memo, inner\n")
+    assert unbounded_caches("probe.py", caches) == ["probe.a", "probe.b", "probe.c",
+                                                    "probe.m", "probe:22"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_import_or_unread_local(path):
     source = path.read_text()
     assert unused_imports(path.name, source) + unread_locals(path.name, source) == []
+
+
+def test_unbounded_caches_are_listed():
+    found = {c for path in SOURCES for c in unbounded_caches(path.name, path.read_text())}
+    # a listed cache that is gone is taken off the list
+    assert found == UNBOUNDED_CACHES
