@@ -43,7 +43,8 @@ _TABLE_LIMIT = 2048
 # Contexts the cache keeps alive, the most recently used.  The suites and
 # the query files use at most 15: F_3, F_5 and the 3 + 10 monic irreducible
 # quadratics over them.  A context near q = 2048 holds about 100 MB of
-# tables, so the bound also caps the memory of a walk over many fields.
+# tables; the family modules kept in its _cache go with it, so the bound
+# caps the memory of a walk over many fields.
 CTX_CACHE = 16
 
 
@@ -103,12 +104,12 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
 
 
 class FieldCtx:
-    """Arithmetic context for F_{p^n}; immutable after construction."""
+    """Arithmetic context for F_{p^n}; its tables are immutable."""
 
     __slots__ = (
         "p", "n", "q", "modulus",
         "add", "sub", "mul", "neg", "inv", "frob", "proot",
-        "texts", "_digits", "_pwr", "_planes", "_fold", "__weakref__",
+        "texts", "_digits", "_pwr", "_planes", "_fold", "_cache", "__weakref__",
     )
 
     def __init__(self, p: int, n: int, modulus: Sequence[int]):
@@ -126,6 +127,8 @@ class FieldCtx:
             raise ReducibleModulus(f"modulus {list(modulus)} factors over F_{p}")
         self.p, self.n, self.q, self.modulus = p, n, p ** n, modulus
         self._build_tables()
+        # values other modules compute from the field (kmod._memo), freed with it
+        self._cache: dict = {}
 
     def _build_tables(self) -> None:
         p, n, q = self.p, self.n, self.q

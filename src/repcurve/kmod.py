@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field
+from functools import wraps
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,12 +98,28 @@ def binom_mod_p(n: int, i: int, p: int) -> int:
 # HModule
 
 
+def _memo(fn):
+    """Keep fn(owner, *args) in owner._cache under fn's name and the
+    arguments, a field element by its idx: each cached value lives on the
+    field context or module it is computed from, and is freed with it."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def cached(owner, *args):
+        key = (name, *[a.idx if isinstance(a, FieldElem) else a for a in args])
+        if key not in owner._cache:
+            owner._cache[key] = fn(owner, *args)
+        return owner._cache[key]
+
+    return cached
+
+
 class HModule:
     """Two commuting order-p matrices over a shared field context.
 
     Immutable; derived data (filtration, End algebra, word matrices) is
-    cached on the instance.  meta carries construction provenance used
-    by label-aware operations and is not part of equality.
+    kept on the instance by _memo.  meta carries construction provenance
+    used by label-aware operations and is not part of equality.
     """
 
     __slots__ = ("ctx", "dim", "Msigma", "Mtau", "labels", "meta", "_cache")
@@ -141,34 +158,31 @@ class HModule:
 
     # -- derived matrices ----------------------------------------------------
 
+    @_memo
     def sigma0(self) -> Mat:
-        if "s0" not in self._cache:
-            self._cache["s0"] = self.Msigma - Mat.identity(self.ctx, self.dim)
-        return self._cache["s0"]
+        return self.Msigma - Mat.identity(self.ctx, self.dim)
 
+    @_memo
     def tau0(self) -> Mat:
-        if "t0" not in self._cache:
-            self._cache["t0"] = self.Mtau - Mat.identity(self.ctx, self.dim)
-        return self._cache["t0"]
+        return self.Mtau - Mat.identity(self.ctx, self.dim)
 
+    @_memo
     def word_stack(self) -> np.ndarray:
         """Read-only (p^2, dim, dim) array holding sigma0^a tau0^b at
         a*p + b for 0 <= a, b < p: the powers of each generator, then all
         p^2 products in one broadcast product."""
-        if "words" not in self._cache:
-            ctx, p = self.ctx, self.ctx.p
+        ctx, p = self.ctx, self.ctx.p
 
-            def powers(X: Mat) -> np.ndarray:
-                out = [Mat.identity(ctx, self.dim).data]
-                for _ in range(p - 1):
-                    out.append(_matmul_idx(ctx, out[-1], X.data))
-                return np.stack(out)
+        def powers(X: Mat) -> np.ndarray:
+            out = [Mat.identity(ctx, self.dim).data]
+            for _ in range(p - 1):
+                out.append(_matmul_idx(ctx, out[-1], X.data))
+            return np.stack(out)
 
-            S, T = powers(self.sigma0()), powers(self.tau0())
-            W = _matmul_idx(ctx, S[:, None], T[None, :]).reshape(p * p, self.dim, self.dim)
-            W.setflags(write=False)
-            self._cache["words"] = W
-        return self._cache["words"]
+        S, T = powers(self.sigma0()), powers(self.tau0())
+        W = _matmul_idx(ctx, S[:, None], T[None, :]).reshape(p * p, self.dim, self.dim)
+        W.setflags(write=False)
+        return W
 
     def basis_vector(self, which) -> np.ndarray:
         """Standard basis vector by index or label."""
@@ -230,51 +244,39 @@ def augmentation_ideal(ctx: FieldCtx) -> HModule:
     return sub
 
 
-# One shared module per (ctx, kind, d, beta index), kept for the life of
-# the process: at most 2 (p^2 + 1) (q - p) entries per field, and the
-# filtration, End algebra and presentation each module caches are then
-# computed once however many callers ask.  Each (ctx, beta) adds two
-# tables: binomial_table, which family matrices are cut from, and vd_definition.
-_FAMILY: dict = {}
-
-
+@_memo
 def binomial_table(ctx: FieldCtx, beta: FieldElem) -> tuple:
     """Read-only p^2 x p^2 matrices (S, T) of v_d(p^2, beta): entry (i, n)
     is C(n, i) for S and C(n, i) beta^(n-i) for T, zero for i > n.  By
     Lucas, S is the Kronecker square of the p x p Pascal table mod p;
     shared per (ctx, beta)."""
-    key = (ctx, "binomial", beta.idx)
-    if key not in _FAMILY:
-        p = ctx.p
-        pp = p * p
-        pascal = np.array([[binom_mod_p(n, i, p) for n in range(p)] for i in range(p)],
-                          dtype=np.int64)
-        S = np.kron(pascal, pascal) % p
-        powers = np.ones(pp, dtype=np.int64)
-        for k in range(1, pp):
-            powers[k] = ctx.mul[powers[k - 1], beta.idx]
-        gap = np.arange(pp)[None, :] - np.arange(pp)[:, None]
-        T = ctx.mul[S, powers[np.maximum(gap, 0)]]
-        S.setflags(write=False)
-        T.setflags(write=False)
-        _FAMILY[key] = (S, T)
-    return _FAMILY[key]
+    p = ctx.p
+    pp = p * p
+    pascal = np.array([[binom_mod_p(n, i, p) for n in range(p)] for i in range(p)],
+                      dtype=np.int64)
+    S = np.kron(pascal, pascal) % p
+    powers = np.ones(pp, dtype=np.int64)
+    for k in range(1, pp):
+        powers[k] = ctx.mul[powers[k - 1], beta.idx]
+    gap = np.arange(pp)[None, :] - np.arange(pp)[:, None]
+    T = ctx.mul[S, powers[np.maximum(gap, 0)]]
+    S.setflags(write=False)
+    T.setflags(write=False)
+    return S, T
 
 
 def v_d(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     """Module on basis w_0..w_{d-1} with binomial action:
     sigma.w_n = sum_i C(n,i) w_i, tau.w_n = sum_i C(n,i) beta^(n-i) w_i.
-    Equal arguments return the same shared module."""
+    Equal arguments over one context return the same shared module."""
     p = ctx.p
     if not (1 <= d <= p * p):
         raise BadDimension(f"dimension {d} outside 1..{p * p}")
     _require_nonprime(ctx, beta)
-    key = (ctx, "vd", d, beta.idx)
-    if key not in _FAMILY:
-        _FAMILY[key] = _build_vd(ctx, d, beta)
-    return _FAMILY[key]
+    return _build_vd(ctx, d, beta)
 
 
+@_memo
 def _build_vd(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     S, T = binomial_table(ctx, beta)
     labels = tuple(f"w{i}" for i in range(d))
@@ -293,17 +295,16 @@ def v_dr(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     k_i = (w_i, 0) + i*(0, w_{i-1}), 0 <= i <= d, on the labeled basis
     {eta_i : p does not divide i, or i > d} u {w_i : i < d, i = -1 mod p}:
     built as the gamma = 1 dr_action read in these labels through
-    vdr_label_map.  Equal arguments return the same shared module."""
+    vdr_label_map.  Equal arguments over one context return the same
+    shared module."""
     p = ctx.p
     if not (0 <= d <= p * p):
         raise BadDimension(f"parameter {d} outside 0..{p * p}")
     _require_nonprime(ctx, beta)
-    key = (ctx, "vdr", d, beta.idx)
-    if key not in _FAMILY:
-        _FAMILY[key] = _build_vdr(ctx, d, beta)
-    return _FAMILY[key]
+    return _build_vdr(ctx, d, beta)
 
 
+@_memo
 def _build_vdr(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     one = ctx.el(1)
     labels, pos, scale = vdr_label_map(ctx, d, one)
@@ -346,6 +347,7 @@ def vdr_label_map(ctx: FieldCtx, d: int, gamma: FieldElem) -> tuple:
     return labels, pos, _rewrite_scale(ctx, d, gamma, idx)
 
 
+@_memo
 def vd_definition(ctx: FieldCtx, beta: FieldElem) -> tuple:
     """Read-only (S, T) of v_d(p^2, beta) entry by entry from its
     definition, never from binomial_table, so the checks of the pieces cut
@@ -353,18 +355,15 @@ def vd_definition(ctx: FieldCtx, beta: FieldElem) -> tuple:
     C(n,i) w_i and tau.w_n = sum_i C(n,i) beta^(n-i) w_i, and the leading
     d x d blocks give v_d(d).  It makes p^4 scalar calls, so it is shared
     per (ctx, beta) like binomial_table."""
-    key = (ctx, "definition", beta.idx)
-    if key not in _FAMILY:
-        p = ctx.p
-        pp = p * p
-        S = np.array([[binom_mod_p(n, i, p) for n in range(pp)] for i in range(pp)],
-                     dtype=np.int64)
-        T = np.array([[ctx.mul[S[i, n], ctx.pow_idx(beta.idx, n - i)] if i <= n else 0
-                       for n in range(pp)] for i in range(pp)], dtype=np.int64)
-        for X in (S, T):
-            X.setflags(write=False)
-        _FAMILY[key] = (S, T)
-    return _FAMILY[key]
+    p = ctx.p
+    pp = p * p
+    S = np.array([[binom_mod_p(n, i, p) for n in range(pp)] for i in range(pp)],
+                 dtype=np.int64)
+    T = np.array([[ctx.mul[S[i, n], ctx.pow_idx(beta.idx, n - i)] if i <= n else 0
+                   for n in range(pp)] for i in range(pp)], dtype=np.int64)
+    for X in (S, T):
+        X.setflags(write=False)
+    return S, T
 
 
 def vdr_quotient(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
@@ -533,37 +532,39 @@ def apply_word(M: HModule, word: tuple, v) -> np.ndarray:
     return Mat(M.ctx, W).apply(as_vector(M.ctx, v))
 
 
+@_memo
+def _fixed(M: HModule) -> tuple:
+    """(S_0, the row space it is the kernel of), from one elimination of
+    sigma0 and tau0 stacked; s_filtration starts from the rows."""
+    return kernel_and_rows(Mat(M.ctx, np.vstack([M.sigma0().data, M.tau0().data])))
+
+
 def fixed_space(M: HModule) -> Subspace:
-    """S_0: the joint kernel of sigma0 and tau0, from one elimination of
-    the two stacked; the row space is kept for s_filtration."""
-    if "fixed" not in M._cache:
-        gens = Mat(M.ctx, np.vstack([M.sigma0().data, M.tau0().data]))
-        M._cache["fixed"], M._cache["fixed_rows"] = kernel_and_rows(gens)
-    return M._cache["fixed"]
+    """S_0: the joint kernel of sigma0 and tau0."""
+    return _fixed(M)[0]
 
 
+@_memo
 def s_filtration(M: HModule) -> list:
     """Increasing subspaces S_0 <= S_1 <= ... up to the full module, where
     S_{n+1} is the joint preimage of S_n under sigma0 and tau0 and S_0 is
     the fixed space.  With S_n the kernel of rows D, S_{n+1} is the kernel
     of [D*sigma0; D*tau0], whose row space is the next D: one elimination
     per level."""
-    if "filtration" not in M._cache:
-        ctx = M.ctx
-        gens = np.stack([M.sigma0().data, M.tau0().data])
-        fil = [fixed_space(M)]
-        D = M._cache["fixed_rows"]
-        guard = 2 * ctx.p + 2
-        while fil[-1].dim < M.dim:
-            B = _matmul_idx(ctx, D, gens).reshape(2 * D.shape[0], M.dim)
-            nxt, D = kernel_and_rows(Mat(ctx, B))
-            if nxt.dim == fil[-1].dim:
-                raise Undecided("filtration stalled below full dimension")
-            fil.append(nxt)
-            if len(fil) > guard:
-                raise Undecided("filtration failed to terminate")
-        M._cache["filtration"] = fil
-    return M._cache["filtration"]
+    ctx = M.ctx
+    gens = np.stack([M.sigma0().data, M.tau0().data])
+    S0, D = _fixed(M)
+    fil = [S0]
+    guard = 2 * ctx.p + 2
+    while fil[-1].dim < M.dim:
+        B = _matmul_idx(ctx, D, gens).reshape(2 * D.shape[0], M.dim)
+        nxt, D = kernel_and_rows(Mat(ctx, B))
+        if nxt.dim == fil[-1].dim:
+            raise Undecided("filtration stalled below full dimension")
+        fil.append(nxt)
+        if len(fil) > guard:
+            raise Undecided("filtration failed to terminate")
+    return fil
 
 
 def ddeg_rows(M: HModule, V) -> np.ndarray:
@@ -633,13 +634,11 @@ def _min_generators(M: HModule) -> list:
     return [c for c in range(M.dim) if c not in pivots]
 
 
+@_memo
 def _hom_source_data(M: HModule) -> dict:
-    """Cacheable generator/relation presentation of M.  The inverse
-    EPinv of the evaluation submatrix E[:, piv] is read only by the map
-    rebuild, so _hom_maps adds it to this dict on its first call; the
-    dims-only callers never invert it."""
-    if "homsrc" in M._cache:
-        return M._cache["homsrc"]
+    """Generator/relation presentation of M, kept on M.  The inverse of
+    its evaluation submatrix E[:, piv] is read only by the map rebuild and
+    kept apart by _hom_pivot_inverse, so dims-only callers never invert."""
     ctx = M.ctx
     p = ctx.p
     gens = _min_generators(M)
@@ -664,10 +663,18 @@ def _hom_source_data(M: HModule) -> dict:
     shifted[1, :, :, :, 1:] = R[:, :, :, :-1]
     J = Subspace.from_rows(ctx, rel.ambient, shifted.reshape(2 * rel.dim, rel.ambient))
     relgens = rel.basis[~np.isin(rel.pivots, J.pivots)]
-    data = {"gens": gens, "t": t, "words": words, "E": E, "relgens": relgens,
+    return {"gens": gens, "t": t, "words": words, "E": E, "relgens": relgens,
             "piv": piv}
-    M._cache["homsrc"] = data
-    return data
+
+
+@_memo
+def _hom_pivot_inverse(M: HModule) -> Mat:
+    """Inverse of the evaluation submatrix E[:, piv] of M's presentation,
+    which the map rebuild multiplies by."""
+    src = _hom_source_data(M)
+    EPinv = invert(Mat(M.ctx, src["E"][:, src["piv"]]))
+    assert EPinv is not None
+    return EPinv
 
 
 def _hom_solve(M: HModule, N: HModule) -> Subspace:
@@ -703,19 +710,16 @@ def _hom_maps(M: HModule, N: HModule, sol: Subspace) -> Subspace:
     if sol.dim == 0:
         return Subspace.zero(ctx, amb)
     # every word on every image in one product, the columns at the pivots
-    # of E, then EPinv, built here once per source module
+    # of E, then the inverse of E on them (_hom_pivot_inverse)
     src = _hom_source_data(M)
     t, piv = src["t"], src["piv"]
-    if "EPinv" not in src:
-        src["EPinv"] = invert(Mat(ctx, src["E"][:, piv]))
-        assert src["EPinv"] is not None
     nw = len(src["words"])
     dN = N.dim
     S = sol.dim
     X = sol.basis.reshape(S * t, dN).T
     Y = _matmul_idx(ctx, N.word_stack().reshape(nw * dN, dN), X).reshape(nw, dN, S, t)
     VP = Y[piv % nw, :, :, piv // nw].transpose(2, 1, 0)     # (S, dN, dim M)
-    Phi = _matmul_idx(ctx, VP.reshape(S * dN, M.dim), src["EPinv"].data)
+    Phi = _matmul_idx(ctx, VP.reshape(S * dN, M.dim), _hom_pivot_inverse(M).data)
     return Subspace.from_rows(ctx, amb, Phi.reshape(S, amb))
 
 
@@ -739,12 +743,11 @@ def hom_space(M: HModule, N: HModule) -> Subspace:
     return _hom_maps(M, N, _hom_solve(M, N))
 
 
+@_memo
 def _end_solve(M: HModule) -> Subspace:
     """The relation solve of End(M), cached on M for end_dim and
     end_algebra alike."""
-    if "endsol" not in M._cache:
-        M._cache["endsol"] = _hom_solve(M, M)
-    return M._cache["endsol"]
+    return _hom_solve(M, M)
 
 
 def end_dim(M: HModule) -> int:
@@ -752,16 +755,14 @@ def end_dim(M: HModule) -> int:
     return _end_solve(M).dim
 
 
+@_memo
 def end_algebra(M: HModule) -> tuple:
     """(hom_space(M, M), the same basis reshaped to matrices: read-only
     views of its rows).  The maps are rebuilt from the relation solve
     that end_dim caches, so C is eliminated once per module; only the
     indecomposability tiers T2/T3 need this basis."""
-    if "end" not in M._cache:
-        H = _hom_maps(M, M, _end_solve(M))
-        mats = [Mat(M.ctx, row.reshape(M.dim, M.dim)) for row in H.basis]
-        M._cache["end"] = (H, mats)
-    return M._cache["end"]
+    H = _hom_maps(M, M, _end_solve(M))
+    return H, [Mat(M.ctx, row.reshape(M.dim, M.dim)) for row in H.basis]
 
 
 # ---------------------------------------------------------------------------
@@ -1053,6 +1054,7 @@ def _fitting_split(M: HModule, reps: np.ndarray) -> Optional[tuple]:
         take = SCAN_STACK
 
 
+@_memo
 def _end_split(M: HModule) -> tuple:
     """(dims of End(M), J, End/J and the socle image E', Fitting split or
     None), cached on M.  E' is the image of the restriction End(M) ->
@@ -1065,29 +1067,27 @@ def _end_split(M: HModule) -> tuple:
     semisimple algebra that is not a division algebra has an idempotent
     other than 0 and 1, whose lift is neither nilpotent nor invertible; so
     the scan finds a split exactly when End/J is not a division algebra."""
-    if "endsplit" not in M._cache:
-        ctx = M.ctx
-        Hend, _ = end_algebra(M)
-        soc = fixed_space(M)
-        g, n, s = Hend.dim, M.dim, soc.dim
-        # row (x, j) is x(v_j) for socle basis vector v_j, whose
-        # coordinates are column j of x on soc M
-        Y = _matmul_idx(ctx, Hend.basis.reshape(g, n, n), soc.basis.T).transpose(0, 2, 1)
-        R = soc.reduce_rows(Y.reshape(g * s, n))[0].reshape(g, s, s).transpose(0, 2, 1)
-        image = Subspace.from_rows(ctx, s * s, R.reshape(g, s * s))
-        rad = algebra_radical(ctx, [Mat(ctx, row.reshape(s, s)) for row in image.basis])
-        e = image.dim - rad.dim
-        dims = {"end_dim": g, "radical_dim": g - e, "semisimple_dim": e, "socle_dim": s,
-                "socle_image_dim": image.dim, "socle_image_radical_dim": rad.dim}
-        split = None
-        if e > 1:
-            # J = kernel of x -> E'/J(E'): E' coordinates reduced by J(E'), off its pivots
-            C = R.reshape(g, s * s)[:, image.pivots]
-            C = ctx.sub[C, _matmul_idx(ctx, C[:, rad.pivots], rad.basis)]
-            J = kernel(Mat(ctx, np.delete(C, rad.pivots, axis=1).T.copy()))
-            split = _fitting_split(M, np.delete(Hend.basis, J.pivots, axis=0))
-        M._cache["endsplit"] = (dims, split)
-    return M._cache["endsplit"]
+    ctx = M.ctx
+    Hend, _ = end_algebra(M)
+    soc = fixed_space(M)
+    g, n, s = Hend.dim, M.dim, soc.dim
+    # row (x, j) is x(v_j) for socle basis vector v_j, whose
+    # coordinates are column j of x on soc M
+    Y = _matmul_idx(ctx, Hend.basis.reshape(g, n, n), soc.basis.T).transpose(0, 2, 1)
+    R = soc.reduce_rows(Y.reshape(g * s, n))[0].reshape(g, s, s).transpose(0, 2, 1)
+    image = Subspace.from_rows(ctx, s * s, R.reshape(g, s * s))
+    rad = algebra_radical(ctx, [Mat(ctx, row.reshape(s, s)) for row in image.basis])
+    e = image.dim - rad.dim
+    dims = {"end_dim": g, "radical_dim": g - e, "semisimple_dim": e, "socle_dim": s,
+            "socle_image_dim": image.dim, "socle_image_radical_dim": rad.dim}
+    split = None
+    if e > 1:
+        # J = kernel of x -> E'/J(E'): E' coordinates reduced by J(E'), off its pivots
+        C = R.reshape(g, s * s)[:, image.pivots]
+        C = ctx.sub[C, _matmul_idx(ctx, C[:, rad.pivots], rad.basis)]
+        J = kernel(Mat(ctx, np.delete(C, rad.pivots, axis=1).T.copy()))
+        split = _fitting_split(M, np.delete(Hend.basis, J.pivots, axis=0))
+    return dims, split
 
 
 TIERS = ("T1", "T2", "T3")
@@ -1137,27 +1137,25 @@ def jordan_type_at(M: HModule, a, b) -> tuple:
     """Partition of the nilpotent pencil member a*sigma0 + b*tau0, read
     from jordan_scan at its projective point: (1, b/a), or (0, 1) when
     a = 0.  A nonzero multiple of a nilpotent matrix has the same Jordan
-    type."""
+    type.  a and b are integers (read mod p) or elements of M's field."""
     ctx = M.ctx
-    ai = a.idx if isinstance(a, FieldElem) else int(a) % ctx.p
-    bi = b.idx if isinstance(b, FieldElem) else int(b) % ctx.p
+    ai, bi = ctx.el(a).idx, ctx.el(b).idx
     if ai == 0 and bi == 0:
         raise ZeroPoint("pencil point (0, 0) is excluded")
     return jordan_scan(M)[int(ctx.mul[bi, ctx.inv[ai]]) if ai else ctx.q][1]
 
 
+@_memo
 def jordan_scan(M: HModule) -> list:
     """Jordan types at all q + 1 points of P^1(F_q): (1, b) for every b in
     F_q, then (0, 1), each point a pair of encoded field indices.  The
     q + 1 pencil matrices are stacked and their partitions computed
     together."""
-    if "jscan" not in M._cache:
-        ctx = M.ctx
-        pts = [(1, b) for b in range(ctx.q)] + [(0, 1)]
-        a, b = np.array(pts, dtype=np.int64).T[:, :, None, None]
-        stack = ctx.add[ctx.mul[a, M.sigma0().data], ctx.mul[b, M.tau0().data]]
-        M._cache["jscan"] = list(zip(pts, nilpotent_partitions(ctx, stack)))
-    return M._cache["jscan"]
+    ctx = M.ctx
+    pts = [(1, b) for b in range(ctx.q)] + [(0, 1)]
+    a, b = np.array(pts, dtype=np.int64).T[:, :, None, None]
+    stack = ctx.add[ctx.mul[a, M.sigma0().data], ctx.mul[b, M.tau0().data]]
+    return list(zip(pts, nilpotent_partitions(ctx, stack)))
 
 
 def dominance_compare(lam: tuple, mu: tuple) -> Optional[int]:
@@ -1249,13 +1247,11 @@ PROFILE_INVARIANTS = ISO_INVARIANTS + (
 )
 
 
+@_memo
 def profile(M: HModule) -> Profile:
     """Isomorphism-invariant fingerprint; equality is necessary (not
     sufficient) for isomorphism."""
-    if "profile" not in M._cache:
-        M._cache["profile"] = Profile(
-            dim=M.dim, **{name: inv(M) for name, inv in PROFILE_INVARIANTS})
-    return M._cache["profile"]
+    return Profile(dim=M.dim, **{name: inv(M) for name, inv in PROFILE_INVARIANTS})
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,9 @@ def test_build_output_bytes_are_pinned(capsys, argv, digest):
     ("dr", 5, 2, 12, "0,1"),
 ])
 def test_graded_build_writes_the_reference_bytes(capsys, kind, p, n, m, alpha):
-    # the writer splices each distinct piece's text into the frame; the
-    # reference converts every piece in place and dumps the whole object
+    # the writer writes the frame and each distinct piece's text itself,
+    # reusing that text under each of the piece's keys; the reference
+    # converts every piece in place and dumps the whole object
     code, out, _ = run(capsys, "build", kind, "--p", str(p), "--n", str(n),
                        "--m", str(m), "--alpha", alpha)
     assert code == 0
@@ -495,7 +496,6 @@ def test_holo_suite_sees_a_frobenius_twisted_table(monkeypatch, capsys, p):
     # and dr with the definition of v_d (kmod.vd_definition) can catch it;
     # hodge runs at p = 3 only
     real = km.binomial_table
-    monkeypatch.setattr(km, "_FAMILY", {})
     monkeypatch.setattr(km, "binomial_table", lambda ctx, beta: real(ctx, frobenius(beta)))
     for suite in ("holo", "hodge", "dr") if p == 3 else ("holo", "dr"):
         code, out, _ = run(capsys, "verify", suite, "--p", str(p))

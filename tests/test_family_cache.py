@@ -1,17 +1,19 @@
 """The shared family modules, the generator/relation presentation that
 Hom is solved from, and the batched checks of a new module."""
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repcurve import ff, linalg
 from repcurve import kmod as km
-from repcurve import linalg
 from repcurve.errors import (BadDimension, ContextMismatch, NotCommuting,
                              OrderViolation, PrimeFieldElement)
-from repcurve.ff import FieldCtx, default_ctx
+from repcurve.ff import FieldCtx, ctx_new, default_ctx
 from repcurve.linalg import Mat, Subspace, kernel, matpow
 from reference import intertwiner_space
 
@@ -24,10 +26,11 @@ T3 = C3.gen()
 def test_equal_keys_share_one_module(build):
     M = build(C3, 4, T3)
     assert build(C3, 4, T3) is M
-    # an equal context built apart from the shared one keys the same entry
+    # an equal context built apart from the shared one keeps its own module
     ctx = FieldCtx(3, 2, C3.modulus)
     assert ctx is not C3 and ctx == C3
-    assert build(ctx, 4, ctx.gen()) is M
+    N = build(ctx, 4, ctx.gen())
+    assert N == M and N is not M and build(ctx, 4, ctx.gen()) is N
     assert build(C3, 5, T3) is not M
     assert build(C3, 4, T3 + 1) is not M
     other = km.v_dr if build is km.v_d else km.v_d
@@ -52,10 +55,26 @@ def test_definition_table_is_shared_and_read_only():
 ])
 def test_invalid_arguments_raise_and_cache_nothing(call, error):
     km.v_d(C3, 3, T3)
-    before = dict(km._FAMILY)
+    # 2 + t has the index of C5's t: the cached module a beta from F_25 would key
+    km.v_d(C3, 4, C3.from_text("2,1"))
+    before = dict(C3._cache)
     with pytest.raises(error):
         call()
-    assert km._FAMILY == before
+    assert C3._cache == before
+
+
+def test_family_data_goes_with_its_field():
+    # modules and tables live on their context: once no caller and no
+    # context cache holds the field, it is freed with all of them
+    ctx = ctx_new(7, 2, (3, 1, 1))
+    ref = weakref.ref(ctx)
+    beta = ctx.gen()
+    km.v_d(ctx, 3, beta), km.v_dr(ctx, 3, beta)
+    km.binomial_table(ctx, beta), km.vd_definition(ctx, beta)
+    del ctx, beta
+    ff._ctx_cached.cache_clear()
+    gc.collect()
+    assert ref() is None
 
 
 def _module(ctx, rng, kind):

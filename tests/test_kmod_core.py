@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repcurve.errors import (BadDimension, NotInvariant, PrimeFieldElement,
-                             UnlabeledModule, ZeroPoint, ZeroVector)
+from repcurve.errors import (BadDimension, ContextMismatch, NotInvariant,
+                             PrimeFieldElement, UnlabeledModule, ZeroPoint, ZeroVector)
 from repcurve.ff import default_ctx, frobenius
 from repcurve.kmod import (HModule, apply_word, augmentation_ideal,
                            binom_mod_p, case_ii_core, constant_type_over_scan,
@@ -218,6 +218,17 @@ def test_jordan_types():
     assert dominance_compare((2, 2, 2), (3, 3)) == -1
     assert dominance_compare((3, 3), (3, 3)) == 0
     assert dominance_compare((4, 1, 1), (3, 3)) is None
+
+
+@pytest.mark.parametrize("b", ["0,1", "3,3"], ids=["t", "3+3t"])
+def test_jordan_type_refuses_a_point_of_another_field(b):
+    # F_25 points on a module over F_9: (1, t) would read an unrelated F_9
+    # index and (1, 3 + 3t) one past the scan
+    M = v_d(C3, 5, T3)
+    with pytest.raises(ContextMismatch):
+        jordan_type_at(M, 1, C5.from_text(b))
+    with pytest.raises(ContextMismatch):
+        jordan_type_at(M, C5.from_text(b), 1)
 
 
 def test_jordan_scan_covers_extension_points():

@@ -1,7 +1,8 @@
 """A lint guard for the package, with no linter installed: every import is
 used, every local name a function assigns is read, and no unbounded cache
-is made outside a function body unless it is listed below.  The re-exports
-of __init__.py and names that start with "_" are exempt."""
+is made outside a function body, nor a module-level name written into by a
+function, unless it is listed below.  The re-exports of __init__.py and
+names that start with "_" are exempt from the first two."""
 
 import ast
 from pathlib import Path
@@ -16,6 +17,13 @@ SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 # alive (dense tables of up to about 100 MB each at q = 2048), past the
 # bound of ff.CTX_CACHE.  A cache made inside a function lives with its call.
 UNBOUNDED_CACHES = {"cli._parser", "ff.find_irreducible"}
+# the module-level names a function body writes into, each a store that
+# outlives every call: one that took field data would keep each context it
+# saw alive, as the bounded cache does not.  ff._CTX_LIVE holds weak values,
+# so it keeps nothing alive; values computed from a context or a module
+# live in that owner's _cache (kmod._memo).
+MODULE_STORES = {"ff._CTX_LIVE"}
+MUTATORS = {"clear", "update", "setdefault", "pop", "append", "add"}
 
 
 def _reads(tree: ast.AST) -> set:
@@ -104,6 +112,45 @@ def unbounded_caches(name: str, source: str) -> list:
     return sorted(found)
 
 
+def _bound(fn: ast.AST) -> set:
+    """The names fn binds in its own scope (not those declared global)."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a}
+    own = list(_own_nodes(fn))
+    names |= {n.id for n in own if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return names - {v for n in own if isinstance(n, ast.Global) for v in n.names}
+
+
+def module_stores(name: str, source: str) -> list:
+    """Each module-level name that a function body writes into, by a
+    subscript store or delete or a call of one of MUTATORS on it, as
+    module.name; a name that the function, or one around it, binds is its
+    own."""
+    stem = name[:-len(".py")]
+    tree = ast.parse(source)
+    top = {t.id for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+           for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+           if isinstance(t, ast.Name)}
+    found = set()
+    # each node with the names bound by the functions around it, None outside any
+    stack = [(node, None) for node in tree.body]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            bound = (bound or set()) | _bound(node)
+        target = None
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            target = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS):
+            target = node.func.value
+        if bound is not None and isinstance(target, ast.Name) and target.id in top - bound:
+            found.add(f"{stem}.{target.id}")
+        stack.extend((child, bound) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
 def test_every_source_is_checked():
     assert len(SOURCES) >= 8
 
@@ -128,12 +175,27 @@ def test_guard_sees_what_it_guards_against():
               "    @cache\n    def inner(x):\n        return x\n    return memo, inner\n")
     assert unbounded_caches("probe.py", caches) == ["probe.a", "probe.b", "probe.c",
                                                     "probe.m", "probe:22"]
+    stores = ("import weakref\nSTORE = {}\nLIVE = weakref.WeakValueDictionary()\n"
+              "SEEN: set = set()\nLOG = []\nTABLE = {1: 2}\nSTORE[0] = 1\n"
+              "def put(k, v):\n    STORE[k] = v\n    return TABLE[k]\n"
+              "def wipe(k):\n    def inner():\n        del LIVE[k]\n    return inner\n"
+              "def note(x, SEEN):\n    SEEN.add(x)\n    TABLE = {}\n    TABLE.update(x=x)\n"
+              "class K:\n    def m(self):\n        LOG.append(self)\n"
+              "f = lambda x: SEEN.add(x)\n")
+    assert module_stores("probe.py", stores) == ["probe.LIVE", "probe.LOG", "probe.SEEN",
+                                                 "probe.STORE"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_import_or_unread_local(path):
     source = path.read_text()
     assert unused_imports(path.name, source) + unread_locals(path.name, source) == []
+
+
+def test_module_stores_are_listed():
+    found = {s for path in SOURCES for s in module_stores(path.name, path.read_text())}
+    # a listed store that is gone is taken off the list
+    assert found == MODULE_STORES
 
 
 def test_unbounded_caches_are_listed():
