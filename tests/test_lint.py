@@ -112,42 +112,31 @@ def unbounded_caches(name: str, source: str) -> list:
     return sorted(found)
 
 
-def _bound(fn: ast.AST) -> set:
-    """The names fn binds in its own scope (not those declared global)."""
-    args = fn.args
-    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
-    names |= {a.arg for a in (args.vararg, args.kwarg) if a}
-    own = list(_own_nodes(fn))
-    names |= {n.id for n in own if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
-    return names - {v for n in own if isinstance(n, ast.Global) for v in n.names}
-
-
 def module_stores(name: str, source: str) -> list:
     """Each module-level name that a function body writes into, by a
     subscript store or delete or a call of one of MUTATORS on it, as
-    module.name; a name that the function, or one around it, binds is its
-    own."""
+    module.name."""
     stem = name[:-len(".py")]
     tree = ast.parse(source)
     top = {t.id for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
            for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
            if isinstance(t, ast.Name)}
     found = set()
-    # each node with the names bound by the functions around it, None outside any
-    stack = [(node, None) for node in tree.body]
+    # each node with whether it lies inside a function
+    stack = [(node, False) for node in tree.body]
     while stack:
-        node, bound = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            bound = (bound or set()) | _bound(node)
+        node, inside = stack.pop()
+        inside = inside or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                             ast.Lambda))
         target = None
         if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
             target = node.value
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and node.func.attr in MUTATORS):
             target = node.func.value
-        if bound is not None and isinstance(target, ast.Name) and target.id in top - bound:
+        if inside and isinstance(target, ast.Name) and target.id in top:
             found.add(f"{stem}.{target.id}")
-        stack.extend((child, bound) for child in ast.iter_child_nodes(node))
+        stack.extend((child, inside) for child in ast.iter_child_nodes(node))
     return sorted(found)
 
 
@@ -179,7 +168,7 @@ def test_guard_sees_what_it_guards_against():
               "SEEN: set = set()\nLOG = []\nTABLE = {1: 2}\nSTORE[0] = 1\n"
               "def put(k, v):\n    STORE[k] = v\n    return TABLE[k]\n"
               "def wipe(k):\n    def inner():\n        del LIVE[k]\n    return inner\n"
-              "def note(x, SEEN):\n    SEEN.add(x)\n    TABLE = {}\n    TABLE.update(x=x)\n"
+              "def note(x):\n    TABLE.get(x)\n    LOG.count(x)\n"
               "class K:\n    def m(self):\n        LOG.append(self)\n"
               "f = lambda x: SEEN.add(x)\n")
     assert module_stores("probe.py", stores) == ["probe.LIVE", "probe.LOG", "probe.SEEN",
