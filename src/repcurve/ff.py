@@ -43,8 +43,9 @@ _TABLE_LIMIT = 2048
 # Contexts the cache keeps alive, the most recently used.  The suites and
 # the query files use at most 15: F_3, F_5 and the 3 + 10 monic irreducible
 # quadratics over them.  A context near q = 2048 holds about 100 MB of
-# tables; the family modules kept in its _cache go with it, so the bound
-# caps the memory of a walk over many fields.
+# tables.  The family modules kept in its _cache refer back to it, so an
+# evicted context is freed by the cycle collector: a walk over many fields
+# that allocates little should call gc.collect() after dropping each one.
 CTX_CACHE = 16
 
 

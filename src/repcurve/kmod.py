@@ -101,11 +101,16 @@ def binom_mod_p(n: int, i: int, p: int) -> int:
 def _memo(fn):
     """Keep fn(owner, *args) in owner._cache under fn's name and the
     arguments, a field element by its idx: each cached value lives on the
-    field context or module it is computed from, and is freed with it."""
+    field context or module it is computed from, and is freed with it.  A
+    field element of another field than the owner's raises ContextMismatch
+    before the lookup, since its idx names an unrelated element here."""
     name = fn.__name__
 
     @wraps(fn)
     def cached(owner, *args):
+        ctx = getattr(owner, "ctx", owner)
+        if any(isinstance(a, FieldElem) and a.ctx != ctx for a in args):
+            raise ContextMismatch("parameter from a different field context")
         key = (name, *[a.idx if isinstance(a, FieldElem) else a for a in args])
         if key not in owner._cache:
             owner._cache[key] = fn(owner, *args)
@@ -148,6 +153,9 @@ class HModule:
             labels = tuple(labels)
             if len(labels) != d:
                 raise ShapeMismatch("label count does not match dimension")
+            if len(set(labels)) != d:
+                twice = next(lab for lab in labels if labels.count(lab) > 1)
+                raise BadParams(f"basis label {twice!r} occurs more than once")
         self.ctx = ctx
         self.dim = d
         self.Msigma = Msigma
@@ -222,13 +230,15 @@ def regular_module(ctx: FieldCtx) -> HModule:
 
     Basis indexed by group elements sigma^a tau^b at position a*p + b, so
     sigma and tau are the cyclic shift C of Z/p on the first and on the
-    second index.
+    second index.  The label g<a><b> writes a and b at one width, so the
+    labels stay distinct from p = 11 on.
     """
     p = ctx.p
     C = np.roll(np.eye(p, dtype=np.int64), 1, axis=0)  # e_a -> e_(a+1 mod p)
     I = np.eye(p, dtype=np.int64)
     S, T = np.kron(C, I), np.kron(I, C)
-    labels = tuple(f"g{a}{b}" for a in range(p) for b in range(p))
+    w = len(str(p - 1))
+    labels = tuple(f"g{a:0{w}}{b:0{w}}" for a in range(p) for b in range(p))
     return HModule(ctx, Mat(ctx, S), Mat(ctx, T), labels=labels,
                    meta={"kind": "regular"})
 
@@ -265,6 +275,7 @@ def binomial_table(ctx: FieldCtx, beta: FieldElem) -> tuple:
     return S, T
 
 
+@_memo
 def v_d(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     """Module on basis w_0..w_{d-1} with binomial action:
     sigma.w_n = sum_i C(n,i) w_i, tau.w_n = sum_i C(n,i) beta^(n-i) w_i.
@@ -273,11 +284,6 @@ def v_d(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     if not (1 <= d <= p * p):
         raise BadDimension(f"dimension {d} outside 1..{p * p}")
     _require_nonprime(ctx, beta)
-    return _build_vd(ctx, d, beta)
-
-
-@_memo
-def _build_vd(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     S, T = binomial_table(ctx, beta)
     labels = tuple(f"w{i}" for i in range(d))
     return HModule(ctx, Mat(ctx, S[:d, :d].copy()), Mat(ctx, T[:d, :d].copy()),
@@ -290,6 +296,7 @@ def _vdr_index_sets(p: int, d: int) -> tuple:
     return etas, omegas
 
 
+@_memo
 def v_dr(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     """Quotient of v_d(p^2) (+) v_d(d) by the span of the diagonal vectors
     k_i = (w_i, 0) + i*(0, w_{i-1}), 0 <= i <= d, on the labeled basis
@@ -301,11 +308,6 @@ def v_dr(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     if not (0 <= d <= p * p):
         raise BadDimension(f"parameter {d} outside 0..{p * p}")
     _require_nonprime(ctx, beta)
-    return _build_vdr(ctx, d, beta)
-
-
-@_memo
-def _build_vdr(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     one = ctx.el(1)
     labels, pos, scale = vdr_label_map(ctx, d, one)
     # Phi^-1 A Phi for the monomial map Phi: a gather and two scalings
@@ -396,11 +398,6 @@ def vdr_quotient(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     return Q
 
 
-def _require_vdr(M: HModule) -> None:
-    if M.meta.get("kind") != "vdr":
-        raise UnlabeledModule("operation needs a module built by v_dr")
-
-
 def _require_nonprime(ctx: FieldCtx, beta: FieldElem) -> None:
     if beta.ctx != ctx:
         raise ContextMismatch("parameter from a different field context")
@@ -471,14 +468,23 @@ def sub_module_on(M: HModule, W: Subspace) -> tuple:
     return sub, E
 
 
+def _rows(M: HModule, vectors) -> np.ndarray:
+    """The vectors as the rows of a (k, dim M) index array; ShapeMismatch
+    when one of them has another length."""
+    rows = [as_vector(M.ctx, v) for v in vectors]
+    bad = [r.shape for r in rows if r.shape != (M.dim,)]
+    if bad:
+        raise ShapeMismatch(f"vector of shape {bad[0]} for a module of dim {M.dim}")
+    return np.array(rows, dtype=np.int64).reshape(len(rows), M.dim)
+
+
 def sub_generated(M: HModule, vectors) -> tuple:
     """Smallest invariant subspace containing the vectors, with induced
     action: the span of every word sigma0^a tau0^b of M.word_stack()
     applied to every vector, from one product and one elimination, since
     the words span the group algebra.  Returns (module, embedding matrix)."""
     ctx = M.ctx
-    rows = [as_vector(ctx, v) for v in vectors]
-    V = np.array(rows, dtype=np.int64).reshape(len(rows), M.dim)
+    V = _rows(M, vectors)
     imgs = _matmul_idx(ctx, V, M.word_stack().transpose(0, 2, 1))
     return sub_module_on(M, Subspace.from_rows(ctx, M.dim, np.vstack(imgs)))
 
@@ -498,8 +504,7 @@ def quotient(M: HModule, W: Subspace, reps=None, labels=None) -> tuple:
         for k, f in enumerate(free):
             reps_arr[k, f] = 1
     else:
-        reps_arr = np.array([as_vector(ctx, r) for r in reps], dtype=np.int64)
-        reps_arr = reps_arr.reshape(len(reps), M.dim)
+        reps_arr = _rows(M, reps)
         if len(reps) != qdim:
             raise ShapeMismatch(f"need {qdim} coset representatives, got {len(reps)}")
     # C = [basis of W | reps] as columns must be invertible
@@ -616,8 +621,9 @@ def label_degrees(M: HModule) -> np.ndarray:
 def ddeg_prime(M: HModule, v) -> int:
     """Combinatorial degree of one vector of a v_dr module: the max of
     label_degrees over its nonzero entries, -1 for the zero vector."""
-    _require_vdr(M)
-    vec = as_vector(M.ctx, v)
+    if M.meta.get("kind") != "vdr":
+        raise UnlabeledModule("operation needs a module built by v_dr")
+    vec = _rows(M, [v])[0]
     return int(np.where(vec != 0, label_degrees(M), -1).max())
 
 
@@ -643,9 +649,8 @@ def _hom_source_data(M: HModule) -> dict:
     p = ctx.p
     gens = _min_generators(M)
     t = len(gens)
-    words = [(a, b) for a in range(p) for b in range(p)]
     # column i*p^2 + w: word w applied to generator i
-    E = M.word_stack()[:, :, gens].transpose(1, 2, 0).reshape(M.dim, t * len(words))
+    E = M.word_stack()[:, :, gens].transpose(1, 2, 0).reshape(M.dim, t * p * p)
     rel = kernel(Mat(ctx, E))
     # the columns of E that are not kernel pivots are independent and span
     # the column space of E, so they give an invertible evaluation submatrix
@@ -663,8 +668,7 @@ def _hom_source_data(M: HModule) -> dict:
     shifted[1, :, :, :, 1:] = R[:, :, :, :-1]
     J = Subspace.from_rows(ctx, rel.ambient, shifted.reshape(2 * rel.dim, rel.ambient))
     relgens = rel.basis[~np.isin(rel.pivots, J.pivots)]
-    return {"gens": gens, "t": t, "words": words, "E": E, "relgens": relgens,
-            "piv": piv}
+    return {"t": t, "E": E, "relgens": relgens, "piv": piv}
 
 
 @_memo
@@ -689,7 +693,7 @@ def _hom_solve(M: HModule, N: HModule) -> Subspace:
         return Subspace.zero(ctx, 0)
     src = _hom_source_data(M)
     t, rel = src["t"], src["relgens"]
-    nw = len(src["words"])
+    nw = ctx.p ** 2
     dN = N.dim
     # conditions on stacked images x = (x_1 .. x_t) in N^t: block (r, i)
     # of C is sum_w rel_r[i, w] * word_w(N) for each generating relation r,
@@ -713,7 +717,7 @@ def _hom_maps(M: HModule, N: HModule, sol: Subspace) -> Subspace:
     # of E, then the inverse of E on them (_hom_pivot_inverse)
     src = _hom_source_data(M)
     t, piv = src["t"], src["piv"]
-    nw = len(src["words"])
+    nw = ctx.p ** 2
     dN = N.dim
     S = sol.dim
     X = sol.basis.reshape(S * t, dN).T
@@ -826,8 +830,6 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
     if M.dim != N.dim:
         return IsoDecision("NO", "dim-mismatch",
                            detail={"dims": [M.dim, N.dim]})
-    if M.dim == 0:
-        return IsoDecision("YES", "equal-matrices", witness=Mat.identity(ctx, 0))
     if M.Msigma == N.Msigma and M.Mtau == N.Mtau:
         return IsoDecision("YES", "equal-matrices", witness=Mat.identity(ctx, M.dim))
     for _, inv in ISO_INVARIANTS:
@@ -841,8 +843,6 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
     if not (h == h_back == e == e2):
         return IsoDecision("NO", "hom-dim-mismatch",
                            detail={"hom": [h, h_back], "end": [e, e2]})
-    if h == 0:
-        return IsoDecision("NO", "hom-dim-mismatch", detail={"hom": [0, 0]})
     H = _hom_maps(M, N, sol)
     full = np.nonzero(_rank_stack(ctx, H.basis.reshape(h, N.dim, M.dim)) == M.dim)[0]
     if full.size:
@@ -1158,39 +1158,16 @@ def jordan_scan(M: HModule) -> list:
     return list(zip(pts, nilpotent_partitions(ctx, stack)))
 
 
-def dominance_compare(lam: tuple, mu: tuple) -> Optional[int]:
-    """1 if lam strictly dominates mu, -1 if mu dominates lam, 0 if equal,
-    None if incomparable (prefix-sum order; both must partition the same
-    total)."""
-    if sum(lam) != sum(mu):
-        raise ShapeMismatch("partitions of different totals")
-    if lam == mu:
-        return 0
-    L = max(len(lam), len(mu))
-    ge = le = True
-    sa = sb = 0
-    for k in range(L):
-        sa += lam[k] if k < len(lam) else 0
-        sb += mu[k] if k < len(mu) else 0
-        if sa < sb:
-            ge = False
-        if sa > sb:
-            le = False
-    if ge:
-        return 1
-    if le:
-        return -1
-    return None
-
-
 def generic_jordan_type(M: HModule) -> tuple:
-    """Dominance-maximal Jordan type over the scanned projective line."""
-    types = {t for _, t in jordan_scan(M)}
-    top = [t for t in types
-           if all(dominance_compare(t, u) in (0, 1) for u in types)]
-    if len(top) == 1:
-        return top[0]
-    raise Undecided(f"no dominance-maximum among scanned types {sorted(types)}")
+    """Dominance-maximal Jordan type over the scanned projective line: the
+    type whose prefix sums are the columnwise maximum of those of every
+    scanned type, padded to length dim M."""
+    types = sorted({t for _, t in jordan_scan(M)})
+    sums = [list(itertools.accumulate(t + (0,) * (M.dim - len(t)))) for t in types]
+    top = [max(col) for col in zip(*sums)]
+    if top in sums:
+        return types[sums.index(top)]
+    raise Undecided(f"no dominance-maximum among scanned types {types}")
 
 
 def constant_type_over_scan(M: HModule) -> bool:

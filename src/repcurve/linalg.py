@@ -442,10 +442,3 @@ def nilpotent_partitions(ctx: FieldCtx, stack: np.ndarray) -> list:
         assert sum(partition) == d, (partition, chain)
         out.append(tuple(partition))
     return out
-
-
-def nilpotent_partition(N: Mat) -> tuple:
-    """Jordan partition of a nilpotent matrix from its rank chain."""
-    if not N.is_square():
-        raise ShapeMismatch("partition of a non-square matrix")
-    return nilpotent_partitions(N.ctx, N.data[None])[0]

@@ -521,7 +521,7 @@ def _suite_hodge(p: int, seed: int) -> List[Case]:
         return rep["verdict"], f"sub={rep['sub_dim']},quot={rep['quotient_dim']}"
 
     cases: List[Case] = []
-    for m in (2, 10):
+    for m in _cross_grid(p):
         params = cf.curve_params(ctx, m, ctx.gen())
         cases += [(f"hodge/p3/m{m:02d}/c{c:02d}", partial(hodge_case, params, c))
                   for c in range(1, m)]

@@ -6,17 +6,19 @@ kernels of words, Hom spaces from Kronecker products, membership by
 reduction, sums, intersections and preimages by kernels, generated
 submodules by closure under the generators, v_dr classes through the
 paper's quotient, polynomial values by Horner's rule, a graded family's
-JSON with every piece encoded in place.
+JSON with every piece encoded in place, Jordan partitions from one rank
+per power, the dominance order by prefix sums.
 """
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repcurve import kmod as km
-from repcurve.errors import ContextMismatch, OutOfRange, ShapeMismatch, UnlabeledModule
+from repcurve.errors import (ContextMismatch, NotNilpotent, OutOfRange, ShapeMismatch,
+                             UnlabeledModule)
 from repcurve.ff import FieldElem
-from repcurve.linalg import Mat, Subspace, _matmul_idx, as_vector, kernel
+from repcurve.linalg import Mat, Subspace, _matmul_idx, as_vector, kernel, matpow, rank
 
 
 def _check_ambient(U: Subspace, W: Subspace) -> None:
@@ -196,3 +198,45 @@ def graded_to_json(gm) -> dict:
         "beta": gm.params.beta.text(),
         "pieces": {str(c): km.module_to_json(mod) for c, mod in gm.pieces.items()},
     }
+
+
+def nilpotent_partition(N: Mat) -> tuple:
+    """Jordan partition of a nilpotent matrix from its rank chain, one
+    matpow and one rank per power: j occurs (r_(j-1) - r_j) - (r_j -
+    r_(j+1)) times, r_j = rank N^j.  Raises NotNilpotent when N^d != 0."""
+    d = N.rows
+    chain = [d]
+    while chain[-1] and len(chain) <= d:
+        chain.append(rank(matpow(N, len(chain))))
+    if chain[-1]:
+        raise NotNilpotent(f"matrix is not nilpotent (rank chain {chain})")
+    sizes = []
+    for j in range(1, len(chain)):
+        longer = (chain[j] - chain[j + 1]) if j + 1 < len(chain) else 0
+        sizes += [j] * ((chain[j - 1] - chain[j]) - longer)
+    return tuple(sorted(sizes, reverse=True))
+
+
+def dominance_compare(lam: tuple, mu: tuple) -> Optional[int]:
+    """1 if lam strictly dominates mu, -1 if mu dominates lam, 0 if equal,
+    None if incomparable (prefix-sum order; both must partition the same
+    total)."""
+    if sum(lam) != sum(mu):
+        raise ShapeMismatch("partitions of different totals")
+    if lam == mu:
+        return 0
+    L = max(len(lam), len(mu))
+    ge = le = True
+    sa = sb = 0
+    for k in range(L):
+        sa += lam[k] if k < len(lam) else 0
+        sb += mu[k] if k < len(mu) else 0
+        if sa < sb:
+            ge = False
+        if sa > sb:
+            le = False
+    if ge:
+        return 1
+    if le:
+        return -1
+    return None

@@ -12,10 +12,9 @@ from repcurve import kmod as km
 from repcurve import linalg
 from repcurve.errors import ZeroPoint
 from repcurve.ff import FieldElem, default_ctx
-from repcurve.linalg import (Mat, Subspace, invert, kernel, nilpotent_partition,
-                             nilpotent_partitions, rank)
-from reference import (contains, contains_space, intertwiner_space, s_filtration_direct,
-                       sub_generated_closure, word_matrix)
+from repcurve.linalg import Mat, Subspace, invert, kernel, nilpotent_partitions, rank
+from reference import (contains, contains_space, intertwiner_space, nilpotent_partition,
+                       s_filtration_direct, sub_generated_closure, word_matrix)
 
 C2 = default_ctx(2)
 C3 = default_ctx(3)
@@ -229,20 +228,6 @@ def test_rank_stack_leaves_its_argument_unchanged(field, seed, rows, cols, k, wr
     assert np.array_equal(stack, before)
 
 
-def rank_chain_partition(N: Mat) -> tuple:
-    """Jordan partition from the rank chain of N computed by rank()."""
-    d = N.rows
-    chain, P = [d], Mat.identity(N.ctx, d)
-    while chain[-1]:
-        P = P @ N
-        chain.append(rank(P))
-    sizes = []
-    for j in range(1, len(chain)):
-        longer = (chain[j] - chain[j + 1]) if j + 1 < len(chain) else 0
-        sizes += [j] * ((chain[j - 1] - chain[j]) - longer)
-    return tuple(sorted(sizes, reverse=True))
-
-
 def rand_nilpotent(ctx, rng, d):
     """A random nilpotent matrix: strictly upper triangular, conjugated by
     a random invertible matrix."""
@@ -261,9 +246,7 @@ def rand_nilpotent(ctx, rng, d):
 def test_stacked_partitions_match_single(ctx, seed, d, k):
     rng = random.Random(seed)
     stack = np.stack([rand_nilpotent(ctx, rng, d) for _ in range(k)])
-    got = nilpotent_partitions(ctx, stack)
-    assert got == [nilpotent_partition(Mat(ctx, N)) for N in stack]
-    assert got == [rank_chain_partition(Mat(ctx, N)) for N in stack]
+    assert nilpotent_partitions(ctx, stack) == [nilpotent_partition(Mat(ctx, N)) for N in stack]
 
 
 # the last three are the shapes of the query plan's slowest scans: v_dr(5, 25)
@@ -275,7 +258,7 @@ def test_jordan_scan_matches_pointwise(p, kind, d):
     M = _module(ctx, kind, d)
     for (a, b), t in km.jordan_scan(M):
         N = ctx.add[ctx.mul[a, M.sigma0().data], ctx.mul[b, M.tau0().data]]
-        assert t == rank_chain_partition(Mat(ctx, N))
+        assert t == nilpotent_partition(Mat(ctx, N))
 
 
 @pytest.mark.parametrize("p,kind,d", [(3, "vd", 5), (3, "vdr", 4), (5, "vd", 7), (5, "vdr", 12)])
@@ -288,7 +271,7 @@ def test_jordan_type_at_matches_rank_chain(p, kind, d):
     M = _module(ctx, kind, d)
 
     def want(a, b):
-        return rank_chain_partition(
+        return nilpotent_partition(
             Mat(ctx, ctx.add[ctx.mul[a, M.sigma0().data], ctx.mul[b, M.tau0().data]]))
 
     for a in range(ctx.q):

@@ -599,6 +599,7 @@ def _module_obj(capsys):
     lambda o: {**o, "labels": [0, 1]},
     lambda o: {**o, "n": 1},
     lambda o: {**o, "modulus": [7, 3, 1]},
+    lambda o: {**o, "labels": ["w0", "w0"]},
 ])
 def test_malformed_module_json_is_an_input_error(capsys, tmp_path, mutate):
     bad = tmp_path / "bad.json"
@@ -606,6 +607,19 @@ def test_malformed_module_json_is_an_input_error(capsys, tmp_path, mutate):
     code, out, err = run(capsys, "query", "indec", str(bad))
     assert code == 2 and out == ""
     assert json.loads(err)["error"] != "InternalError"
+
+
+def test_build_regular_labels_are_distinct(capsys, tmp_path):
+    # g<a><b> pads a and b to one width; at p = 13 (1, 10) and (11, 0)
+    # were both g110, and query ddeg --label answered for the first
+    code, out, _ = run(capsys, "build", "regular", "--p", "13", "--n", "1")
+    assert code == 0
+    labels = json.loads(out)["labels"]
+    assert len(labels) == 169 == len(set(labels))
+    path = tmp_path / "reg.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "query", "ddeg", str(path), "--label", "g1100")
+    assert code == 0 and json.loads(out)["ddeg"] == 24
 
 
 def test_module_json_reports_its_first_bad_entry():

@@ -240,15 +240,17 @@ def test_vdr_and_dr_pieces_build_no_quotient(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("quotient", "invert", "_build_vdr"):
+    for name in ("quotient", "invert", "dr_action"):
         monkeypatch.setattr(km, name, counted(name, getattr(km, name)))
     monkeypatch.setattr(Subspace, "from_rows",
                         classmethod(counted("from_rows", Subspace.from_rows.__func__)))
     dr_graded(curve_params(C5, 26, C5.gen()))
-    assert calls == []  # and the pieces build no v_dr
+    # curvefam calls its own import of dr_action, so the pieces count nothing
+    # here, and they build no v_dr, which would call kmod's
+    assert calls == []
     for d in range(26):
         km.v_dr(C5, d, C5.gen())
-    assert calls == ["_build_vdr"] * 26
+    assert calls == ["dr_action"] * 26
     calls.clear()
     monkeypatch.setattr(km.HModule, "__init__", counted("HModule", km.HModule.__init__))
     km.vdr_quotient(C5, 12, C5.gen())

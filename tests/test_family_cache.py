@@ -63,6 +63,22 @@ def test_invalid_arguments_raise_and_cache_nothing(call, error):
     assert C3._cache == before
 
 
+@pytest.mark.parametrize("call", [
+    lambda b: km.binomial_table(C3, b),
+    lambda b: km.vd_definition(C3, b),
+    lambda b: km.v_d(C3, 4, b),
+    lambda b: km.v_dr(C3, 4, b),
+], ids=["binomial_table", "vd_definition", "v_d", "v_dr"])
+def test_field_tables_refuse_an_element_of_another_field(call):
+    # F_25's t has the index of 2 + t in F_9, whose tables are cached here:
+    # the memo would answer with them, or build a table from that index
+    km.v_d(C3, 4, C3.from_text("2,1"))
+    before = dict(C3._cache)
+    with pytest.raises(ContextMismatch):
+        call(C5.gen())
+    assert C3._cache == before
+
+
 def test_family_data_goes_with_its_field():
     # modules and tables live on their context: once no caller and no
     # context cache holds the field, it is freed with all of them
@@ -302,7 +318,8 @@ def test_vdr_module_is_checked_once(monkeypatch):
     # every new HModule checks sigma^p = tau^p = 1 with one stacked power;
     # v_dr is gathered from the binomial table, with no direct sum to check
     monkeypatch.setattr(km, "_matpow_idx", counted)
-    M = km._build_vdr(C3, 5, T3)
+    # the autouse fixture leaves the cache cold, so this call builds
+    M = km.v_dr(C3, 5, T3)
     assert checks == [3]
     assert M == km.v_dr(C3, 5, T3) and M.labels == km.v_dr(C3, 5, T3).labels
 

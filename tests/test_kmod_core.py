@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repcurve import kmod as km
 from repcurve.errors import (BadDimension, ContextMismatch, NotInvariant,
-                             PrimeFieldElement, UnlabeledModule, ZeroPoint, ZeroVector)
+                             PrimeFieldElement, ShapeMismatch, Undecided, UnlabeledModule,
+                             ZeroPoint, ZeroVector)
 from repcurve.ff import default_ctx, frobenius
 from repcurve.kmod import (HModule, apply_word, augmentation_ideal,
                            binom_mod_p, case_ii_core, constant_type_over_scan,
-                           ddeg, ddeg_prime, digits_p, direct_sum,
-                           dominance_compare, dual, fixed_space,
+                           ddeg, ddeg_prime, digits_p, direct_sum, dual, fixed_space,
                            generic_jordan_type, hom_space, jordan_scan,
                            jordan_type_at,
                            module_from_json, module_to_json, profile,
@@ -17,7 +18,8 @@ from repcurve.kmod import (HModule, apply_word, augmentation_ideal,
                            sub_generated, sub_module_on, trivial_module, v_d,
                            v_dr, vdr_quotient)
 from repcurve.linalg import Mat, Subspace, matpow
-from reference import contains_space, s_filtration_direct, vdr_eta, vdr_omega
+from reference import (contains_space, dominance_compare, s_filtration_direct, vdr_eta,
+                       vdr_omega)
 
 C3 = default_ctx(3)
 C5 = default_ctx(5)
@@ -220,6 +222,30 @@ def test_jordan_types():
     assert dominance_compare((4, 1, 1), (3, 3)) is None
 
 
+def _dominance_maximum(types) -> tuple:
+    top = [t for t in types if all(dominance_compare(t, u) in (0, 1) for u in types)]
+    assert len(top) == 1
+    return top[0]
+
+
+@pytest.mark.parametrize("ctx,kind,d",
+                         [(C3, "vd", d) for d in range(1, 10)]
+                         + [(C3, "vdr", d) for d in range(0, 10)]
+                         + [(C5, "vd", 7), (C5, "vd", 23), (C5, "vdr", 12)])
+def test_generic_type_is_the_dominance_maximum(ctx, kind, d):
+    # every v_d and v_dr at p = 3 and the p = 5 members of the jordan suite
+    M = (v_d if kind == "vd" else v_dr)(ctx, d, ctx.gen())
+    types = {t for _, t in jordan_scan(M)}
+    assert generic_jordan_type(M) == _dominance_maximum(types)
+
+
+def test_generic_type_of_incomparable_types_is_undecided(monkeypatch):
+    M = v_d(C3, 6, T3)
+    monkeypatch.setattr(km, "jordan_scan", lambda N: [((1, 0), (4, 1, 1)), ((0, 1), (3, 3))])
+    with pytest.raises(Undecided, match="no dominance-maximum"):
+        generic_jordan_type(M)
+
+
 @pytest.mark.parametrize("b", ["0,1", "3,3"], ids=["t", "3+3t"])
 def test_jordan_type_refuses_a_point_of_another_field(b):
     # F_25 points on a module over F_9: (1, t) would read an unrelated F_9
@@ -279,6 +305,19 @@ def test_module_json_roundtrip():
     back = module_from_json(obj)
     assert back.Msigma == M.Msigma and back.Mtau == M.Mtau
     assert back.labels == M.labels
+
+
+@pytest.mark.parametrize("call", [
+    lambda M: ddeg_prime(M, [1]),
+    lambda M: ddeg_prime(M, [1, 0]),
+    lambda M: sub_generated(M, [[1, 0]]),
+    lambda M: quotient(M, fixed_space(M), reps=[[1, 0]] * 3),
+], ids=["ddeg_prime-short", "ddeg_prime", "sub_generated", "quotient"])
+def test_vectors_of_the_wrong_length_are_refused(call):
+    M = v_dr(C3, 4, T3)
+    assert M.dim == 8
+    with pytest.raises(ShapeMismatch):
+        call(M)
 
 
 def test_unlabeled_basis_vector():

@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from repcurve.errors import ContextMismatch, ShapeMismatch
 from repcurve.ff import default_ctx
-from repcurve.linalg import (Mat, Subspace, invert, kernel, matpow,
-                             nilpotent_partition, rank, rref, solve,
-                             solve_matrix)
-from reference import contains, contains_space, preimage, subspace_intersect, subspace_sum
+from repcurve.linalg import Mat, Subspace, invert, kernel, matpow, rank, rref, solve, solve_matrix
+from reference import (contains, contains_space, nilpotent_partition, preimage,
+                       subspace_intersect, subspace_sum)
 
 CTX = default_ctx(3)
 
