@@ -128,7 +128,8 @@ class FieldCtx:
             raise ReducibleModulus(f"modulus {list(modulus)} factors over F_{p}")
         self.p, self.n, self.q, self.modulus = p, n, p ** n, modulus
         self._build_tables()
-        # values other modules compute from the field (kmod._memo), freed with it
+        # values other modules compute from the field, and the weak map of
+        # the modules' stores of derived data (kmod._memo), freed with it
         self._cache: dict = {}
 
     def _build_tables(self) -> None:

@@ -12,6 +12,7 @@ types of the pencil a*sigma0 + b*tau0.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import asdict, dataclass, field
 from functools import wraps
 from typing import Optional, Sequence
@@ -100,10 +101,13 @@ def binom_mod_p(n: int, i: int, p: int) -> int:
 
 def _memo(fn):
     """Keep fn(owner, *args) in owner._cache under fn's name and the
-    arguments, a field element by its idx: each cached value lives on the
-    field context or module it is computed from, and is freed with it.  A
-    field element of another field than the owner's raises ContextMismatch
-    before the lookup, since its idx names an unrelated element here."""
+    arguments, a field element by its idx.  A field context keeps its
+    values itself; a module's store is shared by every module over its
+    context with equal matrices (HModule._cache), so a memoized function
+    of a module reads only its context and matrices, never its labels or
+    meta.  A field element of another field than the owner's raises
+    ContextMismatch before the lookup, since its idx names an unrelated
+    element here."""
     name = fn.__name__
 
     @wraps(fn)
@@ -112,22 +116,34 @@ def _memo(fn):
         if any(isinstance(a, FieldElem) and a.ctx != ctx for a in args):
             raise ContextMismatch("parameter from a different field context")
         key = (name, *[a.idx if isinstance(a, FieldElem) else a for a in args])
-        if key not in owner._cache:
-            owner._cache[key] = fn(owner, *args)
-        return owner._cache[key]
+        store = owner._cache
+        if key not in store:
+            store[key] = fn(owner, *args)
+        return store[key]
 
     return cached
+
+
+class _Store(dict):
+    """The derived data of the modules with one pair of matrices; a weak
+    reference can hold it."""
+
+    __slots__ = ("__weakref__",)
 
 
 class HModule:
     """Two commuting order-p matrices over a shared field context.
 
     Immutable; derived data (filtration, End algebra, word matrices) is
-    kept on the instance by _memo.  meta carries construction provenance
-    used by label-aware operations and is not part of equality.
+    kept by _memo in a store shared by every module over the same context
+    with equal matrices, the content that equality compares, and held
+    weakly by the context: it lives while one of those modules does.
+    labels and meta carry construction provenance used by label-aware
+    operations and are not part of equality, so nothing derived from them
+    is memoized.
     """
 
-    __slots__ = ("ctx", "dim", "Msigma", "Mtau", "labels", "meta", "_cache")
+    __slots__ = ("ctx", "dim", "Msigma", "Mtau", "labels", "meta", "_store")
 
     def __init__(self, ctx: FieldCtx, Msigma: Mat, Mtau: Mat,
                  labels: Optional[Sequence[str]] = None,
@@ -162,7 +178,17 @@ class HModule:
         self.Mtau = Mtau
         self.labels = labels
         self.meta = dict(meta) if meta else {}
-        self._cache: dict = {}
+        self._store = None
+
+    @property
+    def _cache(self) -> _Store:
+        """The store of derived data, looked up on first use, so a module
+        that never asks for any pays nothing: the context's weak map from
+        the matrix pair to the store of every module with those matrices."""
+        if self._store is None:
+            stores = self.ctx._cache.setdefault("module-stores", weakref.WeakValueDictionary())
+            self._store = stores.setdefault((self.Msigma, self.Mtau), _Store())
+        return self._store
 
     # -- derived matrices ----------------------------------------------------
 
@@ -220,13 +246,17 @@ class HModule:
 # Stock modules
 
 
+@_memo
 def trivial_module(ctx: FieldCtx) -> HModule:
+    """The one-dimensional module with trivial action, shared per context."""
     I = Mat.identity(ctx, 1)
     return HModule(ctx, I, I, labels=("u0",), meta={"kind": "trivial"})
 
 
+@_memo
 def regular_module(ctx: FieldCtx) -> HModule:
-    """The group algebra acting on itself by left multiplication.
+    """The group algebra acting on itself by left multiplication, shared
+    per context.
 
     Basis indexed by group elements sigma^a tau^b at position a*p + b, so
     sigma and tau are the cyclic shift C of Z/p on the first and on the
@@ -243,9 +273,10 @@ def regular_module(ctx: FieldCtx) -> HModule:
                    meta={"kind": "regular"})
 
 
+@_memo
 def augmentation_ideal(ctx: FieldCtx) -> HModule:
     """Kernel of the coefficient-sum map on the regular module, with the
-    induced action; dimension p^2 - 1."""
+    induced action; dimension p^2 - 1.  Shared per context."""
     R = regular_module(ctx)
     ones = Mat(ctx, np.ones((1, R.dim), dtype=np.int64))
     W = kernel(ones)
@@ -1150,12 +1181,14 @@ def jordan_scan(M: HModule) -> list:
     """Jordan types at all q + 1 points of P^1(F_q): (1, b) for every b in
     F_q, then (0, 1), each point a pair of encoded field indices.  The
     q + 1 pencil matrices are stacked and their partitions computed
-    together."""
+    together.  sigma0 and tau0 commute, so in characteristic p every
+    pencil member N has N^p = a^p sigma0^p + b^p tau0^p = 0, and the rank
+    chain stops at N^(p-1)."""
     ctx = M.ctx
     pts = [(1, b) for b in range(ctx.q)] + [(0, 1)]
     a, b = np.array(pts, dtype=np.int64).T[:, :, None, None]
     stack = ctx.add[ctx.mul[a, M.sigma0().data], ctx.mul[b, M.tau0().data]]
-    return list(zip(pts, nilpotent_partitions(ctx, stack)))
+    return list(zip(pts, nilpotent_partitions(ctx, stack, order=ctx.p)))
 
 
 def generic_jordan_type(M: HModule) -> tuple:

@@ -416,25 +416,31 @@ def _rank_stack(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
     return ranks.reshape(lead)
 
 
-def nilpotent_partitions(ctx: FieldCtx, stack: np.ndarray) -> list:
+def nilpotent_partitions(ctx: FieldCtx, stack: np.ndarray, *,
+                         order: Optional[int] = None) -> list:
     """Jordan partitions of a stack of nilpotent d x d matrices (k, d, d),
     from their rank chains: the powers of all k matrices are taken
     together, and the ranks of all the powers come from one stacked
-    elimination."""
+    elimination.  Without order a matrix with N^d != 0 raises
+    NotNilpotent; a caller that knows N^order = 0 for every matrix passes
+    order, and N^order is never formed."""
     k, d = stack.shape[0], stack.shape[-1]
     if d == 0:
         return [()] * k
+    top = d if order is None else min(d, order - 1)
     powers = [stack]
-    while powers[-1].any() and len(powers) < d:
+    while powers[-1].any() and len(powers) < top:
         powers.append(_matmul_idx(ctx, powers[-1], stack))
     nonzero = powers[-1].reshape(k, -1).any(axis=1)
     ranks = _rank_stack(ctx, np.stack(powers)).reshape(len(powers), k)
     out = []
     for b in range(k):
         chain = [d] + ranks[:, b].tolist()
-        if nonzero[b]:
+        if order is None and nonzero[b]:
             raise NotNilpotent(f"matrix is not nilpotent (rank chain {chain})")
-        # at_least[j-1] = #{blocks of size >= j} = rank N^(j-1) - rank N^j
+        # at_least[j-1] = #{blocks of size >= j} = rank N^(j-1) - rank N^j;
+        # the power after the last one formed is zero
+        chain.append(0)
         at_least = [chain[j - 1] - chain[j] for j in range(1, len(chain))] + [0]
         partition = []
         for j in range(len(chain) - 1, 0, -1):

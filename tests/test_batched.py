@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repcurve import kmod as km
 from repcurve import linalg
-from repcurve.errors import ZeroPoint
+from repcurve.errors import NotNilpotent, ZeroPoint
 from repcurve.ff import FieldElem, default_ctx
 from repcurve.linalg import Mat, Subspace, invert, kernel, nilpotent_partitions, rank
 from reference import (contains, contains_space, intertwiner_space, nilpotent_partition,
@@ -259,6 +259,30 @@ def test_jordan_scan_matches_pointwise(p, kind, d):
     for (a, b), t in km.jordan_scan(M):
         N = ctx.add[ctx.mul[a, M.sigma0().data], ctx.mul[b, M.tau0().data]]
         assert t == nilpotent_partition(Mat(ctx, N))
+
+
+def test_scan_stops_at_the_power_below_p(monkeypatch):
+    # every pencil member of v_dr(5, 25) has type (5, 5, 5, 5, 5): N^4 != 0,
+    # so the checked rank chain forms N^5 to see a zero, and the scan,
+    # which knows N^p = 0, stops at N^4 with the same partitions
+    M = _module(C5, "vdr", 25)
+    stack = np.stack([M.sigma0().data, M.tau0().data,
+                      C5.add[M.sigma0().data, M.tau0().data]])
+    products = []
+    matmul = linalg._matmul_idx
+    monkeypatch.setattr(linalg, "_matmul_idx",
+                        lambda ctx, A, B: products.append(1) or matmul(ctx, A, B))
+    checked = nilpotent_partitions(C5, stack)
+    assert len(products) == 4
+    assert nilpotent_partitions(C5, stack, order=5) == checked == [(5,) * 5] * 3
+    assert len(products) == 4 + 3
+    assert {t for _, t in km.jordan_scan(M)} == {(5,) * 5}
+    assert len(products) == 4 + 3 + 3
+    # without the bound a stack with a matrix that is not nilpotent is refused
+    bad = stack.copy()
+    bad[1] = M.Msigma.data
+    with pytest.raises(NotNilpotent):
+        nilpotent_partitions(C5, bad)
 
 
 @pytest.mark.parametrize("p,kind,d", [(3, "vd", 5), (3, "vdr", 4), (5, "vd", 7), (5, "vdr", 12)])

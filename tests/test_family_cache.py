@@ -2,6 +2,7 @@
 Hom is solved from, and the batched checks of a new module."""
 
 import gc
+import json
 import random
 import weakref
 
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from repcurve import ff, linalg
 from repcurve import kmod as km
 from repcurve.errors import (BadDimension, ContextMismatch, NotCommuting,
-                             OrderViolation, PrimeFieldElement)
+                             OrderViolation, PrimeFieldElement, UnlabeledModule)
+from repcurve.cli import main
 from repcurve.ff import FieldCtx, ctx_new, default_ctx
 from repcurve.linalg import Mat, Subspace, kernel, matpow
 from reference import intertwiner_space
@@ -31,6 +33,7 @@ def test_equal_keys_share_one_module(build):
     assert ctx is not C3 and ctx == C3
     N = build(ctx, 4, ctx.gen())
     assert N == M and N is not M and build(ctx, 4, ctx.gen()) is N
+    assert N._cache is not M._cache
     assert build(C3, 5, T3) is not M
     assert build(C3, 4, T3 + 1) is not M
     other = km.v_dr if build is km.v_d else km.v_d
@@ -80,17 +83,99 @@ def test_field_tables_refuse_an_element_of_another_field(call):
 
 
 def test_family_data_goes_with_its_field():
-    # modules and tables live on their context: once no caller and no
-    # context cache holds the field, it is freed with all of them
+    # modules, tables and the stores of derived data live on their
+    # context: once no caller and no context cache holds the field, it is
+    # freed with all of them
     ctx = ctx_new(7, 2, (3, 1, 1))
     ref = weakref.ref(ctx)
     beta = ctx.gen()
-    km.v_d(ctx, 3, beta), km.v_dr(ctx, 3, beta)
+    km.v_d(ctx, 3, beta), km.profile(km.v_dr(ctx, 3, beta))
     km.binomial_table(ctx, beta), km.vd_definition(ctx, beta)
     del ctx, beta
     ff._ctx_cached.cache_clear()
     gc.collect()
     assert ref() is None
+
+
+# the module-level memoized functions of a module, each called on it
+MODULE_MEMOS = (km._fixed, km.s_filtration, km._hom_source_data, km._hom_pivot_inverse,
+                km._end_solve, km.end_algebra, km._end_split, km.jordan_scan, km.profile)
+
+
+@pytest.mark.parametrize("ctx", [C3, C5], ids=["p3", "p5"])
+def test_equal_matrices_share_one_store(ctx):
+    # v_dr(d) depends on d only through d // p: the members of one class
+    # have equal matrices and one store, and every memoized value is
+    # computed once for the class
+    p, t = ctx.p, ctx.gen()
+    assert "module-stores" not in ctx._cache
+    classes = [[km.v_dr(ctx, d, t) for d in range(c * p, min(c * p + p, p * p + 1))]
+               for c in range(p + 1)]
+    # building asks for no derived data, so no store is made yet
+    assert all(M._store is None for cls in classes for M in cls)
+    for cls in classes:
+        first = cls[0]
+        values = [fn(first) for fn in MODULE_MEMOS]
+        values += [first.sigma0(), first.tau0(), first.word_stack()]
+        for M in cls[1:]:
+            assert M == first and M._cache is first._cache
+            again = [fn(M) for fn in MODULE_MEMOS] + [M.sigma0(), M.tau0(), M.word_stack()]
+            assert all(a is b for a, b in zip(again, values))
+    assert len({id(cls[0]._cache) for cls in classes}) == p + 1
+    assert len(ctx._cache["module-stores"]) == p + 1
+
+
+def test_label_answers_stay_per_module(capsys, tmp_path):
+    # the trivial module and v_d(1) have equal matrices and share a store,
+    # but their labels and meta, and what is read from them, are their own
+    triv, w = km.trivial_module(C3), km.v_d(C3, 1, T3)
+    assert triv == w and km.profile(triv) is km.profile(w)
+    assert km.dual(triv).labels == ("u0*",) and km.dual(w).labels == ("w0*",)
+    assert km.label_degrees(w).tolist() == [0]
+    with pytest.raises(UnlabeledModule):
+        km.label_degrees(triv)
+    # a copy of v_dr(3, 4) with its labels reversed: query ddeg --label
+    # answers by each file's own labels
+    M = km.v_dr(C3, 4, T3)
+    obj = km.module_to_json(M)
+    files = {}
+    for name, labels in (("a", obj["labels"]), ("b", obj["labels"][::-1])):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(dict(obj, labels=labels)))
+    answers = []
+    for name in ("a", "b"):
+        assert main(["query", "ddeg", str(files[name]), "--label", "eta1"]) == 0
+        answers.append(json.loads(capsys.readouterr().out)["ddeg"])
+    assert answers == [km.ddeg(M, M.basis_vector(0)), km.ddeg(M, M.basis_vector(M.dim - 1))]
+    assert answers[0] != answers[1]
+
+
+def test_store_goes_with_its_last_module():
+    # the store lives while one module with those matrices does, and then
+    # leaves the context's map
+    def build():
+        return km.direct_sum(km.v_d(C3, 2, T3), km.v_d(C3, 3, T3))
+
+    M, N = build(), build()
+    km.profile(M)
+    store = weakref.ref(M._cache)
+    assert N._cache is store()
+    stores = C3._cache["module-stores"]
+    size = len(stores)
+    del M
+    gc.collect()
+    assert store() is N._cache
+    del N
+    gc.collect()
+    assert store() is None
+    assert len(stores) == size - 1
+
+
+@pytest.mark.parametrize("build", [km.trivial_module, km.regular_module,
+                                   km.augmentation_ideal])
+def test_stock_modules_are_shared(build):
+    M = build(C3)
+    assert build(C3) is M and build(C5) is not M
 
 
 def _module(ctx, rng, kind):
