@@ -1188,7 +1188,7 @@ def jordan_scan(M: HModule) -> list:
     pts = [(1, b) for b in range(ctx.q)] + [(0, 1)]
     a, b = np.array(pts, dtype=np.int64).T[:, :, None, None]
     stack = ctx.add[ctx.mul[a, M.sigma0().data], ctx.mul[b, M.tau0().data]]
-    return list(zip(pts, nilpotent_partitions(ctx, stack, order=ctx.p)))
+    return list(zip(pts, nilpotent_partitions(ctx, stack)))
 
 
 def generic_jordan_type(M: HModule) -> tuple:

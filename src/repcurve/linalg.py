@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContextMismatch, NotNilpotent, ShapeMismatch
+from .errors import ContextMismatch, ShapeMismatch
 from .ff import FieldCtx
 
 
@@ -416,31 +416,25 @@ def _rank_stack(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
     return ranks.reshape(lead)
 
 
-def nilpotent_partitions(ctx: FieldCtx, stack: np.ndarray, *,
-                         order: Optional[int] = None) -> list:
-    """Jordan partitions of a stack of nilpotent d x d matrices (k, d, d),
-    from their rank chains: the powers of all k matrices are taken
-    together, and the ranks of all the powers come from one stacked
-    elimination.  Without order a matrix with N^d != 0 raises
-    NotNilpotent; a caller that knows N^order = 0 for every matrix passes
-    order, and N^order is never formed."""
+def nilpotent_partitions(ctx: FieldCtx, stack: np.ndarray) -> list:
+    """Jordan partitions of a stack of d x d matrices (k, d, d) with
+    N^p = 0, p the characteristic (every pencil member of a module), from
+    their rank chains: the powers of all k matrices are taken together,
+    and the ranks of all the powers come from one stacked elimination.
+    N^min(d, p) is zero, so the chain stops at N^(min(d, p) - 1)."""
     k, d = stack.shape[0], stack.shape[-1]
     if d == 0:
         return [()] * k
-    top = d if order is None else min(d, order - 1)
+    top = min(d, ctx.p) - 1
     powers = [stack]
-    while powers[-1].any() and len(powers) < top:
+    while len(powers) < top and powers[-1].any():
         powers.append(_matmul_idx(ctx, powers[-1], stack))
-    nonzero = powers[-1].reshape(k, -1).any(axis=1)
     ranks = _rank_stack(ctx, np.stack(powers)).reshape(len(powers), k)
     out = []
     for b in range(k):
-        chain = [d] + ranks[:, b].tolist()
-        if order is None and nonzero[b]:
-            raise NotNilpotent(f"matrix is not nilpotent (rank chain {chain})")
-        # at_least[j-1] = #{blocks of size >= j} = rank N^(j-1) - rank N^j;
         # the power after the last one formed is zero
-        chain.append(0)
+        chain = [d] + ranks[:, b].tolist() + [0]
+        # at_least[j-1] = #{blocks of size >= j} = rank N^(j-1) - rank N^j
         at_least = [chain[j - 1] - chain[j] for j in range(1, len(chain))] + [0]
         partition = []
         for j in range(len(chain) - 1, 0, -1):

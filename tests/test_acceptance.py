@@ -19,7 +19,7 @@ from repcurve.kmod import (case_ii_core, dual, is_isomorphic, v_d, v_dr,
                            vdr_quotient)
 from repcurve.linalg import invert
 from repcurve.poly import Poly2, trace_polynomial
-from repcurve.suites import report_to_json, run_suite
+from repcurve.suites import SUITE_PRIMES, report_to_json, run_suite
 from reference import vdr_label_matrix
 
 SEED = 0
@@ -266,3 +266,17 @@ REPORT_DIGESTS = {
 def test_report_bytes_are_pinned(suite, p):
     out = report_to_json(report(suite, p))
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[suite, p]
+
+
+# sha256 of `verify all --seed <seed>` (the report of every suite at both
+# primes), for seeds other than the one pinned per suite above: the
+# seeded cases draw other modules and vectors
+SEEDED_REPORT_DIGESTS = {
+    7: "39925f43d0438686ef1635c11e85cc3743a6e96c225edb122d23fec517be1829",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDED_REPORT_DIGESTS))
+def test_seeded_report_bytes_are_pinned(seed):
+    out = report_to_json(run_suite("all", SUITE_PRIMES, seed=seed))
+    assert hashlib.sha256(out.encode()).hexdigest() == SEEDED_REPORT_DIGESTS[seed]

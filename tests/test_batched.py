@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repcurve import kmod as km
 from repcurve import linalg
-from repcurve.errors import NotNilpotent, ZeroPoint
+from repcurve.errors import ZeroPoint
 from repcurve.ff import FieldElem, default_ctx
 from repcurve.linalg import Mat, Subspace, invert, kernel, nilpotent_partitions, rank
 from reference import (contains, contains_space, intertwiner_space, nilpotent_partition,
@@ -229,16 +229,20 @@ def test_rank_stack_leaves_its_argument_unchanged(field, seed, rows, cols, k, wr
 
 
 def rand_nilpotent(ctx, rng, d):
-    """A random nilpotent matrix: strictly upper triangular, conjugated by
-    a random invertible matrix."""
-    U = np.triu(rand_rows(ctx, rng, d, d), 1)
-    if rng.random() < 0.3:
-        U[rng.randrange(d)] = 0
+    """A random d x d matrix with N^p = 0, p the characteristic, as every
+    pencil member of a module has: Jordan blocks of random sizes at most
+    p, conjugated by a random invertible matrix."""
+    J = np.zeros((d, d), dtype=np.int64)
+    i = 0
+    while i < d:
+        size = rng.randint(1, min(ctx.p, d - i))
+        J[i + np.arange(size - 1), i + 1 + np.arange(size - 1)] = 1
+        i += size
     while True:
         P = Mat(ctx, rand_rows(ctx, rng, d, d))
         Pinv = invert(P)
         if Pinv is not None:
-            return (P @ Mat(ctx, U) @ Pinv).data
+            return (P @ Mat(ctx, J) @ Pinv).data
 
 
 @settings(max_examples=40, deadline=None)
@@ -262,27 +266,25 @@ def test_jordan_scan_matches_pointwise(p, kind, d):
 
 
 def test_scan_stops_at_the_power_below_p(monkeypatch):
-    # every pencil member of v_dr(5, 25) has type (5, 5, 5, 5, 5): N^4 != 0,
-    # so the checked rank chain forms N^5 to see a zero, and the scan,
-    # which knows N^p = 0, stops at N^4 with the same partitions
+    # every pencil member of v_dr(5, 25) has type (5, 5, 5, 5, 5): N^4 != 0
+    # and N^5 = 0, which the chain knows without forming it, so it takes
+    # the 3 products N^2, N^3, N^4; on v_d(5, 3), of dimension d = 3 < p,
+    # it stops at N^(d-1) after 1
     M = _module(C5, "vdr", 25)
     stack = np.stack([M.sigma0().data, M.tau0().data,
                       C5.add[M.sigma0().data, M.tau0().data]])
+    expected = [nilpotent_partition(Mat(C5, N)) for N in stack]
+    small = _module(C5, "vd", 3)
     products = []
     matmul = linalg._matmul_idx
     monkeypatch.setattr(linalg, "_matmul_idx",
                         lambda ctx, A, B: products.append(1) or matmul(ctx, A, B))
-    checked = nilpotent_partitions(C5, stack)
-    assert len(products) == 4
-    assert nilpotent_partitions(C5, stack, order=5) == checked == [(5,) * 5] * 3
-    assert len(products) == 4 + 3
+    assert nilpotent_partitions(C5, stack) == expected == [(5,) * 5] * 3
+    assert len(products) == 3
     assert {t for _, t in km.jordan_scan(M)} == {(5,) * 5}
-    assert len(products) == 4 + 3 + 3
-    # without the bound a stack with a matrix that is not nilpotent is refused
-    bad = stack.copy()
-    bad[1] = M.Msigma.data
-    with pytest.raises(NotNilpotent):
-        nilpotent_partitions(C5, bad)
+    assert len(products) == 3 + 3
+    km.jordan_scan(small)
+    assert len(products) == 3 + 3 + 1
 
 
 @pytest.mark.parametrize("p,kind,d", [(3, "vd", 5), (3, "vdr", 4), (5, "vd", 7), (5, "vdr", 12)])
