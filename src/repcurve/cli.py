@@ -11,6 +11,7 @@ record also names the exception type and where it was raised.
 """
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import curvefam as cf
 from . import kmod as km
-from .errors import BadParams, RepcurveError
+from .errors import BadParams, RepcurveError, ShapeMismatch
 from .ff import FieldElem, ctx_new, default_ctx
 from .suites import (ARTIFACT_VERSION, CLAIMS, SUITE_NAMES, SUITE_PRIMES,
                      report_to_json, report_to_markdown, run_suite)
@@ -178,7 +179,7 @@ def _query_ddeg(args, M: km.HModule) -> dict:
     else:
         parts = args.vector.split(";")
         if len(parts) != M.dim:
-            raise RepcurveError(
+            raise ShapeMismatch(
                 f"vector has {len(parts)} components, module has dim {M.dim}")
         v = np.array([M.ctx.from_text(t).idx for t in parts], dtype=np.int64)
         shown = args.vector
@@ -310,7 +311,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@lru_cache(maxsize=None)
+def _heap_policy() -> None:
+    """Once per process: keep numpy temporaries on the glibc heap.  With the
+    default dynamic mmap threshold every 128 KiB - 2 MiB temporary is
+    mapped and faulted in afresh on each call; 32 MiB (M_MMAP_THRESHOLD)
+    and a 64 MiB trim threshold (M_TRIM_THRESHOLD) are the ceiling glibc's
+    own dynamic rule reaches on 64-bit.  Without glibc's mallopt this does
+    nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _heap_policy()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as e:

@@ -152,6 +152,26 @@ def intertwiner_space(As: Sequence[Mat], Bs: Sequence[Mat]) -> Subspace:
     return kernel(Mat(ctx, C))
 
 
+def hom_maps_one_product(M: km.HModule, N: km.HModule) -> Subspace:
+    """Hom(M, N) rebuilt from the relation solve by applying every word of
+    N to every generator image in one product, then reading the columns at
+    the pivots of the presentation and multiplying by its pivot inverse as
+    one (S dim N) x dim M product."""
+    ctx = M.ctx
+    sol = km._hom_solve(M, N)
+    amb = M.dim * N.dim
+    if sol.dim == 0:
+        return Subspace.zero(ctx, amb)
+    src = km._hom_source_data(M)
+    t, piv = src["t"], src["piv"]
+    nw, dN, S = ctx.p ** 2, N.dim, sol.dim
+    X = sol.basis.reshape(S * t, dN).T
+    Y = _matmul_idx(ctx, N.word_stack().reshape(nw * dN, dN), X).reshape(nw, dN, S, t)
+    VP = Y[piv % nw, :, :, piv // nw].transpose(2, 1, 0)
+    Phi = _matmul_idx(ctx, VP.reshape(S * dN, M.dim), km._hom_pivot_inverse(M).data)
+    return Subspace.from_rows(ctx, amb, Phi.reshape(S, amb))
+
+
 def contains(S: Subspace, v: np.ndarray) -> bool:
     return S.reduce(v) is not None
 

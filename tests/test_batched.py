@@ -13,8 +13,9 @@ from repcurve import linalg
 from repcurve.errors import ZeroPoint
 from repcurve.ff import FieldElem, default_ctx
 from repcurve.linalg import Mat, Subspace, invert, kernel, nilpotent_partitions, rank
-from reference import (contains, contains_space, intertwiner_space, nilpotent_partition,
-                       s_filtration_direct, sub_generated_closure, word_matrix)
+from repcurve.suites import run_suite
+from reference import (contains, contains_space, hom_maps_one_product, intertwiner_space,
+                       nilpotent_partition, s_filtration_direct, sub_generated_closure, word_matrix)
 
 C2 = default_ctx(2)
 C3 = default_ctx(3)
@@ -338,6 +339,71 @@ def test_hom_space_matches_intertwiners(ctx, seed):
         assert X @ M.Mtau == N.Mtau @ X
 
 
+def _hom_grid(ctx):
+    """Modules for the rebuild grid: v_d, v_dr and a dual, direct sums
+    with two or more generators, the regular module (no relations) and the
+    zero module (Hom = 0 with every other)."""
+    t = ctx.gen()
+    p = ctx.p
+    vdr = km.v_dr(ctx, p + 2, t)
+    zero = Mat.zeros(ctx, 0, 0)
+    return [km.v_d(ctx, 1, t), km.v_d(ctx, p + 1, t), km.v_d(ctx, p * p, t + 1),
+            km.v_dr(ctx, 2, t), vdr, km.dual(vdr), km.augmentation_ideal(ctx),
+            km.direct_sum(km.v_d(ctx, p + 1, t), km.v_d(ctx, 2, t + 1)),
+            km.direct_sum(km.v_d(ctx, 1, t), km.v_dr(ctx, p, t)),
+            km.regular_module(ctx), km.HModule(ctx, zero, zero)]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_hom_rebuild_matches_one_product_reference(p):
+    """The rebuild reads only the pivot (word, generator) pairs; the
+    reference applies every word to every image in one product.  Same
+    arithmetic, so the canonical bases are the same arrays."""
+    ctx = CTX[p]
+    grid = _hom_grid(ctx)
+    assert max(km._hom_source_data(M)["t"] for M in grid if M.dim) >= 2
+    assert km._hom_source_data(km.regular_module(ctx))["relgens"].shape[0] == 0
+    zero_homs = 0
+    for M in grid:
+        for N in grid:
+            H, ref = km.hom_space(M, N), hom_maps_one_product(M, N)
+            assert H.ambient == ref.ambient == M.dim * N.dim
+            assert np.array_equal(H.basis, ref.basis)
+            zero_homs += H.dim == 0
+    assert zero_homs == 2 * len(grid) - 1
+
+
+# OpenBLAS splits a float64 gemm across its threads once it is large
+# enough, and a split product whose threads have gone idle stalls.  On a
+# 2-vCPU x86_64 host (OpenBLAS 0.3.31), one gemm after a 10 ms pause took
+# about 0.13 ms at 786,432 multiply-adds and 8-10 ms at 1,024,128 and
+# above (other runs there: about 20 us at 786,432, 6-8 ms at 1,040,384); in
+# structure/p5 the one-product Hom rebuild (reference.hom_maps_one_product)
+# made products of 1,382,400 to 1,612,800 per slice that took about 14 ms
+# each.  2^19 stays below every fast size seen.
+GEMM_SLICE_LIMIT = 1 << 19
+
+
+@pytest.mark.parametrize("suite", ["structure", "indec"])
+def test_no_product_is_large_enough_to_split(monkeypatch, suite):
+    """Each _matmul_idx slice is a gemm of n*rows x k by k x cols over the
+    digit planes and a fold of n x n^2 by n^2 x rows*cols; neither may
+    reach GEMM_SLICE_LIMIT."""
+    real = linalg._matmul_idx
+    large = []
+
+    def guarded(ctx, A, B):
+        n, rows, k, cols = ctx.n, A.shape[-2], A.shape[-1], B.shape[-1]
+        if max(n * rows * k * cols, n ** 3 * rows * cols) >= GEMM_SLICE_LIMIT:
+            large.append((A.shape, B.shape))
+        return real(ctx, A, B)
+
+    monkeypatch.setattr(linalg, "_matmul_idx", guarded)
+    monkeypatch.setattr(km, "_matmul_idx", guarded)
+    assert run_suite(suite, (5,))["exit"] == 0
+    assert large == []
+
+
 def _count_products(monkeypatch, module):
     calls = []
     real = module._matmul_idx
@@ -371,7 +437,7 @@ def test_hom_space_products_do_not_grow_with_solutions(monkeypatch, p, d):
     H = km.hom_space(M, M)
     assert H.dim > 1
     # one product builds the relations; rebuilding every solution takes two
-    # (all words on all images, then the pivot inverse, which this first
+    # (pivot words on pivot images, then the pivot inverse, which this first
     # rebuild inverts and caches with the presentation), within p^2 + 1
     assert len(calls) <= 3 <= ctx.p ** 2 + 1
 

@@ -341,6 +341,67 @@ def test_query_ddeg_label_and_vector(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("parts", [3, 5])
+def test_query_ddeg_vector_of_wrong_length(capsys, tmp_path, parts):
+    a = tmp_path / "a.json"
+    run(capsys, "build", "vd", "--p", "3", "--d", "4", "--beta", "0,1", "--out", str(a))
+    code, out, err = run(capsys, "query", "ddeg", str(a), "--vector", ";".join(["1,0"] * parts))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ShapeMismatch",
+                               "message": f"vector has {parts} components, module has dim 4"}
+
+
+class _Libc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_heap_policy_is_set_once_per_process(monkeypatch, capsys):
+    libc = _Libc()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    cli._heap_policy.cache_clear()
+    try:
+        assert run(capsys, "claims")[0] == 0
+        assert run(capsys, "claims", "--format", "json")[0] == 0
+    finally:
+        cli._heap_policy.cache_clear()
+    # M_MMAP_THRESHOLD = 32 MiB, M_TRIM_THRESHOLD = 64 MiB
+    assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_libc],
+                         ids=["no-mallopt", "no-libc"])
+def test_main_runs_without_mallopt(monkeypatch, capsys, tmp_path, cdll):
+    """Without glibc's mallopt the heap policy does nothing: exit codes and
+    output bytes are those of a run with it."""
+    a = tmp_path / "a.json"
+    calls = [("build", "vdr", "--p", "3", "--d", "5", "--beta", "0,1", "--out", str(a)),
+             ("query", "indec", str(a)), ("query", "iso", str(a), str(a)),
+             ("query", "ddeg", str(a), "--vector", "1,0"),
+             ("verify", "structure", "--p", "3"), ("claims",), ("verify", "nope")]
+
+    def outputs():
+        return [run(capsys, *argv) for argv in calls]
+
+    with_policy = outputs()
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli._heap_policy.cache_clear()
+    try:
+        without = outputs()
+    finally:
+        cli._heap_policy.cache_clear()
+    assert [c for c, _, _ in with_policy] == [0, 0, 0, 2, 0, 0, 2]
+    assert without == with_policy
+
+
 def test_query_bad_file(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     code, _, err = run(capsys, "query", "profile", str(missing))

@@ -18,7 +18,7 @@ SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 # no field context: a cache keyed on one would keep every context it saw
 # alive (dense tables of up to about 100 MB each at q = 2048), past the
 # bound of ff.CTX_CACHE.  A cache made inside a function lives with its call.
-UNBOUNDED_CACHES = {"cli._parser", "ff.find_irreducible"}
+UNBOUNDED_CACHES = {"cli._heap_policy", "cli._parser", "ff.find_irreducible"}
 # the module-level names a function body writes into, each a store that
 # outlives every call: one that took field data would keep each context it
 # saw alive, as the bounded cache does not.  ff._CTX_LIVE holds weak values,
