@@ -56,10 +56,6 @@ def _emit(payload: str, out: Optional[str]) -> None:
         sys.stdout.write(payload)
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _list_text(items, pad: str, quote: str = "") -> str:
     """json.dumps(indent=2) of a list at indent pad, from the items' own
     texts, each wrapped in quote."""
@@ -104,9 +100,10 @@ def _module_text(M: km.HModule, pad: str = "") -> str:
 
 
 def _dump_graded(gm: cf.GradedModule) -> str:
-    """_dump of the graded family.  Equal pieces are one shared module
-    object, written once at the pieces' depth and reused under each of
-    its keys, which come in string order ("1", "10", ..., "2")."""
+    """report_to_json of the graded family's JSON object.  Equal pieces
+    are one shared module object, written once at the pieces' depth and
+    reused under each of its keys, which come in string order ("1", "10",
+    ..., "2")."""
     texts, pieces = {}, []
     for c, mod in sorted(gm.pieces.items(), key=lambda item: str(item[0])):
         if id(mod) not in texts:
@@ -215,7 +212,7 @@ def cmd_query(args) -> int:
             payload = km.profile(M).to_json()
         else:
             payload = _query_ddeg(args, M)
-    _emit(_dump(payload), args.out)
+    _emit(report_to_json(payload), args.out)
     return 0
 
 
@@ -237,7 +234,7 @@ def cmd_verify(args) -> int:
 
 def cmd_claims(args) -> int:
     if args.format == "json":
-        payload = _dump([{"suite": s, "cases": c, "claim": t} for s, c, t in CLAIMS])
+        payload = report_to_json([{"suite": s, "cases": c, "claim": t} for s, c, t in CLAIMS])
     else:
         lines = ["| suite | cases | claim |", "|---|---|---|"]
         lines += [f"| {s} | {c} | {t} |" for s, c, t in CLAIMS]

@@ -38,14 +38,17 @@ from .errors import (
     ReducibleModulus,
 )
 
+# the largest field order with dense q x q tables, and the largest
+# dimension kmod.regular_module builds
 _TABLE_LIMIT = 2048
 
 # Contexts the cache keeps alive, the most recently used.  The suites and
 # the query files use at most 15: F_3, F_5 and the 3 + 10 monic irreducible
 # quadratics over them.  A context near q = 2048 holds about 100 MB of
-# tables.  The family modules kept in its _cache refer back to it, so an
-# evicted context is freed by the cycle collector: a walk over many fields
-# that allocates little should call gc.collect() after dropping each one.
+# tables.  The family modules kept in its _cache, each with its own derived
+# data, refer back to it, so an evicted context is freed by the cycle
+# collector: a walk over many fields that allocates little should call
+# gc.collect() after dropping each one.
 CTX_CACHE = 16
 
 
@@ -128,8 +131,7 @@ class FieldCtx:
             raise ReducibleModulus(f"modulus {list(modulus)} factors over F_{p}")
         self.p, self.n, self.q, self.modulus = p, n, p ** n, modulus
         self._build_tables()
-        # values other modules compute from the field, and the weak map of
-        # the modules' stores of derived data (kmod._memo), freed with it
+        # values other modules compute from the field (kmod._memo), freed with it
         self._cache: dict = {}
 
     def _build_tables(self) -> None:

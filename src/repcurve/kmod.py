@@ -12,7 +12,6 @@ types of the pencil a*sigma0 + b*tau0.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import asdict, dataclass, field
 from functools import wraps
 from typing import Optional, Sequence
@@ -34,7 +33,7 @@ from .errors import (
     ZeroPoint,
     ZeroVector,
 )
-from .ff import FieldCtx, FieldElem, ctx_new
+from .ff import _TABLE_LIMIT, FieldCtx, FieldElem, ctx_new
 from .linalg import (
     Mat,
     Subspace,
@@ -101,13 +100,10 @@ def binom_mod_p(n: int, i: int, p: int) -> int:
 
 def _memo(fn):
     """Keep fn(owner, *args) in owner._cache under fn's name and the
-    arguments, a field element by its idx.  A field context keeps its
-    values itself; a module's store is shared by every module over its
-    context with equal matrices (HModule._cache), so a memoized function
-    of a module reads only its context and matrices, never its labels or
-    meta.  A field element of another field than the owner's raises
-    ContextMismatch before the lookup, since its idx names an unrelated
-    element here."""
+    arguments, a field element by its idx: each cached value lives on the
+    field context or module it is computed from, and is freed with it.  A
+    field element of another field than the owner's raises ContextMismatch
+    before the lookup, since its idx names an unrelated element here."""
     name = fn.__name__
 
     @wraps(fn)
@@ -116,34 +112,23 @@ def _memo(fn):
         if any(isinstance(a, FieldElem) and a.ctx != ctx for a in args):
             raise ContextMismatch("parameter from a different field context")
         key = (name, *[a.idx if isinstance(a, FieldElem) else a for a in args])
-        store = owner._cache
-        if key not in store:
-            store[key] = fn(owner, *args)
-        return store[key]
+        if key not in owner._cache:
+            owner._cache[key] = fn(owner, *args)
+        return owner._cache[key]
 
     return cached
-
-
-class _Store(dict):
-    """The derived data of the modules with one pair of matrices; a weak
-    reference can hold it."""
-
-    __slots__ = ("__weakref__",)
 
 
 class HModule:
     """Two commuting order-p matrices over a shared field context.
 
-    Immutable; derived data (filtration, End algebra, word matrices) is
-    kept by _memo in a store shared by every module over the same context
-    with equal matrices, the content that equality compares, and held
-    weakly by the context: it lives while one of those modules does.
-    labels and meta carry construction provenance used by label-aware
-    operations and are not part of equality, so nothing derived from them
-    is memoized.
+    Immutable; derived data (filtration, End algebra, word matrices,
+    dual) is kept on the instance by _memo.  labels and meta carry
+    construction provenance used by label-aware operations and are not
+    part of equality.
     """
 
-    __slots__ = ("ctx", "dim", "Msigma", "Mtau", "labels", "meta", "_store")
+    __slots__ = ("ctx", "dim", "Msigma", "Mtau", "labels", "meta", "_cache")
 
     def __init__(self, ctx: FieldCtx, Msigma: Mat, Mtau: Mat,
                  labels: Optional[Sequence[str]] = None,
@@ -178,17 +163,7 @@ class HModule:
         self.Mtau = Mtau
         self.labels = labels
         self.meta = dict(meta) if meta else {}
-        self._store = None
-
-    @property
-    def _cache(self) -> _Store:
-        """The store of derived data, looked up on first use, so a module
-        that never asks for any pays nothing: the context's weak map from
-        the matrix pair to the store of every module with those matrices."""
-        if self._store is None:
-            stores = self.ctx._cache.setdefault("module-stores", weakref.WeakValueDictionary())
-            self._store = stores.setdefault((self.Msigma, self.Mtau), _Store())
-        return self._store
+        self._cache: dict = {}
 
     # -- derived matrices ----------------------------------------------------
 
@@ -261,9 +236,13 @@ def regular_module(ctx: FieldCtx) -> HModule:
     Basis indexed by group elements sigma^a tau^b at position a*p + b, so
     sigma and tau are the cyclic shift C of Z/p on the first and on the
     second index.  The label g<a><b> writes a and b at one width, so the
-    labels stay distinct from p = 11 on.
+    labels stay distinct from p = 11 on.  Its p^2 x p^2 matrices are
+    refused above the dense-table limit, as the fields are.
     """
     p = ctx.p
+    if p * p > _TABLE_LIMIT:
+        raise BadDimension(f"regular module dimension {p * p} exceeds the dense-table "
+                           f"limit {_TABLE_LIMIT}")
     C = np.roll(np.eye(p, dtype=np.int64), 1, axis=0)  # e_a -> e_(a+1 mod p)
     I = np.eye(p, dtype=np.int64)
     S, T = np.kron(C, I), np.kron(I, C)
@@ -333,11 +312,15 @@ def v_dr(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     k_i = (w_i, 0) + i*(0, w_{i-1}), 0 <= i <= d, on the labeled basis
     {eta_i : p does not divide i, or i > d} u {w_i : i < d, i = -1 mod p}:
     built as the gamma = 1 dr_action read in these labels through
-    vdr_label_map.  Equal arguments over one context return the same
-    shared module."""
+    vdr_label_map.  Its labels and matrices depend on d only through
+    d // p, so every d of a class returns the one module built at the
+    least member d - d % p, which its meta["d"] names.  Equal arguments
+    over one context return the same shared module."""
     p = ctx.p
     if not (0 <= d <= p * p):
         raise BadDimension(f"parameter {d} outside 0..{p * p}")
+    if d % p:
+        return v_dr(ctx, d - d % p, beta)
     _require_nonprime(ctx, beta)
     one = ctx.el(1)
     labels, pos, scale = vdr_label_map(ctx, d, one)
@@ -440,8 +423,10 @@ def _require_nonprime(ctx: FieldCtx, beta: FieldElem) -> None:
 # Constructions: dual, sums, subs, quotients
 
 
+@_memo
 def dual(M: HModule) -> HModule:
-    """Contragredient module: generators act by transpose inverse."""
+    """Contragredient module: generators act by transpose inverse; kept
+    on M."""
     p = M.ctx.p
     Sd = matpow(M.Msigma, p - 1).transpose()
     Td = matpow(M.Mtau, p - 1).transpose()
@@ -631,10 +616,10 @@ def ddeg(M: HModule, v) -> int:
 
 def label_degrees(M: HModule) -> np.ndarray:
     """Combinatorial degree of each basis label of a v_d or v_dr module:
-    w_i has s_p(i); eta_i has s_p(i) - 1, minus the top base-p digit of d
-    when p divides i.  Reads only the labels and meta["d"], never the
-    filtration, so it can check ddeg_rows; the degree of a vector is the
-    max over its nonzero entries."""
+    w_i has s_p(i); eta_i has s_p(i) - 1, minus the second base-p digit
+    of d, which every d of one v_dr class shares, when p divides i.  Reads
+    only the labels and meta["d"], never the filtration, so it can check
+    ddeg_rows; the degree of a vector is the max over its nonzero entries."""
     if M.meta.get("kind") not in ("vd", "vdr"):
         raise UnlabeledModule("operation needs a module built by v_d or v_dr")
     p = M.ctx.p

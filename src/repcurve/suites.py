@@ -607,7 +607,9 @@ def run_suite(suite: str, p_values=(3,), seed: int = 0,
     }
 
 
-def report_to_json(report: dict) -> str:
+def report_to_json(report) -> str:
+    """The JSON text of a report, and of every other JSON document the
+    command line writes: sorted keys, indent 2 and a final newline."""
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 

@@ -683,6 +683,18 @@ def test_build_regular_labels_are_distinct(capsys, tmp_path):
     assert code == 0 and json.loads(out)["ddeg"] == 24
 
 
+@pytest.mark.parametrize("kind", ["regular", "aug"])
+def test_build_refuses_a_regular_module_past_the_table_limit(capsys, kind):
+    # F_2039 is below the field limit of 2048, but its regular module has
+    # dimension 2039^2: it is refused before the Kronecker products, which
+    # would need 126 TiB
+    code, out, err = run(capsys, "build", kind, "--p", "2039", "--n", "1")
+    # drop the 160 MB of F_2039's tables, which no later test needs
+    ff._ctx_cached.cache_clear()
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "BadDimension"
+
+
 def test_module_json_reports_its_first_bad_entry():
     C3 = default_ctx(3)
     obj = km.module_to_json(km.v_d(C3, 2, C3.gen()))

@@ -34,7 +34,7 @@ def test_equal_keys_share_one_module(build):
     N = build(ctx, 4, ctx.gen())
     assert N == M and N is not M and build(ctx, 4, ctx.gen()) is N
     assert N._cache is not M._cache
-    assert build(C3, 5, T3) is not M
+    assert build(C3, 6, T3) is not M
     assert build(C3, 4, T3 + 1) is not M
     other = km.v_dr if build is km.v_d else km.v_d
     assert other(C3, 4, T3) is not M
@@ -83,9 +83,9 @@ def test_field_tables_refuse_an_element_of_another_field(call):
 
 
 def test_family_data_goes_with_its_field():
-    # modules, tables and the stores of derived data live on their
-    # context: once no caller and no context cache holds the field, it is
-    # freed with all of them
+    # modules and tables live on their context, and each module's derived
+    # data on the module: once no caller and no context cache holds the
+    # field, it is freed with all of them
     ctx = ctx_new(7, 2, (3, 1, 1))
     ref = weakref.ref(ctx)
     beta = ctx.gen()
@@ -99,37 +99,33 @@ def test_family_data_goes_with_its_field():
 
 # the module-level memoized functions of a module, each called on it
 MODULE_MEMOS = (km._fixed, km.s_filtration, km._hom_source_data, km._hom_pivot_inverse,
-                km._end_solve, km.end_algebra, km._end_split, km.jordan_scan, km.profile)
+                km._end_solve, km.end_algebra, km._end_split, km.jordan_scan, km.profile,
+                km.dual)
 
 
 @pytest.mark.parametrize("ctx", [C3, C5], ids=["p3", "p5"])
-def test_equal_matrices_share_one_store(ctx):
-    # v_dr(d) depends on d only through d // p: the members of one class
-    # have equal matrices and one store, and every memoized value is
+def test_vdr_is_one_module_per_class(ctx):
+    # v_dr(d) depends on d only through d // p: every member of a class is
+    # the one module built at its least member, so every memoized value is
     # computed once for the class
     p, t = ctx.p, ctx.gen()
-    assert "module-stores" not in ctx._cache
-    classes = [[km.v_dr(ctx, d, t) for d in range(c * p, min(c * p + p, p * p + 1))]
-               for c in range(p + 1)]
-    # building asks for no derived data, so no store is made yet
-    assert all(M._store is None for cls in classes for M in cls)
-    for cls in classes:
-        first = cls[0]
-        values = [fn(first) for fn in MODULE_MEMOS]
-        values += [first.sigma0(), first.tau0(), first.word_stack()]
-        for M in cls[1:]:
-            assert M == first and M._cache is first._cache
-            again = [fn(M) for fn in MODULE_MEMOS] + [M.sigma0(), M.tau0(), M.word_stack()]
-            assert all(a is b for a, b in zip(again, values))
-    assert len({id(cls[0]._cache) for cls in classes}) == p + 1
-    assert len(ctx._cache["module-stores"]) == p + 1
+    built = {d: km.v_dr(ctx, d, t) for d in range(p * p + 1)}
+    for d, M in built.items():
+        assert M.meta["d"] == d - d % p
+        assert all((M is N) == (d // p == e // p) for e, N in built.items())
+    # building asks for no derived data
+    assert all(M._cache == {} for M in built.values())
+    first = {}
+    for d, M in built.items():
+        values = [fn(M) for fn in MODULE_MEMOS] + [M.sigma0(), M.tau0(), M.word_stack()]
+        assert all(a is b for a, b in zip(values, first.setdefault(d // p, values)))
 
 
 def test_label_answers_stay_per_module(capsys, tmp_path):
-    # the trivial module and v_d(1) have equal matrices and share a store,
-    # but their labels and meta, and what is read from them, are their own
+    # the trivial module and v_d(1) have equal matrices, but their labels
+    # and meta, and what is read from them, are their own
     triv, w = km.trivial_module(C3), km.v_d(C3, 1, T3)
-    assert triv == w and km.profile(triv) is km.profile(w)
+    assert triv == w and km.profile(triv) == km.profile(w)
     assert km.dual(triv).labels == ("u0*",) and km.dual(w).labels == ("w0*",)
     assert km.label_degrees(w).tolist() == [0]
     with pytest.raises(UnlabeledModule):
@@ -148,27 +144,6 @@ def test_label_answers_stay_per_module(capsys, tmp_path):
         answers.append(json.loads(capsys.readouterr().out)["ddeg"])
     assert answers == [km.ddeg(M, M.basis_vector(0)), km.ddeg(M, M.basis_vector(M.dim - 1))]
     assert answers[0] != answers[1]
-
-
-def test_store_goes_with_its_last_module():
-    # the store lives while one module with those matrices does, and then
-    # leaves the context's map
-    def build():
-        return km.direct_sum(km.v_d(C3, 2, T3), km.v_d(C3, 3, T3))
-
-    M, N = build(), build()
-    km.profile(M)
-    store = weakref.ref(M._cache)
-    assert N._cache is store()
-    stores = C3._cache["module-stores"]
-    size = len(stores)
-    del M
-    gc.collect()
-    assert store() is N._cache
-    del N
-    gc.collect()
-    assert store() is None
-    assert len(stores) == size - 1
 
 
 @pytest.mark.parametrize("build", [km.trivial_module, km.regular_module,
@@ -381,15 +356,25 @@ VDR_PAIRS = ([(p, d) for p in (2, 3, 5) for d in range(p * p + 1)]
              + [(7, d) for d in (0, 1, 6, 7, 20, 24, 42, 48, 49)])
 
 
-@pytest.mark.parametrize("shift", [0, 1])
-@pytest.mark.parametrize("p,d", VDR_PAIRS)
-def test_vdr_matches_the_quotient(p, d, shift):
-    # v_dr is gathered from the binomial table; the paper defines it as a
-    # quotient of v_d(p^2) (+) v_d(d), which vdr_quotient builds
-    ctx = default_ctx(p)
+def _vdr_matches_the_quotient(ctx, d, shift):
+    # v_dr is gathered from the binomial table at the least member of d's
+    # class; the paper defines it as a quotient of v_d(p^2) (+) v_d(d) at d
+    # itself, which vdr_quotient builds
     beta = ctx.gen() + ctx.el(shift)
     M, Q = km.v_dr(ctx, d, beta), km.vdr_quotient(ctx, d, beta)
     assert M == Q and M.labels == Q.labels
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("p,d", VDR_PAIRS)
+def test_vdr_matches_the_quotient(p, d, shift):
+    _vdr_matches_the_quotient(default_ctx(p), d, shift)
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("p,d", [(p, d) for p in (2, 3) for d in range(p * p + 1)])
+def test_vdr_matches_the_quotient_over_cubic_fields(p, d, shift):
+    _vdr_matches_the_quotient(default_ctx(p, 3), d, shift)
 
 
 def test_vdr_module_is_checked_once(monkeypatch):

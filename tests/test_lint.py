@@ -2,9 +2,7 @@
 used, every local name a function assigns is read, and no unbounded cache
 is made outside a function body, nor a module-level name written into by a
 function, unless it is listed below.  The re-exports of __init__.py and
-names that start with "_" are exempt from the first two.  No memoized
-function of a module reads its labels or meta, since modules with equal
-matrices share one store (kmod._memo)."""
+names that start with "_" are exempt from the first two."""
 
 import ast
 from pathlib import Path
@@ -26,10 +24,6 @@ UNBOUNDED_CACHES = {"cli._heap_policy", "cli._parser", "ff.find_irreducible"}
 # live in that owner's _cache (kmod._memo).
 MODULE_STORES = {"ff._CTX_LIVE"}
 MUTATORS = {"clear", "update", "setdefault", "pop", "append", "add"}
-# what a memoized function of a module must not reach: the labels and meta
-# differ between modules with equal matrices, which share one _memo store
-LABEL_ATTRS = {"labels", "meta"}
-LABEL_CALLS = {"label_degrees", "basis_vector"}
 
 
 def _reads(tree: ast.AST) -> set:
@@ -146,62 +140,6 @@ def module_stores(name: str, source: str) -> list:
     return sorted(found)
 
 
-def _memoized(fn: ast.AST) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "_memo" for d in fn.decorator_list)
-
-
-def module_memos(source: str) -> dict:
-    """The _memo-decorated functions whose owner is a module, by qualified
-    name: the methods of class HModule and the functions whose first
-    argument is annotated HModule."""
-    tree = ast.parse(source)
-    found = {}
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == "HModule":
-            found.update((f"HModule.{f.name}", f) for f in node.body
-                         if isinstance(f, ast.FunctionDef) and _memoized(f))
-        elif isinstance(node, ast.FunctionDef) and _memoized(node) and node.args.args:
-            ann = node.args.args[0].annotation
-            if isinstance(ann, ast.Name) and ann.id == "HModule":
-                found[node.name] = node
-    return found
-
-
-def label_reading_memos(name: str, source: str) -> list:
-    """Each memoized function of a module that reads .labels or .meta, or
-    calls label_degrees or basis_vector, in its body or in a module-level
-    function or constant of the same source it names, followed through."""
-    stem = name[:-len(".py")]
-    tree = ast.parse(source)
-    top = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            top[node.name] = node
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                if isinstance(t, ast.Name):
-                    top[t.id] = node.value
-
-    def reads_labels(root: ast.AST) -> bool:
-        seen, stack = set(), [root]
-        while stack:
-            node = stack.pop()
-            for sub in ast.walk(node):
-                called = sub.func if isinstance(sub, ast.Call) else None
-                callee = (called.attr if isinstance(called, ast.Attribute)
-                          else getattr(called, "id", None))
-                if ((isinstance(sub, ast.Attribute) and sub.attr in LABEL_ATTRS)
-                        or callee in LABEL_CALLS):
-                    return True
-                if (isinstance(sub, ast.Name) and sub.id in top and sub.id not in seen
-                        and top[sub.id] is not None):
-                    seen.add(sub.id)
-                    stack.append(top[sub.id])
-        return False
-
-    return sorted(f"{stem}.{q}" for q, fn in module_memos(source).items() if reads_labels(fn))
-
-
 def test_every_source_is_checked():
     assert len(SOURCES) >= 8
 
@@ -235,22 +173,6 @@ def test_guard_sees_what_it_guards_against():
               "f = lambda x: SEEN.add(x)\n")
     assert module_stores("probe.py", stores) == ["probe.LIVE", "probe.LOG", "probe.SEEN",
                                                  "probe.STORE"]
-    memos = ("class HModule:\n    @_memo\n    def bad(self):\n        return self.labels\n"
-             "    @_memo\n    def good(self):\n        return self.dim\n"
-             "def helper(M):\n    return M.meta['d']\n"
-             "TABLE = (lambda M: helper(M),)\n"
-             "@_memo\ndef via_helper(M: HModule):\n    return helper(M)\n"
-             "@_memo\ndef via_table(M: HModule):\n    return TABLE[0](M)\n"
-             "@_memo\ndef calls(M: HModule, k):\n    return label_degrees(M)[k]\n"
-             "@_memo\ndef basis(M: HModule):\n    return M.basis_vector(0)\n"
-             "@_memo\ndef fine(M: HModule):\n    return M.sigma0()\n"
-             "@_memo\ndef on_ctx(ctx: FieldCtx):\n    return ctx.meta\n"
-             "def unmemoized(M: HModule):\n    return M.labels\n")
-    assert sorted(module_memos(memos)) == ["HModule.bad", "HModule.good", "basis", "calls",
-                                           "fine", "via_helper", "via_table"]
-    assert label_reading_memos("probe.py", memos) == [
-        "probe.HModule.bad", "probe.basis", "probe.calls", "probe.via_helper",
-        "probe.via_table"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -269,13 +191,3 @@ def test_unbounded_caches_are_listed():
     found = {c for path in SOURCES for c in unbounded_caches(path.name, path.read_text())}
     # a listed cache that is gone is taken off the list
     assert found == UNBOUNDED_CACHES
-
-
-def test_module_memos_read_no_labels():
-    kmod = PACKAGE / "kmod.py"
-    assert sorted(module_memos(kmod.read_text())) == sorted([
-        "HModule.sigma0", "HModule.tau0", "HModule.word_stack", "_fixed",
-        "s_filtration", "_hom_source_data", "_hom_pivot_inverse", "_end_solve",
-        "end_algebra", "_end_split", "jordan_scan", "profile"])
-    found = [m for path in SOURCES for m in label_reading_memos(path.name, path.read_text())]
-    assert found == []
