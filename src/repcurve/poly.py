@@ -5,6 +5,8 @@ family, with y symbolic (trace_polynomial) and at one element
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
 from .errors import ContextMismatch, OutOfRange, PrimeFieldOnly
@@ -215,32 +217,45 @@ def _chk(a, b) -> None:
 
 def trace_polynomial(p: int, ctx: FieldCtx) -> Poly2:
     """Sum over all (i, j) in F_p x F_p of (x + i + j*y)^(p^2 - 1),
-    expanded as a bivariate polynomial over F_p."""
+    expanded as a bivariate polynomial over F_p.
+
+    By the multinomial theorem the coefficient of x^k y^l is
+    (p^2 - 1)! / (k! l! m!) times (sum_i i^m)(sum_j j^l), with
+    m = p^2 - 1 - k - l and 0^0 = 1."""
     if ctx.n != 1 or ctx.p != p:
         raise PrimeFieldOnly("trace polynomial needs the prime-field context")
     e = p * p - 1
-    total = Poly2.zero(ctx)
-    for i in range(p):
-        for j in range(p):
-            # linear form x + i + j*y
-            g = np.zeros((2, 2), dtype=np.int64)
-            g[1, 0] = 1
-            g[0, 0] = i
-            g[0, 1] = j
-            total = total + Poly2(ctx, g) ** e
-    return total
+    # power sums over F_p; pow(0, 0, p) is 1
+    psum = [sum(pow(i, t, p) for i in range(p)) % p for t in range(e + 1)]
+    g = np.zeros((e + 1, e + 1), dtype=np.int64)
+    for k in range(e + 1):
+        for l in range(e + 1 - k):
+            g[k, l] = comb(e, k) * comb(e - k, l) % p * psum[e - k - l] * psum[l]
+    return Poly2(ctx, g)
 
 
 def trace_sum(b: FieldElem) -> tuple:
     """The same sum at y = b, one element: (sum of (Z + i + j*b)^(p^2-1)
     over all prime-field pairs (i, j), the constant (b^p - b)^(p-1)), both
-    as polynomials in Z over the field of b."""
+    as polynomials in Z over the field of b.
+
+    The coefficient of Z^k is C(p^2 - 1, k) times the sum of c^(p^2-1-k)
+    over the p^2 values c = i + j*b (0^0 = 1). By Lucas, C(p^2 - 1, k) is
+    (-1)^(k0 + k1) mod p, where k0 and k1 are the base-p digits of k."""
     ctx = b.ctx
     p = ctx.p
-    total = Poly1(ctx, ())
-    for i in range(p):
-        for j in range(p):
-            c0 = ctx.add[i, ctx.mul[j, b.idx]]
-            total = total + Poly1(ctx, (FieldElem(ctx, int(c0)), 1)) ** (p * p - 1)
+    e = p * p - 1
+    i, j = np.divmod(np.arange(p * p), p)
+    c = ctx.add[i, ctx.mul[j, b.idx]]
+    # powers[t] holds c^t for every c, column by column
+    powers = np.empty((e + 1, p * p), dtype=np.int64)
+    powers[0] = 1
+    for t in range(1, e + 1):
+        powers[t] = ctx.mul[powers[t - 1], c]
+    sums = powers[:, 0]
+    for col in range(1, p * p):
+        sums = ctx.add[sums, powers[:, col]]
+    coeffs = [int(ctx.neg[sums[e - k]]) if (k % p + k // p) % 2 else int(sums[e - k])
+              for k in range(e + 1)]
     expect_idx = ctx.pow_idx(ctx.sub[ctx.pow_idx(b.idx, p), b.idx], p - 1)
-    return total, Poly1(ctx, (FieldElem(ctx, int(expect_idx)),))
+    return Poly1._raw(ctx, coeffs), Poly1(ctx, (FieldElem(ctx, int(expect_idx)),))

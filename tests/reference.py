@@ -7,9 +7,12 @@ reduction, sums, intersections and preimages by kernels, generated
 submodules by closure under the generators, v_dr classes through the
 paper's quotient, polynomial values by Horner's rule, a graded family's
 JSON with every piece encoded in place, Jordan partitions from one rank
-per power, the dominance order by prefix sums.
+per power, the dominance order by prefix sums, the filtration suite's
+random vectors one randrange call per entry, and the trace identities by
+raising each linear form to the power p^2 - 1.
 """
 
+import random
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,8 +20,9 @@ import numpy as np
 from repcurve import kmod as km
 from repcurve.errors import (ContextMismatch, NotNilpotent, OutOfRange, ShapeMismatch,
                              UnlabeledModule)
-from repcurve.ff import FieldElem
+from repcurve.ff import FieldCtx, FieldElem
 from repcurve.linalg import Mat, Subspace, _matmul_idx, as_vector, kernel, matpow, rank
+from repcurve.poly import Poly1, Poly2
 
 
 def _check_ambient(U: Subspace, W: Subspace) -> None:
@@ -204,6 +208,43 @@ def poly2_eval(f, x0: FieldElem, y0: FieldElem) -> FieldElem:
 
 def poly2_deg_x(f) -> int:
     return f.grid.shape[0] - 1
+
+
+def random_vector(ctx: FieldCtx, dim: int, rng: random.Random) -> np.ndarray:
+    """One nonzero vector of length dim, one rng.randrange(q) per entry."""
+    while True:
+        v = np.array([rng.randrange(ctx.q) for _ in range(dim)], dtype=np.int64)
+        if v.any():
+            return v
+
+
+def trace_polynomial_by_powers(p: int, ctx: FieldCtx) -> Poly2:
+    """Sum over all (i, j) in F_p x F_p of (x + i + j*y)^(p^2 - 1), each
+    linear form raised by square-and-multiply."""
+    e = p * p - 1
+    total = Poly2.zero(ctx)
+    for i in range(p):
+        for j in range(p):
+            # linear form x + i + j*y
+            g = np.zeros((2, 2), dtype=np.int64)
+            g[1, 0] = 1
+            g[0, 0] = i
+            g[0, 1] = j
+            total = total + Poly2(ctx, g) ** e
+    return total
+
+
+def trace_sum_by_powers(b: FieldElem) -> Poly1:
+    """Sum over all prime-field pairs (i, j) of (Z + i + j*b)^(p^2 - 1),
+    each linear form raised by square-and-multiply."""
+    ctx = b.ctx
+    p = ctx.p
+    total = Poly1(ctx, ())
+    for i in range(p):
+        for j in range(p):
+            c0 = ctx.add[i, ctx.mul[j, b.idx]]
+            total = total + Poly1(ctx, (FieldElem(ctx, int(c0)), 1)) ** (p * p - 1)
+    return total
 
 
 def graded_to_json(gm) -> dict:

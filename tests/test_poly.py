@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repcurve.errors import OutOfRange, PrimeFieldOnly
-from repcurve.ff import FieldElem, default_ctx
-from repcurve.poly import Poly1, Poly2, trace_polynomial
-from reference import poly1_eval, poly2_deg_x, poly2_eval
+from repcurve.ff import FieldElem, default_ctx, enumerate_nonprime
+from repcurve.poly import Poly1, Poly2, trace_polynomial, trace_sum
+from reference import (poly1_eval, poly2_deg_x, poly2_eval, trace_polynomial_by_powers,
+                       trace_sum_by_powers)
 
 C9 = default_ctx(3)
 C3 = default_ctx(3, 1)
@@ -103,3 +104,18 @@ def test_trace_polynomial_closed_form(p):
 def test_trace_polynomial_rejects_extension_context():
     with pytest.raises(PrimeFieldOnly):
         trace_polynomial(3, C9)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_trace_polynomial_matches_the_powers(p):
+    ctx = default_ctx(p, 1)
+    assert trace_polynomial(p, ctx) == trace_polynomial_by_powers(p, ctx)
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 2), (7, 2), (3, 3)])
+def test_trace_sum_matches_the_powers(p, n):
+    ctx = default_ctx(p, n)
+    betas = enumerate_nonprime(ctx)
+    assert len(betas) == ctx.q - p
+    for b in betas:
+        assert trace_sum(b)[0] == trace_sum_by_powers(b), b.text()
