@@ -18,6 +18,15 @@ FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4),
           (5, 2), (3, 3), (7, 2), (5, 3)]
 
 
+class CountingRandom(random.Random):
+    """A Random that counts its getrandbits calls."""
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
 @pytest.mark.parametrize("p,n", FIELDS, ids=[f"q{p ** n}" for p, n in FIELDS])
 def test_random_rows_match_the_randrange_loop(p, n):
     ctx = default_ctx(p, n)
@@ -40,15 +49,6 @@ def test_random_rows_drop_zero_rows_inside_the_stream():
         rng = random.Random(seed)
         assert (rows == 1).all()
         assert 0 in [rng.randrange(2) for _ in range(200)]
-
-
-class CountingRandom(random.Random):
-    """A Random that counts its getrandbits calls."""
-    calls = 0
-
-    def getrandbits(self, k):
-        self.calls += 1
-        return super().getrandbits(k)
 
 
 def test_random_rows_top_up_keeps_the_stream():
