@@ -28,7 +28,6 @@ from .ff import FieldElem, ctx_new, default_ctx
 from .suites import (ARTIFACT_VERSION, CLAIMS, SUITE_NAMES, SUITE_PRIMES,
                      report_to_json, report_to_markdown, run_suite)
 
-BUILD_KINDS = ("vd", "vdr", "regular", "aug", "trivial", "holo", "dr")
 QUERY_KINDS = ("iso", "indec", "jordan", "profile", "ddeg")
 
 
@@ -140,29 +139,29 @@ def _require(args, names) -> None:
         raise RepcurveError(f"build {args.kind} needs {flags}")
 
 
+# build kind: the module constructor or graded family it writes, in the
+# order of the command's choices
+_BUILDERS = {"vd": km.v_d, "vdr": km.v_dr, "regular": km.regular_module,
+             "aug": km.augmentation_ideal, "trivial": km.trivial_module,
+             "holo": cf.holo_graded, "dr": cf.dr_graded}
+BUILD_KINDS = tuple(_BUILDERS)
+
+
 def cmd_build(args) -> int:
     for flag, kinds in (("d", "vd|vdr"), ("beta", "vd|vdr"),
                         ("m", "holo|dr"), ("alpha", "holo|dr")):
         if getattr(args, flag) is not None and args.kind not in kinds.split("|"):
             raise BadParams(f"--{flag} applies to build {kinds} only, not {args.kind}")
     ctx = _ctx_from_args(args)
+    build = _BUILDERS[args.kind]
     if args.kind in ("vd", "vdr"):
         _require(args, ("d", "beta"))
-        beta = ctx.from_text(args.beta)
-        build = km.v_d if args.kind == "vd" else km.v_dr
-        payload = _module_text(build(ctx, args.d, beta)) + "\n"
-    elif args.kind == "regular":
-        payload = _module_text(km.regular_module(ctx)) + "\n"
-    elif args.kind == "aug":
-        payload = _module_text(km.augmentation_ideal(ctx)) + "\n"
-    elif args.kind == "trivial":
-        payload = _module_text(km.trivial_module(ctx)) + "\n"
-    else:
+        payload = _module_text(build(ctx, args.d, ctx.from_text(args.beta))) + "\n"
+    elif args.kind in ("holo", "dr"):
         _require(args, ("m", "alpha"))
-        alpha = ctx.from_text(args.alpha)
-        params = cf.curve_params(ctx, args.m, alpha)
-        gm = cf.holo_graded(params) if args.kind == "holo" else cf.dr_graded(params)
-        payload = _dump_graded(gm)
+        payload = _dump_graded(build(cf.curve_params(ctx, args.m, ctx.from_text(args.alpha))))
+    else:
+        payload = _module_text(build(ctx)) + "\n"
     _emit(payload, args.out)
     return 0
 

@@ -122,8 +122,8 @@ def _memo(fn):
 class HModule:
     """Two commuting order-p matrices over a shared field context.
 
-    Immutable; derived data (filtration, End algebra, word matrices,
-    dual) is kept on the instance by _memo.  labels and meta carry
+    Immutable; derived data (filtration, End solve and split, word
+    matrices, dual) is kept on the instance by _memo.  labels and meta carry
     construction provenance used by label-aware operations and are not
     part of equality.
     """
@@ -778,12 +778,11 @@ def end_dim(M: HModule) -> int:
     return _end_solve(M).dim
 
 
-@_memo
 def end_algebra(M: HModule) -> tuple:
     """(hom_space(M, M), the same basis reshaped to matrices: read-only
     views of its rows).  The maps are rebuilt from the relation solve
-    that end_dim caches, so C is eliminated once per module; only the
-    indecomposability tiers T2/T3 need this basis."""
+    that end_dim caches, so C is eliminated once per module; only
+    _end_split, memoized itself, needs this basis."""
     H = _hom_maps(M, M, _end_solve(M))
     return H, [Mat(M.ctx, row.reshape(M.dim, M.dim)) for row in H.basis]
 
@@ -1201,16 +1200,16 @@ def constant_type_over_scan(M: HModule) -> bool:
 
 
 def case_ii_core(M: HModule, u) -> tuple:
-    """Submodule generated by sigma0^(p-2) tau0^(p-2) u, together with the
-    fixed space (the two ingredients of the small-core analysis)."""
-    ctx = M.ctx
-    vec = as_vector(ctx, u)
+    """(core, core with fixed space): the submodules generated by the word
+    image w = sigma0^(p-2) tau0^(p-2) u, and by w together with S_0, whose
+    vectors generate only themselves."""
+    vec = as_vector(M.ctx, u)
     if not vec.any():
         raise ZeroVector("core of the zero vector")
-    p = ctx.p
-    v = apply_word(M, (p - 2, p - 2), vec)
-    core, _ = sub_generated(M, [v])
-    return core, fixed_space(M)
+    w = apply_word(M, (M.ctx.p - 2, M.ctx.p - 2), vec)
+    core, _ = sub_generated(M, [w])
+    with_fixed, _ = sub_generated(M, np.vstack([w, fixed_space(M).basis]))
+    return core, with_fixed
 
 
 @dataclass(frozen=True)
@@ -1245,7 +1244,6 @@ PROFILE_INVARIANTS = ISO_INVARIANTS + (
 )
 
 
-@_memo
 def profile(M: HModule) -> Profile:
     """Isomorphism-invariant fingerprint; equality is necessary (not
     sufficient) for isomorphism."""

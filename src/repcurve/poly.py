@@ -234,28 +234,34 @@ def trace_polynomial(p: int, ctx: FieldCtx) -> Poly2:
     return Poly2(ctx, g)
 
 
-def trace_sum(b: FieldElem) -> tuple:
-    """The same sum at y = b, one element: (sum of (Z + i + j*b)^(p^2-1)
-    over all prime-field pairs (i, j), the constant (b^p - b)^(p-1)), both
-    as polynomials in Z over the field of b.
-
-    The coefficient of Z^k is C(p^2 - 1, k) times the sum of c^(p^2-1-k)
-    over the p^2 values c = i + j*b (0^0 = 1). By Lucas, C(p^2 - 1, k) is
-    (-1)^(k0 + k1) mod p, where k0 and k1 are the base-p digits of k."""
-    ctx = b.ctx
+def shifted_power_sum(ctx: FieldCtx, values) -> Poly1:
+    """Sum of (Z + c)^(p^2 - 1) over the listed values c (field indices),
+    term by term: the coefficient of Z^k is C(p^2 - 1, k), by Lucas
+    (-1)^(k0 + k1) mod p for the base-p digits k0, k1 of k, times the sum
+    of c^(p^2-1-k) over the values (0^0 = 1)."""
     p = ctx.p
     e = p * p - 1
-    i, j = np.divmod(np.arange(p * p), p)
-    c = ctx.add[i, ctx.mul[j, b.idx]]
+    c = np.asarray(values, dtype=np.int64)
     # powers[t] holds c^t for every c, column by column
-    powers = np.empty((e + 1, p * p), dtype=np.int64)
+    powers = np.empty((e + 1, c.size), dtype=np.int64)
     powers[0] = 1
     for t in range(1, e + 1):
         powers[t] = ctx.mul[powers[t - 1], c]
-    sums = powers[:, 0]
-    for col in range(1, p * p):
-        sums = ctx.add[sums, powers[:, col]]
+    sums = np.zeros(e + 1, dtype=np.int64)
+    for col in powers.T:
+        sums = ctx.add[sums, col]
     coeffs = [int(ctx.neg[sums[e - k]]) if (k % p + k // p) % 2 else int(sums[e - k])
               for k in range(e + 1)]
+    return Poly1._raw(ctx, coeffs)
+
+
+def trace_sum(b: FieldElem) -> tuple:
+    """Both sides of the trace identity at one element b: shifted_power_sum
+    over the p^2 values i + j*b, and the constant (b^p - b)^(p-1), as
+    polynomials in Z over the field of b."""
+    ctx = b.ctx
+    p = ctx.p
+    i, j = np.divmod(np.arange(p * p), p)
     expect_idx = ctx.pow_idx(ctx.sub[ctx.pow_idx(b.idx, p), b.idx], p - 1)
-    return Poly1._raw(ctx, coeffs), Poly1(ctx, (FieldElem(ctx, int(expect_idx)),))
+    return (shifted_power_sum(ctx, ctx.add[i, ctx.mul[j, b.idx]]),
+            Poly1(ctx, (FieldElem(ctx, int(expect_idx)),)))

@@ -234,17 +234,22 @@ def trace_polynomial_by_powers(p: int, ctx: FieldCtx) -> Poly2:
     return total
 
 
+def shifted_power_sum_by_powers(ctx: FieldCtx, values) -> Poly1:
+    """Sum of (Z + c)^(p^2 - 1) over the listed field indices c, each
+    linear form raised by square-and-multiply."""
+    total = Poly1(ctx, ())
+    for c in values:
+        total = total + Poly1(ctx, (FieldElem(ctx, int(c)), 1)) ** (ctx.p * ctx.p - 1)
+    return total
+
+
 def trace_sum_by_powers(b: FieldElem) -> Poly1:
     """Sum over all prime-field pairs (i, j) of (Z + i + j*b)^(p^2 - 1),
     each linear form raised by square-and-multiply."""
     ctx = b.ctx
     p = ctx.p
-    total = Poly1(ctx, ())
-    for i in range(p):
-        for j in range(p):
-            c0 = ctx.add[i, ctx.mul[j, b.idx]]
-            total = total + Poly1(ctx, (FieldElem(ctx, int(c0)), 1)) ** (p * p - 1)
-    return total
+    return shifted_power_sum_by_powers(
+        ctx, [ctx.add[i, ctx.mul[j, b.idx]] for i in range(p) for j in range(p)])
 
 
 def graded_to_json(gm) -> dict:

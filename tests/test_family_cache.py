@@ -4,6 +4,7 @@ Hom is solved from, and the batched checks of a new module."""
 import gc
 import json
 import random
+import re
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from repcurve.errors import (BadDimension, ContextMismatch, NotCommuting,
 from repcurve.cli import main
 from repcurve.ff import FieldCtx, ctx_new, default_ctx
 from repcurve.linalg import Mat, Subspace, kernel, matpow
+from repcurve.suites import run_suite
 from reference import intertwiner_space
 
 C3 = default_ctx(3)
@@ -99,8 +101,7 @@ def test_family_data_goes_with_its_field():
 
 # the module-level memoized functions of a module, each called on it
 MODULE_MEMOS = (km._fixed, km.s_filtration, km._hom_source_data, km._hom_pivot_inverse,
-                km._end_solve, km.end_algebra, km._end_split, km.jordan_scan, km.profile,
-                km.dual)
+                km._end_solve, km._end_split, km.jordan_scan, km.dual)
 
 
 @pytest.mark.parametrize("ctx", [C3, C5], ids=["p3", "p5"])
@@ -119,6 +120,24 @@ def test_vdr_is_one_module_per_class(ctx):
     for d, M in built.items():
         values = [fn(M) for fn in MODULE_MEMOS] + [M.sigma0(), M.tau0(), M.word_stack()]
         assert all(a is b for a, b in zip(values, first.setdefault(d // p, values)))
+
+
+# the cases whose second module is the quotient of a member of the first's
+# class: v_dr would hand back the first module itself
+SAME_CLASS = re.compile(r"vdr-digit-|same-class-|/vdr/d(\d)-([\d,]+)-vs-d(?!\1)\d-\2$")
+
+
+@pytest.mark.parametrize("suite,p,count", [("structure", 3, 9), ("classification", 3, 18),
+                                           ("classification", 5, 3)])
+def test_same_class_cases_compare_with_the_quotient(monkeypatch, suite, p, count):
+    # a quotient of another class makes exactly the same-class YES cases fail
+    real = km.vdr_quotient
+    monkeypatch.setattr(km, "vdr_quotient",
+                        lambda ctx, d, beta: real(ctx, (d + ctx.p) % (ctx.p * ctx.p), beta))
+    cases = run_suite(suite, (p,))["cases"]
+    failed = [c["case"] for c in cases if c["verdict"] == "fail"]
+    assert failed == [c["case"] for c in cases if SAME_CLASS.search(c["case"])]
+    assert len(failed) == count
 
 
 def test_label_answers_stay_per_module(capsys, tmp_path):

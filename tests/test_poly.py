@@ -1,11 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repcurve.errors import OutOfRange, PrimeFieldOnly
 from repcurve.ff import FieldElem, default_ctx, enumerate_nonprime
-from repcurve.poly import Poly1, Poly2, trace_polynomial, trace_sum
-from reference import (poly1_eval, poly2_deg_x, poly2_eval, trace_polynomial_by_powers,
-                       trace_sum_by_powers)
+from repcurve.poly import Poly1, Poly2, shifted_power_sum, trace_polynomial, trace_sum
+from reference import (poly1_eval, poly2_deg_x, poly2_eval, shifted_power_sum_by_powers,
+                       trace_polynomial_by_powers, trace_sum_by_powers)
 
 C9 = default_ctx(3)
 C3 = default_ctx(3, 1)
@@ -119,3 +121,20 @@ def test_trace_sum_matches_the_powers(p, n):
     assert len(betas) == ctx.q - p
     for b in betas:
         assert trace_sum(b)[0] == trace_sum_by_powers(b), b.text()
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+def test_shifted_power_sum_matches_the_powers(p, n):
+    # over an F_p-subspace every coefficient of Z^k with k >= 1 vanishes;
+    # seeded lists with repeats are not subspaces, so the Lucas signs show,
+    # and the list [0] reads 0^0
+    ctx = default_ctx(p, n)
+    rng = random.Random(100 * p + n)
+    lists = [[0]] + [[rng.randrange(ctx.q) for _ in range(rng.randrange(1, 2 * p))]
+                     for _ in range(20)]
+    negated = 0
+    for values in lists:
+        want = shifted_power_sum_by_powers(ctx, values)
+        assert shifted_power_sum(ctx, values) == want, values
+        negated += any(c and (k % p + k // p) % 2 for k, c in enumerate(want.coeffs))
+    assert negated >= 10
