@@ -513,8 +513,8 @@ def _suite_dr(p: int, seed: int) -> List[Case]:
 
     def piece_check(params, c, piece):
         # against the paper's quotient, not v_dr, which shares the piece's
-        # construction; built per piece, since the piece dims dd(m - c) are
-        # distinct within each m
+        # construction; one per piece: dims dd(m - c) differ within each m,
+        # and the one d repeated across m costs one more 1-2 ms quotient
         d = piece.meta["d"]
         model = km.vdr_quotient(params.ctx, d, params.beta)
         _, pos, scale = km.vdr_label_map(params.ctx, d, params.gamma)

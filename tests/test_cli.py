@@ -252,6 +252,33 @@ def test_build_refuses_flags_it_would_ignore(capsys, argv):
     assert json.loads(err)["error"] == "BadParams"
 
 
+@pytest.mark.parametrize("kind,module,name,flags", [
+    ("vd", km, "v_d", ("--d", "4", "--beta", "0,1")),
+    # the least d of its class: v_dr(4) would call v_dr(3) itself
+    ("vdr", km, "v_dr", ("--d", "3", "--beta", "0,1")),
+    ("regular", km, "regular_module", ()),
+    ("aug", km, "augmentation_ideal", ()),
+    ("trivial", km, "trivial_module", ()),
+    ("holo", cf, "holo_graded", ("--m", "4", "--alpha", "0,1")),
+    ("dr", cf, "dr_graded", ("--m", "4", "--alpha", "0,1")),
+])
+def test_build_calls_its_builder_through_the_module(monkeypatch, capsys,
+                                                     kind, module, name, flags):
+    # the per-layer tracer rebinds module attributes: a builder captured
+    # at import would run unwrapped and read as zero calls
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    code, _, _ = run(capsys, "build", kind, "--p", "3", *flags)
+    assert code == 0 and len(calls) == 1
+    assert BUILD_KINDS == ("vd", "vdr", "regular", "aug", "trivial", "holo", "dr")
+
+
 def test_main_calls_share_no_state(monkeypatch, capsys, tmp_path):
     """The parser is built once per process: flags of one call must not
     reach the next."""
