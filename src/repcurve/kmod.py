@@ -697,29 +697,52 @@ def _hom_pivot_inverse(M: HModule) -> Mat:
     return EPinv
 
 
-def _hom_solve(M: HModule, N: HModule) -> Subspace:
-    """The relation solve: the generator images in N^t of every map
-    M -> N, as the kernel of the conditions C that the generating
-    relations of M impose on them.  Its dimension is dim Hom(M, N), since
-    a map is determined by its generator images."""
-    if M.ctx != N.ctx:
-        raise ContextMismatch("modules over different field contexts")
-    ctx = M.ctx
-    if M.dim == 0 or N.dim == 0:
-        return Subspace.zero(ctx, 0)
+def _hom_conditions(M: HModule, N: HModule) -> np.ndarray:
+    """The conditions C that the generating relations of M impose on the
+    generator images x = (x_1 .. x_t) in N^t of a map M -> N, as an
+    (nrel dim N) x (t dim N) array: block (r, i) is sum_w rel_r[i, w] *
+    word_w(N), all blocks from one product.  A map is determined by its
+    generator images, so dim Hom(M, N) = t dim N - rank C; with no
+    generating relation C has no row and Hom(M, N) is all of N^t."""
     src = _hom_source_data(M)
     t, rel = src["t"], src["relgens"]
-    nw = ctx.p ** 2
+    nw = M.ctx.p ** 2
     dN = N.dim
-    # conditions on stacked images x = (x_1 .. x_t) in N^t: block (r, i)
-    # of C is sum_w rel_r[i, w] * word_w(N) for each generating relation r,
-    # all blocks from one product
     nrel = rel.shape[0]
     if not nrel:
-        return Subspace.full(ctx, t * dN)
-    blocks = _matmul_idx(ctx, rel.reshape(nrel * t, nw), N.word_stack().reshape(nw, dN * dN))
-    C = blocks.reshape(nrel, t, dN, dN).transpose(0, 2, 1, 3).reshape(nrel * dN, t * dN)
-    return kernel(Mat(ctx, C))
+        return np.zeros((0, t * dN), dtype=np.int64)
+    blocks = _matmul_idx(M.ctx, rel.reshape(nrel * t, nw), N.word_stack().reshape(nw, dN * dN))
+    return blocks.reshape(nrel, t, dN, dN).transpose(0, 2, 1, 3).reshape(nrel * dN, t * dN)
+
+
+def _hom_solve(M: HModule, N: HModule) -> Subspace:
+    """The relation solve: the generator images in N^t of every map
+    M -> N, as the kernel of _hom_conditions.  Only the map rebuild needs
+    it; the dims alone come from _hom_dims."""
+    if M.ctx != N.ctx:
+        raise ContextMismatch("modules over different field contexts")
+    if M.dim == 0 or N.dim == 0:
+        return Subspace.zero(M.ctx, 0)
+    return kernel(Mat(M.ctx, _hom_conditions(M, N)))
+
+
+@_memo
+def _hom_dims(M: HModule, N: HModule) -> tuple:
+    """(dim Hom(M, N), dim Hom(N, M)), kept on M per N: the ranks of both
+    condition matrices, zero-padded to one shape, from one stacked rank.
+    Padding adds zero rows and columns, which change no rank, and each dim
+    is the column count of its own matrix less its rank."""
+    if M.ctx != N.ctx:
+        raise ContextMismatch("modules over different field contexts")
+    if M.dim == 0 or N.dim == 0:
+        return 0, 0
+    conds = (_hom_conditions(M, N), _hom_conditions(N, M))
+    stack = np.zeros((2, max(C.shape[0] for C in conds), max(C.shape[1] for C in conds)),
+                     dtype=np.int64)
+    for X, C in zip(stack, conds):
+        X[:C.shape[0], :C.shape[1]] = C
+    ranks = _rank_stack(M.ctx, stack)
+    return tuple(int(C.shape[1] - r) for C, r in zip(conds, ranks))
 
 
 def _hom_maps(M: HModule, N: HModule, sol: Subspace) -> Subspace:
@@ -746,8 +769,10 @@ def _hom_maps(M: HModule, N: HModule, sol: Subspace) -> Subspace:
 
 
 def hom_dim(M: HModule, N: HModule) -> int:
-    """dim Hom(M, N), read from the relation solve alone: no map is built."""
-    return _hom_solve(M, N).dim
+    """dim Hom(M, N), from the stacked rank of _hom_dims, which gives
+    dim Hom(N, M) with it and keeps both on M: no kernel is formed and
+    no map is built."""
+    return _hom_dims(M, N)[0]
 
 
 def hom_space(M: HModule, N: HModule) -> Subspace:
@@ -756,12 +781,12 @@ def hom_space(M: HModule, N: HModule) -> Subspace:
 
     Solved through a generator/relation presentation of M: a map is a
     choice of images for the generators annihilating the relations that
-    generate the relation module.  The relation solve alone gives the
-    dimension (hom_dim); rebuilding the maps from the generator images
-    costs up to about three times that solve (End(v_dr(5, 19)): 2.9 ms
-    against 1.1 ms), so the package builds maps only for the isomorphism
-    witness search and for End bases (end_algebra, read by
-    indecomposability tiers T2/T3).
+    generate the relation module.  The rank of those conditions alone
+    gives the dimension (hom_dim); rebuilding the maps from the generator
+    images costs up to about three times the relation solve
+    (End(v_dr(5, 19)): 2.9 ms against 1.1 ms), so the package builds maps
+    only for the isomorphism witness search and for End bases
+    (end_algebra, read by indecomposability tiers T2/T3).
     """
     return _hom_maps(M, N, _hom_solve(M, N))
 
@@ -831,10 +856,13 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
        5 decide every pair without it, and the scan costs more than
        either invariant;
     4. the dims of Hom(M, N), Hom(N, M) and both End algebras: NO,
-       "hom-dim-mismatch" unless all four agree and are nonzero.  Each
-       dim is read from the relation solve alone (hom_dim, end_dim);
-    5. the map basis of Hom(M, N), rebuilt from the step-4 solve, with one
-       stacked rank: the first invertible element is a YES witness,
+       "hom-dim-mismatch" unless all four agree and are nonzero.  The two
+       Hom dims come from one stacked rank of both condition matrices
+       (_hom_dims, kept on M per N), the End dims from the End solves
+       step 3 cached (end_dim); no kernel of Hom(M, N) is formed here;
+    5. the map basis of Hom(M, N), rebuilt from its relation solve, the
+       one Hom kernel of the decision, and ranked in one stacked
+       elimination: the first invertible element is a YES witness,
        "hom-basis".  Otherwise, if M or N is indecomposable (its End is
        local), NO, "hom-basis": an isomorphism psi gives Hom(M, N) =
        psi End(M) = End(N) psi, and psi J is a proper subspace, so every
@@ -853,15 +881,12 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
     for _, inv in ISO_INVARIANTS:
         if inv(M) != inv(N):
             return IsoDecision("NO", "profile-mismatch")
-    sol = _hom_solve(M, N)
-    h = sol.dim
-    e = end_dim(M)
-    h_back = hom_dim(N, M)
-    e2 = end_dim(N)
+    h, h_back = _hom_dims(M, N)
+    e, e2 = end_dim(M), end_dim(N)
     if not (h == h_back == e == e2):
         return IsoDecision("NO", "hom-dim-mismatch",
                            detail={"hom": [h, h_back], "end": [e, e2]})
-    H = _hom_maps(M, N, sol)
+    H = _hom_maps(M, N, _hom_solve(M, N))
     full = np.nonzero(_rank_stack(ctx, H.basis.reshape(h, N.dim, M.dim)) == M.dim)[0]
     if full.size:
         X = Mat(ctx, H.basis[full[0]].reshape(N.dim, M.dim).copy())
@@ -1199,17 +1224,23 @@ def constant_type_over_scan(M: HModule) -> bool:
 # Cores and profiles
 
 
-def case_ii_core(M: HModule, u) -> tuple:
-    """(core, core with fixed space): the submodules generated by the word
-    image w = sigma0^(p-2) tau0^(p-2) u, and by w together with S_0, whose
-    vectors generate only themselves."""
+def _case_ii_word(M: HModule, u) -> np.ndarray:
+    """The word image w = sigma0^(p-2) tau0^(p-2) u of a nonzero u."""
     vec = as_vector(M.ctx, u)
     if not vec.any():
         raise ZeroVector("core of the zero vector")
-    w = apply_word(M, (M.ctx.p - 2, M.ctx.p - 2), vec)
-    core, _ = sub_generated(M, [w])
-    with_fixed, _ = sub_generated(M, np.vstack([w, fixed_space(M).basis]))
-    return core, with_fixed
+    return apply_word(M, (M.ctx.p - 2, M.ctx.p - 2), vec)
+
+
+def case_ii_core(M: HModule, u) -> HModule:
+    """The core: the submodule generated by the word image w of u."""
+    return sub_generated(M, [_case_ii_word(M, u)])[0]
+
+
+def case_ii_core_with_fixed(M: HModule, u) -> HModule:
+    """The submodule generated by the word image w of u together with
+    S_0, whose vectors generate only themselves; the core is not built."""
+    return sub_generated(M, np.vstack([_case_ii_word(M, u), fixed_space(M).basis]))[0]
 
 
 @dataclass(frozen=True)

@@ -374,12 +374,12 @@ def _suite_cores(p: int, seed: int) -> List[Case]:
 
     def vd_core(d, b, _s):
         M = km.v_d(ctx, d, b)
-        core, _ = km.case_ii_core(M, M.basis_vector(f"w{pp - p - 1}"))
+        core = km.case_ii_core(M, M.basis_vector(f"w{pp - p - 1}"))
         return core_matches(core, km.v_d(ctx, 2, -b))
 
     def vdr_core(d, b, _s):
         M = km.v_dr(ctx, d, b)
-        _, N = km.case_ii_core(M, M.basis_vector(f"eta{pp - 1}"))
+        N = km.case_ii_core_with_fixed(M, M.basis_vector(f"eta{pp - 1}"))
         return core_matches(N, km.direct_sum(km.v_d(ctx, 2, -frobenius(b)),
                                              km.trivial_module(ctx)))
 
@@ -387,7 +387,8 @@ def _suite_cores(p: int, seed: int) -> List[Case]:
         # the fixed space drops to dim 1 and is absorbed, so the trivial
         # summand disappears; reported, not gated
         M = km.v_dr(ctx, d, b)
-        core, N = km.case_ii_core(M, M.basis_vector(f"eta{pp - 1}"))
+        u = M.basis_vector(f"eta{pp - 1}")
+        core, N = km.case_ii_core(M, u), km.case_ii_core_with_fixed(M, u)
         dec = km.is_isomorphic(core, km.v_d(ctx, 2, -frobenius(b)))
         return "report", f"N-dim={N.dim},core-matches-rank-two={dec.verdict}"
 

@@ -185,7 +185,7 @@ def test_criterion_09_cores():
         C3 = default_ctx(3)
         t = C3.gen()
         N = v_dr(C3, 5, t)
-        core, _ = case_ii_core(N, N.basis_vector("eta8"))
+        core = case_ii_core(N, N.basis_vector("eta8"))
         assert fixed_space(N).dim == 2
         assert is_isomorphic(core, v_d(C3, 2, -frobenius(t))).isomorphic
         return "quotient range gated at 3..5; 6..9 degenerate, reported"

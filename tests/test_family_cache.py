@@ -305,6 +305,75 @@ def test_hom_dim_matches_map_basis(ctx, seed, kind_m, kind_n, conj_m, conj_n):
         assert km.end_dim(M) == km.end_algebra(M)[0].dim == km.hom_dim(M, M)
 
 
+def _zero_module(ctx):
+    return km.HModule(ctx, Mat.zeros(ctx, 0, 0), Mat.zeros(ctx, 0, 0))
+
+
+def _any_module(ctx, rng, kind):
+    """A module of _module's kinds, or the regular module (no generating
+    relation), the trivial module or the zero module."""
+    if kind == "regular":
+        return km.regular_module(ctx)
+    if kind == "trivial":
+        return km.trivial_module(ctx)
+    if kind == "zero":
+        return _zero_module(ctx)
+    return _module(ctx, rng, kind)
+
+
+def _assert_hom_dims_match_the_reference(M, N):
+    want = (intertwiner_space([M.Msigma, M.Mtau], [N.Msigma, N.Mtau]).dim,
+            intertwiner_space([N.Msigma, N.Mtau], [M.Msigma, M.Mtau]).dim)
+    assert km._hom_dims(M, N) == want
+    assert km._hom_dims(N, M) == want[::-1]
+    assert (km.hom_dim(M, N), km.hom_dim(N, M)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([C3, C5]), st.integers(0, 10**6),
+       st.sampled_from(["vd", "vdr", "dual", "sum", "regular", "trivial", "zero"]),
+       KINDS, st.booleans(), st.booleans())
+def test_hom_dims_match_the_reference_both_ways(ctx, seed, kind_m, kind_n, conj_m, conj_n):
+    rng = random.Random(seed)
+    M = _any_module(ctx, rng, kind_m)
+    N = _module(ctx, rng, kind_n)
+    if M.dim * N.dim > 100:  # keep the Kronecker-product reference small
+        N = km.v_d(ctx, rng.randrange(1, 5), ctx.gen())
+    M = _conjugate(M, rng) if conj_m and M.dim else M
+    N = _conjugate(N, rng) if conj_n else N
+    _assert_hom_dims_match_the_reference(M, N)
+
+
+# pairs of unequal generator counts t (2 and 1, 1 and 2, 3 and 2 in this
+# order) whose two condition matrices differ in shape, so the stack pads
+# them; the regular module has no generating relation, so its has no row
+PADDED_PAIRS = {
+    "vdr-trivial": lambda: (km.v_dr(C3, 4, T3), km.trivial_module(C3)),
+    "regular-vd": lambda: (km.regular_module(C3), km.v_d(C3, 5, T3)),
+    "sum-vdr": lambda: (km.direct_sum(km.v_d(C3, 2, T3), km.v_d(C3, 4, T3 + 1)),
+                        km.v_dr(C3, 6, T3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PADDED_PAIRS))
+def test_hom_dims_pad_unequal_condition_matrices(name):
+    M, N = PADDED_PAIRS[name]()
+    shapes = {km._hom_conditions(M, N).shape, km._hom_conditions(N, M).shape}
+    assert len(shapes) == 2
+    _assert_hom_dims_match_the_reference(M, N)
+
+
+def test_hom_dims_of_the_zero_module_and_across_fields():
+    M = km.v_d(C3, 3, T3)
+    _assert_hom_dims_match_the_reference(_zero_module(C3), M)
+    N = km.v_d(C5, 3, C5.gen())
+    for A, B in ((M, N), (N, M), (_zero_module(C3), N)):
+        with pytest.raises(ContextMismatch):
+            km._hom_dims(A, B)
+        with pytest.raises(ContextMismatch):
+            km.hom_dim(A, B)
+
+
 def _count_map_builds(monkeypatch) -> list:
     """Record each call of hom_space and of the map rebuild behind it and
     end_algebra."""
@@ -334,6 +403,55 @@ def test_dim_decisions_build_no_maps(monkeypatch):
     # the YES path rebuilds the one Hom basis its witness search needs
     assert km.is_isomorphic(M, _conjugate(M, rng)).verdict == "YES"
     assert calls == ["_hom_maps"]
+
+
+def _count_hom_work(monkeypatch) -> tuple:
+    """Record the module pair of each Hom relation solve, and of each
+    condition matrix formed between two modules: a computed _hom_dims(M, N)
+    forms (M, N) and then (N, M), a relation solve of Hom(M, N) forms
+    (M, N), and a value read from the memo forms none."""
+    solves, conds = [], []
+    real_solve, real_conds = km._hom_solve, km._hom_conditions
+
+    def counted_solve(M, N):
+        solves.append((M, N))
+        return real_solve(M, N)
+
+    def counted_conds(M, N):
+        if M is not N:
+            conds.append((M, N))
+        return real_conds(M, N)
+
+    monkeypatch.setattr(km, "_hom_solve", counted_solve)
+    monkeypatch.setattr(km, "_hom_conditions", counted_conds)
+    return solves, conds
+
+
+def test_classification_computes_each_pairs_hom_dims_once(monkeypatch):
+    # the classification p3 pairs are decided by equal matrices or by the
+    # Hom dims: one stacked rank per ordered pair, kept on its first
+    # module, and no Hom kernel of two modules; the relation solves left
+    # are End solves
+    solves, conds = _count_hom_work(monkeypatch)
+    cases = run_suite("classification", (3,))["cases"]
+    assert len(cases) == 297 and all(c["verdict"] == "pass" for c in cases)
+    assert all(M is N for M, N in solves)
+    computed = conds[::2]
+    assert conds[1::2] == [(N, M) for M, N in computed]
+    assert len(computed) == 120
+    assert len({(id(M), N) for M, N in computed}) == len(computed)
+
+
+def test_hom_basis_pair_forms_one_hom_kernel(monkeypatch):
+    rng = random.Random(3)
+    M = _conjugate(km.v_dr(C3, 4, T3), rng)
+    N = _conjugate(M, rng)
+    solves, conds = _count_hom_work(monkeypatch)
+    dec = km.is_isomorphic(M, N)
+    assert (dec.verdict, dec.method) == ("YES", "hom-basis")
+    assert [(A, B) for A, B in solves if A is not B] == [(M, N)]
+    # the dims, then the one Hom(M, N) kernel of step 5
+    assert conds == [(M, N), (N, M), (M, N)]
 
 
 def test_decision_radical_runs_on_the_socle_image(monkeypatch):

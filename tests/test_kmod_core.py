@@ -271,7 +271,7 @@ def test_jordan_scan_covers_extension_points():
 
 def test_case_ii_core_vd():
     M = v_d(C3, 8, T3)
-    core, _ = case_ii_core(M, M.basis_vector("w5"))
+    core = case_ii_core(M, M.basis_vector("w5"))
     assert core.dim == 2
     assert fixed_space(M).dim == 1
     with pytest.raises(ZeroVector):
@@ -281,10 +281,10 @@ def test_case_ii_core_vd():
 def test_core_twist_matches_negated_parameter():
     from repcurve.kmod import is_isomorphic
     M = v_d(C3, 7, T3)
-    core, _ = case_ii_core(M, M.basis_vector("w5"))
+    core = case_ii_core(M, M.basis_vector("w5"))
     assert is_isomorphic(core, v_d(C3, 2, -T3)).isomorphic
     N = v_dr(C3, 4, T3)
-    ncore, _ = case_ii_core(N, N.basis_vector("eta8"))
+    ncore = case_ii_core(N, N.basis_vector("eta8"))
     assert ncore.dim == 2 and fixed_space(N).dim == 2
     assert is_isomorphic(ncore, v_d(C3, 2, -frobenius(T3))).isomorphic
 
