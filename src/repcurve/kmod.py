@@ -709,8 +709,6 @@ def _hom_conditions(M: HModule, N: HModule) -> np.ndarray:
     nw = M.ctx.p ** 2
     dN = N.dim
     nrel = rel.shape[0]
-    if not nrel:
-        return np.zeros((0, t * dN), dtype=np.int64)
     blocks = _matmul_idx(M.ctx, rel.reshape(nrel * t, nw), N.word_stack().reshape(nw, dN * dN))
     return blocks.reshape(nrel, t, dN, dN).transpose(0, 2, 1, 3).reshape(nrel * dN, t * dN)
 
