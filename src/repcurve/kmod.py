@@ -647,15 +647,6 @@ def ddeg_prime(M: HModule, v) -> int:
 # Hom spaces
 
 
-def _min_generators(M: HModule) -> list:
-    """Standard basis vectors lifting a basis of M modulo the image of the
-    shifted generators; they generate M over the group algebra."""
-    ctx = M.ctx
-    imgs = np.vstack([M.sigma0().data.T, M.tau0().data.T])
-    pivots = Subspace.from_rows(ctx, M.dim, imgs).pivots.tolist()
-    return [c for c in range(M.dim) if c not in pivots]
-
-
 @_memo
 def _hom_source_data(M: HModule) -> dict:
     """Generator/relation presentation of M, kept on M.  The inverse of
@@ -663,7 +654,12 @@ def _hom_source_data(M: HModule) -> dict:
     kept apart by _hom_pivot_inverse, so dims-only callers never invert."""
     ctx = M.ctx
     p = ctx.p
-    gens = _min_generators(M)
+    # the generators: standard basis vectors lifting a basis of M modulo
+    # the image of the shifted generators; they generate M over the group
+    # algebra
+    imgs = np.vstack([M.sigma0().data.T, M.tau0().data.T])
+    pivots = Subspace.from_rows(ctx, M.dim, imgs).pivots.tolist()
+    gens = [c for c in range(M.dim) if c not in pivots]
     t = len(gens)
     # column i*p^2 + w: word w applied to generator i
     E = M.word_stack()[:, :, gens].transpose(1, 2, 0).reshape(M.dim, t * p * p)
@@ -713,10 +709,12 @@ def _hom_conditions(M: HModule, N: HModule) -> np.ndarray:
     return blocks.reshape(nrel, t, dN, dN).transpose(0, 2, 1, 3).reshape(nrel * dN, t * dN)
 
 
+@_memo
 def _hom_solve(M: HModule, N: HModule) -> Subspace:
     """The relation solve: the generator images in N^t of every map
-    M -> N, as the kernel of _hom_conditions.  Only the map rebuild needs
-    it; the dims alone come from _hom_dims."""
+    M -> N, as the kernel of _hom_conditions, kept on M per N.  End(M) is
+    its (M, M) value, which end_dim reads and hom_space(M, M) reuses; the
+    dims of two modules come from _hom_dims, with no kernel."""
     if M.ctx != N.ctx:
         raise ContextMismatch("modules over different field contexts")
     if M.dim == 0 or N.dim == 0:
@@ -726,10 +724,11 @@ def _hom_solve(M: HModule, N: HModule) -> Subspace:
 
 @_memo
 def _hom_dims(M: HModule, N: HModule) -> tuple:
-    """(dim Hom(M, N), dim Hom(N, M)), kept on M per N: the ranks of both
-    condition matrices, zero-padded to one shape, from one stacked rank.
-    Padding adds zero rows and columns, which change no rank, and each dim
-    is the column count of its own matrix less its rank."""
+    """(dim Hom(M, N), dim Hom(N, M)), kept on M per N and, reversed, on N
+    per M: the ranks of both condition matrices, zero-padded to one shape,
+    from one stacked rank.  Padding adds zero rows and columns, which
+    change no rank, and each dim is the column count of its own matrix
+    less its rank."""
     if M.ctx != N.ctx:
         raise ContextMismatch("modules over different field contexts")
     if M.dim == 0 or N.dim == 0:
@@ -740,13 +739,36 @@ def _hom_dims(M: HModule, N: HModule) -> tuple:
     for X, C in zip(stack, conds):
         X[:C.shape[0], :C.shape[1]] = C
     ranks = _rank_stack(M.ctx, stack)
-    return tuple(int(C.shape[1] - r) for C, r in zip(conds, ranks))
+    dims = tuple(int(C.shape[1] - r) for C, r in zip(conds, ranks))
+    # the key _memo reads for _hom_dims(N, M)
+    N._cache[("_hom_dims", M)] = dims[::-1]
+    return dims
 
 
-def _hom_maps(M: HModule, N: HModule, sol: Subspace) -> Subspace:
-    """The map rebuild: the canonical basis of Hom(M, N), as row-major
-    vectorized dim(N) x dim(M) matrices, from the relation solve sol."""
+def hom_dim(M: HModule, N: HModule) -> int:
+    """dim Hom(M, N), from the stacked rank of _hom_dims, which gives
+    dim Hom(N, M) with it and keeps both: no kernel is formed and no map
+    is built."""
+    return _hom_dims(M, N)[0]
+
+
+def hom_space(M: HModule, N: HModule) -> Subspace:
+    """Canonical basis of the space of module maps M -> N, as row-major
+    vectorized dim(N) x dim(M) matrices, rebuilt from the relation solve
+    _hom_solve(M, N), kept on M per N; hom_space(M, M) reuses the End
+    solve of end_dim.
+
+    Solved through a generator/relation presentation of M: a map is a
+    choice of images for the generators annihilating the relations that
+    generate the relation module.  The rank of those conditions alone
+    gives the dimension (hom_dim); rebuilding the maps from the generator
+    images costs up to about three times the relation solve
+    (End(v_dr(5, 19)): 2.9 ms against 1.1 ms), so the package builds maps
+    only for the isomorphism witness search and for End bases
+    (end_algebra, read by indecomposability tiers T2/T3).
+    """
     ctx = M.ctx
+    sol = _hom_solve(M, N)
     amb = M.dim * N.dim
     if sol.dim == 0:
         return Subspace.zero(ctx, amb)
@@ -766,47 +788,17 @@ def _hom_maps(M: HModule, N: HModule, sol: Subspace) -> Subspace:
     return Subspace.from_rows(ctx, amb, Phi.reshape(S, amb))
 
 
-def hom_dim(M: HModule, N: HModule) -> int:
-    """dim Hom(M, N), from the stacked rank of _hom_dims, which gives
-    dim Hom(N, M) with it and keeps both on M: no kernel is formed and
-    no map is built."""
-    return _hom_dims(M, N)[0]
-
-
-def hom_space(M: HModule, N: HModule) -> Subspace:
-    """Canonical basis of the space of module maps M -> N, as row-major
-    vectorized dim(N) x dim(M) matrices.
-
-    Solved through a generator/relation presentation of M: a map is a
-    choice of images for the generators annihilating the relations that
-    generate the relation module.  The rank of those conditions alone
-    gives the dimension (hom_dim); rebuilding the maps from the generator
-    images costs up to about three times the relation solve
-    (End(v_dr(5, 19)): 2.9 ms against 1.1 ms), so the package builds maps
-    only for the isomorphism witness search and for End bases
-    (end_algebra, read by indecomposability tiers T2/T3).
-    """
-    return _hom_maps(M, N, _hom_solve(M, N))
-
-
-@_memo
-def _end_solve(M: HModule) -> Subspace:
-    """The relation solve of End(M), cached on M for end_dim and
-    end_algebra alike."""
-    return _hom_solve(M, M)
-
-
 def end_dim(M: HModule) -> int:
     """dim End(M) from the cached relation solve; no map is built."""
-    return _end_solve(M).dim
+    return _hom_solve(M, M).dim
 
 
 def end_algebra(M: HModule) -> tuple:
     """(hom_space(M, M), the same basis reshaped to matrices: read-only
-    views of its rows).  The maps are rebuilt from the relation solve
-    that end_dim caches, so C is eliminated once per module; only
+    views of its rows).  The maps are rebuilt from the End solve that
+    end_dim caches, so End(M) is eliminated once per module; only
     _end_split, memoized itself, needs this basis."""
-    H = _hom_maps(M, M, _end_solve(M))
+    H = hom_space(M, M)
     return H, [Mat(M.ctx, row.reshape(M.dim, M.dim)) for row in H.basis]
 
 
@@ -856,11 +848,13 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
     4. the dims of Hom(M, N), Hom(N, M) and both End algebras: NO,
        "hom-dim-mismatch" unless all four agree and are nonzero.  The two
        Hom dims come from one stacked rank of both condition matrices
-       (_hom_dims, kept on M per N), the End dims from the End solves
-       step 3 cached (end_dim); no kernel of Hom(M, N) is formed here;
-    5. the map basis of Hom(M, N), rebuilt from its relation solve, the
-       one Hom kernel of the decision, and ranked in one stacked
-       elimination: the first invertible element is a YES witness,
+       (_hom_dims, kept on both modules), the End dims from the End
+       solves step 3 cached (end_dim); no kernel of Hom(M, N) is formed
+       here;
+    5. the map basis of Hom(M, N) (hom_space), rebuilt from its relation
+       solve, the one Hom kernel of the decision, kept on M per N, and
+       ranked in one stacked elimination: the first invertible element is
+       a YES witness,
        "hom-basis".  Otherwise, if M or N is indecomposable (its End is
        local), NO, "hom-basis": an isomorphism psi gives Hom(M, N) =
        psi End(M) = End(N) psi, and psi J is a proper subspace, so every
@@ -884,7 +878,7 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
     if not (h == h_back == e == e2):
         return IsoDecision("NO", "hom-dim-mismatch",
                            detail={"hom": [h, h_back], "end": [e, e2]})
-    H = _hom_maps(M, N, _hom_solve(M, N))
+    H = hom_space(M, N)
     full = np.nonzero(_rank_stack(ctx, H.basis.reshape(h, N.dim, M.dim)) == M.dim)[0]
     if full.size:
         X = Mat(ctx, H.basis[full[0]].reshape(N.dim, M.dim).copy())
@@ -1337,4 +1331,4 @@ def module_from_json(obj: dict) -> HModule:
         return Mat(ctx, data)
 
     return HModule(ctx, grid(obj["sigma"]), grid(obj["tau"]),
-                   labels=tuple(labels) if labels else None)
+                   labels=labels)

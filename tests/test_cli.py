@@ -688,6 +688,7 @@ def _module_obj(capsys):
     lambda o: {**o, "n": 1},
     lambda o: {**o, "modulus": [7, 3, 1]},
     lambda o: {**o, "labels": ["w0", "w0"]},
+    lambda o: {**o, "labels": []},
 ])
 def test_malformed_module_json_is_an_input_error(capsys, tmp_path, mutate):
     bad = tmp_path / "bad.json"
@@ -720,6 +721,16 @@ def test_build_refuses_a_regular_module_past_the_table_limit(capsys, kind):
     ff._ctx_cached.cache_clear()
     assert code == 2 and out == "" and err.count("\n") == 1
     assert json.loads(err)["error"] == "BadDimension"
+
+
+def test_empty_label_list_loads_at_dim_0():
+    # [] is a label for each of no basis vectors; at dim >= 1 it is refused
+    # as the wrong label count (test_malformed_module_json_is_an_input_error)
+    C3 = default_ctx(3)
+    obj = {**km.module_to_json(km.v_d(C3, 2, C3.gen())),
+           "dim": 0, "sigma": [], "tau": [], "labels": []}
+    M = km.module_from_json(obj)
+    assert M.dim == 0 and M.labels == ()
 
 
 def test_module_json_reports_its_first_bad_entry():

@@ -18,7 +18,7 @@ from repcurve.errors import (BadDimension, ContextMismatch, NotCommuting,
 from repcurve.cli import main
 from repcurve.ff import FieldCtx, ctx_new, default_ctx
 from repcurve.linalg import Mat, Subspace, kernel, matpow
-from repcurve.suites import run_suite
+from repcurve.suites import SUITE_PRIMES, run_suite
 from reference import intertwiner_space
 
 C3 = default_ctx(3)
@@ -101,7 +101,7 @@ def test_family_data_goes_with_its_field():
 
 # the module-level memoized functions of a module, each called on it
 MODULE_MEMOS = (km._fixed, km.s_filtration, km._hom_source_data, km._hom_pivot_inverse,
-                km._end_solve, km._end_split, km.jordan_scan, km.dual)
+                lambda M: km._hom_solve(M, M), km._end_split, km.jordan_scan, km.dual)
 
 
 @pytest.mark.parametrize("ctx", [C3, C5], ids=["p3", "p5"])
@@ -375,17 +375,16 @@ def test_hom_dims_of_the_zero_module_and_across_fields():
 
 
 def _count_map_builds(monkeypatch) -> list:
-    """Record each call of hom_space and of the map rebuild behind it and
-    end_algebra."""
+    """Record each call of hom_space, the map rebuild behind is_isomorphic
+    and end_algebra."""
     calls = []
-    for name in ("hom_space", "_hom_maps"):
-        real = getattr(km, name)
+    real = km.hom_space
 
-        def counted(*args, real=real, name=name):
-            calls.append(name)
-            return real(*args)
+    def counted(*args):
+        calls.append("hom_space")
+        return real(*args)
 
-        monkeypatch.setattr(km, name, counted)
+    monkeypatch.setattr(km, "hom_space", counted)
     return calls
 
 
@@ -402,7 +401,7 @@ def test_dim_decisions_build_no_maps(monkeypatch):
     assert calls == []
     # the YES path rebuilds the one Hom basis its witness search needs
     assert km.is_isomorphic(M, _conjugate(M, rng)).verdict == "YES"
-    assert calls == ["_hom_maps"]
+    assert calls == ["hom_space"]
 
 
 def _count_hom_work(monkeypatch) -> tuple:
@@ -429,17 +428,67 @@ def _count_hom_work(monkeypatch) -> tuple:
 
 def test_classification_computes_each_pairs_hom_dims_once(monkeypatch):
     # the classification p3 pairs are decided by equal matrices or by the
-    # Hom dims: one stacked rank per ordered pair, kept on its first
-    # module, and no Hom kernel of two modules; the relation solves left
-    # are End solves
+    # Hom dims: one stacked rank per unordered pair, kept on both modules,
+    # and no Hom kernel of two modules; the relation solves left are End
+    # solves
     solves, conds = _count_hom_work(monkeypatch)
     cases = run_suite("classification", (3,))["cases"]
     assert len(cases) == 297 and all(c["verdict"] == "pass" for c in cases)
     assert all(M is N for M, N in solves)
     computed = conds[::2]
     assert conds[1::2] == [(N, M) for M, N in computed]
-    assert len(computed) == 120
+    assert len(computed) == 105
     assert len({(id(M), N) for M, N in computed}) == len(computed)
+    assert not {(id(N), M) for M, N in computed} & {(id(M), N) for M, N in computed}
+
+
+def test_hom_dims_asked_the_other_way_round_form_no_conditions(monkeypatch):
+    # a computed pair is kept on both modules, so the reverse ask reads
+    # the reversed dims and forms no condition matrix and no rank
+    M = _conjugate(km.v_d(C3, 5, T3), random.Random(3))
+    N = km.v_d(C3, 2, T3)
+    dims = km._hom_dims(M, N)
+    assert dims == (3, 2)
+    calls = []
+    for name in ("_hom_conditions", "_rank_stack"):
+        monkeypatch.setattr(km, name, lambda *args, name=name: calls.append(name))
+    assert km._hom_dims(N, M) == dims[::-1]
+    assert km.hom_dim(N, M) == dims[1]
+    assert calls == []
+
+
+def _count_computed(monkeypatch, name) -> list:
+    """Rewrap the memoized function name around a counter of the values
+    it computes, that is of its memo misses, and return the counter."""
+    inner, computed = getattr(km, name).__wrapped__, []
+
+    def counting(*args):
+        computed.append(args)
+        return inner(*args)
+
+    counting.__name__ = name
+    monkeypatch.setattr(km, name, km._memo(counting))
+    return computed
+
+
+def test_verify_all_hom_work_stays_counted(monkeypatch):
+    # `verify all` at seed 0 computes 153 Hom dim pairs (each kept on both
+    # modules), 154 relation solves (115 End, 39 pairs kept on their first
+    # module) and forms 460 condition matrices; counts, unlike times, are
+    # free of host noise
+    dims = _count_computed(monkeypatch, "_hom_dims")
+    solves = _count_computed(monkeypatch, "_hom_solve")
+    conds = []
+    real = km._hom_conditions
+
+    def counted(M, N):
+        conds.append((M, N))
+        return real(M, N)
+
+    monkeypatch.setattr(km, "_hom_conditions", counted)
+    assert run_suite("all", SUITE_PRIMES, seed=0)["exit"] == 0
+    counts = (len(dims), len(solves), len(conds))
+    assert all(n <= most for n, most in zip(counts, (153, 154, 460))), counts
 
 
 def test_hom_basis_pair_forms_one_hom_kernel(monkeypatch):
@@ -486,6 +535,8 @@ def test_end_basis_reuses_the_end_solve(monkeypatch):
     assert len(eliminations) == 2  # the presentation's relations, then C
     H, _ = km.end_algebra(M)
     assert len(eliminations) == 2 and H.dim == e == 28
+    assert km.hom_space(M, M).basis.tolist() == H.basis.tolist()
+    assert len(eliminations) == 2
 
 
 # every d at p = 2, 3 and 5, and a spread of d at p = 7, d = p^2 included
