@@ -40,10 +40,10 @@ from .linalg import (
     _matmul_idx,
     _matpow_idx,
     _rank_stack,
+    _rref_inplace,
     as_vector,
     invert,
     kernel,
-    kernel_and_rows,
     matpow,
     nilpotent_partitions,
 )
@@ -178,18 +178,22 @@ class HModule:
     @_memo
     def word_stack(self) -> np.ndarray:
         """Read-only (p^2, dim, dim) array holding sigma0^a tau0^b at
-        a*p + b for 0 <= a, b < p: the powers of each generator, then all
-        p^2 products in one broadcast product."""
-        ctx, p = self.ctx, self.ctx.p
+        a*p + b for 0 <= a, b < p.  The powers of both generators come
+        from p - 2 stacked products; they are the words with a = 0 or
+        b = 0, and the (p - 1)^2 others come from one broadcast product."""
+        ctx, p, d = self.ctx, self.ctx.p, self.dim
 
-        def powers(X: Mat) -> np.ndarray:
-            out = [Mat.identity(ctx, self.dim).data]
-            for _ in range(p - 1):
-                out.append(_matmul_idx(ctx, out[-1], X.data))
+        def powers(G: np.ndarray) -> np.ndarray:  # (2, d, d) -> (p, 2, d, d)
+            out = [np.broadcast_to(np.eye(d, dtype=np.int64), G.shape), G]
+            while len(out) < p:
+                out.append(_matmul_idx(ctx, out[-1], G))
             return np.stack(out)
 
-        S, T = powers(self.sigma0()), powers(self.tau0())
-        W = _matmul_idx(ctx, S[:, None], T[None, :]).reshape(p * p, self.dim, self.dim)
+        P = powers(np.stack([self.sigma0().data, self.tau0().data]))
+        W = np.empty((p, p, d, d), dtype=np.int64)
+        W[0], W[1:, 0] = P[:, 1], P[1:, 0]
+        W[1:, 1:] = _matmul_idx(ctx, P[1:, None, 0], P[None, 1:, 1])
+        W = W.reshape(p * p, d, d)
         W.setflags(write=False)
         return W
 
@@ -554,58 +558,82 @@ def apply_word(M: HModule, word: tuple, v) -> np.ndarray:
 
 
 @_memo
-def _fixed(M: HModule) -> tuple:
-    """(S_0, the row space it is the kernel of), from one elimination of
-    sigma0 and tau0 stacked; s_filtration starts from the rows."""
-    return kernel_and_rows(Mat(M.ctx, np.vstack([M.sigma0().data, M.tau0().data])))
-
-
 def fixed_space(M: HModule) -> Subspace:
-    """S_0: the joint kernel of sigma0 and tau0."""
-    return _fixed(M)[0]
+    """S_0: the joint kernel of sigma0 and tau0, from one elimination of
+    the two stacked; T1, the cores and the splits read it without the
+    word stack."""
+    return kernel(Mat(M.ctx, np.vstack([M.sigma0().data, M.tau0().data])))
 
 
 @_memo
+def _flag(M: HModule) -> tuple:
+    """(R, deg): a basis of the row vectors, as the rows of R by
+    descending degree deg, whose rows of degree >= n + 1 span the
+    annihilator of S_n, the row space of the words of degree n + 1 (and
+    so of all words of higher degree).  The word blocks of M.word_stack()
+    are walked from degree 2p - 2 down; each, less its zero rows, is
+    reduced by the RREF basis B of the blocks before it, and its new pivot
+    rows are its rows of R, which B then takes in by back-substitution.
+    The degree-0 block is the identity, whose rows reduce to the unit rows
+    off the pivots of B: so the flag takes dim M - dim S_0 pivot steps."""
+    ctx, p, d = M.ctx, M.ctx.p, M.dim
+    W = M.word_stack()
+    deg = np.add.outer(np.arange(p), np.arange(p)).ravel()  # of the word at a*p + b
+    live = W.reshape(p * p, -1).any(axis=1)
+    B, piv, rows, degs = None, [], [], []
+    for e in range(int(deg[live].max(initial=0)), 0, -1):
+        X = W[live & (deg == e)].reshape(-1, d)
+        X = X[X.any(axis=1)]
+        if B is not None:
+            X = ctx.sub[X, _matmul_idx(ctx, X[:, piv], B)]
+        new = _rref_inplace(ctx, X)
+        if not new:
+            continue
+        N = X[: len(new)]
+        if B is None:
+            B = N
+        elif e > 1:  # the identity block reads only the pivots
+            B = np.vstack([ctx.sub[B, _matmul_idx(ctx, B[:, new], N)], N])
+        piv += new
+        rows.append(N)
+        degs += [e] * len(new)
+    free = np.ones(d, dtype=bool)
+    free[piv] = False
+    rows.append(np.eye(d, dtype=np.int64)[free])
+    degs += [0] * int(free.sum())
+    R = np.vstack(rows)
+    R.setflags(write=False)
+    return R, np.array(degs, dtype=np.int64)
+
+
+def filtration_dims(M: HModule) -> tuple:
+    """dim S_n for n = 0, 1, ... up to the first S_n that is the whole
+    module: dim M less the number of flag rows of degree >= n + 1, that is
+    the number of flag rows of degree <= n."""
+    return tuple(np.cumsum(np.bincount(_flag(M)[1], minlength=1)).tolist())
+
+
 def s_filtration(M: HModule) -> list:
-    """Increasing subspaces S_0 <= S_1 <= ... up to the full module, where
-    S_{n+1} is the joint preimage of S_n under sigma0 and tau0 and S_0 is
-    the fixed space.  With S_n the kernel of rows D, S_{n+1} is the kernel
-    of [D*sigma0; D*tau0], whose row space is the next D: one elimination
-    per level."""
-    ctx = M.ctx
-    gens = np.stack([M.sigma0().data, M.tau0().data])
-    S0, D = _fixed(M)
-    fil = [S0]
-    guard = 2 * ctx.p + 2
-    while fil[-1].dim < M.dim:
-        B = _matmul_idx(ctx, D, gens).reshape(2 * D.shape[0], M.dim)
-        nxt, D = kernel_and_rows(Mat(ctx, B))
-        if nxt.dim == fil[-1].dim:
-            raise Undecided("filtration stalled below full dimension")
-        fil.append(nxt)
-        if len(fil) > guard:
-            raise Undecided("filtration failed to terminate")
-    return fil
+    """Increasing subspaces S_0 <= S_1 <= ... up to the full module, S_n
+    the joint kernel of the words sigma0^a tau0^b with a + b = n + 1.  Each
+    level is formed on request, as the kernel of the flag rows of degree
+    >= n + 1; the decisions read only filtration_dims and ddeg_rows."""
+    R, deg = _flag(M)
+    return [kernel(Mat(M.ctx, R[deg > n])) for n in range(len(filtration_dims(M)))]
 
 
 def ddeg_rows(M: HModule, V) -> np.ndarray:
     """Degrees of the rows of V (k x dim): the least n with the row in
-    S_n, and -1 for a zero row.  Makes one batched membership test per
-    filtration level, on the rows still undecided."""
+    S_n, and -1 for a zero row.  A row lies in S_n exactly when every flag
+    row of degree >= n + 1 kills it, so its degree is that of the first
+    flag row that does not: one product V R^T."""
     V = np.asarray(V, dtype=np.int64)
     if V.ndim != 2 or V.shape[1] != M.dim:
         raise ShapeMismatch(f"rows of shape {V.shape} for a module of dim {M.dim}")
-    out = np.full(V.shape[0], -1, dtype=np.int64)
-    todo = np.nonzero(V.any(axis=1))[0]
-    for n, space in enumerate(s_filtration(M)):
-        if todo.size == 0:
-            break
-        inside = space.reduce_rows(V[todo])[1]
-        out[todo[inside]] = n
-        todo = todo[~inside]
-    if todo.size:
-        raise Undecided("vector escaped the filtration")  # unreachable
-    return out
+    R, deg = _flag(M)
+    # a last column that every row hits gives the zero rows -1
+    hit = np.hstack([_matmul_idx(M.ctx, V, R.T) != 0, np.ones((len(V), 1), dtype=bool)])
+    return np.append(deg, -1)[hit.argmax(axis=1)]
 
 
 def ddeg(M: HModule, v) -> int:
@@ -1253,16 +1281,16 @@ class Profile:
 # look up the functions by their global names at each call, so a wrapper
 # installed on the module sees them.
 ISO_INVARIANTS = (
-    ("filtration_dims", lambda M: tuple(s.dim for s in s_filtration(M))),
+    ("filtration_dims", lambda M: filtration_dims(M)),
     ("end_dim", lambda M: end_dim(M)),
 )
 
 # The invariants of a Profile after dim: those of the decision, and two
 # that are reported but decide nothing.  The fixed space is S_0 of the
-# filtration, so its dim agrees whenever the filtration dims do; the
-# Jordan multiset over P^1(F_q) is left to steps 4 and 5.
+# filtration, so its dim is the first filtration dim, read from the flag;
+# the Jordan multiset over P^1(F_q) is left to steps 4 and 5.
 PROFILE_INVARIANTS = ISO_INVARIANTS + (
-    ("fixed_dim", lambda M: fixed_space(M).dim),
+    ("fixed_dim", lambda M: filtration_dims(M)[0]),
     ("jordan_multiset", lambda M: tuple(sorted(t for _, t in jordan_scan(M)))),
 )
 

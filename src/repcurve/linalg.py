@@ -214,13 +214,7 @@ def rank(A: Mat) -> int:
 
 
 def kernel(A: Mat) -> "Subspace":
-    """Canonical basis of {x : A x = 0}, from one elimination."""
-    return kernel_and_rows(A)[0]
-
-
-def kernel_and_rows(A: Mat) -> tuple:
-    """(kernel(A), rows spanning the row space of A), both from one
-    elimination; the rows are independent but not in RREF.
+    """Canonical basis of {x : A x = 0}, from one elimination.
 
     A is reduced with its columns reversed.  The kernel vector of each
     free column f there has its last nonzero entry, a 1, at f, and zeros
@@ -236,7 +230,7 @@ def kernel_and_rows(A: Mat) -> tuple:
     basis = np.zeros((free.size, n), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = ctx.neg[M[: len(pivots), free].T]
-    return Subspace(ctx, n, basis[:, ::-1].copy()), M[: len(pivots), ::-1]
+    return Subspace(ctx, n, basis[:, ::-1].copy())
 
 
 def solve(A: Mat, b: np.ndarray) -> Optional[np.ndarray]:

@@ -167,7 +167,7 @@ def _sn_dims_case(build):
         M = build()
         deg = km.label_degrees(M)
         want = [int((deg <= n).sum()) for n in range(deg.max() + 1)]
-        got = [s.dim for s in km.s_filtration(M)]
+        got = list(km.filtration_dims(M))
         return got == want, f"dims={got}"
     return run
 

@@ -418,13 +418,14 @@ def _count_products(monkeypatch, module):
 
 @pytest.mark.parametrize("p,kind,d", [(3, "vd", 9), (5, "vd", 23), (5, "vdr", 12)])
 def test_ddeg_rows_one_product_per_level(monkeypatch, p, kind, d):
+    # with the flag cached, all levels take one product V R^T
     ctx = CTX[p]
     M = _module(ctx, kind, d)
-    fil = km.s_filtration(M)
+    km._flag(M)
     V = rand_rows(ctx, random.Random(d), 200, M.dim)
-    calls = _count_products(monkeypatch, linalg)
+    calls = _count_products(monkeypatch, km)
     km.ddeg_rows(M, V)
-    assert 0 < len(calls) <= len(fil)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("p,d", [(3, 4), (5, 12)])
@@ -467,9 +468,6 @@ def test_kernel_is_canonical_rref(ctx, seed, rows, cols, kind):
     assert K == Subspace.from_rows(ctx, cols, K.basis)
     assert not linalg._matmul_idx(ctx, A, K.basis.T).any()
     assert K.dim == cols - rank(Mat(ctx, A))
-    K2, R = linalg.kernel_and_rows(Mat(ctx, A))
-    assert K2 == K and R.shape == (cols - K.dim, cols)
-    assert Subspace.from_rows(ctx, cols, R) == Subspace.from_rows(ctx, cols, A)
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 4), (4, 0), (3, 3)])
@@ -599,6 +597,57 @@ def test_s_filtration_matches_direct(ctx, seed, kind, d):
     assert km.fixed_space(M) == fil[0]
 
 
+FLAG_FIELDS = [default_ctx(2, 2), default_ctx(2, 3), C3, C5, default_ctx(7)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FLAG_FIELDS), st.integers(0, 10**6),
+       st.sampled_from(["vd", "vdr", "dual", "sum", "sub", "zero"]), st.integers(1, 49))
+def test_flag_matches_direct(ctx, seed, kind, d):
+    """The flag's dims, its first dim as the fixed-space dim, ddeg_rows and
+    the levels s_filtration forms on request equal the filtration from its
+    definition, on a module in a random basis.  The rows tested are random,
+    pushed down by random words, and every basis row of every level, so
+    each degree comes up; one is zero.  At p = 7 the family modules are
+    v_d of dim at most 16, since v_dr has dim 48 there."""
+    rng = random.Random(seed)
+    p, t = ctx.p, ctx.gen() + rng.randrange(ctx.p)
+    d = 1 + (d - 1) % min(p * p, 16)
+    if kind == "zero":
+        M = km.sub_generated(km.v_d(ctx, d, t), [np.zeros(d, dtype=np.int64)])[0]
+    elif kind == "vdr" and p < 7:
+        M = km.v_dr(ctx, d, t)
+    elif kind == "sub":
+        N = km.v_d(ctx, d, t)
+        u = word_matrix(N, rng.randrange(p), rng.randrange(p)).apply(rand_rows(ctx, rng, 1, d)[0])
+        M = km.sub_generated(N, [u])[0]
+    else:
+        M = km.v_d(ctx, d, t)
+        if kind == "dual":
+            M = km.dual(M)
+        elif kind == "sum":
+            M = km.direct_sum(M, km.v_dr(ctx, rng.randrange(p * p), t) if p < 7
+                              else km.v_d(ctx, rng.randrange(1, 8), t))
+    if M.dim:
+        P = Mat(ctx, rand_rows(ctx, rng, M.dim, M.dim))
+        Pinv = invert(P)
+        if Pinv is not None:
+            M = km.HModule(ctx, P @ M.Msigma @ Pinv, P @ M.Mtau @ Pinv)
+    fil = s_filtration_direct(M)
+    dims = km.filtration_dims(M)
+    assert dims == tuple(S.dim for S in fil)
+    assert dims[0] == km.fixed_space(M).dim
+    assert km.s_filtration(M) == fil
+    V = rand_rows(ctx, rng, 6, M.dim)
+    for row in V[1:3]:
+        row[:] = word_matrix(M, rng.randrange(p), rng.randrange(p)).apply(row)
+    V[0] = 0
+    V = np.vstack([V] + [S.basis for S in fil])
+    inside = np.array([S.reduce_rows(V)[1] for S in fil])  # the last level is all of M
+    want = np.where(V.any(axis=1), inside.argmax(axis=0), -1)
+    assert km.ddeg_rows(M, V).tolist() == want.tolist()
+
+
 @settings(max_examples=30, deadline=None)
 @given(FIELDS, st.integers(0, 10**6), st.sampled_from(["vd", "vdr", "dual", "sum"]),
        st.integers(1, 12), st.integers(1, 3))
@@ -633,12 +682,26 @@ def _count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("p,kind,d", [(3, "vd", 9), (3, "vdr", 4), (5, "vd", 23), (5, "vdr", 12)])
-def test_s_filtration_one_elimination_per_level(monkeypatch, p, kind, d):
+def test_flag_takes_at_most_dim_pivot_steps(monkeypatch, p, kind, d):
+    # one elimination per nonzero word degree above 0, and each pivot step
+    # adds a flag row: dim M - dim S_0 steps in all, where the per-level
+    # eliminations took the sum of the codims of the S_n
     ctx = CTX[p]
     M = _module(ctx, kind, d)
-    calls = _count_calls(monkeypatch, linalg, "_rref_inplace")
-    fil = km.s_filtration(M)
-    assert len(calls) == len(fil)
+    M = km.HModule(ctx, M.Msigma, M.Mtau)  # a flag of its own, not the shared module's
+    steps = []
+    real = km._rref_inplace
+
+    def counted(ctx, X):
+        pivots = real(ctx, X)
+        steps.append(len(pivots))
+        return pivots
+
+    monkeypatch.setattr(km, "_rref_inplace", counted)
+    R, deg = km._flag(M)
+    dims = km.filtration_dims(M)
+    assert sum(steps) == M.dim - dims[0] <= M.dim == len(R)
+    assert len(steps) <= len(dims) - 1
 
 
 @pytest.mark.parametrize("p,d", [(3, 4), (5, 12)])

@@ -100,7 +100,7 @@ def test_family_data_goes_with_its_field():
 
 
 # the module-level memoized functions of a module, each called on it
-MODULE_MEMOS = (km._fixed, km.s_filtration, km._hom_source_data, km._hom_pivot_inverse,
+MODULE_MEMOS = (km.fixed_space, km._flag, km._hom_source_data, km._hom_pivot_inverse,
                 lambda M: km._hom_solve(M, M), km._end_split, km.jordan_scan, km.dual)
 
 
@@ -474,21 +474,32 @@ def _count_computed(monkeypatch, name) -> list:
 def test_verify_all_hom_work_stays_counted(monkeypatch):
     # `verify all` at seed 0 computes 153 Hom dim pairs (each kept on both
     # modules), 154 relation solves (115 End, 39 pairs kept on their first
-    # module) and forms 460 condition matrices; counts, unlike times, are
-    # free of host noise
+    # module) and forms 460 condition matrices, and makes 1,635
+    # eliminations of 9,690 pivot steps in all (13,526 steps when each
+    # filtration level took its own elimination), and forms no filtration
+    # level; counts, unlike times, are free of host noise
     dims = _count_computed(monkeypatch, "_hom_dims")
     solves = _count_computed(monkeypatch, "_hom_solve")
-    conds = []
-    real = km._hom_conditions
+    conds, steps, levels = [], [], []
+    real = km._hom_conditions, linalg._rref_inplace
 
     def counted(M, N):
         conds.append((M, N))
-        return real(M, N)
+        return real[0](M, N)
+
+    def eliminated(ctx, X):
+        pivots = real[1](ctx, X)
+        steps.append(len(pivots))
+        return pivots
 
     monkeypatch.setattr(km, "_hom_conditions", counted)
+    monkeypatch.setattr(km, "s_filtration", levels.append)
+    for module in (linalg, km):
+        monkeypatch.setattr(module, "_rref_inplace", eliminated)
     assert run_suite("all", SUITE_PRIMES, seed=0)["exit"] == 0
-    counts = (len(dims), len(solves), len(conds))
-    assert all(n <= most for n, most in zip(counts, (153, 154, 460))), counts
+    assert levels == []
+    counts = (len(dims), len(solves), len(conds), len(steps), sum(steps))
+    assert all(n <= most for n, most in zip(counts, (153, 154, 460, 1635, 9690))), counts
 
 
 def test_hom_basis_pair_forms_one_hom_kernel(monkeypatch):
