@@ -606,6 +606,7 @@ def _flag(M: HModule) -> tuple:
     return R, np.array(degs, dtype=np.int64)
 
 
+@_memo
 def filtration_dims(M: HModule) -> tuple:
     """dim S_n for n = 0, 1, ... up to the first S_n that is the whole
     module: dim M less the number of flag rows of degree >= n + 1, that is

@@ -100,8 +100,9 @@ def test_family_data_goes_with_its_field():
 
 
 # the module-level memoized functions of a module, each called on it
-MODULE_MEMOS = (km.fixed_space, km._flag, km._hom_source_data, km._hom_pivot_inverse,
-                lambda M: km._hom_solve(M, M), km._end_split, km.jordan_scan, km.dual)
+MODULE_MEMOS = (km.fixed_space, km._flag, km.filtration_dims, km._hom_source_data,
+                km._hom_pivot_inverse, lambda M: km._hom_solve(M, M), km._end_split,
+                km.jordan_scan, km.dual)
 
 
 @pytest.mark.parametrize("ctx", [C3, C5], ids=["p3", "p5"])
