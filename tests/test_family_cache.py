@@ -482,14 +482,14 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     dims = _count_computed(monkeypatch, "_hom_dims")
     solves = _count_computed(monkeypatch, "_hom_solve")
     conds, steps, levels = [], [], []
-    real = km._hom_conditions, linalg._rref_inplace
+    real_conditions, real_rref = km._hom_conditions, linalg._rref_inplace
 
     def counted(M, N):
         conds.append((M, N))
-        return real[0](M, N)
+        return real_conditions(M, N)
 
     def eliminated(ctx, X):
-        pivots = real[1](ctx, X)
+        pivots = real_rref(ctx, X)
         steps.append(len(pivots))
         return pivots
 
