@@ -12,7 +12,7 @@ types of the pencil a*sigma0 + b*tau0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import wraps
 from typing import Optional, Sequence
 
@@ -627,7 +627,8 @@ def ddeg_rows(M: HModule, V) -> np.ndarray:
     """Degrees of the rows of V (k x dim): the least n with the row in
     S_n, and -1 for a zero row.  A row lies in S_n exactly when every flag
     row of degree >= n + 1 kills it, so its degree is that of the first
-    flag row that does not: one product V R^T."""
+    flag row that does not: one product V R^T.  The flag is built once for
+    all rows; ddeg answers for one vector from its orbit, without it."""
     V = np.asarray(V, dtype=np.int64)
     if V.ndim != 2 or V.shape[1] != M.dim:
         raise ShapeMismatch(f"rows of shape {V.shape} for a module of dim {M.dim}")
@@ -638,9 +639,32 @@ def ddeg_rows(M: HModule, V) -> np.ndarray:
 
 
 def ddeg(M: HModule, v) -> int:
-    """Least n with v in S_n; -1 for the zero vector."""
-    vec = as_vector(M.ctx, v)
-    return int(ddeg_rows(M, vec[None, :])[0])
+    """Least n with v in S_n; -1 for the zero vector.  v lies in S_n
+    exactly when every word of degree n + 1 kills it, and then so does
+    every word of higher degree: ddeg(v) is the largest a + b with
+    sigma0^a tau0^b v != 0.  Read from the orbit of v: the tau0-chain
+    [v, tau0 v, ...] up to its first zero column, then that block times
+    sigma0 until it is zero; in each block the nonzero columns are a
+    prefix, since tau0 maps a zero column to zero.  At most 2(p - 1)
+    products of at most p columns, each g0 X as gX - X, and no word
+    stack, flag or memo: ddeg_rows reads the flag for many rows at once."""
+    ctx, p = M.ctx, M.ctx.p
+    X = as_vector(ctx, v)
+    if X.shape != (M.dim,):
+        raise ShapeMismatch(f"vector of shape {X.shape} for a module of dim {M.dim}")
+    X = X[:, None]
+    while X.shape[1] < p and X[:, -1].any():
+        last = X[:, -1:]
+        X = np.hstack([X, ctx.sub[_matmul_idx(ctx, M.Mtau.data, last), last]])
+    best = -1
+    for a in range(p):
+        if a:
+            X = ctx.sub[_matmul_idx(ctx, M.Msigma.data, X), X]
+        X = X[:, X.any(axis=0)]  # the nonzero columns, a prefix
+        if not X.size:
+            break
+        best = max(best, a + X.shape[1] - 1)
+    return best
 
 
 def label_degrees(M: HModule) -> np.ndarray:
@@ -1273,7 +1297,9 @@ class Profile:
     jordan_multiset: tuple
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # shallow: asdict would deep-copy the Jordan multiset, and the
+        # JSON text of a tuple is that of the list
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # The invariants that step 3 of is_isomorphic compares, cheapest first,

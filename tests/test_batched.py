@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repcurve import cli
 from repcurve import kmod as km
 from repcurve import linalg
-from repcurve.errors import ZeroPoint
+from repcurve.errors import ShapeMismatch, ZeroPoint
 from repcurve.ff import FieldElem, default_ctx
 from repcurve.linalg import Mat, Subspace, invert, kernel, nilpotent_partitions, rank
 from repcurve.suites import run_suite
@@ -428,6 +429,40 @@ def test_ddeg_rows_one_product_per_level(monkeypatch, p, kind, d):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("p,kind,d,ask,products", [
+    (5, "vdr", 12, ["--label", "eta24"], 8),
+    (5, "vdr", 12, ["--label", "eta1"], 2),
+    (5, "vdr", 12, ["--vector", ";".join(["1,0"] * 24)], 8),
+    (3, "vd", 7, ["--label", "w5"], 4),
+    (3, "vd", 7, ["--vector", ";".join(["1,1"] * 7)], 4),
+])
+def test_query_ddeg_reads_the_orbit(monkeypatch, capsys, tmp_path, p, kind, d, ask, products):
+    # a cold query ddeg builds no flag and no word stack: no elimination,
+    # nothing left on the module, and at most 2(p - 1) products beyond
+    # those of reading the module file (eta1 has degree 0: its chain and
+    # its first sigma0 block are zero after one product each)
+    path = str(tmp_path / "m.json")
+    assert cli.main(["build", kind, "--p", str(p), "--d", str(d), "--beta", "0,1",
+                     "--out", path]) == 0
+    read, loaded = cli._load_module, []
+
+    def load(path):
+        loaded.append(read(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load_module", load)
+    steps = [_count_calls(monkeypatch, mod, "_rref_inplace") for mod in (km, linalg)]
+    calls = _count_products(monkeypatch, km)
+    read(path)
+    construction = len(calls)
+    calls.clear()
+    assert cli.main(["query", "ddeg", path, *ask]) == 0
+    capsys.readouterr()
+    (M,) = loaded
+    assert steps == [[], []] and M._cache == {}
+    assert len(calls) - construction == products <= 2 * (p - 1)
+
+
 @pytest.mark.parametrize("p,d", [(3, 4), (5, 12)])
 def test_hom_space_products_do_not_grow_with_solutions(monkeypatch, p, d):
     ctx = CTX[p]
@@ -606,7 +641,8 @@ FLAG_FIELDS = [default_ctx(2, 2), default_ctx(2, 3), C3, C5, default_ctx(7)]
 def test_flag_matches_direct(ctx, seed, kind, d):
     """The flag's dims, its first dim as the fixed-space dim, ddeg_rows and
     the levels s_filtration forms on request equal the filtration from its
-    definition, on a module in a random basis.  The rows tested are random,
+    definition, on a module in a random basis; so does ddeg, row by row,
+    which reads the orbit and not the flag.  The rows tested are random,
     pushed down by random words, and every basis row of every level, so
     each degree comes up; one is zero.  At p = 7 the family modules are
     v_d of dim at most 16, since v_dr has dim 48 there."""
@@ -646,6 +682,9 @@ def test_flag_matches_direct(ctx, seed, kind, d):
     inside = np.array([S.reduce_rows(V)[1] for S in fil])  # the last level is all of M
     want = np.where(V.any(axis=1), inside.argmax(axis=0), -1)
     assert km.ddeg_rows(M, V).tolist() == want.tolist()
+    assert [km.ddeg(M, v) for v in V] == want.tolist()
+    with pytest.raises(ShapeMismatch):
+        km.ddeg(M, np.zeros(M.dim + 1, dtype=np.int64))
 
 
 @settings(max_examples=30, deadline=None)

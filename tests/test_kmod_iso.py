@@ -1,5 +1,6 @@
 """Isomorphism and indecomposability decision procedures."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -143,6 +144,24 @@ def test_filtration_separated_pair_skips_end_and_scan(capsys, tmp_path):
             assert cli.main(["query", "profile", str(path)]) == 0
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == PROFILE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: v_dr(default_ctx(5), 12, default_ctx(5).gen()),
+    lambda: v_d(C3, 5, T),
+    lambda: direct_sum(v_d(C3, 2, T), dual(v_dr(C3, 4, T))),
+    lambda: trivial_module(C3),
+], ids=["vdr5-12", "vd3-5", "sum", "trivial"])
+def test_query_profile_prints_the_deep_copy_bytes(capsys, tmp_path, build):
+    # Profile.to_json is a shallow dict of the fields; its JSON text is
+    # that of dataclasses.asdict, which deep-copies the Jordan multiset
+    M = build()
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(module_to_json(M)))
+    assert cli.main(["query", "profile", str(path)]) == 0
+    out = capsys.readouterr().out
+    want = json.dumps(dataclasses.asdict(profile(M)), sort_keys=True, indent=2) + "\n"
+    assert out == want
 
 
 # v_d(2, t) + v_d(6, t) and v_d(2, t) + v_d(6, 1 + t) agree in dim,
