@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadParams, ContextMismatch, OutOfRange
 from .ff import FieldCtx, FieldElem, beta_from_alpha
-from .kmod import HModule, dr_action, dual, v_d, vd_definition
+from .kmod import HModule, _memo, dr_action, dual, v_d_family, vd_definition
 from .linalg import Mat
 
 # test grid fixed by configuration; second component drops multiples of p
@@ -204,7 +204,9 @@ class GradedModule:
         return sum(mod.dim for mod in self.pieces.values())
 
 
+@_memo
 def _zero_module(ctx: FieldCtx) -> HModule:
+    """The zero module, shared per context."""
     z = Mat.zeros(ctx, 0, 0)
     return HModule(ctx, z, z, labels=(), meta={"kind": "zero"})
 
@@ -214,28 +216,28 @@ def holo_graded(params: CurveParams) -> GradedModule:
     matrix pair per nontrivial character index c of the prime-to-p cyclic
     action.  Piece c has basis w_i over index_I(c), the initial segment
     0..dd(c)-1, so it is the shared family member v_d at d = dd(c), and
-    one zero module when dd(c) = 0; the dimension count across pieces
-    reproduces the genus."""
+    the shared zero module when dd(c) = 0; the members not built before
+    are checked in one stacked chain (v_d_family).  The dimension count
+    across pieces reproduces the genus."""
     p, m = params.p, params.m
-    gm = GradedModule(params, "holo")
-    piece = None
-    for c in range(1, m):
-        d = len(index_I(p, m, c))
-        # dd is non-increasing in c: pieces of equal dim are consecutive
-        if piece is None or piece.dim != d:
-            piece = v_d(params.ctx, d, params.beta) if d else _zero_module(params.ctx)
-        gm.pieces[c] = piece
+    dims = [len(index_I(p, m, c)) for c in range(1, m)]
+    nonzero = [d for d in dict.fromkeys(dims) if d]
+    members = dict(zip(nonzero, v_d_family(params.ctx, nonzero, params.beta)))
+    if 0 in dims:
+        members[0] = _zero_module(params.ctx)
+    gm = GradedModule(params, "holo", {c: members[d] for c, d in enumerate(dims, 1)})
     assert gm.total_dim() == genus(p, m)
     return gm
 
 
-def _dr_piece(params: CurveParams, omega_idx: tuple, eta_idx: tuple) -> HModule:
+def _dr_piece(params: CurveParams, omega_idx: tuple, eta_idx: tuple) -> tuple:
+    """(Msigma, Mtau, labels, meta) of the de Rham piece on the index sets."""
     d = len(omega_idx)
     # the two independently derived index sets must tile 0..p^2-1 minus {d}
     assert eta_idx == tuple(range(d + 1, params.p ** 2))
     S, T = (Mat(params.ctx, A) for A in dr_action(params.ctx, d, params.beta, params.gamma))
     labels = tuple([f"w{i}" for i in omega_idx] + [f"eta{i}" for i in eta_idx])
-    return HModule(params.ctx, S, T, labels=labels, meta={"kind": "dr_piece", "d": d})
+    return S, T, labels, {"kind": "dr_piece", "d": d}
 
 
 def dr_graded(params: CurveParams) -> GradedModule:
@@ -245,15 +247,14 @@ def dr_graded(params: CurveParams) -> GradedModule:
     labels rewrite to -i*gamma*w_{i-1}: the piece is dr_action at
     d = dd(m-c) with the curve's gamma, which at gamma = 1 builds v_dr(d),
     so vdr_label_map identifies it with v_dr(d).  Pieces with equal index
-    sets are one shared module, built once."""
+    sets are one shared module; the distinct ones, all of dim p^2 - 1,
+    are built and checked by one HModule.batch."""
     p, m = params.p, params.m
-    gm = GradedModule(params, "dr")
-    built: Dict[tuple, HModule] = {}
-    for c in range(1, m):
-        key = (index_I(p, m, m - c), index_J(p, m, c))
-        if key not in built:
-            built[key] = _dr_piece(params, *key)
-        gm.pieces[c] = built[key]
+    keys = [(index_I(p, m, m - c), index_J(p, m, c)) for c in range(1, m)]
+    distinct = list(dict.fromkeys(keys))
+    built = dict(zip(distinct, HModule.batch(params.ctx,
+                                             [_dr_piece(params, *key) for key in distinct])))
+    gm = GradedModule(params, "dr", {c: built[key] for c, key in enumerate(keys, 1)})
     assert gm.total_dim() == (m - 1) * (p ** 2 - 1)
     return gm
 
@@ -271,7 +272,7 @@ def hodge_check(params: CurveParams, c: int) -> dict:
     pp = p * p
     if not (1 <= c <= m - 1):
         raise OutOfRange(f"index {c} outside 1..{m - 1}")
-    piece = _dr_piece(params, index_I(p, m, m - c), index_J(p, m, c))
+    piece = HModule(ctx, *_dr_piece(params, index_I(p, m, m - c), index_J(p, m, c)))
     d = piece.meta["d"]  # dimension of the w-block
     e = pp - 1 - d  # dimension of the quotient
     S, T = vd_definition(ctx, params.beta)

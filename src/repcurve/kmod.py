@@ -119,6 +119,38 @@ def _memo(fn):
     return cached
 
 
+def _square_pair(ctx: FieldCtx, Msigma: Mat, Mtau: Mat) -> int:
+    """The common dim of two square generator matrices over ctx."""
+    if Msigma.ctx != ctx or Mtau.ctx != ctx:
+        raise ContextMismatch("generator matrices over a different context")
+    if not Msigma.is_square() or not Mtau.is_square():
+        raise ShapeMismatch("generator matrices must be square")
+    if Msigma.rows != Mtau.rows:
+        raise ShapeMismatch("generator matrices of different sizes")
+    return Msigma.rows
+
+
+def check_actions(ctx: FieldCtx, gens: np.ndarray) -> None:
+    """Check that each (sigma, tau) pair of the stack gens, shaped
+    (..., 2, d, d), has sigma^p = tau^p = 1 and sigma tau = tau sigma: all
+    p-th powers from one stacked power, sigma tau and tau sigma from one
+    stacked product, however many pairs there are.  The first bad pair
+    raises what HModule raises for it, sigma's order before tau's before
+    commuting."""
+    powers = _matpow_idx(ctx, gens, ctx.p)
+    swapped = _matmul_idx(ctx, gens, gens[..., ::-1, :, :])
+    d = gens.shape[-1]
+    bad_order = (powers != np.eye(d, dtype=np.int64)).any(axis=(-2, -1)).reshape(-1, 2)
+    bad_commute = (swapped[..., 0, :, :] != swapped[..., 1, :, :]).any(axis=(-2, -1))
+    bad = bad_order.any(axis=1) | bad_commute.reshape(-1)
+    if bad.any():
+        j = int(bad.argmax())
+        for name, wrong in zip(("sigma", "tau"), bad_order[j]):
+            if wrong:
+                raise OrderViolation(f"{name} matrix does not have order dividing p")
+        raise NotCommuting("generator matrices do not commute")
+
+
 class HModule:
     """Two commuting order-p matrices over a shared field context.
 
@@ -133,23 +165,38 @@ class HModule:
     def __init__(self, ctx: FieldCtx, Msigma: Mat, Mtau: Mat,
                  labels: Optional[Sequence[str]] = None,
                  meta: Optional[dict] = None):
-        if Msigma.ctx != ctx or Mtau.ctx != ctx:
-            raise ContextMismatch("generator matrices over a different context")
-        if not Msigma.is_square() or not Mtau.is_square():
-            raise ShapeMismatch("generator matrices must be square")
-        if Msigma.rows != Mtau.rows:
-            raise ShapeMismatch("generator matrices of different sizes")
+        _square_pair(ctx, Msigma, Mtau)
+        check_actions(ctx, np.stack([Msigma.data, Mtau.data]))
+        self._fill(ctx, Msigma, Mtau, labels, meta)
+
+    @classmethod
+    def batch(cls, ctx: FieldCtx, specs: Sequence[tuple]) -> list:
+        """[HModule(ctx, *spec) for spec in specs] for (Msigma, Mtau,
+        labels, meta) specs, with the group-action checks of all pairs in
+        one check_actions chain: each pair sits in the leading block of an
+        identity-padded stack at the largest dim, and an identity block
+        changes neither an order nor commuting.  Context and shape errors
+        are raised for each spec first, then the action error of the first
+        bad pair, then label errors; an empty batch checks nothing."""
+        dims = [_square_pair(ctx, S, T) for S, T, *_ in specs]
+        if specs:
+            top = max(dims)
+            gens = np.empty((len(specs), 2, top, top), dtype=np.int64)
+            gens[:] = np.eye(top, dtype=np.int64)
+            for G, (S, T, *_), d in zip(gens, specs, dims):
+                G[0, :d, :d], G[1, :d, :d] = S.data, T.data
+            check_actions(ctx, gens)
+        out = []
+        for spec in specs:
+            M = cls.__new__(cls)
+            M._fill(ctx, *spec)
+            out.append(M)
+        return out
+
+    def _fill(self, ctx: FieldCtx, Msigma: Mat, Mtau: Mat,
+              labels: Optional[Sequence[str]] = None,
+              meta: Optional[dict] = None) -> None:
         d = Msigma.rows
-        # both p-th powers from one stacked power, sigma*tau and tau*sigma
-        # from one stacked product; sigma is reported before tau
-        gens = np.stack([Msigma.data, Mtau.data])
-        powers = _matpow_idx(ctx, gens, ctx.p)
-        for X, name in zip(powers, ("sigma", "tau")):
-            if not np.array_equal(X, np.eye(d, dtype=np.int64)):
-                raise OrderViolation(f"{name} matrix does not have order dividing p")
-        st, ts = _matmul_idx(ctx, gens, gens[::-1])
-        if not np.array_equal(st, ts):
-            raise NotCommuting("generator matrices do not commute")
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != d:
@@ -294,14 +341,29 @@ def v_d(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     """Module on basis w_0..w_{d-1} with binomial action:
     sigma.w_n = sum_i C(n,i) w_i, tau.w_n = sum_i C(n,i) beta^(n-i) w_i.
     Equal arguments over one context return the same shared module."""
+    return HModule(ctx, *_vd_spec(ctx, d, beta))
+
+
+def _vd_spec(ctx: FieldCtx, d: int, beta: FieldElem) -> tuple:
+    """(Msigma, Mtau, labels, meta) of v_d(ctx, d, beta)."""
     p = ctx.p
     if not (1 <= d <= p * p):
         raise BadDimension(f"dimension {d} outside 1..{p * p}")
     _require_nonprime(ctx, beta)
     S, T = binomial_table(ctx, beta)
     labels = tuple(f"w{i}" for i in range(d))
-    return HModule(ctx, Mat(ctx, S[:d, :d].copy()), Mat(ctx, T[:d, :d].copy()),
-                   labels=labels, meta={"kind": "vd", "d": d, "beta": beta.idx})
+    return (Mat(ctx, S[:d, :d].copy()), Mat(ctx, T[:d, :d].copy()), labels,
+            {"kind": "vd", "d": d, "beta": beta.idx})
+
+
+def v_d_family(ctx: FieldCtx, ds: Sequence[int], beta: FieldElem) -> list:
+    """[v_d(ctx, d, beta) for d in ds]; the members not yet shared are
+    built by one HModule.batch and kept where v_d finds them."""
+    new = [d for d in dict.fromkeys(ds) if ("v_d", d, beta.idx) not in ctx._cache]
+    for d, M in zip(new, HModule.batch(ctx, [_vd_spec(ctx, d, beta) for d in new])):
+        # the key _memo reads for v_d(ctx, d, beta)
+        ctx._cache[("v_d", d, beta.idx)] = M
+    return [v_d(ctx, d, beta) for d in ds]
 
 
 def _vdr_index_sets(p: int, d: int) -> tuple:
@@ -1345,7 +1407,7 @@ def module_to_json(M: HModule) -> dict:
 
 
 def _is_str_list(x) -> bool:
-    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+    return isinstance(x, list) and all(map(isinstance, x, itertools.repeat(str)))
 
 
 def module_from_json(obj: dict) -> HModule:
@@ -1367,7 +1429,7 @@ def module_from_json(obj: dict) -> HModule:
         raise BadParams("module JSON: dim must be >= 0")
     for k in ("sigma", "tau"):
         rows = obj[k]
-        if not isinstance(rows, list) or not all(_is_str_list(r) for r in rows):
+        if not isinstance(rows, list) or not all(map(_is_str_list, rows)):
             raise BadParams(f"module JSON: {k} must be a list of rows of element texts")
         if len(rows) != d or any(len(r) != d for r in rows):
             raise ShapeMismatch(f"module JSON: {k} grid does not match dim {d}")
@@ -1377,13 +1439,13 @@ def module_from_json(obj: dict) -> HModule:
     ctx = ctx_new(obj["p"], obj["n"], tuple(modulus))
     # each distinct text is parsed once, in the order of the entries, so
     # the first bad entry is still the one reported
-    texts = dict.fromkeys(v for k in ("sigma", "tau") for row in obj[k] for v in row)
+    texts = dict.fromkeys(itertools.chain.from_iterable(obj["sigma"] + obj["tau"]))
     idx = {v: ctx.from_text(v).idx for v in texts}
 
     def grid(rows) -> Mat:
-        data = np.array([[idx[v] for v in row] for row in rows],
-                        dtype=np.int64).reshape(d, d)
-        return Mat(ctx, data)
+        data = np.fromiter(map(idx.__getitem__, itertools.chain.from_iterable(rows)),
+                           dtype=np.int64, count=d * d)
+        return Mat(ctx, data.reshape(d, d))
 
     return HModule(ctx, grid(obj["sigma"]), grid(obj["tau"]),
                    labels=labels)

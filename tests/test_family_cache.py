@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repcurve import ff, linalg
+from repcurve import curvefam as cf
 from repcurve import kmod as km
 from repcurve.errors import (BadDimension, ContextMismatch, NotCommuting,
-                             OrderViolation, PrimeFieldElement, UnlabeledModule)
+                             OrderViolation, PrimeFieldElement, RepcurveError,
+                             UnlabeledModule)
 from repcurve.cli import main
 from repcurve.ff import FieldCtx, ctx_new, default_ctx
 from repcurve.linalg import Mat, Subspace, kernel, matpow
@@ -275,6 +277,199 @@ def test_module_checks_keep_their_order_and_messages():
     assert km.HModule(C3, Mat.zeros(C3, 0, 0), Mat.zeros(C3, 0, 0)).dim == 0
 
 
+def _count_products(monkeypatch) -> list:
+    calls = []
+    real = linalg._matmul_idx
+
+    def counted(ctx, A, B):
+        calls.append(1)
+        return real(ctx, A, B)
+
+    for module in (linalg, km):
+        monkeypatch.setattr(module, "_matmul_idx", counted)
+    return calls
+
+
+def _outcome(build):
+    """(error type, message) that build() raises, or ("ok", [(dim, sigma,
+    tau, labels, meta)]) of the modules it returns."""
+    try:
+        mods = build()
+    except RepcurveError as e:
+        return type(e), str(e)
+    return "ok", [(M.dim, M.Msigma, M.Mtau, M.labels, M.meta) for M in mods]
+
+
+def _one_by_one(ctx, specs):
+    return _outcome(lambda: [km.HModule(ctx, *spec) for spec in specs])
+
+
+def _batch(ctx, specs):
+    return _outcome(lambda: km.HModule.batch(ctx, specs))
+
+
+def _spec(ctx, d):
+    """(Msigma, Mtau, labels, meta) of v_d(d, t), or of the zero module."""
+    if d:
+        return km._vd_spec(ctx, d, ctx.gen())
+    z = Mat.zeros(ctx, 0, 0)
+    return z, z, (), {"kind": "zero"}
+
+
+J = Mat(C3, np.array([[1, 1], [0, 1]]))        # order 3
+K = Mat(C3, np.array([[1, 0], [1, 1]]))        # order 3, not commuting with J
+D = Mat(C3, np.array([[2, 0], [0, 1]]))        # order 2
+BAD_PAIRS = {"sigma": (D, J), "tau": (J, D), "both": (D, D), "commute": (J, K)}
+
+
+@pytest.mark.parametrize("j", [1, 3])
+@pytest.mark.parametrize("bad", sorted(BAD_PAIRS))
+def test_batch_raises_what_the_first_bad_pair_raises(bad, j):
+    specs = [_spec(C3, d) for d in (4, 2, 0, 9)]
+    specs[j] = BAD_PAIRS[bad]
+    want = _one_by_one(C3, [BAD_PAIRS[bad]])
+    assert want[0] in (OrderViolation, NotCommuting)
+    assert _batch(C3, specs) == _one_by_one(C3, specs) == want
+    # a bad pair after it, of any kind, does not change the report
+    for later in BAD_PAIRS.values():
+        assert _batch(C3, specs + [later]) == want
+
+
+def test_batch_builds_mixed_dims_and_checks_an_empty_batch(monkeypatch):
+    specs = [_spec(C3, d) for d in (3, 0, 9, 1, 0, 5)]
+    calls = _count_products(monkeypatch)
+    mods = km.HModule.batch(C3, specs)
+    # one stacked power (2 products at p = 3) and one stacked commute product
+    assert len(calls) == 3
+    assert [M.dim for M in mods] == [3, 0, 9, 1, 0, 5]
+    assert _outcome(lambda: mods) == _one_by_one(C3, specs)
+    calls.clear()
+    assert km.HModule.batch(C3, []) == [] and calls == []
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 3)])
+def test_batch_matches_one_by_one_over_small_and_cubic_fields(p, n):
+    ctx = default_ctx(p, n)
+    specs = [_spec(ctx, d) for d in range(p * p, -1, -1)]
+    assert _batch(ctx, specs) == _one_by_one(ctx, specs)
+    assert _batch(ctx, specs)[0] == "ok"
+    # a nonzero scalar other than 1 has order prime to p
+    scalar = Mat(ctx, np.full((1, 1), ctx.gen().idx, dtype=np.int64))
+    specs[2] = (Mat.identity(ctx, 1), scalar)
+    assert _batch(ctx, specs) == _one_by_one(ctx, specs)
+    assert _batch(ctx, specs)[0] is OrderViolation
+
+
+def _corrupt(spec, faults, rng):
+    """spec with each fault applied: a diagonal entry of the triangular
+    sigma or tau moved off 1 (its p-th power is then not 1), tau replaced
+    by the transpose of sigma (order p, commuting only at dim 1), or one
+    entry of sigma or tau redrawn."""
+    S, T, labels, meta = spec
+    ctx, d = S.ctx, S.rows
+    for fault in sorted(faults) if d else ():
+        if fault == "commute":
+            T = Mat(ctx, S.data.T.copy())
+            continue
+        on_sigma = fault == "sigma" or (fault == "entry" and rng.random() < 0.5)
+        X = (S if on_sigma else T).data.copy()
+        i = rng.randrange(d)
+        if fault == "entry":
+            X[i, rng.randrange(d)] = rng.randrange(ctx.q)
+        else:
+            X[i, i] = rng.randrange(2, ctx.q)
+        S, T = (Mat(ctx, X), T) if on_sigma else (S, Mat(ctx, X))
+    return S, T, labels, meta
+
+
+FAULTS = st.sets(st.sampled_from(["sigma", "tau", "commute", "entry"]), max_size=2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([C3, C5]), st.integers(0, 10**6),
+       st.lists(st.tuples(st.integers(0, 9), FAULTS), max_size=6))
+def test_batch_outcome_is_the_first_one_by_one_outcome(ctx, seed, pairs):
+    """Random stacks of family pairs, most of them corrupted (_corrupt):
+    the batch builds what one-by-one construction builds, or raises what
+    its first failing construction raises."""
+    rng = random.Random(seed)
+    specs = [_corrupt(_spec(ctx, d), faults, rng) for d, faults in pairs]
+    assert _batch(ctx, specs) == _one_by_one(ctx, specs)
+
+
+def test_single_construction_keeps_its_products(monkeypatch):
+    calls = _count_products(monkeypatch)
+    km.HModule(C3, *_spec(C3, 5)[:2])
+    assert len(calls) == 3
+    km.HModule(C5, *_spec(C5, 12)[:2])
+    assert len(calls) == 3 + 4
+
+
+def test_family_batch_fills_the_v_d_memo(monkeypatch):
+    t = C5.gen()
+    M = km.v_d(C5, 7, t)
+    calls = _count_products(monkeypatch)
+    mods = km.v_d_family(C5, [7, 3, 7, 12], t)
+    # v_d(7) is shared already; v_d(3) and v_d(12) take one stacked check
+    assert len(calls) == 4
+    assert mods[0] is M is mods[2]
+    assert mods[1] is km.v_d(C5, 3, t) and mods[3] is km.v_d(C5, 12, t)
+    assert km.v_d_family(C5, [3, 12], t) == [mods[1], mods[3]]
+    assert len(calls) == 4
+    with pytest.raises(ContextMismatch):
+        km.v_d_family(C5, [3], C3.gen())
+
+
+# products of one cold build; checking each distinct piece with its own
+# chain took 27, 100, 100 and 27
+BUILD_PRODUCTS = [
+    (("dr", "--p", "3", "--m", "10"), 3),
+    (("holo", "--p", "5", "--m", "26"), 8),
+    (("dr", "--p", "5", "--m", "99"), 4),
+    (("holo", "--p", "3", "--m", "100"), 6),
+]
+
+
+@pytest.mark.parametrize("argv,most", BUILD_PRODUCTS,
+                         ids=[" ".join(argv) for argv, _ in BUILD_PRODUCTS])
+def test_graded_build_checks_its_pieces_in_one_chain(monkeypatch, tmp_path, argv, most):
+    out = tmp_path / "graded.json"
+    build = ["build", *argv, "--alpha", "0,1", "--out", str(out)]
+    calls = _count_products(monkeypatch)
+    assert main(build) == 0
+    assert 0 < len(calls) <= most
+    assert len(json.loads(out.read_text())["pieces"]) == int(argv[-1]) - 1
+    if argv[0] == "holo":
+        # every holomorphic piece is shared: a second build checks nothing
+        calls.clear()
+        assert main(build) == 0 and calls == []
+
+
+def test_planted_fault_in_one_dr_piece_is_reported(monkeypatch, capsys):
+    ctx = default_ctx(3)
+    params = cf.curve_params(ctx, 10, ctx.from_text("0,1"))
+    real = km.dr_action
+
+    def broken(ctx, d, beta, gamma):
+        S, T = real(ctx, d, beta, gamma)
+        if d == 4:
+            S = S.copy()
+            S[0, 0] = 2
+        return S, T
+
+    # curvefam calls its own import of dr_action
+    monkeypatch.setattr(km, "dr_action", broken)
+    monkeypatch.setattr(cf, "dr_action", broken)
+    # piece c = 5 has d = dd(10 - 5) = 4; the others are sound
+    S, T, _, _ = cf._dr_piece(params, cf.index_I(3, 10, 5), cf.index_J(3, 10, 5))
+    with pytest.raises(OrderViolation) as alone:
+        km.HModule(ctx, S, T)
+    assert main(["build", "dr", "--p", "3", "--m", "10", "--alpha", "0,1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "OrderViolation", "message": str(alone.value)}
+
+
 def _conjugate(M, rng):
     """M written in a random basis: a new module with empty caches."""
     ctx = M.ctx
@@ -477,10 +672,13 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     # modules), 154 relation solves (115 End, 39 pairs kept on their first
     # module) and forms 460 condition matrices, and makes 1,635
     # eliminations of 9,690 pivot steps in all (13,526 steps when each
-    # filtration level took its own elimination), and forms no filtration
-    # level; counts, unlike times, are free of host noise
+    # filtration level took its own elimination), forms no filtration
+    # level and makes 4,371 products (4,586 when each graded piece took its
+    # own order and commute check); counts, unlike times, are free of host
+    # noise
     dims = _count_computed(monkeypatch, "_hom_dims")
     solves = _count_computed(monkeypatch, "_hom_solve")
+    products = _count_products(monkeypatch)
     conds, steps, levels = [], [], []
     real_conditions, real_rref = km._hom_conditions, linalg._rref_inplace
 
@@ -499,8 +697,8 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
         monkeypatch.setattr(module, "_rref_inplace", eliminated)
     assert run_suite("all", SUITE_PRIMES, seed=0)["exit"] == 0
     assert levels == []
-    counts = (len(dims), len(solves), len(conds), len(steps), sum(steps))
-    assert all(n <= most for n, most in zip(counts, (153, 154, 460, 1635, 9690))), counts
+    counts = (len(dims), len(solves), len(conds), len(steps), sum(steps), len(products))
+    assert all(n <= most for n, most in zip(counts, (153, 154, 460, 1635, 9690, 4371))), counts
 
 
 def test_hom_basis_pair_forms_one_hom_kernel(monkeypatch):
