@@ -40,7 +40,7 @@ from .linalg import (
     _matmul_idx,
     _matpow_idx,
     _rank_stack,
-    _rref_inplace,
+    _row_profile,
     as_vector,
     invert,
     kernel,
@@ -98,12 +98,17 @@ def binom_mod_p(n: int, i: int, p: int) -> int:
 # HModule
 
 
+_MISSING = object()
+
+
 def _memo(fn):
     """Keep fn(owner, *args) in owner._cache under fn's name and the
     arguments, a field element by its idx: each cached value lives on the
     field context or module it is computed from, and is freed with it.  A
     field element of another field than the owner's raises ContextMismatch
-    before the lookup, since its idx names an unrelated element here."""
+    before the lookup, since its idx names an unrelated element here.  The
+    key is looked up once; a sentinel marks a miss, since a cached value
+    may be None."""
     name = fn.__name__
 
     @wraps(fn)
@@ -112,9 +117,10 @@ def _memo(fn):
         if any(isinstance(a, FieldElem) and a.ctx != ctx for a in args):
             raise ContextMismatch("parameter from a different field context")
         key = (name, *[a.idx if isinstance(a, FieldElem) else a for a in args])
-        if key not in owner._cache:
-            owner._cache[key] = fn(owner, *args)
-        return owner._cache[key]
+        value = owner._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = owner._cache[key] = fn(owner, *args)
+        return value
 
     return cached
 
@@ -157,10 +163,11 @@ class HModule:
     Immutable; derived data (filtration, End solve and split, word
     matrices, dual) is kept on the instance by _memo.  labels and meta carry
     construction provenance used by label-aware operations and are not
-    part of equality.
+    part of equality.  The hash serializes both matrices once, on first
+    use, and is kept in _hash.
     """
 
-    __slots__ = ("ctx", "dim", "Msigma", "Mtau", "labels", "meta", "_cache")
+    __slots__ = ("ctx", "dim", "Msigma", "Mtau", "labels", "meta", "_cache", "_hash")
 
     def __init__(self, ctx: FieldCtx, Msigma: Mat, Mtau: Mat,
                  labels: Optional[Sequence[str]] = None,
@@ -211,6 +218,7 @@ class HModule:
         self.labels = labels
         self.meta = dict(meta) if meta else {}
         self._cache: dict = {}
+        self._hash: Optional[int] = None
 
     # -- derived matrices ----------------------------------------------------
 
@@ -261,7 +269,9 @@ class HModule:
                 and self.Msigma == other.Msigma and self.Mtau == other.Mtau)
 
     def __hash__(self):
-        return hash((self.ctx, self.Msigma, self.Mtau))
+        if self._hash is None:
+            self._hash = hash((self.ctx, self.Msigma, self.Mtau))
+        return self._hash
 
     def __repr__(self):
         kind = self.meta.get("kind", "module")
@@ -629,51 +639,36 @@ def fixed_space(M: HModule) -> Subspace:
 
 @_memo
 def _flag(M: HModule) -> tuple:
-    """(R, deg): a basis of the row vectors, as the rows of R by
-    descending degree deg, whose rows of degree >= n + 1 span the
-    annihilator of S_n, the row space of the words of degree n + 1 (and
-    so of all words of higher degree).  The word blocks of M.word_stack()
-    are walked from degree 2p - 2 down; each, less its zero rows, is
-    reduced by the RREF basis B of the blocks before it, and its new pivot
-    rows are its rows of R, which B then takes in by back-substitution.
-    The degree-0 block is the identity, whose rows reduce to the unit rows
-    off the pivots of B: so the flag takes dim M - dim S_0 pivot steps."""
-    ctx, p, d = M.ctx, M.ctx.p, M.dim
-    W = M.word_stack()
+    """(R, deg): rows of the words of degree >= 1, by descending degree
+    deg, whose rows of degree >= n + 1 span the annihilator of S_n, the
+    row space of the words of degree n + 1 (and so of all words of higher
+    degree).  The nonzero word rows of M.word_stack() are stacked from
+    degree 2p - 2 down, and R is those at their row rank profile
+    (_row_profile): each row of R lies outside the span of the rows
+    before it, so the flag takes dim M - dim S_0 pivot steps, in one
+    elimination.  No row of degree 0 is kept: S_0 has dim M - len(R)."""
+    p, d = M.ctx.p, M.dim
     deg = np.add.outer(np.arange(p), np.arange(p)).ravel()  # of the word at a*p + b
-    live = W.reshape(p * p, -1).any(axis=1)
-    B, piv, rows, degs = None, [], [], []
-    for e in range(int(deg[live].max(initial=0)), 0, -1):
-        X = W[live & (deg == e)].reshape(-1, d)
-        X = X[X.any(axis=1)]
-        if B is not None:
-            X = ctx.sub[X, _matmul_idx(ctx, X[:, piv], B)]
-        new = _rref_inplace(ctx, X)
-        if not new:
-            continue
-        N = X[: len(new)]
-        if B is None:
-            B = N
-        elif e > 1:  # the identity block reads only the pivots
-            B = np.vstack([ctx.sub[B, _matmul_idx(ctx, B[:, new], N)], N])
-        piv += new
-        rows.append(N)
-        degs += [e] * len(new)
-    free = np.ones(d, dtype=bool)
-    free[piv] = False
-    rows.append(np.eye(d, dtype=np.int64)[free])
-    degs += [0] * int(free.sum())
-    R = np.vstack(rows)
+    order = np.argsort(-deg[1:], kind="stable") + 1  # the words of degree >= 1
+    X = M.word_stack()[order].reshape(order.size * d, d)
+    keep = X.any(axis=1)
+    X, rowdeg = X[keep], np.repeat(deg[order], d)[keep]
+    prof = _row_profile(M.ctx, X)
+    R = X[prof]
     R.setflags(write=False)
-    return R, np.array(degs, dtype=np.int64)
+    return R, rowdeg[prof]
 
 
 @_memo
 def filtration_dims(M: HModule) -> tuple:
     """dim S_n for n = 0, 1, ... up to the first S_n that is the whole
-    module: dim M less the number of flag rows of degree >= n + 1, that is
-    the number of flag rows of degree <= n."""
-    return tuple(np.cumsum(np.bincount(_flag(M)[1], minlength=1)).tolist())
+    module: dim M less the number of flag rows of degree >= n + 1, so
+    dim S_0 = dim M - len(R) and each later level adds the flag rows of
+    its degree."""
+    R, deg = _flag(M)
+    counts = np.bincount(deg, minlength=1)
+    counts[0] = M.dim - len(R)
+    return tuple(np.cumsum(counts).tolist())
 
 
 def s_filtration(M: HModule) -> list:
@@ -689,15 +684,18 @@ def ddeg_rows(M: HModule, V) -> np.ndarray:
     """Degrees of the rows of V (k x dim): the least n with the row in
     S_n, and -1 for a zero row.  A row lies in S_n exactly when every flag
     row of degree >= n + 1 kills it, so its degree is that of the first
-    flag row that does not: one product V R^T.  The flag is built once for
-    all rows; ddeg answers for one vector from its orbit, without it."""
+    flag row that does not: one product V R^T, and 0 for a nonzero row
+    that no flag row hits.  The flag is built once for all rows; ddeg
+    answers for one vector from its orbit, without it."""
     V = np.asarray(V, dtype=np.int64)
     if V.ndim != 2 or V.shape[1] != M.dim:
         raise ShapeMismatch(f"rows of shape {V.shape} for a module of dim {M.dim}")
     R, deg = _flag(M)
-    # a last column that every row hits gives the zero rows -1
-    hit = np.hstack([_matmul_idx(M.ctx, V, R.T) != 0, np.ones((len(V), 1), dtype=bool)])
-    return np.append(deg, -1)[hit.argmax(axis=1)]
+    # then a column hit by the nonzero rows (degree 0) and one by every
+    # row, which gives the zero rows -1
+    hit = np.hstack([_matmul_idx(M.ctx, V, R.T) != 0, V.any(axis=1, keepdims=True),
+                     np.ones((len(V), 1), dtype=bool)])
+    return np.append(deg, (0, -1))[hit.argmax(axis=1)]
 
 
 def ddeg(M: HModule, v) -> int:
@@ -829,12 +827,14 @@ def _hom_solve(M: HModule, N: HModule) -> Subspace:
     """The relation solve: the generator images in N^t of every map
     M -> N, as the kernel of _hom_conditions, kept on M per N.  End(M) is
     its (M, M) value, which end_dim reads and hom_space(M, M) reuses; the
-    dims of two modules come from _hom_dims, with no kernel."""
+    dims of two modules come from _hom_dims, with no kernel.  A condition
+    matrix that _hom_dims kept for this solve is taken and dropped."""
     if M.ctx != N.ctx:
         raise ContextMismatch("modules over different field contexts")
     if M.dim == 0 or N.dim == 0:
         return Subspace.zero(M.ctx, 0)
-    return kernel(Mat(M.ctx, _hom_conditions(M, N)))
+    C = M._cache.pop(("_hom_conditions", N), None)
+    return kernel(Mat(M.ctx, _hom_conditions(M, N) if C is None else C))
 
 
 @_memo
@@ -843,7 +843,11 @@ def _hom_dims(M: HModule, N: HModule) -> tuple:
     per M: the ranks of both condition matrices, zero-padded to one shape,
     from one stacked rank.  Padding adds zero rows and columns, which
     change no rank, and each dim is the column count of its own matrix
-    less its rank."""
+    less its rank.  When both dims equal both End dims, which step 3 of
+    is_isomorphic has cached, step 5 solves Hom(M, N): C(M, N) is kept on
+    M until _hom_solve(M, N) takes it, so it is formed once.  Nothing is
+    kept for N = M, whose solve end_dim has already cached; another caller
+    whose two dims agree pays for both End solves here."""
     if M.ctx != N.ctx:
         raise ContextMismatch("modules over different field contexts")
     if M.dim == 0 or N.dim == 0:
@@ -857,6 +861,8 @@ def _hom_dims(M: HModule, N: HModule) -> tuple:
     dims = tuple(int(C.shape[1] - r) for C, r in zip(conds, ranks))
     # the key _memo reads for _hom_dims(N, M)
     N._cache[("_hom_dims", M)] = dims[::-1]
+    if M is not N and dims[0] == dims[1] == end_dim(M) == end_dim(N):
+        M._cache[("_hom_conditions", N)] = conds[0]
     return dims
 
 

@@ -201,6 +201,40 @@ def _rref_inplace(ctx: FieldCtx, M: np.ndarray) -> list:
     return pivots
 
 
+def _row_profile(ctx: FieldCtx, X: np.ndarray) -> np.ndarray:
+    """Row rank profile of X: the indices k of the rows of X outside the
+    span of rows 0..k-1, from one forward elimination of a copy of X^T
+    (Dumas, Pernet and Sultan, ISSAC 2013).  Each step jumps to the next
+    column with a nonzero entry, takes its first nonzero row as pivot and
+    clears that column in the rows below it with the two flat gathers of
+    _rref_inplace; no later step reads the pivot row, so it is zeroed.
+    No row swap, no back-substitution, and X is never written."""
+    q = ctx.q
+    sub, mul = ctx.sub.reshape(-1), ctx.mul.reshape(-1)
+    T = X.T.copy()
+    out, c = [], 0
+    while len(out) < T.shape[0] and c < T.shape[1]:
+        nz = T[:, c:].any(axis=0)
+        j = int(nz.argmax())
+        if not nz[j]:
+            break
+        c += j
+        col = T[:, c]
+        rows = col.nonzero()[0]
+        r, upd = rows[0], rows[1:]
+        if upd.size:
+            prow = T[r, c:]
+            inv = ctx.inv[prow[0]]
+            if inv != 1:
+                prow = mul.take(inv * q + prow)
+            prod = mul.take(col[upd, None] * q + prow)
+            T[upd, c:] = sub.take(T[upd, c:] * q + prod)
+        T[r] = 0
+        out.append(c)
+        c += 1
+    return np.array(out, dtype=np.int64)
+
+
 def rref(A: Mat) -> tuple:
     """Returns (canonical RREF matrix, rank)."""
     M = A.data.copy()

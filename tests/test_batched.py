@@ -437,8 +437,8 @@ def test_ddeg_rows_one_product_per_level(monkeypatch, p, kind, d):
     (3, "vd", 7, ["--vector", ";".join(["1,1"] * 7)], 4),
 ])
 def test_query_ddeg_reads_the_orbit(monkeypatch, capsys, tmp_path, p, kind, d, ask, products):
-    # a cold query ddeg builds no flag and no word stack: no elimination,
-    # nothing left on the module, and at most 2(p - 1) products beyond
+    # a cold query ddeg builds no flag and no word stack: no elimination and
+    # no row profile, nothing left on the module, and at most 2(p - 1) products beyond
     # those of reading the module file (eta1 has degree 0: its chain and
     # its first sigma0 block are zero after one product each)
     path = str(tmp_path / "m.json")
@@ -451,7 +451,8 @@ def test_query_ddeg_reads_the_orbit(monkeypatch, capsys, tmp_path, p, kind, d, a
         return loaded[-1]
 
     monkeypatch.setattr(cli, "_load_module", load)
-    steps = [_count_calls(monkeypatch, mod, "_rref_inplace") for mod in (km, linalg)]
+    steps = [_count_calls(monkeypatch, mod, name)
+             for mod, name in ((linalg, "_rref_inplace"), (km, "_row_profile"))]
     calls = _count_products(monkeypatch, km)
     read(path)
     construction = len(calls)
@@ -635,6 +636,63 @@ def test_s_filtration_matches_direct(ctx, seed, kind, d):
 FLAG_FIELDS = [default_ctx(2, 2), default_ctx(2, 3), C3, C5, default_ctx(7)]
 
 
+def ref_rank(ctx, X):
+    return len(ref_rref_inplace(ctx, X.copy()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FLAG_FIELDS + [default_ctx(3, 3)]), st.integers(0, 10**6),
+       st.sampled_from([(0, 0), (0, 5), (5, 0), (24, 300), "small"]),
+       st.sampled_from(["random", "zero", "dependent"]))
+def test_row_profile_matches_rank_increments(ctx, seed, shape, fill):
+    """_row_profile returns exactly the k with rank X[:k+1] > rank X[:k],
+    and leaves X as it was.  Dependent draws repeat rows, zero some and
+    put in combinations of earlier rows."""
+    rng = random.Random(seed)
+    k, n = (rng.randrange(13), rng.randrange(1, 13)) if shape == "small" else shape
+    X = rand_rows(ctx, rng, k, n) if fill != "zero" else np.zeros((k, n), dtype=np.int64)
+    if fill == "dependent":
+        for i in range(1, k):
+            a, b = rng.randrange(i), rng.randrange(i)
+            pick = rng.randrange(4)
+            if pick == 0:
+                X[i] = X[a]
+            elif pick == 1:
+                X[i] = 0
+            elif pick == 2:
+                f, g = rng.randrange(ctx.q), rng.randrange(ctx.q)
+                X[i] = ctx.add[ctx.mul[f, X[a]], ctx.mul[g, X[b]]]
+    before = X.copy()
+    want = [i for i in range(k) if ref_rank(ctx, X[:i + 1]) > ref_rank(ctx, X[:i])]
+    assert linalg._row_profile(ctx, X).tolist() == want
+    assert np.array_equal(X, before)
+
+
+@pytest.mark.parametrize("build,dims", [
+    (lambda: km.HModule(C3, Mat.zeros(C3, 0, 0), Mat.zeros(C3, 0, 0)), (0,)),
+    (lambda: km.trivial_module(C3), (1,)),
+    (lambda: km.regular_module(C2), (1, 3, 4)),
+    (lambda: km.direct_sum(km.direct_sum(*[km.trivial_module(C3)] * 2), km.trivial_module(C3)),
+     (3,)),
+], ids=["zero", "trivial", "regular-p2", "trivial3"])
+def test_flag_edge_modules(build, dims):
+    # dim 0, dim 1, the regular module at p = 2, and a module whose S_0 is
+    # all of it: the flag has dim M - dim S_0 rows, none of them of degree 0
+    M = build()
+    fil = s_filtration_direct(M)
+    assert km.filtration_dims(M) == dims == tuple(S.dim for S in fil)
+    assert km.s_filtration(M) == fil
+    R, deg = km._flag(M)
+    assert R.shape == (M.dim - dims[0], M.dim) and (deg > 0).all()
+    # a zero row reads -1 and a nonzero S_0 row 0; every basis row of
+    # every level reads the first level holding it
+    V = np.vstack([np.zeros((1, M.dim), dtype=np.int64)] + [S.basis for S in fil])
+    want = [-1] + [next(n for n, S in enumerate(fil) if S.reduce(v) is not None)
+                   for v in V[1:]]
+    assert km.ddeg_rows(M, V).tolist() == want
+    assert km.ddeg_rows(M, fil[0].basis).tolist() == [0] * dims[0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(FLAG_FIELDS), st.integers(0, 10**6),
        st.sampled_from(["vd", "vdr", "dual", "sum", "sub", "zero"]), st.integers(1, 49))
@@ -722,25 +780,27 @@ def _count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("p,kind,d", [(3, "vd", 9), (3, "vdr", 4), (5, "vd", 23), (5, "vdr", 12)])
 def test_flag_takes_at_most_dim_pivot_steps(monkeypatch, p, kind, d):
-    # one elimination per nonzero word degree above 0, and each pivot step
-    # adds a flag row: dim M - dim S_0 steps in all, where the per-level
-    # eliminations took the sum of the codims of the S_n
+    # one row rank profile of all word rows of degree >= 1, whose pivot
+    # steps are the flag rows: dim M - dim S_0 steps in one call, and no
+    # _rref_inplace call
     ctx = CTX[p]
     M = _module(ctx, kind, d)
     M = km.HModule(ctx, M.Msigma, M.Mtau)  # a flag of its own, not the shared module's
+    eliminations = _count_calls(monkeypatch, linalg, "_rref_inplace")
     steps = []
-    real = km._rref_inplace
+    real = km._row_profile
 
     def counted(ctx, X):
-        pivots = real(ctx, X)
-        steps.append(len(pivots))
-        return pivots
+        rows = real(ctx, X)
+        steps.append(len(rows))
+        return rows
 
-    monkeypatch.setattr(km, "_rref_inplace", counted)
+    monkeypatch.setattr(km, "_row_profile", counted)
     R, deg = km._flag(M)
     dims = km.filtration_dims(M)
-    assert sum(steps) == M.dim - dims[0] <= M.dim == len(R)
-    assert len(steps) <= len(dims) - 1
+    assert eliminations == [] and not hasattr(km, "_rref_inplace")
+    assert steps == [len(R)] == [M.dim - dims[0]]
+    assert 0 < len(R) < M.dim
 
 
 @pytest.mark.parametrize("p,d", [(3, 4), (5, 12)])

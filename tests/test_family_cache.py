@@ -670,17 +670,21 @@ def _count_computed(monkeypatch, name) -> list:
 def test_verify_all_hom_work_stays_counted(monkeypatch):
     # `verify all` at seed 0 computes 153 Hom dim pairs (each kept on both
     # modules), 154 relation solves (115 End, 39 pairs kept on their first
-    # module) and forms 460 condition matrices, and makes 1,635
-    # eliminations of 9,690 pivot steps in all (13,526 steps when each
-    # filtration level took its own elimination), forms no filtration
-    # level and makes 4,371 products (4,586 when each graded piece took its
-    # own order and commute check); counts, unlike times, are free of host
-    # noise
+    # module) and forms 421 condition matrices (460 when step 5 of
+    # is_isomorphic formed its Hom(M, N) conditions again), and makes 977
+    # eliminations of 7,966 pivot steps and 167 flag row profiles of 1,724
+    # steps: 9,690 steps in all, as when each flag took one elimination
+    # per word degree (1,635 eliminations), and 13,526 when each filtration
+    # level took its own.  It forms no filtration level and makes 3,468
+    # products (4,371 with those per-degree eliminations and both condition
+    # matrices, 4,586 when each graded piece took its own order and commute
+    # check); counts, unlike times, are free of host noise
     dims = _count_computed(monkeypatch, "_hom_dims")
     solves = _count_computed(monkeypatch, "_hom_solve")
     products = _count_products(monkeypatch)
-    conds, steps, levels = [], [], []
+    conds, steps, profiles, levels = [], [], [], []
     real_conditions, real_rref = km._hom_conditions, linalg._rref_inplace
+    real_profile = linalg._row_profile
 
     def counted(M, N):
         conds.append((M, N))
@@ -691,14 +695,21 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
         steps.append(len(pivots))
         return pivots
 
+    def profiled(ctx, X):
+        rows = real_profile(ctx, X)
+        profiles.append(len(rows))
+        return rows
+
     monkeypatch.setattr(km, "_hom_conditions", counted)
     monkeypatch.setattr(km, "s_filtration", levels.append)
-    for module in (linalg, km):
-        monkeypatch.setattr(module, "_rref_inplace", eliminated)
+    monkeypatch.setattr(linalg, "_rref_inplace", eliminated)
+    monkeypatch.setattr(km, "_row_profile", profiled)
     assert run_suite("all", SUITE_PRIMES, seed=0)["exit"] == 0
     assert levels == []
-    counts = (len(dims), len(solves), len(conds), len(steps), sum(steps), len(products))
-    assert all(n <= most for n, most in zip(counts, (153, 154, 460, 1635, 9690, 4371))), counts
+    counts = (len(dims), len(solves), len(conds), len(steps), sum(steps), len(profiles),
+              sum(profiles), len(products))
+    most = (153, 154, 421, 977, 7966, 167, 1724, 3468)
+    assert all(n <= m for n, m in zip(counts, most)), counts
 
 
 def test_hom_basis_pair_forms_one_hom_kernel(monkeypatch):
@@ -709,8 +720,10 @@ def test_hom_basis_pair_forms_one_hom_kernel(monkeypatch):
     dec = km.is_isomorphic(M, N)
     assert (dec.verdict, dec.method) == ("YES", "hom-basis")
     assert [(A, B) for A, B in solves if A is not B] == [(M, N)]
-    # the dims, then the one Hom(M, N) kernel of step 5
-    assert conds == [(M, N), (N, M), (M, N)]
+    # the dims; the one Hom(M, N) kernel of step 5 takes the (M, N)
+    # conditions that _hom_dims kept, and drops them
+    assert conds == [(M, N), (N, M)]
+    assert ("_hom_conditions", N) not in M._cache
 
 
 def test_decision_radical_runs_on_the_socle_image(monkeypatch):
