@@ -9,9 +9,10 @@ field this package targets (F_9, F_25 and their quadratic extensions).
 
 Each field is built and checked from its definition.  The modulus f is
 irreducible when no monic polynomial of degree 1..n//2 divides it (trial
-division).  One table of t^0 .. t^(2n-2) mod f gives the fold of digit
-products that linalg's matrix product uses, and mul is the digit-plane
-products of every pair folded through it.
+division).  Since a*b = sum_i a_i (t^i b), one table holds the digits of
+t^i b, reduced mod f, for every element b and every i < n: mul reads
+digit k of a*b from it as sum_i a_i (t^i b)_k mod p, and linalg's matrix
+product packs it into float64 words (see linalg._matmul_idx).
 
 The default modulus of each (p, n) is find_irreducible's answer, the
 first monic irreducible in lexicographic order (t^2 + 1 for p = 3, t^2 + 2
@@ -113,7 +114,8 @@ class FieldCtx:
     __slots__ = (
         "p", "n", "q", "modulus",
         "add", "sub", "mul", "neg", "inv", "frob", "proot",
-        "texts", "_digits", "_pwr", "_planes", "_fold", "_cache", "__weakref__",
+        "texts", "_digits", "_fdigits", "_tdigits", "_packed", "_cache",
+        "__weakref__",
     )
 
     def __init__(self, p: int, n: int, modulus: Sequence[int]):
@@ -146,34 +148,29 @@ class FieldCtx:
         self.texts = np.array([",".join(map(str, row)) for row in digits.tolist()],
                               dtype=object)
         self.texts.setflags(write=False)
-        self._pwr = np.array([p**i for i in range(n)], dtype=np.int64)
 
         # add and mul are built one digit at a time, so no q x q x n array
         self.add = sum((digits[:, None, i] + digits[None, :, i]) % p * p**i for i in range(n))
-        self.neg = (((-digits) % p) @ self._pwr).astype(np.int64)
+        self.neg = ((-digits) % p) @ (p ** np.arange(n, dtype=np.int64))
         self.sub = self.add[:, self.neg]
 
-        # one table of t^0 .. t^(2n-2) mod f, row e the digits of t^e:
-        # t^e = t * t^(e-1), with t^n = -(f_0 + ... + f_(n-1) t^(n-1))
-        pw = np.zeros((2 * n - 1, n), dtype=np.int64)
-        pw[0, 0] = 1
+        # the digits of t^i * b for every b, at [b, i]: t^i b = t * t^(i-1) b,
+        # with t^n = -(f_0 + ... + f_(n-1) t^(n-1))
         tn = np.array([(-c) % p for c in self.modulus[:-1]], dtype=np.int64)
-        for e in range(1, 2 * n - 1):
-            pw[e, 1:] = pw[e - 1, :-1]
-            pw[e] = (pw[e] + pw[e - 1, -1] * tn) % p
-        # the digit planes as float64 rows, and the fold that sends the n*n
-        # plane products (i, j) to the digits of t^(i+j).  Column i*n + j
-        # is pair (i, j); it must agree with the plane layout of the
-        # product in linalg._matmul_idx (see its docstring).
-        self._planes = digits.T.astype(np.float64)
-        r = np.arange(n)
-        self._fold = pw[(r[:, None] + r).reshape(-1)].T.astype(np.float64, order="C")
-        for table in (self._planes, self._fold):
+        tdigits = np.zeros((q, n, n), dtype=np.int64)
+        tdigits[:, 0] = digits
+        for i in range(1, n):
+            prev = tdigits[:, i - 1]
+            tdigits[:, i, 1:] = prev[:, :-1]
+            tdigits[:, i] = (tdigits[:, i] + prev[:, -1:] * tn) % p
+        self._fdigits = digits.astype(np.float64)
+        self._tdigits = tdigits.astype(np.float64)
+        for table in (self._fdigits, self._tdigits):
             table.setflags(write=False)
-        # mul from the same planes and fold, as exact float64 products:
-        # digit k of a*b is the sum over (i, j) of fold[k, (i, j)] a_i b_j
-        fold = self._fold.reshape(n, n, n)
-        self.mul = sum((self._planes.T @ (fold[k] @ self._planes) % p).astype(np.int64) * p**k
+        # linalg._packed's tables, per slot width
+        self._packed: dict = {}
+        # digit k of a*b is sum_i a_i (t^i b)_k, an exact float64 product
+        self.mul = sum((self._fdigits @ self._tdigits[:, :, k].T % p).astype(np.int64) * p**k
                        for k in range(n))
 
         # inverses by row scan of the multiplication table

@@ -138,16 +138,19 @@ def _square_pair(ctx: FieldCtx, Msigma: Mat, Mtau: Mat) -> int:
 
 def check_actions(ctx: FieldCtx, gens: np.ndarray) -> None:
     """Check that each (sigma, tau) pair of the stack gens, shaped
-    (..., 2, d, d), has sigma^p = tau^p = 1 and sigma tau = tau sigma: all
-    p-th powers from one stacked power, sigma tau and tau sigma from one
-    stacked product, however many pairs there are.  The first bad pair
-    raises what HModule raises for it, sigma's order before tau's before
-    commuting."""
-    powers = _matpow_idx(ctx, gens, ctx.p)
-    swapped = _matmul_idx(ctx, gens, gens[..., ::-1, :, :])
+    (..., 2, d, d), has sigma^p = tau^p = 1 and sigma tau = tau sigma:
+    sigma^2, tau^2, sigma tau and tau sigma from one stacked product, then
+    sigma^p and tau^p from one stacked power of the squares, however many
+    pairs there are.  The first bad pair raises what HModule raises for
+    it, sigma's order before tau's before commuting."""
+    prods = _matmul_idx(ctx, np.concatenate([gens, gens], axis=-3),
+                        np.concatenate([gens, gens[..., ::-1, :, :]], axis=-3))
+    powers = _matpow_idx(ctx, prods[..., :2, :, :], ctx.p // 2)
+    if ctx.p % 2:
+        powers = _matmul_idx(ctx, powers, gens)
     d = gens.shape[-1]
     bad_order = (powers != np.eye(d, dtype=np.int64)).any(axis=(-2, -1)).reshape(-1, 2)
-    bad_commute = (swapped[..., 0, :, :] != swapped[..., 1, :, :]).any(axis=(-2, -1))
+    bad_commute = (prods[..., 2, :, :] != prods[..., 3, :, :]).any(axis=(-2, -1))
     bad = bad_order.any(axis=1) | bad_commute.reshape(-1)
     if bad.any():
         j = int(bad.argmax())
@@ -1416,6 +1419,12 @@ def _is_str_list(x) -> bool:
     return isinstance(x, list) and all(map(isinstance, x, itertools.repeat(str)))
 
 
+@_memo
+def _text_index(ctx: FieldCtx) -> dict:
+    """The index of each of the q element texts ctx.texts spells."""
+    return dict(zip(ctx.texts.tolist(), range(ctx.q)))
+
+
 def module_from_json(obj: dict) -> HModule:
     """Inverse of module_to_json.  Input from outside is checked against
     that shape first: a missing key or a wrong type raises BadParams."""
@@ -1443,15 +1452,14 @@ def module_from_json(obj: dict) -> HModule:
     if labels is not None and not _is_str_list(labels):
         raise BadParams("module JSON: labels must be null or a list of strings")
     ctx = ctx_new(obj["p"], obj["n"], tuple(modulus))
-    # each distinct text is parsed once, in the order of the entries, so
-    # the first bad entry is still the one reported
-    texts = dict.fromkeys(itertools.chain.from_iterable(obj["sigma"] + obj["tau"]))
-    idx = {v: ctx.from_text(v).idx for v in texts}
-
-    def grid(rows) -> Mat:
-        data = np.fromiter(map(idx.__getitem__, itertools.chain.from_iterable(rows)),
-                           dtype=np.int64, count=d * d)
-        return Mat(ctx, data.reshape(d, d))
-
-    return HModule(ctx, grid(obj["sigma"]), grid(obj["tau"]),
-                   labels=labels)
+    entries = list(itertools.chain.from_iterable(obj["sigma"] + obj["tau"]))
+    index = _text_index(ctx)
+    try:
+        data = np.fromiter(map(index.__getitem__, entries), dtype=np.int64, count=len(entries))
+    except KeyError:
+        # another spelling ("1", " 2,0") is parsed, in the order of the
+        # entries, so the first bad entry is still the one reported
+        data = np.array([index[v] if v in index else ctx.from_text(v).idx for v in entries],
+                        dtype=np.int64)
+    sigma, tau = (Mat(ctx, X) for X in data.reshape(2, d, d))
+    return HModule(ctx, sigma, tau, labels=labels)

@@ -10,12 +10,13 @@ bottom then left to right), which makes equality bit-exact.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContextMismatch, ShapeMismatch
-from .ff import FieldCtx
+from .ff import CTX_CACHE, FieldCtx
 
 
 def _as_idx_array(ctx: FieldCtx, rows) -> np.ndarray:
@@ -130,35 +131,81 @@ class Mat:
         return f"Mat({self.rows}x{self.cols} over F_{self.ctx.q})"
 
 
+# the bits of a float64 significand: integers below 2^53 are exact
+WORD_BITS = 53
+# slot sums of this many bits or fewer are reduced mod p by _mod_table
+MOD_TABLE_BITS = 16
+
+
+@lru_cache(maxsize=CTX_CACHE)
+def _mod_table(p: int) -> np.ndarray:
+    """x mod p for every x < 2^MOD_TABLE_BITS (128 KB), one read-only table
+    per p, shared by the fields of characteristic p.  It is uint16, which
+    holds every index of a field with dense tables, so digits are combined
+    into indices in the same dtype."""
+    table = np.arange(1 << MOD_TABLE_BITS, dtype=np.uint16) % p
+    table.setflags(write=False)
+    return table
+
+
+def _packed(ctx: FieldCtx, S: int) -> tuple:
+    """The digits of t^i b packed S bits a slot: one (q, n) float64 table
+    per group of WORD_BITS // S digits, whose entry [b, i] holds digit
+    k0 + s of t^i b in slot s, at 2^(S s), for the group's first digit k0;
+    kept on ctx per S."""
+    tables = ctx._packed.get(S)
+    if tables is None:
+        width = WORD_BITS // S
+        weights = 2.0 ** (S * np.arange(width))
+        tables = tuple(ctx._tdigits[:, :, k:k + width] @ weights[:ctx.n - k]
+                       for k in range(0, ctx.n, width))
+        for table in tables:
+            table.setflags(write=False)
+        ctx._packed[S] = tables
+    return tables
+
+
 def _matmul_idx(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact product of encoded-index arrays via digit-plane convolution.
+    """Exact product of encoded-index arrays; leading axes broadcast as
+    with ``@``.
 
-    Leading axes broadcast as with ``@``.  All n x n products of digit
-    planes come from one float64 matmul (exact: every sum stays far below
-    2^53).  Plane pair (i, j) lands on t^(i+j), and ctx._fold reads the
-    n digits of t^(i+j) from the field's one table of powers of t, so
-    t^n .. t^(2n-2) fold back to n digits; FieldCtx.mul is built from
-    the same planes and fold.
-
-    The reshape of prod below puts pair (i, j) at row j*n + i.  ctx._fold
-    (ff.FieldCtx._build_tables) must read its column i*n + j as t^(i+j);
-    that is symmetric in i and j, so either order matches, but a change to
-    either layout must be made in both places.
+    A[r, j] B[j, c] is sum_i a_i (t^i B[j, c]) for the digits a_i of
+    A[r, j].  So one float64 matmul of A's digits, laid out (..., r,
+    (j, i)), by the table of t^i b packed at B (_packed), laid out
+    (..., (j, i), c), sums every digit of every entry at once: slot k of
+    result word (r, c) is digit k of entry (r, c) before reduction mod p,
+    a sum of k n terms of at most (p-1)^2 for A of k columns.  S is the bit
+    length of k n (p-1)^2, so no slot carries into the next, and a word
+    holds WORD_BITS // S slots, so it stays below 2^53 and exact; a field
+    with more digits takes one matmul per group of slots.  Each slot is
+    read with a shift and a mask and reduced by _mod_table, or by % p when
+    S exceeds MOD_TABLE_BITS (large prime fields only).
     """
     p, n = ctx.p, ctx.n
-    rows, cols = A.shape[-2], B.shape[-1]
-    planes = ctx._planes
-
-    def split(X):  # (..., r, c) -> digit planes (..., n, r, c)
-        D = X.ndim
-        return planes.take(X, axis=1).transpose(*range(1, D - 1), 0, D - 1, D)
-
-    PA = split(A)
-    PA = PA.reshape(PA.shape[:-3] + (1, n * rows, A.shape[-1]))  # (..., 1, (i, row), k)
-    prod = PA @ split(B)                                          # (..., j, (i, row), col)
-    lead = prod.shape[:-3]
-    digits = (ctx._fold @ prod.reshape(lead + (n * n, rows * cols))).astype(np.int64) % p
-    return (ctx._pwr @ digits).reshape(lead + (rows, cols))
+    kn = A.shape[-1] * n
+    S = max(1, (kn * (p - 1) ** 2).bit_length())
+    tables, width = _packed(ctx, S), WORD_BITS // S
+    modp = _mod_table(p) if S <= MOD_TABLE_BITS else None
+    X = ctx._fdigits.take(A, axis=0)
+    X = X.reshape(X.shape[:-2] + (kn,))                          # (..., r, (j, i))
+    out = None
+    for k0 in reversed(range(0, n, width)):
+        Y = tables[k0 // width].take(B.swapaxes(-1, -2), axis=0)  # (..., c, j, i)
+        W = (X @ Y.reshape(Y.shape[:-2] + (kn,)).swapaxes(-1, -2)).astype(np.int64)
+        top = min(width, n - k0) - 1
+        # Horner from the top digit, out = sum_k digit_k p^k; the top slot
+        # of a word needs no mask and slot 0 no shift
+        for s in range(top, -1, -1):
+            slot = W >> (S * s) if s else W
+            if s < top:
+                slot &= (1 << S) - 1
+            digit = slot % p if modp is None else modp.take(slot)
+            if out is None:
+                out = digit
+            else:
+                out *= p
+                out += digit
+    return out.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repcurve import cli
+from repcurve import cli, ff
 from repcurve import kmod as km
 from repcurve import linalg
 from repcurve.errors import ShapeMismatch, ZeroPoint
@@ -42,6 +42,59 @@ def reduce_one_by_one(S: Subspace, v: np.ndarray):
 def rand_rows(ctx, rng, k, n):
     return np.array([[rng.randrange(ctx.q) for _ in range(n)] for _ in range(k)],
                     dtype=np.int64).reshape(k, n)
+
+
+def schoolbook_matmul(ctx, A, B):
+    """sum_j A[..., r, j] B[..., j, c] by the field's add and mul tables,
+    one j at a time, leading axes broadcast."""
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    out = np.zeros(lead + (A.shape[-2], B.shape[-1]), dtype=np.int64)
+    for j in range(A.shape[-1]):
+        out = ctx.add[out, ctx.mul[A[..., :, j, None], B[..., None, j, :]]]
+    return out
+
+
+# the fields of the kernel tests: slots of one to four digits in one word,
+# F_1024's ten digits in two words (one gemm each), and F_257, whose slots
+# are wider than the mod table at any k >= 1, so they are reduced by % p
+KERNEL_FIELDS = [(3, 1), (3, 2), (5, 2), (7, 2), (2, 3), (3, 4), (5, 3), (2, 10), (257, 1)]
+LEADS = [((), ()), ((3,), ()), ((), (2,)), ((2, 1), (3,)), ((1, 3), (2, 1)), ((4,), (4,))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 10**6), st.sampled_from(LEADS),
+       st.integers(0, 5), st.integers(0, 30), st.integers(0, 5))
+def test_matmul_matches_schoolbook(field, seed, leads, rows, k, cols):
+    """_matmul_idx is the schoolbook product on random entries, with
+    broadcast leading axes and k = 0, and leaves its arguments unchanged."""
+    ctx = default_ctx(*field)
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, ctx.q, leads[0] + (rows, k))
+    B = rng.integers(0, ctx.q, leads[1] + (k, cols))
+    before = A.copy(), B.copy()
+    got = linalg._matmul_idx(ctx, A, B)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, schoolbook_matmul(ctx, A, B))
+    assert np.array_equal(A, before[0]) and np.array_equal(B, before[1])
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS + [(2039, 1)])
+def test_matmul_is_exact_at_the_table_bound(field):
+    """Entries whose digits are all p - 1, in a product of the largest k
+    whose slot sums the mod table reduces, where a slot sum of a prime
+    field reaches its bound k (p - 1)^2, and of k + 1, whose sums are
+    reduced by % p; then random entries at both.  F_2039's slots are
+    always reduced by % p."""
+    ctx = default_ctx(*field)
+    k = ((1 << linalg.MOD_TABLE_BITS) - 1) // (ctx.n * (ctx.p - 1) ** 2)
+    rng = np.random.default_rng(k)
+    for width in (k, k + 1):
+        for A, B in ((np.full((2, width), ctx.q - 1), np.full((width, 3), ctx.q - 1)),
+                     (rng.integers(0, ctx.q, (2, width)), rng.integers(0, ctx.q, (width, 3)))):
+            assert np.array_equal(linalg._matmul_idx(ctx, A, B), schoolbook_matmul(ctx, A, B))
+    if field == (2039, 1):
+        # drop the 160 MB of F_2039's tables, which no later test needs
+        ff._ctx_cached.cache_clear()
 
 
 def ref_rref_inplace(ctx, M):
@@ -387,15 +440,15 @@ GEMM_SLICE_LIMIT = 1 << 19
 
 @pytest.mark.parametrize("suite", ["structure", "indec"])
 def test_no_product_is_large_enough_to_split(monkeypatch, suite):
-    """Each _matmul_idx slice is a gemm of n*rows x k by k x cols over the
-    digit planes and a fold of n x n^2 by n^2 x rows*cols; neither may
-    reach GEMM_SLICE_LIMIT."""
+    """Each _matmul_idx slice is one gemm of rows x n*k by n*k x cols per
+    group of packed digit slots, and nothing else; it may not reach
+    GEMM_SLICE_LIMIT."""
     real = linalg._matmul_idx
     large = []
 
     def guarded(ctx, A, B):
         n, rows, k, cols = ctx.n, A.shape[-2], A.shape[-1], B.shape[-1]
-        if max(n * rows * k * cols, n ** 3 * rows * cols) >= GEMM_SLICE_LIMIT:
+        if rows * n * k * cols >= GEMM_SLICE_LIMIT:
             large.append((A.shape, B.shape))
         return real(ctx, A, B)
 

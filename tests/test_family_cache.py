@@ -339,8 +339,9 @@ def test_batch_builds_mixed_dims_and_checks_an_empty_batch(monkeypatch):
     specs = [_spec(C3, d) for d in (3, 0, 9, 1, 0, 5)]
     calls = _count_products(monkeypatch)
     mods = km.HModule.batch(C3, specs)
-    # one stacked power (2 products at p = 3) and one stacked commute product
-    assert len(calls) == 3
+    # one stacked product of the squares and both orders of sigma tau, and
+    # one to the cubes (p = 3)
+    assert len(calls) == 2
     assert [M.dim for M in mods] == [3, 0, 9, 1, 0, 5]
     assert _outcome(lambda: mods) == _one_by_one(C3, specs)
     calls.clear()
@@ -399,10 +400,12 @@ def test_batch_outcome_is_the_first_one_by_one_outcome(ctx, seed, pairs):
 
 def test_single_construction_keeps_its_products(monkeypatch):
     calls = _count_products(monkeypatch)
+    # the squares and sigma tau, tau sigma in one product, then the p-th
+    # powers: one more product at p = 3, two at p = 5
     km.HModule(C3, *_spec(C3, 5)[:2])
-    assert len(calls) == 3
+    assert len(calls) == 2
     km.HModule(C5, *_spec(C5, 12)[:2])
-    assert len(calls) == 3 + 4
+    assert len(calls) == 2 + 3
 
 
 def test_family_batch_fills_the_v_d_memo(monkeypatch):
@@ -411,22 +414,23 @@ def test_family_batch_fills_the_v_d_memo(monkeypatch):
     calls = _count_products(monkeypatch)
     mods = km.v_d_family(C5, [7, 3, 7, 12], t)
     # v_d(7) is shared already; v_d(3) and v_d(12) take one stacked check
-    assert len(calls) == 4
+    assert len(calls) == 3
     assert mods[0] is M is mods[2]
     assert mods[1] is km.v_d(C5, 3, t) and mods[3] is km.v_d(C5, 12, t)
     assert km.v_d_family(C5, [3, 12], t) == [mods[1], mods[3]]
-    assert len(calls) == 4
+    assert len(calls) == 3
     with pytest.raises(ContextMismatch):
         km.v_d_family(C5, [3], C3.gen())
 
 
 # products of one cold build; checking each distinct piece with its own
-# chain took 27, 100, 100 and 27
+# chain took 27, 100, 100 and 27, and a check that formed the squares apart
+# from sigma tau and tau sigma took 3, 8, 4 and 6
 BUILD_PRODUCTS = [
-    (("dr", "--p", "3", "--m", "10"), 3),
-    (("holo", "--p", "5", "--m", "26"), 8),
-    (("dr", "--p", "5", "--m", "99"), 4),
-    (("holo", "--p", "3", "--m", "100"), 6),
+    (("dr", "--p", "3", "--m", "10"), 2),
+    (("holo", "--p", "5", "--m", "26"), 6),
+    (("dr", "--p", "5", "--m", "99"), 3),
+    (("holo", "--p", "3", "--m", "100"), 4),
 ]
 
 
@@ -675,10 +679,11 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     # eliminations of 7,966 pivot steps and 167 flag row profiles of 1,724
     # steps: 9,690 steps in all, as when each flag took one elimination
     # per word degree (1,635 eliminations), and 13,526 when each filtration
-    # level took its own.  It forms no filtration level and makes 3,468
-    # products (4,371 with those per-degree eliminations and both condition
-    # matrices, 4,586 when each graded piece took its own order and commute
-    # check); counts, unlike times, are free of host noise
+    # level took its own.  It forms no filtration level and makes 3,104
+    # products (3,468 when each module check formed the squares apart from
+    # sigma tau and tau sigma, 4,371 with those per-degree eliminations and
+    # both condition matrices, 4,586 when each graded piece took its own
+    # order and commute check); counts, unlike times, are free of host noise
     dims = _count_computed(monkeypatch, "_hom_dims")
     solves = _count_computed(monkeypatch, "_hom_solve")
     products = _count_products(monkeypatch)
@@ -708,7 +713,7 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     assert levels == []
     counts = (len(dims), len(solves), len(conds), len(steps), sum(steps), len(profiles),
               sum(profiles), len(products))
-    most = (153, 154, 421, 977, 7966, 167, 1724, 3468)
+    most = (153, 154, 421, 977, 7966, 167, 1724, 3104)
     assert all(n <= m for n, m in zip(counts, most)), counts
 
 
@@ -790,18 +795,18 @@ def test_vdr_matches_the_quotient_over_cubic_fields(p, d, shift):
 
 def test_vdr_module_is_checked_once(monkeypatch):
     checks = []
-    real = linalg._matpow_idx
+    real = km.check_actions
 
-    def counted(*args):
-        checks.append(args[-1])
-        return real(*args)
+    def counted(ctx, gens):
+        checks.append(gens.shape)
+        return real(ctx, gens)
 
-    # every new HModule checks sigma^p = tau^p = 1 with one stacked power;
-    # v_dr is gathered from the binomial table, with no direct sum to check
-    monkeypatch.setattr(km, "_matpow_idx", counted)
+    # every new HModule checks its pair with one check_actions call; v_dr
+    # is gathered from the binomial table, with no direct sum to check
+    monkeypatch.setattr(km, "check_actions", counted)
     # the autouse fixture leaves the cache cold, so this call builds
     M = km.v_dr(C3, 5, T3)
-    assert checks == [3]
+    assert checks == [(2, M.dim, M.dim)]
     assert M == km.v_dr(C3, 5, T3) and M.labels == km.v_dr(C3, 5, T3).labels
 
 
