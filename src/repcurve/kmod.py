@@ -139,18 +139,20 @@ def _square_pair(ctx: FieldCtx, Msigma: Mat, Mtau: Mat) -> int:
 def check_actions(ctx: FieldCtx, gens: np.ndarray) -> None:
     """Check that each (sigma, tau) pair of the stack gens, shaped
     (..., 2, d, d), has sigma^p = tau^p = 1 and sigma tau = tau sigma:
-    sigma^2, tau^2, sigma tau and tau sigma from one stacked product, then
-    sigma^p and tau^p from one stacked power of the squares, however many
-    pairs there are.  The first bad pair raises what HModule raises for
-    it, sigma's order before tau's before commuting."""
-    prods = _matmul_idx(ctx, np.concatenate([gens, gens], axis=-3),
-                        np.concatenate([gens, gens[..., ::-1, :, :]], axis=-3))
-    powers = _matpow_idx(ctx, prods[..., :2, :, :], ctx.p // 2)
+    sigma^2, tau^2, sigma tau and tau sigma from one stacked product (gens
+    broadcast against [gens, gens swapped]), then sigma^p and tau^p from one
+    stacked power of the squares, however many pairs there are.  The first
+    bad pair raises what HModule raises for it, sigma's order before tau's
+    before commuting."""
+    squares, swapped = np.moveaxis(
+        _matmul_idx(ctx, gens[..., None, :, :, :],
+                    np.stack([gens, gens[..., ::-1, :, :]], axis=-4)), -4, 0)
+    powers = _matpow_idx(ctx, squares, ctx.p // 2)
     if ctx.p % 2:
         powers = _matmul_idx(ctx, powers, gens)
     d = gens.shape[-1]
     bad_order = (powers != np.eye(d, dtype=np.int64)).any(axis=(-2, -1)).reshape(-1, 2)
-    bad_commute = (prods[..., 2, :, :] != prods[..., 3, :, :]).any(axis=(-2, -1))
+    bad_commute = (swapped[..., 0, :, :] != swapped[..., 1, :, :]).any(axis=(-2, -1))
     bad = bad_order.any(axis=1) | bad_commute.reshape(-1)
     if bad.any():
         j = int(bad.argmax())

@@ -191,7 +191,9 @@ def _matmul_idx(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     out = None
     for k0 in reversed(range(0, n, width)):
         Y = tables[k0 // width].take(B.swapaxes(-1, -2), axis=0)  # (..., c, j, i)
-        W = (X @ Y.reshape(Y.shape[:-2] + (kn,)).swapaxes(-1, -2)).astype(np.int64)
+        W = X @ Y.reshape(Y.shape[:-2] + (kn,)).swapaxes(-1, -2)
+        del Y  # the gather is not needed past the product: free it before the copy
+        W = W.astype(np.int64)
         top = min(width, n - k0) - 1
         # Horner from the top digit, out = sum_k digit_k p^k; the top slot
         # of a word needs no mask and slot 0 no shift
