@@ -114,7 +114,7 @@ class FieldCtx:
     __slots__ = (
         "p", "n", "q", "modulus",
         "add", "sub", "mul", "neg", "inv", "frob", "proot",
-        "texts", "_digits", "_fdigits", "_tdigits", "_packed", "_cache",
+        "texts", "_fdigits", "_tdigits", "_packed", "_cache",
         "__weakref__",
     )
 
@@ -142,7 +142,6 @@ class FieldCtx:
         digits = np.empty((q, n), dtype=np.int64)
         for i in range(n):
             digits[:, i] = (idx // p**i) % p
-        self._digits = digits
         # element text of every index, the one spelling used in JSON and
         # reports: coefficient digits, low degree first, comma-separated
         self.texts = np.array([",".join(map(str, row)) for row in digits.tolist()],
@@ -208,7 +207,7 @@ class FieldCtx:
         return idx
 
     def decode(self, idx: int) -> tuple:
-        return tuple(int(d) for d in self._digits[idx])
+        return tuple(int(d) for d in self._fdigits[idx])
 
     # -- element constructors ---------------------------------------------
 
