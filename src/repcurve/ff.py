@@ -114,7 +114,7 @@ class FieldCtx:
     __slots__ = (
         "p", "n", "q", "modulus",
         "add", "sub", "mul", "neg", "inv", "frob", "proot",
-        "texts", "_fdigits", "_tdigits", "_packed", "_cache",
+        "texts", "_tdigits", "_cache",
         "__weakref__",
     )
 
@@ -153,23 +153,19 @@ class FieldCtx:
         self.neg = ((-digits) % p) @ (p ** np.arange(n, dtype=np.int64))
         self.sub = self.add[:, self.neg]
 
-        # the digits of t^i * b for every b, at [b, i]: t^i b = t * t^(i-1) b,
-        # with t^n = -(f_0 + ... + f_(n-1) t^(n-1))
+        # the digits of t^i * b for every b, at [i, b]: t^i b = t * t^(i-1) b,
+        # with t^n = -(f_0 + ... + f_(n-1) t^(n-1)); [0] holds the digits of b
         tn = np.array([(-c) % p for c in self.modulus[:-1]], dtype=np.int64)
-        tdigits = np.zeros((q, n, n), dtype=np.int64)
-        tdigits[:, 0] = digits
+        tdigits = np.zeros((n, q, n), dtype=np.int64)
+        tdigits[0] = digits
         for i in range(1, n):
-            prev = tdigits[:, i - 1]
-            tdigits[:, i, 1:] = prev[:, :-1]
-            tdigits[:, i] = (tdigits[:, i] + prev[:, -1:] * tn) % p
-        self._fdigits = digits.astype(np.float64)
+            prev = tdigits[i - 1]
+            tdigits[i, :, 1:] = prev[:, :-1]
+            tdigits[i] = (tdigits[i] + prev[:, -1:] * tn) % p
         self._tdigits = tdigits.astype(np.float64)
-        for table in (self._fdigits, self._tdigits):
-            table.setflags(write=False)
-        # linalg._packed's tables, per slot width
-        self._packed: dict = {}
+        self._tdigits.setflags(write=False)
         # digit k of a*b is sum_i a_i (t^i b)_k, an exact float64 product
-        self.mul = sum((self._fdigits @ self._tdigits[:, :, k].T % p).astype(np.int64) * p**k
+        self.mul = sum((self._tdigits[0] @ self._tdigits[:, :, k] % p).astype(np.int64) * p**k
                        for k in range(n))
 
         # inverses by row scan of the multiplication table
@@ -207,7 +203,7 @@ class FieldCtx:
         return idx
 
     def decode(self, idx: int) -> tuple:
-        return tuple(int(d) for d in self._fdigits[idx])
+        return tuple(int(d) for d in self._tdigits[0, idx])
 
     # -- element constructors ---------------------------------------------
 

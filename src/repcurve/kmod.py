@@ -1455,13 +1455,10 @@ def module_from_json(obj: dict) -> HModule:
         raise BadParams("module JSON: labels must be null or a list of strings")
     ctx = ctx_new(obj["p"], obj["n"], tuple(modulus))
     entries = list(itertools.chain.from_iterable(obj["sigma"] + obj["tau"]))
+    # another spelling than ctx.texts ("1", " 2,0") is parsed, in the order
+    # of the entries, so the first bad entry is the one reported
     index = _text_index(ctx)
-    try:
-        data = np.fromiter(map(index.__getitem__, entries), dtype=np.int64, count=len(entries))
-    except KeyError:
-        # another spelling ("1", " 2,0") is parsed, in the order of the
-        # entries, so the first bad entry is still the one reported
-        data = np.array([index[v] if v in index else ctx.from_text(v).idx for v in entries],
-                        dtype=np.int64)
+    data = np.fromiter((index[v] if v in index else ctx.from_text(v).idx for v in entries),
+                       dtype=np.int64, count=len(entries))
     sigma, tau = (Mat(ctx, X) for X in data.reshape(2, d, d))
     return HModule(ctx, sigma, tau, labels=labels)

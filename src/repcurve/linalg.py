@@ -152,16 +152,18 @@ def _packed(ctx: FieldCtx, S: int) -> tuple:
     """The digits of t^i b packed S bits a slot: one (q, n) float64 table
     per group of WORD_BITS // S digits, whose entry [b, i] holds digit
     k0 + s of t^i b in slot s, at 2^(S s), for the group's first digit k0;
-    kept on ctx per S."""
-    tables = ctx._packed.get(S)
+    kept in ctx._cache per S."""
+    key = ("_packed", S)
+    tables = ctx._cache.get(key)
     if tables is None:
         width = WORD_BITS // S
         weights = 2.0 ** (S * np.arange(width))
-        tables = tuple(ctx._tdigits[:, :, k:k + width] @ weights[:ctx.n - k]
+        tables = tuple(np.ascontiguousarray((ctx._tdigits[:, :, k:k + width]
+                                             @ weights[:ctx.n - k]).T)
                        for k in range(0, ctx.n, width))
         for table in tables:
             table.setflags(write=False)
-        ctx._packed[S] = tables
+        ctx._cache[key] = tables
     return tables
 
 
@@ -186,7 +188,7 @@ def _matmul_idx(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     S = max(1, (kn * (p - 1) ** 2).bit_length())
     tables, width = _packed(ctx, S), WORD_BITS // S
     modp = _mod_table(p) if S <= MOD_TABLE_BITS else None
-    X = ctx._fdigits.take(A, axis=0)
+    X = ctx._tdigits[0].take(A, axis=0)
     X = X.reshape(X.shape[:-2] + (kn,))                          # (..., r, (j, i))
     out = None
     for k0 in reversed(range(0, n, width)):
