@@ -463,11 +463,15 @@ def vd_definition(ctx: FieldCtx, beta: FieldElem) -> tuple:
     return S, T
 
 
+@_memo
 def vdr_quotient(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
-    """v_dr(d, beta) as the paper defines it, the quotient, built afresh
-    on every call to check v_dr and the de Rham pieces against: the sum
-    v_d(p^2) (+) v_d(d) is one module, block-diagonal in leading blocks of
-    vd_definition(ctx, beta).  meta["proj"] is the quotient map."""
+    """v_dr(d, beta) as the paper defines it, the quotient, to check v_dr
+    and the de Rham pieces against: the sum v_d(p^2) (+) v_d(d) is one
+    module, block-diagonal in leading blocks of vd_definition(ctx, beta).
+    meta["proj"] is the quotient map.  Shared per (ctx, d, beta) like
+    vd_definition, and built at each d itself, never at its class: the
+    members of one v_dr class give distinct quotients, whose meta["d"]
+    is their own d."""
     p = ctx.p
     pp = p * p
     _require_nonprime(ctx, beta)
@@ -959,8 +963,12 @@ def _verify_witness(M: HModule, N: HModule, X: Mat) -> bool:
     return (X @ M.Msigma == N.Msigma @ X) and (X @ M.Mtau == N.Mtau @ X)
 
 
+@_memo
 def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
-    """Decision procedure.  The checks run cheapest first:
+    """Decision procedure, kept on M per N: the key is N's content, and
+    every step reads only the matrices of M and N and values memoized on
+    them by content, never labels or meta, so the decision is a function
+    of content.  The checks run cheapest first:
 
     1. dimension: NO, "dim-mismatch";
     2. equal matrices: YES, "equal-matrices";
@@ -1040,17 +1048,19 @@ def _krull_schmidt(M: HModule, N: HModule) -> IsoDecision:
     equivalence, a greedy match never has to undo a choice.  A YES
     witness is assembled from the summand witnesses and checked."""
     ctx = M.ctx
-    parts, left = _summands(M), _summands(N)
-    detail = {"summand_dims": [[S.dim for S, _ in parts], [T.dim for T, _ in left]]}
-    src, dst, blocks = [], [], []
+    parts, others = _summands(M), _summands(N)
+    detail = {"summand_dims": [[S.dim for S, _ in parts], [T.dim for T, _ in others]]}
+    src, dst, blocks, taken = [], [], [], set()
     for S, E in parts:
-        for j, (T, F) in enumerate(left):
+        for j, (T, F) in enumerate(others):
+            if j in taken:
+                continue
             dec = is_isomorphic(S, T)
             if dec.isomorphic:
                 src.append(E)
                 dst.append(F)
                 blocks.append(dec.witness.data)
-                del left[j]
+                taken.add(j)
                 break
         else:
             return IsoDecision("NO", "krull-schmidt", detail=detail)
@@ -1342,23 +1352,36 @@ def constant_type_over_scan(M: HModule) -> bool:
 # Cores and profiles
 
 
-def _case_ii_word(M: HModule, u) -> np.ndarray:
-    """The word image w = sigma0^(p-2) tau0^(p-2) u of a nonzero u."""
+def _case_ii_entries(M: HModule, u) -> bytes:
+    """The entries of a nonzero u of M, as the bytes of its index array:
+    the key under which its case-II modules are kept on M."""
     vec = as_vector(M.ctx, u)
     if not vec.any():
         raise ZeroVector("core of the zero vector")
-    return apply_word(M, (M.ctx.p - 2, M.ctx.p - 2), vec)
+    if vec.shape != (M.dim,):
+        raise ShapeMismatch(f"vector of shape {vec.shape} for a module of dim {M.dim}")
+    return vec.tobytes()
+
+
+@_memo
+def _case_ii_module(M: HModule, entries: bytes, with_fixed: bool) -> HModule:
+    """The submodule generated by the word image w = sigma0^(p-2)
+    tau0^(p-2) u of the vector u with these entries, and by S_0 when
+    with_fixed; kept on M per vector."""
+    p = M.ctx.p
+    w = apply_word(M, (p - 2, p - 2), np.frombuffer(entries, dtype=np.int64))
+    return sub_generated(M, np.vstack([w, fixed_space(M).basis]) if with_fixed else [w])[0]
 
 
 def case_ii_core(M: HModule, u) -> HModule:
     """The core: the submodule generated by the word image w of u."""
-    return sub_generated(M, [_case_ii_word(M, u)])[0]
+    return _case_ii_module(M, _case_ii_entries(M, u), False)
 
 
 def case_ii_core_with_fixed(M: HModule, u) -> HModule:
     """The submodule generated by the word image w of u together with
     S_0, whose vectors generate only themselves; the core is not built."""
-    return sub_generated(M, np.vstack([_case_ii_word(M, u), fixed_space(M).basis]))[0]
+    return _case_ii_module(M, _case_ii_entries(M, u), True)
 
 
 @dataclass(frozen=True)

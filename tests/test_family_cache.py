@@ -16,11 +16,11 @@ from repcurve import curvefam as cf
 from repcurve import kmod as km
 from repcurve.errors import (BadDimension, ContextMismatch, NotCommuting,
                              OrderViolation, PrimeFieldElement, RepcurveError,
-                             UnlabeledModule)
+                             ShapeMismatch, UnlabeledModule)
 from repcurve.cli import main
 from repcurve.ff import FieldCtx, ctx_new, default_ctx
 from repcurve.linalg import Mat, Subspace, kernel, matpow
-from repcurve.suites import SUITE_PRIMES, run_suite
+from repcurve.suites import SUITE_PRIMES, report_to_json, run_suite
 from reference import intertwiner_space
 
 C3 = default_ctx(3)
@@ -672,18 +672,21 @@ def _count_computed(monkeypatch, name) -> list:
 
 
 def test_verify_all_hom_work_stays_counted(monkeypatch):
-    # `verify all` at seed 0 computes 153 Hom dim pairs (each kept on both
-    # modules), 154 relation solves (115 End, 39 pairs kept on their first
-    # module) and forms 421 condition matrices (460 when step 5 of
-    # is_isomorphic formed its Hom(M, N) conditions again), and makes 977
-    # eliminations of 7,966 pivot steps and 167 flag row profiles of 1,724
-    # steps: 9,690 steps in all, as when each flag took one elimination
-    # per word degree (1,635 eliminations), and 13,526 when each filtration
-    # level took its own.  It forms no filtration level and makes 3,104
-    # products (3,468 when each module check formed the squares apart from
-    # sigma tau and tau sigma, 4,371 with those per-degree eliminations and
-    # both condition matrices, 4,586 when each graded piece took its own
-    # order and commute check); counts, unlike times, are free of host noise
+    # `verify all` at seed 0 computes 241 decisions of its 405
+    # is_isomorphic calls (413, all computed, before each decision was kept
+    # on its first module), 141 Hom dim pairs (each kept on both modules;
+    # 153 before), 122 relation solves (154) and forms 377 condition
+    # matrices (421; 460 when step 5 of is_isomorphic formed its Hom(M, N)
+    # conditions again), and makes 715 eliminations of 7,000 pivot steps
+    # (977 of 7,966) and 147 flag row profiles of 1,704 steps (167 of
+    # 1,724; 1,635 eliminations when each flag took one per word degree,
+    # 13,526 steps when each filtration level took its own).  It forms no
+    # filtration level and makes 2,541 products (3,104 before the decision,
+    # quotient and core memos, 3,468 when each module check formed the
+    # squares apart from sigma tau and tau sigma, 4,586 when each graded
+    # piece took its own order and commute check); counts, unlike times,
+    # are free of host noise
+    decisions = _count_computed(monkeypatch, "is_isomorphic")
     dims = _count_computed(monkeypatch, "_hom_dims")
     solves = _count_computed(monkeypatch, "_hom_solve")
     products = _count_products(monkeypatch)
@@ -711,10 +714,73 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     monkeypatch.setattr(km, "_row_profile", profiled)
     assert run_suite("all", SUITE_PRIMES, seed=0)["exit"] == 0
     assert levels == []
-    counts = (len(dims), len(solves), len(conds), len(steps), sum(steps), len(profiles),
-              sum(profiles), len(products))
-    most = (153, 154, 421, 977, 7966, 167, 1724, 3104)
+    counts = (len(decisions), len(dims), len(solves), len(conds), len(steps), sum(steps),
+              len(profiles), sum(profiles), len(products))
+    most = (241, 141, 122, 377, 715, 7000, 147, 1704, 2541)
     assert all(n <= m for n, m in zip(counts, most)), counts
+
+
+# the memos of a decision, of the paper's quotient and of the case-II cores
+DECISION_MEMOS = ("is_isomorphic", "vdr_quotient", "_case_ii_module")
+
+
+def test_memos_change_no_report_byte(monkeypatch):
+    # the decisions, quotients and cores kept on their owners give the
+    # report of the unmemoized functions byte for byte, from fewer decisions
+    plain = {name: getattr(km, name).__wrapped__ for name in DECISION_MEMOS}
+    computed = _count_computed(monkeypatch, "is_isomorphic")
+    memoized = report_to_json(run_suite("all", SUITE_PRIMES, seed=0))
+    for ctx in list(ff._CTX_LIVE.values()):
+        ctx._cache.clear()
+    calls = []
+
+    def decide(M, N):
+        calls.append((M, N))
+        return plain["is_isomorphic"](M, N)
+
+    for name, fn in plain.items():
+        monkeypatch.setattr(km, name, fn)
+    monkeypatch.setattr(km, "is_isomorphic", decide)
+    assert report_to_json(run_suite("all", SUITE_PRIMES, seed=0)) == memoized
+    assert json.loads(memoized)["exit"] == 0
+    assert len(computed) < len(calls)
+
+
+@pytest.mark.parametrize("ctx", [C3, C5], ids=["p3", "p5"])
+def test_vdr_quotient_is_kept_per_d_not_per_class(ctx):
+    # the quotient is built at each d itself, so the members of one v_dr
+    # class give distinct quotients and a same-class YES case compares
+    # v_dr(d1) with a quotient built at d2; a memo keyed by the class would
+    # hand back the quotient of d1 and pass by construction
+    p, t = ctx.p, ctx.gen()
+    quotients = {d: km.vdr_quotient(ctx, d, t) for d in range(p * p + 1)}
+    for d, Q in quotients.items():
+        assert Q.meta["d"] == d and km.vdr_quotient(ctx, d, t) is Q
+        assert not any(R is Q for e, R in quotients.items() if e != d)
+
+
+def test_krull_schmidt_leaves_the_summand_lists_whole(monkeypatch):
+    # the summand match marks what it has taken and deletes nothing, so a
+    # summand list kept across decisions stays whole
+    monkeypatch.setattr(km, "_summands", km._memo(km._summands))
+    M = km.direct_sum(km.v_d(C3, 2, T3), km.trivial_module(C3))
+    N = _conjugate(M, random.Random(1))
+    parts = list(km._summands(N))
+    assert len(parts) == 2
+    for _ in range(2):
+        assert km._krull_schmidt(M, N).verdict == "YES"
+    assert [S for S, _ in km._summands(N)] == [S for S, _ in parts]
+
+
+def test_case_ii_cores_are_kept_per_vector():
+    M = km.v_dr(C3, 4, T3)
+    u = M.basis_vector("eta8")
+    core = km.case_ii_core(M, u)
+    assert km.case_ii_core(M, [int(x) for x in u]) is core
+    assert km.case_ii_core_with_fixed(M, u) is not core
+    assert km.case_ii_core(M, M.basis_vector("eta7")) is not core
+    with pytest.raises(ShapeMismatch):
+        km.case_ii_core(M, np.ones(M.dim + 1, dtype=np.int64))
 
 
 def test_hom_basis_pair_forms_one_hom_kernel(monkeypatch):
