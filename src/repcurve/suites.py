@@ -514,8 +514,8 @@ def _suite_dr(p: int, seed: int) -> List[Case]:
 
     def piece_check(params, c, piece):
         # against the paper's quotient, not v_dr, which shares the piece's
-        # construction; one per piece: dims dd(m - c) differ within each m,
-        # and the one d repeated across m costs one more 1-2 ms quotient
+        # construction; vdr_quotient keeps one per (field, d, beta), so a d
+        # repeated across m reads it
         d = piece.meta["d"]
         model = km.vdr_quotient(params.ctx, d, params.beta)
         _, pos, scale = km.vdr_label_map(params.ctx, d, params.gamma)
