@@ -46,29 +46,33 @@ def dd(p: int, m: int, c: int) -> int:
 
 
 def index_I(p: int, m: int, c: int) -> tuple:
-    """Indices i with m*i + p^2*c < m*(p^2 - 1), increasing.
+    """Indices i < p^2 with m*i + p^2*c < m*(p^2 - 1), increasing.
 
-    Always an initial segment 0..dd(c)-1; the two descriptions are
-    asserted equal here, which pins the ceiling arithmetic in dd.
+    Always the initial segment 0..dd(c)-1.  The condition only fails
+    more as i grows, so asserting that it holds at dd(c) - 1 and fails at
+    dd(c) shows the two descriptions equal, which pins the ceiling
+    arithmetic in dd.
     """
     d = dd(p, m, c)  # refuses c outside 1..m-1
     pp = p * p
-    out = tuple(i for i in range(pp) if m * i + pp * c < m * (pp - 1))
-    assert out == tuple(range(d))
-    return out
+    assert d == 0 or m * (d - 1) + pp * c < m * (pp - 1)
+    assert d == pp or m * d + pp * c >= m * (pp - 1)
+    return tuple(range(d))
 
 
 def index_J(p: int, m: int, c: int) -> tuple:
     """Indices i <= p^2 - 1 with p^2*c/m < i, increasing.
 
-    Mirror image of index_I under i -> p^2 - 1 - i; the count is dd(c).
+    Mirror image of index_I under i -> p^2 - 1 - i: the final segment of
+    dd(c) indices.  The strict rational inequality, kept in integers,
+    only holds more as i grows, so it is asserted to hold at p^2 - dd(c)
+    and to fail just below.
     """
     d = dd(p, m, c)  # refuses c outside 1..m-1
     pp = p * p
-    # strict rational inequality p^2*c/m < i, kept in integers
-    out = tuple(i for i in range(pp) if pp * c < m * i)
-    assert len(out) == d
-    return out
+    assert d == 0 or pp * c < m * (pp - d)
+    assert d == pp or pp * c >= m * (pp - d - 1)
+    return tuple(range(pp - d, pp))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +296,8 @@ def hodge_check(params: CurveParams, c: int) -> dict:
     # block is the dual model with rows and columns reversed
     quot_ok = True
     if e > 0:
-        model_q = dual(HModule(ctx, Mat(ctx, S[:e, :e].copy()), Mat(ctx, T[:e, :e].copy())))
+        model_q = dual(HModule._derived(ctx, Mat(ctx, S[:e, :e].copy()),
+                                        Mat(ctx, T[:e, :e].copy())))
         quot_ok = (np.array_equal(piece.Msigma.data[d:, d:], model_q.Msigma.data[::-1, ::-1])
                    and np.array_equal(piece.Mtau.data[d:, d:], model_q.Mtau.data[::-1, ::-1]))
 

@@ -44,7 +44,6 @@ from .linalg import (
     as_vector,
     invert,
     kernel,
-    matpow,
     nilpotent_partitions,
 )
 
@@ -165,6 +164,17 @@ def check_actions(ctx: FieldCtx, gens: np.ndarray) -> None:
 class HModule:
     """Two commuting order-p matrices over a shared field context.
 
+    Every HModule was either checked or derived from checked modules.  The
+    public constructor, HModule.batch and module_from_json check
+    sigma^p = tau^p = 1 and sigma tau = tau sigma (check_actions), and so
+    do the family builders and the trivial and regular modules through
+    them; vd_definition checks its one pair per (ctx, beta).  The
+    constructions that keep both relations whenever their inputs have them
+    build through HModule._derived, which checks nothing: dual,
+    direct_sum, sub_module_on and quotient, whose subspace invariance
+    _action_coords proves, and the blocks of vd_definition that
+    vdr_quotient and curvefam.hodge_check's model take.
+
     Immutable; derived data (filtration, End solve and split, word
     matrices, dual) is kept on the instance by _memo.  labels and meta carry
     construction provenance used by label-aware operations and are not
@@ -198,12 +208,19 @@ class HModule:
             for G, (S, T, *_), d in zip(gens, specs, dims):
                 G[0, :d, :d], G[1, :d, :d] = S.data, T.data
             check_actions(ctx, gens)
-        out = []
-        for spec in specs:
-            M = cls.__new__(cls)
-            M._fill(ctx, *spec)
-            out.append(M)
-        return out
+        return [cls._derived(ctx, *spec) for spec in specs]
+
+    @classmethod
+    def _derived(cls, ctx: FieldCtx, Msigma: Mat, Mtau: Mat,
+                 labels: Optional[Sequence[str]] = None,
+                 meta: Optional[dict] = None) -> "HModule":
+        """The module on a pair already known to satisfy the relations:
+        checked by the caller, or built from checked modules by a
+        construction that keeps them.  Labels are validated; the pair is
+        not checked."""
+        M = cls.__new__(cls)
+        M._fill(ctx, Msigma, Mtau, labels, meta)
+        return M
 
     def _fill(self, ctx: FieldCtx, Msigma: Mat, Mtau: Mat,
               labels: Optional[Sequence[str]] = None,
@@ -451,7 +468,10 @@ def vd_definition(ctx: FieldCtx, beta: FieldElem) -> tuple:
     from that table can compare with it: column n is sigma.w_n = sum_i
     C(n,i) w_i and tau.w_n = sum_i C(n,i) beta^(n-i) w_i, and the leading
     d x d blocks give v_d(d).  It makes p^4 scalar calls, so it is shared
-    per (ctx, beta) like binomial_table."""
+    per (ctx, beta) like binomial_table.  The pair is checked here, once:
+    both are upper triangular, so every leading block and every block sum
+    of them that vdr_quotient and curvefam.hodge_check build is a module
+    derived from it."""
     p = ctx.p
     pp = p * p
     S = np.array([[binom_mod_p(n, i, p) for n in range(pp)] for i in range(pp)],
@@ -460,6 +480,7 @@ def vd_definition(ctx: FieldCtx, beta: FieldElem) -> tuple:
                    for n in range(pp)] for i in range(pp)], dtype=np.int64)
     for X in (S, T):
         X.setflags(write=False)
+    check_actions(ctx, np.stack([S, T]))
     return S, T
 
 
@@ -481,7 +502,7 @@ def vdr_quotient(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
         A[:pp, :pp] = X
         A[pp:, pp:] = X[:d, :d]
         blocks.append(Mat(ctx, A))
-    D = HModule(ctx, *blocks)
+    D = HModule._derived(ctx, *blocks)
     # row i is k_i = (w_i, 0) + i*(0, w_{i-1}); w_{p^2} is 0 in v_d(p^2)
     r = np.arange(d + 1)
     gens = np.zeros((d + 1, D.dim), dtype=np.int64)
@@ -510,14 +531,14 @@ def _require_nonprime(ctx: FieldCtx, beta: FieldElem) -> None:
 
 @_memo
 def dual(M: HModule) -> HModule:
-    """Contragredient module: generators act by transpose inverse; kept
-    on M."""
-    p = M.ctx.p
-    Sd = matpow(M.Msigma, p - 1).transpose()
-    Td = matpow(M.Mtau, p - 1).transpose()
+    """Contragredient module: generators act by transpose inverse, the
+    inverses sigma^(p-1) and tau^(p-1) from one stacked power; kept on M."""
+    ctx = M.ctx
+    inverses = _matpow_idx(ctx, np.stack([M.Msigma.data, M.Mtau.data]), ctx.p - 1)
+    Sd, Td = (Mat(ctx, X.T.copy()) for X in inverses)
     labels = tuple(f"{l}*" for l in M.labels) if M.labels else None
-    return HModule(M.ctx, Sd, Td, labels=labels,
-                   meta={"kind": "dual", "of": M.meta.get("kind")})
+    return HModule._derived(ctx, Sd, Td, labels=labels,
+                            meta={"kind": "dual", "of": M.meta.get("kind")})
 
 
 def direct_sum(M: HModule, N: HModule) -> HModule:
@@ -539,8 +560,8 @@ def direct_sum(M: HModule, N: HModule) -> HModule:
             labels = M.labels + N.labels
     else:
         labels = None
-    return HModule(ctx, block(M.Msigma, N.Msigma), block(M.Mtau, N.Mtau),
-                   labels=labels, meta={"kind": "sum"})
+    return HModule._derived(ctx, block(M.Msigma, N.Msigma), block(M.Mtau, N.Mtau),
+                            labels=labels, meta={"kind": "sum"})
 
 
 def _action_coords(M: HModule, W: Subspace, message: str) -> np.ndarray:
@@ -564,8 +585,8 @@ def sub_module_on(M: HModule, W: Subspace) -> tuple:
     ctx = M.ctx
     coords = _action_coords(M, W, "subspace is not stable under the action")
     E = Mat(ctx, W.basis.T.copy())
-    sub = HModule(ctx, Mat(ctx, coords[0].T.copy()), Mat(ctx, coords[1].T.copy()),
-                  meta={"kind": "sub"})
+    sub = HModule._derived(ctx, Mat(ctx, coords[0].T.copy()), Mat(ctx, coords[1].T.copy()),
+                           meta={"kind": "sub"})
     return sub, E
 
 
@@ -615,10 +636,10 @@ def quotient(M: HModule, W: Subspace, reps=None, labels=None) -> tuple:
         raise ShapeMismatch("representatives do not complement the subspace")
     P = Mat(ctx, Cinv.data[W.dim :, :].copy())  # qdim x ambient projection
     R = Mat(ctx, reps_arr.T.copy())
-    Aq = P @ M.Msigma @ R
-    Bq = P @ M.Mtau @ R
+    gens = np.stack([M.Msigma.data, M.Mtau.data])
+    Aq, Bq = (Mat(ctx, X) for X in _matmul_idx(ctx, _matmul_idx(ctx, P.data, gens), R.data))
     assert P @ R == Mat.identity(ctx, qdim)
-    Q = HModule(ctx, Aq, Bq, labels=labels, meta={"kind": "quotient"})
+    Q = HModule._derived(ctx, Aq, Bq, labels=labels, meta={"kind": "quotient"})
     return Q, P
 
 

@@ -346,14 +346,6 @@ def invert(A: Mat) -> Optional[Mat]:
     return solve_matrix(A, Mat.identity(A.ctx, A.rows))
 
 
-def matpow(A: Mat, e: int) -> Mat:
-    if not A.is_square():
-        raise ShapeMismatch("power of a non-square matrix")
-    if e < 0:
-        raise ShapeMismatch("negative matrix power")
-    return Mat(A.ctx, _matpow_idx(A.ctx, A.data, e))
-
-
 def _matpow_idx(ctx: FieldCtx, A: np.ndarray, e: int) -> np.ndarray:
     """e-th power (e >= 0) of each square matrix in a stack (..., d, d),
     by repeated squaring; the product starts from the first factor, not

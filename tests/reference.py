@@ -8,8 +8,9 @@ submodules by closure under the generators, v_dr classes through the
 paper's quotient, polynomial values by Horner's rule, a graded family's
 JSON with every piece encoded in place, Jordan partitions from one rank
 per power, the dominance order by prefix sums, the filtration suite's
-random vectors one randrange call per entry, and the trace identities by
-raising each linear form to the power p^2 - 1.
+random vectors one randrange call per entry, the trace identities by
+raising each linear form to the power p^2 - 1, and matrix powers one
+factor at a time.
 """
 
 import random
@@ -21,7 +22,7 @@ from repcurve import kmod as km
 from repcurve.errors import (ContextMismatch, NotNilpotent, OutOfRange, ShapeMismatch,
                              UnlabeledModule)
 from repcurve.ff import FieldCtx, FieldElem
-from repcurve.linalg import Mat, Subspace, _matmul_idx, as_vector, kernel, matpow, rank
+from repcurve.linalg import Mat, Subspace, _matmul_idx, as_vector, kernel, rank
 from repcurve.poly import Poly1, Poly2
 
 
@@ -264,6 +265,15 @@ def graded_to_json(gm) -> dict:
         "beta": gm.params.beta.text(),
         "pieces": {str(c): km.module_to_json(mod) for c, mod in gm.pieces.items()},
     }
+
+
+def matpow(A: Mat, e: int) -> Mat:
+    """A^e for e >= 0 from its definition: e products from the identity,
+    one factor at a time."""
+    out = Mat.identity(A.ctx, A.rows)
+    for _ in range(e):
+        out = out @ A
+    return out
 
 
 def nilpotent_partition(N: Mat) -> tuple:

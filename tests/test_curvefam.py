@@ -230,8 +230,9 @@ def test_graded_builds_make_no_per_entry_scalar_calls(monkeypatch):
 
 def test_vdr_and_dr_pieces_build_no_quotient(monkeypatch):
     # both are cut from the binomial table; only the quotient model that
-    # checks them takes a quotient and an inversion, and it validates two
-    # modules: the block-diagonal sum and the quotient
+    # checks them takes a quotient and an inversion, and it derives two
+    # modules from the checked definition pair, the block-diagonal sum and
+    # the quotient, and checks neither
     calls = []
 
     def counted(name, real):
@@ -254,9 +255,11 @@ def test_vdr_and_dr_pieces_build_no_quotient(monkeypatch):
     assert calls == ["dr_action"] * 6
     calls.clear()
     monkeypatch.setattr(km.HModule, "__init__", counted("HModule", km.HModule.__init__))
+    monkeypatch.setattr(km.HModule, "_derived",
+                        classmethod(counted("_derived", km.HModule._derived.__func__)))
     km.vdr_quotient(C5, 12, C5.gen())
     assert {"quotient", "invert", "from_rows"} <= set(calls)
-    assert calls.count("HModule") == 2
+    assert calls.count("_derived") == 2 and "HModule" not in calls
 
 
 @pytest.mark.parametrize("c,sub,quot", [(1, 0, 8), (5, 4, 4), (9, 8, 0)])

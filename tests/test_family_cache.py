@@ -19,9 +19,9 @@ from repcurve.errors import (BadDimension, ContextMismatch, NotCommuting,
                              ShapeMismatch, UnlabeledModule)
 from repcurve.cli import main
 from repcurve.ff import FieldCtx, ctx_new, default_ctx
-from repcurve.linalg import Mat, Subspace, kernel, matpow
+from repcurve.linalg import Mat, Subspace, kernel
 from repcurve.suites import SUITE_PRIMES, report_to_json, run_suite
-from reference import intertwiner_space
+from reference import intertwiner_space, matpow
 
 C3 = default_ctx(3)
 C5 = default_ctx(5)
@@ -288,6 +288,19 @@ def _count_products(monkeypatch) -> list:
     for module in (linalg, km):
         monkeypatch.setattr(module, "_matmul_idx", counted)
     return calls
+
+
+def _count_checks(monkeypatch) -> list:
+    """The shapes of the stacks check_actions is called on."""
+    checks = []
+    real = km.check_actions
+
+    def counted(ctx, gens):
+        checks.append(gens.shape)
+        return real(ctx, gens)
+
+    monkeypatch.setattr(km, "check_actions", counted)
+    return checks
 
 
 def _outcome(build):
@@ -681,15 +694,18 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     # (977 of 7,966) and 147 flag row profiles of 1,704 steps (167 of
     # 1,724; 1,635 eliminations when each flag took one per word degree,
     # 13,526 steps when each filtration level took its own).  It forms no
-    # filtration level and makes 2,541 products (3,104 before the decision,
+    # filtration level and makes 2,056 products (2,541 when every derived
+    # module took its own order and commute check, and a quotient and a
+    # dual formed each generator apart; 3,104 before the decision,
     # quotient and core memos, 3,468 when each module check formed the
     # squares apart from sigma tau and tau sigma, 4,586 when each graded
-    # piece took its own order and commute check); counts, unlike times,
-    # are free of host noise
+    # piece took its own order and commute check) in 153 check_actions
+    # calls (306); counts, unlike times, are free of host noise
     decisions = _count_computed(monkeypatch, "is_isomorphic")
     dims = _count_computed(monkeypatch, "_hom_dims")
     solves = _count_computed(monkeypatch, "_hom_solve")
     products = _count_products(monkeypatch)
+    checks = _count_checks(monkeypatch)
     conds, steps, profiles, levels = [], [], [], []
     real_conditions, real_rref = km._hom_conditions, linalg._rref_inplace
     real_profile = linalg._row_profile
@@ -715,8 +731,8 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     assert run_suite("all", SUITE_PRIMES, seed=0)["exit"] == 0
     assert levels == []
     counts = (len(decisions), len(dims), len(solves), len(conds), len(steps), sum(steps),
-              len(profiles), sum(profiles), len(products))
-    most = (241, 141, 122, 377, 715, 7000, 147, 1704, 2541)
+              len(profiles), sum(profiles), len(products), len(checks))
+    most = (241, 141, 122, 377, 715, 7000, 147, 1704, 2056, 153)
     assert all(n <= m for n, m in zip(counts, most)), counts
 
 
@@ -874,6 +890,100 @@ def test_vdr_module_is_checked_once(monkeypatch):
     M = km.v_dr(C3, 5, T3)
     assert checks == [(2, M.dim, M.dim)]
     assert M == km.v_dr(C3, 5, T3) and M.labels == km.v_dr(C3, 5, T3).labels
+
+
+def test_derivations_check_nothing(monkeypatch):
+    # a dual, sum, submodule or quotient of checked modules keeps the
+    # relations, and so does every block vdr_quotient and the Hodge model
+    # take of the checked vd_definition pair
+    t = C3.gen()
+    M, N = km.v_dr(C3, 4, t), km.v_d(C3, 5, t)
+    km.vd_definition(C3, t)
+    params = cf.curve_params(C3, 10, C3.from_text("0,1"))
+    km.vd_definition(C3, params.beta)
+    checks = _count_checks(monkeypatch)
+    km.dual(M), km.direct_sum(M, N)
+    km.sub_module_on(M, km.fixed_space(M))
+    km.quotient(M, km.fixed_space(M))
+    km.vdr_quotient(C3, 7, t)
+    assert checks == []
+    # the Hodge check builds and checks its piece, and derives its model
+    cf.hodge_check(params, 5)
+    assert checks == [(2, 8, 8)]
+
+
+def test_trust_boundary_checks_each_module_once(monkeypatch):
+    checks = _count_checks(monkeypatch)
+    M = km.HModule(C3, *_spec(C3, 5)[:2])
+    assert checks == [(2, 5, 5)]
+    assert km.module_from_json(km.module_to_json(M)) == M
+    assert checks == [(2, 5, 5)] * 2
+    # the autouse fixture leaves the cache cold, so this call builds
+    km.vd_definition(C5, C5.gen())
+    assert checks == [(2, 5, 5)] * 2 + [(2, 25, 25)]
+    km.vd_definition(C5, C5.gen())
+    assert len(checks) == 3
+
+
+def _module_json(S, T):
+    return {**km.module_to_json(km.v_d(C3, 2, T3)), "sigma": S.to_lists(), "tau": T.to_lists()}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_PAIRS))
+def test_bad_pairs_are_refused_at_every_checked_entrance(bad, tmp_path, capsys):
+    S, T = BAD_PAIRS[bad]
+    with pytest.raises((OrderViolation, NotCommuting)) as alone:
+        km.HModule(C3, S, T)
+    want = (type(alone.value), str(alone.value))
+    assert _batch(C3, [_spec(C3, 4), (S, T)]) == want
+    assert _outcome(lambda: [km.module_from_json(_module_json(S, T))]) == want
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_module_json(S, T)))
+    assert main(["query", "indec", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": want[0].__name__, "message": want[1]}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: km.v_dr(C3, 4, T3), lambda: km.v_d(C5, 12, C5.gen()),
+    lambda: km.direct_sum(km.v_d(C3, 3, T3), km.dual(km.v_dr(C3, 6, T3))),
+    lambda: km.v_d(default_ctx(2), 3, default_ctx(2).gen())],
+    ids=["v_dr p3", "v_d p5", "sum with a dual", "v_d p2"])
+def test_dual_and_quotient_keep_their_matrices(build):
+    # the stacked power and the stacked products give what the products
+    # one generator at a time gave, byte for byte
+    M = build()
+    p = M.ctx.p
+    D = km.dual(M)
+    for X, G in ((D.Msigma, M.Msigma), (D.Mtau, M.Mtau)):
+        assert X.data.tobytes() == matpow(G, p - 1).transpose().data.tobytes()
+    W = km.fixed_space(M)
+    free = [c for c in range(M.dim) if c not in W.pivots]
+    for reps in (np.eye(M.dim, dtype=np.int64)[free], np.eye(M.dim, dtype=np.int64)[free[::-1]]):
+        Q, P = km.quotient(M, W, reps=reps)
+        R = Mat(M.ctx, reps.T.copy())
+        for X, G in ((Q.Msigma, M.Msigma), (Q.Mtau, M.Mtau)):
+            assert X.data.tobytes() == (P @ G @ R).data.tobytes()
+
+
+def test_full_check_on_every_derived_module_keeps_the_report(monkeypatch):
+    # every derived module of `verify all` passes the order and commute
+    # check the public constructor makes, and the report stays byte for byte
+    plain = report_to_json(run_suite("all", SUITE_PRIMES, seed=0))
+    for ctx in list(ff._CTX_LIVE.values()):
+        ctx._cache.clear()
+    real, forced = km.HModule._derived, []
+
+    def checked(ctx, Msigma, Mtau, labels=None, meta=None):
+        km.check_actions(ctx, np.stack([Msigma.data, Mtau.data]))
+        forced.append(Msigma.rows)
+        return real(ctx, Msigma, Mtau, labels, meta)
+
+    monkeypatch.setattr(km.HModule, "_derived", staticmethod(checked))
+    report = run_suite("all", SUITE_PRIMES, seed=0)
+    assert report["exit"] == 0 and report_to_json(report) == plain
+    assert len(forced) > 150
 
 
 def test_dims_only_calls_make_no_inversion(monkeypatch, cold_family_modules):

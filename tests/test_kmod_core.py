@@ -17,8 +17,8 @@ from repcurve.kmod import (HModule, apply_word, augmentation_ideal,
                            quotient, regular_module, s_filtration, s_p,
                            sub_generated, sub_module_on, trivial_module, v_d,
                            v_dr, vdr_quotient)
-from repcurve.linalg import Mat, Subspace, matpow
-from reference import (contains_space, dominance_compare, s_filtration_direct, vdr_eta,
+from repcurve.linalg import Mat, Subspace
+from reference import (contains_space, dominance_compare, matpow, s_filtration_direct, vdr_eta,
                        vdr_omega)
 
 C3 = default_ctx(3)

@@ -19,8 +19,8 @@ from repcurve.kmod import (HModule, algebra_radical, augmentation_ideal, direct_
                            dual, end_algebra, fixed_space, hom_space, is_indecomposable,
                            is_isomorphic, jordan_scan, module_to_json, profile,
                            regular_module, s_filtration, trivial_module, v_d, v_dr)
-from repcurve.linalg import Mat, Subspace, invert, kernel, matpow, solve_matrix
-from reference import contains, intertwiner_space, preimage
+from repcurve.linalg import Mat, Subspace, invert, kernel, solve_matrix
+from reference import contains, intertwiner_space, matpow, preimage
 
 C3 = default_ctx(3)
 T = C3.gen()
