@@ -48,15 +48,14 @@ def dd(p: int, m: int, c: int) -> int:
 def index_I(p: int, m: int, c: int) -> tuple:
     """Indices i < p^2 with m*i + p^2*c < m*(p^2 - 1), increasing.
 
-    Always the initial segment 0..dd(c)-1.  The condition only fails
-    more as i grows, so asserting that it holds at dd(c) - 1 and fails at
-    dd(c) shows the two descriptions equal, which pins the ceiling
-    arithmetic in dd.
+    Always the initial segment 0..dd(c)-1.  Once the condition fails it
+    fails for every larger i, so asserting that it holds at dd(c) - 1 and
+    fails at dd(c) shows the two descriptions equal, which pins the
+    ceiling arithmetic in dd.
     """
     d = dd(p, m, c)  # refuses c outside 1..m-1
     pp = p * p
-    assert d == 0 or m * (d - 1) + pp * c < m * (pp - 1)
-    assert d == pp or m * d + pp * c >= m * (pp - 1)
+    assert m * (d - 1) + pp * c < m * (pp - 1) <= m * d + pp * c
     return tuple(range(d))
 
 
@@ -64,14 +63,13 @@ def index_J(p: int, m: int, c: int) -> tuple:
     """Indices i <= p^2 - 1 with p^2*c/m < i, increasing.
 
     Mirror image of index_I under i -> p^2 - 1 - i: the final segment of
-    dd(c) indices.  The strict rational inequality, kept in integers,
-    only holds more as i grows, so it is asserted to hold at p^2 - dd(c)
-    and to fail just below.
+    dd(c) indices.  Once the strict rational inequality, kept in
+    integers, holds it holds for every larger i, so it is asserted to hold
+    at p^2 - dd(c) and to fail just below.
     """
     d = dd(p, m, c)  # refuses c outside 1..m-1
     pp = p * p
-    assert d == 0 or pp * c < m * (pp - d)
-    assert d == pp or pp * c >= m * (pp - d - 1)
+    assert m * (pp - d - 1) <= pp * c < m * (pp - d)
     return tuple(range(pp - d, pp))
 
 
