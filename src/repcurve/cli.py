@@ -173,7 +173,7 @@ def _query_ddeg(args, M: km.HModule) -> dict:
         v = M.basis_vector(args.label)
         shown = args.label
     else:
-        parts = args.vector.split(";")
+        parts = args.vector.split(";") if args.vector else []
         if len(parts) != M.dim:
             raise ShapeMismatch(
                 f"vector has {len(parts)} components, module has dim {M.dim}")

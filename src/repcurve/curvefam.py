@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadParams, ContextMismatch, OutOfRange
 from .ff import FieldCtx, FieldElem, beta_from_alpha
-from .kmod import HModule, _memo, dr_action, dual, v_d_family, vd_definition
+from .kmod import HModule, _memo, check_actions, dr_action, dual, v_d, vd_definition
 from .linalg import Mat
 
 # test grid fixed by configuration; second component drops multiples of p
@@ -208,9 +208,10 @@ class GradedModule:
 
 @_memo
 def _zero_module(ctx: FieldCtx) -> HModule:
-    """The zero module, shared per context."""
+    """The zero module, shared per context; its 0 x 0 pair holds both
+    relations vacuously, so it is derived."""
     z = Mat.zeros(ctx, 0, 0)
-    return HModule(ctx, z, z, labels=(), meta={"kind": "zero"})
+    return HModule._derived(ctx, z, z, labels=(), meta={"kind": "zero"})
 
 
 def holo_graded(params: CurveParams) -> GradedModule:
@@ -218,15 +219,13 @@ def holo_graded(params: CurveParams) -> GradedModule:
     matrix pair per nontrivial character index c of the prime-to-p cyclic
     action.  Piece c has basis w_i over index_I(c), the initial segment
     0..dd(c)-1, so it is the shared family member v_d at d = dd(c), and
-    the shared zero module when dd(c) = 0; the members not built before
-    are checked in one stacked chain (v_d_family).  The dimension count
-    across pieces reproduces the genus."""
+    the shared zero module when dd(c) = 0; v_d checks the factors of its
+    beta once, and derives every member.  The dimension count across pieces
+    reproduces the genus."""
     p, m = params.p, params.m
     dims = [len(index_I(p, m, c)) for c in range(1, m)]
-    nonzero = [d for d in dict.fromkeys(dims) if d]
-    members = dict(zip(nonzero, v_d_family(params.ctx, nonzero, params.beta)))
-    if 0 in dims:
-        members[0] = _zero_module(params.ctx)
+    members = {d: v_d(params.ctx, d, params.beta) if d else _zero_module(params.ctx)
+               for d in dict.fromkeys(dims)}
     gm = GradedModule(params, "holo", {c: members[d] for c, d in enumerate(dims, 1)})
     assert gm.total_dim() == genus(p, m)
     return gm
@@ -250,12 +249,14 @@ def dr_graded(params: CurveParams) -> GradedModule:
     d = dd(m-c) with the curve's gamma, which at gamma = 1 builds v_dr(d),
     so vdr_label_map identifies it with v_dr(d).  Pieces with equal index
     sets are one shared module; the distinct ones, all of dim p^2 - 1,
-    are built and checked by one HModule.batch."""
+    are checked by one check_actions on their stacked pairs and derived.
+    An empty family (m = 1) checks nothing."""
     p, m = params.p, params.m
     keys = [(index_I(p, m, m - c), index_J(p, m, c)) for c in range(1, m)]
-    distinct = list(dict.fromkeys(keys))
-    built = dict(zip(distinct, HModule.batch(params.ctx,
-                                             [_dr_piece(params, *key) for key in distinct])))
+    specs = {key: _dr_piece(params, *key) for key in dict.fromkeys(keys)}
+    if specs:
+        check_actions(params.ctx, np.stack([[S.data, T.data] for S, T, *_ in specs.values()]))
+    built = {key: HModule._derived(params.ctx, *spec) for key, spec in specs.items()}
     gm = GradedModule(params, "dr", {c: built[key] for c, key in enumerate(keys, 1)})
     assert gm.total_dim() == (m - 1) * (p ** 2 - 1)
     return gm

@@ -124,17 +124,6 @@ def _memo(fn):
     return cached
 
 
-def _square_pair(ctx: FieldCtx, Msigma: Mat, Mtau: Mat) -> int:
-    """The common dim of two square generator matrices over ctx."""
-    if Msigma.ctx != ctx or Mtau.ctx != ctx:
-        raise ContextMismatch("generator matrices over a different context")
-    if not Msigma.is_square() or not Mtau.is_square():
-        raise ShapeMismatch("generator matrices must be square")
-    if Msigma.rows != Mtau.rows:
-        raise ShapeMismatch("generator matrices of different sizes")
-    return Msigma.rows
-
-
 def check_actions(ctx: FieldCtx, gens: np.ndarray) -> None:
     """Check that each (sigma, tau) pair of the stack gens, shaped
     (..., 2, d, d), has sigma^p = tau^p = 1 and sigma tau = tau sigma:
@@ -142,7 +131,8 @@ def check_actions(ctx: FieldCtx, gens: np.ndarray) -> None:
     broadcast against [gens, gens swapped]), then sigma^p and tau^p from one
     stacked power of the squares, however many pairs there are.  The first
     bad pair raises what HModule raises for it, sigma's order before tau's
-    before commuting."""
+    before commuting.  A stack holds one module's pair, the two
+    binomial_factors pairs that v_d checks, or a de Rham family's pieces."""
     squares, swapped = np.moveaxis(
         _matmul_idx(ctx, gens[..., None, :, :, :],
                     np.stack([gens, gens[..., ::-1, :, :]], axis=-4)), -4, 0)
@@ -165,15 +155,17 @@ class HModule:
     """Two commuting order-p matrices over a shared field context.
 
     Every HModule was either checked or derived from checked modules.  The
-    public constructor, HModule.batch and module_from_json check
-    sigma^p = tau^p = 1 and sigma tau = tau sigma (check_actions), and so
-    do the family builders and the trivial and regular modules through
-    them; vd_definition checks its one pair per (ctx, beta).  The
+    public constructor and module_from_json check sigma^p = tau^p = 1 and
+    sigma tau = tau sigma (check_actions), and so do v_dr and the trivial
+    and regular modules through them; vd_definition checks its one pair,
+    and v_d the two p x p binomial_factors pairs, once per (ctx, beta), and
+    curvefam.dr_graded its distinct pieces in one stack.  The
     constructions that keep both relations whenever their inputs have them
-    build through HModule._derived, which checks nothing: dual,
-    direct_sum, sub_module_on and quotient, whose subspace invariance
-    _action_coords proves, and the blocks of vd_definition that
-    vdr_quotient and curvefam.hodge_check's model take.
+    build through HModule._derived, which checks nothing: every v_d, a
+    leading block of the tensor product of its factors; dual, direct_sum,
+    sub_module_on and quotient, whose subspace invariance _action_coords
+    proves; and the blocks of vd_definition that vdr_quotient and
+    curvefam.hodge_check's model take.
 
     Immutable; derived data (filtration, End solve and split, word
     matrices, dual) is kept on the instance by _memo.  labels and meta carry
@@ -187,28 +179,14 @@ class HModule:
     def __init__(self, ctx: FieldCtx, Msigma: Mat, Mtau: Mat,
                  labels: Optional[Sequence[str]] = None,
                  meta: Optional[dict] = None):
-        _square_pair(ctx, Msigma, Mtau)
+        if Msigma.ctx != ctx or Mtau.ctx != ctx:
+            raise ContextMismatch("generator matrices over a different context")
+        if not Msigma.is_square() or not Mtau.is_square():
+            raise ShapeMismatch("generator matrices must be square")
+        if Msigma.rows != Mtau.rows:
+            raise ShapeMismatch("generator matrices of different sizes")
         check_actions(ctx, np.stack([Msigma.data, Mtau.data]))
         self._fill(ctx, Msigma, Mtau, labels, meta)
-
-    @classmethod
-    def batch(cls, ctx: FieldCtx, specs: Sequence[tuple]) -> list:
-        """[HModule(ctx, *spec) for spec in specs] for (Msigma, Mtau,
-        labels, meta) specs, with the group-action checks of all pairs in
-        one check_actions chain: each pair sits in the leading block of an
-        identity-padded stack at the largest dim, and an identity block
-        changes neither an order nor commuting.  Context and shape errors
-        are raised for each spec first, then the action error of the first
-        bad pair, then label errors; an empty batch checks nothing."""
-        dims = [_square_pair(ctx, S, T) for S, T, *_ in specs]
-        if specs:
-            top = max(dims)
-            gens = np.empty((len(specs), 2, top, top), dtype=np.int64)
-            gens[:] = np.eye(top, dtype=np.int64)
-            for G, (S, T, *_), d in zip(gens, specs, dims):
-                G[0, :d, :d], G[1, :d, :d] = S.data, T.data
-            check_actions(ctx, gens)
-        return [cls._derived(ctx, *spec) for spec in specs]
 
     @classmethod
     def _derived(cls, ctx: FieldCtx, Msigma: Mat, Mtau: Mat,
@@ -348,21 +326,35 @@ def augmentation_ideal(ctx: FieldCtx) -> HModule:
 
 
 @_memo
+def binomial_factors(ctx: FieldCtx, beta: FieldElem) -> np.ndarray:
+    """Read-only (2, 2, p, p) stack of the (sigma, tau) pairs of
+    v_d(p, beta^p) and v_d(p, beta), in this order: entry (i, n) is
+    C(n, i) for sigma and C(n, i) gamma^(n-i) for tau at gamma = beta^p and
+    beta, zero for i > n.  Shared per (ctx, beta)."""
+    p = ctx.p
+    pascal = np.array([[binom_mod_p(n, i, p) for n in range(p)] for i in range(p)],
+                      dtype=np.int64)
+    gap = np.maximum(np.arange(p)[None, :] - np.arange(p)[:, None], 0)
+    out = np.empty((2, 2, p, p), dtype=np.int64)
+    for pair, gamma in zip(out, (ctx.pow_idx(beta.idx, p), beta.idx)):
+        powers = np.array([ctx.pow_idx(gamma, k) for k in range(p)], dtype=np.int64)
+        pair[0], pair[1] = pascal, ctx.mul[pascal, powers[gap]]
+    out.setflags(write=False)
+    return out
+
+
+@_memo
 def binomial_table(ctx: FieldCtx, beta: FieldElem) -> tuple:
     """Read-only p^2 x p^2 matrices (S, T) of v_d(p^2, beta): entry (i, n)
     is C(n, i) for S and C(n, i) beta^(n-i) for T, zero for i > n.  By
-    Lucas, S is the Kronecker square of the p x p Pascal table mod p;
-    shared per (ctx, beta)."""
-    p = ctx.p
-    pp = p * p
-    pascal = np.array([[binom_mod_p(n, i, p) for n in range(p)] for i in range(p)],
-                      dtype=np.int64)
-    S = np.kron(pascal, pascal) % p
-    powers = np.ones(pp, dtype=np.int64)
-    for k in range(1, pp):
-        powers[k] = ctx.mul[powers[k - 1], beta.idx]
-    gap = np.arange(pp)[None, :] - np.arange(pp)[:, None]
-    T = ctx.mul[S, powers[np.maximum(gap, 0)]]
+    Lucas, with n = n1 p + n0 and i = i1 p + i0, C(n, i) beta^(n-i) is
+    C(n1, i1) (beta^p)^(n1-i1) times C(n0, i0) beta^(n0-i0), so S and T
+    are the field Kronecker products of the binomial_factors pairs:
+    v_d(p^2, beta) = v_d(p, beta^p) (x) v_d(p, beta).  Shared per
+    (ctx, beta)."""
+    pp = ctx.p ** 2
+    F = binomial_factors(ctx, beta)
+    S, T = ctx.mul[F[0][:, :, None, :, None], F[1][:, None, :, None, :]].reshape(2, pp, pp)
     S.setflags(write=False)
     T.setflags(write=False)
     return S, T
@@ -372,30 +364,28 @@ def binomial_table(ctx: FieldCtx, beta: FieldElem) -> tuple:
 def v_d(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     """Module on basis w_0..w_{d-1} with binomial action:
     sigma.w_n = sum_i C(n,i) w_i, tau.w_n = sum_i C(n,i) beta^(n-i) w_i.
-    Equal arguments over one context return the same shared module."""
-    return HModule(ctx, *_vd_spec(ctx, d, beta))
-
-
-def _vd_spec(ctx: FieldCtx, d: int, beta: FieldElem) -> tuple:
-    """(Msigma, Mtau, labels, meta) of v_d(ctx, d, beta)."""
-    p = ctx.p
-    if not (1 <= d <= p * p):
-        raise BadDimension(f"dimension {d} outside 1..{p * p}")
-    _require_nonprime(ctx, beta)
-    S, T = binomial_table(ctx, beta)
-    labels = tuple(f"w{i}" for i in range(d))
-    return (Mat(ctx, S[:d, :d].copy()), Mat(ctx, T[:d, :d].copy()), labels,
-            {"kind": "vd", "d": d, "beta": beta.idx})
-
-
-def v_d_family(ctx: FieldCtx, ds: Sequence[int], beta: FieldElem) -> list:
-    """[v_d(ctx, d, beta) for d in ds]; the members not yet shared are
-    built by one HModule.batch and kept where v_d finds them."""
-    new = [d for d in dict.fromkeys(ds) if ("v_d", d, beta.idx) not in ctx._cache]
-    for d, M in zip(new, HModule.batch(ctx, [_vd_spec(ctx, d, beta) for d in new])):
-        # the key _memo reads for v_d(ctx, d, beta)
-        ctx._cache[("v_d", d, beta.idx)] = M
-    return [v_d(ctx, d, beta) for d in ds]
+    At d = p^2 it is the binomial table, a tensor product of the two
+    binomial_factors pairs, which are checked here, once per (ctx, beta):
+    a tensor product keeps sigma^p = tau^p = 1 and commuting.  Every
+    smaller member is the leading d x d block of v_d(p^2): both matrices
+    are upper triangular, so span(w_0..w_{d-1}) is invariant, and each
+    member is derived.  Equal arguments over one context return the same
+    shared module."""
+    pp = ctx.p ** 2
+    if not (1 <= d <= pp):
+        raise BadDimension(f"dimension {d} outside 1..{pp}")
+    if d < pp:
+        top = v_d(ctx, pp, beta)
+        S, T = top.Msigma.data, top.Mtau.data
+    else:
+        _require_nonprime(ctx, beta)
+        check_actions(ctx, binomial_factors(ctx, beta))
+        S, T = binomial_table(ctx, beta)
+    # v_d(p^2) shares the read-only table; a smaller member copies its block
+    return HModule._derived(ctx, Mat(ctx, np.ascontiguousarray(S[:d, :d])),
+                            Mat(ctx, np.ascontiguousarray(T[:d, :d])),
+                            labels=tuple(f"w{i}" for i in range(d)),
+                            meta={"kind": "vd", "d": d, "beta": beta.idx})
 
 
 def _vdr_index_sets(p: int, d: int) -> tuple:

@@ -19,6 +19,7 @@ from repcurve import kmod as km
 from repcurve.cli import BUILD_KINDS, QUERY_KINDS, main
 from repcurve.errors import BadParams, RepcurveError
 from repcurve.ff import ctx_new, default_ctx, frobenius
+from repcurve.linalg import Mat
 from repcurve.suites import run_suite
 
 from reference import graded_to_json
@@ -139,6 +140,13 @@ def test_build_output_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_markdown_report_bytes_are_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--p", "3", "--format", "md")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d953d444d5414692aa7f8604fa31af81c2fe4413b8cb50767d685bd45292aed7")
+
+
 @pytest.mark.parametrize("kind,p,n,m,alpha", [
     ("holo", 3, 2, 1, "0,1"),  # "pieces": {}
     ("dr", 5, 2, 1, "1,1"),
@@ -253,7 +261,8 @@ def test_build_refuses_flags_it_would_ignore(capsys, argv):
 
 
 @pytest.mark.parametrize("kind,module,name,flags", [
-    ("vd", km, "v_d", ("--d", "4", "--beta", "0,1")),
+    # the p^2 member: v_d(4) would call v_d(9) itself
+    ("vd", km, "v_d", ("--d", "9", "--beta", "0,1")),
     # the least d of its class: v_dr(4) would call v_dr(3) itself
     ("vdr", km, "v_dr", ("--d", "3", "--beta", "0,1")),
     ("regular", km, "regular_module", ()),
@@ -376,6 +385,22 @@ def test_query_ddeg_vector_of_wrong_length(capsys, tmp_path, parts):
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "ShapeMismatch",
                                "message": f"vector has {parts} components, module has dim 4"}
+
+
+def test_query_ddeg_reads_an_empty_vector_as_no_components(capsys, tmp_path):
+    # --vector '' is the zero vector of a dim-0 module, and too short for
+    # any other
+    ctx = default_ctx(3)
+    zero = tmp_path / "zero.json"
+    z = Mat.zeros(ctx, 0, 0)
+    zero.write_text(json.dumps(km.module_to_json(km.HModule(ctx, z, z))))
+    code, out, _ = run(capsys, "query", "ddeg", str(zero), "--vector", "")
+    assert code == 0 and json.loads(out) == {"input": "", "ddeg": -1}
+    a = tmp_path / "a.json"
+    run(capsys, "build", "vd", "--p", "3", "--d", "4", "--beta", "0,1", "--out", str(a))
+    code, out, err = run(capsys, "query", "ddeg", str(a), "--vector", "")
+    assert code == 2 and out == ""
+    assert json.loads(err)["message"] == "vector has 0 components, module has dim 4"
 
 
 class _Libc:

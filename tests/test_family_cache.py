@@ -2,6 +2,7 @@
 Hom is solved from, and the batched checks of a new module."""
 
 import gc
+import hashlib
 import json
 import random
 import re
@@ -291,7 +292,8 @@ def _count_products(monkeypatch) -> list:
 
 
 def _count_checks(monkeypatch) -> list:
-    """The shapes of the stacks check_actions is called on."""
+    """The shapes of the stacks check_actions is called on, curvefam's
+    import of it included."""
     checks = []
     real = km.check_actions
 
@@ -299,7 +301,8 @@ def _count_checks(monkeypatch) -> list:
         checks.append(gens.shape)
         return real(ctx, gens)
 
-    monkeypatch.setattr(km, "check_actions", counted)
+    for module in (km, cf):
+        monkeypatch.setattr(module, "check_actions", counted)
     return checks
 
 
@@ -318,15 +321,22 @@ def _one_by_one(ctx, specs):
 
 
 def _batch(ctx, specs):
-    return _outcome(lambda: km.HModule.batch(ctx, specs))
+    """The outcome of one check_actions on the stacked pairs of specs, all
+    of one dim, and a derivation of each: how dr_graded builds its
+    distinct pieces."""
+    def build():
+        if specs:
+            km.check_actions(ctx, np.stack([[S.data, T.data] for S, T in specs]))
+        return [km.HModule._derived(ctx, S, T) for S, T in specs]
+
+    return _outcome(build)
 
 
-def _spec(ctx, d):
-    """(Msigma, Mtau, labels, meta) of v_d(d, t), or of the zero module."""
-    if d:
-        return km._vd_spec(ctx, d, ctx.gen())
-    z = Mat.zeros(ctx, 0, 0)
-    return z, z, (), {"kind": "zero"}
+def _spec(ctx, d, shift=0):
+    """(Msigma, Mtau) of v_d(d, t + shift), cut from the binomial table
+    with no check."""
+    S, T = km.binomial_table(ctx, ctx.gen() + shift)
+    return Mat(ctx, S[:d, :d].copy()), Mat(ctx, T[:d, :d].copy())
 
 
 J = Mat(C3, np.array([[1, 1], [0, 1]]))        # order 3
@@ -338,7 +348,7 @@ BAD_PAIRS = {"sigma": (D, J), "tau": (J, D), "both": (D, D), "commute": (J, K)}
 @pytest.mark.parametrize("j", [1, 3])
 @pytest.mark.parametrize("bad", sorted(BAD_PAIRS))
 def test_batch_raises_what_the_first_bad_pair_raises(bad, j):
-    specs = [_spec(C3, d) for d in (4, 2, 0, 9)]
+    specs = [_spec(C3, 2, shift) for shift in range(4)]
     specs[j] = BAD_PAIRS[bad]
     want = _one_by_one(C3, [BAD_PAIRS[bad]])
     assert want[0] in (OrderViolation, NotCommuting)
@@ -348,28 +358,17 @@ def test_batch_raises_what_the_first_bad_pair_raises(bad, j):
         assert _batch(C3, specs + [later]) == want
 
 
-def test_batch_builds_mixed_dims_and_checks_an_empty_batch(monkeypatch):
-    specs = [_spec(C3, d) for d in (3, 0, 9, 1, 0, 5)]
-    calls = _count_products(monkeypatch)
-    mods = km.HModule.batch(C3, specs)
-    # one stacked product of the squares and both orders of sigma tau, and
-    # one to the cubes (p = 3)
-    assert len(calls) == 2
-    assert [M.dim for M in mods] == [3, 0, 9, 1, 0, 5]
-    assert _outcome(lambda: mods) == _one_by_one(C3, specs)
-    calls.clear()
-    assert km.HModule.batch(C3, []) == [] and calls == []
-
-
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 3)])
 def test_batch_matches_one_by_one_over_small_and_cubic_fields(p, n):
     ctx = default_ctx(p, n)
-    specs = [_spec(ctx, d) for d in range(p * p, -1, -1)]
+    specs = [_spec(ctx, p * p, shift) for shift in range(p)]
     assert _batch(ctx, specs) == _one_by_one(ctx, specs)
     assert _batch(ctx, specs)[0] == "ok"
-    # a nonzero scalar other than 1 has order prime to p
-    scalar = Mat(ctx, np.full((1, 1), ctx.gen().idx, dtype=np.int64))
-    specs[2] = (Mat.identity(ctx, 1), scalar)
+    # a diagonal entry that is a nonzero scalar other than 1 gives tau an
+    # order prime to p
+    scaled = np.eye(p * p, dtype=np.int64)
+    scaled[0, 0] = ctx.gen().idx
+    specs[1] = (Mat.identity(ctx, p * p), Mat(ctx, scaled))
     assert _batch(ctx, specs) == _one_by_one(ctx, specs)
     assert _batch(ctx, specs)[0] is OrderViolation
 
@@ -379,7 +378,7 @@ def _corrupt(spec, faults, rng):
     sigma or tau moved off 1 (its p-th power is then not 1), tau replaced
     by the transpose of sigma (order p, commuting only at dim 1), or one
     entry of sigma or tau redrawn."""
-    S, T, labels, meta = spec
+    S, T = spec
     ctx, d = S.ctx, S.rows
     for fault in sorted(faults) if d else ():
         if fault == "commute":
@@ -393,7 +392,7 @@ def _corrupt(spec, faults, rng):
         else:
             X[i, i] = rng.randrange(2, ctx.q)
         S, T = (Mat(ctx, X), T) if on_sigma else (S, Mat(ctx, X))
-    return S, T, labels, meta
+    return S, T
 
 
 FAULTS = st.sets(st.sampled_from(["sigma", "tau", "commute", "entry"]), max_size=2)
@@ -401,13 +400,13 @@ FAULTS = st.sets(st.sampled_from(["sigma", "tau", "commute", "entry"]), max_size
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([C3, C5]), st.integers(0, 10**6),
-       st.lists(st.tuples(st.integers(0, 9), FAULTS), max_size=6))
-def test_batch_outcome_is_the_first_one_by_one_outcome(ctx, seed, pairs):
-    """Random stacks of family pairs, most of them corrupted (_corrupt):
-    the batch builds what one-by-one construction builds, or raises what
-    its first failing construction raises."""
+       st.integers(0, 9), st.lists(FAULTS, max_size=6))
+def test_batch_outcome_is_the_first_one_by_one_outcome(ctx, seed, d, pairs):
+    """Random stacks of family pairs of one dim, most of them corrupted
+    (_corrupt): the stacked check builds what one-by-one construction
+    builds, or raises what its first failing construction raises."""
     rng = random.Random(seed)
-    specs = [_corrupt(_spec(ctx, d), faults, rng) for d, faults in pairs]
+    specs = [_corrupt(_spec(ctx, d, rng.randrange(ctx.p)), faults, rng) for faults in pairs]
     assert _batch(ctx, specs) == _one_by_one(ctx, specs)
 
 
@@ -415,35 +414,22 @@ def test_single_construction_keeps_its_products(monkeypatch):
     calls = _count_products(monkeypatch)
     # the squares and sigma tau, tau sigma in one product, then the p-th
     # powers: one more product at p = 3, two at p = 5
-    km.HModule(C3, *_spec(C3, 5)[:2])
+    km.HModule(C3, *_spec(C3, 5))
     assert len(calls) == 2
-    km.HModule(C5, *_spec(C5, 12)[:2])
+    km.HModule(C5, *_spec(C5, 12))
     assert len(calls) == 2 + 3
 
 
-def test_family_batch_fills_the_v_d_memo(monkeypatch):
-    t = C5.gen()
-    M = km.v_d(C5, 7, t)
-    calls = _count_products(monkeypatch)
-    mods = km.v_d_family(C5, [7, 3, 7, 12], t)
-    # v_d(7) is shared already; v_d(3) and v_d(12) take one stacked check
-    assert len(calls) == 3
-    assert mods[0] is M is mods[2]
-    assert mods[1] is km.v_d(C5, 3, t) and mods[3] is km.v_d(C5, 12, t)
-    assert km.v_d_family(C5, [3, 12], t) == [mods[1], mods[3]]
-    assert len(calls) == 3
-    with pytest.raises(ContextMismatch):
-        km.v_d_family(C5, [3], C3.gen())
-
-
-# products of one cold build; checking each distinct piece with its own
-# chain took 27, 100, 100 and 27, and a check that formed the squares apart
-# from sigma tau and tau sigma took 3, 8, 4 and 6
+# products of one cold build; a holo build checks only the two p x p
+# factors of its beta (6 and 4 when it checked its distinct members
+# together); checking each distinct piece with its own chain took 27, 100,
+# 100 and 27, and a check that formed the squares apart from sigma tau and
+# tau sigma took 3, 8, 4 and 6
 BUILD_PRODUCTS = [
     (("dr", "--p", "3", "--m", "10"), 2),
-    (("holo", "--p", "5", "--m", "26"), 6),
+    (("holo", "--p", "5", "--m", "26"), 3),
     (("dr", "--p", "5", "--m", "99"), 3),
-    (("holo", "--p", "3", "--m", "100"), 4),
+    (("holo", "--p", "3", "--m", "100"), 2),
 ]
 
 
@@ -694,13 +680,14 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     # (977 of 7,966) and 147 flag row profiles of 1,704 steps (167 of
     # 1,724; 1,635 eliminations when each flag took one per word degree,
     # 13,526 steps when each filtration level took its own).  It forms no
-    # filtration level and makes 2,056 products (2,541 when every derived
-    # module took its own order and commute check, and a quotient and a
-    # dual formed each generator apart; 3,104 before the decision,
-    # quotient and core memos, 3,468 when each module check formed the
-    # squares apart from sigma tau and tau sigma, 4,586 when each graded
-    # piece took its own order and commute check) in 153 check_actions
-    # calls (306); counts, unlike times, are free of host noise
+    # filtration level and makes 1,907 products (2,056 when each v_d
+    # member took its own order and commute check, 2,541 when every derived
+    # module did, and a quotient and a dual formed each generator apart;
+    # 3,104 before the decision, quotient and core memos, 3,468 when each
+    # module check formed the squares apart from sigma tau and tau sigma,
+    # 4,586 when each graded piece took its own order and commute check) in
+    # 91 check_actions calls (153, 306); counts, unlike times, are free of
+    # host noise
     decisions = _count_computed(monkeypatch, "is_isomorphic")
     dims = _count_computed(monkeypatch, "_hom_dims")
     solves = _count_computed(monkeypatch, "_hom_solve")
@@ -732,7 +719,7 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     assert levels == []
     counts = (len(decisions), len(dims), len(solves), len(conds), len(steps), sum(steps),
               len(profiles), sum(profiles), len(products), len(checks))
-    most = (241, 141, 122, 377, 715, 7000, 147, 1704, 2056, 153)
+    most = (241, 141, 122, 377, 715, 7000, 147, 1704, 1907, 91)
     assert all(n <= m for n, m in zip(counts, most)), counts
 
 
@@ -914,7 +901,7 @@ def test_derivations_check_nothing(monkeypatch):
 
 def test_trust_boundary_checks_each_module_once(monkeypatch):
     checks = _count_checks(monkeypatch)
-    M = km.HModule(C3, *_spec(C3, 5)[:2])
+    M = km.HModule(C3, *_spec(C3, 5))
     assert checks == [(2, 5, 5)]
     assert km.module_from_json(km.module_to_json(M)) == M
     assert checks == [(2, 5, 5)] * 2
@@ -923,6 +910,60 @@ def test_trust_boundary_checks_each_module_once(monkeypatch):
     assert checks == [(2, 5, 5)] * 2 + [(2, 25, 25)]
     km.vd_definition(C5, C5.gen())
     assert len(checks) == 3
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cold_v_d_checks_only_the_factors_of_its_beta(monkeypatch, p):
+    # v_d(p^2, beta) = v_d(p, beta^p) (x) v_d(p, beta): the first member of
+    # a beta checks the two p x p factor pairs in one stack, and every
+    # member of that beta is a block of v_d(p^2), derived with no check
+    ctx = default_ctx(p)
+    t = ctx.gen()
+    checks = _count_checks(monkeypatch)
+    km.v_d(ctx, p + 1, t)
+    assert checks == [(2, 2, p, p)]
+    assert [km.v_d(ctx, d, t).dim for d in range(1, p * p + 1)] == list(range(1, p * p + 1))
+    assert checks == [(2, 2, p, p)]
+    km.v_d(ctx, p * p, t + 1)
+    assert checks == [(2, 2, p, p)] * 2
+
+
+@pytest.mark.parametrize("factor", [0, 1], ids=["beta^p", "beta"])
+def test_a_non_commuting_factor_pair_is_refused_at_the_first_v_d(monkeypatch, factor):
+    real = km.binomial_factors
+
+    def bad(ctx, beta):
+        # tau replaced by the transpose of sigma: order p, not commuting
+        F = real(ctx, beta).copy()
+        F[factor, 1] = F[factor, 0].T
+        return F
+
+    monkeypatch.setattr(km, "binomial_factors", bad)
+    with pytest.raises(NotCommuting):
+        km.v_d(C3, 2, T3)
+    assert not any(key[0] == "v_d" for key in C3._cache)
+
+
+@pytest.mark.parametrize("p,sample", [(2, None), (3, None), (5, None), (7, 12)],
+                         ids=["F4", "F9", "F25", "F49-sample"])
+def test_binomial_table_is_the_definition(p, sample):
+    # the Kronecker product of the factors is v_d(p^2, beta) entry by entry
+    ctx = default_ctx(p)
+    betas = [i for i in range(ctx.q) if not ctx.in_prime_field_idx(i)]
+    if sample:
+        betas = random.Random(p).sample(betas, sample)
+    for i in betas:
+        beta = ff.FieldElem(ctx, i)
+        assert all(np.array_equal(X, Y) for X, Y in zip(km.binomial_table(ctx, beta),
+                                                         km.vd_definition(ctx, beta))), i
+
+
+def test_an_empty_graded_family_and_the_zero_module_check_nothing(monkeypatch):
+    params = cf.curve_params(C3, 1, C3.from_text("0,1"))
+    checks = _count_checks(monkeypatch)
+    assert cf.dr_graded(params).pieces == {} and cf.holo_graded(params).pieces == {}
+    assert cf._zero_module(C3).dim == 0
+    assert checks == []
 
 
 def _module_json(S, T):
@@ -935,7 +976,6 @@ def test_bad_pairs_are_refused_at_every_checked_entrance(bad, tmp_path, capsys):
     with pytest.raises((OrderViolation, NotCommuting)) as alone:
         km.HModule(C3, S, T)
     want = (type(alone.value), str(alone.value))
-    assert _batch(C3, [_spec(C3, 4), (S, T)]) == want
     assert _outcome(lambda: [km.module_from_json(_module_json(S, T))]) == want
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_module_json(S, T)))
@@ -968,25 +1008,29 @@ def test_dual_and_quotient_keep_their_matrices(build):
 
 
 def test_full_check_on_every_derived_module_keeps_the_report(monkeypatch, capsys):
-    # every derived module of `verify all` passes the order and commute
-    # check the public constructor makes, and the report stays byte for byte
+    # every derived module of `verify all`, each v_d member among them,
+    # passes the order and commute check the public constructor makes, and
+    # the report stays byte for byte, at its pinned digest
     argv = ["verify", "all", "--seed", "0"]
     assert main(argv) == 0
     plain = capsys.readouterr().out
+    assert hashlib.sha256(plain.encode()).hexdigest() == (
+        "bf3415bd45acb4e2314339c277e4575844965d88779842ce9f09fbf9bcb81caa")
     for ctx in list(ff._CTX_LIVE.values()):
         ctx._cache.clear()
     real, forced = km.HModule._derived, []
 
     def checked(ctx, Msigma, Mtau, labels=None, meta=None):
         km.check_actions(ctx, np.stack([Msigma.data, Mtau.data]))
-        forced.append(Msigma.rows)
+        forced.append((meta or {}).get("kind"))
         return real(ctx, Msigma, Mtau, labels, meta)
 
     monkeypatch.setattr(km.HModule, "_derived", staticmethod(checked))
     assert main(argv) == 0
     assert capsys.readouterr().out == plain
-    # 222 modules at seed 0, HModule.batch's among them
-    assert len(forced) > 200
+    # 295 modules at seed 0, 97 of them v_d members (222 when each member
+    # took its own check)
+    assert len(forced) > 280 and forced.count("vd") > 90
 
 
 def test_dims_only_calls_make_no_inversion(monkeypatch, cold_family_modules):
