@@ -80,11 +80,8 @@ def _module_text(M: km.HModule, pad: str = "") -> str:
     at indent pad from FieldCtx.texts: element texts are digits and
     commas, so only the labels go through the JSON encoder."""
     ctx, in1 = M.ctx, pad + "  "
-
-    def grid(mat) -> str:
-        rows = ctx.texts[mat.data].tolist()
-        return _list_text([_list_text(row, in1 + "  ", '"') for row in rows], in1)
-
+    sigma, tau = (_list_text([_list_text(row, in1 + "  ", '"') for row in rows], in1)
+                  for rows in ctx.texts[M.gens].tolist())
     labels = (_list_text([json.dumps(s) for s in M.labels], in1) if M.labels
               else "null")
     return _object_text((
@@ -93,8 +90,8 @@ def _module_text(M: km.HModule, pad: str = "") -> str:
         ("modulus", _list_text([str(c) for c in ctx.modulus], in1)),
         ("n", ctx.n),
         ("p", ctx.p),
-        ("sigma", grid(M.Msigma)),
-        ("tau", grid(M.Mtau)),
+        ("sigma", sigma),
+        ("tau", tau),
     ), pad)
 
 

@@ -3,10 +3,11 @@
 Everything geometric enters through integer shadows: ramification jumps,
 valuations at the unique ramified point, a numerical semigroup, and index
 sets cut out by lattice inequalities.  The graded pieces of the two
-cohomology-style spaces are assembled as explicit commuting matrix pairs
-over the coefficient field: a holomorphic piece is the family member v_d,
-and a de Rham piece is kmod.dr_action, the construction v_dr shares, which
-the dr suite checks against the paper's quotient by a scaled label map.
+cohomology-style spaces are assembled as explicit (2, d, d) stacks of
+commuting generator matrices over the coefficient field: a holomorphic
+piece is the family member v_d, and a de Rham piece is kmod.dr_action,
+the construction v_dr shares, which the dr suite checks against the
+paper's quotient by a scaled label map.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import BadParams, ContextMismatch, OutOfRange
 from .ff import FieldCtx, FieldElem, beta_from_alpha
 from .kmod import HModule, _memo, check_actions, dr_action, dual, v_d, vd_definition
-from .linalg import Mat
 
 # test grid fixed by configuration; second component drops multiples of p
 GRID_PRIMES = (3, 5)
@@ -208,20 +208,19 @@ class GradedModule:
 
 @_memo
 def _zero_module(ctx: FieldCtx) -> HModule:
-    """The zero module, shared per context; its 0 x 0 pair holds both
+    """The zero module, shared per context; its (2, 0, 0) stack holds both
     relations vacuously, so it is derived."""
-    z = Mat.zeros(ctx, 0, 0)
-    return HModule._derived(ctx, z, z, labels=(), meta={"kind": "zero"})
+    return HModule._derived(ctx, np.zeros((2, 0, 0), dtype=np.int64), meta={"kind": "zero"})
 
 
 def holo_graded(params: CurveParams) -> GradedModule:
-    """Graded space of everywhere-regular differentials, one commuting
-    matrix pair per nontrivial character index c of the prime-to-p cyclic
-    action.  Piece c has basis w_i over index_I(c), the initial segment
-    0..dd(c)-1, so it is the shared family member v_d at d = dd(c), and
-    the shared zero module when dd(c) = 0; v_d checks the factors of its
-    beta once, and derives every member.  The dimension count across pieces
-    reproduces the genus."""
+    """Graded space of everywhere-regular differentials, one module per
+    nontrivial character index c of the prime-to-p cyclic action.  Piece
+    c has basis w_i over index_I(c), the initial segment 0..dd(c)-1, so it
+    is the shared family member v_d at d = dd(c), and the shared zero
+    module when dd(c) = 0; v_d checks the factors of its beta once, and
+    derives every member.  The dimension count across pieces reproduces
+    the genus."""
     p, m = params.p, params.m
     dims = [len(index_I(p, m, c)) for c in range(1, m)]
     members = {d: v_d(params.ctx, d, params.beta) if d else _zero_module(params.ctx)
@@ -232,13 +231,14 @@ def holo_graded(params: CurveParams) -> GradedModule:
 
 
 def _dr_piece(params: CurveParams, omega_idx: tuple, eta_idx: tuple) -> tuple:
-    """(Msigma, Mtau, labels, meta) of the de Rham piece on the index sets."""
+    """(gens, labels, meta) of the de Rham piece on the index sets: gens is
+    its unchecked (2, dim, dim) dr_action stack."""
     d = len(omega_idx)
     # the two independently derived index sets must tile 0..p^2-1 minus {d}
     assert eta_idx == tuple(range(d + 1, params.p ** 2))
-    S, T = (Mat(params.ctx, A) for A in dr_action(params.ctx, d, params.beta, params.gamma))
+    gens = dr_action(params.ctx, d, params.beta, params.gamma)
     labels = tuple([f"w{i}" for i in omega_idx] + [f"eta{i}" for i in eta_idx])
-    return S, T, labels, {"kind": "dr_piece", "d": d}
+    return gens, labels, {"kind": "dr_piece", "d": d}
 
 
 def dr_graded(params: CurveParams) -> GradedModule:
@@ -249,13 +249,13 @@ def dr_graded(params: CurveParams) -> GradedModule:
     d = dd(m-c) with the curve's gamma, which at gamma = 1 builds v_dr(d),
     so vdr_label_map identifies it with v_dr(d).  Pieces with equal index
     sets are one shared module; the distinct ones, all of dim p^2 - 1,
-    are checked by one check_actions on their stacked pairs and derived.
+    are checked by one check_actions on their stacked gens and derived.
     An empty family (m = 1) checks nothing."""
     p, m = params.p, params.m
     keys = [(index_I(p, m, m - c), index_J(p, m, c)) for c in range(1, m)]
     specs = {key: _dr_piece(params, *key) for key in dict.fromkeys(keys)}
     if specs:
-        check_actions(params.ctx, np.stack([[S.data, T.data] for S, T, *_ in specs.values()]))
+        check_actions(params.ctx, np.stack([gens for gens, *_ in specs.values()]))
     built = {key: HModule._derived(params.ctx, *spec) for key, spec in specs.items()}
     gm = GradedModule(params, "dr", {c: built[key] for c, key in enumerate(keys, 1)})
     assert gm.total_dim() == (m - 1) * (p ** 2 - 1)
@@ -275,30 +275,28 @@ def hodge_check(params: CurveParams, c: int) -> dict:
     pp = p * p
     if not (1 <= c <= m - 1):
         raise OutOfRange(f"index {c} outside 1..{m - 1}")
-    piece = HModule(ctx, *_dr_piece(params, index_I(p, m, m - c), index_J(p, m, c)))
+    gens, labels, meta = _dr_piece(params, index_I(p, m, m - c), index_J(p, m, c))
+    check_actions(ctx, gens)
+    piece = HModule._derived(ctx, gens, labels, meta)
     d = piece.meta["d"]  # dimension of the w-block
     e = pp - 1 - d  # dimension of the quotient
-    S, T = vd_definition(ctx, params.beta)
+    D = vd_definition(ctx, params.beta)
 
     # the w-block occupies the leading coordinates, so the invariant
     # subspace is spanned by leading standard vectors and the induced
     # matrices are the leading principal blocks
     sub_ok = True
     if d > 0:
-        sub_ok = (np.array_equal(piece.Msigma.data[:d, :d], S[:d, :d])
-                  and np.array_equal(piece.Mtau.data[:d, :d], T[:d, :d])
-                  and not piece.Msigma.data[d:, :d].any()
-                  and not piece.Mtau.data[d:, :d].any())
+        sub_ok = (np.array_equal(piece.gens[:, :d, :d], D[:, :d, :d])
+                  and not piece.gens[:, d:, :d].any())
 
     # quotient by the w-block in eta coordinates: trailing principal block;
     # the class of eta_{p^2-1-j} is the j-th dual basis vector, so the
     # block is the dual model with rows and columns reversed
     quot_ok = True
     if e > 0:
-        model_q = dual(HModule._derived(ctx, Mat(ctx, S[:e, :e].copy()),
-                                        Mat(ctx, T[:e, :e].copy())))
-        quot_ok = (np.array_equal(piece.Msigma.data[d:, d:], model_q.Msigma.data[::-1, ::-1])
-                   and np.array_equal(piece.Mtau.data[d:, d:], model_q.Mtau.data[::-1, ::-1]))
+        model_q = dual(HModule._derived(ctx, D[:, :e, :e]))
+        quot_ok = np.array_equal(piece.gens[:, d:, d:], model_q.gens[:, ::-1, ::-1])
 
     return {
         "check": "hodge",

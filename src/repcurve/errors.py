@@ -49,10 +49,6 @@ class ShapeMismatch(RepcurveError):
     pass
 
 
-class NotNilpotent(RepcurveError):
-    pass
-
-
 class OrderViolation(RepcurveError):
     pass
 
@@ -91,5 +87,5 @@ class OutOfRange(RepcurveError):
 
 class Undecided(RepcurveError):
     """Raised when a procedure reaches no answer: indecomposability tiers
-    restricted below a decision, or a filtration or Jordan scan that does
-    not behave as a module's must."""
+    restricted below a decision, or a Jordan scan with no dominance-maximal
+    type for generic_jordan_type."""

@@ -2,11 +2,12 @@
 acting in characteristic p.
 
 A module is a pair of commuting order-p matrices (the actions of fixed
-generators sigma and tau) over a FieldCtx.  The shifted generators
-sigma0 = sigma - 1 and tau0 = tau - 1 are nilpotent and drive everything
-else: the vanishing filtration S_n, degree functions, fixed spaces,
-Hom spaces, isomorphism and indecomposability decisions, and Jordan
-types of the pencil a*sigma0 + b*tau0.
+generators sigma and tau) over a FieldCtx, held as one (2, d, d) stack.
+The shifted generators sigma0 = sigma - 1 and tau0 = tau - 1 are
+nilpotent and drive everything else: the vanishing filtration S_n,
+degree functions, fixed spaces, Hom spaces, isomorphism and
+indecomposability decisions, and Jordan types of the pencil
+a*sigma0 + b*tau0.
 """
 
 from __future__ import annotations
@@ -125,13 +126,13 @@ def _memo(fn):
 
 
 def check_actions(ctx: FieldCtx, gens: np.ndarray) -> None:
-    """Check that each (sigma, tau) pair of the stack gens, shaped
+    """Check that each (sigma, tau) generator stack of gens, shaped
     (..., 2, d, d), has sigma^p = tau^p = 1 and sigma tau = tau sigma:
     sigma^2, tau^2, sigma tau and tau sigma from one stacked product (gens
     broadcast against [gens, gens swapped]), then sigma^p and tau^p from one
     stacked power of the squares, however many pairs there are.  The first
     bad pair raises what HModule raises for it, sigma's order before tau's
-    before commuting.  A stack holds one module's pair, the two
+    before commuting.  gens holds one module's HModule.gens, the two
     binomial_factors pairs that v_d checks, or a de Rham family's pieces."""
     squares, swapped = np.moveaxis(
         _matmul_idx(ctx, gens[..., None, :, :, :],
@@ -152,29 +153,34 @@ def check_actions(ctx: FieldCtx, gens: np.ndarray) -> None:
 
 
 class HModule:
-    """Two commuting order-p matrices over a shared field context.
+    """Two commuting order-p matrices over a shared field context, held as
+    one read-only (2, dim, dim) int64 stack gens: gens[0] is sigma and
+    gens[1] is tau.  Msigma and Mtau are Mat views of them, and gens0()
+    the stack of the shifted generators.
 
     Every HModule was either checked or derived from checked modules.  The
-    public constructor and module_from_json check sigma^p = tau^p = 1 and
-    sigma tau = tau sigma (check_actions), and so do v_dr and the trivial
-    and regular modules through them; vd_definition checks its one pair,
-    and v_d the two p x p binomial_factors pairs, once per (ctx, beta), and
-    curvefam.dr_graded its distinct pieces in one stack.  The
-    constructions that keep both relations whenever their inputs have them
-    build through HModule._derived, which checks nothing: every v_d, a
-    leading block of the tensor product of its factors; dual, direct_sum,
-    sub_module_on and quotient, whose subspace invariance _action_coords
-    proves; and the blocks of vd_definition that vdr_quotient and
-    curvefam.hodge_check's model take.
+    public constructor, which stacks the two matrices it is given, and
+    module_from_json check sigma^p = tau^p = 1 and sigma tau = tau sigma
+    (check_actions), and so do the trivial and regular modules through
+    them; v_dr and curvefam.hodge_check's piece check their one stack,
+    vd_definition its one stack and v_d the two p x p binomial_factors
+    pairs, once per (ctx, beta), and curvefam.dr_graded its distinct
+    pieces in one stack.  The constructions that keep both relations
+    whenever their inputs have them build through HModule._derived on a
+    stack, which checks nothing: every v_d, a leading block of the tensor
+    product of its factors; dual, direct_sum, sub_module_on and quotient,
+    whose subspace invariance _action_coords proves; and the blocks of
+    vd_definition that vdr_quotient and curvefam.hodge_check's model take.
 
     Immutable; derived data (filtration, End solve and split, word
     matrices, dual) is kept on the instance by _memo.  labels and meta carry
     construction provenance used by label-aware operations and are not
-    part of equality.  The hash serializes both matrices once, on first
-    use, and is kept in _hash.
+    part of equality; a dim-0 module has no basis to label, so its labels
+    are None.  The hash serializes gens once, on first use, and is kept in
+    _hash.
     """
 
-    __slots__ = ("ctx", "dim", "Msigma", "Mtau", "labels", "meta", "_cache", "_hash")
+    __slots__ = ("ctx", "dim", "gens", "labels", "meta", "_cache", "_hash")
 
     def __init__(self, ctx: FieldCtx, Msigma: Mat, Mtau: Mat,
                  labels: Optional[Sequence[str]] = None,
@@ -185,25 +191,26 @@ class HModule:
             raise ShapeMismatch("generator matrices must be square")
         if Msigma.rows != Mtau.rows:
             raise ShapeMismatch("generator matrices of different sizes")
-        check_actions(ctx, np.stack([Msigma.data, Mtau.data]))
-        self._fill(ctx, Msigma, Mtau, labels, meta)
+        gens = np.stack([Msigma.data, Mtau.data])
+        check_actions(ctx, gens)
+        self._fill(ctx, gens, labels, meta)
 
     @classmethod
-    def _derived(cls, ctx: FieldCtx, Msigma: Mat, Mtau: Mat,
+    def _derived(cls, ctx: FieldCtx, gens: np.ndarray,
                  labels: Optional[Sequence[str]] = None,
                  meta: Optional[dict] = None) -> "HModule":
-        """The module on a pair already known to satisfy the relations:
-        checked by the caller, or built from checked modules by a
-        construction that keeps them.  Labels are validated; the pair is
-        not checked."""
+        """The module on a (2, d, d) stack already known to satisfy the
+        relations: checked by the caller, or built from checked modules by
+        a construction that keeps them.  Labels are validated; the stack
+        is not checked."""
         M = cls.__new__(cls)
-        M._fill(ctx, Msigma, Mtau, labels, meta)
+        M._fill(ctx, gens, labels, meta)
         return M
 
-    def _fill(self, ctx: FieldCtx, Msigma: Mat, Mtau: Mat,
+    def _fill(self, ctx: FieldCtx, gens: np.ndarray,
               labels: Optional[Sequence[str]] = None,
               meta: Optional[dict] = None) -> None:
-        d = Msigma.rows
+        d = gens.shape[-1]
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != d:
@@ -211,24 +218,31 @@ class HModule:
             if len(set(labels)) != d:
                 twice = next(lab for lab in labels if labels.count(lab) > 1)
                 raise BadParams(f"basis label {twice!r} occurs more than once")
+        gens.setflags(write=False)
         self.ctx = ctx
         self.dim = d
-        self.Msigma = Msigma
-        self.Mtau = Mtau
-        self.labels = labels
+        self.gens = gens
+        self.labels = labels or None
         self.meta = dict(meta) if meta else {}
         self._cache: dict = {}
         self._hash: Optional[int] = None
 
+    @property
+    def Msigma(self) -> Mat:
+        return Mat(self.ctx, self.gens[0])
+
+    @property
+    def Mtau(self) -> Mat:
+        return Mat(self.ctx, self.gens[1])
+
     # -- derived matrices ----------------------------------------------------
 
     @_memo
-    def sigma0(self) -> Mat:
-        return self.Msigma - Mat.identity(self.ctx, self.dim)
-
-    @_memo
-    def tau0(self) -> Mat:
-        return self.Mtau - Mat.identity(self.ctx, self.dim)
+    def gens0(self) -> np.ndarray:
+        """Read-only (2, dim, dim) stack of sigma0 and tau0."""
+        G = self.ctx.sub[self.gens, np.eye(self.dim, dtype=np.int64)]
+        G.setflags(write=False)
+        return G
 
     @_memo
     def word_stack(self) -> np.ndarray:
@@ -244,7 +258,7 @@ class HModule:
                 out.append(_matmul_idx(ctx, out[-1], G))
             return np.stack(out)
 
-        P = powers(np.stack([self.sigma0().data, self.tau0().data]))
+        P = powers(self.gens0())
         W = np.empty((p, p, d, d), dtype=np.int64)
         W[0], W[1:, 0] = P[:, 1], P[1:, 0]
         W[1:, 1:] = _matmul_idx(ctx, P[1:, None, 0], P[None, 1:, 1])
@@ -266,11 +280,11 @@ class HModule:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HModule) and self.ctx == other.ctx
-                and self.Msigma == other.Msigma and self.Mtau == other.Mtau)
+                and self.dim == other.dim and np.array_equal(self.gens, other.gens))
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ctx, self.Msigma, self.Mtau))
+            self._hash = hash((self.ctx, self.dim, self.gens.tobytes()))
         return self._hash
 
     def __repr__(self):
@@ -344,20 +358,19 @@ def binomial_factors(ctx: FieldCtx, beta: FieldElem) -> np.ndarray:
 
 
 @_memo
-def binomial_table(ctx: FieldCtx, beta: FieldElem) -> tuple:
-    """Read-only p^2 x p^2 matrices (S, T) of v_d(p^2, beta): entry (i, n)
-    is C(n, i) for S and C(n, i) beta^(n-i) for T, zero for i > n.  By
-    Lucas, with n = n1 p + n0 and i = i1 p + i0, C(n, i) beta^(n-i) is
-    C(n1, i1) (beta^p)^(n1-i1) times C(n0, i0) beta^(n0-i0), so S and T
-    are the field Kronecker products of the binomial_factors pairs:
-    v_d(p^2, beta) = v_d(p, beta^p) (x) v_d(p, beta).  Shared per
-    (ctx, beta)."""
+def binomial_table(ctx: FieldCtx, beta: FieldElem) -> np.ndarray:
+    """Read-only (2, p^2, p^2) generator stack of v_d(p^2, beta): entry
+    (i, n) is C(n, i) for sigma and C(n, i) beta^(n-i) for tau, zero for
+    i > n.  By Lucas, with n = n1 p + n0 and i = i1 p + i0, C(n, i)
+    beta^(n-i) is C(n1, i1) (beta^p)^(n1-i1) times C(n0, i0) beta^(n0-i0),
+    so each generator is the field Kronecker product of its two
+    binomial_factors: v_d(p^2, beta) = v_d(p, beta^p) (x) v_d(p, beta).
+    Shared per (ctx, beta)."""
     pp = ctx.p ** 2
     F = binomial_factors(ctx, beta)
-    S, T = ctx.mul[F[0][:, :, None, :, None], F[1][:, None, :, None, :]].reshape(2, pp, pp)
-    S.setflags(write=False)
-    T.setflags(write=False)
-    return S, T
+    G = ctx.mul[F[0][:, :, None, :, None], F[1][:, None, :, None, :]].reshape(2, pp, pp)
+    G.setflags(write=False)
+    return G
 
 
 @_memo
@@ -375,15 +388,13 @@ def v_d(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     if not (1 <= d <= pp):
         raise BadDimension(f"dimension {d} outside 1..{pp}")
     if d < pp:
-        top = v_d(ctx, pp, beta)
-        S, T = top.Msigma.data, top.Mtau.data
+        G = v_d(ctx, pp, beta).gens
     else:
         _require_nonprime(ctx, beta)
         check_actions(ctx, binomial_factors(ctx, beta))
-        S, T = binomial_table(ctx, beta)
+        G = binomial_table(ctx, beta)
     # v_d(p^2) shares the read-only table; a smaller member copies its block
-    return HModule._derived(ctx, Mat(ctx, np.ascontiguousarray(S[:d, :d])),
-                            Mat(ctx, np.ascontiguousarray(T[:d, :d])),
+    return HModule._derived(ctx, np.ascontiguousarray(G[:, :d, :d]),
                             labels=tuple(f"w{i}" for i in range(d)),
                             meta={"kind": "vd", "d": d, "beta": beta.idx})
 
@@ -413,9 +424,11 @@ def v_dr(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     one = ctx.el(1)
     labels, pos, scale = vdr_label_map(ctx, d, one)
     # Phi^-1 A Phi for the monomial map Phi: a gather and two scalings
-    S, T = (Mat(ctx, ctx.mul[ctx.mul[ctx.inv[scale][:, None], A[np.ix_(pos, pos)]], scale])
-            for A in dr_action(ctx, d, beta, one))
-    return HModule(ctx, S, T, labels=labels, meta={"kind": "vdr", "d": d, "beta": beta.idx})
+    A = dr_action(ctx, d, beta, one)[:, pos[:, None], pos]
+    G = ctx.mul[ctx.mul[ctx.inv[scale][:, None], A], scale]
+    check_actions(ctx, G)
+    return HModule._derived(ctx, G, labels=labels,
+                            meta={"kind": "vdr", "d": d, "beta": beta.idx})
 
 
 def _rewrite_scale(ctx: FieldCtx, d: int, gamma: FieldElem, i: np.ndarray) -> np.ndarray:
@@ -423,21 +436,20 @@ def _rewrite_scale(ctx: FieldCtx, d: int, gamma: FieldElem, i: np.ndarray) -> np
     return np.where(i <= d, ctx.mul[ctx.neg[i % ctx.p], gamma.idx], 1)
 
 
-def dr_action(ctx: FieldCtx, d: int, beta: FieldElem, gamma: FieldElem) -> tuple:
-    """(S, T) of the de Rham piece on w_0..w_{d-1}, eta_{d+1}..eta_{p^2-1},
-    cut from the binomial table with no product: the w-columns are its
-    leading columns; column n gives eta_n, its row i moved to position
-    i - 1 and scaled by _rewrite_scale.  At d = p^2 it is v_d(p^2)."""
+def dr_action(ctx: FieldCtx, d: int, beta: FieldElem, gamma: FieldElem) -> np.ndarray:
+    """(2, dim, dim) generator stack of the de Rham piece on
+    w_0..w_{d-1}, eta_{d+1}..eta_{p^2-1}, cut from the binomial table
+    with no product: the w-columns are its leading columns; column n gives
+    eta_n, its row i moved to position i - 1 and scaled by _rewrite_scale.
+    At d = p^2 it is v_d(p^2)."""
     pp = ctx.p ** 2
     dim = max(d, pp - 1)
     scale = _rewrite_scale(ctx, d, gamma, np.arange(1, pp))[:, None]
-    out = []
-    for table in binomial_table(ctx, beta):
-        A = np.zeros((dim, dim), dtype=np.int64)
-        A[:, :d] = table[:dim, :d]
-        A[:pp - 1, d:] = ctx.mul[scale, table[1:, d + 1:]]
-        out.append(A)
-    return tuple(out)
+    G = binomial_table(ctx, beta)
+    A = np.zeros((2, dim, dim), dtype=np.int64)
+    A[:, :, :d] = G[:, :dim, :d]
+    A[:, :pp - 1, d:] = ctx.mul[scale, G[:, 1:, d + 1:]]
+    return A
 
 
 def vdr_label_map(ctx: FieldCtx, d: int, gamma: FieldElem) -> tuple:
@@ -452,47 +464,45 @@ def vdr_label_map(ctx: FieldCtx, d: int, gamma: FieldElem) -> tuple:
 
 
 @_memo
-def vd_definition(ctx: FieldCtx, beta: FieldElem) -> tuple:
-    """Read-only (S, T) of v_d(p^2, beta) entry by entry from its
-    definition, never from binomial_table, so the checks of the pieces cut
-    from that table can compare with it: column n is sigma.w_n = sum_i
-    C(n,i) w_i and tau.w_n = sum_i C(n,i) beta^(n-i) w_i, and the leading
-    d x d blocks give v_d(d).  It makes p^4 scalar calls, so it is shared
-    per (ctx, beta) like binomial_table.  The pair is checked here, once:
-    both are upper triangular, so every leading block and every block sum
-    of them that vdr_quotient and curvefam.hodge_check build is a module
-    derived from it."""
+def vd_definition(ctx: FieldCtx, beta: FieldElem) -> np.ndarray:
+    """Read-only (2, p^2, p^2) generator stack of v_d(p^2, beta) entry by
+    entry from its definition, never from binomial_table, so the checks of
+    the pieces cut from that table can compare with it: column n is
+    sigma.w_n = sum_i C(n,i) w_i and tau.w_n = sum_i C(n,i) beta^(n-i) w_i,
+    and the leading blocks G[:, :d, :d] give v_d(d).  It makes p^4 scalar
+    calls, so it is shared per (ctx, beta) like binomial_table.  The stack
+    is checked here, once: both generators are upper triangular, so every
+    leading block and every block sum of them that vdr_quotient and
+    curvefam.hodge_check build is a module derived from it."""
     p = ctx.p
     pp = p * p
     S = np.array([[binom_mod_p(n, i, p) for n in range(pp)] for i in range(pp)],
                  dtype=np.int64)
     T = np.array([[ctx.mul[S[i, n], ctx.pow_idx(beta.idx, n - i)] if i <= n else 0
                    for n in range(pp)] for i in range(pp)], dtype=np.int64)
-    for X in (S, T):
-        X.setflags(write=False)
-    check_actions(ctx, np.stack([S, T]))
-    return S, T
+    G = np.stack([S, T])
+    G.setflags(write=False)
+    check_actions(ctx, G)
+    return G
 
 
 @_memo
 def vdr_quotient(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
     """v_dr(d, beta) as the paper defines it, the quotient, to check v_dr
     and the de Rham pieces against: the sum v_d(p^2) (+) v_d(d) is one
-    module, block-diagonal in leading blocks of vd_definition(ctx, beta).
-    meta["proj"] is the quotient map.  Shared per (ctx, d, beta) like
-    vd_definition, and built at each d itself, never at its class: the
-    members of one v_dr class give distinct quotients, whose meta["d"]
-    is their own d."""
+    module, whose stack is block-diagonal in leading blocks of
+    vd_definition(ctx, beta).  meta["proj"] is the quotient map.  Shared
+    per (ctx, d, beta) like vd_definition, and built at each d itself,
+    never at its class: the members of one v_dr class give distinct
+    quotients, whose meta["d"] is their own d."""
     p = ctx.p
     pp = p * p
     _require_nonprime(ctx, beta)
-    blocks = []
-    for X in vd_definition(ctx, beta):
-        A = np.zeros((pp + d, pp + d), dtype=np.int64)
-        A[:pp, :pp] = X
-        A[pp:, pp:] = X[:d, :d]
-        blocks.append(Mat(ctx, A))
-    D = HModule._derived(ctx, *blocks)
+    X = vd_definition(ctx, beta)
+    A = np.zeros((2, pp + d, pp + d), dtype=np.int64)
+    A[:, :pp, :pp] = X
+    A[:, pp:, pp:] = X[:, :d, :d]
+    D = HModule._derived(ctx, A)
     # row i is k_i = (w_i, 0) + i*(0, w_{i-1}); w_{p^2} is 0 in v_d(p^2)
     r = np.arange(d + 1)
     gens = np.zeros((d + 1, D.dim), dtype=np.int64)
@@ -509,8 +519,6 @@ def vdr_quotient(ctx: FieldCtx, d: int, beta: FieldElem) -> HModule:
 
 
 def _require_nonprime(ctx: FieldCtx, beta: FieldElem) -> None:
-    if beta.ctx != ctx:
-        raise ContextMismatch("parameter from a different field context")
     if ctx.in_prime_field_idx(beta.idx):
         raise PrimeFieldElement("parameter must lie outside the prime field")
 
@@ -524,25 +532,19 @@ def dual(M: HModule) -> HModule:
     """Contragredient module: generators act by transpose inverse, the
     inverses sigma^(p-1) and tau^(p-1) from one stacked power; kept on M."""
     ctx = M.ctx
-    inverses = _matpow_idx(ctx, np.stack([M.Msigma.data, M.Mtau.data]), ctx.p - 1)
-    Sd, Td = (Mat(ctx, X.T.copy()) for X in inverses)
+    inverses = _matpow_idx(ctx, M.gens, ctx.p - 1)
     labels = tuple(f"{l}*" for l in M.labels) if M.labels else None
-    return HModule._derived(ctx, Sd, Td, labels=labels,
-                            meta={"kind": "dual", "of": M.meta.get("kind")})
+    return HModule._derived(ctx, np.ascontiguousarray(inverses.transpose(0, 2, 1)),
+                            labels=labels, meta={"kind": "dual", "of": M.meta.get("kind")})
 
 
 def direct_sum(M: HModule, N: HModule) -> HModule:
     if M.ctx != N.ctx:
         raise ContextMismatch("summands over different field contexts")
-    ctx = M.ctx
     d = M.dim + N.dim
-
-    def block(A: Mat, B: Mat) -> Mat:
-        out = np.zeros((d, d), dtype=np.int64)
-        out[: M.dim, : M.dim] = A.data
-        out[M.dim :, M.dim :] = B.data
-        return Mat(ctx, out)
-
+    G = np.zeros((2, d, d), dtype=np.int64)
+    G[:, :M.dim, :M.dim] = M.gens
+    G[:, M.dim:, M.dim:] = N.gens
     if M.labels and N.labels:
         if set(M.labels) & set(N.labels):
             labels = tuple(f"a.{l}" for l in M.labels) + tuple(f"b.{l}" for l in N.labels)
@@ -550,8 +552,7 @@ def direct_sum(M: HModule, N: HModule) -> HModule:
             labels = M.labels + N.labels
     else:
         labels = None
-    return HModule._derived(ctx, block(M.Msigma, N.Msigma), block(M.Mtau, N.Mtau),
-                            labels=labels, meta={"kind": "sum"})
+    return HModule._derived(M.ctx, G, labels=labels, meta={"kind": "sum"})
 
 
 def _action_coords(M: HModule, W: Subspace, message: str) -> np.ndarray:
@@ -561,8 +562,7 @@ def _action_coords(M: HModule, W: Subspace, message: str) -> np.ndarray:
     message when an image leaves W."""
     if W.ambient != M.dim:
         raise ShapeMismatch("subspace ambient does not match module dimension")
-    gens = np.stack([M.Msigma.data.T, M.Mtau.data.T])
-    imgs = _matmul_idx(M.ctx, W.basis, gens).reshape(2 * W.dim, M.dim)
+    imgs = _matmul_idx(M.ctx, W.basis, M.gens.transpose(0, 2, 1)).reshape(2 * W.dim, M.dim)
     coords, inside = W.reduce_rows(imgs)
     if not inside.all():
         raise NotInvariant(message)
@@ -572,12 +572,10 @@ def _action_coords(M: HModule, W: Subspace, message: str) -> np.ndarray:
 def sub_module_on(M: HModule, W: Subspace) -> tuple:
     """Module structure induced on an invariant subspace W; returns
     (module, embedding matrix whose columns are the basis of W)."""
-    ctx = M.ctx
     coords = _action_coords(M, W, "subspace is not stable under the action")
-    E = Mat(ctx, W.basis.T.copy())
-    sub = HModule._derived(ctx, Mat(ctx, coords[0].T.copy()), Mat(ctx, coords[1].T.copy()),
+    sub = HModule._derived(M.ctx, np.ascontiguousarray(coords.transpose(0, 2, 1)),
                            meta={"kind": "sub"})
-    return sub, E
+    return sub, Mat(M.ctx, W.basis.T.copy())
 
 
 def _rows(M: HModule, vectors) -> np.ndarray:
@@ -626,10 +624,9 @@ def quotient(M: HModule, W: Subspace, reps=None, labels=None) -> tuple:
         raise ShapeMismatch("representatives do not complement the subspace")
     P = Mat(ctx, Cinv.data[W.dim :, :].copy())  # qdim x ambient projection
     R = Mat(ctx, reps_arr.T.copy())
-    gens = np.stack([M.Msigma.data, M.Mtau.data])
-    Aq, Bq = (Mat(ctx, X) for X in _matmul_idx(ctx, _matmul_idx(ctx, P.data, gens), R.data))
+    G = _matmul_idx(ctx, _matmul_idx(ctx, P.data, M.gens), R.data)
     assert P @ R == Mat.identity(ctx, qdim)
-    Q = HModule._derived(ctx, Aq, Bq, labels=labels, meta={"kind": "quotient"})
+    Q = HModule._derived(ctx, G, labels=labels, meta={"kind": "quotient"})
     return Q, P
 
 
@@ -654,7 +651,7 @@ def fixed_space(M: HModule) -> Subspace:
     """S_0: the joint kernel of sigma0 and tau0, from one elimination of
     the two stacked; T1, the cores and the splits read it without the
     word stack."""
-    return kernel(Mat(M.ctx, np.vstack([M.sigma0().data, M.tau0().data])))
+    return kernel(Mat(M.ctx, M.gens0().reshape(2 * M.dim, M.dim)))
 
 
 @_memo
@@ -735,11 +732,11 @@ def ddeg(M: HModule, v) -> int:
     X = X[:, None]
     while X.shape[1] < p and X[:, -1].any():
         last = X[:, -1:]
-        X = np.hstack([X, ctx.sub[_matmul_idx(ctx, M.Mtau.data, last), last]])
+        X = np.hstack([X, ctx.sub[_matmul_idx(ctx, M.gens[1], last), last]])
     best = -1
     for a in range(p):
         if a:
-            X = ctx.sub[_matmul_idx(ctx, M.Msigma.data, X), X]
+            X = ctx.sub[_matmul_idx(ctx, M.gens[0], X), X]
         X = X[:, X.any(axis=0)]  # the nonzero columns, a prefix
         if not X.size:
             break
@@ -790,7 +787,7 @@ def _hom_source_data(M: HModule) -> dict:
     # the generators: standard basis vectors lifting a basis of M modulo
     # the image of the shifted generators; they generate M over the group
     # algebra
-    imgs = np.vstack([M.sigma0().data.T, M.tau0().data.T])
+    imgs = M.gens0().transpose(0, 2, 1).reshape(2 * M.dim, M.dim)
     pivots = Subspace.from_rows(ctx, M.dim, imgs).pivots.tolist()
     gens = [c for c in range(M.dim) if c not in pivots]
     t = len(gens)
@@ -969,9 +966,11 @@ class IsoDecision:
 
 
 def _verify_witness(M: HModule, N: HModule, X: Mat) -> bool:
+    """X is invertible and X gens_M = gens_N X, both generators in one
+    product per side."""
     if invert(X) is None:
         return False
-    return (X @ M.Msigma == N.Msigma @ X) and (X @ M.Mtau == N.Mtau @ X)
+    return np.array_equal(_matmul_idx(M.ctx, X.data, M.gens), _matmul_idx(M.ctx, N.gens, X.data))
 
 
 @_memo
@@ -1013,7 +1012,7 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
     if M.dim != N.dim:
         return IsoDecision("NO", "dim-mismatch",
                            detail={"dims": [M.dim, N.dim]})
-    if M.Msigma == N.Msigma and M.Mtau == N.Mtau:
+    if M == N:
         return IsoDecision("YES", "equal-matrices", witness=Mat.identity(ctx, M.dim))
     for _, inv in ISO_INVARIANTS:
         if inv(M) != inv(N):
@@ -1338,7 +1337,8 @@ def jordan_scan(M: HModule) -> list:
     ctx = M.ctx
     pts = [(1, b) for b in range(ctx.q)] + [(0, 1)]
     a, b = np.array(pts, dtype=np.int64).T[:, :, None, None]
-    stack = ctx.add[ctx.mul[a, M.sigma0().data], ctx.mul[b, M.tau0().data]]
+    G = M.gens0()
+    stack = ctx.add[ctx.mul[a, G[0]], ctx.mul[b, G[1]]]
     return list(zip(pts, nilpotent_partitions(ctx, stack)))
 
 
@@ -1440,13 +1440,14 @@ def profile(M: HModule) -> Profile:
 
 
 def module_to_json(M: HModule) -> dict:
+    sigma, tau = M.ctx.texts[M.gens].tolist()
     return {
         "p": M.ctx.p,
         "n": M.ctx.n,
         "modulus": list(M.ctx.modulus),
         "dim": M.dim,
-        "sigma": M.Msigma.to_lists(),
-        "tau": M.Mtau.to_lists(),
+        "sigma": sigma,
+        "tau": tau,
         "labels": list(M.labels) if M.labels else None,
     }
 

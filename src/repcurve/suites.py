@@ -24,7 +24,7 @@ from . import curvefam as cf
 from . import kmod as km
 from .errors import BadParams, RepcurveError
 from .ff import FieldCtx, default_ctx, enumerate_nonprime, frobenius
-from .linalg import Mat, invert
+from .linalg import Mat, _matmul_idx, invert
 from .poly import Poly2, trace_polynomial, trace_sum
 
 ARTIFACT_VERSION = "0.1.0"
@@ -500,9 +500,8 @@ def _suite_holo(p: int, seed: int) -> List[Case]:
             return initial and piece.dim == 0, "empty"
         # against the definition of v_d, not the binomial table the
         # pieces are cut from
-        S, T = km.vd_definition(params.ctx, params.beta)
-        ok = (initial and np.array_equal(piece.Msigma.data, S[:d, :d])
-              and np.array_equal(piece.Mtau.data, T[:d, :d]))
+        D = km.vd_definition(params.ctx, params.beta)
+        ok = initial and np.array_equal(piece.gens, D[:, :d, :d])
         return ok, f"dim={d},entrywise"
 
     return _graded_suite(p, "holo", cf.holo_graded,
@@ -521,10 +520,9 @@ def _suite_dr(p: int, seed: int) -> List[Case]:
         _, pos, scale = km.vdr_label_map(params.ctx, d, params.gamma)
         F = np.zeros((piece.dim, model.dim), dtype=np.int64)
         F[pos, np.arange(model.dim)] = scale
-        Phi = Mat(params.ctx, F)
-        ok = (Phi @ model.Msigma == piece.Msigma @ Phi
-              and Phi @ model.Mtau == piece.Mtau @ Phi
-              and invert(Phi) is not None)
+        ok = (np.array_equal(_matmul_idx(params.ctx, F, model.gens),
+                             _matmul_idx(params.ctx, piece.gens, F))
+              and invert(Mat(params.ctx, F)) is not None)
         return ok, f"d={d},intertwiner"
 
     return _graded_suite(p, "dr", cf.dr_graded,

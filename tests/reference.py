@@ -19,11 +19,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repcurve import kmod as km
-from repcurve.errors import (ContextMismatch, NotNilpotent, OutOfRange, ShapeMismatch,
+from repcurve.errors import (ContextMismatch, OutOfRange, RepcurveError, ShapeMismatch,
                              UnlabeledModule)
 from repcurve.ff import FieldCtx, FieldElem
 from repcurve.linalg import Mat, Subspace, _matmul_idx, as_vector, kernel, rank
 from repcurve.poly import Poly1, Poly2
+
+
+class NotNilpotent(RepcurveError):
+    """nilpotent_partition was given a matrix with N^d != 0."""
 
 
 def _check_ambient(U: Subspace, W: Subspace) -> None:

@@ -315,8 +315,9 @@ def test_stacked_partitions_match_single(ctx, seed, d, k):
 def test_jordan_scan_matches_pointwise(p, kind, d):
     ctx = CTX[p]
     M = _module(ctx, kind, d)
+    S0, T0 = M.gens0()
     for (a, b), t in km.jordan_scan(M):
-        N = ctx.add[ctx.mul[a, M.sigma0().data], ctx.mul[b, M.tau0().data]]
+        N = ctx.add[ctx.mul[a, S0], ctx.mul[b, T0]]
         assert t == nilpotent_partition(Mat(ctx, N))
 
 
@@ -326,8 +327,8 @@ def test_scan_stops_at_the_power_below_p(monkeypatch):
     # the 3 products N^2, N^3, N^4; on v_d(5, 3), of dimension d = 3 < p,
     # it stops at N^(d-1) after 1
     M = _module(C5, "vdr", 25)
-    stack = np.stack([M.sigma0().data, M.tau0().data,
-                      C5.add[M.sigma0().data, M.tau0().data]])
+    S0, T0 = M.gens0()
+    stack = np.stack([S0, T0, C5.add[S0, T0]])
     expected = [nilpotent_partition(Mat(C5, N)) for N in stack]
     small = _module(C5, "vd", 3)
     products = []
@@ -350,10 +351,10 @@ def test_jordan_type_at_matches_rank_chain(p, kind, d):
     partition of a*sigma0 + b*tau0 itself."""
     ctx = CTX[p]
     M = _module(ctx, kind, d)
+    S0, T0 = M.gens0()
 
     def want(a, b):
-        return nilpotent_partition(
-            Mat(ctx, ctx.add[ctx.mul[a, M.sigma0().data], ctx.mul[b, M.tau0().data]]))
+        return nilpotent_partition(Mat(ctx, ctx.add[ctx.mul[a, S0], ctx.mul[b, T0]]))
 
     for a in range(ctx.q):
         for b in range(ctx.q):

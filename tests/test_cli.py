@@ -4,10 +4,12 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -19,7 +21,7 @@ from repcurve import kmod as km
 from repcurve.cli import BUILD_KINDS, QUERY_KINDS, main
 from repcurve.errors import BadParams, RepcurveError
 from repcurve.ff import ctx_new, default_ctx, frobenius
-from repcurve.linalg import Mat
+from repcurve.linalg import Mat, invert
 from repcurve.suites import run_suite
 
 from reference import graded_to_json
@@ -403,6 +405,48 @@ def test_query_ddeg_reads_an_empty_vector_as_no_components(capsys, tmp_path):
     assert json.loads(err)["message"] == "vector has 0 components, module has dim 4"
 
 
+def _conjugate(M, rng):
+    """M written in a random basis of F_q^dim."""
+    ctx = M.ctx
+    while True:
+        P = Mat(ctx, np.array([[rng.randrange(ctx.q) for _ in range(M.dim)]
+                               for _ in range(M.dim)], dtype=np.int64))
+        Pinv = invert(P)
+        if Pinv is not None:
+            return km.HModule(ctx, P @ M.Msigma @ Pinv, P @ M.Mtau @ Pinv)
+
+
+def test_query_answers_with_witnesses_are_pinned(capsys, tmp_path):
+    # every witness product and split reads the generators; these bytes
+    # hold the iso witnesses, a T2 split and a Jordan scan fixed
+    C3, C5 = default_ctx(3), default_ctx(5)
+    t3, t5 = C3.gen(), C5.gen()
+    vd2, one = km.v_d(C3, 2, t3), km.trivial_module(C3)
+    vdr = km.v_dr(C3, 4, t3)
+    queries = [
+        ("iso", [km.direct_sum(vd2, one),
+                 _conjugate(km.direct_sum(one, vd2), random.Random(1))],
+         "krull-schmidt",
+         "f2b300057cff7e45772d6b074d11c335e3278674afbb06d68fd231fd238e6f6f"),
+        ("iso", [km.dual(vdr), vdr], "hom-basis",
+         "016e3b102ea46d2858e7a19fbe539b827e2d06e569bb8be4be69b1dffbbec25c"),
+        ("indec", [km.direct_sum(vd2, one)], "T2",
+         "c006d3c78d7e50f430813f9cf3899691b181a0039ce55b6e6cc3ecb08298fe10"),
+        ("jordan", [km.v_dr(C5, 12, t5)], None,
+         "b415322dbb4d6a6cf4e0d69c722e89d82a6044e44763c5dedc176843dad73de6"),
+    ]
+    for k, (kind, mods, method, digest) in enumerate(queries):
+        paths = []
+        for j, M in enumerate(mods):
+            paths.append(tmp_path / f"{k}{j}.json")
+            paths[-1].write_text(cli._module_text(M) + "\n")
+        code, out, _ = run(capsys, "query", kind, *map(str, paths))
+        obj = json.loads(out)
+        assert code == 0 and obj.get("method", obj.get("certificate")) == method
+        assert "witness" in obj or kind != "iso"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, kind
+
+
 class _Libc:
     def __init__(self):
         self.calls = []
@@ -755,7 +799,7 @@ def test_empty_label_list_loads_at_dim_0():
     obj = {**km.module_to_json(km.v_d(C3, 2, C3.gen())),
            "dim": 0, "sigma": [], "tau": [], "labels": []}
     M = km.module_from_json(obj)
-    assert M.dim == 0 and M.labels == ()
+    assert M.dim == 0 and M.labels is None
 
 
 def test_module_json_reports_its_first_bad_entry():

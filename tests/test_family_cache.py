@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repcurve import ff, linalg
+from repcurve import ff, linalg, suites
 from repcurve import curvefam as cf
 from repcurve import kmod as km
 from repcurve.errors import (BadDimension, ContextMismatch, NotCommuting,
@@ -122,7 +122,7 @@ def test_vdr_is_one_module_per_class(ctx):
     assert all(M._cache == {} for M in built.values())
     first = {}
     for d, M in built.items():
-        values = [fn(M) for fn in MODULE_MEMOS] + [M.sigma0(), M.tau0(), M.word_stack()]
+        values = [fn(M) for fn in MODULE_MEMOS] + [M.gens0(), M.word_stack()]
         assert all(a is b for a, b in zip(values, first.setdefault(d // p, values)))
 
 
@@ -279,6 +279,7 @@ def test_module_checks_keep_their_order_and_messages():
 
 
 def _count_products(monkeypatch) -> list:
+    """The field products, counted at each import site of _matmul_idx."""
     calls = []
     real = linalg._matmul_idx
 
@@ -286,7 +287,7 @@ def _count_products(monkeypatch) -> list:
         calls.append(1)
         return real(ctx, A, B)
 
-    for module in (linalg, km):
+    for module in (linalg, km, suites):
         monkeypatch.setattr(module, "_matmul_idx", counted)
     return calls
 
@@ -322,12 +323,13 @@ def _one_by_one(ctx, specs):
 
 def _batch(ctx, specs):
     """The outcome of one check_actions on the stacked pairs of specs, all
-    of one dim, and a derivation of each: how dr_graded builds its
+    of one dim, and a derivation of each stack: how dr_graded builds its
     distinct pieces."""
     def build():
-        if specs:
-            km.check_actions(ctx, np.stack([[S.data, T.data] for S, T in specs]))
-        return [km.HModule._derived(ctx, S, T) for S, T in specs]
+        gens = [np.stack([S.data, T.data]) for S, T in specs]
+        if gens:
+            km.check_actions(ctx, np.stack(gens))
+        return [km.HModule._derived(ctx, G) for G in gens]
 
     return _outcome(build)
 
@@ -335,8 +337,8 @@ def _batch(ctx, specs):
 def _spec(ctx, d, shift=0):
     """(Msigma, Mtau) of v_d(d, t + shift), cut from the binomial table
     with no check."""
-    S, T = km.binomial_table(ctx, ctx.gen() + shift)
-    return Mat(ctx, S[:d, :d].copy()), Mat(ctx, T[:d, :d].copy())
+    G = km.binomial_table(ctx, ctx.gen() + shift)
+    return Mat(ctx, G[0, :d, :d].copy()), Mat(ctx, G[1, :d, :d].copy())
 
 
 J = Mat(C3, np.array([[1, 1], [0, 1]]))        # order 3
@@ -454,19 +456,19 @@ def test_planted_fault_in_one_dr_piece_is_reported(monkeypatch, capsys):
     real = km.dr_action
 
     def broken(ctx, d, beta, gamma):
-        S, T = real(ctx, d, beta, gamma)
+        G = real(ctx, d, beta, gamma)
         if d == 4:
-            S = S.copy()
-            S[0, 0] = 2
-        return S, T
+            G = G.copy()
+            G[0, 0, 0] = 2
+        return G
 
     # curvefam calls its own import of dr_action
     monkeypatch.setattr(km, "dr_action", broken)
     monkeypatch.setattr(cf, "dr_action", broken)
     # piece c = 5 has d = dd(10 - 5) = 4; the others are sound
-    S, T, _, _ = cf._dr_piece(params, cf.index_I(3, 10, 5), cf.index_J(3, 10, 5))
+    gens, _, _ = cf._dr_piece(params, cf.index_I(3, 10, 5), cf.index_J(3, 10, 5))
     with pytest.raises(OrderViolation) as alone:
-        km.HModule(ctx, S, T)
+        km.HModule(ctx, *(Mat(ctx, X) for X in gens))
     assert main(["build", "dr", "--p", "3", "--m", "10", "--alpha", "0,1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -680,9 +682,11 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     # (977 of 7,966) and 147 flag row profiles of 1,704 steps (167 of
     # 1,724; 1,635 eliminations when each flag took one per word degree,
     # 13,526 steps when each filtration level took its own).  It forms no
-    # filtration level and makes 1,907 products (2,056 when each v_d
-    # member took its own order and commute check, 2,541 when every derived
-    # module did, and a quotient and a dual formed each generator apart;
+    # filtration level and makes 1,833 products (1,907 when a witness check
+    # and the dr suite's intertwiner check took one product per generator,
+    # 2,056 when each v_d member took its own order and commute check, 2,541
+    # when every derived module did, and a quotient and a dual formed each
+    # generator apart;
     # 3,104 before the decision, quotient and core memos, 3,468 when each
     # module check formed the squares apart from sigma tau and tau sigma,
     # 4,586 when each graded piece took its own order and commute check) in
@@ -719,7 +723,7 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     assert levels == []
     counts = (len(decisions), len(dims), len(solves), len(conds), len(steps), sum(steps),
               len(profiles), sum(profiles), len(products), len(checks))
-    most = (241, 141, 122, 377, 715, 7000, 147, 1704, 1907, 91)
+    most = (241, 141, 122, 377, 715, 7000, 147, 1704, 1833, 91)
     assert all(n <= m for n, m in zip(counts, most)), counts
 
 
@@ -1020,16 +1024,17 @@ def test_full_check_on_every_derived_module_keeps_the_report(monkeypatch, capsys
         ctx._cache.clear()
     real, forced = km.HModule._derived, []
 
-    def checked(ctx, Msigma, Mtau, labels=None, meta=None):
-        km.check_actions(ctx, np.stack([Msigma.data, Mtau.data]))
+    def checked(ctx, gens, labels=None, meta=None):
+        km.check_actions(ctx, gens)
         forced.append((meta or {}).get("kind"))
-        return real(ctx, Msigma, Mtau, labels, meta)
+        return real(ctx, gens, labels, meta)
 
     monkeypatch.setattr(km.HModule, "_derived", staticmethod(checked))
     assert main(argv) == 0
     assert capsys.readouterr().out == plain
-    # 295 modules at seed 0, 97 of them v_d members (222 when each member
-    # took its own check)
+    # 363 modules at seed 0, 97 of them v_d members and 58 v_dr (295 when
+    # v_dr and the Hodge pieces went through the public constructor, 222
+    # when each member took its own check)
     assert len(forced) > 280 and forced.count("vd") > 90
 
 

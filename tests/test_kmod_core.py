@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repcurve import curvefam as cf
 from repcurve import kmod as km
 from repcurve.errors import (BadDimension, ContextMismatch, NotInvariant,
                              PrimeFieldElement, ShapeMismatch, Undecided, UnlabeledModule,
@@ -201,7 +202,8 @@ def test_word_application():
     M = v_d(C3, 5, T3)
     v = M.basis_vector("w4")
     u = apply_word(M, (1, 1), v)
-    w = M.sigma0().apply(M.tau0().apply(v))
+    S0, T0 = (Mat(C3, X) for X in M.gens0())
+    w = S0.apply(T0.apply(v))
     assert np.array_equal(u, w)
     assert not apply_word(M, (3, 0), v).any()  # sigma0^3 = 0
 
@@ -305,6 +307,19 @@ def test_module_json_roundtrip():
     back = module_from_json(obj)
     assert back.Msigma == M.Msigma and back.Mtau == M.Mtau
     assert back.labels == M.labels
+
+
+def test_module_json_roundtrip_keeps_gens_and_labels_at_every_dim():
+    # a dim-0 module has no basis to label, so its labels are None however
+    # it is built, and it reads back from JSON as it was written
+    empty = {**module_to_json(v_d(C3, 2, T3)), "dim": 0, "sigma": [], "tau": [],
+             "labels": []}
+    mods = [cf._zero_module(C3), module_from_json(empty), v_d(C3, 4, T3),
+            v_dr(C3, 4, T3), direct_sum(v_d(C3, 2, T3), v_dr(C3, 1, T3))]
+    assert [M.labels is None for M in mods] == [True, True, False, False, False]
+    for M in mods:
+        back = module_from_json(module_to_json(M))
+        assert np.array_equal(back.gens, M.gens) and back.labels == M.labels
 
 
 @pytest.mark.parametrize("call", [

@@ -1,8 +1,9 @@
 """A lint guard for the package, with no linter installed: every import is
 used, every local name a function assigns is read, and no unbounded cache
 is made outside a function body, nor a module-level name written into by a
-function, unless it is listed below.  The re-exports of __init__.py and
-names that start with "_" are exempt from the first two."""
+function, unless it is listed below; and a module's generators are read
+only through HModule.gens.  The re-exports of __init__.py and names that
+start with "_" are exempt from the first two."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,10 @@ UNBOUNDED_CACHES = {"cli._heap_policy", "cli._parser", "ff.find_irreducible"}
 # live in that owner's _cache (kmod._memo).
 MODULE_STORES = {"ff._CTX_LIVE"}
 MUTATORS = {"clear", "update", "setdefault", "pop", "append", "add"}
+# the one-generator views and shifted generators of a module, kept for
+# callers outside the package; the package reads the stack HModule.gens
+GENERATOR_ATTRS = {"Msigma", "Mtau"}
+GENERATOR_CALLS = {"sigma0", "tau0"}
 
 
 def _reads(tree: ast.AST) -> set:
@@ -140,6 +145,29 @@ def module_stores(name: str, source: str) -> list:
     return sorted(found)
 
 
+def generator_reads(name: str, source: str) -> list:
+    """Each use of an attribute in GENERATOR_ATTRS and each call of a name
+    in GENERATOR_CALLS outside the body of class HModule, as module:line
+    .attr or module:line name()."""
+    stem = name[:-len(".py")]
+    found = []
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == "HModule":
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in GENERATOR_ATTRS:
+                found.append(f"{stem}:{child.lineno} .{child.attr}")
+            elif isinstance(child, ast.Call):
+                fn = child.func
+                called = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if called in GENERATOR_CALLS:
+                    found.append(f"{stem}:{child.lineno} {called}()")
+            stack.append(child)
+    return sorted(found)
+
+
 def test_every_source_is_checked():
     assert len(SOURCES) >= 8
 
@@ -173,6 +201,11 @@ def test_guard_sees_what_it_guards_against():
               "f = lambda x: SEEN.add(x)\n")
     assert module_stores("probe.py", stores) == ["probe.LIVE", "probe.LOG", "probe.SEEN",
                                                  "probe.STORE"]
+    layout = ("class HModule:\n    def f(self):\n        return self.Msigma, self.sigma0()\n"
+              "def g(M):\n    return M.Msigma @ M.Mtau\n"
+              "def h(M, Msigma):\n    return M.tau0(), sigma0(M), HModule(M.ctx, Msigma, Msigma)\n")
+    assert generator_reads("probe.py", layout) == ["probe:5 .Msigma", "probe:5 .Mtau",
+                                                   "probe:7 sigma0()", "probe:7 tau0()"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -185,6 +218,17 @@ def test_module_stores_are_listed():
     found = {s for path in SOURCES for s in module_stores(path.name, path.read_text())}
     # a listed store that is gone is taken off the list
     assert found == MODULE_STORES
+
+
+def test_generators_are_read_through_the_stack():
+    """Outside the HModule class body no package code reads .Msigma or
+    .Mtau or calls sigma0 or tau0: the generator layout, one (2, d, d)
+    stack HModule.gens with its shifted stack gens0(), stays behind the
+    one class.  The one exception is the public constructor's parameters,
+    HModule(ctx, Msigma, Mtau, ...), which are names, not reads: the
+    constructor stacks the two matrices it is given."""
+    found = [r for path in SOURCES for r in generator_reads(path.name, path.read_text())]
+    assert found == []
 
 
 def test_unbounded_caches_are_listed():
