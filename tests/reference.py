@@ -10,7 +10,8 @@ JSON with every piece encoded in place, Jordan partitions from one rank
 per power, the dominance order by prefix sums, the filtration suite's
 random vectors one randrange call per entry, the trace identities by
 raising each linear form to the power p^2 - 1, and matrix powers one
-factor at a time.
+factor at a time.  conjugate writes a module in a random basis, so a test
+cannot read the answer off coordinate vectors.
 """
 
 import random
@@ -22,7 +23,7 @@ from repcurve import kmod as km
 from repcurve.errors import (ContextMismatch, OutOfRange, RepcurveError, ShapeMismatch,
                              UnlabeledModule)
 from repcurve.ff import FieldCtx, FieldElem
-from repcurve.linalg import Mat, Subspace, _matmul_idx, as_vector, kernel, rank
+from repcurve.linalg import Mat, Subspace, _matmul_idx, as_vector, invert, kernel, rank
 from repcurve.poly import Poly1, Poly2
 
 
@@ -213,6 +214,18 @@ def poly2_eval(f, x0: FieldElem, y0: FieldElem) -> FieldElem:
 
 def poly2_deg_x(f) -> int:
     return f.grid.shape[0] - 1
+
+
+def conjugate(M: km.HModule, rng: random.Random) -> km.HModule:
+    """M written in a random basis of F_q^dim, through the checked public
+    constructor."""
+    ctx = M.ctx
+    while True:
+        P = Mat(ctx, np.array([[rng.randrange(ctx.q) for _ in range(M.dim)]
+                               for _ in range(M.dim)], dtype=np.int64))
+        Pinv = invert(P)
+        if Pinv is not None:
+            return km.HModule(ctx, P @ M.Msigma @ Pinv, P @ M.Mtau @ Pinv)
 
 
 def random_vector(ctx: FieldCtx, dim: int, rng: random.Random) -> np.ndarray:

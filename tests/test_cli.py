@@ -9,7 +9,6 @@ import subprocess
 import sys
 import weakref
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -21,10 +20,10 @@ from repcurve import kmod as km
 from repcurve.cli import BUILD_KINDS, QUERY_KINDS, main
 from repcurve.errors import BadParams, RepcurveError
 from repcurve.ff import ctx_new, default_ctx, frobenius
-from repcurve.linalg import Mat, invert
+from repcurve.linalg import Mat
 from repcurve.suites import run_suite
 
-from reference import graded_to_json
+from reference import conjugate, graded_to_json
 
 
 def run(capsys, *argv):
@@ -405,17 +404,6 @@ def test_query_ddeg_reads_an_empty_vector_as_no_components(capsys, tmp_path):
     assert json.loads(err)["message"] == "vector has 0 components, module has dim 4"
 
 
-def _conjugate(M, rng):
-    """M written in a random basis of F_q^dim."""
-    ctx = M.ctx
-    while True:
-        P = Mat(ctx, np.array([[rng.randrange(ctx.q) for _ in range(M.dim)]
-                               for _ in range(M.dim)], dtype=np.int64))
-        Pinv = invert(P)
-        if Pinv is not None:
-            return km.HModule(ctx, P @ M.Msigma @ Pinv, P @ M.Mtau @ Pinv)
-
-
 def test_query_answers_with_witnesses_are_pinned(capsys, tmp_path):
     # every witness product and split reads the generators; these bytes
     # hold the iso witnesses, a T2 split and a Jordan scan fixed
@@ -425,7 +413,7 @@ def test_query_answers_with_witnesses_are_pinned(capsys, tmp_path):
     vdr = km.v_dr(C3, 4, t3)
     queries = [
         ("iso", [km.direct_sum(vd2, one),
-                 _conjugate(km.direct_sum(one, vd2), random.Random(1))],
+                 conjugate(km.direct_sum(one, vd2), random.Random(1))],
          "krull-schmidt",
          "f2b300057cff7e45772d6b074d11c335e3278674afbb06d68fd231fd238e6f6f"),
         ("iso", [km.dual(vdr), vdr], "hom-basis",
@@ -651,14 +639,17 @@ def test_holo_suite_sees_a_frobenius_twisted_table(monkeypatch, capsys, p):
     # cut from the binomial table: with the table built at beta^p in place
     # of beta, piece and v_d agree, so only the comparisons of holo, hodge
     # and dr with the definition of v_d (kmod.vd_definition) can catch it;
-    # hodge runs at p = 3 only
+    # hodge runs at p = 3 only.  sigma does not depend on beta, so only
+    # the tau half of each stacked comparison sees the twist: every piece
+    # whose tau reads beta fails, all but those of dim 0 and 1 for holo
     real = km.binomial_table
     monkeypatch.setattr(km, "binomial_table", lambda ctx, beta: real(ctx, frobenius(beta)))
-    for suite in ("holo", "hodge", "dr") if p == 3 else ("holo", "dr"):
+    want = {"holo": 8, "hodge": 10, "dr": 10} if p == 3 else {"holo": 23, "dr": 25}
+    for suite, count in want.items():
         code, out, _ = run(capsys, "verify", suite, "--p", str(p))
         assert code == 1, suite
         failed = _failed(json.loads(out))
-        assert failed and all("/c" in cid for cid in failed), suite
+        assert len(failed) == count and all("/c" in cid for cid in failed), suite
 
 
 def test_verify_usage_error(capsys):

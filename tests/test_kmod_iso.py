@@ -20,7 +20,7 @@ from repcurve.kmod import (HModule, algebra_radical, augmentation_ideal, direct_
                            is_isomorphic, jordan_scan, module_to_json, profile,
                            regular_module, s_filtration, trivial_module, v_d, v_dr)
 from repcurve.linalg import Mat, Subspace, invert, kernel, solve_matrix
-from reference import contains, intertwiner_space, matpow, preimage
+from reference import conjugate, contains, intertwiner_space, matpow, preimage
 
 C3 = default_ctx(3)
 T = C3.gen()
@@ -32,6 +32,17 @@ def check_witness(dec, M, N):
     assert X @ M.Msigma == N.Msigma @ X
     assert X @ M.Mtau == N.Mtau @ X
     assert invert(X) is not None
+
+
+def test_witness_check_reads_both_generators():
+    # v_d(2, t) and v_d(2, t + 1) share sigma, so the identity intertwines
+    # sigma but not tau; a singular map intertwines both and is refused too
+    M, N = v_d(C3, 2, T), v_d(C3, 2, T + 1)
+    I = Mat.identity(C3, 2)
+    assert M.Msigma == N.Msigma and M.Mtau != N.Mtau
+    assert kmod._verify_witness(M, M, I)
+    assert not kmod._verify_witness(M, N, I)
+    assert not kmod._verify_witness(M, M, Mat.zeros(C3, 2, 2))
 
 
 def test_equal_modules_identity_witness():
@@ -184,17 +195,6 @@ def test_pair_only_the_jordan_multiset_separates_gets_a_hom_certificate():
 
 
 BETAS = enumerate_nonprime(C3)
-
-
-def conjugate(M, rng):
-    """M written in a random basis of F_q^dim."""
-    ctx = M.ctx
-    while True:
-        P = Mat(ctx, np.array([[rng.randrange(ctx.q) for _ in range(M.dim)]
-                               for _ in range(M.dim)], dtype=np.int64))
-        Pinv = invert(P)
-        if Pinv is not None:
-            return HModule(ctx, P @ M.Msigma @ Pinv, P @ M.Mtau @ Pinv)
 
 
 @st.composite

@@ -25,8 +25,9 @@ UNBOUNDED_CACHES = {"cli._heap_policy", "cli._parser", "ff.find_irreducible"}
 # live in that owner's _cache (kmod._memo).
 MODULE_STORES = {"ff._CTX_LIVE"}
 MUTATORS = {"clear", "update", "setdefault", "pop", "append", "add"}
-# the one-generator views and shifted generators of a module, kept for
-# callers outside the package; the package reads the stack HModule.gens
+# the one-generator views of a module, kept for callers outside the
+# package, and the shifted-generator methods gens0() replaced; the package
+# reads the stacks HModule.gens and gens0()
 GENERATOR_ATTRS = {"Msigma", "Mtau"}
 GENERATOR_CALLS = {"sigma0", "tau0"}
 
