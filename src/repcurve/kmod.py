@@ -169,7 +169,7 @@ class HModule:
     whenever their inputs have them build through HModule._derived on a
     stack, which checks nothing: every v_d, a leading block of the tensor
     product of its factors; dual, direct_sum, sub_module_on and quotient,
-    whose subspace invariance _action_coords proves; and the blocks of
+    which each prove their subspace invariant; and the blocks of
     vd_definition that vdr_quotient and curvefam.hodge_check's model take.
 
     Immutable; derived data (filtration, End solve and split, word
@@ -555,26 +555,21 @@ def direct_sum(M: HModule, N: HModule) -> HModule:
     return HModule._derived(M.ctx, G, labels=labels, meta={"kind": "sum"})
 
 
-def _action_coords(M: HModule, W: Subspace, message: str) -> np.ndarray:
-    """Coordinates in W's basis of sigma and tau applied to W's basis:
-    (2, dim W, dim W), row j of block g holding g(w_j).  One product for
-    all images and one batched membership test; raises NotInvariant with
-    message when an image leaves W."""
+def sub_module_on(M: HModule, W: Subspace) -> tuple:
+    """Module structure induced on an invariant subspace W; returns
+    (module, embedding matrix whose columns are the basis of W).  The
+    images of W's basis come from one product, their coordinates from one
+    batched membership test, which raises NotInvariant if one leaves W."""
+    if W.ctx != M.ctx:
+        raise ContextMismatch("subspace over a different field context")
     if W.ambient != M.dim:
         raise ShapeMismatch("subspace ambient does not match module dimension")
     imgs = _matmul_idx(M.ctx, W.basis, M.gens.transpose(0, 2, 1)).reshape(2 * W.dim, M.dim)
     coords, inside = W.reduce_rows(imgs)
     if not inside.all():
-        raise NotInvariant(message)
-    return coords.reshape(2, W.dim, W.dim)
-
-
-def sub_module_on(M: HModule, W: Subspace) -> tuple:
-    """Module structure induced on an invariant subspace W; returns
-    (module, embedding matrix whose columns are the basis of W)."""
-    coords = _action_coords(M, W, "subspace is not stable under the action")
-    sub = HModule._derived(M.ctx, np.ascontiguousarray(coords.transpose(0, 2, 1)),
-                           meta={"kind": "sub"})
+        raise NotInvariant("subspace is not stable under the action")
+    coords = coords.reshape(2, W.dim, W.dim).transpose(0, 2, 1)  # column j: g(w_j)
+    sub = HModule._derived(M.ctx, np.ascontiguousarray(coords), meta={"kind": "sub"})
     return sub, Mat(M.ctx, W.basis.T.copy())
 
 
@@ -602,31 +597,30 @@ def sub_generated(M: HModule, vectors) -> tuple:
 def quotient(M: HModule, W: Subspace, reps=None, labels=None) -> tuple:
     """Quotient module by an invariant subspace; returns (module,
     projection matrix).  Optional reps fixes the coset basis; otherwise
-    the standard vectors complementary to W's pivots are used.  Optional
-    labels name that basis."""
-    ctx = M.ctx
-    _action_coords(M, W, "quotient by a non-invariant subspace")
-    qdim = M.dim - W.dim
-    if reps is None:
-        pivots = W.pivots.tolist()
-        free = [c for c in range(M.dim) if c not in pivots]
-        reps_arr = np.zeros((qdim, M.dim), dtype=np.int64)
-        for k, f in enumerate(free):
-            reps_arr[k, f] = 1
-    else:
-        reps_arr = _rows(M, reps)
-        if len(reps) != qdim:
-            raise ShapeMismatch(f"need {qdim} coset representatives, got {len(reps)}")
-    # C = [basis of W | reps] as columns must be invertible
-    C = Mat(ctx, np.vstack([W.basis, reps_arr]).T.copy())
-    Cinv = invert(C)
+    the standard vectors off W's pivots are used.  Optional labels name
+    that basis.  With C = [W | reps] as columns, invertible, the rows of
+    C^-1 g C below W are zero left of the reps exactly when W is
+    invariant, and right of them they are the quotient action; the
+    projection P is C^-1 below W."""
+    if W.ctx != M.ctx:
+        raise ContextMismatch("subspace over a different field context")
+    if W.ambient != M.dim:
+        raise ShapeMismatch("subspace ambient does not match module dimension")
+    ctx, k = M.ctx, W.dim
+    reps = (np.delete(np.eye(M.dim, dtype=np.int64), W.pivots, axis=0) if reps is None
+            else _rows(M, reps))
+    if len(reps) != M.dim - k:
+        raise ShapeMismatch(f"need {M.dim - k} coset representatives, got {len(reps)}")
+    C = np.vstack([W.basis, reps]).T.copy()
+    Cinv = invert(Mat(ctx, C))
     if Cinv is None:
         raise ShapeMismatch("representatives do not complement the subspace")
-    P = Mat(ctx, Cinv.data[W.dim :, :].copy())  # qdim x ambient projection
-    R = Mat(ctx, reps_arr.T.copy())
-    G = _matmul_idx(ctx, _matmul_idx(ctx, P.data, M.gens), R.data)
-    assert P @ R == Mat.identity(ctx, qdim)
-    Q = HModule._derived(ctx, G, labels=labels, meta={"kind": "quotient"})
+    P = Mat(ctx, Cinv.data[k:].copy())
+    G = _matmul_idx(ctx, P.data, _matmul_idx(ctx, M.gens, C))
+    if G[:, :, :k].any():
+        raise NotInvariant("quotient by a non-invariant subspace")
+    Q = HModule._derived(ctx, np.ascontiguousarray(G[:, :, k:]), labels=labels,
+                         meta={"kind": "quotient"})
     return Q, P
 
 
@@ -932,12 +926,12 @@ def end_dim(M: HModule) -> int:
 
 
 def end_algebra(M: HModule) -> tuple:
-    """(hom_space(M, M), the same basis reshaped to matrices: read-only
-    views of its rows).  The maps are rebuilt from the End solve that
+    """(hom_space(M, M), its basis as one read-only (g, dim M, dim M)
+    view, g = dim End(M)).  The maps are rebuilt from the End solve that
     end_dim caches, so End(M) is eliminated once per module; only
     _end_split, memoized itself, needs this basis."""
     H = hom_space(M, M)
-    return H, [Mat(M.ctx, row.reshape(M.dim, M.dim)) for row in H.basis]
+    return H, H.basis.reshape(H.dim, M.dim, M.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -966,9 +960,9 @@ class IsoDecision:
 
 
 def _verify_witness(M: HModule, N: HModule, X: Mat) -> bool:
-    """X is invertible and X gens_M = gens_N X, both generators in one
-    product per side."""
-    if invert(X) is None:
+    """X is invertible, of full rank by _rank_stack, and X gens_M =
+    gens_N X, both generators in one product per side."""
+    if not X.is_square() or _rank_stack(M.ctx, X.data[None])[0] != X.rows:
         return False
     return np.array_equal(_matmul_idx(M.ctx, X.data, M.gens), _matmul_idx(M.ctx, N.gens, X.data))
 
@@ -1152,19 +1146,19 @@ def _charpoly_stack(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
 RADICAL_CHUNK = 32  # products per stacked charpoly; larger stacks raise the peak RSS
 
 
-def algebra_radical(ctx: FieldCtx, mats: Sequence[Mat]) -> Subspace:
-    """Jacobson radical of the matrix algebra spanned by mats (assumed
-    multiplicatively closed), in basis coordinates (Cohen-Ivanyos-Wales):
-    repeatedly cut by the vanishing of the p^i-th characteristic
-    coefficient of products z*y, made linear with p^i-th roots.  Level 0
-    is the trace form c_1(z*y) = -tr(z*y), one product; each later level
-    takes the coefficient of all products from stacked charpolys.
-    _end_split passes the socle image of End(M), s x s with s <= 2 on the
-    families; RADICAL_CHUNK stays for the full End algebras (dim 28) that
-    the test references and perfbench/micro.py still pass."""
-    g = len(mats)
-    n = mats[0].rows if g else 0
-    flat = np.array([X.data.reshape(-1) for X in mats], dtype=np.int64).reshape(g, n * n)
+def algebra_radical(ctx: FieldCtx, mats: np.ndarray) -> Subspace:
+    """Jacobson radical of the matrix algebra spanned by the (g, n, n)
+    stack mats (assumed multiplicatively closed), in basis coordinates
+    (Cohen-Ivanyos-Wales): repeatedly cut by the vanishing of the p^i-th
+    characteristic coefficient of products z*y, made linear with p^i-th
+    roots.  Level 0 is the trace form c_1(z*y) = -tr(z*y), one product;
+    each later level takes the coefficient of all products from stacked
+    charpolys.  _end_split passes the socle image of End(M), s x s with
+    s <= 2 on the families; RADICAL_CHUNK stays for the full End algebras
+    (dim 28, the stack of end_algebra) that the test references and
+    perfbench/micro.py still pass."""
+    g, n = mats.shape[0], mats.shape[-1]
+    flat = mats.reshape(g, n * n)
     W = Subspace.full(ctx, g)
     lmax = 0
     while ctx.p ** (lmax + 1) <= n:
@@ -1242,22 +1236,23 @@ def _end_split(M: HModule) -> tuple:
     End(soc M), soc M = fixed_space(M), of dim s; its kernel is nil (x in
     it is bijective on L = im x^dim M and kills soc L, so L = 0), so J is
     the preimage of J(E'), End/J = E'/J(E') and the radical runs on s x s
-    matrices.  When e = dim End/J > 1 the projective points of the span of
-    the e End basis elements off J's pivots are scanned; that span maps
-    onto End/J, so every element of End/J is hit up to a scalar.  A
-    semisimple algebra that is not a division algebra has an idempotent
-    other than 0 and 1, whose lift is neither nilpotent nor invertible; so
-    the scan finds a split exactly when End/J is not a division algebra."""
+    matrices.  Every module map keeps the socle, so each restriction is
+    read at the socle pivots with no membership test.  When e = dim End/J
+    > 1 the projective points of the span of the e End basis elements off
+    J's pivots are scanned; that span maps onto End/J, so every element of
+    End/J is hit up to a scalar.  A semisimple algebra that is not a
+    division algebra has an idempotent other than 0 and 1, whose lift is
+    neither nilpotent nor invertible; so the scan finds a split exactly
+    when End/J is not a division algebra."""
     ctx = M.ctx
-    Hend, _ = end_algebra(M)
+    Hend, E = end_algebra(M)
     soc = fixed_space(M)
-    g, n, s = Hend.dim, M.dim, soc.dim
-    # row (x, j) is x(v_j) for socle basis vector v_j, whose
-    # coordinates are column j of x on soc M
-    Y = _matmul_idx(ctx, Hend.basis.reshape(g, n, n), soc.basis.T).transpose(0, 2, 1)
-    R = soc.reduce_rows(Y.reshape(g * s, n))[0].reshape(g, s, s).transpose(0, 2, 1)
+    g, s = Hend.dim, soc.dim
+    # column j of x soc^T is x(v_j) for socle basis vector v_j, in soc M;
+    # its coordinates, column j of x on soc M, are its entries at the pivots
+    R = _matmul_idx(ctx, E, soc.basis.T)[:, soc.pivots, :]
     image = Subspace.from_rows(ctx, s * s, R.reshape(g, s * s))
-    rad = algebra_radical(ctx, [Mat(ctx, row.reshape(s, s)) for row in image.basis])
+    rad = algebra_radical(ctx, image.basis.reshape(image.dim, s, s))
     e = image.dim - rad.dim
     dims = {"end_dim": g, "radical_dim": g - e, "semisimple_dim": e, "socle_dim": s,
             "socle_image_dim": image.dim, "socle_image_radical_dim": rad.dim}

@@ -326,6 +326,8 @@ def solve(A: Mat, b: np.ndarray) -> Optional[np.ndarray]:
 
 def solve_matrix(A: Mat, B: Mat) -> Optional[Mat]:
     """Any X with A X = B, or None (columnwise simultaneous solve)."""
+    if A.ctx != B.ctx:
+        raise ContextMismatch("matrices over different field contexts")
     if A.rows != B.rows:
         raise ShapeMismatch("A and B must have the same number of rows")
     ctx = A.ctx

@@ -24,7 +24,7 @@ from . import curvefam as cf
 from . import kmod as km
 from .errors import BadParams, RepcurveError
 from .ff import FieldCtx, default_ctx, enumerate_nonprime, frobenius
-from .linalg import Mat, _matmul_idx, invert
+from .linalg import _matmul_idx, _rank_stack
 from .poly import Poly2, trace_polynomial, trace_sum
 
 ARTIFACT_VERSION = "0.1.0"
@@ -522,7 +522,7 @@ def _suite_dr(p: int, seed: int) -> List[Case]:
         F[pos, np.arange(model.dim)] = scale
         ok = (np.array_equal(_matmul_idx(params.ctx, F, model.gens),
                              _matmul_idx(params.ctx, piece.gens, F))
-              and invert(Mat(params.ctx, F)) is not None)
+              and _rank_stack(params.ctx, F[None])[0] == piece.dim == model.dim)
         return ok, f"d={d},intertwiner"
 
     return _graded_suite(p, "dr", cf.dr_graded,

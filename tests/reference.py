@@ -10,8 +10,8 @@ JSON with every piece encoded in place, Jordan partitions from one rank
 per power, the dominance order by prefix sums, the filtration suite's
 random vectors one randrange call per entry, the trace identities by
 raising each linear form to the power p^2 - 1, and matrix powers one
-factor at a time.  conjugate writes a module in a random basis, so a test
-cannot read the answer off coordinate vectors.
+factor at a time.  conjugate and conjugate_by write a module in another
+basis, so a test cannot read the answer off coordinate vectors.
 """
 
 import random
@@ -216,16 +216,24 @@ def poly2_deg_x(f) -> int:
     return f.grid.shape[0] - 1
 
 
+def conjugate_by(M: km.HModule, P: Mat) -> Optional[km.HModule]:
+    """M written in the basis P, P sigma P^-1 and P tau P^-1 through the
+    checked public constructor, or None when P is singular."""
+    Pinv = invert(P)
+    if Pinv is None:
+        return None
+    return km.HModule(M.ctx, P @ M.Msigma @ Pinv, P @ M.Mtau @ Pinv)
+
+
 def conjugate(M: km.HModule, rng: random.Random) -> km.HModule:
-    """M written in a random basis of F_q^dim, through the checked public
-    constructor."""
+    """M written in a random basis of F_q^dim, one rng.randrange(q) per
+    entry, drawn again until it is invertible."""
     ctx = M.ctx
     while True:
-        P = Mat(ctx, np.array([[rng.randrange(ctx.q) for _ in range(M.dim)]
-                               for _ in range(M.dim)], dtype=np.int64))
-        Pinv = invert(P)
-        if Pinv is not None:
-            return km.HModule(ctx, P @ M.Msigma @ Pinv, P @ M.Mtau @ Pinv)
+        N = conjugate_by(M, Mat(ctx, np.array([[rng.randrange(ctx.q) for _ in range(M.dim)]
+                                               for _ in range(M.dim)], dtype=np.int64)))
+        if N is not None:
+            return N
 
 
 def random_vector(ctx: FieldCtx, dim: int, rng: random.Random) -> np.ndarray:

@@ -15,7 +15,8 @@ from repcurve.errors import ShapeMismatch, ZeroPoint
 from repcurve.ff import FieldElem, default_ctx
 from repcurve.linalg import Mat, Subspace, invert, kernel, nilpotent_partitions, rank
 from repcurve.suites import run_suite
-from reference import (contains, contains_space, hom_maps_one_product, intertwiner_space,
+from reference import (conjugate_by, contains, contains_space, hom_maps_one_product,
+                       intertwiner_space,
                        nilpotent_partition, s_filtration_direct, sub_generated_closure, word_matrix)
 
 C2 = default_ctx(2)
@@ -630,7 +631,7 @@ def test_charpoly_stack_matches_scalar(p, seed, n, k):
 
 def radical_reference(ctx, mats) -> Subspace:
     """Cohen-Ivanyos-Wales radical with one scalar charpoly per product."""
-    g, n = len(mats), mats[0].rows
+    g, n = mats.shape[0], mats.shape[-1]
     W = Subspace.full(ctx, g)
     lmax = 0
     while ctx.p ** (lmax + 1) <= n:
@@ -638,7 +639,7 @@ def radical_reference(ctx, mats) -> Subspace:
     for i in range(lmax + 1):
         if W.dim == 0:
             break
-        flat = np.stack([X.data.reshape(-1) for X in mats])
+        flat = mats.reshape(g, n * n)
         cur = linalg._matmul_idx(ctx, W.basis, flat).reshape(W.dim, n, n)
         S = np.zeros((W.dim, W.dim), dtype=np.int64)
         for j1, y in enumerate(cur):
@@ -671,10 +672,9 @@ def conjugated_module(ctx, rng, kind, d):
     else:
         M = km.v_dr(ctx, d, t) if kind == "vdr" else km.v_d(ctx, d, t)
     while True:
-        P = Mat(ctx, rand_rows(ctx, rng, M.dim, M.dim))
-        Pinv = invert(P)
-        if Pinv is not None:
-            return km.HModule(ctx, P @ M.Msigma @ Pinv, P @ M.Mtau @ Pinv)
+        N = conjugate_by(M, Mat(ctx, rand_rows(ctx, rng, M.dim, M.dim)))
+        if N is not None:
+            return N
 
 
 @settings(max_examples=30, deadline=None)
@@ -777,10 +777,8 @@ def test_flag_matches_direct(ctx, seed, kind, d):
             M = km.direct_sum(M, km.v_dr(ctx, rng.randrange(p * p), t) if p < 7
                               else km.v_d(ctx, rng.randrange(1, 8), t))
     if M.dim:
-        P = Mat(ctx, rand_rows(ctx, rng, M.dim, M.dim))
-        Pinv = invert(P)
-        if Pinv is not None:
-            M = km.HModule(ctx, P @ M.Msigma @ Pinv, P @ M.Mtau @ Pinv)
+        N = conjugate_by(M, Mat(ctx, rand_rows(ctx, rng, M.dim, M.dim)))
+        M = M if N is None else N
     fil = s_filtration_direct(M)
     dims = km.filtration_dims(M)
     assert dims == tuple(S.dim for S in fil)
@@ -861,7 +859,7 @@ def test_flag_takes_at_most_dim_pivot_steps(monkeypatch, p, kind, d):
 def test_algebra_radical_charpolys_are_stacked(monkeypatch, p, d):
     ctx = CTX[p]
     _, mats = km.end_algebra(km.v_dr(ctx, d, ctx.gen()))
-    g, n = len(mats), mats[0].rows
+    g, n = mats.shape[0], mats.shape[-1]
     levels = int(math.log(n, p) + 1e-9)
     calls = _count_calls(monkeypatch, km, "_charpoly_stack")
     km.algebra_radical(ctx, mats)

@@ -22,7 +22,7 @@ from repcurve.cli import main
 from repcurve.ff import FieldCtx, ctx_new, default_ctx
 from repcurve.linalg import Mat, Subspace, kernel
 from repcurve.suites import SUITE_PRIMES, report_to_json, run_suite
-from reference import intertwiner_space, matpow
+from reference import conjugate, intertwiner_space, matpow
 
 C3 = default_ctx(3)
 C5 = default_ctx(5)
@@ -246,11 +246,9 @@ def test_end_vdr_5_12_solves_from_three_relation_generators(monkeypatch):
 def test_end_matrices_are_views_of_the_basis():
     M = km.v_dr(C3, 4, T3)
     H, mats = km.end_algebra(M)
-    assert len(mats) == H.dim
-    for X, row in zip(mats, H.basis):
-        assert np.shares_memory(X.data, H.basis)
-        assert not X.data.flags.writeable
-        assert np.array_equal(X.data.reshape(-1), row)
+    assert mats.shape == (H.dim, M.dim, M.dim)
+    assert np.shares_memory(mats, H.basis) and not mats.flags.writeable
+    assert np.array_equal(mats.reshape(H.dim, -1), H.basis)
 
 
 def test_stacked_power_matches_matpow():
@@ -475,17 +473,6 @@ def test_planted_fault_in_one_dr_piece_is_reported(monkeypatch, capsys):
     assert json.loads(err) == {"error": "OrderViolation", "message": str(alone.value)}
 
 
-def _conjugate(M, rng):
-    """M written in a random basis: a new module with empty caches."""
-    ctx = M.ctx
-    while True:
-        P = Mat(ctx, np.array([[rng.randrange(ctx.q) for _ in range(M.dim)]
-                               for _ in range(M.dim)], dtype=np.int64))
-        Pinv = linalg.invert(P)
-        if Pinv is not None:
-            return km.HModule(ctx, P @ M.Msigma @ Pinv, P @ M.Mtau @ Pinv)
-
-
 KINDS = st.sampled_from(["vd", "vdr", "dual", "sum"])
 
 
@@ -498,8 +485,8 @@ def test_hom_dim_matches_map_basis(ctx, seed, kind_m, kind_n, conj_m, conj_n):
     N = M if rng.random() < 0.2 else _module(ctx, rng, kind_n)
     if M.dim * N.dim > 100:  # keep the Kronecker-product reference small
         N = km.v_d(ctx, rng.randrange(1, 5), ctx.gen())
-    M = _conjugate(M, rng) if conj_m else M
-    N = _conjugate(N, rng) if conj_n else N
+    M = conjugate(M, rng) if conj_m else M
+    N = conjugate(N, rng) if conj_n else N
     ref = intertwiner_space([M.Msigma, M.Mtau], [N.Msigma, N.Mtau]).dim
     assert km.hom_dim(M, N) == km.hom_space(M, N).dim == ref
     if M.dim * M.dim <= 100:
@@ -540,8 +527,8 @@ def test_hom_dims_match_the_reference_both_ways(ctx, seed, kind_m, kind_n, conj_
     N = _module(ctx, rng, kind_n)
     if M.dim * N.dim > 100:  # keep the Kronecker-product reference small
         N = km.v_d(ctx, rng.randrange(1, 5), ctx.gen())
-    M = _conjugate(M, rng) if conj_m and M.dim else M
-    N = _conjugate(N, rng) if conj_n else N
+    M = conjugate(M, rng) if conj_m and M.dim else M
+    N = conjugate(N, rng) if conj_n else N
     _assert_hom_dims_match_the_reference(M, N)
 
 
@@ -592,16 +579,16 @@ def _count_map_builds(monkeypatch) -> list:
 def test_dim_decisions_build_no_maps(monkeypatch):
     rng = random.Random(3)
     # fresh modules, so no map basis is cached from an earlier call
-    M = _conjugate(km.v_dr(C3, 4, T3), rng)
-    N = _conjugate(km.v_dr(C3, 4, T3 + 1), rng)
+    M = conjugate(km.v_dr(C3, 4, T3), rng)
+    N = conjugate(km.v_dr(C3, 4, T3 + 1), rng)
     calls = _count_map_builds(monkeypatch)
     dec = km.is_isomorphic(M, N)
     assert (dec.verdict, dec.method) == ("NO", "hom-dim-mismatch")
     assert dec.detail == {"hom": [9, 9], "end": [10, 10]}
-    assert km.profile(_conjugate(km.v_dr(C3, 7, T3), rng)).end_dim > 0
+    assert km.profile(conjugate(km.v_dr(C3, 7, T3), rng)).end_dim > 0
     assert calls == []
     # the YES path rebuilds the one Hom basis its witness search needs
-    assert km.is_isomorphic(M, _conjugate(M, rng)).verdict == "YES"
+    assert km.is_isomorphic(M, conjugate(M, rng)).verdict == "YES"
     assert calls == ["hom_space"]
 
 
@@ -646,7 +633,7 @@ def test_classification_computes_each_pairs_hom_dims_once(monkeypatch):
 def test_hom_dims_asked_the_other_way_round_form_no_conditions(monkeypatch):
     # a computed pair is kept on both modules, so the reverse ask reads
     # the reversed dims and forms no condition matrix and no rank
-    M = _conjugate(km.v_d(C3, 5, T3), random.Random(3))
+    M = conjugate(km.v_d(C3, 5, T3), random.Random(3))
     N = km.v_d(C3, 2, T3)
     dims = km._hom_dims(M, N)
     assert dims == (3, 2)
@@ -678,16 +665,18 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     # on its first module), 141 Hom dim pairs (each kept on both modules;
     # 153 before), 122 relation solves (154) and forms 377 condition
     # matrices (421; 460 when step 5 of is_isomorphic formed its Hom(M, N)
-    # conditions again), and makes 715 eliminations of 7,000 pivot steps
-    # (977 of 7,966) and 147 flag row profiles of 1,704 steps (167 of
-    # 1,724; 1,635 eliminations when each flag took one per word degree,
-    # 13,526 steps when each filtration level took its own).  It forms no
-    # filtration level and makes 1,833 products (1,907 when a witness check
-    # and the dr suite's intertwiner check took one product per generator,
-    # 2,056 when each v_d member took its own order and commute check, 2,541
-    # when every derived module did, and a quotient and a dual formed each
-    # generator apart;
-    # 3,104 before the decision, quotient and core memos, 3,468 when each
+    # conditions again), and makes 678 eliminations of 6,314 pivot steps
+    # (715 of 7,000 when a witness check and the dr suite's intertwiner
+    # check inverted their map to test it; 977 of 7,966) and 147 flag row
+    # profiles of 1,704 steps (167 of 1,724; 1,635 eliminations when each
+    # flag took one per word degree, 13,526 steps when each filtration
+    # level took its own).  It forms no filtration level and makes 1,669
+    # products (1,833 when a quotient proved its subspace invariant apart
+    # from its change of basis and the socle restriction tested membership;
+    # 1,907 when a witness check and the dr suite's intertwiner check took
+    # one product per generator, 2,056 when each v_d member took its own
+    # order and commute check, 2,541 when every derived module did, and a
+    # quotient and a dual formed each generator apart; 3,104 before the decision, quotient and core memos, 3,468 when each
     # module check formed the squares apart from sigma tau and tau sigma,
     # 4,586 when each graded piece took its own order and commute check) in
     # 91 check_actions calls (153, 306); counts, unlike times, are free of
@@ -723,7 +712,7 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     assert levels == []
     counts = (len(decisions), len(dims), len(solves), len(conds), len(steps), sum(steps),
               len(profiles), sum(profiles), len(products), len(checks))
-    most = (241, 141, 122, 377, 715, 7000, 147, 1704, 1833, 91)
+    most = (241, 141, 122, 377, 678, 6314, 147, 1704, 1669, 91)
     assert all(n <= m for n, m in zip(counts, most)), counts
 
 
@@ -771,7 +760,7 @@ def test_krull_schmidt_leaves_the_summand_lists_whole(monkeypatch):
     # summand list kept across decisions stays whole
     monkeypatch.setattr(km, "_summands", km._memo(km._summands))
     M = km.direct_sum(km.v_d(C3, 2, T3), km.trivial_module(C3))
-    N = _conjugate(M, random.Random(1))
+    N = conjugate(M, random.Random(1))
     parts = list(km._summands(N))
     assert len(parts) == 2
     for _ in range(2):
@@ -792,8 +781,8 @@ def test_case_ii_cores_are_kept_per_vector():
 
 def test_hom_basis_pair_forms_one_hom_kernel(monkeypatch):
     rng = random.Random(3)
-    M = _conjugate(km.v_dr(C3, 4, T3), rng)
-    N = _conjugate(M, rng)
+    M = conjugate(km.v_dr(C3, 4, T3), rng)
+    N = conjugate(M, rng)
     solves, conds = _count_hom_work(monkeypatch)
     dec = km.is_isomorphic(M, N)
     assert (dec.verdict, dec.method) == ("YES", "hom-basis")
@@ -812,18 +801,18 @@ def test_decision_radical_runs_on_the_socle_image(monkeypatch):
     real = km.algebra_radical
 
     def counted(ctx, mats):
-        shapes.append({(X.rows, X.cols) for X in mats})
+        shapes.append(mats.shape[1:])
         return real(ctx, mats)
 
     monkeypatch.setattr(km, "algebra_radical", counted)
     dec = km.is_indecomposable(M)
     s = km.fixed_space(M).dim
     assert (dec.certificate, s, km.end_dim(M)) == ("T3", 2, 28)
-    assert shapes and all(shape == {(s, s)} for shape in shapes)
+    assert shapes and all(shape == (s, s) for shape in shapes)
 
 
 def test_end_basis_reuses_the_end_solve(monkeypatch):
-    M = _conjugate(km.v_dr(C5, 12, C5.gen()), random.Random(5))
+    M = conjugate(km.v_dr(C5, 12, C5.gen()), random.Random(5))
     eliminations = []
     real = km.kernel
 

@@ -126,6 +126,71 @@ def test_sub_quotient_roundtrip():
         sub_module_on(M, bad)
 
 
+def _projection_times_basis_change(ctx, Q, P, W, reps):
+    """P C for C = [W | reps] as columns, and the [0 | I] it should be."""
+    C = Mat(ctx, np.vstack([W.basis, reps]).T.copy())
+    want = np.hstack([np.zeros((Q.dim, W.dim), dtype=np.int64), np.eye(Q.dim, dtype=np.int64)])
+    return (P @ C).data, want
+
+
+def test_quotient_projection_inverts_the_basis_change():
+    # default reps: the standard vectors off W's pivots
+    M = v_d(C3, 6, T3)
+    W = s_filtration(M)[1]
+    Q, P = quotient(M, W)
+    reps = np.delete(np.eye(M.dim, dtype=np.int64), W.pivots, axis=0)
+    got, want = _projection_times_basis_change(C3, Q, P, W, reps)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ctx,d", [(C3, 5), (C3, 9), (C5, 12)])
+def test_vdr_quotient_projection_inverts_the_basis_change(ctx, d):
+    # K is spanned by k_i = (w_i, 0) + i (0, w_(i-1)) for 0 <= i <= d, with
+    # w_(p^2) = 0, and the reps are the standard vectors the labels name:
+    # eta_i at i and w_i at p^2 + i
+    pp = ctx.p ** 2
+    Q = vdr_quotient(ctx, d, ctx.gen())
+    K = np.zeros((d + 1, pp + d), dtype=np.int64)
+    for i in range(d + 1):
+        if i < pp:
+            K[i, i] = 1
+        if i:
+            K[i, pp + i - 1] = i % ctx.p
+    W = Subspace.from_rows(ctx, pp + d, K)
+    cols = [int(lab[3:]) if lab.startswith("eta") else pp + int(lab[1:]) for lab in Q.labels]
+    reps = np.eye(pp + d, dtype=np.int64)[cols]
+    got, want = _projection_times_basis_change(ctx, Q, Mat(ctx, Q.meta["proj"]), W, reps)
+    assert np.array_equal(got, want)
+
+
+def test_quotient_errors():
+    M = v_d(C3, 6, T3)
+    W = s_filtration(M)[1]
+    eye = np.eye(M.dim, dtype=np.int64)
+    # the span of w1 is not invariant; the other standard vectors complement it
+    bad = Subspace.from_rows(C3, 6, eye[[1]])
+    with pytest.raises(NotInvariant, match="quotient by a non-invariant subspace"):
+        quotient(M, bad, reps=eye[[0, 2, 3, 4, 5]])
+    # reps holding a vector of W do not complement it, whether W is
+    # invariant or not: the change of basis is tested first
+    reps = np.delete(eye, W.pivots, axis=0)
+    reps[0] = W.basis[0]
+    with pytest.raises(ShapeMismatch, match="do not complement"):
+        quotient(M, W, reps=reps)
+    with pytest.raises(ShapeMismatch, match="do not complement"):
+        quotient(M, bad, reps=eye[[1, 2, 3, 4, 5]])
+    with pytest.raises(ShapeMismatch, match="ambient"):
+        quotient(M, Subspace.from_rows(C3, 5, eye[[0], :5]))
+
+
+@pytest.mark.parametrize("construction", [sub_module_on, quotient])
+def test_subspace_over_another_field_is_refused(construction):
+    # the F_9 fixed space of v_d(3, 5) has the ambient of v_d(5, 5) over F_25
+    W = fixed_space(v_d(C3, 5, T3))
+    with pytest.raises(ContextMismatch):
+        construction(v_d(C5, 5, T5), W)
+
+
 def test_sub_generated_spans():
     # generated span of w_n is the digit-dominance cone under n
     M = v_d(C3, 7, T3)

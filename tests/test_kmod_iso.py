@@ -309,10 +309,10 @@ def socle_image(M):
     s = soc.dim
     S = Mat(ctx, soc.basis.T.copy())
     _, mats = end_algebra(M)
-    R = np.array([solve_matrix(S, X @ S).data.reshape(-1) for X in mats],
+    R = np.array([solve_matrix(S, Mat(ctx, X) @ S).data.reshape(-1) for X in mats],
                  dtype=np.int64).reshape(len(mats), s * s)
     image = Subspace.from_rows(ctx, s * s, R)
-    rad = algebra_radical(ctx, [Mat(ctx, row.reshape(s, s)) for row in image.basis])
+    rad = algebra_radical(ctx, image.basis.reshape(image.dim, s, s))
     return soc, R, image, rad
 
 
@@ -450,7 +450,7 @@ def end_radical_reference(M) -> str:
         return "INDECOMPOSABLE"
     pivots = rad.pivots.tolist()
     free = [c for c in range(Hend.dim) if c not in pivots]
-    reps = [mats[c] for c in free]  # valid complement: coords e_c are independent mod rad
+    reps = [Mat(ctx, mats[c]) for c in free]  # valid complement: coords e_c are independent mod rad
 
     def coords_mod_rad(X: Mat):
         full = Hend.reduce(X.data.reshape(-1))

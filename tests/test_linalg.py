@@ -77,6 +77,13 @@ def test_solve_matrix_none_for_inconsistent():
     assert solve_matrix(A, B) is None
 
 
+def test_solve_matrix_refuses_a_right_side_over_another_field():
+    # the indices 3 and 8 of F_9 name other elements of F_25
+    F25 = default_ctx(5)
+    with pytest.raises(ContextMismatch):
+        solve_matrix(Mat.identity(F25, 2), Mat(CTX, np.array([[3], [8]], dtype=np.int64)))
+
+
 def test_matmul_shape_check():
     A = Mat.zeros(CTX, 2, 3)
     with pytest.raises(ShapeMismatch):
