@@ -37,8 +37,17 @@ def default_grid():
 # Index combinatorics
 
 
+def _check_exponent(p: int, m: int) -> None:
+    """The family's exponent rule, m >= 1 and p not dividing m, which every
+    function of (p, m) here checks first: for p | m the semigroup <p^2, m>
+    has infinitely many gaps and the graded pieces are not the family's."""
+    if m < 1 or m % p == 0:
+        raise BadParams(f"exponent m={m} must be positive and prime to p={p}")
+
+
 def dd(p: int, m: int, c: int) -> int:
     """Dimension function of the graded pieces: p^2 - ceil((p^2*c + 1)/m)."""
+    _check_exponent(p, m)
     if not (1 <= c <= m - 1):
         raise OutOfRange(f"index {c} outside 1..{m - 1}")
     pp = p * p
@@ -53,7 +62,7 @@ def index_I(p: int, m: int, c: int) -> tuple:
     fails at dd(c) shows the two descriptions equal, which pins the
     ceiling arithmetic in dd.
     """
-    d = dd(p, m, c)  # refuses c outside 1..m-1
+    d = dd(p, m, c)  # refuses a bad exponent or c outside 1..m-1
     pp = p * p
     assert m * (d - 1) + pp * c < m * (pp - 1) <= m * d + pp * c
     return tuple(range(d))
@@ -67,7 +76,7 @@ def index_J(p: int, m: int, c: int) -> tuple:
     integers, holds it holds for every larger i, so it is asserted to hold
     at p^2 - dd(c) and to fail just below.
     """
-    d = dd(p, m, c)  # refuses c outside 1..m-1
+    d = dd(p, m, c)  # refuses a bad exponent or c outside 1..m-1
     pp = p * p
     assert m * (pp - d - 1) <= pp * c < m * (pp - d)
     return tuple(range(pp - d, pp))
@@ -101,8 +110,7 @@ def curve_params(ctx: FieldCtx, m: int, alpha: FieldElem) -> CurveParams:
     if alpha.ctx is not ctx:
         raise ContextMismatch("alpha from a different field context")
     p = ctx.p
-    if m < 1 or m % p == 0:
-        raise BadParams(f"exponent m={m} must be positive and prime to p={p}")
+    _check_exponent(p, m)
     if m > MAX_EXPONENT:
         raise BadParams(f"exponent m={m} above the limit {MAX_EXPONENT}")
     beta = beta_from_alpha(alpha)  # rejects alpha in the prime field
@@ -122,8 +130,7 @@ def ramification_profile(p: int, m: int) -> RamificationProfile:
     """Jump data at the unique ramified point: the full group in every
     index 0..m, trivial beyond; the different exponent and the genus
     follow, and the discrete Riemann-Hurwitz identity is asserted."""
-    if m < 1 or m % p == 0:
-        raise BadParams(f"exponent m={m} must be positive and prime to p={p}")
+    _check_exponent(p, m)
     pp = p * p
     orders = tuple([pp] * (m + 1) + [1])
     d_point = sum(o - 1 for o in orders)
@@ -143,6 +150,7 @@ def valuation_table(p: int, m: int) -> Dict[str, int]:
     """Pole/zero orders at the ramified point of the five standard
     functions and forms: the two tower coordinates, the base coordinate,
     its differential, and the diagonal coordinate z."""
+    _check_exponent(p, m)
     pp = p * p
     return {
         "z0": -m * p,
@@ -159,6 +167,7 @@ def semigroup_gap_count(p: int, m: int) -> int:
     Computed by sieving up to the conductor; agrees with the genus for
     every coprime pair, which the suites assert.
     """
+    _check_exponent(p, m)
     pp = p * p
     # conductor of <p^2, m> is (p^2-1)(m-1); sieve one past it
     bound = (pp - 1) * (m - 1) + 1
@@ -177,6 +186,7 @@ def rr_basis(p: int, m: int, delta: int) -> tuple:
     """Monomial exponent pairs (i, c) with 0 <= i < p^2, c >= 0 and
     m*i + p^2*c < delta; for delta past twice the genus the count is
     delta - genus."""
+    _check_exponent(p, m)
     pp = p * p
     out = []
     for i in range(pp):

@@ -13,6 +13,7 @@ a*sigma0 + b*tau0.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, fields
 from functools import wraps
 from typing import Optional, Sequence
@@ -42,7 +43,7 @@ from .linalg import (
     _matpow_idx,
     _rank_stack,
     _row_profile,
-    as_vector,
+    field_rows,
     invert,
     kernel,
     nilpotent_partitions,
@@ -54,6 +55,8 @@ from .linalg import (
 
 def digits_p(n: int, p: int, width: Optional[int] = None) -> tuple:
     """Base-p digits of n, least significant first; at least one digit."""
+    if p < 2:
+        raise OutOfRange(f"digit base {p} below 2")
     if n < 0:
         raise OutOfRange("digits of a negative integer")
     out = []
@@ -73,22 +76,16 @@ def s_p(n: int, p: int) -> int:
 
 
 def binom_mod_p(n: int, i: int, p: int) -> int:
-    """Binomial coefficient mod p via the digitwise product rule."""
+    """Binomial coefficient mod p via the digitwise product rule (Lucas)."""
+    if p < 2:
+        raise OutOfRange(f"digit base {p} below 2")
     if n < 0 or i < 0:
         raise OutOfRange("negative binomial arguments")
     if i > n:
         return 0
     out = 1
-    while n or i:
-        nd, id_ = n % p, i % p
-        if id_ > nd:
-            return 0
-        # small Pascal values fit in int; compute C(nd, id_) directly
-        num, den = 1, 1
-        for k in range(id_):
-            num *= nd - k
-            den *= k + 1
-        out = (out * (num // den)) % p
+    while i and out:
+        out = out * math.comb(n % p, i % p) % p
         n //= p
         i //= p
     return out
@@ -191,7 +188,9 @@ class HModule:
             raise ShapeMismatch("generator matrices must be square")
         if Msigma.rows != Mtau.rows:
             raise ShapeMismatch("generator matrices of different sizes")
-        gens = np.stack([Msigma.data, Mtau.data])
+        # Mat wraps its data unchecked: the entries are range-checked here
+        d = Msigma.rows
+        gens = field_rows(ctx, np.vstack([Msigma.data, Mtau.data]), d).reshape(2, d, d)
         check_actions(ctx, gens)
         self._fill(ctx, gens, labels, meta)
 
@@ -573,23 +572,13 @@ def sub_module_on(M: HModule, W: Subspace) -> tuple:
     return sub, Mat(M.ctx, W.basis.T.copy())
 
 
-def _rows(M: HModule, vectors) -> np.ndarray:
-    """The vectors as the rows of a (k, dim M) index array; ShapeMismatch
-    when one of them has another length."""
-    rows = [as_vector(M.ctx, v) for v in vectors]
-    bad = [r.shape for r in rows if r.shape != (M.dim,)]
-    if bad:
-        raise ShapeMismatch(f"vector of shape {bad[0]} for a module of dim {M.dim}")
-    return np.array(rows, dtype=np.int64).reshape(len(rows), M.dim)
-
-
 def sub_generated(M: HModule, vectors) -> tuple:
     """Smallest invariant subspace containing the vectors, with induced
     action: the span of every word sigma0^a tau0^b of M.word_stack()
     applied to every vector, from one product and one elimination, since
     the words span the group algebra.  Returns (module, embedding matrix)."""
     ctx = M.ctx
-    V = _rows(M, vectors)
+    V = field_rows(ctx, vectors, M.dim)
     imgs = _matmul_idx(ctx, V, M.word_stack().transpose(0, 2, 1))
     return sub_module_on(M, Subspace.from_rows(ctx, M.dim, np.vstack(imgs)))
 
@@ -608,7 +597,7 @@ def quotient(M: HModule, W: Subspace, reps=None, labels=None) -> tuple:
         raise ShapeMismatch("subspace ambient does not match module dimension")
     ctx, k = M.ctx, W.dim
     reps = (np.delete(np.eye(M.dim, dtype=np.int64), W.pivots, axis=0) if reps is None
-            else _rows(M, reps))
+            else field_rows(ctx, reps, M.dim))
     if len(reps) != M.dim - k:
         raise ShapeMismatch(f"need {M.dim - k} coset representatives, got {len(reps)}")
     C = np.vstack([W.basis, reps]).T.copy()
@@ -637,7 +626,7 @@ def apply_word(M: HModule, word: tuple, v) -> np.ndarray:
     p = M.ctx.p
     W = (M.word_stack()[a * p + b] if a < p and b < p
          else np.zeros((M.dim, M.dim), dtype=np.int64))
-    return Mat(M.ctx, W).apply(as_vector(M.ctx, v))
+    return Mat(M.ctx, W).apply(v)
 
 
 @_memo
@@ -698,9 +687,7 @@ def ddeg_rows(M: HModule, V) -> np.ndarray:
     flag row that does not: one product V R^T, and 0 for a nonzero row
     that no flag row hits.  The flag is built once for all rows; ddeg
     answers for one vector from its orbit, without it."""
-    V = np.asarray(V, dtype=np.int64)
-    if V.ndim != 2 or V.shape[1] != M.dim:
-        raise ShapeMismatch(f"rows of shape {V.shape} for a module of dim {M.dim}")
+    V = field_rows(M.ctx, V, M.dim)
     R, deg = _flag(M)
     # then a column hit by the nonzero rows (degree 0) and one by every
     # row, which gives the zero rows -1
@@ -720,10 +707,7 @@ def ddeg(M: HModule, v) -> int:
     products of at most p columns, each g0 X as gX - X, and no word
     stack, flag or memo: ddeg_rows reads the flag for many rows at once."""
     ctx, p = M.ctx, M.ctx.p
-    X = as_vector(ctx, v)
-    if X.shape != (M.dim,):
-        raise ShapeMismatch(f"vector of shape {X.shape} for a module of dim {M.dim}")
-    X = X[:, None]
+    X = field_rows(ctx, [v], M.dim).T
     while X.shape[1] < p and X[:, -1].any():
         last = X[:, -1:]
         X = np.hstack([X, ctx.sub[_matmul_idx(ctx, M.gens[1], last), last]])
@@ -763,7 +747,7 @@ def ddeg_prime(M: HModule, v) -> int:
     label_degrees over its nonzero entries, -1 for the zero vector."""
     if M.meta.get("kind") != "vdr":
         raise UnlabeledModule("operation needs a module built by v_dr")
-    vec = _rows(M, [v])[0]
+    vec = field_rows(M.ctx, [v], M.dim)[0]
     return int(np.where(vec != 0, label_degrees(M), -1).max())
 
 
@@ -1361,11 +1345,9 @@ def constant_type_over_scan(M: HModule) -> bool:
 def _case_ii_entries(M: HModule, u) -> bytes:
     """The entries of a nonzero u of M, as the bytes of its index array:
     the key under which its case-II modules are kept on M."""
-    vec = as_vector(M.ctx, u)
+    vec = field_rows(M.ctx, [u], M.dim)[0]
     if not vec.any():
         raise ZeroVector("core of the zero vector")
-    if vec.shape != (M.dim,):
-        raise ShapeMismatch(f"vector of shape {vec.shape} for a module of dim {M.dim}")
     return vec.tobytes()
 
 

@@ -15,33 +15,41 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContextMismatch, ShapeMismatch
+from .errors import ContextMismatch, OutOfRange, ShapeMismatch
 from .ff import CTX_CACHE, FieldCtx
 
 
-def _as_idx_array(ctx: FieldCtx, rows) -> np.ndarray:
-    """Coerce nested FieldElem/int/text data to an encoded index array."""
-    if isinstance(rows, np.ndarray):
-        out = rows.astype(np.int64, copy=True)
-        return out
-    data = []
-    for row in rows:
-        data.append([ctx.el(v).idx for v in row])
-    if not data:
-        return np.zeros((0, 0), dtype=np.int64)
-    return np.array(data, dtype=np.int64)
-
-
-def as_vector(ctx: FieldCtx, v) -> np.ndarray:
-    """Coerce a sequence of entries to a 1-D encoded index array; an
-    array is taken as already encoded and copied as it is."""
-    if isinstance(v, np.ndarray):
-        return v.astype(np.int64, copy=True)
-    return np.array([ctx.el(x).idx for x in v], dtype=np.int64)
+def field_rows(ctx: FieldCtx, rows, width: Optional[int] = None) -> np.ndarray:
+    """The caller's rows as a fresh (k, width) int64 array of encoded
+    indices; width is that of the first row when not given.  A row given
+    as an integer numpy array (or all of them, as one 2-D one) is taken as
+    encoded and must lie in 0..q - 1, else OutOfRange; any other row is
+    read entry by entry through ctx.el.  A row of another width, or a
+    scalar where a row belongs, raises ShapeMismatch.  Every caller
+    entrance of linalg and kmod reads its field data through here;
+    Mat(ctx, data) wraps the package's own."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu":
+        out = rows.astype(np.int64)
+        if width is not None and out.shape[1] != width:
+            raise ShapeMismatch(f"rows of shape {out.shape} where length {width} is needed")
+    else:
+        out = [r if np.isscalar(r) or isinstance(r, np.ndarray) and r.dtype.kind in "iu"
+               else [ctx.el(v).idx for v in r] for r in rows]
+        if width is None:
+            width = np.size(out[0]) if out else 0
+        bad = next((np.shape(r) for r in out if np.shape(r) != (width,)), None)
+        if bad is not None:
+            raise ShapeMismatch(f"row of shape {bad} where length {width} is needed")
+        out = np.array(out, dtype=np.int64).reshape(len(out), width)
+    if out.size and (out.min() < 0 or out.max() >= ctx.q):
+        raise OutOfRange(f"entry outside the element indices 0..{ctx.q - 1}")
+    return out
 
 
 class Mat:
-    """Dense matrix over a FieldCtx.  Immutable by convention."""
+    """Dense matrix over a FieldCtx.  Immutable by convention.  Mat(ctx,
+    data) wraps encoded data as it is, unchecked; caller data enters
+    through from_rows."""
 
     __slots__ = ("ctx", "data")
 
@@ -56,7 +64,7 @@ class Mat:
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, rows) -> "Mat":
-        return cls(ctx, _as_idx_array(ctx, rows))
+        return cls(ctx, field_rows(ctx, rows))
 
     @classmethod
     def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "Mat":
@@ -107,11 +115,9 @@ class Mat:
             raise ShapeMismatch(f"cannot multiply {self.data.shape} by {other.data.shape}")
         return Mat(self.ctx, _matmul_idx(self.ctx, self.data, other.data))
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix times column vector (1-D encoded index array)."""
-        if v.shape != (self.cols,):
-            raise ShapeMismatch(f"vector of length {v.shape} for {self.data.shape}")
-        return _matmul_idx(self.ctx, self.data, v.reshape(-1, 1))[:, 0]
+    def apply(self, v) -> np.ndarray:
+        """Matrix times column vector, read by field_rows."""
+        return _matmul_idx(self.ctx, self.data, field_rows(self.ctx, [v], self.cols).T)[:, 0]
 
     def transpose(self) -> "Mat":
         return Mat(self.ctx, self.data.T.copy())
@@ -320,7 +326,7 @@ def kernel(A: Mat) -> "Subspace":
 
 def solve(A: Mat, b: np.ndarray) -> Optional[np.ndarray]:
     """Any solution x of A x = b, or None."""
-    X = solve_matrix(A, Mat(A.ctx, np.asarray(b, dtype=np.int64).reshape(-1, 1)))
+    X = solve_matrix(A, Mat(A.ctx, field_rows(A.ctx, [b], A.rows).T))
     return None if X is None else X.data[:, 0].copy()
 
 
@@ -387,11 +393,7 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, ambient: int, rows) -> "Subspace":
-        M = _as_idx_array(ctx, rows)
-        if M.size == 0:
-            M = M.reshape(0, ambient)
-        if M.shape[1] != ambient:
-            raise ShapeMismatch(f"rows of length {M.shape[1]} in ambient {ambient}")
+        M = field_rows(ctx, rows, ambient)
         pivots = _rref_inplace(ctx, M)
         return cls(ctx, ambient, M[: len(pivots)].copy())
 
@@ -414,19 +416,14 @@ class Subspace:
         """Coordinates of the rows of V (k x ambient) in the basis, and a
         boolean mask of the rows that lie in the subspace.  Coordinates of
         rows outside are their entries at the pivots."""
-        V = np.asarray(V, dtype=np.int64)
-        if V.ndim != 2 or V.shape[1] != self.ambient:
-            raise ShapeMismatch(f"rows of shape {V.shape} in ambient {self.ambient}")
+        V = field_rows(self.ctx, V, self.ambient)
         coords = V[:, self.pivots]
         inside = (_matmul_idx(self.ctx, coords, self.basis) == V).all(axis=1)
         return coords, inside
 
     def reduce(self, v) -> Optional[np.ndarray]:
         """Coordinates of v in the basis, or None if v is outside."""
-        v = np.asarray(v, dtype=np.int64) if isinstance(v, np.ndarray) else as_vector(self.ctx, v)
-        if v.shape != (self.ambient,):
-            raise ShapeMismatch(f"vector length {v.shape} in ambient {self.ambient}")
-        coords, inside = self.reduce_rows(v[None, :])
+        coords, inside = self.reduce_rows([v])
         return coords[0] if inside[0] else None
 
     def __eq__(self, other) -> bool:

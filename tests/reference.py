@@ -23,7 +23,7 @@ from repcurve import kmod as km
 from repcurve.errors import (ContextMismatch, OutOfRange, RepcurveError, ShapeMismatch,
                              UnlabeledModule)
 from repcurve.ff import FieldCtx, FieldElem
-from repcurve.linalg import Mat, Subspace, _matmul_idx, as_vector, invert, kernel, rank
+from repcurve.linalg import Mat, Subspace, _matmul_idx, field_rows, invert, kernel, rank
 from repcurve.poly import Poly1, Poly2
 
 
@@ -99,8 +99,7 @@ def sub_generated_closure(M: km.HModule, vectors) -> Subspace:
     """The submodule the vectors generate, as a closure: add the images of
     the span under sigma and tau until its dimension stops growing."""
     ctx = M.ctx
-    rows = [as_vector(ctx, v) for v in vectors]
-    W = Subspace.from_rows(ctx, M.dim, np.array(rows, dtype=np.int64).reshape(len(rows), M.dim))
+    W = Subspace.from_rows(ctx, M.dim, field_rows(ctx, vectors, M.dim))
     while W.dim:
         imgs_s = _matmul_idx(ctx, M.Msigma.data, W.basis.T).T
         imgs_t = _matmul_idx(ctx, M.Mtau.data, W.basis.T).T
