@@ -25,14 +25,16 @@ def field_rows(ctx: FieldCtx, rows, width: Optional[int] = None) -> np.ndarray:
     as an integer numpy array (or all of them, as one 2-D one) is taken as
     encoded and must lie in 0..q - 1, else OutOfRange; any other row is
     read entry by entry through ctx.el.  A row of another width, or a
-    scalar where a row belongs, raises ShapeMismatch.  Every caller
-    entrance of linalg and kmod reads its field data through here;
+    scalar where a row or the rows belong, raises ShapeMismatch.  Every
+    caller entrance of linalg and kmod reads its field data through here;
     Mat(ctx, data) wraps the package's own."""
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu":
         out = rows.astype(np.int64)
         if width is not None and out.shape[1] != width:
             raise ShapeMismatch(f"rows of shape {out.shape} where length {width} is needed")
     else:
+        if not np.iterable(rows):
+            raise ShapeMismatch(f"rows expected, not {type(rows).__name__}")
         out = [r if np.isscalar(r) or isinstance(r, np.ndarray) and r.dtype.kind in "iu"
                else [ctx.el(v).idx for v in r] for r in rows]
         if width is None:

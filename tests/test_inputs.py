@@ -125,9 +125,9 @@ def test_integer_array_rows_stay_encoded_and_other_rows_go_through_el():
     assert full.reduce(v).tolist() == by_el[0]
 
 
-def test_a_flat_vector_where_rows_belong_is_refused():
+def test_a_flat_vector_or_a_scalar_where_rows_belong_is_refused():
     v = np.ones(D, dtype=np.int64)
-    for rows in (v, list(v), v.tolist()):
+    for rows in (v, list(v), v.tolist(), 5, None):
         with pytest.raises(ShapeMismatch):
             km.sub_generated(M, rows)
         with pytest.raises(ShapeMismatch):
