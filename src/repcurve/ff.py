@@ -21,6 +21,7 @@ for p = 5, t for n = 1); every modulus is checked at context creation.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -195,12 +196,20 @@ class FieldCtx:
         return r
 
     def encode(self, coeffs: Sequence[int]) -> int:
+        """The index of the element with these coefficients, low degree
+        first, each read mod p.  A coefficient must be an integer (numpy
+        integers and bools included): a float or any other value raises
+        BadParams, where int() would truncate it."""
         if len(coeffs) > self.n:
             raise DegreeMismatch(
                 f"{len(coeffs)} coefficients for extension degree {self.n}")
         idx = 0
         for i, c in enumerate(coeffs):
-            idx += (int(c) % self.p) * self.p**i
+            try:
+                c = operator.index(bool(c) if isinstance(c, np.bool_) else c)
+            except TypeError:
+                raise BadParams(f"field value {c!r} is not an integer") from None
+            idx += (c % self.p) * self.p**i
         return idx
 
     def decode(self, idx: int) -> tuple:
@@ -209,7 +218,8 @@ class FieldCtx:
     # -- element constructors ---------------------------------------------
 
     def el(self, value) -> "FieldElem":
-        """Coerce an int (reduced mod p), coefficient sequence, or text."""
+        """Coerce an integer (reduced mod p, read as encode reads a
+        coefficient), coefficient sequence, or text."""
         if isinstance(value, FieldElem):
             if value.ctx is not self and value.ctx != self:
                 raise ContextMismatch("element from a different field context")
@@ -218,7 +228,7 @@ class FieldCtx:
             return self.from_text(value)
         if isinstance(value, (list, tuple)):
             return FieldElem(self, self.encode(value))
-        return FieldElem(self, int(value) % self.p)
+        return FieldElem(self, self.encode((value,)))
 
     def from_text(self, text: str) -> "FieldElem":
         """Parse element text: comma-separated coefficient digits, low

@@ -960,9 +960,10 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
 
     1. dimension: NO, "dim-mismatch";
     2. equal matrices: YES, "equal-matrices";
-    3. the invariants of ISO_INVARIANTS, in its order: filtration dims,
-       End dim.  Each is computed for both modules before the next one
-       runs, and the first that differs decides NO, "profile-mismatch".
+    3. the filtration dims, then the End dim: each is computed for both
+       modules before the next one runs, and the first that differs
+       decides NO, "profile-mismatch".  End goes last because the
+       presentation it caches is reused by the Hom dims of step 4.
        The fixed-space dim of profile() is not compared, because it is
        the first filtration dim; nor is the Jordan multiset: steps 4 and
        5 decide every pair without it, and the scan costs more than
@@ -992,9 +993,8 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
                            detail={"dims": [M.dim, N.dim]})
     if M == N:
         return IsoDecision("YES", "equal-matrices", witness=Mat.identity(ctx, M.dim))
-    for _, inv in ISO_INVARIANTS:
-        if inv(M) != inv(N):
-            return IsoDecision("NO", "profile-mismatch")
+    if filtration_dims(M) != filtration_dims(N) or end_dim(M) != end_dim(N):
+        return IsoDecision("NO", "profile-mismatch")
     h, h_back = _hom_dims(M, N)
     e, e2 = end_dim(M), end_dim(N)
     if not (h == h_back == e == e2):
@@ -1386,30 +1386,16 @@ class Profile:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# The invariants that step 3 of is_isomorphic compares, cheapest first,
-# stopping at the first that differs.  End goes last because the
-# presentation it caches is reused by the Hom dims of step 4.  The lambdas
-# look up the functions by their global names at each call, so a wrapper
-# installed on the module sees them.
-ISO_INVARIANTS = (
-    ("filtration_dims", lambda M: filtration_dims(M)),
-    ("end_dim", lambda M: end_dim(M)),
-)
-
-# The invariants of a Profile after dim: those of the decision, and two
-# that are reported but decide nothing.  The fixed space is S_0 of the
-# filtration, so its dim is the first filtration dim, read from the flag;
-# the Jordan multiset over P^1(F_q) is left to steps 4 and 5.
-PROFILE_INVARIANTS = ISO_INVARIANTS + (
-    ("fixed_dim", lambda M: filtration_dims(M)[0]),
-    ("jordan_multiset", lambda M: tuple(sorted(t for _, t in jordan_scan(M)))),
-)
-
-
 def profile(M: HModule) -> Profile:
     """Isomorphism-invariant fingerprint; equality is necessary (not
-    sufficient) for isomorphism."""
-    return Profile(dim=M.dim, **{name: inv(M) for name, inv in PROFILE_INVARIANTS})
+    sufficient) for isomorphism.  After dim come the two invariants that
+    step 3 of is_isomorphic compares, in its order, then two that are
+    reported but decide nothing: the fixed space is S_0 of the
+    filtration, so its dim is the first filtration dim, read from the
+    flag; the Jordan multiset over P^1(F_q) is left to steps 4 and 5."""
+    return Profile(dim=M.dim, filtration_dims=filtration_dims(M), end_dim=end_dim(M),
+                   fixed_dim=filtration_dims(M)[0],
+                   jordan_multiset=tuple(sorted(t for _, t in jordan_scan(M))))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import ContextMismatch, OutOfRange, PrimeFieldOnly
+from .errors import BadParams, ContextMismatch, OutOfRange, PrimeFieldOnly
 from .ff import FieldCtx, FieldElem
 
 
@@ -106,7 +106,12 @@ class Poly2:
     def __init__(self, ctx: FieldCtx, grid):
         if ctx.n != 1:
             raise PrimeFieldOnly("bivariate polynomials live over the prime field")
-        g = np.asarray(grid, dtype=np.int64) % ctx.p
+        g = np.asarray(grid)
+        # the rule of FieldCtx.encode: integers are read mod p, and a float
+        # is refused, where a cast would truncate it
+        if g.size and g.dtype.kind not in "biu":
+            raise BadParams(f"bivariate coefficients of dtype {g.dtype} are not integers")
+        g = g.astype(np.int64) % ctx.p
         if g.ndim != 2:
             g = g.reshape(1, -1) if g.size else np.zeros((0, 0), dtype=np.int64)
         # trim zero margins to the canonical bounding box
@@ -127,7 +132,7 @@ class Poly2:
     @classmethod
     def monomial(cls, ctx: FieldCtx, coef: int, ex: int, ey: int) -> "Poly2":
         g = np.zeros((ex + 1, ey + 1), dtype=np.int64)
-        g[ex, ey] = coef % ctx.p
+        g[ex, ey] = ctx.encode((coef,))
         return cls(ctx, g)
 
     def is_zero(self) -> bool:
@@ -190,8 +195,8 @@ def _coef_idx(ctx: FieldCtx, c) -> int:
         if c.ctx != ctx:
             raise ContextMismatch("coefficient from a different field context")
         return c.idx
-    # bare ints are prime-subfield constants
-    return int(c) % ctx.p
+    # bare integers are prime-subfield constants
+    return ctx.encode((c,))
 
 
 def _power(base, e: int, one):

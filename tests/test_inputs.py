@@ -2,7 +2,8 @@
 rows, and the curve and digit functions, raise a package error for an
 entry outside 0..q - 1, a row of the wrong width, an exponent m with
 m <= 0 or p | m, and a digit base below 2, where numpy would otherwise
-read -1 as element q - 1 or index past its tables."""
+read -1 as element q - 1 or index past its tables; every entrance that
+takes field values refuses a non-integer, where int() would truncate it."""
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from repcurve import curvefam as cf
 from repcurve import kmod as km
 from repcurve.errors import BadParams, OutOfRange, ShapeMismatch
 from repcurve.ff import default_ctx
-from repcurve.linalg import Mat, Subspace, solve
+from repcurve.linalg import Mat, Subspace, field_rows, solve
+from repcurve.poly import Poly1, Poly2
 
 CTX = default_ctx(3)  # F_9, where the encoded and the el readings of 4 differ
+F3 = default_ctx(3, 1)
 Q = CTX.q
 M = km.v_dr(CTX, 5, CTX.gen())
 D = M.dim
@@ -56,6 +59,20 @@ DIGITS = {
     "digits_p": lambda n, i, base: km.digits_p(n, base),
     "s_p": lambda n, i, base: km.s_p(n, base),
     "binom_mod_p": lambda n, i, base: km.binom_mod_p(n, i, base),
+}
+
+
+# each entrance fed one non-integer field value x: a float, a numpy float
+# or a coefficient list holding a float
+NON_INTEGERS = {"float": 2.5, "np.float64": np.float64(1.5), "list-with-float": [1, 0.5]}
+VALUE_ENTRANCES = {
+    "FieldCtx.el": lambda x: CTX.el(x),
+    "FieldCtx.encode": lambda x: CTX.encode(x if isinstance(x, list) else [x]),
+    "field_rows": lambda x: field_rows(CTX, [[0, x]], 2),
+    "ddeg": lambda x: km.ddeg(M, [x] + [0] * (D - 1)),
+    "Poly1": lambda x: Poly1(CTX, [1, x]),
+    "Poly2": lambda x: Poly2(F3, [x] if isinstance(x, list) else [[1, x]]),
+    "Poly2.monomial": lambda x: Poly2.monomial(F3, x, 0, 1),
 }
 
 
@@ -111,6 +128,22 @@ def test_exponents_off_the_family_are_refused(name, p, k):
 def test_digit_bases_below_two_are_refused(name, base, n, i):
     with pytest.raises(OutOfRange):
         DIGITS[name](n, i, base)
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS)
+@pytest.mark.parametrize("name", VALUE_ENTRANCES)
+def test_non_integer_field_values_are_refused(name, value):
+    with pytest.raises(BadParams):
+        VALUE_ENTRANCES[name](NON_INTEGERS[value])
+
+
+def test_numpy_integers_and_bools_are_read_as_integers():
+    assert CTX.el(np.int64(5)) == CTX.el(2) and CTX.el(np.uint8(4)) == CTX.el(1)
+    assert CTX.el(np.True_) == CTX.el(True) == CTX.el(1)
+    assert CTX.encode([np.int8(-1), np.bool_(True)]) == CTX.encode([2, 1])
+    assert field_rows(CTX, [[np.int64(4), np.False_]], 2).tolist() == [[1, 0]]
+    assert Poly1(CTX, [np.int64(4)]) == Poly1(CTX, [1])
+    assert Poly2(F3, np.array([[True, False, 4]])) == Poly2(F3, [[1, 0, 1]])
 
 
 def test_integer_array_rows_stay_encoded_and_other_rows_go_through_el():
