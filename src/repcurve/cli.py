@@ -25,7 +25,7 @@ from . import curvefam as cf
 from . import kmod as km
 from .errors import BadParams, RepcurveError, ShapeMismatch
 from .ff import FieldElem, ctx_new, default_ctx
-from .suites import (ARTIFACT_VERSION, CLAIMS, SUITE_NAMES, SUITE_PRIMES,
+from .suites import (ADMITTED_PRIMES, ARTIFACT_VERSION, CLAIMS, SUITE_NAMES, SUITE_PRIMES,
                      report_to_json, report_to_markdown, run_suite)
 
 QUERY_KINDS = ("iso", "indec", "jordan", "profile", "ddeg")
@@ -280,8 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     v = subs.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITE_NAMES + ("all",))
     v.add_argument("--p", type=int, action="append", default=None,
-                   help="prime to run at; repeatable; default "
-                        + " and ".join(map(str, SUITE_PRIMES)))
+                   help="prime to run at, one of " + ", ".join(map(str, ADMITTED_PRIMES))
+                        + "; repeatable; default " + " and ".join(map(str, SUITE_PRIMES))
+                        + "; p = 3 runs every case, a larger p a sample written in p,"
+                          " and cores and hodge run at p = 3 alone")
     v.add_argument("--seed", type=int, default=None,
                    help="global seed; falls back to REPCURVE_SEED, then 0")
     v.add_argument("--format", choices=("json", "md"), default="json")

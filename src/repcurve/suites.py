@@ -29,9 +29,10 @@ from .poly import Poly2, trace_polynomial, trace_sum
 
 ARTIFACT_VERSION = "0.1.0"
 
-# the primes the case lists are written for, and the default selection:
-# those of the curve grid
+# the default selection, the primes of the curve grid, and the primes a
+# suite may run at: 7 is an opt-in run of the lists derived from p
 SUITE_PRIMES = cf.GRID_PRIMES
+ADMITTED_PRIMES = SUITE_PRIMES + (7,)
 
 Case = Tuple[str, Callable[[int], Tuple[object, str]]]
 
@@ -41,8 +42,11 @@ def case_seed(seed: int, case_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _grid_for(p: int) -> tuple:
-    return tuple(m for q, m in cf.default_grid() if q == p)
+def _sample(p: int, every, sample):
+    """The one sampling rule of the suites: p = 3 runs every member of a
+    range, and a larger p the fixed sample of it written in p.  cores and
+    hodge give the empty sample, so they run at p = 3 alone."""
+    return every if p == 3 else sample
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +127,7 @@ def _suite_combinatorics(p: int, seed: int) -> List[Case]:
               ("dd-reflection", dd_refl), ("index-mirror", mirror),
               ("rr-count", rr), ("valuations", vals))
     return [(f"combinatorics/p{p}/m{m}/{name}", partial(check, m))
-            for m in _grid_for(p) for name, check in checks]
+            for m in cf.GRID_EXPONENTS if m % p for name, check in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +237,15 @@ def _suite_structure(p: int, seed: int) -> List[Case]:
     cases.append((f"{pre}/vd-one-trivial",
                   _iso_case(partial(km.v_d, ctx, 1, t),
                             partial(km.trivial_module, ctx), "YES")))
-    if p == 3:
-        dual_pairs = range(0, pp)
-        small = range(0, p)
-        large = range(pp - p, pp)
-        digit_classes = [(a, b) for lo in (0, p, 2 * p)
-                         for a in range(lo, lo + p) for b in range(lo, lo + p) if a < b]
-    else:
-        # each list is a deliberate sample of the range that p = 3 runs in
-        # full: dual_pairs of 0..p^2-1, small of 0..p-1, large of
-        # p^2-p..p^2-1, digit_classes of the pairs d1 < d2 < p^2 with equal
-        # top base-p digit
-        dual_pairs = (5, 12)
-        small = (0, 4)
-        large = (20, 24)
-        digit_classes = [(12, 13)]
+    # the samples of 0..p^2-1 (dual pairs), 0..p-1 (small), p^2-p..p^2-1
+    # (large) and of the pairs d1 < d2 < p^2 with equal top base-p digit;
+    # mid is the self-dual member, and mid + 1 shares its top digit
+    mid = (pp - 1) // 2
+    dual_pairs = _sample(p, range(0, pp), (p, mid))
+    small = _sample(p, range(0, p), (0, p - 1))
+    large = _sample(p, range(pp - p, pp), (pp - p, pp - 1))
+    digit_classes = _sample(p, [(a, b) for lo in range(0, pp, p) for a in range(lo, lo + p)
+                                for b in range(a + 1, lo + p)], [(mid, mid + 1)])
     for d in dual_pairs:
         cases.append((f"{pre}/vdr{d:02d}-dual",
                       _iso_case(lambda d=d: km.dual(km.v_dr(ctx, d, t)),
@@ -290,15 +288,12 @@ def _suite_indec(p: int, seed: int) -> List[Case]:
     t = ctx.gen()
     pp = p * p
     cases: List[Case] = []
-    # at p = 5 the vdr cases are a deliberate sample of the range 0..p^2:
-    # one member for each top base-p digit 1, 2 and 3; the vd cases run at
-    # p = 3 only
-    vdr_range = range(0, pp + 1) if p == 3 else (5, 12, 19)
-    if p == 3:
-        for d in range(1, pp + 1):
-            cases.append((f"indec/p{p}/vd{d:02d}",
-                          _indec_case(partial(km.v_d, ctx, d, t), "T1")))
-    for d in vdr_range:
+    # the vdr sample is the two ends of p..p^2-p-1 and its middle; no vd
+    # member is sampled
+    for d in _sample(p, range(1, pp + 1), ()):
+        cases.append((f"indec/p{p}/vd{d:02d}",
+                      _indec_case(partial(km.v_d, ctx, d, t), "T1")))
+    for d in _sample(p, range(0, pp + 1), (p, (pp - 1) // 2, pp - p - 1)):
         cases.append((f"indec/p{p}/vdr{d:02d}",
                       _indec_case(partial(km.v_dr, ctx, d, t), "T3", ("T3",))))
     return cases
@@ -308,52 +303,56 @@ def _suite_indec(p: int, seed: int) -> List[Case]:
 # classification
 
 
+def _every_vdr_pair(p: int, betas: list, seed: int) -> list:
+    """(name, d1, b1, d2, b2) of every pair of v_dr members with
+    p <= d < p^2 - p, itself included."""
+    mods = [(d, b) for d in range(p, p * p - p) for b in betas]
+    return [(f"d{d1}-{b1.text()}-vs-d{d2}-{b2.text()}", d1, b1, d2, b2)
+            for i, (d1, b1) in enumerate(mods) for d2, b2 in mods[i:]]
+
+
+def _sampled_vdr_pairs(p: int, betas: list, seed: int) -> list:
+    """The sample of those pairs: 40 seeded contrapositive pairs, whose
+    distinct top digit or distinct beta forces NO, and three pairs of one
+    class for the YES direction."""
+    rng = random.Random(case_seed(seed, f"classification/p{p}/pair-list"))
+    pairs = []
+    while len(pairs) < 40:
+        d1, d2 = rng.randrange(p, p * p - p), rng.randrange(p, p * p - p)
+        b1, b2 = rng.choice(betas), rng.choice(betas)
+        if d1 // p != d2 // p or b1.idx != b2.idx:
+            pairs.append((f"pair{len(pairs):02d}/d{d1}-{b1.text()}-vs-d{d2}-{b2.text()}",
+                          d1, b1, d2, b2))
+    return pairs + [(f"same-class-d{d1}-d{d2}", d1, betas[0], d2, betas[0])
+                    for d1, d2 in ((2 * p, 2 * p + 1), (2 * p + 1, 2 * p + 3),
+                                   (3 * p + 1, 3 * p + 4))]
+
+
 def _suite_classification(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
+    pre = f"classification/p{p}"
     cases: List[Case] = []
     betas = list(enumerate_nonprime(ctx))
-
-    if p == 3:
-        for d in range(2, 8):
-            for i, b1 in enumerate(betas):
-                for b2 in betas[i + 1:]:
-                    cases.append((f"classification/p3/vd/d{d}/{b1.text()}-vs-{b2.text()}",
-                                  _iso_case(partial(km.v_d, ctx, d, b1),
-                                            partial(km.v_d, ctx, d, b2), "NO")))
-                cases.append((f"classification/p3/vd/d{d}/{b1.text()}-self",
+    # every vd member with 1 < d < p^2 - 1 against itself and every other
+    # beta; no vd member is sampled
+    for d in _sample(p, range(2, p * p - 1), ()):
+        for i, b1 in enumerate(betas):
+            for b2 in betas[i + 1:]:
+                cases.append((f"{pre}/vd/d{d}/{b1.text()}-vs-{b2.text()}",
                               _iso_case(partial(km.v_d, ctx, d, b1),
-                                        partial(km.v_d, ctx, d, b1), "YES")))
-        # d = 3, 4, 5 are one v_dr module: YES pairs take d2 from the quotient
-        mods = [(d, b) for d in (3, 4, 5) for b in betas]
-        for i, (d1, b1) in enumerate(mods):
-            for d2, b2 in mods[i:]:
-                same = b1.idx == b2.idx
-                second = km.vdr_quotient if same and d1 != d2 else km.v_dr
-                cases.append((f"classification/p3/vdr/d{d1}-{b1.text()}-vs-d{d2}-{b2.text()}",
-                              _iso_case(partial(km.v_dr, ctx, d1, b1),
-                                        partial(second, ctx, d2, b2),
-                                        "YES" if same else "NO")))
-    else:
-        # sampled contrapositive pairs: distinct top digit or distinct beta
-        # forces NO; a few same-class pairs for the YES direction
-        rng = random.Random(case_seed(seed, f"classification/p{p}/pair-list"))
-        pairs = []
-        while len(pairs) < 40:
-            d1, d2 = rng.randrange(5, 20), rng.randrange(5, 20)
-            b1, b2 = rng.choice(betas), rng.choice(betas)
-            if d1 // p == d2 // p and b1.idx == b2.idx:
-                continue
-            pairs.append((d1, b1, d2, b2))
-        for k, (d1, b1, d2, b2) in enumerate(pairs):
-            cases.append((f"classification/p{p}/vdr/pair{k:02d}"
-                          f"/d{d1}-{b1.text()}-vs-d{d2}-{b2.text()}",
-                          _iso_case(partial(km.v_dr, ctx, d1, b1),
-                                    partial(km.v_dr, ctx, d2, b2), "NO")))
-        for d1, d2 in ((10, 11), (11, 13), (16, 19)):
-            cases.append((f"classification/p{p}/vdr/same-class-d{d1}-d{d2}",
-                          _iso_case(partial(km.v_dr, ctx, d1, betas[0]),
-                                    partial(km.vdr_quotient, ctx, d2, betas[0]),
-                                    "YES")))
+                                        partial(km.v_d, ctx, d, b2), "NO")))
+            cases.append((f"{pre}/vd/d{d}/{b1.text()}-self",
+                          _iso_case(partial(km.v_d, ctx, d, b1),
+                                    partial(km.v_d, ctx, d, b1), "YES")))
+    # equal top digit and beta give one v_dr module: YES pairs of distinct
+    # d take d2 from the paper's quotient
+    pairs = _sample(p, _every_vdr_pair, _sampled_vdr_pairs)(p, betas, seed)
+    for name, d1, b1, d2, b2 in pairs:
+        same = d1 // p == d2 // p and b1.idx == b2.idx
+        second = km.vdr_quotient if same and d1 != d2 else km.v_dr
+        cases.append((f"{pre}/vdr/{name}",
+                      _iso_case(partial(km.v_dr, ctx, d1, b1), partial(second, ctx, d2, b2),
+                                "YES" if same else "NO")))
     return cases
 
 
@@ -362,8 +361,6 @@ def _suite_classification(p: int, seed: int) -> List[Case]:
 
 
 def _suite_cores(p: int, seed: int) -> List[Case]:
-    if p != 3:
-        return []
     ctx = default_ctx(p)
     pp = p * p
     t = ctx.gen()
@@ -393,12 +390,12 @@ def _suite_cores(p: int, seed: int) -> List[Case]:
         return "report", f"N-dim={N.dim},core-matches-rank-two={dec.verdict}"
 
     cases: List[Case] = []
-    for b in (t, t + 1):
-        cases += [(f"cores/p3/vd{d}/{b.text()}", partial(vd_core, d, b))
+    for b in _sample(p, (t, t + 1), ()):
+        cases += [(f"cores/p{p}/vd{d}/{b.text()}", partial(vd_core, d, b))
                   for d in range(pp - p, pp + 1)]
-        cases += [(f"cores/p3/vdr{d}/{b.text()}", partial(vdr_core, d, b))
+        cases += [(f"cores/p{p}/vdr{d}/{b.text()}", partial(vdr_core, d, b))
                   for d in range(p, pp - p)]
-        cases += [(f"cores/p3/vdr{d}-boundary/{b.text()}", partial(vdr_boundary, d, b))
+        cases += [(f"cores/p{p}/vdr{d}-boundary/{b.text()}", partial(vdr_boundary, d, b))
                   for d in range(pp - p, pp + 1)]
     return cases
 
@@ -420,16 +417,13 @@ def _suite_jordan(p: int, seed: int) -> List[Case]:
     t = ctx.gen()
     pp = p * p
     cases: List[Case] = []
-    # at p = 5 the lists are a deliberate sample of the ranges 1..p^2 (vd)
-    # and 0..p^2 (vdr): two vd members whose last block is partial
-    # (7 = 5 + 2, 23 = 4*5 + 3) and one vdr member below p^2
-    vd_range = range(1, pp + 1) if p == 3 else (7, 23)
-    vdr_range = range(0, pp + 1) if p == 3 else (12,)
-    for d in vd_range:
+    # the vd sample is two members whose last block is partial (p + 2 and
+    # p^2 - 2), the vdr sample the self-dual member
+    for d in _sample(p, range(1, pp + 1), (p + 2, pp - 2)):
         want = tuple(sorted([p] * (d // p) + ([d % p] if d % p else []), reverse=True))
         cases.append((f"jordan/p{p}/vd{d:02d}/generic",
                       _generic_jordan_case(partial(km.v_d, ctx, d, t), want)))
-    for d in vdr_range:
+    for d in _sample(p, range(0, pp + 1), ((pp - 1) // 2,)):
         # dimension p^2 - 1 for d < p^2; the d = p^2 member is regular
         if d == pp:
             want = tuple([p] * p)
@@ -461,12 +455,10 @@ def _suite_jordan(p: int, seed: int) -> List[Case]:
 
 
 def _cross_grid(p: int) -> tuple:
-    """The exponents whose graded pieces holo and dr cross-check: a
-    deliberate sample of the grid exponents _grid_for(p), the smallest and
-    p^2 + 1 at p = 3, and p^2 + 1 alone at p = 5."""
-    if p == 3:
-        return (2, 10)
-    return (26,)
+    """The exponents whose graded pieces holo and dr cross-check: the
+    smallest grid exponent and p^2 + 1 at p = 3, and p^2 + 1 alone in the
+    sample."""
+    return _sample(p, (2, p * p + 1), (p * p + 1,))
 
 
 def _graded_suite(p: int, kind: str, build, total, piece_check) -> List[Case]:
@@ -530,8 +522,6 @@ def _suite_dr(p: int, seed: int) -> List[Case]:
 
 
 def _suite_hodge(p: int, seed: int) -> List[Case]:
-    if p != 3:
-        return []
     ctx = default_ctx(p)
 
     def hodge_case(params, c, _s):
@@ -539,9 +529,9 @@ def _suite_hodge(p: int, seed: int) -> List[Case]:
         return rep["verdict"], f"sub={rep['sub_dim']},quot={rep['quotient_dim']}"
 
     cases: List[Case] = []
-    for m in _cross_grid(p):
+    for m in _sample(p, _cross_grid(p), ()):
         params = cf.curve_params(ctx, m, ctx.gen())
-        cases += [(f"hodge/p3/m{m:02d}/c{c:02d}", partial(hodge_case, params, c))
+        cases += [(f"hodge/p{p}/m{m:02d}/c{c:02d}", partial(hodge_case, params, c))
                   for c in range(1, m)]
     return cases
 
@@ -571,9 +561,9 @@ def build_cases(suite: str, p_values, seed: int) -> List[Case]:
     names = SUITE_NAMES if suite == "all" else (suite,)
     if suite != "all" and suite not in _BUILDERS:
         raise RepcurveError(f"unknown suite {suite!r}")
-    unsupported = [p for p in p_values if p not in SUITE_PRIMES]
+    unsupported = [p for p in p_values if p not in ADMITTED_PRIMES]
     if unsupported:
-        raise BadParams(f"suites run at p in {list(SUITE_PRIMES)}, not at {unsupported}")
+        raise BadParams(f"suites run at p in {list(ADMITTED_PRIMES)}, not at {unsupported}")
     cases: List[Case] = []
     for name in names:
         for p in p_values:
@@ -616,7 +606,7 @@ def run_suite(suite: str, p_values=(3,), seed: int = 0,
     return {
         "suite": suite,
         "p_values": list(p_values),
-        "grid": [list(pm) for pm in cf.default_grid() if pm[0] in p_values],
+        "grid": [[p, m] for p in sorted(p_values) for m in cf.GRID_EXPONENTS if m % p],
         "seed": seed,
         "artifact_version": ARTIFACT_VERSION,
         "cases": results,

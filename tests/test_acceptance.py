@@ -19,7 +19,7 @@ from repcurve.kmod import (case_ii_core, dual, fixed_space, is_isomorphic, v_d,
                            v_dr, vdr_quotient)
 from repcurve.linalg import invert
 from repcurve.poly import Poly2, trace_polynomial
-from repcurve.suites import SUITE_PRIMES, report_to_json, run_suite
+from repcurve.suites import SUITE_PRIMES, build_cases, report_to_json, run_suite
 from reference import vdr_label_matrix
 
 SEED = 0
@@ -266,6 +266,39 @@ REPORT_DIGESTS = {
 def test_report_bytes_are_pinned(suite, p):
     out = report_to_json(report(suite, p))
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[suite, p]
+
+
+# sha256 of the sorted seed-0 case ids of every suite x prime with cases,
+# one per line: the lists derived from p keep the ids the lists written
+# for p = 3 and 5 gave
+CASE_ID_DIGESTS = {
+    ("identities", 3): "399e9a35cb54530297ab60d211c9de11ead939ed25f2779d1e923c2c4bce64bf",
+    ("identities", 5): "6b2ac0739e5f8790abf8d74fd7210fa4a90dc04b4c7c516134e1689f2cec131c",
+    ("combinatorics", 3): "35f0e5257289a00f35f16a042d33ed5a99802099a044209d5bf4acacbf420f9c",
+    ("combinatorics", 5): "e76156db78423f5134e105734c8e4cefa6a7a4f88e4e5dce7716df561223be0f",
+    ("filtration", 3): "bfa2b6dec3f7c2d05951fd5c17c46d28a83149301f7d93924da935ea210d6e80",
+    ("filtration", 5): "9a1fd65503b94b09f984d8a491c09d5767445e9c30b3d2804ab9b17fd52541b6",
+    ("structure", 3): "e76145e4a1a1b57d3c6392ac27ed226e7f3aada5121be671db811841c23d926b",
+    ("structure", 5): "4db0d6b487f42d9accef53a5757ca4d132e5a5d68691824ac2665d179684cc32",
+    ("indec", 3): "33e54d72254512d0d2730c415dfe20cff6d85aa7d53342c6ea30998829b1e29a",
+    ("indec", 5): "f4f53a288804dcd5ebd39fbc3ec74569cd103cf34011703ab517989259a421bd",
+    ("classification", 3): "509f328faa65278ce2adc06be5c54158056df76b13c1ee8f66df94b6d10d9455",
+    ("classification", 5): "931bc31698f1dba2d5081c205b9d16bd2e9436b5e3fef68aab1c930829c4e0cd",
+    ("cores", 3): "754166c510e56b9e983b7fed552364cfa9f6574a653b4b9ed6f6ac6a2eec1e40",
+    ("jordan", 3): "0ec349547f06f9554309585a462796d460e9dda6c93fde84245288561a2faa59",
+    ("jordan", 5): "da425355621476a9df7b452e93f04777ddcf4c8847074ce40e233835bc40aa58",
+    ("holo", 3): "3eaadde80f8575fed72f407257c5b34cb795bb0de209d0a7cd07b3aaa1d2244b",
+    ("holo", 5): "6646e137f86e183d1d87dfe8cb0d9b57ef2f6597a1a0dbd66612160ea17578a3",
+    ("dr", 3): "6cc5a31828cc215ab9820f131c1432517b65c4301d722e8cade122cbafde46a1",
+    ("dr", 5): "527dfd0ba2be190e37b0e376e4f87f7fc07380a4dddbc09a0f1c1d1b063b7b04",
+    ("hodge", 3): "0f7214f652d722c02136c227ed8a0e5ef4e04a00f91f072e06946f393cf68a2f",
+}
+
+
+@pytest.mark.parametrize("suite,p", sorted(CASE_ID_DIGESTS))
+def test_case_ids_are_pinned(suite, p):
+    ids = "\n".join(sorted(cid for cid, _ in build_cases(suite, (p,), SEED)))
+    assert hashlib.sha256(ids.encode()).hexdigest() == CASE_ID_DIGESTS[suite, p]
 
 
 # sha256 of `verify all --seed <seed>` (the report of every suite at both

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -820,13 +821,34 @@ def test_internal_error_exits_three(monkeypatch, capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("verify", "indec", "--p", "2"),
-    ("verify", "combinatorics", "--p", "7"),
+    ("verify", "combinatorics", "--p", "11"),
     ("verify", "cores", "--p", "5"),
+    ("verify", "hodge", "--p", "7"),
+    ("verify", "cores", "--p", "7"),
+    ("verify", "all", "--p", "11"),
 ])
 def test_verify_refuses_unsupported_selection(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "BadParams"
+
+
+def test_verify_runs_at_p7_from_lists_derived_from_p(capsys, tmp_path):
+    # the opt-in prime: every list is derived from p, so the cases that a
+    # list written for p = 5 broke pass, among them the augmentation
+    # ideal from p^2 - p on, and every sampled classification pair keeps
+    # p <= d < p^2 - p, where the top digit is nonzero
+    out = tmp_path / "r.json"
+    code, _, _ = run(capsys, "verify", "all", "--p", "7", "--out", str(out))
+    rep = json.loads(out.read_text())
+    assert code == 0 and rep["counts"]["fail"] == 0
+    verdicts = {c["case"]: c["verdict"] for c in rep["cases"]}
+    assert verdicts["structure/p7/vdr42-aug"] == verdicts["structure/p7/vdr48-aug"] == "pass"
+    pairs = [c.split("/")[-1] for c in verdicts if c.startswith("classification/p7/vdr/")]
+    assert len(pairs) == 43
+    ds = [int(d) for name in pairs for d in re.findall(r"d(\d+)", name)]
+    assert len(ds) == 2 * len(pairs) and all(7 <= d < 42 for d in ds)
+    assert not any(c.startswith(("cores/", "hodge/")) for c in verdicts)
 
 
 def test_query_indec_rejects_unknown_tier(capsys, tmp_path):

@@ -71,6 +71,8 @@ def test_exported_names_resolve():
 # (file, first line) of each as JSON.  argv: the directory for the files,
 # then the module file of v_d(3, 2, t) + trivial + trivial, whose socle has
 # dim 3 = p, so query indec takes the stacked charpolys of the radical.
+# classification at p = 5 draws the sampled v_dr pairs, which p = 3, where
+# every pair runs, does not.
 COMMANDS = """
 import json, sys
 calls = set()
@@ -81,6 +83,7 @@ f = lambda name: out + "/" + name
 runs = [
     ["verify", "all", "--p", "3"],
     ["verify", "identities", "--p", "3", "--format", "md"],
+    ["verify", "classification", "--p", "5"],
     ["claims"], ["claims", "--format", "json"],
     ["build", "vd", "--p", "3", "--d", "4", "--beta", "0,1", "--modulus", "1,0,1"],
     ["build", "vdr", "--p", "3", "--d", "4", "--beta", "0,1"],
