@@ -269,8 +269,8 @@ def test_report_bytes_are_pinned(suite, p):
 
 
 # sha256 of the sorted seed-0 case ids of every suite x prime with cases,
-# one per line: the lists derived from p keep the ids the lists written
-# for p = 3 and 5 gave
+# one per line: the samples derived from p must give exactly these ids at
+# p = 3 and 5
 CASE_ID_DIGESTS = {
     ("identities", 3): "399e9a35cb54530297ab60d211c9de11ead939ed25f2779d1e923c2c4bce64bf",
     ("identities", 5): "6b2ac0739e5f8790abf8d74fd7210fa4a90dc04b4c7c516134e1689f2cec131c",

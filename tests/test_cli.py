@@ -834,10 +834,10 @@ def test_verify_refuses_unsupported_selection(capsys, argv):
 
 
 def test_verify_runs_at_p7_from_lists_derived_from_p(capsys, tmp_path):
-    # the opt-in prime: every list is derived from p, so the cases that a
-    # list written for p = 5 broke pass, among them the augmentation
-    # ideal from p^2 - p on, and every sampled classification pair keeps
-    # p <= d < p^2 - p, where the top digit is nonzero
+    # the opt-in prime: every list is derived from p, so the augmentation
+    # ideal cases sit at p^2 - p and p^2 - 1, and every sampled
+    # classification pair keeps p <= d < p^2 - p, where the top digit is
+    # nonzero; cores and hodge have the empty sample
     out = tmp_path / "r.json"
     code, _, _ = run(capsys, "verify", "all", "--p", "7", "--out", str(out))
     rep = json.loads(out.read_text())
