@@ -17,6 +17,7 @@ import os
 import sys
 import traceback
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -55,14 +56,13 @@ def _emit(payload: str, out: Optional[str]) -> None:
         sys.stdout.write(payload)
 
 
-def _list_text(items, pad: str, quote: str = "") -> str:
+def _list_text(items, pad: str) -> str:
     """json.dumps(indent=2) of a list at indent pad, from the items' own
-    texts, each wrapped in quote."""
+    texts."""
     if not items:
         return "[]"
     inner = pad + "  "
-    sep = f"{quote},\n{inner}{quote}"
-    return f"[\n{inner}{quote}{sep.join(items)}{quote}\n{pad}]"
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
 
 
 def _object_text(fields, pad: str) -> str:
@@ -75,14 +75,23 @@ def _object_text(fields, pad: str) -> str:
     return f"{{\n{body}\n{pad}}}"
 
 
+@km._memo
 def _module_text(M: km.HModule, pad: str = "") -> str:
     """json.dumps(km.module_to_json(M), sort_keys=True, indent=2), written
-    at indent pad from FieldCtx.texts: element texts are digits and
-    commas, so only the labels go through the JSON encoder."""
+    at indent pad from FieldCtx.texts and kept on M per pad, so a shared
+    piece is written once.  Element texts are digits and commas: each
+    matrix is one join over its rows, each row one join of its quoted
+    entries.  Only the labels go through the JSON encoder's string
+    escape."""
     ctx, in1 = M.ctx, pad + "  "
-    sigma, tau = (_list_text([_list_text(row, in1 + "  ", '"') for row in rows], in1)
+    in2 = in1 + "  "
+    in3 = in2 + "  "
+    # a matrix at in1 with its rows at in2 and their entries at in3
+    head, entry, row, tail = (f'[\n{in2}[\n{in3}"', f'",\n{in3}"',
+                              f'"\n{in2}],\n{in2}[\n{in3}"', f'"\n{in2}]\n{in1}]')
+    sigma, tau = (head + row.join(map(entry.join, rows)) + tail if rows else "[]"
                   for rows in ctx.texts[M.gens].tolist())
-    labels = (_list_text([json.dumps(s) for s in M.labels], in1) if M.labels
+    labels = (_list_text([encode_basestring_ascii(s) for s in M.labels], in1) if M.labels
               else "null")
     return _object_text((
         ("dim", M.dim),
@@ -97,14 +106,9 @@ def _module_text(M: km.HModule, pad: str = "") -> str:
 
 def _dump_graded(gm: cf.GradedModule) -> str:
     """report_to_json of the graded family's JSON object.  Equal pieces
-    are one shared module object, written once at the pieces' depth and
-    reused under each of its keys, which come in string order ("1", "10",
-    ..., "2")."""
-    texts, pieces = {}, []
-    for c, mod in sorted(gm.pieces.items(), key=lambda item: str(item[0])):
-        if id(mod) not in texts:
-            texts[id(mod)] = _module_text(mod, "    ")
-        pieces.append((c, texts[id(mod)]))
+    are one shared module object, whose text _module_text keeps, so each
+    is written once at the pieces' depth and reused under each of its
+    keys, which come in string order ("1", "10", ..., "2")."""
     params = gm.params
     return _object_text((
         ("alpha", json.dumps(params.alpha.text())),
@@ -112,7 +116,9 @@ def _dump_graded(gm: cf.GradedModule) -> str:
         ("kind", json.dumps(gm.kind)),
         ("m", params.m),
         ("p", params.p),
-        ("pieces", _object_text(pieces, "  ")),
+        ("pieces", _object_text([(c, _module_text(mod, "    ")) for c, mod in
+                                 sorted(gm.pieces.items(), key=lambda item: str(item[0]))],
+                                "  ")),
     ), "") + "\n"
 
 

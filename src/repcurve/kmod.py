@@ -41,6 +41,7 @@ from .linalg import (
     Subspace,
     _matmul_idx,
     _matpow_idx,
+    _partitions,
     _rank_stack,
     _row_profile,
     field_rows,
@@ -170,11 +171,11 @@ class HModule:
     vd_definition that vdr_quotient and curvefam.hodge_check's model take.
 
     Immutable; derived data (filtration, End solve and split, word
-    matrices, dual) is kept on the instance by _memo.  labels and meta carry
-    construction provenance used by label-aware operations and are not
-    part of equality; a dim-0 module has no basis to label, so its labels
-    are None.  The hash serializes gens once, on first use, and is kept in
-    _hash.
+    matrices, dual, the command line's JSON text) is kept on the instance
+    by _memo.  labels and meta carry construction provenance used by
+    label-aware operations and are not part of equality; a dim-0 module
+    has no basis to label, so its labels are None.  The hash serializes
+    gens once, on first use, and is kept in _hash.
     """
 
     __slots__ = ("ctx", "dim", "gens", "labels", "meta", "_cache", "_hash")
@@ -1313,12 +1314,39 @@ def jordan_scan(M: HModule) -> list:
     together.  sigma0 and tau0 commute, so in characteristic p every
     pencil member N has N^p = a^p sigma0^p + b^p tau0^p = 0, and the rank
     chain stops at N^(p-1)."""
+    pts, stack = _pencil(M)
+    return list(zip(pts, nilpotent_partitions(M.ctx, stack)))
+
+
+def _pencil(M: HModule) -> tuple:
+    """The q + 1 points of jordan_scan and the (q + 1, dim, dim) stack of
+    the pencil members a*sigma0 + b*tau0 at them."""
     ctx = M.ctx
     pts = [(1, b) for b in range(ctx.q)] + [(0, 1)]
     a, b = np.array(pts, dtype=np.int64).T[:, :, None, None]
     G = M.gens0()
-    stack = ctx.add[ctx.mul[a, G[0]], ctx.mul[b, G[1]]]
-    return list(zip(pts, nilpotent_partitions(ctx, stack)))
+    return pts, ctx.add[ctx.mul[a, G[0]], ctx.mul[b, G[1]]]
+
+
+@_memo
+def vd_jordan_scans(ctx: FieldCtx, beta: FieldElem) -> dict:
+    """jordan_scan(v_d(ctx, d, beta)) for every d in 1..p^2, from the
+    pencil powers of v_d(p^2, beta) alone.  v_d(d) is the invariant span
+    of w_0..w_{d-1}, so a pencil power N^j on it is the leading d x d
+    block of N^j on v_d(p^2), and the first d columns of N^j are zero
+    below that block: the rank of N^j on v_d(d) is the number of pivot
+    columns below d in the column rank profile of N^j (Dumas, Pernet and
+    Sultan, ISSAC 2013).  The profiles of the p - 1 nonzero powers at all
+    q + 1 points come from one stacked elimination."""
+    p, pp = ctx.p, ctx.p ** 2
+    pts, stack = _pencil(v_d(ctx, pp, beta))
+    powers = [stack]
+    while len(powers) < p - 1:
+        powers.append(_matmul_idx(ctx, powers[-1], stack))
+    # ranks[j - 1, k, d - 1]: the rank of N^j at point k on v_d(d)
+    ranks = np.cumsum(_rank_stack(ctx, np.stack(powers), profile=True), axis=-1)
+    chains = ranks.transpose(2, 1, 0).tolist()
+    return {d: list(zip(pts, _partitions(d, chains[d - 1]))) for d in range(1, pp + 1)}
 
 
 def generic_jordan_type(M: HModule) -> tuple:

@@ -445,12 +445,16 @@ class Subspace:
 # Nilpotent partitions
 
 
-def _rank_stack(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
+def _rank_stack(ctx: FieldCtx, A: np.ndarray, profile: bool = False) -> np.ndarray:
     """Ranks of a stack of matrices (..., rows, cols) by one elimination
     over all of them: column by column, each matrix takes its own pivot
     (first nonzero entry among its rows not yet used as pivots) and clears
     that column in its other unused rows.  Zero matrices are skipped and
-    the live ones copied, so A is never written.
+    the live ones copied, so A is never written.  With profile, the
+    result is instead each matrix's column rank profile, a (..., cols)
+    mask of its pivot columns, read after the loop: a pivot row is zero
+    left of its pivot and never updated again, so its first nonzero entry
+    is its pivot column.  Summed over the last axis it is the ranks.
 
     The live rows are kept as one flat (matrix, row) list.  Each step
     touches only the unused rows with a nonzero entry in column c, found
@@ -484,8 +488,33 @@ def _rank_stack(ctx: FieldCtx, A: np.ndarray) -> np.ndarray:
             slot[mat[first]] = np.arange(piv.size)
             prod = mul.take(R[upd, c, None] * q + prow[slot[mat[rest]]])
             R[upd, c:] = sub.take(R[upd, c:] * q + prod)
+    if profile:
+        pivots = np.zeros((A.shape[0], cols), dtype=bool)
+        piv = (~unused).nonzero()[0]
+        if piv.size:
+            pivots[live[piv // rows], (R[piv] != 0).argmax(axis=1)] = True
+        return pivots.reshape((*lead, cols))
     ranks[live] = rows - unused.reshape(live.size, rows).sum(axis=1)
     return ranks.reshape(lead)
+
+
+def _partitions(d: int, chains) -> list:
+    """Jordan partitions of nilpotent d x d matrices, each from its rank
+    chain: the ranks of N, N^2, ..., the power after the last one given
+    being zero.  Equal chains, the common case over a pencil, are read
+    once."""
+    chains = [tuple(chain) for chain in chains]
+    types = {}
+    for chain in set(chains):
+        full = [d, *chain, 0]
+        # at_least[j-1] = #{blocks of size >= j} = rank N^(j-1) - rank N^j
+        at_least = [full[j - 1] - full[j] for j in range(1, len(full))] + [0]
+        partition = []
+        for j in range(len(full) - 1, 0, -1):
+            partition += [j] * (at_least[j - 1] - at_least[j])
+        assert sum(partition) == d, (partition, full)
+        types[chain] = tuple(partition)
+    return [types[chain] for chain in chains]
 
 
 def nilpotent_partitions(ctx: FieldCtx, stack: np.ndarray) -> list:
@@ -502,15 +531,5 @@ def nilpotent_partitions(ctx: FieldCtx, stack: np.ndarray) -> list:
     while len(powers) < top and powers[-1].any():
         powers.append(_matmul_idx(ctx, powers[-1], stack))
     ranks = _rank_stack(ctx, np.stack(powers)).reshape(len(powers), k)
-    out = []
-    for b in range(k):
-        # the power after the last one formed is zero
-        chain = [d] + ranks[:, b].tolist() + [0]
-        # at_least[j-1] = #{blocks of size >= j} = rank N^(j-1) - rank N^j
-        at_least = [chain[j - 1] - chain[j] for j in range(1, len(chain))] + [0]
-        partition = []
-        for j in range(len(chain) - 1, 0, -1):
-            partition += [j] * (at_least[j - 1] - at_least[j])
-        assert sum(partition) == d, (partition, chain)
-        out.append(tuple(partition))
-    return out
+    # the power after the last one formed is zero
+    return _partitions(d, ranks.T.tolist())

@@ -440,8 +440,9 @@ def _suite_jordan(p: int, seed: int) -> List[Case]:
     cases.append((f"jordan/p{p}/scan-points", scan_points))
 
     def nonconstant(_s):
-        vd = [d for d in range(1, pp + 1)
-              if not km.constant_type_over_scan(km.v_d(ctx, d, t))]
+        # the scans of all v_d members, from v_d(p^2)'s column rank profiles
+        vd = [d for d, scan in km.vd_jordan_scans(ctx, t).items()
+              if len({ty for _, ty in scan}) > 1]
         vdr = [d for d in range(0, pp + 1)
                if not km.constant_type_over_scan(km.v_dr(ctx, d, t))]
         return "report", f"non-constant vd at d={vd}, vdr at d={vdr}"

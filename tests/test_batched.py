@@ -284,6 +284,36 @@ def test_rank_stack_leaves_its_argument_unchanged(field, seed, rows, cols, k, wr
     assert np.array_equal(stack, before)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 2), (5, 2), (7, 2), (2, 10)]), st.integers(0, 10**6),
+       st.integers(0, 7), st.integers(0, 7), st.integers(1, 4))
+def test_rank_stack_profile_is_the_column_rank_profile(field, seed, rows, cols, k):
+    """With profile, _rank_stack marks exactly the columns c of each matrix
+    A with rank A[:, :c+1] > rank A[:, :c], and the marks sum to its rank."""
+    ctx = default_ctx(*field)
+    rng = random.Random(seed)
+    stack = np.stack([rand_sparse(ctx, rng, rows, cols) for _ in range(k)])
+    want = [[ref_rank(ctx, A[:, :c + 1]) > ref_rank(ctx, A[:, :c]) for c in range(cols)]
+            for A in stack]
+    got = linalg._rank_stack(ctx, stack, profile=True)
+    assert got.tolist() == want
+    assert np.array_equal(got.sum(axis=-1), linalg._rank_stack(ctx, stack))
+    assert linalg._rank_stack(ctx, stack[None], profile=True).tolist() == [want]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("beta", ["0,1", "1,1"])
+def test_vd_family_scans_match_jordan_scan(p, beta):
+    """The scans of every v_d member read from the column rank profiles of
+    v_d(p^2)'s pencil powers are the members' own scans."""
+    ctx = default_ctx(p)
+    beta = ctx.from_text(beta)
+    scans = km.vd_jordan_scans(ctx, beta)
+    assert list(scans) == list(range(1, p * p + 1))
+    for d, scan in scans.items():
+        assert scan == km.jordan_scan(km.v_d(ctx, d, beta)), d
+
+
 def rand_nilpotent(ctx, rng, d):
     """A random d x d matrix with N^p = 0, p the characteristic, as every
     pencil member of a module has: Jordan blocks of random sizes at most

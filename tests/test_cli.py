@@ -218,6 +218,67 @@ def test_module_writer_matches_the_json_encoder_on_edge_cases(M):
     assert cli._module_text(M) + "\n" == _oracle(M)
 
 
+# label characters the JSON encoder escapes or must pass through whole:
+# quotes, backslashes, control characters, the JS line separators and
+# characters beyond the basic plane
+LABEL_CHARS = st.one_of(st.sampled_from('"\\\x00\x08\x1f\x7f\u2028\U0001f600\U0010ffff'),
+                        st.characters())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(LABEL_CHARS, max_size=6), min_size=3, max_size=3, unique=True))
+def test_module_writer_matches_the_json_encoder_on_any_labels(labels):
+    M = _from_json(labels=labels)
+    assert cli._module_text(M) + "\n" == _oracle(M)
+    assert cli._module_text(M, "    ") == _oracle(M)[:-1].replace("\n", "\n    ")
+
+
+@pytest.mark.parametrize("first", ["vd", "holo"])
+def test_a_shared_member_is_written_at_each_indent(capsys, first):
+    # the writer keeps a module's text per indent: one v_d member is
+    # written alone at indent "" and as a holo piece at "    ", in either
+    # order, over a field whose modules no other test writes
+    p, modulus, m = (3, (2, 1, 1), 10) if first == "vd" else (5, (2, 1, 1), 26)
+    ctx = ctx_new(p, 2, modulus)
+    params = cf.curve_params(ctx, m, ctx.gen())
+    gm = cf.holo_graded(params)
+    member = gm.piece(1)
+    assert member is km.v_d(ctx, member.dim, params.beta)
+    field = ["--p", str(p), "--modulus", ",".join(map(str, modulus))]
+    argv = {"vd": ["build", "vd", *field, "--d", str(member.dim),
+                   "--beta", params.beta.text()],
+            "holo": ["build", "holo", *field, "--m", str(m), "--alpha", "0,1"]}
+    want = {"vd": _oracle(member),
+            "holo": json.dumps(graded_to_json(gm), sort_keys=True, indent=2) + "\n"}
+    for kind in (first, "holo" if first == "vd" else "vd") * 2:
+        code, out, _ = run(capsys, *argv[kind])
+        assert code == 0 and out == want[kind], kind
+
+
+def test_repeated_graded_builds_write_the_same_bytes(capsys):
+    # every (kind, m, alpha) at p = 3, twice in one process: the second
+    # pass reads every shared piece's kept text, and each output equals
+    # the JSON encoder's, m = 1 (no pieces) included
+    ctx = default_ctx(3)
+    builds = [(kind, m, alpha) for kind in ("holo", "dr")
+              for m in range(1, cf.MAX_EXPONENT + 1) if m % 3
+              for alpha in ff.enumerate_nonprime(ctx)]
+    assert len(builds) == 804
+    passes = []
+    for _ in range(2):
+        outs = []
+        for kind, m, alpha in builds:
+            assert cli.main(["build", kind, "--p", "3", "--m", str(m),
+                             "--alpha", alpha.text()]) == 0
+            outs.append(capsys.readouterr().out)
+        passes.append(outs)
+    assert passes[0] == passes[1]
+    for (kind, m, alpha), out in zip(builds, passes[0]):
+        params = cf.curve_params(ctx, m, alpha)
+        gm = cf.holo_graded(params) if kind == "holo" else cf.dr_graded(params)
+        assert out == json.dumps(graded_to_json(gm), sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("kind,p,m", [("holo", 3, 1), ("holo", 3, 10), ("dr", 3, 14),
                                       ("holo", 5, 26), ("dr", 5, 12)])
 def test_graded_writer_matches_the_json_encoder(kind, p, m):
@@ -232,8 +293,8 @@ def test_graded_writer_matches_the_json_encoder(kind, p, m):
 
 
 def test_writing_a_module_pins_no_field_context(capsys, tmp_path):
-    # the writer reads ctx.texts and keeps nothing: a context nobody holds
-    # is freed once the bounded context cache lets it go
+    # the writer reads ctx.texts and keeps only the text on the module: a
+    # context nobody holds is freed once the bounded context cache lets it go
     ctx = ctx_new(7, 2, (3, 1, 1))
     ref = weakref.ref(ctx)
     cli._module_text(km.regular_module(ctx))

@@ -181,18 +181,21 @@ def test_each_distinct_piece_is_built_once(monkeypatch, kind, p, m):
 @pytest.mark.parametrize("kind", ["holo", "dr"])
 @pytest.mark.parametrize("p,m", [(3, 100), (5, 26)])
 def test_each_distinct_piece_is_encoded_once(monkeypatch, capsys, kind, p, m):
-    # a build writes one text per shared piece object and reuses it under
-    # each of its keys; converting every piece in place made m - 1
-    # module_to_json calls
+    # a build writes one text per shared piece object, kept on the piece,
+    # and reuses it under each of its keys; converting every piece in place
+    # made m - 1 module_to_json calls.  Graded builds elsewhere in the tests
+    # run over the default fields, so over this one no piece's text is
+    # kept from before: every miss of the writer's memo is counted
+    modulus = {3: "2,2,1", 5: "1,1,1"}[p]
     encoded = []
-    real = cli._module_text
+    real = cli._module_text.__wrapped__
 
-    def module_text(M, pad=""):
+    def _module_text(M, pad=""):
         encoded.append(M)
         return real(M, pad)
 
-    monkeypatch.setattr(cli, "_module_text", module_text)
-    assert cli.main(["build", kind, "--p", str(p), "--m", str(m),
+    monkeypatch.setattr(cli, "_module_text", km._memo(_module_text))
+    assert cli.main(["build", kind, "--p", str(p), "--m", str(m), "--modulus", modulus,
                      "--alpha", "0,1"]) == 0
     assert len(json.loads(capsys.readouterr().out)["pieces"]) == m - 1
     distinct = {(index_I(p, m, c) if kind == "holo"

@@ -4,8 +4,8 @@ Each test builds the seed-1 plan with the planners of
 perfbench/workloads.py in a temporary directory, runs every op once through
 cli.main in this process, checks each answer with the plan's own oracle,
 and bounds the work the op pass does: products, eliminations and their
-pivot steps, flag row profiles, stacked ranks, module checks and computed
-decisions.  Counts, unlike times, are free of host noise, so added work
+pivot steps, flag row profiles, stacked ranks, module checks, computed
+decisions and computed module texts.  Counts, unlike times, are free of host noise, so added work
 fails here even where the benchmark's timings cannot tell it from layout.
 """
 
@@ -41,7 +41,7 @@ def _count_work(monkeypatch) -> dict:
     """Counters of the work primitives, patched at each import site."""
     counts = dict.fromkeys(("products", "eliminations", "pivot_steps", "row_profiles",
                             "rank_stacks", "checks", "iso_decisions",
-                            "indec_decisions"), 0)
+                            "indec_decisions", "module_texts"), 0)
 
     def counted(key, real, steps=False):
         def run(*args, **kwargs):
@@ -62,10 +62,13 @@ def _count_work(monkeypatch) -> dict:
             monkeypatch.setattr(module, name, wrapped)
     monkeypatch.setattr(linalg, "_rref_inplace",
                         counted("eliminations", linalg._rref_inplace, steps=True))
-    # a decision read from its memo is no work: count the memo's misses
-    inner = counted("iso_decisions", km.is_isomorphic.__wrapped__)
-    inner.__name__ = "is_isomorphic"
-    monkeypatch.setattr(km, "is_isomorphic", km._memo(inner))
+    # a decision or module text read from its memo is no work: count the
+    # memo's misses
+    for key, name, module in (("iso_decisions", "is_isomorphic", km),
+                              ("module_texts", "_module_text", cli)):
+        inner = counted(key, getattr(module, name).__wrapped__)
+        inner.__name__ = name
+        monkeypatch.setattr(module, name, km._memo(inner))
     return counts
 
 
@@ -88,14 +91,17 @@ def _op_pass_counts(monkeypatch, tmp_path, workload) -> dict:
     # the query pass reads its 129 modules cold from files: 962 products,
     # 227 eliminations of 2,676 pivot steps, 33 flag row profiles, 40
     # stacked ranks, 150 checks (one per module read), 21 computed iso
-    # decisions and 30 is_indecomposable calls
+    # decisions and 30 is_indecomposable calls; it writes no module
     ("query", dict(products=962, eliminations=227, pivot_steps=2676, row_profiles=33,
-                   rank_stacks=40, checks=150, iso_decisions=21, indec_decisions=30)),
+                   rank_stacks=40, checks=150, iso_decisions=21, indec_decisions=30,
+                   module_texts=0)),
     # the graded pass builds 117 families and decides nothing: 139
     # products and 57 checks, 39 of them one per dr build and 18 the first
-    # v_d of each (field, beta)
+    # v_d of each (field, beta); it writes 395 distinct (piece, indent)
+    # texts, each once, where writing each piece of each build made 826
     ("graded", dict(products=139, eliminations=0, pivot_steps=0, row_profiles=0,
-                    rank_stacks=0, checks=57, iso_decisions=0, indec_decisions=0)),
+                    rank_stacks=0, checks=57, iso_decisions=0, indec_decisions=0,
+                    module_texts=395)),
 ], ids=["query", "graded"])
 def test_plan_work_stays_counted(monkeypatch, tmp_path, workload, most):
     counts = _op_pass_counts(monkeypatch, tmp_path, workload)
