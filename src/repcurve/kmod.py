@@ -1337,7 +1337,8 @@ def vd_jordan_scans(ctx: FieldCtx, beta: FieldElem) -> dict:
     below that block: the rank of N^j on v_d(d) is the number of pivot
     columns below d in the column rank profile of N^j (Dumas, Pernet and
     Sultan, ISSAC 2013).  The profiles of the p - 1 nonzero powers at all
-    q + 1 points come from one stacked elimination."""
+    q + 1 points come from one stacked elimination.  Each scan is also
+    kept on its member, where jordan_scan's memo reads it."""
     p, pp = ctx.p, ctx.p ** 2
     pts, stack = _pencil(v_d(ctx, pp, beta))
     powers = [stack]
@@ -1346,7 +1347,9 @@ def vd_jordan_scans(ctx: FieldCtx, beta: FieldElem) -> dict:
     # ranks[j - 1, k, d - 1]: the rank of N^j at point k on v_d(d)
     ranks = np.cumsum(_rank_stack(ctx, np.stack(powers), profile=True), axis=-1)
     chains = ranks.transpose(2, 1, 0).tolist()
-    return {d: list(zip(pts, _partitions(d, chains[d - 1]))) for d in range(1, pp + 1)}
+    return {d: v_d(ctx, d, beta)._cache.setdefault(
+                ("jordan_scan",), list(zip(pts, _partitions(d, chains[d - 1]))))
+            for d in range(1, pp + 1)}
 
 
 def generic_jordan_type(M: HModule) -> tuple:

@@ -305,13 +305,16 @@ def test_rank_stack_profile_is_the_column_rank_profile(field, seed, rows, cols, 
 @pytest.mark.parametrize("beta", ["0,1", "1,1"])
 def test_vd_family_scans_match_jordan_scan(p, beta):
     """The scans of every v_d member read from the column rank profiles of
-    v_d(p^2)'s pencil powers are the members' own scans."""
+    v_d(p^2)'s pencil powers are the members' own scans, computed afresh
+    (the family keeps its scans where jordan_scan's memo reads them)."""
     ctx = default_ctx(p)
     beta = ctx.from_text(beta)
     scans = km.vd_jordan_scans(ctx, beta)
     assert list(scans) == list(range(1, p * p + 1))
     for d, scan in scans.items():
-        assert scan == km.jordan_scan(km.v_d(ctx, d, beta)), d
+        member = km.v_d(ctx, d, beta)
+        assert scan == km.jordan_scan.__wrapped__(member), d
+        assert km.jordan_scan(member) is scan
 
 
 def rand_nilpotent(ctx, rng, d):
