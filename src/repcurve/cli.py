@@ -109,6 +109,8 @@ def _dump_graded(gm: cf.GradedModule) -> str:
     are one shared module object, whose text _module_text keeps, so each
     is written once at the pieces' depth and reused under each of its
     keys, which come in string order ("1", "10", ..., "2")."""
+    pieces = [(c, _module_text(mod, "    "))
+              for c, mod in sorted(gm.pieces.items(), key=lambda item: str(item[0]))]
     params = gm.params
     return _object_text((
         ("alpha", json.dumps(params.alpha.text())),
@@ -116,9 +118,7 @@ def _dump_graded(gm: cf.GradedModule) -> str:
         ("kind", json.dumps(gm.kind)),
         ("m", params.m),
         ("p", params.p),
-        ("pieces", _object_text([(c, _module_text(mod, "    ")) for c, mod in
-                                 sorted(gm.pieces.items(), key=lambda item: str(item[0]))],
-                                "  ")),
+        ("pieces", _object_text(pieces, "  ")),
     ), "") + "\n"
 
 

@@ -5,8 +5,9 @@ perfbench/workloads.py in a temporary directory, runs every op once through
 cli.main in this process, checks each answer with the plan's own oracle,
 and bounds the work the op pass does: products, eliminations and their
 pivot steps, flag row profiles, stacked ranks, module checks, computed
-decisions and computed module texts.  Counts, unlike times, are free of host noise, so added work
-fails here even where the benchmark's timings cannot tell it from layout.
+decisions and computed module texts.  Counts, unlike times, are free of
+host noise, so added work fails here even where the benchmark's timings
+cannot tell it from layout.
 """
 
 import importlib.util
@@ -98,7 +99,7 @@ def _op_pass_counts(monkeypatch, tmp_path, workload) -> dict:
     # the graded pass builds 117 families and decides nothing: 139
     # products and 57 checks, 39 of them one per dr build and 18 the first
     # v_d of each (field, beta); it writes 395 distinct (piece, indent)
-    # texts, each once, where writing each piece of each build made 826
+    # texts, each once, where each build writing its own pieces made 826
     ("graded", dict(products=139, eliminations=0, pivot_steps=0, row_profiles=0,
                     rank_stacks=0, checks=57, iso_decisions=0, indec_decisions=0,
                     module_texts=395)),
