@@ -57,10 +57,8 @@ def _emit(payload: str, out: Optional[str]) -> None:
 
 
 def _list_text(items, pad: str) -> str:
-    """json.dumps(indent=2) of a list at indent pad, from the items' own
-    texts."""
-    if not items:
-        return "[]"
+    """json.dumps(indent=2) of a non-empty list at indent pad, from the
+    items' own texts."""
     inner = pad + "  "
     return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
 

@@ -842,8 +842,8 @@ def _hom_dims(M: HModule, N: HModule) -> tuple:
     less its rank.  When both dims equal both End dims, which step 3 of
     is_isomorphic has cached, step 5 solves Hom(M, N): C(M, N) is kept on
     M until _hom_solve(M, N) takes it, so it is formed once.  Nothing is
-    kept for N = M, whose solve end_dim has already cached; another caller
-    whose two dims agree pays for both End solves here."""
+    kept for N = M or for a solve already cached, and hom_dim drops what
+    is kept; another caller whose two dims agree pays for both End solves."""
     if M.ctx != N.ctx:
         raise ContextMismatch("modules over different field contexts")
     if M.dim == 0 or N.dim == 0:
@@ -857,16 +857,19 @@ def _hom_dims(M: HModule, N: HModule) -> tuple:
     dims = tuple(int(C.shape[1] - r) for C, r in zip(conds, ranks))
     # the key _memo reads for _hom_dims(N, M)
     N._cache[("_hom_dims", M)] = dims[::-1]
-    if M is not N and dims[0] == dims[1] == end_dim(M) == end_dim(N):
+    if (M is not N and ("_hom_solve", N) not in M._cache
+            and dims[0] == dims[1] == end_dim(M) == end_dim(N)):
         M._cache[("_hom_conditions", N)] = conds[0]
     return dims
 
 
 def hom_dim(M: HModule, N: HModule) -> int:
     """dim Hom(M, N), from the stacked rank of _hom_dims, which gives
-    dim Hom(N, M) with it and keeps both: no kernel is formed and no map
-    is built."""
-    return _hom_dims(M, N)[0]
+    dim Hom(N, M) with it and keeps both: no kernel is formed, no map is
+    built, and no condition matrix is left on M for a solve."""
+    h = _hom_dims(M, N)[0]
+    M._cache.pop(("_hom_conditions", N), None)
+    return h
 
 
 def hom_space(M: HModule, N: HModule) -> Subspace:

@@ -136,33 +136,15 @@ def _suite_combinatorics(p: int, seed: int) -> List[Case]:
 
 def _random_rows(ctx: FieldCtx, dim: int, count: int, rng: random.Random) -> np.ndarray:
     """count nonzero vectors of length dim over ctx, as the rows of one
-    array: equal, draw for draw, to drawing dim entries with
-    rng.randrange(ctx.q) at a time and skipping all-zero vectors.
-
-    CPython's randrange(q) keeps the top k = q.bit_length() bits of one
-    32-bit word of the generator and draws again while they are >= q.
-    Here one rng.getrandbits(32 * m) gives m such words at once: its
-    little-endian uint32 words are the generator's words in order. The
-    draw may run past the words the vectors use, so rng ends further on
-    than the one-entry loop would leave it; each ddeg case makes its own
-    random.Random and draws nothing else from it."""
-    q, k = ctx.q, ctx.q.bit_length()
-    kept, rows = 0, []
-    tail = np.zeros(0, dtype=np.int64)
-    while kept < count:
-        # the words the missing rows need on average (a word is kept with
-        # chance q / 2^k, a vector is nonzero with chance 1 - q^-dim); a
-        # short draw is topped up on the next pass
-        m = int((count - kept) * dim * (1 << k) / (q - q ** (1 - dim))) + 16
+    array: each entry is one 32-bit word of rng mod q (biased by less
+    than q / 2^32), and all-zero rows are dropped and drawn again."""
+    rows = np.zeros((0, dim), dtype=np.int64)
+    while len(rows) < count:
+        m = (count - len(rows)) * dim
         words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
-        vals = (words >> (32 - k)).astype(np.int64)
-        vals = np.concatenate([tail, vals[vals < q]])
-        cut = vals.size - vals.size % dim
-        block, tail = vals[:cut].reshape(-1, dim), vals[cut:]
-        block = block[block.any(axis=1)]
-        rows.append(block)
-        kept += len(block)
-    return np.vstack(rows)[:count]
+        block = (words % ctx.q).astype(np.int64).reshape(-1, dim)
+        rows = np.vstack([rows, block[block.any(axis=1)]])
+    return rows
 
 
 def _sn_dims_case(build):
@@ -182,10 +164,9 @@ def _ddeg_case(build):
     label degree on each vector's support; the certificate names the first
     vector whose degree is wrong."""
     def run(s):
-        rng = random.Random(s)
         M = build()
-        V = _random_rows(M.ctx, M.dim, 200, rng)
-        V = np.vstack([V, np.eye(M.dim, dtype=np.int64)])
+        V = np.vstack([_random_rows(M.ctx, M.dim, 200, random.Random(s)),
+                       np.eye(M.dim, dtype=np.int64)])
         want = np.where(V != 0, km.label_degrees(M), -1).max(axis=1)
         bad = np.nonzero(km.ddeg_rows(M, V) != want)[0]
         if bad.size:

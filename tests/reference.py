@@ -7,8 +7,7 @@ reduction, sums, intersections and preimages by kernels, generated
 submodules by closure under the generators, v_dr classes through the
 paper's quotient, polynomial values by Horner's rule, a graded family's
 JSON with every piece encoded in place, Jordan partitions from one rank
-per power, the dominance order by prefix sums, the filtration suite's
-random vectors one randrange call per entry, the trace identities by
+per power, the dominance order by prefix sums, the trace identities by
 raising each linear form to the power p^2 - 1, and matrix powers one
 factor at a time.  conjugate and conjugate_by write a module in another
 basis, so a test cannot read the answer off coordinate vectors.
@@ -233,14 +232,6 @@ def conjugate(M: km.HModule, rng: random.Random) -> km.HModule:
                                                for _ in range(M.dim)], dtype=np.int64)))
         if N is not None:
             return N
-
-
-def random_vector(ctx: FieldCtx, dim: int, rng: random.Random) -> np.ndarray:
-    """One nonzero vector of length dim, one rng.randrange(q) per entry."""
-    while True:
-        v = np.array([rng.randrange(ctx.q) for _ in range(dim)], dtype=np.int64)
-        if v.any():
-            return v
 
 
 def trace_polynomial_by_powers(p: int, ctx: FieldCtx) -> Poly2:

@@ -791,6 +791,15 @@ def test_hom_basis_pair_forms_one_hom_kernel(monkeypatch):
     # conditions that _hom_dims kept, and drops them
     assert conds == [(M, N), (N, M)]
     assert ("_hom_conditions", N) not in M._cache
+    # the conditions are kept only for a solve still to come: not after
+    # hom_space has solved Hom(M, N), nor for hom_dim, which reads dims
+    for d, calls in ((6, (km.hom_space, km.hom_dim, km.is_isomorphic)), (5, (km.hom_dim,)),
+                     (4, (km.hom_space, km.is_isomorphic))):
+        M = km.v_d(C3, d, T3)
+        N = conjugate(M, rng)
+        for call in calls:
+            call(M, N)
+            assert ("_hom_conditions", N) not in M._cache, (d, call.__name__)
 
 
 def test_decision_radical_runs_on_the_socle_image(monkeypatch):

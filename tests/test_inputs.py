@@ -3,7 +3,9 @@ rows, and the curve and digit functions, raise a package error for an
 entry outside 0..q - 1, a row of the wrong width, an exponent m with
 m <= 0 or p | m, and a digit base below 2, where numpy would otherwise
 read -1 as element q - 1 or index past its tables; every entrance that
-takes field values refuses a non-integer, where int() would truncate it."""
+takes field values refuses a non-integer, where int() would truncate it.
+The library's other refusals (across fields, of the wrong shape, of a
+negative argument) are one table, each row with the class it raises."""
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from repcurve import curvefam as cf
 from repcurve import kmod as km
-from repcurve.errors import BadParams, OutOfRange, ShapeMismatch
+from repcurve.errors import (BadDimension, BadParams, ContextMismatch, OutOfRange,
+                             ShapeMismatch)
 from repcurve.ff import default_ctx
-from repcurve.linalg import Mat, Subspace, field_rows, solve
+from repcurve.linalg import Mat, Subspace, field_rows, invert, solve, solve_matrix
 from repcurve.poly import Poly1, Poly2
 
 CTX = default_ctx(3)  # F_9, where the encoded and the el readings of 4 differ
@@ -73,6 +76,50 @@ VALUE_ENTRANCES = {
     "Poly1": lambda x: Poly1(CTX, [1, x]),
     "Poly2": lambda x: Poly2(F3, [x] if isinstance(x, list) else [[1, x]]),
     "Poly2.monomial": lambda x: Poly2.monomial(F3, x, 0, 1),
+}
+
+# each library refusal that the suites and the CLI never reach, with the
+# class it raises; F_25 is the other field
+C5 = default_ctx(5)
+M5 = km.trivial_module(C5)
+I2, I3 = Mat.identity(CTX, 2), Mat.identity(CTX, 3)
+REFUSALS = {
+    "digits_p-negative": (lambda: km.digits_p(-1, 3), OutOfRange),
+    "binom_mod_p-negative": (lambda: km.binom_mod_p(-1, 0, 3), OutOfRange),
+    "HModule-other-field": (lambda: km.HModule(CTX, Mat.identity(C5, 1), Mat.identity(C5, 1)),
+                            ContextMismatch),
+    "HModule-non-square": (lambda: km.HModule(CTX, Mat(CTX, np.zeros((1, 2), dtype=np.int64)),
+                                              Mat(CTX, np.zeros((1, 2), dtype=np.int64))),
+                           ShapeMismatch),
+    "HModule-two-sizes": (lambda: km.HModule(CTX, I2, I3), ShapeMismatch),
+    "direct_sum-fields": (lambda: km.direct_sum(M, M5), ContextMismatch),
+    "sub_module_on-fields": (lambda: km.sub_module_on(M, Subspace.full(C5, D)), ContextMismatch),
+    "hom_space-fields": (lambda: km.hom_space(M, M5), ContextMismatch),
+    "hom_dim-fields": (lambda: km.hom_dim(M, M5), ContextMismatch),
+    "is_isomorphic-fields": (lambda: km.is_isomorphic(M, M5), ContextMismatch),
+    "sub_module_on-ambient": (lambda: km.sub_module_on(M, Subspace.zero(CTX, D + 1)),
+                              ShapeMismatch),
+    "quotient-ambient": (lambda: km.quotient(M, Subspace.zero(CTX, D + 1)), ShapeMismatch),
+    "quotient-few-reps": (lambda: km.quotient(M, Subspace.zero(CTX, D),
+                                              reps=np.eye(D, dtype=np.int64)[1:]),
+                          ShapeMismatch),
+    "apply_word-negative": (lambda: km.apply_word(M, (-1, 0), np.eye(D, dtype=np.int64)[0]),
+                            OutOfRange),
+    "is_indecomposable-zero": (lambda: km.is_indecomposable(
+        km.quotient(M, Subspace.full(CTX, D))[0]), BadDimension),
+    "module_from_json-list": (lambda: km.module_from_json([]), BadParams),
+    "module_from_json-dim": (lambda: km.module_from_json({**km.module_to_json(M), "dim": -1}),
+                             BadParams),
+    "Mat-1d": (lambda: Mat(CTX, np.zeros(3, dtype=np.int64)), ShapeMismatch),
+    "Mat+fields": (lambda: I2 + Mat.identity(C5, 2), ContextMismatch),
+    "Mat+shapes": (lambda: I2 + I3, ShapeMismatch),
+    "Mat@shapes": (lambda: I2 @ I3, ShapeMismatch),
+    "solve_matrix-rows": (lambda: solve_matrix(I2, I3), ShapeMismatch),
+    "solve_matrix-fields": (lambda: solve_matrix(I2, Mat.identity(C5, 2)), ContextMismatch),
+    "invert-non-square": (lambda: invert(Mat(CTX, np.zeros((2, 3), dtype=np.int64))),
+                          ShapeMismatch),
+    "field_rows-width": (lambda: field_rows(CTX, np.zeros((2, 3), dtype=np.int64), 2),
+                         ShapeMismatch),
 }
 
 
@@ -165,3 +212,10 @@ def test_a_flat_vector_or_a_scalar_where_rows_belong_is_refused():
             km.sub_generated(M, rows)
         with pytest.raises(ShapeMismatch):
             Subspace.from_rows(CTX, D, rows)
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_library_refusals_raise_their_class(name):
+    call, error = REFUSALS[name]
+    with pytest.raises(error):
+        call()
