@@ -12,8 +12,7 @@ import pytest
 from repcurve.ff import default_ctx
 from repcurve.suites import _random_rows
 
-# q as (p, n): the primes, the powers of two, and F_9, F_25, F_49 of the
-# suites' fields
+# q as (p, n), from F_2 to F_125; F_9, F_25 and F_49 are the suites' fields
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4),
           (5, 2), (3, 3), (7, 2), (5, 3)]
 IDS = [f"q{p ** n}" for p, n in FIELDS]
