@@ -184,7 +184,7 @@ def _query_ddeg(args, M: km.HModule) -> dict:
 
 
 def cmd_query(args) -> int:
-    for flag, kind in (("tiers", "indec"), ("label", "ddeg"), ("vector", "ddeg")):
+    for flag, kind in (("label", "ddeg"), ("vector", "ddeg")):
         if getattr(args, flag) is not None and args.kind != kind:
             raise BadParams(f"--{flag} applies to query {kind} only, not {args.kind}")
     if args.kind == "iso":
@@ -198,8 +198,7 @@ def cmd_query(args) -> int:
             raise RepcurveError(f"{args.kind} needs exactly one module file")
         M = _load_module(args.modules[0])
         if args.kind == "indec":
-            tiers = km.TIERS if args.tiers is None else tuple(args.tiers.split(","))
-            payload = km.is_indecomposable(M, tiers=tiers).to_json()
+            payload = km.is_indecomposable(M).to_json()
         elif args.kind == "jordan":
             scan = [{"point": [FieldElem(M.ctx, a).text() if a else "0",
                                FieldElem(M.ctx, b).text()],
@@ -217,15 +216,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed
-    if seed is None:
-        text = os.environ.get("REPCURVE_SEED", "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            raise BadParams(f"REPCURVE_SEED must be an integer, got {text!r}")
     p_values = tuple(dict.fromkeys(args.p)) if args.p else SUITE_PRIMES
-    report = run_suite(args.suite, p_values, seed=seed, timings=args.timings)
+    report = run_suite(args.suite, p_values, seed=args.seed, timings=args.timings)
     payload = (report_to_markdown(report) if args.format == "md"
                else report_to_json(report))
     _emit(payload, args.out)
@@ -273,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = subs.add_parser("query", help="run a decision procedure on module JSON")
     q.add_argument("kind", choices=QUERY_KINDS)
     q.add_argument("modules", nargs="+", help="module JSON file(s)")
-    q.add_argument("--tiers", type=str, default=None,
-                   help=f"comma list among {','.join(km.TIERS)} (indec only)")
     q.add_argument("--label", type=str, default=None, help="basis label (ddeg only)")
     q.add_argument("--vector", type=str, default=None,
                    help="semicolon-separated element texts (ddeg only)")
@@ -288,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                         + "; repeatable; default " + " and ".join(map(str, SUITE_PRIMES))
                         + "; p = 3 runs every case, a larger p a sample written in p,"
                           " and cores and hodge run at p = 3 alone")
-    v.add_argument("--seed", type=int, default=None,
-                   help="global seed; falls back to REPCURVE_SEED, then 0")
+    v.add_argument("--seed", type=int, default=0, help="global seed (default 0)")
     v.add_argument("--format", choices=("json", "md"), default="json")
     v.add_argument("--timings", action="store_true",
                    help="record wall-clock ms per case (off for bytewise determinism)")

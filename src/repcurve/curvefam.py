@@ -272,22 +272,22 @@ def dr_graded(params: CurveParams) -> GradedModule:
     return gm
 
 
-def hodge_check(params: CurveParams, c: int) -> dict:
-    """Two-step filtration of one mixed graded piece: the w-span is an
-    invariant subspace matching the regular-differential piece at index
-    m-c entrywise, and the quotient on the eta-classes matches the dual
-    of the degree-dd(c) member under the index reversal i -> p^2 - 1 - i.
-    Both models are blocks of kmod.vd_definition(ctx, beta), never of the
-    binomial table the piece is cut from.  Both identifications are
-    matrix identities; the report carries the dimensions and verdicts."""
+def hodge_check(gm: GradedModule, c: int) -> dict:
+    """Two-step filtration of piece c of the de Rham family gm, as
+    dr_graded builds and checks it: the w-span is an invariant subspace
+    matching the regular-differential piece at index m-c entrywise, and
+    the quotient on the eta-classes matches the dual of the degree-dd(c)
+    member under the index reversal i -> p^2 - 1 - i.  Both models are
+    blocks of kmod.vd_definition(ctx, beta), never of the binomial table
+    the piece is cut from.  Both identifications are matrix identities;
+    the report carries the dimensions and verdicts."""
+    if gm.kind != "dr":
+        raise BadParams(f"the Hodge check reads a dr family, not {gm.kind}")
+    params = gm.params
     ctx = params.ctx
     p, m = params.p, params.m
     pp = p * p
-    if not (1 <= c <= m - 1):
-        raise OutOfRange(f"index {c} outside 1..{m - 1}")
-    gens, labels, meta = _dr_piece(params, index_I(p, m, m - c), index_J(p, m, c))
-    check_actions(ctx, gens)
-    piece = HModule._derived(ctx, gens, labels, meta)
+    piece = gm.piece(c)
     d = piece.meta["d"]  # dimension of the w-block
     e = pp - 1 - d  # dimension of the quotient
     D = vd_definition(ctx, params.beta)

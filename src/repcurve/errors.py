@@ -86,6 +86,5 @@ class OutOfRange(RepcurveError):
 
 
 class Undecided(RepcurveError):
-    """Raised when a procedure reaches no answer: indecomposability tiers
-    restricted below a decision, or a Jordan scan with no dominance-maximal
-    type for generic_jordan_type."""
+    """Raised when a procedure reaches no answer: a Jordan scan with no
+    dominance-maximal type for generic_jordan_type."""

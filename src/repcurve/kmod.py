@@ -160,12 +160,12 @@ class HModule:
     public constructor, which stacks the two matrices it is given, and
     module_from_json check sigma^p = tau^p = 1 and sigma tau = tau sigma
     (check_actions), and so do the trivial and regular modules through
-    them; v_dr and curvefam.hodge_check's piece check their one stack,
-    vd_definition its one stack and v_d the two p x p binomial_factors
-    pairs, once per (ctx, beta), and curvefam.dr_graded its distinct
-    pieces in one stack.  The constructions that keep both relations
-    whenever their inputs have them build through HModule._derived on a
-    stack, which checks nothing: every v_d, a leading block of the tensor
+    them; v_dr checks its one stack, vd_definition its one stack and v_d
+    the two p x p binomial_factors pairs, once per (ctx, beta), and
+    curvefam.dr_graded its distinct pieces in one stack.  The
+    constructions that keep both relations whenever their inputs have
+    them build through HModule._derived on a stack, which checks nothing:
+    every v_d, a leading block of the tensor
     product of its factors; dual, direct_sum, sub_module_on and quotient,
     which each prove their subspace invariant; and the blocks of
     vd_definition that vdr_quotient and curvefam.hodge_check's model take.
@@ -839,11 +839,11 @@ def _hom_dims(M: HModule, N: HModule) -> tuple:
     per M: the ranks of both condition matrices, zero-padded to one shape,
     from one stacked rank.  Padding adds zero rows and columns, which
     change no rank, and each dim is the column count of its own matrix
-    less its rank.  When both dims equal both End dims, which step 3 of
-    is_isomorphic has cached, step 5 solves Hom(M, N): C(M, N) is kept on
-    M until _hom_solve(M, N) takes it, so it is formed once.  Nothing is
-    kept for N = M or for a solve already cached, and hom_dim drops what
-    is kept; another caller whose two dims agree pays for both End solves."""
+    less its rank.  When the two dims agree, step 5 of is_isomorphic may
+    solve Hom(M, N): C(M, N) is kept on M until _hom_solve(M, N) takes it,
+    so it is formed once.  Nothing is kept for N = M or for a solve
+    already cached; hom_dim, and is_isomorphic when step 4 answers NO,
+    drop what is kept, so no End dim is asked here."""
     if M.ctx != N.ctx:
         raise ContextMismatch("modules over different field contexts")
     if M.dim == 0 or N.dim == 0:
@@ -857,8 +857,7 @@ def _hom_dims(M: HModule, N: HModule) -> tuple:
     dims = tuple(int(C.shape[1] - r) for C, r in zip(conds, ranks))
     # the key _memo reads for _hom_dims(N, M)
     N._cache[("_hom_dims", M)] = dims[::-1]
-    if (M is not N and ("_hom_solve", N) not in M._cache
-            and dims[0] == dims[1] == end_dim(M) == end_dim(N)):
+    if M is not N and ("_hom_solve", N) not in M._cache and dims[0] == dims[1]:
         M._cache[("_hom_conditions", N)] = conds[0]
     return dims
 
@@ -885,7 +884,7 @@ def hom_space(M: HModule, N: HModule) -> Subspace:
     images costs up to about three times the relation solve
     (End(v_dr(5, 19)): 2.9 ms against 1.1 ms), so the package builds maps
     only for the isomorphism witness search and for End bases
-    (end_algebra, read by indecomposability tiers T2/T3).
+    (end_algebra, read by the End/J split of is_indecomposable).
     """
     ctx = M.ctx
     sol = _hom_solve(M, N)
@@ -977,7 +976,7 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
        Hom dims come from one stacked rank of both condition matrices
        (_hom_dims, kept on both modules), the End dims from the End
        solves step 3 cached (end_dim); no kernel of Hom(M, N) is formed
-       here;
+       here, and a NO drops the conditions _hom_dims kept for step 5;
     5. the map basis of Hom(M, N) (hom_space), rebuilt from its relation
        solve, the one Hom kernel of the decision, kept on M per N, and
        ranked in one stacked elimination: the first invertible element is
@@ -1002,6 +1001,7 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
     h, h_back = _hom_dims(M, N)
     e, e2 = end_dim(M), end_dim(N)
     if not (h == h_back == e == e2):
+        M._cache.pop(("_hom_conditions", N), None)
         return IsoDecision("NO", "hom-dim-mismatch",
                            detail={"hom": [h, h_back], "end": [e, e2]})
     H = hom_space(M, N)
@@ -1254,10 +1254,7 @@ def _end_split(M: HModule) -> tuple:
     return dims, split
 
 
-TIERS = ("T1", "T2", "T3")
-
-
-def is_indecomposable(M: HModule, tiers: tuple = TIERS) -> IndecDecision:
+def is_indecomposable(M: HModule) -> IndecDecision:
     """(T1) a one-dimensional fixed space: INDECOMPOSABLE.  Otherwise
     the radical J of End(M), from that of its socle image E', and the
     split scan of End/J (_end_split), whose dims (with socle_dim, dim E'
@@ -1265,32 +1262,23 @@ def is_indecomposable(M: HModule, tiers: tuple = TIERS) -> IndecDecision:
     (T2) a point that splits: DECOMPOSABLE, with the Fitting split as
     kernel and image rows; (T3) End/J one-dimensional: INDECOMPOSABLE;
     (T3-division) no point splits, so End/J is a division algebra and
-    End(M) is local: INDECOMPOSABLE.  tiers restricts the certificates
-    that may be returned, e.g. ("T3",) skips T1; T2 and T3 share the one
-    End/J computation, and T2 alone can only answer DECOMPOSABLE."""
+    End(M) is local: INDECOMPOSABLE."""
     if M.dim < 1:
         raise BadDimension("decision needs a module of dimension >= 1")
-    unknown = [t for t in tiers if t not in TIERS]
-    if unknown or not tiers:
-        raise BadParams(f"unknown tier(s) {unknown}; valid tiers are {list(TIERS)}")
-    if "T1" in tiers and fixed_space(M).dim == 1:
+    if fixed_space(M).dim == 1:
         return IndecDecision("INDECOMPOSABLE", "T1", detail={"fixed_dim": 1})
-    if "T2" in tiers or "T3" in tiers:
-        dims, split = _end_split(M)
-        if split is not None:
-            ker, im = split
-            # both bases as rows of element texts, as module_to_json
-            # writes matrices, so a caller can check the split
-            return IndecDecision("DECOMPOSABLE", "T2",
-                                 detail={"split_dims": [ker.dim, im.dim],
-                                         "kernel": Mat(M.ctx, ker.basis).to_lists(),
-                                         "image": Mat(M.ctx, im.basis).to_lists()})
-        if "T3" in tiers:
-            if dims["semisimple_dim"] == 1:
-                return IndecDecision("INDECOMPOSABLE", "T3", detail=dict(dims))
-            return IndecDecision("INDECOMPOSABLE", "T3-division",
-                                 detail=dict(dims, simple_factors=1))
-    raise Undecided("restricted tiers reached no decision")
+    dims, split = _end_split(M)
+    if split is not None:
+        ker, im = split
+        # both bases as rows of element texts, as module_to_json
+        # writes matrices, so a caller can check the split
+        return IndecDecision("DECOMPOSABLE", "T2",
+                             detail={"split_dims": [ker.dim, im.dim],
+                                     "kernel": Mat(M.ctx, ker.basis).to_lists(),
+                                     "image": Mat(M.ctx, im.basis).to_lists()})
+    if dims["semisimple_dim"] == 1:
+        return IndecDecision("INDECOMPOSABLE", "T3", detail=dict(dims))
+    return IndecDecision("INDECOMPOSABLE", "T3-division", detail=dict(dims, simple_factors=1))
 
 
 # ---------------------------------------------------------------------------

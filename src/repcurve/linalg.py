@@ -411,9 +411,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def is_full(self) -> bool:
-        return self.dim == self.ambient
-
     def reduce_rows(self, V: np.ndarray) -> tuple:
         """Coordinates of the rows of V (k x ambient) in the basis, and a
         boolean mask of the rows that lie in the subspace.  Coordinates of

@@ -254,13 +254,25 @@ def _suite_structure(p: int, seed: int) -> List[Case]:
 # indec
 
 
-def _indec_case(build, cert: str, tiers: tuple = km.TIERS):
-    """is_indecomposable on the built module, run with tiers, answers
-    INDECOMPOSABLE with certificate cert."""
+def _indec_case(build, cert: str):
+    """is_indecomposable on the built module answers INDECOMPOSABLE with
+    certificate cert."""
     def run(_s):
-        dec = km.is_indecomposable(build(), tiers=tiers)
+        dec = km.is_indecomposable(build())
         return (dec.verdict == "INDECOMPOSABLE"
                 and dec.certificate == cert), dec.certificate
+    return run
+
+
+def _local_end_case(build):
+    """The End/J split of the built module (_end_split), which
+    is_indecomposable reads after T1: no split and End/J one-dimensional,
+    so End is local, the T3 certificate, read even where the fixed space
+    is one-dimensional."""
+    def run(_s):
+        dims, split = km._end_split(build())
+        ok = split is None and dims["semisimple_dim"] == 1
+        return ok, "T3" if ok else f"semisimple_dim={dims['semisimple_dim']}"
     return run
 
 
@@ -276,7 +288,7 @@ def _suite_indec(p: int, seed: int) -> List[Case]:
                       _indec_case(partial(km.v_d, ctx, d, t), "T1")))
     for d in _sample(p, range(0, pp + 1), (p, (pp - 1) // 2, pp - p - 1)):
         cases.append((f"indec/p{p}/vdr{d:02d}",
-                      _indec_case(partial(km.v_dr, ctx, d, t), "T3", ("T3",))))
+                      _local_end_case(partial(km.v_dr, ctx, d, t))))
     return cases
 
 
@@ -505,9 +517,10 @@ def _suite_dr(p: int, seed: int) -> List[Case]:
 
 def _suite_hodge(p: int, seed: int) -> List[Case]:
     ctx = default_ctx(p)
+    graded = lru_cache(maxsize=None)(cf.dr_graded)
 
     def hodge_case(params, c, _s):
-        rep = cf.hodge_check(params, c)
+        rep = cf.hodge_check(graded(params), c)
         return rep["verdict"], f"sub={rep['sub_dim']},quot={rep['quotient_dim']}"
 
     cases: List[Case] = []

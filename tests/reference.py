@@ -62,7 +62,7 @@ def preimage(A: Mat, W: Subspace) -> Subspace:
     if A.rows != W.ambient:
         raise ShapeMismatch("map target does not match subspace ambient")
     ctx = A.ctx
-    if W.is_full():
+    if W.dim == W.ambient:
         return Subspace.full(ctx, A.cols)
     ann = kernel(Mat(ctx, W.basis)) if W.dim else Subspace.full(ctx, W.ambient)
     D = ann.basis  # rows y with y . w = 0 for every w in W

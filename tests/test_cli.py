@@ -363,9 +363,9 @@ def test_main_calls_share_no_state(monkeypatch, capsys, tmp_path):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out == v.read_text()
 
-    # T1 alone cannot decide v_dr (its socle has dim 2); the default tiers can
-    code, _, err = run(capsys, "query", "indec", str(v), "--tiers", "T1")
-    assert code == 2 and json.loads(err)["error"] == "Undecided"
+    # --label of one query must not reach the next, which would refuse it
+    code, out, _ = run(capsys, "query", "ddeg", str(v), "--label", "w2")
+    assert code == 0 and json.loads(out)["input"] == "w2"
     code, out, _ = run(capsys, "query", "indec", str(v))
     assert code == 0 and json.loads(out)["certificate"] == "T3"
 
@@ -405,10 +405,12 @@ def test_query_iso_no(capsys, tmp_path):
 
 
 def test_query_indec_forced_tier(capsys, tmp_path):
+    # the quotient member's socle has dim 2, so T1 cannot answer and its
+    # local End/J forces T3
     v = tmp_path / "v.json"
     run(capsys, "build", "vdr", "--p", "3", "--d", "3", "--beta", "0,1",
         "--out", str(v))
-    code, out, _ = run(capsys, "query", "indec", str(v), "--tiers", "T3")
+    code, out, _ = run(capsys, "query", "indec", str(v))
     assert code == 0
     obj = json.loads(out)
     assert obj["verdict"] == "INDECOMPOSABLE" and obj["certificate"] == "T3"
@@ -594,13 +596,12 @@ def test_verify_determinism(capsys):
     assert out1 == out2
 
 
-def test_verify_env_seed(monkeypatch, capsys):
-    monkeypatch.setenv("REPCURVE_SEED", "7")
-    _, out_env, _ = run(capsys, "verify", "combinatorics", "--p", "3")
-    monkeypatch.delenv("REPCURVE_SEED")
-    _, out_flag, _ = run(capsys, "verify", "combinatorics", "--p", "3",
-                         "--seed", "7")
-    assert out_env == out_flag
+@pytest.mark.parametrize("value", ["7", "abc"])
+def test_verify_seed_is_the_flag_alone(monkeypatch, capsys, value):
+    # no environment variable sets the seed: it is --seed, 0 by default
+    _, seed0, _ = run(capsys, "verify", "combinatorics", "--p", "3", "--seed", "0")
+    monkeypatch.setenv("REPCURVE_SEED", value)
+    assert run(capsys, "verify", "combinatorics", "--p", "3") == (0, seed0, "")
 
 
 def test_verify_md_rows_match_json(capsys):
@@ -733,14 +734,6 @@ def test_decision_trial_options_are_gone(capsys, argv):
     # to give it; verify --seed stays, as it seeds the test data
     assert main(list(argv)) == 2
     assert argv[-2] in capsys.readouterr().err
-
-
-def test_verify_refuses_non_integer_env_seed(monkeypatch, capsys):
-    monkeypatch.setenv("REPCURVE_SEED", "abc")
-    code, out, err = run(capsys, "verify", "combinatorics", "--p", "3")
-    assert code == 2 and out == ""
-    record = json.loads(err)
-    assert record["error"] == "BadParams" and "REPCURVE_SEED" in record["message"]
 
 
 def test_timings_opt_in(capsys):
@@ -912,20 +905,22 @@ def test_verify_runs_at_p7_from_lists_derived_from_p(capsys, tmp_path):
     assert not any(c.startswith(("cores/", "hodge/")) for c in verdicts)
 
 
-def test_query_indec_rejects_unknown_tier(capsys, tmp_path):
+@pytest.mark.parametrize("kind", QUERY_KINDS)
+def test_query_has_no_tiers_option(capsys, tmp_path, kind):
+    # every query kind refuses --tiers as an unknown argument, with the
+    # usage text
     m = tmp_path / "m.json"
     m.write_text(json.dumps(_module_obj(capsys)))
-    code, out, err = run(capsys, "query", "indec", str(m), "--tiers", "T1,T9")
+    files = [str(m)] * (1 + (kind == "iso"))
+    code, out, err = run(capsys, "query", kind, *files, "--tiers", "T1")
     assert code == 2 and out == ""
-    rec = json.loads(err)
-    assert rec["error"] == "BadParams"
-    assert "T9" in rec["message"] and "['T1', 'T2', 'T3']" in rec["message"]
+    assert "unrecognized arguments: --tiers T1" in err
 
 
 @pytest.mark.parametrize("kind,flags", [
-    ("indec", ("--tiers", "")),
-    ("jordan", ("--tiers", "T1")),
-    ("profile", ("--tiers", "T3")),
+    ("indec", ("--vector", "1,0")),
+    ("jordan", ("--label", "w0")),
+    ("profile", ("--vector", "1,0")),
     ("indec", ("--label", "w0")),
     ("jordan", ("--vector", "1,0")),
     ("profile", ("--label", "w0", "--vector", "1,0")),
@@ -936,6 +931,27 @@ def test_query_refuses_flags_it_would_ignore(capsys, tmp_path, kind, flags):
     code, out, err = run(capsys, "query", kind, str(m), *flags)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "BadParams"
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_query_indec_decides_every_member(capsys, tmp_path, p):
+    # every v_d and v_dr member, and v_d(2) plus p - 1 trivial modules,
+    # whose socle has dim p, get an answer: exit 2 is left for usage and
+    # input errors
+    ctx = default_ctx(p)
+    t = ctx.gen()
+    summed = km.v_d(ctx, 2, t)
+    for _ in range(p - 1):
+        summed = km.direct_sum(summed, km.trivial_module(ctx))
+    mods = ([km.v_d(ctx, d, t) for d in range(1, p * p + 1)]
+            + [km.v_dr(ctx, d, t) for d in range(p * p + 1)] + [summed])
+    m = tmp_path / "m.json"
+    for M in mods:
+        m.write_text(json.dumps(km.module_to_json(M)))
+        code, out, _ = run(capsys, "query", "indec", str(m))
+        assert code == 0, M.meta
+        assert json.loads(out)["verdict"] == ("DECOMPOSABLE" if M is summed
+                                              else "INDECOMPOSABLE")
 
 
 def test_query_indec_at_p7(capsys, tmp_path):
@@ -981,8 +997,7 @@ BUILD_FLAGS = [
     ("--beta", ["0,1", "1,1", "1,0", "1", "0,1,0", "0,7", "x", ","]),
     ("--m", ["-1", "0", "1", "2", "3", "6", "4000", str(10**9), "z"]),
     ("--alpha", ["0,1", "2,1", "1,0", "1", "5,1", "x"])]
-QUERY_FLAGS = [("--tiers", ["T1", "T3", "T1,T2,T3", "T1,T9", "", ","]),
-               ("--label", ["w0", "u0", "eta1", "zz"]),
+QUERY_FLAGS = [("--label", ["w0", "u0", "eta1", "zz"]),
                ("--vector", ["1", "0,1;0,0;1,0", "1;1;1;1", "x", ""])]
 VERIFY_FLAGS = [("--p", ["3", "5", "2", "7", "-1", "p"]),
                 ("--seed", ["0", "-1", "9", "s"]),

@@ -267,17 +267,18 @@ def test_vdr_and_dr_pieces_build_no_quotient(monkeypatch):
 
 @pytest.mark.parametrize("c,sub,quot", [(1, 0, 8), (5, 4, 4), (9, 8, 0)])
 def test_hodge_split_dimensions(c, sub, quot):
-    params = curve_params(C3, 10, C3.gen())
-    rep = hodge_check(params, c)
+    rep = hodge_check(dr_graded(curve_params(C3, 10, C3.gen())), c)
     assert rep["verdict"]
     assert (rep["sub_dim"], rep["quotient_dim"]) == (sub, quot)
     assert rep["sub_identity"] and rep["quotient_identity"]
 
 
 def test_hodge_range_check():
-    params = curve_params(C3, 2, C3.gen())
+    gm = dr_graded(curve_params(C3, 2, C3.gen()))
     with pytest.raises(OutOfRange):
-        hodge_check(params, 2)
+        hodge_check(gm, 2)
+    with pytest.raises(BadParams):
+        hodge_check(holo_graded(gm.params), 1)
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -670,8 +670,10 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     # check inverted their map to test it; 977 of 7,966) and 147 flag row
     # profiles of 1,704 steps (167 of 1,724; 1,635 eliminations when each
     # flag took one per word degree, 13,526 steps when each filtration
-    # level took its own).  It forms no filtration level and makes 1,669
-    # products (1,833 when a quotient proved its subspace invariant apart
+    # level took its own).  It computes 11 End/J splits, the indec suite
+    # reading those of its v_dr cases itself.  It forms no filtration level
+    # and makes 1,584 products (1,669 when the Hodge check built and checked
+    # its own piece; 1,833 when a quotient proved its subspace invariant apart
     # from its change of basis and the socle restriction tested membership;
     # 1,907 when a witness check and the dr suite's intertwiner check took
     # one product per generator, 2,056 when each v_d member took its own
@@ -679,11 +681,12 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     # quotient and a dual formed each generator apart; 3,104 before the decision, quotient and core memos, 3,468 when each
     # module check formed the squares apart from sigma tau and tau sigma,
     # 4,586 when each graded piece took its own order and commute check) in
-    # 91 check_actions calls (153, 306); counts, unlike times, are free of
-    # host noise
+    # 83 check_actions calls (91, 153, 306); counts, unlike times, are free
+    # of host noise
     decisions = _count_computed(monkeypatch, "is_isomorphic")
     dims = _count_computed(monkeypatch, "_hom_dims")
     solves = _count_computed(monkeypatch, "_hom_solve")
+    splits = _count_computed(monkeypatch, "_end_split")
     products = _count_products(monkeypatch)
     checks = _count_checks(monkeypatch)
     conds, steps, profiles, levels = [], [], [], []
@@ -711,8 +714,8 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     assert run_suite("all", SUITE_PRIMES, seed=0)["exit"] == 0
     assert levels == []
     counts = (len(decisions), len(dims), len(solves), len(conds), len(steps), sum(steps),
-              len(profiles), sum(profiles), len(products), len(checks))
-    most = (241, 141, 122, 377, 678, 6314, 147, 1704, 1669, 91)
+              len(profiles), sum(profiles), len(products), len(checks), len(splits))
+    most = (241, 141, 122, 377, 678, 6314, 147, 1704, 1584, 83, 11)
     assert all(n <= m for n, m in zip(counts, most)), counts
 
 
@@ -800,6 +803,27 @@ def test_hom_basis_pair_forms_one_hom_kernel(monkeypatch):
         for call in calls:
             call(M, N)
             assert ("_hom_conditions", N) not in M._cache, (d, call.__name__)
+
+
+def test_hom_dim_forms_no_end_kernel(monkeypatch):
+    # hom_dim answers a dim: its two kernels are the presentations of the
+    # two fresh modules, and no relation solve, End or Hom, is computed;
+    # equal dims keep the (M, N) conditions only until hom_dim drops them
+    rng = random.Random(5)
+    M = conjugate(km.v_d(C3, 5, T3), rng)
+    N = conjugate(M, rng)
+    solves = _count_computed(monkeypatch, "_hom_solve")
+    kernels = []
+    real = km.kernel
+
+    def counted(A):
+        kernels.append(A.rows)
+        return real(A)
+
+    monkeypatch.setattr(km, "kernel", counted)
+    assert km.hom_dim(M, N) == km.hom_dim(N, M) == 5
+    assert len(kernels) == 2 and solves == []
+    assert ("_hom_conditions", N) not in M._cache
 
 
 def test_decision_radical_runs_on_the_socle_image(monkeypatch):
@@ -896,9 +920,13 @@ def test_derivations_check_nothing(monkeypatch):
     km.quotient(M, km.fixed_space(M))
     km.vdr_quotient(C3, 7, t)
     assert checks == []
-    # the Hodge check builds and checks its piece, and derives its model
-    cf.hodge_check(params, 5)
-    assert checks == [(2, 8, 8)]
+    # the family build checks its distinct pieces in one stack; the Hodge
+    # check reads its piece from the family, checks nothing and derives
+    # its model
+    gm = cf.dr_graded(params)
+    assert checks == [(len(set(map(id, gm.pieces.values()))), 2, 8, 8)]
+    cf.hodge_check(gm, 5)
+    assert len(checks) == 1
 
 
 def test_trust_boundary_checks_each_module_once(monkeypatch):

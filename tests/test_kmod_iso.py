@@ -13,7 +13,7 @@ import inspect
 import itertools
 
 from repcurve import cli, kmod
-from repcurve.errors import ContextMismatch, Undecided
+from repcurve.errors import ContextMismatch
 from repcurve.ff import ctx_new, default_ctx, enumerate_nonprime, find_irreducible
 from repcurve.kmod import (HModule, algebra_radical, augmentation_ideal, direct_sum,
                            dual, end_algebra, fixed_space, hom_space, is_indecomposable,
@@ -270,17 +270,14 @@ def test_vd_indecomposable_via_fixed_space(d):
 
 @pytest.mark.parametrize("d", range(0, 10))
 def test_vdr_indecomposable_via_radical(d):
-    dec = is_indecomposable(v_dr(C3, d, T), tiers=("T3",))
-    assert dec.verdict == "INDECOMPOSABLE" and dec.certificate == "T3"
-    assert dec.detail["semisimple_dim"] == 1
-    check_local(v_dr(C3, d, T), dec)
-
-
-def test_restricted_tiers_can_refuse():
-    # the quotient member has a 2-dimensional fixed space, so T1 alone
-    # reaches no decision
-    with pytest.raises(Undecided):
-        is_indecomposable(v_dr(C3, 4, T), tiers=("T1",))
+    # every quotient member has a local End through End/J, read from the
+    # split directly where the fixed space has dim 1 and T1 answers first
+    M = v_dr(C3, d, T)
+    dims, split = kmod._end_split(M)
+    assert split is None and dims["semisimple_dim"] == 1
+    check_local(M, kmod.IndecDecision("INDECOMPOSABLE", "T3", detail=dims))
+    dec = is_indecomposable(M)
+    assert dec.indecomposable and dec.certificate == ("T1" if fixed_space(M).dim == 1 else "T3")
 
 
 def check_split(M, dec):
@@ -365,7 +362,7 @@ def test_decomposable_detected_with_split():
 
 def test_decomposable_pair_of_twists():
     M = direct_sum(v_d(C3, 2, T), v_d(C3, 2, T + 1))
-    assert is_indecomposable(M, tiers=("T3",)).verdict == "DECOMPOSABLE"
+    assert is_indecomposable(M).verdict == "DECOMPOSABLE"
 
 
 def test_decisions_take_no_seed():
@@ -567,9 +564,13 @@ def test_socle_image_radical_matches_end_radical(M):
     assert preimage(Mat(ctx, R.T.copy()), J) == full
     e = image.dim - rad.dim
     assert e == Hend.dim - full.dim == kmod._end_split(M)[0]["semisimple_dim"]
-    dec = is_indecomposable(M, tiers=("T2", "T3"))
-    if dec.indecomposable:
-        check_local(M, dec)
+    # the End/J split is read directly, as T1 may answer first
+    dims, split = kmod._end_split(M)
+    dec = is_indecomposable(M)
+    if split is None:
+        cert = "T3" if e == 1 else "T3-division"
+        check_local(M, kmod.IndecDecision("INDECOMPOSABLE", cert, detail=dims))
+        assert dec.indecomposable
     else:
         check_split(M, dec)
 

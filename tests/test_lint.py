@@ -1,8 +1,9 @@
 """A lint guard for the package, with no linter installed: every import is
 used, every local name a function assigns is read, and no unbounded cache
 is made outside a function body, nor a module-level name written into by a
-function, unless it is listed below; and a module's generators are read
-only through HModule.gens.  The re-exports of __init__.py and names that
+function, unless it is listed below; a module's generators are read
+only through HModule.gens; and no module reads the process environment,
+so each setting is a command-line option.  The re-exports of __init__.py and names that
 start with "_" are exempt from the first two."""
 
 import ast
@@ -30,6 +31,8 @@ MUTATORS = {"clear", "update", "setdefault", "pop", "append", "add"}
 # reads the stacks HModule.gens and gens0()
 GENERATOR_ATTRS = {"Msigma", "Mtau"}
 GENERATOR_CALLS = {"sigma0", "tau0"}
+# the names of os through which a module reads the process environment
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
 
 def _reads(tree: ast.AST) -> set:
@@ -169,6 +172,19 @@ def generator_reads(name: str, source: str) -> list:
     return sorted(found)
 
 
+def environment_reads(name: str, source: str) -> list:
+    """Each use of a name in ENVIRONMENT_NAMES, as an attribute or
+    imported from os, as module:line name."""
+    stem = name[:-len(".py")]
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, a.name) for a in node.names if a.name in ENVIRONMENT_NAMES]
+    return [f"{stem}:{line} {attr}" for line, attr in sorted(found)]
+
+
 def test_every_source_is_checked():
     assert len(SOURCES) >= 8
 
@@ -207,6 +223,10 @@ def test_guard_sees_what_it_guards_against():
               "def h(M, Msigma):\n    return M.tau0(), sigma0(M), HModule(M.ctx, Msigma, Msigma)\n")
     assert generator_reads("probe.py", layout) == ["probe:5 .Msigma", "probe:5 .Mtau",
                                                    "probe:7 sigma0()", "probe:7 tau0()"]
+    env = ("import os\nfrom os import getenv as ge, path\nA = os.environ.get('X', '0')\n"
+           "B = os.getenv('Y')\nC = os.path.join('a', 'b')\nD = os.environ['Z']\n")
+    assert environment_reads("probe.py", env) == ["probe:2 getenv", "probe:3 environ",
+                                                  "probe:4 getenv", "probe:6 environ"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -236,3 +256,8 @@ def test_unbounded_caches_are_listed():
     found = {c for path in SOURCES for c in unbounded_caches(path.name, path.read_text())}
     # a listed cache that is gone is taken off the list
     assert found == UNBOUNDED_CACHES
+
+
+def test_no_module_reads_the_environment():
+    found = [r for path in SOURCES for r in environment_reads(path.name, path.read_text())]
+    assert found == []
