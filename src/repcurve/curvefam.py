@@ -240,17 +240,6 @@ def holo_graded(params: CurveParams) -> GradedModule:
     return gm
 
 
-def _dr_piece(params: CurveParams, omega_idx: tuple, eta_idx: tuple) -> tuple:
-    """(gens, labels, meta) of the de Rham piece on the index sets: gens is
-    its unchecked (2, dim, dim) dr_action stack."""
-    d = len(omega_idx)
-    # the two independently derived index sets must tile 0..p^2-1 minus {d}
-    assert eta_idx == tuple(range(d + 1, params.p ** 2))
-    gens = dr_action(params.ctx, d, params.beta, params.gamma)
-    labels = tuple([f"w{i}" for i in omega_idx] + [f"eta{i}" for i in eta_idx])
-    return gens, labels, {"kind": "dr_piece", "d": d}
-
-
 def dr_graded(params: CurveParams) -> GradedModule:
     """Graded first hypercohomology of the family member: piece c mixes
     the regular differentials at character m-c (labels w_i) with the tail
@@ -263,10 +252,17 @@ def dr_graded(params: CurveParams) -> GradedModule:
     An empty family (m = 1) checks nothing."""
     p, m = params.p, params.m
     keys = [(index_I(p, m, m - c), index_J(p, m, c)) for c in range(1, m)]
-    specs = {key: _dr_piece(params, *key) for key in dict.fromkeys(keys)}
-    if specs:
-        check_actions(params.ctx, np.stack([gens for gens, *_ in specs.values()]))
-    built = {key: HModule._derived(params.ctx, *spec) for key, spec in specs.items()}
+    distinct = list(dict.fromkeys(keys))
+    # the two independently derived index sets must tile 0..p^2-1 minus {d}
+    assert all(eta == tuple(range(len(omega) + 1, p * p)) for omega, eta in distinct)
+    gens = [dr_action(params.ctx, len(omega), params.beta, params.gamma) for omega, _ in distinct]
+    if gens:
+        check_actions(params.ctx, np.stack(gens))
+    built = {}
+    for (omega, eta), G in zip(distinct, gens):
+        labels = [f"w{i}" for i in omega] + [f"eta{i}" for i in eta]
+        built[omega, eta] = HModule._derived(params.ctx, G, labels,
+                                             {"kind": "dr_piece", "d": len(omega)})
     gm = GradedModule(params, "dr", {c: built[key] for c, key in enumerate(keys, 1)})
     assert gm.total_dim() == (m - 1) * (p ** 2 - 1)
     return gm

@@ -15,7 +15,7 @@ import json
 import random
 import time
 import traceback
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -455,31 +455,41 @@ def _cross_grid(p: int) -> tuple:
     return _sample(p, (2, p * p + 1), (p * p + 1,))
 
 
-def _graded_suite(p: int, kind: str, build, total, piece_check) -> List[Case]:
-    """The cases of a graded suite at each exponent of _cross_grid(p): the
-    total dimension of build(params) is total(params), and piece c passes
-    piece_check(params, c, piece).  Each family is built once per run."""
+@km._memo
+def _family(ctx: FieldCtx, kind: str, m: int):
+    """The graded family of kind ("holo" or "dr") at exponent m, alpha the
+    generator of ctx, kept on the field context as vdr_quotient is: the
+    holo, dr and hodge suites and a second run read one build.  The builder
+    is read from curvefam at each call, so a replacement put there runs."""
+    build = cf.holo_graded if kind == "holo" else cf.dr_graded
+    return build(cf.curve_params(ctx, m, ctx.gen()))
+
+
+def _graded_suite(p: int, name: str, kind: str, exponents, total, piece_check) -> List[Case]:
+    """The cases of suite name over the family of kind at each exponent:
+    the total dimension of the family gm is total(gm) unless total is
+    None, and piece c passes piece_check(gm, c)."""
     ctx = default_ctx(p)
-    graded = lru_cache(maxsize=None)(build)
 
-    def total_case(params, _s):
-        gm = graded(params)
-        return gm.total_dim() == total(params), f"total={gm.total_dim()}"
+    def total_case(m, _s):
+        gm = _family(ctx, kind, m)
+        return gm.total_dim() == total(gm), f"total={gm.total_dim()}"
 
-    def piece_case(params, c, _s):
-        return piece_check(params, c, graded(params).piece(c))
+    def piece_case(m, c, _s):
+        return piece_check(_family(ctx, kind, m), c)
 
     cases: List[Case] = []
-    for m in _cross_grid(p):
-        params = cf.curve_params(ctx, m, ctx.gen())
-        cases.append((f"{kind}/p{p}/m{m:02d}/total", partial(total_case, params)))
-        cases += [(f"{kind}/p{p}/m{m:02d}/c{c:02d}", partial(piece_case, params, c))
+    for m in exponents:
+        if total is not None:
+            cases.append((f"{name}/p{p}/m{m:02d}/total", partial(total_case, m)))
+        cases += [(f"{name}/p{p}/m{m:02d}/c{c:02d}", partial(piece_case, m, c))
                   for c in range(1, m)]
     return cases
 
 
 def _suite_holo(p: int, seed: int) -> List[Case]:
-    def piece_check(params, c, piece):
+    def piece_check(gm, c):
+        params, piece = gm.params, gm.piece(c)
         d = cf.dd(p, params.m, c)
         initial = cf.index_I(p, params.m, c) == tuple(range(d))
         if d == 0:
@@ -490,17 +500,18 @@ def _suite_holo(p: int, seed: int) -> List[Case]:
         ok = initial and np.array_equal(piece.gens, D[:, :d, :d])
         return ok, f"dim={d},entrywise"
 
-    return _graded_suite(p, "holo", cf.holo_graded,
-                         lambda params: cf.genus(p, params.m), piece_check)
+    return _graded_suite(p, "holo", "holo", _cross_grid(p),
+                         lambda gm: cf.genus(p, gm.params.m), piece_check)
 
 
 def _suite_dr(p: int, seed: int) -> List[Case]:
     pp = p * p
 
-    def piece_check(params, c, piece):
+    def piece_check(gm, c):
         # against the paper's quotient, not v_dr, which shares the piece's
         # construction; vdr_quotient keeps one per (field, d, beta), so a d
         # repeated across m reads it
+        params, piece = gm.params, gm.piece(c)
         d = piece.meta["d"]
         model = km.vdr_quotient(params.ctx, d, params.beta)
         _, pos, scale = km.vdr_label_map(params.ctx, d, params.gamma)
@@ -511,24 +522,16 @@ def _suite_dr(p: int, seed: int) -> List[Case]:
               and _rank_stack(params.ctx, F[None])[0] == piece.dim == model.dim)
         return ok, f"d={d},intertwiner"
 
-    return _graded_suite(p, "dr", cf.dr_graded,
-                         lambda params: (params.m - 1) * (pp - 1), piece_check)
+    return _graded_suite(p, "dr", "dr", _cross_grid(p),
+                         lambda gm: (gm.params.m - 1) * (pp - 1), piece_check)
 
 
 def _suite_hodge(p: int, seed: int) -> List[Case]:
-    ctx = default_ctx(p)
-    graded = lru_cache(maxsize=None)(cf.dr_graded)
-
-    def hodge_case(params, c, _s):
-        rep = cf.hodge_check(graded(params), c)
+    def piece_check(gm, c):
+        rep = cf.hodge_check(gm, c)
         return rep["verdict"], f"sub={rep['sub_dim']},quot={rep['quotient_dim']}"
 
-    cases: List[Case] = []
-    for m in _sample(p, _cross_grid(p), ()):
-        params = cf.curve_params(ctx, m, ctx.gen())
-        cases += [(f"hodge/p{p}/m{m:02d}/c{c:02d}", partial(hodge_case, params, c))
-                  for c in range(1, m)]
-    return cases
+    return _graded_suite(p, "hodge", "dr", _sample(p, _cross_grid(p), ()), None, piece_check)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +558,7 @@ SUITE_NAMES = tuple(_BUILDERS)
 def build_cases(suite: str, p_values, seed: int) -> List[Case]:
     names = SUITE_NAMES if suite == "all" else (suite,)
     if suite != "all" and suite not in _BUILDERS:
-        raise RepcurveError(f"unknown suite {suite!r}")
+        raise BadParams(f"unknown suite {suite!r}")
     unsupported = [p for p in p_values if p not in ADMITTED_PRIMES]
     if unsupported:
         raise BadParams(f"suites run at p in {list(ADMITTED_PRIMES)}, not at {unsupported}")

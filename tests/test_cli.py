@@ -82,6 +82,16 @@ def test_build_refuses_out_of_range_modulus(capsys, modulus, coef):
     assert f"modulus coefficient {coef} " in rec["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("build", "vd", "--p", "3", "--modulus", "1,x,1", "--d", "2", "--beta", "0,1"),
+    ("query", "indec", "a.json", "b.json"),
+], ids=["modulus-not-integers", "indec-two-files"])
+def test_usage_errors_write_one_error_record(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert set(json.loads(err)) == {"error", "message"}
+
+
 @pytest.mark.parametrize("m", [101, 4000, 10**9])
 def test_build_refuses_exponent_above_limit(capsys, m):
     code, out, err = run(capsys, "build", "dr", "--p", "3", "--m", str(m),
@@ -550,6 +560,25 @@ def test_main_runs_without_mallopt(monkeypatch, capsys, tmp_path, cdll):
     assert without == with_policy
 
 
+def test_queries_on_a_zero_dimensional_module(capsys, tmp_path):
+    # the Jordan type of each of the q + 1 scanned points is empty, and a
+    # decision refuses the module
+    ctx = default_ctx(3)
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(km.module_to_json(
+        km.HModule(ctx, Mat.zeros(ctx, 0, 0), Mat.zeros(ctx, 0, 0)))))
+    code, out, _ = run(capsys, "query", "jordan", str(zero))
+    ans = json.loads(out)
+    assert code == 0 and ans["generic"] == [] and ans["constant"] is True
+    assert [point["type"] for point in ans["scan"]] == [[]] * (ctx.q + 1)
+    assert run(capsys, "query", "profile", str(zero))[0] == 0
+    code, out, _ = run(capsys, "query", "iso", str(zero), str(zero))
+    ans = json.loads(out)
+    assert code == 0 and (ans["verdict"], ans["method"]) == ("YES", "equal-matrices")
+    code, out, err = run(capsys, "query", "indec", str(zero))
+    assert code == 2 and out == "" and json.loads(err)["error"] == "BadDimension"
+
+
 def test_query_bad_file(capsys, tmp_path):
     missing = tmp_path / "nope.json"
     code, _, err = run(capsys, "query", "profile", str(missing))
@@ -613,6 +642,19 @@ def test_verify_md_rows_match_json(capsys):
     for row, case in zip(rows, rep["cases"]):
         cells = [c.strip() for c in row.strip("|").split("|")]
         assert cells[0] == case["case"] and cells[1] == case["verdict"]
+
+
+@pytest.mark.parametrize("suite", ["hodge", "dr"])
+def test_a_graded_suite_alone_prints_its_rows_of_verify_all(capsys, suite):
+    # both read the p = 3 de Rham families kept on the field context: run
+    # alone, the suite builds them itself, and verify all then reads them
+    def rows(name):
+        code, out, _ = run(capsys, "verify", name, "--p", "3", "--format", "md")
+        assert code == 0
+        return [line for line in out.splitlines() if line.startswith(f"| {suite}/")]
+
+    alone = rows(suite)
+    assert alone and alone == rows("all")
 
 
 def test_verify_failure_exits_one(monkeypatch, capsys):

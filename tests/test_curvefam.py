@@ -145,7 +145,7 @@ def _counted(monkeypatch, name, calls):
 def test_each_distinct_piece_is_built_once(monkeypatch, kind, p, m):
     ctx = default_ctx(p)
     calls = {}
-    for name in ("index_I", "index_J", "_dr_piece"):
+    for name in ("index_I", "index_J", "dr_action"):
         _counted(monkeypatch, name, calls)
     params = curve_params(ctx, m, ctx.gen())
     gm = holo_graded(params) if kind == "holo" else dr_graded(params)
@@ -157,7 +157,8 @@ def test_each_distinct_piece_is_built_once(monkeypatch, kind, p, m):
             for c in range(1, m)}
     distinct = set(keys.values())
     assert len(distinct) <= p * p
-    assert calls.get("_dr_piece", 0) == (len(distinct) if kind == "dr" else 0)
+    # one dr_action stack per distinct de Rham piece
+    assert calls.get("dr_action", 0) == (len(distinct) if kind == "dr" else 0)
     assert len({id(piece) for piece in gm.pieces.values()}) == len(distinct)
     for c in range(1, m):
         for c2 in range(1, m):

@@ -464,7 +464,7 @@ def test_planted_fault_in_one_dr_piece_is_reported(monkeypatch, capsys):
     monkeypatch.setattr(km, "dr_action", broken)
     monkeypatch.setattr(cf, "dr_action", broken)
     # piece c = 5 has d = dd(10 - 5) = 4; the others are sound
-    gens, _, _ = cf._dr_piece(params, cf.index_I(3, 10, 5), cf.index_J(3, 10, 5))
+    gens = km.dr_action(ctx, cf.dd(3, 10, 10 - 5), params.beta, params.gamma)
     with pytest.raises(OrderViolation) as alone:
         km.HModule(ctx, *(Mat(ctx, X) for X in gens))
     assert main(["build", "dr", "--p", "3", "--m", "10", "--alpha", "0,1"]) == 2
@@ -672,17 +672,19 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     # flag took one per word degree, 13,526 steps when each filtration
     # level took its own).  It computes 11 End/J splits, the indec suite
     # reading those of its v_dr cases itself.  It forms no filtration level
-    # and makes 1,584 products (1,669 when the Hodge check built and checked
-    # its own piece; 1,833 when a quotient proved its subspace invariant apart
-    # from its change of basis and the socle restriction tested membership;
+    # and makes 1,580 products (1,584 when the hodge suite built the p = 3
+    # de Rham families apart from the dr suite; 1,669 when the Hodge check
+    # built and checked its own piece; 1,833 when a quotient proved its
+    # subspace invariant apart from its change of basis and the socle
+    # restriction tested membership;
     # 1,907 when a witness check and the dr suite's intertwiner check took
     # one product per generator, 2,056 when each v_d member took its own
     # order and commute check, 2,541 when every derived module did, and a
     # quotient and a dual formed each generator apart; 3,104 before the decision, quotient and core memos, 3,468 when each
     # module check formed the squares apart from sigma tau and tau sigma,
     # 4,586 when each graded piece took its own order and commute check) in
-    # 83 check_actions calls (91, 153, 306); counts, unlike times, are free
-    # of host noise
+    # 81 check_actions calls (83, 91, 153, 306); counts, unlike times, are
+    # free of host noise
     decisions = _count_computed(monkeypatch, "is_isomorphic")
     dims = _count_computed(monkeypatch, "_hom_dims")
     solves = _count_computed(monkeypatch, "_hom_solve")
@@ -715,8 +717,40 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     assert levels == []
     counts = (len(decisions), len(dims), len(solves), len(conds), len(steps), sum(steps),
               len(profiles), sum(profiles), len(products), len(checks), len(splits))
-    most = (241, 141, 122, 377, 678, 6314, 147, 1704, 1584, 83, 11)
+    most = (241, 141, 122, 377, 678, 6314, 147, 1704, 1580, 81, 11)
     assert all(n <= m for n, m in zip(counts, most)), counts
+
+
+def _count_family_builds(monkeypatch) -> list:
+    """Record (kind, p, m) of each holo_graded and dr_graded call."""
+    builds = []
+    for kind in ("holo", "dr"):
+        def counted(params, kind=kind, real=getattr(cf, f"{kind}_graded")):
+            builds.append((kind, params.p, params.m))
+            return real(params)
+
+        monkeypatch.setattr(cf, f"{kind}_graded", counted)
+    return builds
+
+
+def test_verify_all_builds_each_graded_family_once(monkeypatch):
+    # the holo, dr and hodge suites read one family per (field, kind, m),
+    # kept on the field context; when the dr and hodge suites each kept
+    # their own, the p = 3 de Rham families at m = 2 and 10 were built twice
+    builds = _count_family_builds(monkeypatch)
+    assert run_suite("all", SUITE_PRIMES, seed=0)["exit"] == 0
+    assert sorted(builds) == [(kind, p, m) for kind in ("dr", "holo")
+                              for p, m in ((3, 2), (3, 10), (5, 26))]
+
+
+def test_a_second_run_builds_and_checks_no_family(monkeypatch):
+    # the second run reads every family from its field context: it made 5
+    # builds and 5 checks, one per de Rham build, when each run kept its own
+    first = report_to_json(run_suite("all", SUITE_PRIMES, seed=0))
+    builds = _count_family_builds(monkeypatch)
+    checks = _count_checks(monkeypatch)
+    assert report_to_json(run_suite("all", SUITE_PRIMES, seed=0)) == first
+    assert builds == [] and checks == []
 
 
 # the memos of a decision, of the paper's quotient and of the case-II cores

@@ -13,11 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from repcurve import curvefam as cf
 from repcurve import kmod as km
-from repcurve.errors import (BadDimension, BadParams, ContextMismatch, OutOfRange,
-                             ShapeMismatch)
-from repcurve.ff import default_ctx
+from repcurve.errors import (BadDimension, BadParams, ContextMismatch, DegreeMismatch,
+                             DivisionByZero, OutOfRange, PrimeFieldElement, PrimeFieldOnly,
+                             ShapeMismatch, UnlabeledModule)
+from repcurve.ff import alpha_from_beta, ctx_new, default_ctx, enumerate_nonprime
 from repcurve.linalg import Mat, Subspace, field_rows, invert, solve, solve_matrix
 from repcurve.poly import Poly1, Poly2
+from repcurve.suites import run_suite
 
 CTX = default_ctx(3)  # F_9, where the encoded and the el readings of 4 differ
 F3 = default_ctx(3, 1)
@@ -120,6 +122,19 @@ REFUSALS = {
                           ShapeMismatch),
     "field_rows-width": (lambda: field_rows(CTX, np.zeros((2, 3), dtype=np.int64), 2),
                          ShapeMismatch),
+    "ctx_new-not-monic": (lambda: ctx_new(3, 2, (1, 0, 2)), DegreeMismatch),
+    "FieldCtx.encode-degree": (lambda: CTX.encode([0, 0, 1]), DegreeMismatch),
+    "gen-prime-field": (lambda: F3.gen(), PrimeFieldOnly),
+    "enumerate_nonprime-prime-field": (lambda: enumerate_nonprime(F3), PrimeFieldOnly),
+    "alpha_from_beta-prime": (lambda: alpha_from_beta(CTX.el(1)), PrimeFieldElement),
+    "pow_idx-inverse-of-zero": (lambda: CTX.pow_idx(0, -1), DivisionByZero),
+    "basis_vector-label": (lambda: M.basis_vector("nope"), UnlabeledModule),
+    "Poly1.monomial-negative": (lambda: Poly1.monomial(CTX, 1, -1), OutOfRange),
+    "Poly1+Poly2": (lambda: Poly1(F3, [1]) + Poly2(F3, [[1]]), ContextMismatch),
+    "Poly1+fields": (lambda: Poly1(CTX, [1]) + Poly1(C5, [1]), ContextMismatch),
+    "Poly1-coefficient-field": (lambda: Poly1(CTX, [C5.el(1)]), ContextMismatch),
+    # the command line offers only the known suites
+    "run_suite-unknown": (lambda: run_suite("nope"), BadParams),
 }
 
 

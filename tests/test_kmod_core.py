@@ -108,6 +108,10 @@ def test_dual_and_direct_sum_dims():
     S = direct_sum(M, trivial_module(C3))
     assert S.dim == 6
     assert fixed_space(S).dim == 2
+    # a sum with an unlabeled summand has no labels, in either order
+    N = HModule(C3, Mat.identity(C3, 1), Mat.identity(C3, 1))
+    assert N.labels is None
+    assert direct_sum(M, N).labels is None and direct_sum(N, M).labels is None
 
 
 def test_sub_quotient_roundtrip():
