@@ -36,7 +36,7 @@ def _parse_modulus(text: str) -> tuple:
     try:
         return tuple(int(c) for c in text.split(","))
     except ValueError:
-        raise RepcurveError(f"modulus must be comma-separated integers, got {text!r}")
+        raise BadParams(f"modulus must be comma-separated integers, got {text!r}")
 
 
 def _ctx_from_args(args):
@@ -137,7 +137,7 @@ def _require(args, names) -> None:
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
         flags = ", ".join(f"--{n}" for n in missing)
-        raise RepcurveError(f"build {args.kind} needs {flags}")
+        raise BadParams(f"build {args.kind} needs {flags}")
 
 
 # stock kind -> kmod constructor; builders are looked up on their module
@@ -169,7 +169,7 @@ def cmd_build(args) -> int:
 
 def _query_ddeg(args, M: km.HModule) -> dict:
     if (args.label is None) == (args.vector is None):
-        raise RepcurveError("ddeg needs exactly one of --label or --vector")
+        raise BadParams("ddeg needs exactly one of --label or --vector")
     if args.label is not None:
         v = M.basis_vector(args.label)
         shown = args.label
@@ -189,13 +189,13 @@ def cmd_query(args) -> int:
             raise BadParams(f"--{flag} applies to query {kind} only, not {args.kind}")
     if args.kind == "iso":
         if len(args.modules) != 2:
-            raise RepcurveError("iso needs exactly two module files")
+            raise BadParams("iso needs exactly two module files")
         A, B = map(_load_module, args.modules)
         dec = km.is_isomorphic(A, B)
         payload = dec.to_json()
     else:
         if len(args.modules) != 1:
-            raise RepcurveError(f"{args.kind} needs exactly one module file")
+            raise BadParams(f"{args.kind} needs exactly one module file")
         M = _load_module(args.modules[0])
         if args.kind == "indec":
             payload = km.is_indecomposable(M).to_json()

@@ -775,20 +775,22 @@ def _hom_source_data(M: HModule) -> dict:
     rel = kernel(Mat(ctx, E))
     # the columns of E that are not kernel pivots are independent and span
     # the column space of E, so they give an invertible evaluation submatrix
-    outside = np.ones(E.shape[1], dtype=bool)
-    outside[rel.pivots] = False
-    piv = np.nonzero(outside)[0]
-    # sigma0 and tau0 shift the word index (a, b) of a relation to (a + 1, b)
-    # and (a, b + 1); the relations at rel's pivots outside those of
-    # sigma0*rel + tau0*rel span rel modulo it, so they generate rel as a
-    # module, and over the commutative group algebra their conditions on a
-    # map imply those of every relation
-    R = rel.basis.reshape(rel.dim, t, p, p)
-    shifted = np.zeros((2,) + R.shape, dtype=np.int64)
-    shifted[0, :, :, 1:, :] = R[:, :, :-1, :]
-    shifted[1, :, :, :, 1:] = R[:, :, :, :-1]
-    J = Subspace.from_rows(ctx, rel.ambient, shifted.reshape(2 * rel.dim, rel.ambient))
-    relgens = rel.basis[~np.isin(rel.pivots, J.pivots)]
+    lead = np.zeros(E.shape[1], dtype=bool)
+    lead[rel.pivots] = True
+    piv = np.nonzero(~lead)[0]
+    # rel's rows are in RREF, each led by its lowest term: word (a, b) of
+    # generator i at column i*p^2 + a*p + b.  sigma0 and tau0 shift a term
+    # to (a + 1, b) and (a, b + 1), which keeps the order of terms, so a
+    # word times a relation is led by the word times its pivot while that
+    # is nonzero, and the pivots of rel are closed under both shifts.
+    # Every relation is then cut to zero by word multiples of the rows at
+    # the pivots that are neither shift of another pivot (a standard basis
+    # for the word order): those rows generate rel as a module, and over
+    # the commutative group algebra their conditions on a map imply those
+    # of every relation
+    a, b = rel.pivots % (p * p) // p, rel.pivots % p
+    shifted = ((a > 0) & lead[rel.pivots - p]) | ((b > 0) & lead[rel.pivots - 1])
+    relgens = rel.basis[~shifted]
     return {"t": t, "E": E, "relgens": relgens, "piv": piv}
 
 
@@ -822,9 +824,10 @@ def _hom_conditions(M: HModule, N: HModule) -> np.ndarray:
 def _hom_solve(M: HModule, N: HModule) -> Subspace:
     """The relation solve: the generator images in N^t of every map
     M -> N, as the kernel of _hom_conditions, kept on M per N.  End(M) is
-    its (M, M) value, which end_dim reads and hom_space(M, M) reuses; the
-    dims of two modules come from _hom_dims, with no kernel.  A condition
-    matrix that _hom_dims kept for this solve is taken and dropped."""
+    its (M, M) value, which hom_space(M, M) reuses and end_dim reads for a
+    module neither cyclic nor cocyclic; the dims of two modules come from
+    _hom_dims, with no kernel.  A condition matrix that _hom_dims kept for
+    this solve is taken and dropped."""
     if M.ctx != N.ctx:
         raise ContextMismatch("modules over different field contexts")
     if M.dim == 0 or N.dim == 0:
@@ -875,7 +878,7 @@ def hom_space(M: HModule, N: HModule) -> Subspace:
     """Canonical basis of the space of module maps M -> N, as row-major
     vectorized dim(N) x dim(M) matrices, rebuilt from the relation solve
     _hom_solve(M, N), kept on M per N; hom_space(M, M) reuses the End
-    solve of end_dim.
+    solve that end_dim may have made.
 
     Solved through a generator/relation presentation of M: a map is a
     choice of images for the generators annihilating the relations that
@@ -907,16 +910,32 @@ def hom_space(M: HModule, N: HModule) -> Subspace:
     return Subspace.from_rows(ctx, amb, Phi.reshape(S, amb))
 
 
+def _cyclic_or_cocyclic(M: HModule, s: int) -> bool:
+    """Whether M, with socle S_0 of dim s, is cocyclic (s = 1) or cyclic
+    (a top of dim t = 1, read from its presentation, which the Hom dims
+    of M read too).  Then End(M) is local of dim dim M: a cyclic M is A/I
+    over the commutative local group algebra A, so End(M) = A/I; a
+    cocyclic M has a cyclic dual, and End(M) is the opposite of its End.
+    The radical of End(M) kills the socle, and the identity does not, so
+    its image in End(S_0) is the scalars."""
+    return s == 1 or _hom_source_data(M)["t"] == 1
+
+
 def end_dim(M: HModule) -> int:
-    """dim End(M) from the cached relation solve; no map is built."""
+    """dim End(M): dim M when M is cyclic or cocyclic, else from the
+    cached relation solve; no map is built.  Its callers form the flag
+    first, so the socle dim is at hand."""
+    if _cyclic_or_cocyclic(M, filtration_dims(M)[0]):
+        return M.dim
     return _hom_solve(M, M).dim
 
 
 def end_algebra(M: HModule) -> tuple:
     """(hom_space(M, M), its basis as one read-only (g, dim M, dim M)
-    view, g = dim End(M)).  The maps are rebuilt from the End solve that
-    end_dim caches, so End(M) is eliminated once per module; only
-    _end_split, memoized itself, needs this basis."""
+    view, g = dim End(M)).  The maps are rebuilt from the cached End
+    solve, so End(M) is eliminated at most once per module; only
+    _end_split, memoized itself, needs this basis, and not for a cyclic or
+    cocyclic module."""
     H = hom_space(M, M)
     return H, H.basis.reshape(H.dim, M.dim, M.dim)
 
@@ -974,8 +993,8 @@ def is_isomorphic(M: HModule, N: HModule) -> IsoDecision:
     4. the dims of Hom(M, N), Hom(N, M) and both End algebras: NO,
        "hom-dim-mismatch" unless all four agree and are nonzero.  The two
        Hom dims come from one stacked rank of both condition matrices
-       (_hom_dims, kept on both modules), the End dims from the End
-       solves step 3 cached (end_dim); no kernel of Hom(M, N) is formed
+       (_hom_dims, kept on both modules), the End dims are those step 3
+       read (end_dim); no kernel of Hom(M, N) is formed
        here, and a NO drops the conditions _hom_dims kept for step 5;
     5. the map basis of Hom(M, N) (hom_space), rebuilt from its relation
        solve, the one Hom kernel of the decision, kept on M per N, and
@@ -1220,7 +1239,9 @@ def _fitting_split(M: HModule, reps: np.ndarray) -> Optional[tuple]:
 @_memo
 def _end_split(M: HModule) -> tuple:
     """(dims of End(M), J, End/J and the socle image E', Fitting split or
-    None), cached on M.  E' is the image of the restriction End(M) ->
+    None), cached on M.  A cyclic or cocyclic module has them in closed
+    form and no split (_cyclic_or_cocyclic), with no End basis formed.
+    Otherwise E' is the image of the restriction End(M) ->
     End(soc M), soc M = fixed_space(M), of dim s; its kernel is nil (x in
     it is bijective on L = im x^dim M and kills soc L, so L = 0), so J is
     the preimage of J(E'), End/J = E'/J(E') and the radical runs on s x s
@@ -1233,9 +1254,14 @@ def _end_split(M: HModule) -> tuple:
     neither nilpotent nor invertible; so the scan finds a split exactly
     when End/J is not a division algebra."""
     ctx = M.ctx
-    Hend, E = end_algebra(M)
     soc = fixed_space(M)
-    g, s = Hend.dim, soc.dim
+    s = soc.dim
+    if _cyclic_or_cocyclic(M, s):
+        # End(M) is local, of dim dim M, and its socle image the scalars
+        return {"end_dim": M.dim, "radical_dim": M.dim - 1, "semisimple_dim": 1,
+                "socle_dim": s, "socle_image_dim": 1, "socle_image_radical_dim": 0}, None
+    Hend, E = end_algebra(M)
+    g = Hend.dim
     # column j of x soc^T is x(v_j) for socle basis vector v_j, in soc M;
     # its coordinates, column j of x on soc M, are its entries at the pivots
     R = _matmul_idx(ctx, E, soc.basis.T)[:, soc.pivots, :]

@@ -11,6 +11,8 @@ per power, the dominance order by prefix sums, the trace identities by
 raising each linear form to the power p^2 - 1, and matrix powers one
 factor at a time.  conjugate and conjugate_by write a module in another
 basis, so a test cannot read the answer off coordinate vectors.
+presented_modules names the modules on which the presentation and the
+End of a cyclic or cocyclic module are compared with the general path.
 """
 
 import random
@@ -21,7 +23,7 @@ import numpy as np
 from repcurve import kmod as km
 from repcurve.errors import (ContextMismatch, OutOfRange, RepcurveError, ShapeMismatch,
                              UnlabeledModule)
-from repcurve.ff import FieldCtx, FieldElem
+from repcurve.ff import FieldCtx, FieldElem, default_ctx
 from repcurve.linalg import Mat, Subspace, _matmul_idx, field_rows, invert, kernel, rank
 from repcurve.poly import Poly1, Poly2
 
@@ -331,3 +333,38 @@ def dominance_compare(lam: tuple, mu: tuple) -> Optional[int]:
     if le:
         return -1
     return None
+
+
+def presented_modules() -> dict:
+    """name -> builder of v_d and v_dr at p = 3, 5 and 7, each also
+    dualized, the regular module, the augmentation ideal, direct sums and
+    modules in a random basis (conjugate, seeded by their name).  Each
+    builder makes its module when called, so a test starts from a module
+    with nothing cached on it.  They cover cyclic and cocyclic modules with
+    a socle or top of dim 2, modules with both of dim 2, and relation
+    counts above the minimal one."""
+    out = {}
+    for p, vd, vdr in ((3, range(1, 10), range(0, 10)), (5, (4, 6, 12, 19), (1, 12, 24)),
+                       (7, (8, 20), (1, 9))):
+        ctx = default_ctx(p)
+        t = ctx.gen()
+        for kind, build, ds in (("vd", km.v_d, vd), ("vdr", km.v_dr, vdr)):
+            for d in ds:
+                out[f"p{p}/{kind}{d}"] = lambda b=build, c=ctx, d=d, t=t: b(c, d, t)
+                out[f"p{p}/dual-{kind}{d}"] = lambda b=build, c=ctx, d=d, t=t: km.dual(b(c, d, t))
+        if p < 7:
+            out[f"p{p}/regular"] = lambda c=ctx: km.regular_module(c)
+            out[f"p{p}/aug"] = lambda c=ctx: km.augmentation_ideal(c)
+            out[f"p{p}/dual-aug"] = lambda c=ctx: km.dual(km.augmentation_ideal(c))
+    C3, C5 = default_ctx(3), default_ctx(5)
+    T3, T5 = C3.gen(), C5.gen()
+    out.update({
+        "p3/vd3+vd3": lambda: km.direct_sum(km.v_d(C3, 3, T3), km.v_d(C3, 3, T3)),
+        "p3/vd2+dual-vdr1": lambda: km.direct_sum(km.v_d(C3, 2, T3), km.dual(km.v_dr(C3, 1, T3))),
+        "p3/vd4+trivial": lambda: km.direct_sum(km.v_d(C3, 4, T3), km.trivial_module(C3)),
+        "p5/vd4+vd6": lambda: km.direct_sum(km.v_d(C5, 4, T5), km.v_d(C5, 6, T5)),
+    })
+    for name in ("p3/vd5", "p3/vdr1", "p3/vdr4", "p3/vdr8", "p3/dual-aug", "p5/vd12"):
+        out[name.replace("/", "/conj-")] = (
+            lambda build=out[name], name=name: conjugate(build(), random.Random(name)))
+    return out

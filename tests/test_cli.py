@@ -85,11 +85,15 @@ def test_build_refuses_out_of_range_modulus(capsys, modulus, coef):
 @pytest.mark.parametrize("argv", [
     ("build", "vd", "--p", "3", "--modulus", "1,x,1", "--d", "2", "--beta", "0,1"),
     ("query", "indec", "a.json", "b.json"),
-], ids=["modulus-not-integers", "indec-two-files"])
+    ("query", "iso", "a.json"),
+], ids=["modulus-not-integers", "indec-two-files", "iso-one-file"])
 def test_usage_errors_write_one_error_record(capsys, argv):
+    # usage refusals are BadParams; the base RepcurveError is left to file
+    # errors
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert set(json.loads(err)) == {"error", "message"}
+    rec = json.loads(err)
+    assert set(rec) == {"error", "message"} and rec["error"] == "BadParams"
 
 
 @pytest.mark.parametrize("m", [101, 4000, 10**9])
@@ -106,7 +110,7 @@ def test_build_refuses_exponent_above_limit(capsys, m):
 def test_build_missing_flags(capsys):
     code, _, err = run(capsys, "build", "vd", "--p", "3")
     assert code == 2
-    assert "RepcurveError" in json.loads(err)["error"]
+    assert json.loads(err)["error"] == "BadParams"
 
 
 def test_build_graded(capsys):
@@ -449,7 +453,7 @@ def test_query_ddeg_label_and_vector(capsys, tmp_path):
                        "1,0;0,0;0,0;0,0;0,0;0,0;0,0;0,0;0,0")
     assert code == 0 and json.loads(out)["ddeg"] == 0
     code, _, err = run(capsys, "query", "ddeg", str(a))
-    assert code == 2
+    assert code == 2 and json.loads(err)["error"] == "BadParams"
 
 
 @pytest.mark.parametrize("parts", [3, 5])

@@ -22,7 +22,7 @@ from repcurve.cli import main
 from repcurve.ff import FieldCtx, ctx_new, default_ctx
 from repcurve.linalg import Mat, Subspace, kernel
 from repcurve.suites import SUITE_PRIMES, report_to_json, run_suite
-from reference import conjugate, intertwiner_space, matpow
+from reference import conjugate, intertwiner_space, matpow, presented_modules
 
 C3 = default_ctx(3)
 C5 = default_ctx(5)
@@ -224,6 +224,28 @@ def test_hom_from_relation_generators_matches_reference(ctx, seed, kind_m, kind_
     assert closure == rel
     H = km.hom_space(M, N)
     assert H == intertwiner_space([M.Msigma, M.Mtau], [N.Msigma, N.Mtau])
+
+
+PRESENTED = presented_modules()
+# modules whose kept relations outnumber the fewest that generate rel: the
+# rows at the pivots that no other pivot shifts to generate rel, but their
+# pivots need not be minimal generators of rel
+EXTRA_RELATIONS = {"p3/vd4": 1, "p5/vd12": 3}
+
+
+@pytest.mark.parametrize("name", list(PRESENTED))
+def test_kept_relations_generate_every_relation(name):
+    M = PRESENTED[name]()
+    ctx = M.ctx
+    src = km._hom_source_data(M)
+    t, kept = src["t"], src["relgens"]
+    rel = kernel(Mat(ctx, src["E"]))
+    assert Subspace.from_rows(ctx, rel.ambient, _word_shifts(ctx, kept, t)) == rel
+    # rel modulo sigma0*rel + tau0*rel, the shifts by every word but 1, has
+    # the dim of a minimal generating set (Nakayama)
+    moved = Subspace.from_rows(ctx, rel.ambient, _word_shifts(ctx, rel.basis, t)[rel.dim:])
+    extra = len(kept) - (rel.dim - moved.dim)
+    assert extra >= 0 and extra == EXTRA_RELATIONS.get(name, extra)
 
 
 def test_end_vdr_5_12_solves_from_three_relation_generators(monkeypatch):
@@ -663,16 +685,20 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     # `verify all` at seed 0 computes 241 decisions of its 405
     # is_isomorphic calls (413, all computed, before each decision was kept
     # on its first module), 141 Hom dim pairs (each kept on both modules;
-    # 153 before), 122 relation solves (154) and forms 377 condition
-    # matrices (421; 460 when step 5 of is_isomorphic formed its Hom(M, N)
-    # conditions again), and makes 678 eliminations of 6,314 pivot steps
-    # (715 of 7,000 when a witness check and the dr suite's intertwiner
-    # check inverted their map to test it; 977 of 7,966) and 147 flag row
+    # 153 before), 56 relation solves (122 when a cyclic or cocyclic module
+    # solved its End too; 154) and forms 311 condition matrices (377; 421;
+    # 460 when step 5 of is_isomorphic formed its Hom(M, N) conditions
+    # again), and makes 505 eliminations of 5,173 pivot steps (678 of 6,314
+    # when each presentation eliminated sigma0*rel + tau0*rel for its
+    # generating relations and each cyclic or cocyclic End was solved; 715
+    # of 7,000 when a witness check and the dr suite's intertwiner check
+    # inverted their map to test it; 977 of 7,966) and 147 flag row
     # profiles of 1,704 steps (167 of 1,724; 1,635 eliminations when each
     # flag took one per word degree, 13,526 steps when each filtration
     # level took its own).  It computes 11 End/J splits, the indec suite
     # reading those of its v_dr cases itself.  It forms no filtration level
-    # and makes 1,580 products (1,584 when the hodge suite built the p = 3
+    # and makes 1,496 products (1,580 when cyclic and cocyclic modules
+    # solved End; 1,584 when the hodge suite built the p = 3
     # de Rham families apart from the dr suite; 1,669 when the Hodge check
     # built and checked its own piece; 1,833 when a quotient proved its
     # subspace invariant apart from its change of basis and the socle
@@ -717,7 +743,7 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     assert levels == []
     counts = (len(decisions), len(dims), len(solves), len(conds), len(steps), sum(steps),
               len(profiles), sum(profiles), len(products), len(checks), len(splits))
-    most = (241, 141, 122, 377, 678, 6314, 147, 1704, 1580, 81, 11)
+    most = (241, 141, 56, 311, 505, 5173, 147, 1704, 1496, 81, 11)
     assert all(n <= m for n, m in zip(counts, most)), counts
 
 

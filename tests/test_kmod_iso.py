@@ -20,7 +20,8 @@ from repcurve.kmod import (HModule, algebra_radical, augmentation_ideal, direct_
                            is_isomorphic, jordan_scan, module_to_json, profile,
                            regular_module, s_filtration, trivial_module, v_d, v_dr)
 from repcurve.linalg import Mat, Subspace, invert, kernel, solve_matrix
-from reference import conjugate, contains, intertwiner_space, matpow, preimage
+from reference import (conjugate, contains, intertwiner_space, matpow, preimage,
+                       presented_modules)
 
 C3 = default_ctx(3)
 T = C3.gen()
@@ -311,6 +312,34 @@ def socle_image(M):
     image = Subspace.from_rows(ctx, s * s, R)
     rad = algebra_radical(ctx, image.basis.reshape(image.dim, s, s))
     return soc, R, image, rad
+
+
+def top_dim(M) -> int:
+    """dim M / (sigma0 M + tau0 M): the number of generators of M."""
+    I = Mat.identity(M.ctx, M.dim)
+    moved = np.hstack([(M.Msigma - I).data, (M.Mtau - I).data]).T
+    return M.dim - Subspace.from_rows(M.ctx, M.dim, moved).dim
+
+
+PRESENTED = presented_modules()
+
+
+@pytest.mark.parametrize("name", list(PRESENTED))
+def test_end_of_cyclic_and_cocyclic_modules_matches_the_solve(name):
+    # End(M) of a cyclic or cocyclic M is local of dim dim M, with the
+    # scalars as its socle image, and is read without a solve; any other
+    # module solves End.  The general path is run here on the same module
+    M = PRESENTED[name]()
+    e, (dims, split) = kmod.end_dim(M), kmod._end_split(M)
+    solved = ("_hom_solve", M) in M._cache
+    soc, _, image, rad = socle_image(M)
+    g, k = kmod._hom_solve(M, M).dim, image.dim - rad.dim
+    assert e == g
+    assert dims == {"end_dim": g, "radical_dim": g - k, "semisimple_dim": k,
+                    "socle_dim": soc.dim, "socle_image_dim": image.dim,
+                    "socle_image_radical_dim": rad.dim}
+    assert solved == (top_dim(M) >= 2 and soc.dim >= 2)
+    assert solved or (split is None and g == M.dim)
 
 
 def check_local(M, dec):
