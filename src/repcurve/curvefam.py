@@ -28,11 +28,6 @@ GRID_EXPONENTS = (2, 4, 7, 10, 26)
 MAX_EXPONENT = 100
 
 
-def default_grid():
-    """All (p, m) pairs from the configured grid with p not dividing m."""
-    return tuple((p, m) for p in GRID_PRIMES for m in GRID_EXPONENTS if m % p != 0)
-
-
 # ---------------------------------------------------------------------------
 # Index combinatorics
 

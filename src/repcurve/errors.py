@@ -65,10 +65,6 @@ class UnlabeledModule(RepcurveError):
     pass
 
 
-class ZeroPoint(RepcurveError):
-    pass
-
-
 class ZeroVector(RepcurveError):
     pass
 

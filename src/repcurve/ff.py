@@ -345,10 +345,10 @@ class FieldElem:
         return FieldElem(self.ctx, self.ctx.pow_idx(self.idx, e))
 
     def __eq__(self, other):
+        """Equal only to an element of an equal context with the same
+        index: an int equal to it would need the int's hash."""
         if isinstance(other, FieldElem):
             return self.ctx == other.ctx and self.idx == other.idx
-        if isinstance(other, int):
-            return self.idx == (other % self.ctx.p)
         return NotImplemented
 
     def __hash__(self):

@@ -32,7 +32,6 @@ from .errors import (
     ShapeMismatch,
     Undecided,
     UnlabeledModule,
-    ZeroPoint,
     ZeroVector,
 )
 from .ff import _TABLE_LIMIT, FieldCtx, FieldElem, ctx_new
@@ -267,13 +266,18 @@ class HModule:
         return W
 
     def basis_vector(self, which) -> np.ndarray:
-        """Standard basis vector by index or label."""
+        """Standard basis vector by label, or by an index in 0..dim - 1:
+        another int raises OutOfRange, any other value BadParams."""
         if isinstance(which, str):
             if self.labels is None:
                 raise UnlabeledModule("module has no basis labels")
             if which not in self.labels:
                 raise UnlabeledModule(f"no basis label {which!r}")
             which = self.labels.index(which)
+        elif not isinstance(which, (int, np.integer)):
+            raise BadParams(f"basis index {which!r} is not an integer")
+        elif not 0 <= which < self.dim:
+            raise OutOfRange(f"basis index {which} outside 0..{self.dim - 1}")
         v = np.zeros(self.dim, dtype=np.int64)
         v[which] = 1
         return v
@@ -676,7 +680,8 @@ def s_filtration(M: HModule) -> list:
     """Increasing subspaces S_0 <= S_1 <= ... up to the full module, S_n
     the joint kernel of the words sigma0^a tau0^b with a + b = n + 1.  Each
     level is formed on request, as the kernel of the flag rows of degree
-    >= n + 1; the decisions read only filtration_dims and ddeg_rows."""
+    >= n + 1; the decisions read only filtration_dims and ddeg_rows.  It is
+    not exported, and stays while perfbench binds it (ROADMAP item 1)."""
     R, deg = _flag(M)
     return [kernel(Mat(M.ctx, R[deg > n])) for n in range(len(filtration_dims(M)))]
 
@@ -741,15 +746,6 @@ def label_degrees(M: HModule) -> np.ndarray:
         else:
             out.append(s_p(int(lab[1:]), p))
     return np.array(out, dtype=np.int64)
-
-
-def ddeg_prime(M: HModule, v) -> int:
-    """Combinatorial degree of one vector of a v_dr module: the max of
-    label_degrees over its nonzero entries, -1 for the zero vector."""
-    if M.meta.get("kind") != "vdr":
-        raise UnlabeledModule("operation needs a module built by v_dr")
-    vec = field_rows(M.ctx, [v], M.dim)[0]
-    return int(np.where(vec != 0, label_degrees(M), -1).max())
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +841,8 @@ def _hom_dims(M: HModule, N: HModule) -> tuple:
     less its rank.  When the two dims agree, step 5 of is_isomorphic may
     solve Hom(M, N): C(M, N) is kept on M until _hom_solve(M, N) takes it,
     so it is formed once.  Nothing is kept for N = M or for a solve
-    already cached; hom_dim, and is_isomorphic when step 4 answers NO,
-    drop what is kept, so no End dim is asked here."""
+    already cached; is_isomorphic drops what is kept when step 4 answers
+    NO, so no End dim is asked here."""
     if M.ctx != N.ctx:
         raise ContextMismatch("modules over different field contexts")
     if M.dim == 0 or N.dim == 0:
@@ -865,15 +861,6 @@ def _hom_dims(M: HModule, N: HModule) -> tuple:
     return dims
 
 
-def hom_dim(M: HModule, N: HModule) -> int:
-    """dim Hom(M, N), from the stacked rank of _hom_dims, which gives
-    dim Hom(N, M) with it and keeps both: no kernel is formed, no map is
-    built, and no condition matrix is left on M for a solve."""
-    h = _hom_dims(M, N)[0]
-    M._cache.pop(("_hom_conditions", N), None)
-    return h
-
-
 def hom_space(M: HModule, N: HModule) -> Subspace:
     """Canonical basis of the space of module maps M -> N, as row-major
     vectorized dim(N) x dim(M) matrices, rebuilt from the relation solve
@@ -883,7 +870,7 @@ def hom_space(M: HModule, N: HModule) -> Subspace:
     Solved through a generator/relation presentation of M: a map is a
     choice of images for the generators annihilating the relations that
     generate the relation module.  The rank of those conditions alone
-    gives the dimension (hom_dim); rebuilding the maps from the generator
+    gives the dimension (_hom_dims); rebuilding the maps from the generator
     images costs up to about three times the relation solve
     (End(v_dr(5, 19)): 2.9 ms against 1.1 ms), so the package builds maps
     only for the isomorphism witness search and for End bases
@@ -1309,18 +1296,6 @@ def is_indecomposable(M: HModule) -> IndecDecision:
 
 # ---------------------------------------------------------------------------
 # Jordan types
-
-
-def jordan_type_at(M: HModule, a, b) -> tuple:
-    """Partition of the nilpotent pencil member a*sigma0 + b*tau0, read
-    from jordan_scan at its projective point: (1, b/a), or (0, 1) when
-    a = 0.  A nonzero multiple of a nilpotent matrix has the same Jordan
-    type.  a and b are integers (read mod p) or elements of M's field."""
-    ctx = M.ctx
-    ai, bi = ctx.el(a).idx, ctx.el(b).idx
-    if ai == 0 and bi == 0:
-        raise ZeroPoint("pencil point (0, 0) is excluded")
-    return jordan_scan(M)[int(ctx.mul[bi, ctx.inv[ai]]) if ai else ctx.q][1]
 
 
 @_memo

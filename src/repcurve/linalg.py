@@ -69,10 +69,6 @@ class Mat:
         return cls(ctx, field_rows(ctx, rows))
 
     @classmethod
-    def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "Mat":
-        return cls(ctx, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
     def identity(cls, ctx: FieldCtx, dim: int) -> "Mat":
         d = np.zeros((dim, dim), dtype=np.int64)
         if dim:
@@ -94,25 +90,9 @@ class Mat:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "Mat", same_shape: bool) -> None:
+    def __matmul__(self, other: "Mat") -> "Mat":
         if self.ctx != other.ctx:
             raise ContextMismatch("matrices over different field contexts")
-        if same_shape and self.data.shape != other.data.shape:
-            raise ShapeMismatch(f"{self.data.shape} vs {other.data.shape}")
-
-    def __add__(self, other: "Mat") -> "Mat":
-        self._check(other, True)
-        return Mat(self.ctx, self.ctx.add[self.data, other.data])
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._check(other, True)
-        return Mat(self.ctx, self.ctx.sub[self.data, other.data])
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.ctx, self.ctx.neg[self.data])
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        self._check(other, False)
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.data.shape} by {other.data.shape}")
         return Mat(self.ctx, _matmul_idx(self.ctx, self.data, other.data))
@@ -120,9 +100,6 @@ class Mat:
     def apply(self, v) -> np.ndarray:
         """Matrix times column vector, read by field_rows."""
         return _matmul_idx(self.ctx, self.data, field_rows(self.ctx, [v], self.cols).T)[:, 0]
-
-    def transpose(self) -> "Mat":
-        return Mat(self.ctx, self.data.T.copy())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Mat) and self.ctx == other.ctx
@@ -294,13 +271,6 @@ def _row_profile(ctx: FieldCtx, X: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def rref(A: Mat) -> tuple:
-    """Returns (canonical RREF matrix, rank)."""
-    M = A.data.copy()
-    pivots = _rref_inplace(A.ctx, M)
-    return Mat(A.ctx, M), len(pivots)
-
-
 def rank(A: Mat) -> int:
     M = A.data.copy()
     return len(_rref_inplace(A.ctx, M))
@@ -324,12 +294,6 @@ def kernel(A: Mat) -> "Subspace":
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = ctx.neg[M[: len(pivots), free].T]
     return Subspace(ctx, n, basis[:, ::-1].copy())
-
-
-def solve(A: Mat, b: np.ndarray) -> Optional[np.ndarray]:
-    """Any solution x of A x = b, or None."""
-    X = solve_matrix(A, Mat(A.ctx, field_rows(A.ctx, [b], A.rows).T))
-    return None if X is None else X.data[:, 0].copy()
 
 
 def solve_matrix(A: Mat, B: Mat) -> Optional[Mat]:

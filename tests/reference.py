@@ -77,7 +77,7 @@ def word_matrix(M: km.HModule, a: int, b: int) -> Mat:
     b >= p."""
     p = M.ctx.p
     if a >= p or b >= p:
-        return Mat.zeros(M.ctx, M.dim, M.dim)
+        return Mat(M.ctx, np.zeros((M.dim, M.dim), dtype=np.int64))
     return Mat(M.ctx, M.word_stack()[a * p + b])
 
 
@@ -157,7 +157,7 @@ def intertwiner_space(As: Sequence[Mat], Bs: Sequence[Mat]) -> Subspace:
     if a * b == 0:
         return Subspace.zero(ctx, 0)
     Ia, Ib = Mat.identity(ctx, a), Mat.identity(ctx, b)
-    C = np.vstack([(field_kron(Ib, A.transpose()) - field_kron(B, Ia)).data
+    C = np.vstack([ctx.sub[field_kron(Ib, Mat(ctx, A.data.T)).data, field_kron(B, Ia).data]
                    for A, B in zip(As, Bs)])
     return kernel(Mat(ctx, C))
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from repcurve import cli, ff
 from repcurve import kmod as km
 from repcurve import linalg
-from repcurve.errors import ShapeMismatch, ZeroPoint
-from repcurve.ff import FieldElem, default_ctx
+from repcurve.errors import ShapeMismatch
+from repcurve.ff import default_ctx
 from repcurve.linalg import Mat, Subspace, invert, kernel, nilpotent_partitions, rank
 from repcurve.suites import run_suite
 from reference import (conjugate_by, contains, contains_space, hom_maps_one_product,
@@ -379,28 +379,22 @@ def test_scan_stops_at_the_power_below_p(monkeypatch):
 
 @pytest.mark.parametrize("p,kind,d", [(3, "vd", 5), (3, "vdr", 4), (5, "vd", 7), (5, "vdr", 12)])
 def test_jordan_type_at_matches_rank_chain(p, kind, d):
-    """jordan_type_at reads the scan at the normalized point; at every
-    (a, b) != (0, 0) of F_q^2 as field elements, and at prime-field points
-    given as ints (some outside 0..p-1), it equals the rank-chain
-    partition of a*sigma0 + b*tau0 itself."""
+    """The type jordan_scan gives at the projective point of (a, b),
+    (1, b/a), or (0, 1) when a = 0, is the rank-chain partition of
+    a*sigma0 + b*tau0 itself at every (a, b) != (0, 0) of F_q^2: a nonzero
+    multiple of a nilpotent matrix has the same Jordan type."""
     ctx = CTX[p]
     M = _module(ctx, kind, d)
     S0, T0 = M.gens0()
-
-    def want(a, b):
-        return nilpotent_partition(Mat(ctx, ctx.add[ctx.mul[a, S0], ctx.mul[b, T0]]))
-
+    scan = km.jordan_scan(M)
     for a in range(ctx.q):
         for b in range(ctx.q):
             if a or b:
-                got = km.jordan_type_at(M, FieldElem(ctx, a), FieldElem(ctx, b))
-                assert got == want(a, b), (a, b)
-    for a in range(-1, p + 2):
-        for b in range(-1, p + 2):
-            if a % p or b % p:
-                assert km.jordan_type_at(M, a, b) == want(a % p, b % p), (a, b)
-    with pytest.raises(ZeroPoint):
-        km.jordan_type_at(M, p, FieldElem(ctx, 0))
+                k = int(ctx.mul[b, ctx.inv[a]]) if a else ctx.q
+                point, got = scan[k]
+                assert point == ((1, k) if a else (0, 1))
+                want = nilpotent_partition(Mat(ctx, ctx.add[ctx.mul[a, S0], ctx.mul[b, T0]]))
+                assert got == want, (a, b)
 
 
 def _hom_pair(ctx, rng):
@@ -435,7 +429,7 @@ def _hom_grid(ctx):
     t = ctx.gen()
     p = ctx.p
     vdr = km.v_dr(ctx, p + 2, t)
-    zero = Mat.zeros(ctx, 0, 0)
+    zero = Mat.identity(ctx, 0)
     return [km.v_d(ctx, 1, t), km.v_d(ctx, p + 1, t), km.v_d(ctx, p * p, t + 1),
             km.v_dr(ctx, 2, t), vdr, km.dual(vdr), km.augmentation_ideal(ctx),
             km.direct_sum(km.v_d(ctx, p + 1, t), km.v_d(ctx, 2, t + 1)),
@@ -756,7 +750,7 @@ def test_row_profile_matches_rank_increments(ctx, seed, shape, fill):
 
 
 @pytest.mark.parametrize("build,dims", [
-    (lambda: km.HModule(C3, Mat.zeros(C3, 0, 0), Mat.zeros(C3, 0, 0)), (0,)),
+    (lambda: km.HModule(C3, Mat.identity(C3, 0), Mat.identity(C3, 0)), (0,)),
     (lambda: km.trivial_module(C3), (1,)),
     (lambda: km.regular_module(C2), (1, 3, 4)),
     (lambda: km.direct_sum(km.direct_sum(*[km.trivial_module(C3)] * 2), km.trivial_module(C3)),

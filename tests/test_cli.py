@@ -471,7 +471,7 @@ def test_query_ddeg_reads_an_empty_vector_as_no_components(capsys, tmp_path):
     # any other
     ctx = default_ctx(3)
     zero = tmp_path / "zero.json"
-    z = Mat.zeros(ctx, 0, 0)
+    z = Mat.identity(ctx, 0)
     zero.write_text(json.dumps(km.module_to_json(km.HModule(ctx, z, z))))
     code, out, _ = run(capsys, "query", "ddeg", str(zero), "--vector", "")
     assert code == 0 and json.loads(out) == {"input": "", "ddeg": -1}
@@ -570,7 +570,7 @@ def test_queries_on_a_zero_dimensional_module(capsys, tmp_path):
     ctx = default_ctx(3)
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps(km.module_to_json(
-        km.HModule(ctx, Mat.zeros(ctx, 0, 0), Mat.zeros(ctx, 0, 0)))))
+        km.HModule(ctx, Mat.identity(ctx, 0), Mat.identity(ctx, 0)))))
     code, out, _ = run(capsys, "query", "jordan", str(zero))
     ans = json.loads(out)
     assert code == 0 and ans["generic"] == [] and ans["constant"] is True
@@ -829,6 +829,17 @@ def test_public_names_resolve_and_version_matches_pyproject():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == repcurve.__version__
+
+
+def test_readme_library_example_prints_what_it_says(capsys):
+    # the README's python block, run as written: each print's comment names
+    # what it prints
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"## Library example\n\n```python\n(.*?)```", fh.read(), re.S)[1]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["YES hom-basis", "T1"]
 
 
 def _module_obj(capsys):

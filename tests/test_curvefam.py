@@ -7,7 +7,7 @@ import pytest
 import repcurve.cli as cli
 import repcurve.curvefam as cf
 import repcurve.kmod as km
-from repcurve.curvefam import (curve_params, dd, default_grid, dr_graded,
+from repcurve.curvefam import (curve_params, dd, dr_graded,
                                genus, hodge_check, holo_graded, index_I,
                                index_J, ramification_profile, rr_basis,
                                semigroup_gap_count, valuation_table)
@@ -16,24 +16,29 @@ from repcurve.ff import FieldCtx, default_ctx, enumerate_nonprime
 from repcurve.kmod import module_from_json, v_d, vdr_quotient
 from repcurve.linalg import Subspace, invert
 from repcurve.poly import trace_sum
+from repcurve.suites import run_suite
 
 from reference import graded_to_json, vdr_label_matrix
 
 C3 = default_ctx(3)
 C5 = default_ctx(5)
+# the configured curve grid: every exponent prime to each grid prime
+GRID = tuple((p, m) for p in cf.GRID_PRIMES for m in cf.GRID_EXPONENTS if m % p)
 
 
 def test_default_grid_excludes_divisible_exponents():
-    grid = default_grid()
-    assert (3, 2) in grid and (5, 2) in grid
+    # the grid a report at the default primes names, which the tests here run
+    grid = run_suite("combinatorics", cf.GRID_PRIMES)["grid"]
+    assert [3, 2] in grid and [5, 2] in grid
     assert all(m % p for p, m in grid)
     assert len(grid) == 9
+    assert grid == [list(pm) for pm in GRID]
 
 
 def test_dd_closed_form_and_reflection():
     assert [dd(3, 10, c) for c in range(1, 10)] == [8, 7, 6, 5, 4, 3, 2, 1, 0]
     assert dd(3, 2, 1) == 4
-    for p, m in default_grid():
+    for p, m in GRID:
         for c in range(1, m):
             assert dd(p, m, c) + dd(p, m, m - c) == p * p - 1
     with pytest.raises(OutOfRange):
@@ -43,7 +48,7 @@ def test_dd_closed_form_and_reflection():
 
 
 def test_index_sets_partition_and_mirror():
-    for p, m in default_grid():
+    for p, m in GRID:
         for c in range(1, m):
             I = index_I(p, m, c)
             J = index_J(p, m, c)
@@ -61,7 +66,7 @@ def test_ramification_profile():
     assert genus(5, 2) == 12
 
 
-@pytest.mark.parametrize("p,m", default_grid())
+@pytest.mark.parametrize("p,m", GRID)
 def test_gap_count_equals_genus(p, m):
     assert semigroup_gap_count(p, m) == genus(p, m)
 
@@ -289,7 +294,7 @@ def test_trace_identity_all_betas(p):
     assert len(betas) == ctx.q - p
     for b in betas:
         total, want = trace_sum(b)
-        assert total == want and want.coeff(0) != 0
+        assert total == want and want.coeff(0).idx != 0
 
 
 def test_graded_json_pieces_roundtrip():

@@ -227,6 +227,19 @@ def test_cross_context_arithmetic_rejected():
         _ = a + b
 
 
+def test_elements_equal_only_elements_and_hash_alike():
+    # over F_9, 1 and 4 both reduce to the element 1, which must then equal
+    # neither: an element equal to an int would have to hash as the int,
+    # and 1 != 4
+    ctx = default_ctx(3)
+    one = FieldElem(ctx, 1)
+    assert one != 1 and one != 4 and not one == 1
+    assert len({one, 1}) == 2
+    same = FieldElem(FieldCtx(3, 2, (1, 0, 1)), 1)
+    assert one == same and hash(one) == hash(same) and len({one, same}) == 1
+    assert one == ctx.el(4) and one != FieldElem(default_ctx(3, 1), 1)
+
+
 def test_subtraction_table_consistency():
     ctx = default_ctx(3)
     for a in ctx.elements():

@@ -17,7 +17,7 @@ from repcurve.errors import (BadDimension, BadParams, ContextMismatch, DegreeMis
                              DivisionByZero, OutOfRange, PrimeFieldElement, PrimeFieldOnly,
                              ShapeMismatch, UnlabeledModule)
 from repcurve.ff import alpha_from_beta, ctx_new, default_ctx, enumerate_nonprime
-from repcurve.linalg import Mat, Subspace, field_rows, invert, solve, solve_matrix
+from repcurve.linalg import Mat, Subspace, field_rows, invert, solve_matrix
 from repcurve.poly import Poly1, Poly2
 from repcurve.suites import run_suite
 
@@ -32,7 +32,6 @@ D = M.dim
 ENTRANCES = {
     "Mat.from_rows": lambda v, rows: Mat.from_rows(CTX, [np.zeros(D, dtype=np.int64), v]),
     "Mat.apply": lambda v, rows: Mat.identity(CTX, D).apply(v),
-    "solve": lambda v, rows: solve(Mat.identity(CTX, D), v),
     "Subspace.from_rows": lambda v, rows: Subspace.from_rows(CTX, D, rows),
     "Subspace.reduce": lambda v, rows: Subspace.full(CTX, D).reduce(v),
     "Subspace.reduce_rows": lambda v, rows: Subspace.full(CTX, D).reduce_rows(rows),
@@ -43,7 +42,6 @@ ENTRANCES = {
     "apply_word": lambda v, rows: km.apply_word(M, (0, 0), v),
     "ddeg": lambda v, rows: km.ddeg(M, v),
     "ddeg_rows": lambda v, rows: km.ddeg_rows(M, rows),
-    "ddeg_prime": lambda v, rows: km.ddeg_prime(M, v),
     "case_ii_core": lambda v, rows: km.case_ii_core(M, v),
     "case_ii_core_with_fixed": lambda v, rows: km.case_ii_core_with_fixed(M, v),
 }
@@ -97,7 +95,6 @@ REFUSALS = {
     "direct_sum-fields": (lambda: km.direct_sum(M, M5), ContextMismatch),
     "sub_module_on-fields": (lambda: km.sub_module_on(M, Subspace.full(C5, D)), ContextMismatch),
     "hom_space-fields": (lambda: km.hom_space(M, M5), ContextMismatch),
-    "hom_dim-fields": (lambda: km.hom_dim(M, M5), ContextMismatch),
     "is_isomorphic-fields": (lambda: km.is_isomorphic(M, M5), ContextMismatch),
     "sub_module_on-ambient": (lambda: km.sub_module_on(M, Subspace.zero(CTX, D + 1)),
                               ShapeMismatch),
@@ -113,8 +110,7 @@ REFUSALS = {
     "module_from_json-dim": (lambda: km.module_from_json({**km.module_to_json(M), "dim": -1}),
                              BadParams),
     "Mat-1d": (lambda: Mat(CTX, np.zeros(3, dtype=np.int64)), ShapeMismatch),
-    "Mat+fields": (lambda: I2 + Mat.identity(C5, 2), ContextMismatch),
-    "Mat+shapes": (lambda: I2 + I3, ShapeMismatch),
+    "Mat@fields": (lambda: I2 @ Mat.identity(C5, 2), ContextMismatch),
     "Mat@shapes": (lambda: I2 @ I3, ShapeMismatch),
     "solve_matrix-rows": (lambda: solve_matrix(I2, I3), ShapeMismatch),
     "solve_matrix-fields": (lambda: solve_matrix(I2, Mat.identity(C5, 2)), ContextMismatch),
@@ -129,6 +125,9 @@ REFUSALS = {
     "alpha_from_beta-prime": (lambda: alpha_from_beta(CTX.el(1)), PrimeFieldElement),
     "pow_idx-inverse-of-zero": (lambda: CTX.pow_idx(0, -1), DivisionByZero),
     "basis_vector-label": (lambda: M.basis_vector("nope"), UnlabeledModule),
+    "basis_vector-negative": (lambda: M.basis_vector(-1), OutOfRange),
+    "basis_vector-dim": (lambda: M.basis_vector(D), OutOfRange),
+    "basis_vector-float": (lambda: M.basis_vector(1.5), BadParams),
     "Poly1.monomial-negative": (lambda: Poly1.monomial(CTX, 1, -1), OutOfRange),
     "Poly1+Poly2": (lambda: Poly1(F3, [1]) + Poly2(F3, [[1]]), ContextMismatch),
     "Poly1+fields": (lambda: Poly1(CTX, [1]) + Poly1(C5, [1]), ContextMismatch),

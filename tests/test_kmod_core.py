@@ -7,13 +7,12 @@ from repcurve import curvefam as cf
 from repcurve import kmod as km
 from repcurve.errors import (BadDimension, ContextMismatch, NotInvariant,
                              PrimeFieldElement, ShapeMismatch, Undecided, UnlabeledModule,
-                             ZeroPoint, ZeroVector)
+                             ZeroVector)
 from repcurve.ff import default_ctx, frobenius
 from repcurve.kmod import (HModule, apply_word, augmentation_ideal,
                            binom_mod_p, case_ii_core, constant_type_over_scan,
-                           ddeg, ddeg_prime, digits_p, direct_sum, dual, fixed_space,
+                           ddeg, digits_p, direct_sum, dual, fixed_space,
                            generic_jordan_type, hom_space, jordan_scan,
-                           jordan_type_at,
                            module_from_json, module_to_json, profile,
                            quotient, regular_module, s_filtration, s_p,
                            sub_generated, sub_module_on, trivial_module, v_d,
@@ -243,21 +242,18 @@ def test_ddeg_on_labels():
                          ids=[str(d) for d in range(0, 10)]
                          + [f"p5-{d}" for d in range(0, 26)])
 def test_ddeg_prime_agrees(ctx, beta, d):
+    """ddeg agrees with the combinatorial degree ddeg', the largest
+    label_degrees entry on a vector's support (-1 for zero), on the zero
+    vector, each basis vector, whose label's degree is checked alone, and
+    50 random vectors, where the largest label degree hides the others."""
     import random
     rng = random.Random(d)
     M = v_dr(ctx, d, beta)
-    zero = np.zeros(M.dim, dtype=np.int64)
-    assert ddeg(M, zero) == ddeg_prime(M, zero) == -1
-    # each basis vector checks its label's degree alone; in a random
-    # vector the largest label degree hides the others
-    for v in np.eye(M.dim, dtype=np.int64):
-        assert ddeg(M, v) == ddeg_prime(M, v)
-    for _ in range(50):
-        v = np.array([rng.randrange(ctx.q) for _ in range(M.dim)], dtype=np.int64)
-        assert ddeg(M, v) == ddeg_prime(M, v)
-    # the eta rule needs the v_dr labels; a v_d module is refused
-    with pytest.raises(UnlabeledModule):
-        ddeg_prime(v_d(ctx, 2, beta), np.ones(2, dtype=np.int64))
+    V = np.vstack([np.zeros((1, M.dim), dtype=np.int64), np.eye(M.dim, dtype=np.int64),
+                   [[rng.randrange(ctx.q) for _ in range(M.dim)] for _ in range(50)]])
+    want = np.where(V != 0, km.label_degrees(M), -1).max(axis=1)
+    assert want[0] == -1
+    assert [ddeg(M, v) for v in V] == want.tolist()
 
 
 def test_fixed_space_dims_for_vdr():
@@ -279,14 +275,12 @@ def test_word_application():
 
 def test_jordan_types():
     M = v_d(C3, 5, T3)
-    assert jordan_type_at(M, 1, 0) == (3, 2)
+    assert dict(jordan_scan(M))[(1, 0)] == (3, 2)
     assert generic_jordan_type(M) == (3, 2)
     assert len(jordan_scan(M)) == 10
     # the pencil drops rank at b = -1/beta = t, a point outside F_3
     assert not constant_type_over_scan(M)
     assert dict(jordan_scan(M))[(1, T3.idx)] == (2, 2, 1)
-    with pytest.raises(ZeroPoint):
-        jordan_type_at(M, 0, 0)
     assert dominance_compare((3, 2), (3, 1, 1)) == 1
     assert dominance_compare((2, 2, 2), (3, 3)) == -1
     assert dominance_compare((3, 3), (3, 3)) == 0
@@ -317,24 +311,13 @@ def test_generic_type_of_incomparable_types_is_undecided(monkeypatch):
         generic_jordan_type(M)
 
 
-@pytest.mark.parametrize("b", ["0,1", "3,3"], ids=["t", "3+3t"])
-def test_jordan_type_refuses_a_point_of_another_field(b):
-    # F_25 points on a module over F_9: (1, t) would read an unrelated F_9
-    # index and (1, 3 + 3t) one past the scan
-    M = v_d(C3, 5, T3)
-    with pytest.raises(ContextMismatch):
-        jordan_type_at(M, 1, C5.from_text(b))
-    with pytest.raises(ContextMismatch):
-        jordan_type_at(M, C5.from_text(b), 1)
-
-
 def test_jordan_scan_covers_extension_points():
     # on v_d(2), a*sigma0 + b*tau0 sends w1 to (a + b*beta) w0, so the type
     # drops to (1, 1) exactly at (1, -1/beta)
     M = v_d(C3, 2, T3)
     special = -(T3.inverse())
-    assert jordan_type_at(M, 1, special) == (1, 1)
     scan = jordan_scan(M)
+    assert dict(scan)[(1, special.idx)] == (1, 1)
     assert [pt for pt, t in scan if t != (2,)] == [(1, special.idx)]
     assert {t for _, t in scan} == {(1, 1), (2,)}
     assert generic_jordan_type(M) == (2,)
@@ -392,11 +375,11 @@ def test_module_json_roundtrip_keeps_gens_and_labels_at_every_dim():
 
 
 @pytest.mark.parametrize("call", [
-    lambda M: ddeg_prime(M, [1]),
-    lambda M: ddeg_prime(M, [1, 0]),
+    lambda M: ddeg(M, [1]),
+    lambda M: ddeg(M, [1, 0]),
     lambda M: sub_generated(M, [[1, 0]]),
     lambda M: quotient(M, fixed_space(M), reps=[[1, 0]] * 3),
-], ids=["ddeg_prime-short", "ddeg_prime", "sub_generated", "quotient"])
+], ids=["ddeg-short", "ddeg", "sub_generated", "quotient"])
 def test_vectors_of_the_wrong_length_are_refused(call):
     M = v_dr(C3, 4, T3)
     assert M.dim == 8

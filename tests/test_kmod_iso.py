@@ -43,7 +43,7 @@ def test_witness_check_reads_both_generators():
     assert M.Msigma == N.Msigma and M.Mtau != N.Mtau
     assert kmod._verify_witness(M, M, I)
     assert not kmod._verify_witness(M, N, I)
-    assert not kmod._verify_witness(M, M, Mat.zeros(C3, 2, 2))
+    assert not kmod._verify_witness(M, M, Mat(C3, np.zeros((2, 2), dtype=np.int64)))
 
 
 def test_equal_modules_identity_witness():
@@ -302,8 +302,8 @@ def socle_image(M):
     socle is the joint kernel of sigma - 1 and tau - 1, and each
     restriction is solved from soc^T A = X soc^T."""
     ctx = M.ctx
-    I = Mat.identity(ctx, M.dim)
-    soc = kernel(Mat(ctx, np.vstack([(M.Msigma - I).data, (M.Mtau - I).data])))
+    I = Mat.identity(ctx, M.dim).data
+    soc = kernel(Mat(ctx, np.vstack([ctx.sub[M.Msigma.data, I], ctx.sub[M.Mtau.data, I]])))
     s = soc.dim
     S = Mat(ctx, soc.basis.T.copy())
     _, mats = end_algebra(M)
@@ -316,8 +316,8 @@ def socle_image(M):
 
 def top_dim(M) -> int:
     """dim M / (sigma0 M + tau0 M): the number of generators of M."""
-    I = Mat.identity(M.ctx, M.dim)
-    moved = np.hstack([(M.Msigma - I).data, (M.Mtau - I).data]).T
+    I = Mat.identity(M.ctx, M.dim).data
+    moved = np.hstack([M.ctx.sub[M.Msigma.data, I], M.ctx.sub[M.Mtau.data, I]]).T
     return M.dim - Subspace.from_rows(M.ctx, M.dim, moved).dim
 
 
@@ -493,7 +493,7 @@ def end_radical_reference(M) -> str:
     commutative = True
     for i1 in range(e):
         for i2 in range(i1 + 1, e):
-            comm = reps[i1] @ reps[i2] - reps[i2] @ reps[i1]
+            comm = Mat(ctx, ctx.sub[(reps[i1] @ reps[i2]).data, (reps[i2] @ reps[i1]).data])
             cr = coords_mod_rad(comm)
             assert cr is not None
             if cr.any():

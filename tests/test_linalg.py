@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repcurve.errors import ContextMismatch, ShapeMismatch
 from repcurve.ff import default_ctx
-from repcurve.linalg import (Mat, Subspace, _matpow_idx, invert, kernel, rank, rref, solve,
-                             solve_matrix)
+from repcurve.linalg import Mat, Subspace, _matpow_idx, invert, kernel, rank, solve_matrix
 from reference import (contains, contains_space, nilpotent_partition, preimage,
                        subspace_intersect, subspace_sum)
 
@@ -46,27 +45,22 @@ def test_solve_consistency(seed):
     rng = random.Random(seed)
     A = rand_mat(rng, 4, 3)
     x = np.array([rng.randrange(CTX.q) for _ in range(3)], dtype=np.int64)
-    b = A.apply(x)
-    y = solve(A, b)
+    b = Mat(CTX, A.apply(x)[:, None])
+    y = solve_matrix(A, b)
     assert y is not None
-    assert np.array_equal(A.apply(y), b)
+    assert A @ y == b
 
 
 def test_rref_is_idempotent_and_pivoted():
     import random
     rng = random.Random(7)
     A = rand_mat(rng, 5, 4)
-    R, rk = rref(A)
-    R2, rk2 = rref(R)
-    assert R == R2 and rk == rk2
-    for r in range(R.data.shape[0]):
-        row = R.data[r]
-        if r >= rk:
-            assert not row.any()
-            continue
+    W = Subspace.from_rows(CTX, 4, A.data)
+    assert Subspace.from_rows(CTX, 4, W.basis) == W and W.dim == rank(A)
+    for r, row in enumerate(W.basis):
         c = int(np.flatnonzero(row)[0])
         assert row[c] == 1
-        col = R.data[:, c].copy()
+        col = W.basis[:, c].copy()
         col[r] = 0
         assert not col.any()
 
@@ -85,7 +79,7 @@ def test_solve_matrix_refuses_a_right_side_over_another_field():
 
 
 def test_matmul_shape_check():
-    A = Mat.zeros(CTX, 2, 3)
+    A = Mat(CTX, np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(ShapeMismatch):
         _ = A @ A
 
@@ -145,7 +139,7 @@ def test_nilpotent_partition_known_shapes():
     # single Jordan block of size 3
     J = Mat(CTX, np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=np.int64))
     assert nilpotent_partition(J) == (3,)
-    Z = Mat.zeros(CTX, 3, 3)
+    Z = Mat(CTX, np.zeros((3, 3), dtype=np.int64))
     assert nilpotent_partition(Z) == (1, 1, 1)
     B = Mat(CTX, np.array([[0, 1, 0, 0], [0, 0, 0, 0],
                            [0, 0, 0, 1], [0, 0, 0, 0]], dtype=np.int64))
