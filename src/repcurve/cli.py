@@ -200,8 +200,7 @@ def cmd_query(args) -> int:
         if args.kind == "indec":
             payload = km.is_indecomposable(M).to_json()
         elif args.kind == "jordan":
-            scan = [{"point": [FieldElem(M.ctx, a).text() if a else "0",
-                               FieldElem(M.ctx, b).text()],
+            scan = [{"point": [FieldElem(M.ctx, a).text(), FieldElem(M.ctx, b).text()],
                      "type": list(t)}
                     for (a, b), t in km.jordan_scan(M)]
             payload = {"generic": list(km.generic_jordan_type(M)),

@@ -841,8 +841,10 @@ def _hom_dims(M: HModule, N: HModule) -> tuple:
     less its rank.  When the two dims agree, step 5 of is_isomorphic may
     solve Hom(M, N): C(M, N) is kept on M until _hom_solve(M, N) takes it,
     so it is formed once.  Nothing is kept for N = M or for a solve
-    already cached; is_isomorphic drops what is kept when step 4 answers
-    NO, so no End dim is asked here."""
+    already cached.  is_isomorphic, the one caller in the package, drops
+    what is kept when step 4 answers NO, so no End dim is asked here; only
+    a direct call, as test_hom_dim_forms_no_end_kernel makes, leaves
+    C(M, N) kept on M."""
     if M.ctx != N.ctx:
         raise ContextMismatch("modules over different field contexts")
     if M.dim == 0 or N.dim == 0:

@@ -13,9 +13,11 @@ factor at a time.  conjugate and conjugate_by write a module in another
 basis, so a test cannot read the answer off coordinate vectors.
 presented_modules names the modules on which the presentation and the
 End of a cyclic or cocyclic module are compared with the general path.
+record is the one call recorder of the work-count tests.
 """
 
 import random
+import sys
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +28,55 @@ from repcurve.errors import (ContextMismatch, OutOfRange, RepcurveError, ShapeMi
 from repcurve.ff import FieldCtx, FieldElem, default_ctx
 from repcurve.linalg import Mat, Subspace, _matmul_idx, field_rows, invert, kernel, rank
 from repcurve.poly import Poly1, Poly2
+
+
+# the code of every wrapper km._memo makes
+_MEMO_CODE = km._memo(lambda owner: owner).__code__
+
+
+def record(monkeypatch, fn, measure=None) -> list:
+    """Record each call of fn made through any repcurve module: fn is
+    rebound, by identity as perfbench/tracer.py does, at every attribute
+    of a loaded repcurve.* module that is fn, and on every class there
+    whose method, classmethod or staticmethod it is.  Each call appends
+    its args to the returned list, in the order the calls start, and a
+    call that returns puts measure(args, result) in their place when
+    measure is given.  A km._memo function is rewrapped around
+    its __wrapped__ under km._memo with the same name, so the list holds
+    its computed values only and each kept value still hits.  fn is the
+    current binding, so a second recorder on one function counts as well
+    as the first; monkeypatch.undo() puts every original back."""
+    target = getattr(fn, "__func__", fn)
+    inner = fn.__wrapped__ if getattr(fn, "__code__", None) is _MEMO_CODE else target
+    out = []
+
+    def recorded(*args, **kwargs):
+        at = len(out)
+        out.append(args)
+        result = inner(*args, **kwargs)
+        if measure is not None:
+            out[at] = measure(args, result)
+        return result
+
+    recorded.__name__ = fn.__name__
+    wrapper = km._memo(recorded) if inner is not target else recorded
+    bound = 0
+    for name, mod in list(sys.modules.items()):
+        if name != "repcurve" and not name.startswith("repcurve."):
+            continue
+        for key, val in list(vars(mod).items()):
+            if val is fn:
+                monkeypatch.setattr(mod, key, wrapper)
+                bound += 1
+            elif isinstance(val, type) and val.__module__ == name:
+                for attr, entry in list(vars(val).items()):
+                    kind = type(entry) if isinstance(entry, (classmethod, staticmethod)) else None
+                    if (entry.__func__ if kind else entry) is target:
+                        monkeypatch.setattr(val, attr, kind(wrapper) if kind else wrapper)
+                        bound += 1
+    if not bound:
+        raise LookupError(f"{fn!r} is bound in no repcurve module")
+    return out
 
 
 class NotNilpotent(RepcurveError):

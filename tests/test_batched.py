@@ -16,8 +16,8 @@ from repcurve.ff import default_ctx
 from repcurve.linalg import Mat, Subspace, invert, kernel, nilpotent_partitions, rank
 from repcurve.suites import run_suite
 from reference import (conjugate_by, contains, contains_space, hom_maps_one_product,
-                       intertwiner_space,
-                       nilpotent_partition, s_filtration_direct, sub_generated_closure, word_matrix)
+                       intertwiner_space, nilpotent_partition, record, s_filtration_direct,
+                       sub_generated_closure, word_matrix)
 
 C2 = default_ctx(2)
 C3 = default_ctx(3)
@@ -365,10 +365,7 @@ def test_scan_stops_at_the_power_below_p(monkeypatch):
     stack = np.stack([S0, T0, C5.add[S0, T0]])
     expected = [nilpotent_partition(Mat(C5, N)) for N in stack]
     small = _module(C5, "vd", 3)
-    products = []
-    matmul = linalg._matmul_idx
-    monkeypatch.setattr(linalg, "_matmul_idx",
-                        lambda ctx, A, B: products.append(1) or matmul(ctx, A, B))
+    products = record(monkeypatch, linalg._matmul_idx)
     assert nilpotent_partitions(C5, stack) == expected == [(5,) * 5] * 3
     assert len(products) == 3
     assert {t for _, t in km.jordan_scan(M)} == {(5,) * 5}
@@ -472,31 +469,10 @@ def test_no_product_is_large_enough_to_split(monkeypatch, suite):
     """Each _matmul_idx slice is one gemm of rows x n*k by n*k x cols per
     group of packed digit slots, and nothing else; it may not reach
     GEMM_SLICE_LIMIT."""
-    real = linalg._matmul_idx
-    large = []
-
-    def guarded(ctx, A, B):
-        n, rows, k, cols = ctx.n, A.shape[-2], A.shape[-1], B.shape[-1]
-        if rows * n * k * cols >= GEMM_SLICE_LIMIT:
-            large.append((A.shape, B.shape))
-        return real(ctx, A, B)
-
-    monkeypatch.setattr(linalg, "_matmul_idx", guarded)
-    monkeypatch.setattr(km, "_matmul_idx", guarded)
+    shapes = record(monkeypatch, linalg._matmul_idx,
+                    lambda args, _: (args[0].n, args[1].shape, args[2].shape))
     assert run_suite(suite, (5,))["exit"] == 0
-    assert large == []
-
-
-def _count_products(monkeypatch, module):
-    calls = []
-    real = module._matmul_idx
-
-    def counted(ctx, A, B):
-        calls.append(1)
-        return real(ctx, A, B)
-
-    monkeypatch.setattr(module, "_matmul_idx", counted)
-    return calls
+    assert [(A, B) for n, A, B in shapes if A[-2] * n * A[-1] * B[-1] >= GEMM_SLICE_LIMIT] == []
 
 
 @pytest.mark.parametrize("p,kind,d", [(3, "vd", 9), (5, "vd", 23), (5, "vdr", 12)])
@@ -506,7 +482,7 @@ def test_ddeg_rows_one_product_per_level(monkeypatch, p, kind, d):
     M = _module(ctx, kind, d)
     km._flag(M)
     V = rand_rows(ctx, random.Random(d), 200, M.dim)
-    calls = _count_products(monkeypatch, km)
+    calls = record(monkeypatch, linalg._matmul_idx)
     km.ddeg_rows(M, V)
     assert len(calls) == 1
 
@@ -526,16 +502,10 @@ def test_query_ddeg_reads_the_orbit(monkeypatch, capsys, tmp_path, p, kind, d, a
     path = str(tmp_path / "m.json")
     assert cli.main(["build", kind, "--p", str(p), "--d", str(d), "--beta", "0,1",
                      "--out", path]) == 0
-    read, loaded = cli._load_module, []
-
-    def load(path):
-        loaded.append(read(path))
-        return loaded[-1]
-
-    monkeypatch.setattr(cli, "_load_module", load)
-    steps = [_count_calls(monkeypatch, mod, name)
-             for mod, name in ((linalg, "_rref_inplace"), (km, "_row_profile"))]
-    calls = _count_products(monkeypatch, km)
+    read = cli._load_module
+    loaded = record(monkeypatch, read, lambda args, M: M)
+    steps = [record(monkeypatch, fn) for fn in (linalg._rref_inplace, linalg._row_profile)]
+    calls = record(monkeypatch, linalg._matmul_idx)
     read(path)
     construction = len(calls)
     calls.clear()
@@ -552,7 +522,7 @@ def test_hom_space_products_do_not_grow_with_solutions(monkeypatch, p, d):
     M = km.v_dr(ctx, d, ctx.gen())
     km._hom_source_data(M)  # presentation and word matrices are cached
     M.word_stack()
-    calls = _count_products(monkeypatch, km)
+    calls = record(monkeypatch, linalg._matmul_idx)
     H = km.hom_space(M, M)
     assert H.dim > 1
     # one product builds the relations; rebuilding every solution takes two
@@ -845,18 +815,6 @@ def test_sub_generated_matches_closure(ctx, seed, kind, d, k):
     assert sub == km.sub_module_on(M, W)[0]
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("p,kind,d", [(3, "vd", 9), (3, "vdr", 4), (5, "vd", 23), (5, "vdr", 12)])
 def test_flag_takes_at_most_dim_pivot_steps(monkeypatch, p, kind, d):
     # one row rank profile of all word rows of degree >= 1, whose pivot
@@ -865,17 +823,9 @@ def test_flag_takes_at_most_dim_pivot_steps(monkeypatch, p, kind, d):
     ctx = CTX[p]
     M = _module(ctx, kind, d)
     M = km.HModule(ctx, M.Msigma, M.Mtau)  # a flag of its own, not the shared module's
-    eliminations = _count_calls(monkeypatch, linalg, "_rref_inplace")
-    steps = []
-    real = km._row_profile
-
-    def counted(ctx, X):
-        rows = real(ctx, X)
-        steps.append(len(rows))
-        return rows
-
-    monkeypatch.setattr(km, "_row_profile", counted)
-    R, deg = km._flag(M)
+    eliminations = record(monkeypatch, linalg._rref_inplace)
+    steps = record(monkeypatch, linalg._row_profile, lambda args, rows: len(rows))
+    R, _ = km._flag(M)
     dims = km.filtration_dims(M)
     assert eliminations == [] and not hasattr(km, "_rref_inplace")
     assert steps == [len(R)] == [M.dim - dims[0]]
@@ -888,7 +838,7 @@ def test_algebra_radical_charpolys_are_stacked(monkeypatch, p, d):
     _, mats = km.end_algebra(km.v_dr(ctx, d, ctx.gen()))
     g, n = mats.shape[0], mats.shape[-1]
     levels = int(math.log(n, p) + 1e-9)
-    calls = _count_calls(monkeypatch, km, "_charpoly_stack")
+    calls = record(monkeypatch, km._charpoly_stack)
     km.algebra_radical(ctx, mats)
     # every level above 0 takes its g'^2 <= g^2 products in stacks of at
     # most RADICAL_CHUNK; level 0 is the trace form and takes none

@@ -24,7 +24,7 @@ from repcurve.ff import ctx_new, default_ctx, frobenius
 from repcurve.linalg import Mat
 from repcurve.suites import run_suite
 
-from reference import conjugate, graded_to_json
+from reference import conjugate, graded_to_json, record
 
 
 def run(capsys, *argv):
@@ -352,14 +352,7 @@ def test_build_calls_its_builder_through_the_module(monkeypatch, capsys,
                                                      kind, module, name, flags):
     # the per-layer tracer rebinds module attributes: a builder captured
     # at import would run unwrapped and read as zero calls
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counted)
+    calls = record(monkeypatch, getattr(module, name))
     code, _, _ = run(capsys, "build", kind, "--p", "3", *flags)
     assert code == 0 and len(calls) == 1
     assert BUILD_KINDS == ("vd", "vdr", "regular", "aug", "trivial", "holo", "dr")
@@ -443,6 +436,19 @@ def test_query_jordan_table(capsys, tmp_path):
     assert {"point": ["1,0", "0,1"], "type": [2, 2, 1]} in obj["scan"]
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_query_jordan_points_are_element_texts(capsys, tmp_path, p):
+    # both coordinates of every point, (0 : 1) included, are written as
+    # field elements: over F_9 the zero is "0,0", never a bare "0"
+    a = tmp_path / "a.json"
+    run(capsys, "build", "vd", "--p", str(p), "--d", "4", "--beta", "0,1", "--out", str(a))
+    code, out, _ = run(capsys, "query", "jordan", str(a))
+    scan = json.loads(out)["scan"]
+    assert code == 0 and len(scan) == p * p + 1
+    assert scan[-1]["point"] == ["0,0", "1,0"]
+    assert {x for row in scan for x in row["point"]} <= set(default_ctx(p).texts.tolist())
+
+
 def test_query_ddeg_label_and_vector(capsys, tmp_path):
     a = tmp_path / "a.json"
     run(capsys, "build", "vd", "--p", "3", "--d", "9", "--beta", "0,1",
@@ -499,7 +505,7 @@ def test_query_answers_with_witnesses_are_pinned(capsys, tmp_path):
         ("indec", [km.direct_sum(vd2, one)], "T2",
          "c006d3c78d7e50f430813f9cf3899691b181a0039ce55b6e6cc3ecb08298fe10"),
         ("jordan", [km.v_dr(C5, 12, t5)], None,
-         "b415322dbb4d6a6cf4e0d69c722e89d82a6044e44763c5dedc176843dad73de6"),
+         "732f1546e2d3a57398cf626b9403222e514088d9f23c53e49956545b008602db"),
     ]
     for k, (kind, mods, method, digest) in enumerate(queries):
         paths = []
@@ -605,8 +611,7 @@ def test_query_file_that_does_not_decode(capsys, tmp_path, data):
 @pytest.mark.parametrize("count", [1, 3])
 def test_query_iso_counts_files_before_reading(monkeypatch, capsys, tmp_path, count):
     import repcurve.cli as cli
-    opened = []
-    monkeypatch.setattr(cli, "_load_module", opened.append)
+    opened = record(monkeypatch, cli._load_module)
     paths = [str(tmp_path / f"missing{i}.json") for i in range(count)]
     code, out, err = run(capsys, "query", "iso", *paths)
     assert code == 2 and out == "" and opened == []

@@ -18,7 +18,7 @@ from repcurve.linalg import Subspace, invert
 from repcurve.poly import trace_sum
 from repcurve.suites import run_suite
 
-from reference import graded_to_json, vdr_label_matrix
+from reference import graded_to_json, record, vdr_label_matrix
 
 C3 = default_ctx(3)
 C5 = default_ctx(5)
@@ -135,35 +135,23 @@ def test_dr_graded_pieces_match_the_quotient():
         assert invert(Phi) is not None
 
 
-def _counted(monkeypatch, name, calls):
-    real = getattr(cf, name)
-
-    def wrapper(*args):
-        calls[name] = calls.get(name, 0) + 1
-        return real(*args)
-
-    monkeypatch.setattr(cf, name, wrapper)
-
-
 @pytest.mark.parametrize("kind", ["holo", "dr"])
 @pytest.mark.parametrize("p,m", [(3, 100), (5, 26)])
 def test_each_distinct_piece_is_built_once(monkeypatch, kind, p, m):
     ctx = default_ctx(p)
-    calls = {}
-    for name in ("index_I", "index_J", "dr_action"):
-        _counted(monkeypatch, name, calls)
+    calls = {fn.__name__: record(monkeypatch, fn) for fn in (index_I, index_J, cf.dr_action)}
     params = curve_params(ctx, m, ctx.gen())
     gm = holo_graded(params) if kind == "holo" else dr_graded(params)
     # the index sets, and with them their asserts, are computed for every c
-    assert calls["index_I"] == m - 1
-    assert calls.get("index_J", 0) == (m - 1 if kind == "dr" else 0)
+    assert len(calls["index_I"]) == m - 1
+    assert len(calls["index_J"]) == (m - 1 if kind == "dr" else 0)
     keys = {c: (index_I(p, m, c) if kind == "holo"
                 else (index_I(p, m, m - c), index_J(p, m, c)))
             for c in range(1, m)}
     distinct = set(keys.values())
     assert len(distinct) <= p * p
     # one dr_action stack per distinct de Rham piece
-    assert calls.get("dr_action", 0) == (len(distinct) if kind == "dr" else 0)
+    assert len(calls["dr_action"]) == (len(distinct) if kind == "dr" else 0)
     assert len({id(piece) for piece in gm.pieces.values()}) == len(distinct)
     for c in range(1, m):
         for c2 in range(1, m):
@@ -188,19 +176,11 @@ def test_each_distinct_piece_is_built_once(monkeypatch, kind, p, m):
 @pytest.mark.parametrize("p,m", [(3, 100), (5, 26)])
 def test_each_distinct_piece_is_encoded_once(monkeypatch, capsys, kind, p, m):
     # a build writes one text per shared piece object, kept on the piece,
-    # and reuses it under each of its keys; converting every piece in place
-    # made m - 1 module_to_json calls.  Graded builds elsewhere in the tests
-    # run over the default fields, so over this one no piece's text is
-    # kept from before: every miss of the writer's memo is counted
+    # and reuses it under each of its keys.  Graded builds elsewhere in the
+    # tests run over the default fields, so over this one no piece's text
+    # is kept from before: every miss of the writer's memo is counted
     modulus = {3: "2,2,1", 5: "1,1,1"}[p]
-    encoded = []
-    real = cli._module_text.__wrapped__
-
-    def _module_text(M, pad=""):
-        encoded.append(M)
-        return real(M, pad)
-
-    monkeypatch.setattr(cli, "_module_text", km._memo(_module_text))
+    encoded = record(monkeypatch, cli._module_text, lambda args, _: args[0])
     assert cli.main(["build", kind, "--p", str(p), "--m", str(m), "--modulus", modulus,
                      "--alpha", "0,1"]) == 0
     assert len(json.loads(capsys.readouterr().out)["pieces"]) == m - 1
@@ -212,29 +192,15 @@ def test_each_distinct_piece_is_encoded_once(monkeypatch, capsys, kind, p, m):
 
 def test_graded_builds_make_no_per_entry_scalar_calls(monkeypatch):
     # every piece and its family model is a block of one binomial table per
-    # (field, beta); entry-by-entry builds made 13,325 binom_mod_p and
-    # 11,725 pow_idx calls here
+    # (field, beta), so the scalar calls do not grow with the entries
     p, m = 5, 26
     params = curve_params(C5, m, C5.gen())
-    calls = {"binom": 0, "pow": 0}
-    real_binom, real_pow = km.binom_mod_p, FieldCtx.pow_idx
-
-    def binom(*args):
-        calls["binom"] += 1
-        return real_binom(*args)
-
-    def pow_idx(*args):
-        calls["pow"] += 1
-        return real_pow(*args)
-
-    monkeypatch.setattr(km, "binom_mod_p", binom)
-    # a name curvefam imported from kmod would not see the kmod patch
-    monkeypatch.setattr(cf, "binom_mod_p", binom, raising=False)
-    monkeypatch.setattr(FieldCtx, "pow_idx", pow_idx)
+    binoms = record(monkeypatch, km.binom_mod_p)
+    powers = record(monkeypatch, FieldCtx.pow_idx)
     holo_graded(params)
     dr_graded(params)
-    assert calls["binom"] <= p ** 4
-    assert calls["pow"] <= p ** 2
+    assert len(binoms) <= p ** 4
+    assert len(powers) <= p ** 2
 
 
 def test_vdr_and_dr_pieces_build_no_quotient(monkeypatch):
@@ -242,33 +208,21 @@ def test_vdr_and_dr_pieces_build_no_quotient(monkeypatch):
     # checks them takes a quotient and an inversion, and it derives two
     # modules from the checked definition pair, the block-diagonal sum and
     # the quotient, and checks neither
-    calls = []
-
-    def counted(name, real):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in ("quotient", "invert", "dr_action"):
-        monkeypatch.setattr(km, name, counted(name, getattr(km, name)))
-    monkeypatch.setattr(Subspace, "from_rows",
-                        classmethod(counted("from_rows", Subspace.from_rows.__func__)))
-    dr_graded(curve_params(C5, 26, C5.gen()))
-    # curvefam calls its own import of dr_action, so the pieces count nothing
-    # here, and they build no v_dr, which would call kmod's
-    assert calls == []
+    calls = [record(monkeypatch, fn)
+             for fn in (km.quotient, km.invert, Subspace.from_rows, km.dr_action)]
+    gm = dr_graded(curve_params(C5, 26, C5.gen()))
+    # one dr_action stack per distinct de Rham piece, and no v_dr, which
+    # would take its own
+    stacks = len({id(piece) for piece in gm.pieces.values()})
+    assert list(map(len, calls)) == [0, 0, 0, stacks]
     # the p members of a class d // p are one module, built once
     for d in range(26):
         km.v_dr(C5, d, C5.gen())
-    assert calls == ["dr_action"] * 6
-    calls.clear()
-    monkeypatch.setattr(km.HModule, "__init__", counted("HModule", km.HModule.__init__))
-    monkeypatch.setattr(km.HModule, "_derived",
-                        classmethod(counted("_derived", km.HModule._derived.__func__)))
+    assert list(map(len, calls)) == [0, 0, 0, stacks + 6]
+    built, derived = (record(monkeypatch, fn) for fn in (km.HModule.__init__,
+                                                         km.HModule._derived))
     km.vdr_quotient(C5, 12, C5.gen())
-    assert {"quotient", "invert", "from_rows"} <= set(calls)
-    assert calls.count("_derived") == 2 and "HModule" not in calls
+    assert all(calls[:3]) and len(derived) == 2 and built == []
 
 
 @pytest.mark.parametrize("c,sub,quot", [(1, 0, 8), (5, 4, 4), (9, 8, 0)])

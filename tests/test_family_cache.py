@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repcurve import ff, linalg, suites
+from repcurve import ff, linalg
 from repcurve import curvefam as cf
 from repcurve import kmod as km
 from repcurve.errors import (BadDimension, ContextMismatch, NotCommuting,
@@ -22,7 +22,7 @@ from repcurve.cli import main
 from repcurve.ff import FieldCtx, ctx_new, default_ctx
 from repcurve.linalg import Mat, Subspace, kernel
 from repcurve.suites import SUITE_PRIMES, report_to_json, run_suite
-from reference import conjugate, intertwiner_space, matpow, presented_modules
+from reference import conjugate, intertwiner_space, matpow, presented_modules, record
 
 C3 = default_ctx(3)
 C5 = default_ctx(5)
@@ -251,14 +251,7 @@ def test_kept_relations_generate_every_relation(name):
 def test_end_vdr_5_12_solves_from_three_relation_generators(monkeypatch):
     M = km.v_dr(C5, 12, C5.gen())
     km._hom_source_data(M)
-    seen = []
-    real = km.kernel
-
-    def counted(A):
-        seen.append(A.rows)
-        return real(A)
-
-    monkeypatch.setattr(km, "kernel", counted)
+    seen = record(monkeypatch, km.kernel, _rows)
     H = km.hom_space(M, M)
     assert len(seen) == 1 and seen[0] <= 3 * M.dim
     monkeypatch.undo()
@@ -298,33 +291,20 @@ def test_module_checks_keep_their_order_and_messages():
     assert km.HModule(C3, Mat.identity(C3, 0), Mat.identity(C3, 0)).dim == 0
 
 
-def _count_products(monkeypatch) -> list:
-    """The field products, counted at each import site of _matmul_idx."""
-    calls = []
-    real = linalg._matmul_idx
+def _rows(args, result):
+    """The row count of the first argument, a Mat."""
+    return args[0].rows
 
-    def counted(ctx, A, B):
-        calls.append(1)
-        return real(ctx, A, B)
 
-    for module in (linalg, km, suites):
-        monkeypatch.setattr(module, "_matmul_idx", counted)
-    return calls
+def _length(args, result):
+    """The length of the result: the pivot steps of an elimination or a
+    row profile."""
+    return len(result)
 
 
 def _count_checks(monkeypatch) -> list:
-    """The shapes of the stacks check_actions is called on, curvefam's
-    import of it included."""
-    checks = []
-    real = km.check_actions
-
-    def counted(ctx, gens):
-        checks.append(gens.shape)
-        return real(ctx, gens)
-
-    for module in (km, cf):
-        monkeypatch.setattr(module, "check_actions", counted)
-    return checks
+    """The shapes of the stacks check_actions is called on."""
+    return record(monkeypatch, km.check_actions, lambda args, _: args[1].shape)
 
 
 def _outcome(build):
@@ -433,7 +413,7 @@ def test_batch_outcome_is_the_first_one_by_one_outcome(ctx, seed, d, pairs):
 
 
 def test_single_construction_keeps_its_products(monkeypatch):
-    calls = _count_products(monkeypatch)
+    calls = record(monkeypatch, linalg._matmul_idx)
     # the squares and sigma tau, tau sigma in one product, then the p-th
     # powers: one more product at p = 3, two at p = 5
     km.HModule(C3, *_spec(C3, 5))
@@ -442,11 +422,8 @@ def test_single_construction_keeps_its_products(monkeypatch):
     assert len(calls) == 2 + 3
 
 
-# products of one cold build; a holo build checks only the two p x p
-# factors of its beta (6 and 4 when it checked its distinct members
-# together); checking each distinct piece with its own chain took 27, 100,
-# 100 and 27, and a check that formed the squares apart from sigma tau and
-# tau sigma took 3, 8, 4 and 6
+# products of one cold build: a dr build checks its distinct pieces in one
+# chain, and a holo build checks only the two p x p factors of its beta
 BUILD_PRODUCTS = [
     (("dr", "--p", "3", "--m", "10"), 2),
     (("holo", "--p", "5", "--m", "26"), 3),
@@ -460,7 +437,7 @@ BUILD_PRODUCTS = [
 def test_graded_build_checks_its_pieces_in_one_chain(monkeypatch, tmp_path, argv, most):
     out = tmp_path / "graded.json"
     build = ["build", *argv, "--alpha", "0,1", "--out", str(out)]
-    calls = _count_products(monkeypatch)
+    calls = record(monkeypatch, linalg._matmul_idx)
     assert main(build) == 0
     assert 0 < len(calls) <= most
     assert len(json.loads(out.read_text())["pieces"]) == int(argv[-1]) - 1
@@ -581,26 +558,13 @@ def test_hom_dims_of_the_zero_module_and_across_fields():
             km._hom_dims(A, B)
 
 
-def _count_map_builds(monkeypatch) -> list:
-    """Record each call of hom_space, the map rebuild behind is_isomorphic
-    and end_algebra."""
-    calls = []
-    real = km.hom_space
-
-    def counted(*args):
-        calls.append("hom_space")
-        return real(*args)
-
-    monkeypatch.setattr(km, "hom_space", counted)
-    return calls
-
-
 def test_dim_decisions_build_no_maps(monkeypatch):
     rng = random.Random(3)
     # fresh modules, so no map basis is cached from an earlier call
     M = conjugate(km.v_dr(C3, 4, T3), rng)
     N = conjugate(km.v_dr(C3, 4, T3 + 1), rng)
-    calls = _count_map_builds(monkeypatch)
+    # hom_space is the map rebuild behind is_isomorphic and end_algebra
+    calls = record(monkeypatch, km.hom_space)
     dec = km.is_isomorphic(M, N)
     assert (dec.verdict, dec.method) == ("NO", "hom-dim-mismatch")
     assert dec.detail == {"hom": [9, 9], "end": [10, 10]}
@@ -608,29 +572,15 @@ def test_dim_decisions_build_no_maps(monkeypatch):
     assert calls == []
     # the YES path rebuilds the one Hom basis its witness search needs
     assert km.is_isomorphic(M, conjugate(M, rng)).verdict == "YES"
-    assert calls == ["hom_space"]
+    assert len(calls) == 1
 
 
-def _count_hom_work(monkeypatch) -> tuple:
-    """Record the module pair of each Hom relation solve, and of each
-    condition matrix formed between two modules: a computed _hom_dims(M, N)
-    forms (M, N) and then (N, M), a relation solve of Hom(M, N) forms
-    (M, N), and a value read from the memo forms none."""
-    solves, conds = [], []
-    real_solve, real_conds = km._hom_solve, km._hom_conditions
-
-    def counted_solve(M, N):
-        solves.append((M, N))
-        return real_solve(M, N)
-
-    def counted_conds(M, N):
-        if M is not N:
-            conds.append((M, N))
-        return real_conds(M, N)
-
-    monkeypatch.setattr(km, "_hom_solve", counted_solve)
-    monkeypatch.setattr(km, "_hom_conditions", counted_conds)
-    return solves, conds
+def _between_two(pairs) -> list:
+    """The (M, N) pairs with M not N: a computed _hom_dims(M, N) forms the
+    conditions (M, N) and then (N, M), a relation solve of Hom(M, N) forms
+    (M, N), a value read from the memo forms none, and an End solve forms
+    (M, M)."""
+    return [(M, N) for M, N in pairs if M is not N]
 
 
 def test_classification_computes_each_pairs_hom_dims_once(monkeypatch):
@@ -638,10 +588,11 @@ def test_classification_computes_each_pairs_hom_dims_once(monkeypatch):
     # Hom dims: one stacked rank per unordered pair, kept on both modules,
     # and no Hom kernel of two modules; the relation solves left are End
     # solves
-    solves, conds = _count_hom_work(monkeypatch)
+    solves, conds = record(monkeypatch, km._hom_solve), record(monkeypatch, km._hom_conditions)
     cases = run_suite("classification", (3,))["cases"]
     assert len(cases) == 297 and all(c["verdict"] == "pass" for c in cases)
-    assert all(M is N for M, N in solves)
+    assert _between_two(solves) == []
+    conds = _between_two(conds)
     computed = conds[::2]
     assert conds[1::2] == [(N, M) for M, N in computed]
     assert len(computed) == 105
@@ -656,85 +607,32 @@ def test_hom_dims_asked_the_other_way_round_form_no_conditions(monkeypatch):
     N = km.v_d(C3, 2, T3)
     dims = km._hom_dims(M, N)
     assert dims == (3, 2)
-    calls = []
-    for name in ("_hom_conditions", "_rank_stack"):
-        monkeypatch.setattr(km, name, lambda *args, name=name: calls.append(name))
+    calls = [record(monkeypatch, fn) for fn in (km._hom_conditions, km._rank_stack)]
     assert km._hom_dims(N, M) == dims[::-1]
-    assert calls == []
-
-
-def _count_computed(monkeypatch, name) -> list:
-    """Rewrap the memoized function name around a counter of the values
-    it computes, that is of its memo misses, and return the counter."""
-    inner, computed = getattr(km, name).__wrapped__, []
-
-    def counting(*args):
-        computed.append(args)
-        return inner(*args)
-
-    counting.__name__ = name
-    monkeypatch.setattr(km, name, km._memo(counting))
-    return computed
+    assert calls == [[], []]
 
 
 def test_verify_all_hom_work_stays_counted(monkeypatch):
-    # `verify all` at seed 0 computes 241 decisions of its 405
-    # is_isomorphic calls (413, all computed, before each decision was kept
-    # on its first module), 141 Hom dim pairs (each kept on both modules;
-    # 153 before), 56 relation solves (122 when a cyclic or cocyclic module
-    # solved its End too; 154) and forms 311 condition matrices (377; 421;
-    # 460 when step 5 of is_isomorphic formed its Hom(M, N) conditions
-    # again), and makes 505 eliminations of 5,173 pivot steps (678 of 6,314
-    # when each presentation eliminated sigma0*rel + tau0*rel for its
-    # generating relations and each cyclic or cocyclic End was solved; 715
-    # of 7,000 when a witness check and the dr suite's intertwiner check
-    # inverted their map to test it; 977 of 7,966) and 147 flag row
-    # profiles of 1,704 steps (167 of 1,724; 1,635 eliminations when each
-    # flag took one per word degree, 13,526 steps when each filtration
-    # level took its own).  It computes 11 End/J splits, the indec suite
-    # reading those of its v_dr cases itself.  It forms no filtration level
-    # and makes 1,496 products (1,580 when cyclic and cocyclic modules
-    # solved End; 1,584 when the hodge suite built the p = 3
-    # de Rham families apart from the dr suite; 1,669 when the Hodge check
-    # built and checked its own piece; 1,833 when a quotient proved its
-    # subspace invariant apart from its change of basis and the socle
-    # restriction tested membership;
-    # 1,907 when a witness check and the dr suite's intertwiner check took
-    # one product per generator, 2,056 when each v_d member took its own
-    # order and commute check, 2,541 when every derived module did, and a
-    # quotient and a dual formed each generator apart; 3,104 before the decision, quotient and core memos, 3,468 when each
-    # module check formed the squares apart from sigma tau and tau sigma,
-    # 4,586 when each graded piece took its own order and commute check) in
-    # 81 check_actions calls (83, 91, 153, 306); counts, unlike times, are
-    # free of host noise
-    decisions = _count_computed(monkeypatch, "is_isomorphic")
-    dims = _count_computed(monkeypatch, "_hom_dims")
-    solves = _count_computed(monkeypatch, "_hom_solve")
-    splits = _count_computed(monkeypatch, "_end_split")
-    products = _count_products(monkeypatch)
+    # `verify all` at seed 0 computes 241 of its 405 is_isomorphic
+    # decisions (each is kept on its first module), 141 Hom dim pairs (kept
+    # on both modules), 56 relation solves (a cyclic or cocyclic End is read
+    # off its presentation) and 11 End/J splits; it forms 311 condition
+    # matrices (step 5 of is_isomorphic takes those _hom_dims kept), makes
+    # 505 eliminations of 5,173 pivot steps and 147 flag row profiles of
+    # 1,704 steps (one per flag), and 1,496 products in 81 check_actions
+    # calls (a family checks its factors or pieces in one stack); it forms
+    # no filtration level.  Counts, unlike times, are free of host noise;
+    # CHANGES.md keeps each count's history
+    decisions = record(monkeypatch, km.is_isomorphic)
+    dims = record(monkeypatch, km._hom_dims)
+    solves = record(monkeypatch, km._hom_solve)
+    splits = record(monkeypatch, km._end_split)
+    products = record(monkeypatch, linalg._matmul_idx)
     checks = _count_checks(monkeypatch)
-    conds, steps, profiles, levels = [], [], [], []
-    real_conditions, real_rref = km._hom_conditions, linalg._rref_inplace
-    real_profile = linalg._row_profile
-
-    def counted(M, N):
-        conds.append((M, N))
-        return real_conditions(M, N)
-
-    def eliminated(ctx, X):
-        pivots = real_rref(ctx, X)
-        steps.append(len(pivots))
-        return pivots
-
-    def profiled(ctx, X):
-        rows = real_profile(ctx, X)
-        profiles.append(len(rows))
-        return rows
-
-    monkeypatch.setattr(km, "_hom_conditions", counted)
-    monkeypatch.setattr(km, "s_filtration", levels.append)
-    monkeypatch.setattr(linalg, "_rref_inplace", eliminated)
-    monkeypatch.setattr(km, "_row_profile", profiled)
+    conds = record(monkeypatch, km._hom_conditions)
+    levels = record(monkeypatch, km.s_filtration)
+    steps = record(monkeypatch, linalg._rref_inplace, _length)
+    profiles = record(monkeypatch, linalg._row_profile, _length)
     assert run_suite("all", SUITE_PRIMES, seed=0)["exit"] == 0
     assert levels == []
     counts = (len(decisions), len(dims), len(solves), len(conds), len(steps), sum(steps),
@@ -744,35 +642,27 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
 
 
 def _count_family_builds(monkeypatch) -> list:
-    """Record (kind, p, m) of each holo_graded and dr_graded call."""
-    builds = []
-    for kind in ("holo", "dr"):
-        def counted(params, kind=kind, real=getattr(cf, f"{kind}_graded")):
-            builds.append((kind, params.p, params.m))
-            return real(params)
-
-        monkeypatch.setattr(cf, f"{kind}_graded", counted)
-    return builds
+    """The (kind, p, m) of each holo_graded and each dr_graded call."""
+    return [record(monkeypatch, build, lambda args, gm: (gm.kind, gm.params.p, gm.params.m))
+            for build in (cf.holo_graded, cf.dr_graded)]
 
 
 def test_verify_all_builds_each_graded_family_once(monkeypatch):
     # the holo, dr and hodge suites read one family per (field, kind, m),
-    # kept on the field context; when the dr and hodge suites each kept
-    # their own, the p = 3 de Rham families at m = 2 and 10 were built twice
-    builds = _count_family_builds(monkeypatch)
+    # kept on the field context, so each is built once
+    holo, dr = _count_family_builds(monkeypatch)
     assert run_suite("all", SUITE_PRIMES, seed=0)["exit"] == 0
-    assert sorted(builds) == [(kind, p, m) for kind in ("dr", "holo")
+    assert sorted(holo + dr) == [(kind, p, m) for kind in ("dr", "holo")
                               for p, m in ((3, 2), (3, 10), (5, 26))]
 
 
 def test_a_second_run_builds_and_checks_no_family(monkeypatch):
-    # the second run reads every family from its field context: it made 5
-    # builds and 5 checks, one per de Rham build, when each run kept its own
+    # the second run reads every family from its field context
     first = report_to_json(run_suite("all", SUITE_PRIMES, seed=0))
     builds = _count_family_builds(monkeypatch)
     checks = _count_checks(monkeypatch)
     assert report_to_json(run_suite("all", SUITE_PRIMES, seed=0)) == first
-    assert builds == [] and checks == []
+    assert builds == [[], []] and checks == []
 
 
 # the memos of a decision, of the paper's quotient and of the case-II cores
@@ -783,19 +673,13 @@ def test_memos_change_no_report_byte(monkeypatch):
     # the decisions, quotients and cores kept on their owners give the
     # report of the unmemoized functions byte for byte, from fewer decisions
     plain = {name: getattr(km, name).__wrapped__ for name in DECISION_MEMOS}
-    computed = _count_computed(monkeypatch, "is_isomorphic")
+    computed = record(monkeypatch, km.is_isomorphic)
     memoized = report_to_json(run_suite("all", SUITE_PRIMES, seed=0))
     for ctx in list(ff._CTX_LIVE.values()):
         ctx._cache.clear()
-    calls = []
-
-    def decide(M, N):
-        calls.append((M, N))
-        return plain["is_isomorphic"](M, N)
-
     for name, fn in plain.items():
         monkeypatch.setattr(km, name, fn)
-    monkeypatch.setattr(km, "is_isomorphic", decide)
+    calls = record(monkeypatch, km.is_isomorphic)
     assert report_to_json(run_suite("all", SUITE_PRIMES, seed=0)) == memoized
     assert json.loads(memoized)["exit"] == 0
     assert len(computed) < len(calls)
@@ -842,13 +726,13 @@ def test_hom_basis_pair_forms_one_hom_kernel(monkeypatch):
     rng = random.Random(3)
     M = conjugate(km.v_dr(C3, 4, T3), rng)
     N = conjugate(M, rng)
-    solves, conds = _count_hom_work(monkeypatch)
+    solves, conds = record(monkeypatch, km._hom_solve), record(monkeypatch, km._hom_conditions)
     dec = km.is_isomorphic(M, N)
     assert (dec.verdict, dec.method) == ("YES", "hom-basis")
-    assert [(A, B) for A, B in solves if A is not B] == [(M, N)]
+    assert _between_two(solves) == [(M, N)]
     # the dims; the one Hom(M, N) kernel of step 5 takes the (M, N)
     # conditions that _hom_dims kept, and drops them
-    assert conds == [(M, N), (N, M)]
+    assert _between_two(conds) == [(M, N), (N, M)]
     assert ("_hom_conditions", N) not in M._cache
     # the conditions are kept only for a solve still to come: not after
     # hom_space has solved Hom(M, N)
@@ -867,15 +751,8 @@ def test_hom_dim_forms_no_end_kernel(monkeypatch):
     rng = random.Random(5)
     M = conjugate(km.v_d(C3, 5, T3), rng)
     N = conjugate(M, rng)
-    solves = _count_computed(monkeypatch, "_hom_solve")
-    kernels = []
-    real = km.kernel
-
-    def counted(A):
-        kernels.append(A.rows)
-        return real(A)
-
-    monkeypatch.setattr(km, "kernel", counted)
+    solves = record(monkeypatch, km._hom_solve)
+    kernels = record(monkeypatch, km.kernel)
     assert km._hom_dims(M, N) == km._hom_dims(N, M) == (5, 5)
     assert len(kernels) == 2 and solves == []
     assert ("_hom_conditions", N) in M._cache
@@ -885,14 +762,7 @@ def test_decision_radical_runs_on_the_socle_image(monkeypatch):
     # End(v_dr(5, 12)) has dim 28 on a module of dim 24; the decision
     # runs the radical only on its image in End(soc M)
     M = km.v_dr(C5, 12, C5.gen())
-    shapes = []
-    real = km.algebra_radical
-
-    def counted(ctx, mats):
-        shapes.append(mats.shape[1:])
-        return real(ctx, mats)
-
-    monkeypatch.setattr(km, "algebra_radical", counted)
+    shapes = record(monkeypatch, km.algebra_radical, lambda args, _: args[1].shape[1:])
     dec = km.is_indecomposable(M)
     s = km.fixed_space(M).dim
     assert (dec.certificate, s, km.end_dim(M)) == ("T3", 2, 28)
@@ -901,14 +771,7 @@ def test_decision_radical_runs_on_the_socle_image(monkeypatch):
 
 def test_end_basis_reuses_the_end_solve(monkeypatch):
     M = conjugate(km.v_dr(C5, 12, C5.gen()), random.Random(5))
-    eliminations = []
-    real = km.kernel
-
-    def counted(A):
-        eliminations.append(A.rows)
-        return real(A)
-
-    monkeypatch.setattr(km, "kernel", counted)
+    eliminations = record(monkeypatch, km.kernel)
     e = km.end_dim(M)
     assert len(eliminations) == 2  # the presentation's relations, then C
     H, _ = km.end_algebra(M)
@@ -944,16 +807,9 @@ def test_vdr_matches_the_quotient_over_cubic_fields(p, d, shift):
 
 
 def test_vdr_module_is_checked_once(monkeypatch):
-    checks = []
-    real = km.check_actions
-
-    def counted(ctx, gens):
-        checks.append(gens.shape)
-        return real(ctx, gens)
-
     # every new HModule checks its pair with one check_actions call; v_dr
     # is gathered from the binomial table, with no direct sum to check
-    monkeypatch.setattr(km, "check_actions", counted)
+    checks = _count_checks(monkeypatch)
     # the autouse fixture leaves the cache cold, so this call builds
     M = km.v_dr(C3, 5, T3)
     assert checks == [(2, M.dim, M.dim)]
@@ -1103,32 +959,17 @@ def test_full_check_on_every_derived_module_keeps_the_report(monkeypatch, capsys
         "bf3415bd45acb4e2314339c277e4575844965d88779842ce9f09fbf9bcb81caa")
     for ctx in list(ff._CTX_LIVE.values()):
         ctx._cache.clear()
-    real, forced = km.HModule._derived, []
-
-    def checked(ctx, gens, labels=None, meta=None):
-        km.check_actions(ctx, gens)
-        forced.append((meta or {}).get("kind"))
-        return real(ctx, gens, labels, meta)
-
-    monkeypatch.setattr(km.HModule, "_derived", staticmethod(checked))
+    forced = record(monkeypatch, km.HModule._derived,
+                    lambda args, M: km.check_actions(M.ctx, M.gens) or M.meta.get("kind"))
     assert main(argv) == 0
     assert capsys.readouterr().out == plain
-    # 363 modules at seed 0, 97 of them v_d members and 58 v_dr (295 when
-    # v_dr and the Hodge pieces went through the public constructor, 222
-    # when each member took its own check)
+    # 363 modules at seed 0, 97 of them v_d members and 58 v_dr
     assert len(forced) > 280 and forced.count("vd") > 90
 
 
 def test_dims_only_calls_make_no_inversion(monkeypatch, cold_family_modules):
     M = km.v_dr(C5, 12, C5.gen())
-    inversions = []
-    real = km.invert
-
-    def counted(A):
-        inversions.append(A.rows)
-        return real(A)
-
-    monkeypatch.setattr(km, "invert", counted)
+    inversions = record(monkeypatch, km.invert, _rows)
     km.end_dim(M), km._hom_dims(M, M), km.profile(M)
     assert inversions == []
     # the first map rebuild inverts the evaluation submatrix once and keeps it

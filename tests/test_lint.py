@@ -1,10 +1,11 @@
 """A lint guard for the package, with no linter installed: every import is
-used, every local name a function assigns is read, and no unbounded cache
-is made outside a function body, nor a module-level name written into by a
-function, unless it is listed below; a module's generators are read
-only through HModule.gens; and no module reads the process environment,
-so each setting is a command-line option.  The re-exports of __init__.py and names that
-start with "_" are exempt from the first two."""
+used and every local name a function assigns is read, in the package and
+in the tests; and in the package no unbounded cache is made outside a
+function body, nor a module-level name written into by a function, unless
+it is listed below; a module's generators are read only through
+HModule.gens; and no module reads the process environment, so each
+setting is a command-line option.  The re-exports of __init__.py and
+names that start with "_" are exempt from the first two."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repcurve"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 # the module-level unbounded caches, each over a small key space that holds
 # no field context: a cache keyed on one would keep every context it saw
@@ -229,7 +231,7 @@ def test_guard_sees_what_it_guards_against():
                                                   "probe:4 getenv", "probe:6 environ"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_unused_import_or_unread_local(path):
     source = path.read_text()
     assert unused_imports(path.name, source) + unread_locals(path.name, source) == []
