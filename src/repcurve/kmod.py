@@ -238,17 +238,22 @@ class HModule:
 
     @_memo
     def gens0(self) -> np.ndarray:
-        """Read-only (2, dim, dim) stack of sigma0 and tau0."""
+        """Read-only (2, dim, dim) stack of sigma0 and tau0, at the
+        narrowest unsigned width that holds every index of the field: uint8
+        up to q = 256, uint16 up to the dense-table limit."""
         G = self.ctx.sub[self.gens, np.eye(self.dim, dtype=np.int64)]
+        G = G.astype(np.min_scalar_type(self.ctx.q - 1))
         G.setflags(write=False)
         return G
 
     @_memo
     def word_stack(self) -> np.ndarray:
         """Read-only (p^2, dim, dim) array holding sigma0^a tau0^b at
-        a*p + b for 0 <= a, b < p.  The powers of both generators come
+        a*p + b for 0 <= a, b < p, at the width of gens0(): it is the
+        largest array a module keeps.  The powers of both generators come
         from p - 2 stacked products; they are the words with a = 0 or
-        b = 0, and the (p - 1)^2 others come from one broadcast product."""
+        b = 0, and the (p - 1)^2 others come from one broadcast product,
+        written into the narrow array."""
         ctx, p, d = self.ctx, self.ctx.p, self.dim
 
         def powers(G: np.ndarray) -> np.ndarray:  # (2, d, d) -> (p, 2, d, d)
@@ -257,8 +262,9 @@ class HModule:
                 out.append(_matmul_idx(ctx, out[-1], G))
             return np.stack(out)
 
-        P = powers(self.gens0())
-        W = np.empty((p, p, d, d), dtype=np.int64)
+        G = self.gens0()
+        P = powers(G)
+        W = np.empty((p, p, d, d), dtype=G.dtype)
         W[0], W[1:, 0] = P[:, 1], P[1:, 0]
         W[1:, 1:] = _matmul_idx(ctx, P[1:, None, 0], P[None, 1:, 1])
         W = W.reshape(p * p, d, d)
@@ -768,25 +774,31 @@ def _hom_source_data(M: HModule) -> dict:
     t = len(gens)
     # column i*p^2 + w: word w applied to generator i
     E = M.word_stack()[:, :, gens].transpose(1, 2, 0).reshape(M.dim, t * p * p)
-    rel = kernel(Mat(ctx, E))
-    # the columns of E that are not kernel pivots are independent and span
-    # the column space of E, so they give an invertible evaluation submatrix
+    # the relations are the kernel of E, in RREF, each led by its lowest
+    # term: word (a, b) of generator i at column i*p^2 + a*p + b, a free
+    # column of E.  sigma0 and tau0 shift a term to (a + 1, b) and
+    # (a, b + 1), which keeps the order of terms, so a word times a
+    # relation is led by the word times its pivot while that is nonzero,
+    # and the free columns are closed under both shifts.  Every relation is
+    # then cut to zero by word multiples of the rows at the free columns
+    # that are neither shift of another (a standard basis for the word
+    # order): those rows generate the relations as a module, and over the
+    # commutative group algebra their conditions on a map imply those of
+    # every relation, so the kernel builds those rows alone
     lead = np.zeros(E.shape[1], dtype=bool)
-    lead[rel.pivots] = True
+
+    def generating(free: np.ndarray) -> np.ndarray:
+        lead[:] = free  # every relation's lead, for piv below
+        col = np.arange(free.size)
+        a, b = col % (p * p) // p, col % p
+        # a > 0 and b > 0 keep the rolls from wrapping
+        shifted = ((a > 0) & np.roll(free, p)) | ((b > 0) & np.roll(free, 1))
+        return free & ~shifted
+
+    relgens = kernel(Mat(ctx, E), generating).basis
+    # the columns of E that are not free are independent and span the
+    # column space of E, so they give an invertible evaluation submatrix
     piv = np.nonzero(~lead)[0]
-    # rel's rows are in RREF, each led by its lowest term: word (a, b) of
-    # generator i at column i*p^2 + a*p + b.  sigma0 and tau0 shift a term
-    # to (a + 1, b) and (a, b + 1), which keeps the order of terms, so a
-    # word times a relation is led by the word times its pivot while that
-    # is nonzero, and the pivots of rel are closed under both shifts.
-    # Every relation is then cut to zero by word multiples of the rows at
-    # the pivots that are neither shift of another pivot (a standard basis
-    # for the word order): those rows generate rel as a module, and over
-    # the commutative group algebra their conditions on a map imply those
-    # of every relation
-    a, b = rel.pivots % (p * p) // p, rel.pivots % p
-    shifted = ((a > 0) & lead[rel.pivots - p]) | ((b > 0) & lead[rel.pivots - 1])
-    relgens = rel.basis[~shifted]
     return {"t": t, "E": E, "relgens": relgens, "piv": piv}
 
 

@@ -1,10 +1,13 @@
 """Exact dense linear algebra over a FieldCtx.
 
-Matrices store encoded element indices in 2-D numpy int arrays; all row
-operations go through the context's lookup tables, so elimination is
-vectorized while staying exact.  Subspaces are always kept in reduced row
-echelon form (fixed pivot rule: first nonzero entry, scanning top to
-bottom then left to right), which makes equality bit-exact.
+Matrices store encoded element indices in 2-D numpy integer arrays of
+any width; all row operations go through the context's lookup tables, so
+elimination is vectorized while staying exact.  Every elimination takes
+its working copy in int64, where the table offsets f*q + b are formed, so
+a narrow (uint8 or uint16) array reads like its int64 original.
+Subspaces are always kept in reduced row echelon form (fixed pivot rule:
+first nonzero entry, scanning top to bottom then left to right), which
+makes equality bit-exact.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ def field_rows(ctx: FieldCtx, rows, width: Optional[int] = None) -> np.ndarray:
 
 class Mat:
     """Dense matrix over a FieldCtx.  Immutable by convention.  Mat(ctx,
-    data) wraps encoded data as it is, unchecked; caller data enters
-    through from_rows."""
+    data) wraps encoded data as it is, unchecked and at its own integer
+    width; caller data enters through from_rows, as int64."""
 
     __slots__ = ("ctx", "data")
 
@@ -59,7 +62,7 @@ class Mat:
         if data.ndim != 2:
             raise ShapeMismatch("matrix data must be 2-D")
         self.ctx = ctx
-        self.data = data.astype(np.int64, copy=False)
+        self.data = data if data.dtype.kind in "iu" else data.astype(np.int64)
         self.data.setflags(write=False)
 
     # -- constructors -------------------------------------------------------
@@ -107,7 +110,8 @@ class Mat:
                 and bool(np.array_equal(self.data, other.data)))
 
     def __hash__(self):
-        return hash((self.ctx, self.data.shape, self.data.tobytes()))
+        # equal matrices of two widths hash alike
+        return hash((self.ctx, self.data.shape, self.data.astype(np.int64, copy=False).tobytes()))
 
     def to_lists(self) -> list:
         return self.ctx.texts[self.data].tolist()
@@ -202,7 +206,8 @@ def _matmul_idx(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _rref_inplace(ctx: FieldCtx, M: np.ndarray) -> list:
-    """Reduce M to RREF in place; returns the pivot column list.
+    """Reduce M, an int64 working copy, to RREF in place; returns the
+    pivot column list.
 
     Row r is zero left of its pivot column c, so each step touches only
     columns c.. of the rows with a nonzero entry in column c.  The update
@@ -244,10 +249,11 @@ def _row_profile(ctx: FieldCtx, X: np.ndarray) -> np.ndarray:
     column with a nonzero entry, takes its first nonzero row as pivot and
     clears that column in the rows below it with the two flat gathers of
     _rref_inplace; no later step reads the pivot row, so it is zeroed.
-    No row swap, no back-substitution, and X is never written."""
+    No row swap, no back-substitution, and X, of any integer width, is
+    never written."""
     q = ctx.q
     sub, mul = ctx.sub.reshape(-1), ctx.mul.reshape(-1)
-    T = X.T.copy()
+    T = X.T.astype(np.int64, order="C")
     out, c = [], 0
     while len(out) < T.shape[0] and c < T.shape[1]:
         nz = T[:, c:].any(axis=0)
@@ -272,23 +278,29 @@ def _row_profile(ctx: FieldCtx, X: np.ndarray) -> np.ndarray:
 
 
 def rank(A: Mat) -> int:
-    M = A.data.copy()
+    M = A.data.astype(np.int64)
     return len(_rref_inplace(A.ctx, M))
 
 
-def kernel(A: Mat) -> "Subspace":
+def kernel(A: Mat, select=None) -> "Subspace":
     """Canonical basis of {x : A x = 0}, from one elimination.
 
     A is reduced with its columns reversed.  The kernel vector of each
     free column f there has its last nonzero entry, a 1, at f, and zeros
     at the other free columns; read back in the original column order,
-    these vectors (taken by descending f) are already the RREF basis."""
+    these vectors (taken by descending f) are already the RREF basis,
+    each led by its free column.  With select, a function of the (cols,)
+    mask of the free columns, only the rows led by the free columns of
+    the mask it returns are built: the span of part of the basis, in
+    RREF, at the cost of the elimination and those rows alone."""
     ctx = A.ctx
     n = A.cols
-    M = A.data[:, ::-1].copy()
+    M = A.data[:, ::-1].astype(np.int64)
     pivots = _rref_inplace(ctx, M)
     free = np.ones(n, dtype=bool)
     free[pivots] = False
+    if select is not None:
+        free &= select(free[::-1].copy())[::-1]
     free = np.nonzero(free)[0][::-1]
     basis = np.zeros((free.size, n), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
@@ -303,7 +315,7 @@ def solve_matrix(A: Mat, B: Mat) -> Optional[Mat]:
     if A.rows != B.rows:
         raise ShapeMismatch("A and B must have the same number of rows")
     ctx = A.ctx
-    aug = np.hstack([A.data, B.data])
+    aug = np.hstack([A.data, B.data], dtype=np.int64)
     pivots = _rref_inplace(ctx, aug)
     acols = A.cols
     if any(pc >= acols for pc in pivots):
@@ -411,8 +423,8 @@ def _rank_stack(ctx: FieldCtx, A: np.ndarray, profile: bool = False) -> np.ndarr
     over all of them: column by column, each matrix takes its own pivot
     (first nonzero entry among its rows not yet used as pivots) and clears
     that column in its other unused rows.  Zero matrices are skipped and
-    the live ones copied, so A is never written.  With profile, the
-    result is instead each matrix's column rank profile, a (..., cols)
+    the live ones copied, in int64, so A is never written.  With profile,
+    the result is instead each matrix's column rank profile, a (..., cols)
     mask of its pivot columns, read after the loop: a pivot row is zero
     left of its pivot and never updated again, so its first nonzero entry
     is its pivot column.  Summed over the last axis it is the ranks.
@@ -429,7 +441,7 @@ def _rank_stack(ctx: FieldCtx, A: np.ndarray, profile: bool = False) -> np.ndarr
     A = A.reshape((math.prod(lead), rows, cols))
     ranks = np.zeros(A.shape[0], dtype=np.int64)
     live = np.nonzero(A.reshape(A.shape[0], -1).any(axis=1))[0]
-    R = A[live].reshape(live.size * rows, cols)
+    R = A[live].reshape(live.size * rows, cols).astype(np.int64, copy=False)
     unused = np.ones(R.shape[0], dtype=bool)
     slot = np.zeros(live.size, dtype=np.int64)
     for c in range(cols):

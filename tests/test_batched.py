@@ -684,7 +684,10 @@ def test_s_filtration_matches_direct(ctx, seed, kind, d):
     assert km.fixed_space(M) == fil[0]
 
 
-FLAG_FIELDS = [default_ctx(2, 2), default_ctx(2, 3), C3, C5, default_ctx(7)]
+# F_256 holds the top uint8 index 255 and F_289 is the first field whose
+# word stacks are uint16
+FLAG_FIELDS = [default_ctx(2, 2), default_ctx(2, 3), C3, C5, default_ctx(7),
+               default_ctx(2, 8), default_ctx(17, 2)]
 
 
 def ref_rank(ctx, X):

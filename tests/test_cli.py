@@ -803,13 +803,17 @@ def test_claims_formats(capsys):
     assert {r["suite"] for r in rows} >= {"identities", "cores", "hodge"}
 
 
-def test_console_script_entrypoint():
-    # the child imports the package this process imported, installed or not
+def run_child(*argv) -> subprocess.CompletedProcess:
+    """python with argv in a child process that imports the package this
+    process imported, installed or not."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repcurve.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "repcurve.cli", "--version"],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_console_script_entrypoint():
+    proc = run_child("-m", "repcurve.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
 
@@ -817,12 +821,7 @@ def test_console_script_entrypoint():
 @pytest.mark.parametrize("argv,code", [(("--version",), 0),
                                        (("verify", "nosuch"), 2)])
 def test_package_runs_as_a_module(argv, code):
-    # python -m repcurve, from the package this process imported
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repcurve.__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "repcurve", *argv],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+    proc = run_child("-m", "repcurve", *argv)
     assert proc.returncode == code
     if code == 0:
         assert proc.stdout.strip() == repcurve.__version__
@@ -1025,6 +1024,30 @@ def test_query_indec_at_p7(capsys, tmp_path):
     obj = json.loads(out)
     assert (obj["verdict"], obj["certificate"]) == ("INDECOMPOSABLE", "T3")
     assert obj["detail"]["socle_dim"] == 2
+
+
+# the child's own address-space cap; only the child sets it
+CHILD_CAP = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from repcurve.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_query_indec_of_a_large_semisimple_module_fits_in_3_gib(tmp_path):
+    # trivial^16 over F_43 has t = 16 generators and 16 * 43^2 - 16 = 29,568
+    # relations, of which 32 generate: the presentation builds those rows
+    # alone, where all of them took a 6.52 GiB array and exit 3
+    ctx = default_ctx(43, 1)
+    one = Mat.identity(ctx, 16)
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(km.module_to_json(km.HModule(ctx, one, one))))
+    proc = run_child("-c", CHILD_CAP, "query", "indec", str(m))
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert (obj["verdict"], obj["certificate"]) == ("DECOMPOSABLE", "T2")
+    assert obj["detail"]["split_dims"] == [15, 1]
 
 
 JSON_VALUES = st.recursive(

@@ -641,6 +641,27 @@ def test_verify_all_hom_work_stays_counted(monkeypatch):
     assert all(n <= m for n, m in zip(counts, most)), counts
 
 
+def test_verify_all_keeps_its_word_stacks_narrow(monkeypatch):
+    # a cold `verify all` at seed 0 computes 151 word stacks and 155 gens0
+    # stacks, held at the field's index width (uint8 at p = 3 and 5): they
+    # take 910,507 and 75,854 bytes, where int64 took 7,284,056 and
+    # 606,832.  Bytes, unlike a peak RSS, are free of host noise
+    words = record(monkeypatch, km.HModule.word_stack, lambda args, W: W.nbytes)
+    shifted = record(monkeypatch, km.HModule.gens0, lambda args, G: G.nbytes)
+    assert run_suite("all", SUITE_PRIMES, seed=0)["exit"] == 0
+    kept = (sum(words), sum(shifted))
+    assert words and kept[0] <= 910_507 and kept[1] <= 75_854, kept
+
+
+def test_verify_all_eliminates_in_int64(monkeypatch):
+    # the stacks a module keeps are narrow, and every elimination widens
+    # its own working copy: no narrow array reaches _rref_inplace, whose
+    # table offsets f*q + b would wrap or overflow in uint8
+    dtypes = record(monkeypatch, linalg._rref_inplace, lambda args, _: args[1].dtype)
+    assert run_suite("all", SUITE_PRIMES, seed=0)["exit"] == 0
+    assert dtypes and set(dtypes) == {np.dtype(np.int64)}
+
+
 def _count_family_builds(monkeypatch) -> list:
     """The (kind, p, m) of each holo_graded and each dr_graded call."""
     return [record(monkeypatch, build, lambda args, gm: (gm.kind, gm.params.p, gm.params.m))

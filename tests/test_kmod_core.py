@@ -36,6 +36,23 @@ def test_digit_helpers():
     assert binom_mod_p(7, 2, 3) == (binom_mod_p(1, 2, 3) * binom_mod_p(2, 0, 3)) % 3
 
 
+@pytest.mark.parametrize("p,n,width", [(3, 2, np.uint8), (5, 2, np.uint8), (7, 2, np.uint8),
+                                       (2, 8, np.uint8), (17, 2, np.uint16),
+                                       (3, 6, np.uint16)],
+                         ids=["F9", "F25", "F49", "F256", "F289", "F729"])
+def test_word_stack_and_gens0_are_held_at_the_index_width(p, n, width):
+    # the narrowest width that holds every index: uint8 up to q = 256,
+    # uint16 above; the generators themselves stay int64.  Each word equals
+    # sigma0^a tau0^b formed from int64 copies of gens0()
+    ctx = default_ctx(p, n)
+    M = v_d(ctx, min(p * p, 6), ctx.gen())
+    G, W = M.gens0(), M.word_stack()
+    assert M.gens.dtype == np.int64 and G.dtype == W.dtype == width
+    s0, t0 = (Mat(ctx, X.astype(np.int64)) for X in G)
+    for a, b in ((0, 0), (1, 0), (0, 1), (1, 1), (p - 1, p - 1), (p - 1, 1)):
+        assert np.array_equal(W[a * p + b], (matpow(s0, a) @ matpow(t0, b)).data)
+
+
 @pytest.mark.parametrize("ctx,beta", [(C3, "0,1"), (C3, "1,2"), (C5, "0,1"), (C5, "2,3")],
                          ids=["F9-t", "F9-1+2t", "F25-t", "F25-2+3t"])
 @pytest.mark.parametrize("which", ["d=1", "d=p", "d=p^2-1", "d=p^2"])

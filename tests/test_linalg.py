@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from repcurve.errors import ContextMismatch, ShapeMismatch
 from repcurve.ff import default_ctx
-from repcurve.linalg import Mat, Subspace, _matpow_idx, invert, kernel, rank, solve_matrix
+from repcurve.linalg import (Mat, Subspace, _matpow_idx, _rank_stack, _row_profile, invert,
+                             kernel, rank, solve_matrix)
 from reference import (contains, contains_space, nilpotent_partition, preimage,
                        subspace_intersect, subspace_sum)
 
@@ -76,6 +77,36 @@ def test_solve_matrix_refuses_a_right_side_over_another_field():
     F25 = default_ctx(5)
     with pytest.raises(ContextMismatch):
         solve_matrix(Mat.identity(F25, 2), Mat(CTX, np.array([[3], [8]], dtype=np.int64)))
+
+
+@pytest.mark.parametrize("ctx", [default_ctx(2, 8), default_ctx(17, 2)], ids=["F256", "F289"])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_narrow_copy_eliminates_like_its_int64_original(ctx, seed):
+    # the word stacks of kmod reach the eliminations at uint8 (q <= 256) or
+    # uint16; each elimination widens its own working copy, since the table
+    # offsets f*q + b overflow a narrow array.  Rows 6 and 7 combine earlier
+    # rows, so the kernel, the profile and the stacked ranks see dependent
+    # rows, and every draw holds the top index q - 1
+    rng = np.random.default_rng(seed)
+    A = rng.integers(ctx.q, size=(8, 10))
+    A[0, 0] = ctx.q - 1
+    A[6] = ctx.add[ctx.mul[rng.integers(1, ctx.q), A[1]], ctx.mul[ctx.q - 1, A[4]]]
+    A[7] = ctx.mul[rng.integers(1, ctx.q), A[6]]
+    N = A.astype(np.min_scalar_type(ctx.q - 1))
+    before = N.copy()
+    assert N.dtype == (np.uint8 if ctx.q <= 256 else np.uint16)
+    assert kernel(Mat(ctx, N)) == kernel(Mat(ctx, A)) and kernel(Mat(ctx, A)).dim == 4
+    assert rank(Mat(ctx, N)) == rank(Mat(ctx, A)) == 6
+    assert np.array_equal(_row_profile(ctx, N), _row_profile(ctx, A))
+    # one invertible square and one that is not
+    inverses = [invert(Mat(ctx, square)) for square in (A[:6, :6], A[2:, 4:])]
+    assert inverses[0] is not None and inverses[1] is None
+    assert [invert(Mat(ctx, N[:6, :6])), invert(Mat(ctx, N[2:, 4:]))] == inverses
+    stack = A.reshape(2, 4, 10)
+    assert np.array_equal(_rank_stack(ctx, stack.astype(N.dtype)), _rank_stack(ctx, stack))
+    assert np.array_equal(_rank_stack(ctx, N.reshape(2, 4, 10), profile=True),
+                          _rank_stack(ctx, stack, profile=True))
+    assert np.array_equal(N, before)
 
 
 def test_matmul_shape_check():
